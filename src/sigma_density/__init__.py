@@ -13,7 +13,7 @@ from .errors import (
     PrecisionError,
     SigmaDensityError,
 )
-from .primes import PrimeTable, load_or_sieve, nth_prime, sieve, verify_gap_lemma
+from .primes import PrimeTable, load_or_sieve, sieve, verify_gap_lemma
 from .zeta import FactorSketch, g_k, local_factor, log_sigma_restricted, sigma_restricted
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "SigmaDensityError",
     "PrimeTable",
     "load_or_sieve",
-    "nth_prime",
     "sieve",
     "verify_gap_lemma",
     "FactorSketch",

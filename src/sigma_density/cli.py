@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -36,6 +37,17 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _convert(obj, path, brackets):
@@ -120,35 +132,34 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eta", help="density threshold for a given k")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", type=float, default=solver.DEFAULT_EPS)
+    p.add_argument("--eps", type=_finite_float, default=solver.DEFAULT_EPS)
 
     p = sub.add_parser("eta-limit", help="the k -> infinity threshold")
-    p.add_argument("--eps", type=float, default=solver.LIMIT_EPS)
+    p.add_argument("--eps", type=_finite_float, default=solver.LIMIT_EPS)
 
     p = sub.add_parser("thresholds", help="per-m thresholds and the selector for k")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", type=float, default=solver.DEFAULT_EPS)
+    p.add_argument("--eps", type=_finite_float, default=solver.DEFAULT_EPS)
 
     p = sub.add_parser("table", help="thresholds and constants for k = 1..kmax")
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--eps", type=float, default=solver.DEFAULT_EPS)
+    p.add_argument("--eps", type=_finite_float, default=solver.DEFAULT_EPS)
 
     p = sub.add_parser("density", help="density verdict for (k, r)")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--eps", type=float, default=density.DEFAULT_EPS)
+    p.add_argument("--r", type=_finite_float, required=True)
 
     p = sub.add_parser("approximate", help="greedy approximation of a log-range target")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--r", type=_finite_float, required=True)
+    p.add_argument("--x", type=_finite_float, required=True)
     p.add_argument("--steps", type=int, required=True)
 
     p = sub.add_parser("census", help="empirical range census up to a bound")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--r", type=_finite_float, required=True)
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--resolution", type=float, default=None)
+    p.add_argument("--resolution", type=_finite_float, default=None)
 
     p = sub.add_parser("verify", help="verification suites")
     p.add_argument(
@@ -156,7 +167,7 @@ def build_parser() -> _Parser:
         choices=("gap-lemma", "inequalities", "monotonicity", "all"),
         required=True,
     )
-    p.add_argument("--grid-step", type=float, default=1e-3)
+    p.add_argument("--grid-step", type=_finite_float, default=1e-3)
     return parser
 
 
@@ -228,9 +239,9 @@ def _run_verify(args, table):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    table = primes.load_or_sieve(args.prime_limit)
     tolerances = {}
     try:
+        table = primes.load_or_sieve(args.prime_limit)
         if args.command == "eta":
             tolerances["eps"] = args.eps
             result = solver.eta(table, args.k, args.eps)
@@ -241,9 +252,10 @@ def main(argv=None) -> int:
             params = {"eps": args.eps}
         elif args.command == "thresholds":
             tolerances["eps"] = args.eps
+            thresholds = {m: solver.r_threshold(table, args.k, m, args.eps) for m in (1, 2, 4)}
             result = {
-                "thresholds": {m: solver.r_threshold(table, args.k, m, args.eps) for m in (1, 2, 4)},
-                "m_min": solver.m_selector(table, args.k),
+                "thresholds": thresholds,
+                "m_min": solver.select_m(table, args.k, thresholds, args.eps),
             }
             params = {"k": args.k, "eps": args.eps}
         elif args.command == "table":
@@ -251,9 +263,8 @@ def main(argv=None) -> int:
             result = solver.eta_table(table, args.kmax, args.eps)
             params = {"kmax": args.kmax, "eps": args.eps}
         elif args.command == "density":
-            tolerances["eps"] = args.eps
-            result = density.density_report(table, args.k, args.r, args.eps)
-            params = {"k": args.k, "r": args.r, "eps": args.eps}
+            result = density.density_report(table, args.k, args.r)
+            params = {"k": args.k, "r": args.r}
         elif args.command == "approximate":
             result = explorer.greedy_approximate(table, args.k, args.r, args.x, args.steps)
             params = {"k": args.k, "r": args.r, "x": args.x, "steps": args.steps}

@@ -3,12 +3,13 @@
 For a prime budget of k repetitions and exponent r > 1, the range of the
 restricted divisor sum is dense in [1, G_k(r)) exactly when the statistic
 
-    T_k(m, r) = f_k(m, r) - log G_k(r)
-              = log(1 + p_m^{-r}) - sum_{i>m} log(local factor at p_i)
+    T_k(m, r) = log(1 + p_m^{-r}) - sum_{i>m} log(local factor at p_i)
 
 is <= 0 for every m; for r in (1, 2] it suffices to test m in {1, 2, 4}.
 A positive T at some m certifies a forbidden open interval in the log
-range.  Everything here returns certified brackets, and verdicts are
+range.  T has one interval expression (:func:`t_levels`), shared by
+:func:`t_func`, :func:`gap_interval`, :func:`density_report` and the gap
+scan.  Everything here returns certified brackets, and verdicts are
 three-valued (dense / not_dense / undetermined) so float artifacts can
 never silently misclassify a near-threshold input.
 """
@@ -16,12 +17,13 @@ never silently misclassify a near-threshold input.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 from mpmath import iv
 
-from .brackets import Bracket, check_eps
+from .brackets import Bracket
 from .errors import DomainError, IndeterminateError
 from .primes import PrimeTable
 from .zeta import (
@@ -37,8 +39,6 @@ V_TRUNCATION = 100_000
 
 # Upper end of the interval on which monotonicity of T in r is available.
 R_MONOTONE_HI = 7.0 / 3.0
-
-DEFAULT_EPS = 1e-12
 
 
 def _check_kmr(k: int, m: int, r: float) -> None:
@@ -62,26 +62,7 @@ def _prefix_log_factors_iv(table: PrimeTable, k: int, m: int, r_iv):
     return total
 
 
-def f(table: PrimeTable, k: int, m: int, r: float) -> Bracket:
-    """f_k(m, r) = log(1 + p_m^{-r}) + sum_{i<=m} log(local factor at p_i)."""
-    _check_kmr(k, m, r)
-    r_iv = to_iv(r)
-    return Bracket.from_iv(
-        _log_one_plus_pm_iv(table, m, r_iv) + _prefix_log_factors_iv(table, k, m, r_iv)
-    )
-
-
-def log_g(k: int, r: float, eps: float = DEFAULT_EPS) -> Bracket:
-    """Bracket for log G_k(r)."""
-    if k < 1:
-        raise DomainError(f"k must be a positive integer, got {k}")
-    if not r > 1:
-        raise DomainError(f"r must exceed 1, got {r}")
-    check_eps(eps)
-    return Bracket.from_iv(log_g_iv(k, to_iv(r)))
-
-
-def tail(table: PrimeTable, k: int, m: int, r: float, eps: float = DEFAULT_EPS) -> Bracket:
+def tail(table: PrimeTable, k: int, m: int, r: float) -> Bracket:
     """The infinite tail sum_{i>m} log(local factor at p_i).
 
     Computed by the exact rearrangement log G_k(r) minus the finite prefix,
@@ -94,25 +75,50 @@ def tail(table: PrimeTable, k: int, m: int, r: float, eps: float = DEFAULT_EPS) 
         raise DomainError(f"k must be a positive integer, got {k}")
     if not r > 1:
         raise DomainError(f"r must exceed 1, got {r}")
-    check_eps(eps)
     r_iv = to_iv(r)
-    enclosure = log_g_iv(k, r_iv)
-    if m > 0:
-        enclosure -= _prefix_log_factors_iv(table, k, m, r_iv)
-    return Bracket.from_iv(enclosure)
+    return Bracket.from_iv(log_g_iv(k, r_iv) - _prefix_log_factors_iv(table, k, m, r_iv))
 
 
-def t_func(table: PrimeTable, k: int, m: int, r: float, eps: float = DEFAULT_EPS) -> Bracket:
-    """T_k(m, r) = log(1 + p_m^{-r}) - tail(k, m, r)."""
+def t_levels(
+    table: PrimeTable, k: int, r_iv, log_g, ms: Iterable[int]
+) -> Iterator[tuple[int, Bracket, GapInterval | None]]:
+    """T_k(m, r) = log(1 + p_m^{-r}) - tail(k, m, r) for each m of the
+    ascending ``ms``, given the interval ``log_g`` of log G_k(r).
+
+    Yields (m, T bracket, gap), where gap is the forbidden interval at
+    level m when T is certified positive and None otherwise.  The prefix
+    of local factors is carried from one level to the next, so a scan
+    over m = 1..M costs M local factors and no zeta evaluation.
+    """
+    prefix = iv.mpf(0)
+    done = 0
+    for m in ms:
+        for i in range(done + 1, m + 1):
+            prefix += log_local_factor_iv(table.nth(i), k, r_iv)
+        done = m
+        head = _log_one_plus_pm_iv(table, m, r_iv)
+        t = Bracket.from_iv(head - log_g + prefix)
+        gap = None
+        if t.strictly_positive():
+            gap = GapInterval(
+                m=m, lo=Bracket.from_iv(log_g - prefix), hi=Bracket.from_iv(head)
+            )
+        yield m, t, gap
+
+
+def _level(
+    table: PrimeTable, k: int, m: int, r: float
+) -> tuple[int, Bracket, GapInterval | None]:
     _check_kmr(k, m, r)
-    check_eps(eps)
     r_iv = to_iv(r)
-    enclosure = (
-        _log_one_plus_pm_iv(table, m, r_iv)
-        - log_g_iv(k, r_iv)
-        + _prefix_log_factors_iv(table, k, m, r_iv)
-    )
-    return Bracket.from_iv(enclosure)
+    (level,) = t_levels(table, k, r_iv, log_g_iv(k, r_iv), (m,))
+    return level
+
+
+def t_func(table: PrimeTable, k: int, m: int, r: float) -> Bracket:
+    """T_k(m, r) = log(1 + p_m^{-r}) - tail(k, m, r)."""
+    _, t, _ = _level(table, k, m, r)
+    return t
 
 
 def t_derivative(
@@ -229,23 +235,16 @@ class GapInterval:
         return max(0.0, self.hi.lo - self.lo.hi)
 
 
-def gap_interval(
-    table: PrimeTable, k: int, m: int, r: float, eps: float = DEFAULT_EPS
-) -> GapInterval | None:
+def gap_interval(table: PrimeTable, k: int, m: int, r: float) -> GapInterval | None:
     """The forbidden log-interval at level m, or None when T_k(m,r) <= 0."""
-    t = t_func(table, k, m, r, eps)
+    _, t, gap = _level(table, k, m, r)
     if t.nonpositive():
         return None
-    if not t.strictly_positive():
+    if gap is None:
         raise IndeterminateError(
-            f"T_{k}({m}, {r}) bracket [{t.lo}, {t.hi}] straddles 0; shrink eps"
+            f"T_{k}({m}, {r}) bracket [{t.lo}, {t.hi}] straddles 0 at working precision"
         )
-    r_iv = to_iv(r)
-    return GapInterval(
-        m=m,
-        lo=tail(table, k, m, r, eps),
-        hi=Bracket.from_iv(_log_one_plus_pm_iv(table, m, r_iv)),
-    )
+    return gap
 
 
 @dataclass(frozen=True)
@@ -355,10 +354,10 @@ def check_inequalities(grid_step: float = 1e-3) -> InequalityReport:
 class DensityReport:
     """Verdict for a (k, r) pair with the supporting brackets.
 
-    ``per_m`` maps m in {1, 2, 4} to (f, log G, T) brackets with
-    T = f - log G computed in bracket arithmetic.  ``verdict`` is one of
-    'dense', 'not_dense', 'undetermined'; ``undetermined_width`` carries
-    the widest straddling bracket when applicable.
+    ``per_m`` maps m in {1, 2, 4} to its T bracket and ``log_g`` is the
+    bracket of log G_k(r) they share.  ``verdict`` is one of 'dense',
+    'not_dense', 'undetermined'; ``undetermined_width`` carries the widest
+    straddling T bracket when applicable.
 
     At r exactly equal to the density threshold the analytic answer is
     'dense' (the boundary is included on the dense side), but no finite
@@ -367,52 +366,40 @@ class DensityReport:
 
     k: int
     r: float
-    per_m: dict[int, tuple[Bracket, Bracket, Bracket]]
+    per_m: dict[int, Bracket]
+    log_g: Bracket
     verdict: str
     undetermined_width: float = 0.0
 
 
-def density_report(table: PrimeTable, k: int, r: float, eps: float = DEFAULT_EPS) -> DensityReport:
-    """Three-valued density verdict for (k, r).
+def density_report(table: PrimeTable, k: int, r: float) -> DensityReport:
+    """Three-valued density verdict for (k, r), from T at m in {1, 2, 4}.
 
-    r in (1, 2]: the three-point test at m in {1, 2, 4} is exact.
-    r in (2, 7/3]: a firing m = 1 test certifies not_dense; otherwise the
-    verdict falls back to comparing r against the density threshold for k
-    (which lies in (1, 2), so r > 2 always lands not_dense).
-    r > 7/3: never dense; the m = 1 statistic exceeds 0 analytically.
+    A T certified positive at any m certifies a forbidden interval, so
+    the verdict is not_dense.  For r <= 2 the three-point test is exact:
+    all three T certified <= 0 gives dense.  Anything else is
+    undetermined.  log G_k(r) is evaluated once for the three levels.
     """
     if k < 1:
         raise DomainError(f"k must be a positive integer, got {k}")
     if not r > 1:
         raise DomainError(f"r must exceed 1, got {r}")
-    check_eps(eps)
-    log_g_bracket = log_g(k, r, eps)
-    per_m = {}
-    for m in (1, 2, 4):
-        f_bracket = f(table, k, m, r)
-        per_m[m] = (f_bracket, log_g_bracket, f_bracket - log_g_bracket)
-
-    t_brackets = [per_m[m][2] for m in (1, 2, 4)]
-    if r <= 2.0:
-        if all(t.nonpositive() for t in t_brackets):
-            verdict, width = "dense", 0.0
-        elif any(t.strictly_positive() for t in t_brackets):
-            verdict, width = "not_dense", 0.0
-        else:
-            verdict = "undetermined"
-            width = max(t.width for t in t_brackets if t.straddles_zero())
-    elif r <= R_MONOTONE_HI:
-        if per_m[1][2].strictly_positive():
-            verdict, width = "not_dense", 0.0
-        else:
-            # Thresholds live in (1, 2), so r > 2 exceeds every threshold.
-            from .solver import eta  # local import; solver depends on this module
-
-            threshold = eta(table, k, eps=1e-8)
-            if r > threshold.value.hi:
-                verdict, width = "not_dense", 0.0
-            else:
-                verdict, width = "undetermined", threshold.value.width
+    r_iv = to_iv(r)
+    log_g = log_g_iv(k, r_iv)
+    per_m = {m: t for m, t, _ in t_levels(table, k, r_iv, log_g, (1, 2, 4))}
+    t_brackets = list(per_m.values())
+    verdict, width = "undetermined", 0.0
+    if any(t.strictly_positive() for t in t_brackets):
+        verdict = "not_dense"
+    elif r <= 2.0 and all(t.nonpositive() for t in t_brackets):
+        verdict = "dense"
     else:
-        verdict, width = "not_dense", 0.0
-    return DensityReport(k=k, r=r, per_m=per_m, verdict=verdict, undetermined_width=width)
+        width = max((t.width for t in t_brackets if t.straddles_zero()), default=0.0)
+    return DensityReport(
+        k=k,
+        r=r,
+        per_m=per_m,
+        log_g=Bracket.from_iv(log_g),
+        verdict=verdict,
+        undetermined_width=width,
+    )

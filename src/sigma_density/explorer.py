@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .brackets import Bracket
-from .density import t_func, tail
+from .density import t_levels
 from .errors import CapacityError, DomainError, IndeterminateError
 from .primes import PrimeTable
 from .zeta import FactorSketch, log_g_iv, to_iv
@@ -205,8 +205,14 @@ def range_census(
     gaps = tuple(
         (float(values[i]), float(values[i + 1]), float(diffs[i])) for i in wide
     )
+    # math.exp is accurate to within an ulp but not directed: one ulp
+    # inward keeps each linear endpoint inside the certified log-interval.
     analytic = tuple(
-        (entry.m, math.exp(entry.interval[0]), math.exp(entry.interval[1]))
+        (
+            entry.m,
+            math.nextafter(math.exp(entry.interval[0]), math.inf),
+            math.nextafter(math.exp(entry.interval[1]), -math.inf),
+        )
         for entry in analytic_gap_scan(table, k, r, m_max)
         if entry.interval is not None
     )
@@ -237,29 +243,26 @@ def analytic_gap_scan(
 ) -> tuple[ScanEntry, ...]:
     """Certified first-level forbidden intervals for m = 1..m_max.
 
+    The intervals are the inner cores of :func:`density.gap_interval`,
+    from the same evaluation of T; log G_k(r) is evaluated once per scan.
     Entries whose T bracket straddles zero are flagged indeterminate, not
     guessed.  Callers wanting only firing levels filter on status."""
+    if k < 1:
+        raise DomainError(f"k must be a positive integer, got {k}")
+    if not r > 1:
+        raise DomainError(f"r must exceed 1, got {r}")
     if m_max < 1:
         raise DomainError(f"m_max must be >= 1, got {m_max}")
+    r_iv = to_iv(r)
     entries = []
-    for m in range(1, m_max + 1):
-        t = t_func(table, k, m, r)
-        if t.strictly_positive():
-            low = tail(table, k, m, r)
-            pm = float(table.nth(m))
-            high = math.log1p(pm ** (-r))
-            # inner (certainly forbidden) interval; pad the upper endpoint
-            # for the float rounding of log1p
-            entries.append(
-                ScanEntry(
-                    m=m,
-                    t=t,
-                    status="positive",
-                    interval=(low.hi, math.nextafter(high, -math.inf)),
-                )
-            )
+    for m, t, gap in t_levels(table, k, r_iv, log_g_iv(k, r_iv), range(1, m_max + 1)):
+        if gap is not None:
+            status = "positive"
         elif t.nonpositive():
-            entries.append(ScanEntry(m=m, t=t, status="nonpositive", interval=None))
+            status = "nonpositive"
         else:
-            entries.append(ScanEntry(m=m, t=t, status="indeterminate", interval=None))
+            status = "indeterminate"
+        entries.append(
+            ScanEntry(m=m, t=t, status=status, interval=gap.inner if gap else None)
+        )
     return tuple(entries)

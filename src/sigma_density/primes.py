@@ -1,4 +1,4 @@
-"""Prime generation, caching, and the exhaustive prime-gap ratio check.
+"""Prime generation and the exhaustive prime-gap ratio check.
 
 The gap check establishes, by exact integer arithmetic, that consecutive
 primes satisfy p_{j+1}/p_j < sqrt(2) for every index j outside {1, 2, 4}
@@ -9,7 +9,6 @@ search is the only computational content.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +22,6 @@ GAP_EXCLUDED_INDICES = (1, 2, 4)
 
 # Enough for the first 100000 primes (p_100000 = 1299709) with headroom.
 DEFAULT_LIMIT = 2_000_000
-
-CACHE_ENV_VAR = "SIGMA_DENSITY_CACHE"
 
 
 @dataclass(frozen=True)
@@ -45,7 +42,7 @@ class PrimeTable:
         if i < 1:
             raise DomainError(f"prime index must be >= 1, got {i}")
         if i > len(self.primes):
-            raise IndexError(
+            raise DomainError(
                 f"table holds {len(self.primes)} primes (limit {self.limit}); "
                 f"index {i} requires a larger sieve"
             )
@@ -54,7 +51,7 @@ class PrimeTable:
     def slice(self, start: int, stop: int) -> np.ndarray:
         """Primes p_start .. p_stop inclusive, 1-based, as int64 array."""
         if start < 1 or stop > len(self.primes):
-            raise IndexError(f"prime slice [{start}, {stop}] outside table of size {len(self.primes)}")
+            raise DomainError(f"prime slice [{start}, {stop}] outside table of size {len(self.primes)}")
         return self.primes[start - 1 : stop]
 
 
@@ -72,62 +69,10 @@ def sieve(limit: int) -> PrimeTable:
     return PrimeTable(limit=limit, primes=primes)
 
 
-def nth_prime(table: PrimeTable, i: int) -> int:
-    return table.nth(i)
-
-
-def _cache_path(limit: int, cache_dir: str) -> str:
-    return os.path.join(cache_dir, f"primes_{limit}.txt")
-
-
-def load_or_sieve(limit: int = DEFAULT_LIMIT, cache_dir: str | None = None) -> PrimeTable:
-    """Sieve, using an on-disk text cache when a cache directory is configured.
-
-    Cache format: first line ``limit count``, then one prime per line in
-    ascending order.  A corrupt cache (wrong count, wrong first/last entry)
-    is discarded and rebuilt.
-    """
-    if cache_dir is None:
-        cache_dir = os.environ.get(CACHE_ENV_VAR)
-    if not cache_dir:
-        return sieve(limit)
-    path = _cache_path(limit, cache_dir)
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                header = fh.readline().split()
-                cached_limit, count = int(header[0]), int(header[1])
-                primes = np.loadtxt(fh, dtype=np.int64, ndmin=1)
-            if (
-                cached_limit == limit
-                and len(primes) == count
-                and count >= 1
-                and primes[0] == 2
-                and _is_prime(int(primes[-1]))
-            ):
-                primes.setflags(write=False)
-                return PrimeTable(limit=limit, primes=primes)
-        except (OSError, ValueError, IndexError):
-            pass  # fall through to re-sieve
-    table = sieve(limit)
-    os.makedirs(cache_dir, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(f"{table.limit} {len(table)}\n")
-        np.savetxt(fh, table.primes, fmt="%d")
-    os.replace(tmp, path)
-    return table
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
+def load_or_sieve(limit: int = DEFAULT_LIMIT) -> PrimeTable:
+    """The prime table up to ``limit``, sieved afresh: sieving the default
+    limit is faster than reading the primes back from a text file."""
+    return sieve(limit)
 
 
 @dataclass(frozen=True)

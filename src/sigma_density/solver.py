@@ -126,16 +126,21 @@ def r_threshold(table: PrimeTable, k: int, m: int, eps: float = DEFAULT_EPS) -> 
 
 
 def m_selector(table: PrimeTable, k: int) -> int:
-    """The smallest m in {1, 2, 4} whose threshold attains the minimum.
-
-    Brackets are refined until the winner separates from the rest; a tie
-    that persists at the precision floor raises with the tied candidates.
-    """
+    """The smallest m in {1, 2, 4} whose threshold attains the minimum."""
     if k < 1:
         raise DomainError(f"k must be a positive integer, got {k}")
-    eps = DEFAULT_EPS
+    roots = {m: r_threshold(table, k, m, DEFAULT_EPS) for m in (1, 2, 4)}
+    return select_m(table, k, roots, DEFAULT_EPS)
+
+
+def select_m(table: PrimeTable, k: int, roots: dict[int, RootResult], eps: float) -> int:
+    """The selector from thresholds already solved at ``eps``.
+
+    Brackets are re-solved at eps/100 only while the winner has not
+    separated from the rest; a tie that persists at the precision floor
+    raises with the tied candidates.
+    """
     while True:
-        roots = {m: r_threshold(table, k, m, eps) for m in (1, 2, 4)}
         best = min((1, 2, 4), key=lambda m: (roots[m].value.hi, m))
         tied = [
             m
@@ -158,6 +163,7 @@ def m_selector(table: PrimeTable, k: int) -> int:
                 "unseparated at the precision floor"
             )
         eps /= 100
+        roots = {m: r_threshold(table, k, m, eps) for m in (1, 2, 4)}
 
 
 def _eta_defining_sign(table: PrimeTable, k: int, r: float) -> Bracket:
@@ -297,7 +303,7 @@ def eta_table(table: PrimeTable, k_max: int, eps: float = DEFAULT_EPS) -> EtaTab
         rows.append(
             EtaRow(
                 k=k,
-                m_min=m_selector(table, k),
+                m_min=select_m(table, k, thresholds, eps),
                 thresholds=thresholds,
                 eta=eta(table, k, eps),
             )

@@ -1,28 +1,19 @@
 """Certified evaluation of zeta(r), the ratio G_k(r) = zeta(r)/zeta((k+1)r),
 Euler local factors, and restricted divisor sums on factored arguments.
 
-Two evaluation routes are provided for zeta:
-
-* :func:`zeta_partial_sum` -- the baseline: a plain partial sum with the
-  integral enclosure ``(N+1)^{1-r}/(r-1) <= tail <= N^{1-r}/(r-1)``.  Slow
-  near r = 1 but elementary.
-* :func:`zeta` (default) -- Euler-Maclaurin with the classical remainder
-  bound (for real r > 1 the remainder is no larger in magnitude than the
-  first omitted correction term), evaluated entirely in mpmath interval
-  arithmetic so rounding is accounted for.
-
-Both return a :class:`~sigma_density.brackets.Bracket` whose width is
-checked against the requested tolerance.
+zeta is evaluated by Euler-Maclaurin summation with the classical
+remainder bound (for real r > 1 the remainder is no larger in magnitude
+than the first omitted correction term), entirely in mpmath interval
+arithmetic so rounding is accounted for.  The result is a
+:class:`~sigma_density.brackets.Bracket` whose width is checked against
+the requested tolerance.
 """
-
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import mpmath
-import numpy as np
 from mpmath import iv
 
 from .brackets import Bracket, check_eps
@@ -33,9 +24,6 @@ from .primes import PrimeTable
 # below the double-precision bracket floor, so interval rounding never
 # dominates a returned bracket.
 iv.prec = 200
-
-# Partial-sum term cap for the baseline route near r = 1.
-PARTIAL_SUM_MAX_TERMS = 2_000_000
 
 
 def to_iv(x: float):
@@ -101,38 +89,6 @@ def zeta(r: float, eps: float = 1e-13) -> Bracket:
             f"achieved bracket width {bracket.width} exceeds requested eps {eps}"
         )
     return bracket
-
-
-def zeta_partial_sum(r: float, eps: float = 1e-6, max_terms: int = PARTIAL_SUM_MAX_TERMS) -> Bracket:
-    """Baseline zeta enclosure: partial sum plus integral tail enclosure.
-
-    The tail sum_{n>N} n^-r lies in [(N+1)^{1-r}/(r-1), N^{1-r}/(r-1)].
-    N is chosen so the tail enclosure is narrower than eps/2; if that
-    requires more than ``max_terms`` terms (r near 1), the term count is
-    capped and the bracket widens with a warning rather than hanging.
-    """
-    _check_r(r)
-    check_eps(eps)
-    # Tail-enclosure width < N^{1-r}/(r-1) - (N+1)^{1-r}/(r-1) < N^{-r};
-    # a sufficient N solves N^{-r} = eps/2.
-    n_needed = int((2.0 / eps) ** (1.0 / r)) + 1
-    if n_needed > max_terms:
-        warnings.warn(
-            f"partial-sum zeta capped at {max_terms} terms for r={r}; "
-            "returned bracket is wider than requested",
-            stacklevel=2,
-        )
-        n_needed = max_terms
-    n = np.arange(1, n_needed + 1, dtype=np.float64)
-    partial = float(np.sum(n ** (-r)))
-    # Pairwise-summation rounding: ~(log2 N + 4) ulps relative to the sum.
-    rounding = (math.log2(n_needed) + 4) * 2.3e-16 * partial
-    tail_lo = (n_needed + 1) ** (1.0 - r) / (r - 1.0)
-    tail_hi = n_needed ** (1.0 - r) / (r - 1.0)
-    return Bracket(
-        math.nextafter(partial - rounding + tail_lo * (1 - 1e-14), -math.inf),
-        math.nextafter(partial + rounding + tail_hi * (1 + 1e-14), math.inf),
-    )
 
 
 def g_k_iv(k: int, r_iv):

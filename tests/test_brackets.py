@@ -37,8 +37,9 @@ def test_arithmetic_soundness(a, b, c, d, x, y):
     # any point of each operand interval must map into the result interval
     b1 = Bracket(min(a, b), max(a, b))
     b2 = Bracket(min(c, d), max(c, d))
-    p1 = b1.lo + x * (b1.hi - b1.lo)
-    p2 = b2.lo + y * (b2.hi - b2.lo)
+    # clamped: lo + x * (hi - lo) can round past hi when |lo| >> |hi|
+    p1 = min(b1.lo + x * (b1.hi - b1.lo), b1.hi)
+    p2 = min(b2.lo + y * (b2.hi - b2.lo), b2.hi)
     assert (b1 + b2).contains(p1 + p2)
     assert (b1 - b2).contains(p1 - p2)
     assert (-b1).contains(-p1)

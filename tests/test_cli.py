@@ -109,6 +109,26 @@ def test_usage_error_exit_code(capsys):
     assert excinfo.value.code == 64
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--r", "inf", "--k", "1"],
+        ["approximate", "--k", "1", "--r", "1.5", "--x", "nan", "--steps", "10"],
+        ["census", "--k", "1", "--r", "2", "--bound", "100", "--resolution", "inf"],
+        ["--prime-limit", "5", "density", "--k", "1", "--r", "1.5"],
+        ["--prime-limit", "1", "eta-limit"],
+    ],
+)
+def test_bad_input_is_a_typed_error(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (1, 64)
+    assert "error" in err and "Traceback" not in err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     code, out, _ = run(capsys, *PRIME_ARGS, "--out", str(target), "eta-limit", "--eps", "1e-6")

@@ -3,25 +3,40 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigma_density import density
+from sigma_density import density, solver
+from sigma_density.brackets import Bracket
 from sigma_density.errors import DomainError, IndeterminateError
-from sigma_density.zeta import local_factor
+from sigma_density.zeta import local_factor, log_g_iv, to_iv
 
 PI = math.pi
 LOG_10_OVER_PI_SQ = math.log(10 / PI**2)
 
 
+def f(table, k, m, r):
+    """Oracle: f_k(m, r) = log(1 + p_m^{-r}) + sum_{i<=m} log(local factor
+    at p_i), so that T_k(m, r) = f_k(m, r) - log G_k(r)."""
+    r_iv = to_iv(r)
+    return Bracket.from_iv(
+        density._log_one_plus_pm_iv(table, m, r_iv)
+        + density._prefix_log_factors_iv(table, k, m, r_iv)
+    )
+
+
+def log_g(k, r):
+    return Bracket.from_iv(log_g_iv(k, to_iv(r)))
+
+
 class TestF:
     def test_hand_evaluations(self, table):
-        b = density.f(table, 1, 1, 2)
+        b = f(table, 1, 1, 2)
         assert b.contains(2 * math.log(5 / 4))
-        b = density.f(table, 1, 2, 2)
+        b = f(table, 1, 2, 2)
         assert b.contains(math.log(10 / 9) + math.log(5 / 4) + math.log(10 / 9))
 
     def test_structural_identity_in_k(self, table):
         # at m = 1, changing k shifts f by the log of the local-factor ratio
         r = 1.7
-        d = density.f(table, 3, 1, r).mid - density.f(table, 1, 1, r).mid
+        d = f(table, 3, 1, r).mid - f(table, 1, 1, r).mid
         expected = math.log(local_factor(2, 3, r)) - math.log(local_factor(2, 1, r))
         assert d == pytest.approx(expected, abs=1e-12)
 
@@ -29,7 +44,7 @@ class TestF:
 class TestTail:
     def test_m_zero_is_log_g(self, table):
         b = density.tail(table, 2, 0, 1.5)
-        g = density.log_g(2, 1.5)
+        g = log_g(2, 1.5)
         assert abs(b.mid - g.mid) < 1e-13
 
     def test_closed_form(self, table):
@@ -58,7 +73,7 @@ class TestT:
     )
     def test_two_formulas_agree(self, table, k, m, r):
         direct = density.t_func(table, k, m, r)
-        assembled = density.f(table, k, m, r) - density.log_g(k, r)
+        assembled = f(table, k, m, r) - log_g(k, r)
         assert max(direct.lo, assembled.lo) <= min(direct.hi, assembled.hi)
 
     def test_monotone_in_r(self, table):
@@ -179,11 +194,13 @@ class TestDensityReport:
     def test_dense_regime(self, table):
         report = density.density_report(table, 1, 1.5)
         assert report.verdict == "dense"
+        assert report.log_g == log_g(1, 1.5)
         for m in (1, 2, 4):
-            f_b, g_b, t_b = report.per_m[m]
+            t_b = report.per_m[m]
             assert t_b.nonpositive()
-            # interval-arithmetic consistency of the stored triple
-            assert t_b.lo <= f_b.mid - g_b.mid <= t_b.hi
+            # the report's T is t_func's T, and agrees with f - log G
+            assert t_b == density.t_func(table, 1, m, 1.5)
+            assert t_b.lo <= f(table, 1, m, 1.5).mid - report.log_g.mid <= t_b.hi
 
     def test_not_dense_at_two(self, table):
         assert density.density_report(table, 1, 2.0).verdict == "not_dense"
@@ -191,6 +208,18 @@ class TestDensityReport:
     def test_not_dense_beyond_monotone_window(self, table):
         assert density.density_report(table, 5, 2.5).verdict == "not_dense"
         assert density.density_report(table, 2, 3.0).verdict == "not_dense"
+
+    def test_not_dense_above_two_without_solving(self, table, monkeypatch):
+        # on (2, 7/3] a certified positive T decides; no threshold is solved
+        def no_eta(*args, **kwargs):
+            raise AssertionError("density_report must not solve for eta")
+
+        monkeypatch.setattr(solver, "eta", no_eta)
+        for k in range(1, 11):
+            for r in (2.0001, 2.17, 7 / 3):
+                report = density.density_report(table, k, r)
+                assert report.verdict == "not_dense", (k, r)
+                assert report.per_m[1].strictly_positive()
 
     def test_domain(self, table):
         with pytest.raises(DomainError):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -112,6 +113,16 @@ class TestCensus:
         census = explorer.range_census(table, 1, 2.0, max(n, 10))
         assert np.min(np.abs(census.values - math.exp(trace.achieved))) < 1e-12
 
+    @pytest.mark.parametrize("k, r", [(1, 2.3784), (3, 2.4273)])
+    def test_no_value_inside_reported_gaps(self, table, k, r):
+        # n = p_m attains the upper end of the gap at level m exactly, so
+        # the linear endpoints must not be rounded outward
+        census = explorer.range_census(table, k, r, 30)
+        assert census.analytic_gaps
+        for m, left, right in census.analytic_gaps:
+            inside = census.values[(census.values > left) & (census.values < right)]
+            assert inside.size == 0, (m, left, right, inside)
+
     def test_capacity_error(self, table):
         with pytest.raises(CapacityError):
             explorer.range_census(table, 1, 2, explorer.CENSUS_MAX_BOUND + 1)
@@ -126,6 +137,19 @@ class TestAnalyticScan:
     def test_empty_below_threshold(self, table):
         entries = explorer.analytic_gap_scan(table, 1, 1.5, 10)
         assert all(e.status == "nonpositive" for e in entries)
+
+    def test_upper_endpoint_is_certified(self, table):
+        k, r = 1, 1.9046
+        (entry,) = explorer.analytic_gap_scan(table, k, r, 1)
+        with mpmath.workprec(300):
+            exact = mpmath.log(1 + mpmath.mpf(2) ** (-mpmath.mpf(r)))
+            assert mpmath.mpf(entry.interval[1]) <= exact
+
+    def test_intervals_are_gap_interval_cores(self, table):
+        k, r = 2, 2.1
+        for entry in explorer.analytic_gap_scan(table, k, r, 8):
+            gap = density.gap_interval(table, k, entry.m, r)
+            assert entry.interval == (gap.inner if gap else None)
 
     def test_fired_intervals_disjoint(self, table):
         entries = explorer.analytic_gap_scan(table, 1, 2.1, 8)

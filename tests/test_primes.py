@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from sigma_density import primes
@@ -38,10 +37,12 @@ def test_nth_prime_examples(table):
 
 def test_nth_prime_out_of_range():
     small = primes.sieve(10)
-    with pytest.raises(IndexError):
+    with pytest.raises(DomainError):
         small.nth(5)
     with pytest.raises(DomainError):
         small.nth(0)
+    with pytest.raises(DomainError):
+        small.slice(1, 5)
 
 
 def test_prefix_property():
@@ -78,20 +79,3 @@ def test_gap_lemma_requires_capacity():
     small = primes.sieve(1000)
     with pytest.raises(DomainError):
         primes.verify_gap_lemma(small)
-
-
-def test_cache_roundtrip(tmp_path):
-    t1 = primes.load_or_sieve(10_000, cache_dir=str(tmp_path))
-    assert (tmp_path / "primes_10000.txt").exists()
-    t2 = primes.load_or_sieve(10_000, cache_dir=str(tmp_path))
-    assert np.array_equal(t1.primes, t2.primes)
-
-
-def test_cache_corruption_detected(tmp_path):
-    primes.load_or_sieve(10_000, cache_dir=str(tmp_path))
-    path = tmp_path / "primes_10000.txt"
-    lines = path.read_text().splitlines()
-    lines[1] = "4"  # first prime corrupted
-    path.write_text("\n".join(lines) + "\n")
-    t = primes.load_or_sieve(10_000, cache_dir=str(tmp_path))
-    assert t.nth(1) == 2
