@@ -24,7 +24,7 @@ import numpy as np
 from mpmath import iv
 
 from .brackets import Bracket
-from .errors import DomainError, IndeterminateError
+from .errors import DomainError, IndeterminateError, check_k, check_r
 from .primes import PrimeTable
 from .zeta import (
     iv_pow,
@@ -42,12 +42,9 @@ R_MONOTONE_HI = 7.0 / 3.0
 
 
 def _check_kmr(k: int, m: int, r: float) -> None:
-    if k < 1:
-        raise DomainError(f"k must be a positive integer, got {k}")
-    if m < 1:
-        raise DomainError(f"m must be a positive integer, got {m}")
-    if not r > 1:
-        raise DomainError(f"r must exceed 1, got {r}")
+    check_k(k)
+    check_k(m, "m")
+    check_r(r)
 
 
 def _log_one_plus_pm_iv(table: PrimeTable, m: int, r_iv):
@@ -71,10 +68,8 @@ def tail(table: PrimeTable, k: int, m: int, r: float) -> Bracket:
     """
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
-    if k < 1:
-        raise DomainError(f"k must be a positive integer, got {k}")
-    if not r > 1:
-        raise DomainError(f"r must exceed 1, got {r}")
+    check_k(k)
+    check_r(r)
     r_iv = to_iv(r)
     return Bracket.from_iv(log_g_iv(k, r_iv) - _prefix_log_factors_iv(table, k, m, r_iv))
 
@@ -195,10 +190,8 @@ def v_func(table: PrimeTable, k: int, m: int, r: float) -> float:
     terms from the subtracted sum.  Unlike T, the sum is finite, so any
     r > 0 is admissible; sign checks at r = 1 are meaningful.
     """
-    if k < 1:
-        raise DomainError(f"k must be a positive integer, got {k}")
-    if m < 1:
-        raise DomainError(f"m must be a positive integer, got {m}")
+    check_k(k)
+    check_k(m, "m")
     if not r > 0:
         raise DomainError(f"r must be positive, got {r}")
     if m >= V_TRUNCATION:
@@ -380,10 +373,8 @@ def density_report(table: PrimeTable, k: int, r: float) -> DensityReport:
     all three T certified <= 0 gives dense.  Anything else is
     undetermined.  log G_k(r) is evaluated once for the three levels.
     """
-    if k < 1:
-        raise DomainError(f"k must be a positive integer, got {k}")
-    if not r > 1:
-        raise DomainError(f"r must exceed 1, got {r}")
+    check_k(k)
+    check_r(r)
     r_iv = to_iv(r)
     log_g = log_g_iv(k, r_iv)
     per_m = {m: t for m, t, _ in t_levels(table, k, r_iv, log_g, (1, 2, 4))}

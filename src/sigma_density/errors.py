@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the domain checks that
+raise them."""
+
+import math
 
 
 class SigmaDensityError(Exception):
@@ -25,3 +28,14 @@ class CapacityError(SigmaDensityError):
     def __init__(self, message: str, suggested_bound: int | None = None):
         super().__init__(message)
         self.suggested_bound = suggested_bound
+
+
+def check_k(k: int, name: str = "k") -> None:
+    if k < 1:
+        raise DomainError(f"{name} must be a positive integer, got {k}")
+
+
+def check_r(r: float) -> None:
+    """r must be a finite number above 1 (NaN and inf are rejected)."""
+    if not 1 < r < math.inf:
+        raise DomainError(f"r must be a finite number above 1, got {r}")

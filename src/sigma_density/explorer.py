@@ -16,7 +16,7 @@ import numpy as np
 
 from .brackets import Bracket
 from .density import t_levels
-from .errors import CapacityError, DomainError, IndeterminateError
+from .errors import CapacityError, DomainError, IndeterminateError, check_k, check_r
 from .primes import PrimeTable
 from .zeta import FactorSketch, log_g_iv, to_iv
 
@@ -61,10 +61,8 @@ def greedy_approximate(
     bracket for log G_k(r); a target inside the bracket's uncertainty
     band is rejected as indeterminate rather than guessed about.
     """
-    if k < 1:
-        raise DomainError(f"k must be a positive integer, got {k}")
-    if not r > 1:
-        raise DomainError(f"r must exceed 1, got {r}")
+    check_k(k)
+    check_r(r)
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
     if steps > len(table):
@@ -183,10 +181,8 @@ def range_census(
     are structural rather than enumeration artifacts.  The census never
     reconciles empirical and analytic gaps; both are reported as found.
     """
-    if k < 1:
-        raise DomainError(f"k must be a positive integer, got {k}")
-    if not r > 1:
-        raise DomainError(f"r must exceed 1, got {r}")
+    check_k(k)
+    check_r(r)
     if bound < 1:
         raise DomainError(f"bound must be >= 1, got {bound}")
     if bound > CENSUS_MAX_BOUND:
@@ -247,10 +243,8 @@ def analytic_gap_scan(
     from the same evaluation of T; log G_k(r) is evaluated once per scan.
     Entries whose T bracket straddles zero are flagged indeterminate, not
     guessed.  Callers wanting only firing levels filter on status."""
-    if k < 1:
-        raise DomainError(f"k must be a positive integer, got {k}")
-    if not r > 1:
-        raise DomainError(f"r must exceed 1, got {r}")
+    check_k(k)
+    check_r(r)
     if m_max < 1:
         raise DomainError(f"m_max must be >= 1, got {m_max}")
     r_iv = to_iv(r)

@@ -10,25 +10,25 @@ would complicate the certification story.
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from mpmath import iv
 
 from .brackets import PRECISION_FLOOR, Bracket, check_eps
-from .density import V_TRUNCATION, t_func, v_func
-from .errors import DomainError, PrecisionError
+from .density import V_TRUNCATION, t_func, t_levels, v_func
+from .errors import DomainError, PrecisionError, check_k
 from .primes import PrimeTable
 from .zeta import iv_pow, log_g_iv, to_iv, zeta_iv
 
 DEFAULT_EPS = 1e-10
 LIMIT_EPS = 1e-9
 
-# When a candidate bisection point's sign is indeterminate, try these
-# fractional offsets of the current width instead; at most one sixteenth
-# of the width can be "too close to the root" at working precision.
-_BISECT_OFFSETS = (0.0, 0.125, -0.125, 0.1875, -0.1875)
+# Every target diverges to -inf at 1+, so its sign is certified negative
+# here; a solve whose sign is not certified at this start fails loudly.
+_START = 1.0001
 
 
 @dataclass(frozen=True)
@@ -48,68 +48,54 @@ class RootResult:
     boundary: bool = False
 
 
-def _certified_bisection(
-    sign_fn: Callable[[float], Bracket],
-    lo: float,
-    hi: float,
-    eps: float,
-    method: str,
-) -> RootResult:
-    """Bisection on a strictly increasing function with bracket-valued
-    sign evaluations.  Preconditions: certified negative at lo, certified
-    positive at hi (checked by the callers)."""
-    iterations = 0
-    a, b = lo, hi
+def _bisect(sign_fn: Callable[[float], Bracket], root: RootResult, eps: float) -> RootResult:
+    """Continue the bisection of ``root`` on the strictly increasing
+    ``sign_fn`` until its bracket is at most ``eps`` wide.
+
+    Bisection is deterministic, so refining a bracket solved at a coarser
+    eps gives bit-for-bit the bracket a fresh solve at ``eps`` would.
+    """
+    a, b = root.value.lo, root.value.hi
+    iterations = root.iterations
     while b - a > eps:
-        width = b - a
-        placed = False
-        for offset in _BISECT_OFFSETS:
-            mid = a + width * (0.5 + offset)
-            sign = sign_fn(mid).certified_sign()
-            if sign is not None:
-                iterations += 1
-                if sign < 0:
-                    a = mid
-                else:
-                    b = mid
-                placed = True
-                break
-        if not placed:
+        mid = a + (b - a) * 0.5
+        sign = sign_fn(mid).certified_sign()
+        if sign is None:
             raise PrecisionError(
-                f"sign evaluation indeterminate throughout [{a}, {b}]; "
+                f"sign evaluation indeterminate at r = {mid} in [{a}, {b}]; "
                 "the requested tolerance is below the certification floor"
             )
-    return RootResult(
-        value=Bracket(a, b),
-        iterations=iterations,
-        residual=sign_fn(0.5 * (a + b)),
-        method=method,
+        if sign < 0:
+            a = mid
+        else:
+            b = mid
+        iterations += 1
+    return dataclasses.replace(
+        root, value=Bracket(a, b), iterations=iterations, residual=sign_fn(0.5 * (a + b))
     )
 
 
-def _certified_negative_start(sign_fn: Callable[[float], Bracket], start: float) -> float:
-    """Walk the lower endpoint toward 1 until the sign is certified
-    negative; the target diverges to -inf at 1+, so this terminates."""
-    a = start
-    for _ in range(60):
-        if sign_fn(a).certified_sign() == -1:
-            return a
-        a = 1.0 + (a - 1.0) / 4.0
-    raise PrecisionError("could not certify a negative sign near r = 1")
+def _solve(
+    sign_fn: Callable[[float], Bracket], at_two: Bracket, eps: float, method: str
+) -> RootResult:
+    """The root in (1, 2) of a strictly increasing ``sign_fn`` whose sign
+    at 2 is ``at_two``, by certified bisection from [_START, 2]."""
+    if not at_two.strictly_positive():
+        raise PrecisionError(f"{method}: sign not certified positive at r = 2")
+    if sign_fn(_START).certified_sign() != -1:
+        raise PrecisionError(f"{method}: sign not certified negative at r = {_START}")
+    start = RootResult(value=Bracket(_START, 2.0), iterations=0, residual=at_two, method=method)
+    return _bisect(sign_fn, start, eps)
 
 
 def r_threshold(table: PrimeTable, k: int, m: int, eps: float = DEFAULT_EPS) -> RootResult:
     """The unique root of T_k(m, .) in (1, 2), or the boundary value 2
     when T_k(m, .) stays negative on the whole interval."""
-    if k < 1:
-        raise DomainError(f"k must be a positive integer, got {k}")
+    check_k(k)
     if m not in (1, 2, 4):
         raise DomainError(f"m must be one of 1, 2, 4, got {m}")
     check_eps(eps)
-
-    def sign_fn(r: float) -> Bracket:
-        return t_func(table, k, m, r)
-
+    sign_fn = partial(t_func, table, k, m)
     at_two = sign_fn(2.0)
     if at_two.nonpositive():
         return RootResult(
@@ -119,16 +105,12 @@ def r_threshold(table: PrimeTable, k: int, m: int, eps: float = DEFAULT_EPS) -> 
             method="boundary (no sign change on (1, 2))",
             boundary=True,
         )
-    if not at_two.strictly_positive():
-        raise PrecisionError(f"sign of T_{k}({m}, 2) indeterminate at working precision")
-    a = _certified_negative_start(sign_fn, 1.0001)
-    return _certified_bisection(sign_fn, a, 2.0, eps, method="bisection on T")
+    return _solve(sign_fn, at_two, eps, "bisection on T")
 
 
 def m_selector(table: PrimeTable, k: int) -> int:
     """The smallest m in {1, 2, 4} whose threshold attains the minimum."""
-    if k < 1:
-        raise DomainError(f"k must be a positive integer, got {k}")
+    check_k(k)
     roots = {m: r_threshold(table, k, m, DEFAULT_EPS) for m in (1, 2, 4)}
     return select_m(table, k, roots, DEFAULT_EPS)
 
@@ -136,9 +118,10 @@ def m_selector(table: PrimeTable, k: int) -> int:
 def select_m(table: PrimeTable, k: int, roots: dict[int, RootResult], eps: float) -> int:
     """The selector from thresholds already solved at ``eps``.
 
-    Brackets are re-solved at eps/100 only while the winner has not
-    separated from the rest; a tie that persists at the precision floor
-    raises with the tied candidates.
+    While the winner has not separated from the rest, the brackets held
+    are refined at eps/100 per round, down to the precision floor; a tie
+    that persists there raises with the tied candidates.  Equal
+    boundaries tie to the smallest m.
     """
     while True:
         best = min((1, 2, 4), key=lambda m: (roots[m].value.hi, m))
@@ -149,57 +132,39 @@ def select_m(table: PrimeTable, k: int, roots: dict[int, RootResult], eps: float
             and roots[m].value.lo <= roots[best].value.hi
             and not (roots[m].boundary and roots[best].boundary)
         ]
-        exact_ties = [
-            m for m in (1, 2, 4) if m != best and roots[m].boundary and roots[best].boundary
-        ]
         if not tied:
-            # Boundary results are exact; equal boundaries tie to smallest m.
-            if exact_ties:
-                return min([best] + exact_ties)
             return best
-        if eps / 100 < PRECISION_FLOOR:
+        if eps <= PRECISION_FLOOR:
             raise PrecisionError(
                 f"threshold brackets for m={sorted([best] + tied)} remain "
                 "unseparated at the precision floor"
             )
-        eps /= 100
-        roots = {m: r_threshold(table, k, m, eps) for m in (1, 2, 4)}
+        eps = max(eps / 100, PRECISION_FLOOR)
+        roots = {m: _bisect(partial(t_func, table, k, m), roots[m], eps) for m in (1, 2, 4)}
 
 
-def _eta_defining_sign(table: PrimeTable, k: int, r: float) -> Bracket:
-    """Log-form residual of the defining equation for the k-th threshold;
-    strictly increasing in r, zero exactly at the threshold."""
-    r_iv = to_iv(r)
-    if k == 1:
-        lhs = 2 * iv.log(1 + iv_pow(iv.mpf(2), -r_iv))
-    else:
-        s2 = iv.mpf(0)
-        s3 = iv.mpf(0)
-        for j in range(k + 1):
-            s2 += iv_pow(iv.mpf(2), -j * r_iv)
-            s3 += iv_pow(iv.mpf(3), -j * r_iv)
-        lhs = iv.log(s2) + iv.log(s3) + iv.log(1 + iv_pow(iv.mpf(3), -r_iv))
-    return Bracket.from_iv(lhs - log_g_iv(k, r_iv))
+def _m_k(k: int) -> int:
+    """The level whose threshold is eta_k: 1 for k = 1, 2 for k >= 2."""
+    return 1 if k == 1 else 2
 
 
 def eta(table: PrimeTable, k: int, eps: float = DEFAULT_EPS) -> RootResult:
-    """The density threshold for k, solved from its defining equation.
+    """The density threshold eta_k: the root of T_k(m_k, .) in (1, 2).
 
-    Independent of :func:`r_threshold`; agreement of the two within
-    combined bracket widths is a consistency check exercised in tests.
+    The paper's defining equation for eta_k is T_k(m_k, r) = 0 written
+    out (for k = 1, 2 log(1 + 2^-r) = log G_1(r)), so this is
+    ``r_threshold(table, k, m_k, eps)`` with the same bracket.
     """
-    if k < 1:
-        raise DomainError(f"k must be a positive integer, got {k}")
+    check_k(k)
     check_eps(eps)
+    m = _m_k(k)
 
     def sign_fn(r: float) -> Bracket:
-        return _eta_defining_sign(table, k, r)
+        r_iv = to_iv(r)
+        ((_, t, _),) = t_levels(table, k, r_iv, log_g_iv(k, r_iv), (m,))
+        return t
 
-    at_two = sign_fn(2.0)
-    if not at_two.strictly_positive():
-        raise PrecisionError(f"defining equation not certified positive at r=2 for k={k}")
-    a = _certified_negative_start(sign_fn, 1.0001)
-    return _certified_bisection(sign_fn, a, 2.0, eps, method="bisection on defining equation")
+    return _solve(sign_fn, sign_fn(2.0), eps, "bisection on T at m_k")
 
 
 def eta_limit(eps: float = LIMIT_EPS) -> RootResult:
@@ -217,11 +182,7 @@ def eta_limit(eps: float = LIMIT_EPS) -> RootResult:
         lhs = iv.log(p2 / (p2 - 1)) + iv.log((p3 + 1) / (p3 - 1))
         return Bracket.from_iv(lhs - iv.log(zeta_iv(r_iv)))
 
-    at_two = sign_fn(2.0)
-    if not at_two.strictly_positive():
-        raise PrecisionError("limit equation not certified positive at r=2")
-    a = _certified_negative_start(sign_fn, 1.0001)
-    return _certified_bisection(sign_fn, a, 2.0, eps, method="bisection on limit equation")
+    return _solve(sign_fn, sign_fn(2.0), eps, "bisection on limit equation")
 
 
 def r1_surrogate(table: PrimeTable, eps: float = 1e-8) -> RootResult:
@@ -266,46 +227,70 @@ class EtaRow:
     k: int
     m_min: int
     thresholds: dict[int, RootResult]  # m in {1, 2, 4}
-    eta: RootResult
+    eta: RootResult  # thresholds[m_k], refined when the column needs it
 
 
 @dataclass(frozen=True)
 class EtaTable:
+    """Rows for k = 1..k_max.  Each row's eta bracket lies certified above
+    the previous row's, except for the k in ``unresolved``, whose bracket
+    still overlaps row k-1's at the precision floor."""
+
     rows: tuple[EtaRow, ...] = field(default=())
+    unresolved: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        prev_hi = None
         for row in self.rows:
-            chosen = row.thresholds[row.m_min]
-            if not chosen.boundary:
-                overlap = (
-                    max(chosen.value.lo, row.eta.value.lo)
-                    <= min(chosen.value.hi, row.eta.value.hi)
-                )
-                if not overlap:
-                    raise PrecisionError(
-                        f"threshold and defining-equation brackets disagree at k={row.k}"
-                    )
-            if prev_hi is not None and row.eta.value.lo <= prev_hi:
+            if row.m_min != _m_k(row.k):
                 raise PrecisionError(
-                    f"threshold column not strictly increasing at k={row.k}"
+                    f"selector m_min={row.m_min} differs from m_k={_m_k(row.k)} at k={row.k}"
                 )
-            prev_hi = row.eta.value.hi
+        for prev, row in zip(self.rows, self.rows[1:]):
+            if row.eta.value.lo <= prev.eta.value.hi and row.k not in self.unresolved:
+                raise PrecisionError(f"threshold column not strictly increasing at k={row.k}")
+
+
+def _separate(
+    table: PrimeTable, prev: EtaRow, row: EtaRow, eps: float
+) -> tuple[EtaRow, EtaRow, bool]:
+    """Refine the eta brackets of two adjacent rows at eps/100 per round,
+    down to the precision floor, until ``row``'s lies above ``prev``'s.
+    Returns the refined rows and whether they are still tied at the
+    floor; a certified decrease raises."""
+    while row.eta.value.lo <= prev.eta.value.hi:
+        if row.eta.value.hi < prev.eta.value.lo:
+            raise PrecisionError(f"eta({row.k}) is certified below eta({prev.k})")
+        if eps <= PRECISION_FLOOR:
+            return prev, row, True
+        eps = max(eps / 100, PRECISION_FLOOR)
+        prev, row = (
+            dataclasses.replace(r, eta=_bisect(partial(t_func, table, r.k, _m_k(r.k)), r.eta, eps))
+            for r in (prev, row)
+        )
+    return prev, row, False
 
 
 def eta_table(table: PrimeTable, k_max: int, eps: float = DEFAULT_EPS) -> EtaTable:
-    """Thresholds, selector values, and density constants for k = 1..k_max."""
-    if k_max < 1:
-        raise DomainError(f"k_max must be a positive integer, got {k_max}")
-    rows = []
+    """Thresholds, selector values, and density constants for k = 1..k_max.
+
+    Each row's eta is its threshold at m_k, solved once.  Consecutive eta
+    converge geometrically in k, so a row whose bracket overlaps the
+    previous row's is refined together with it (see :func:`_separate`).
+    """
+    check_k(k_max, "k_max")
+    rows: list[EtaRow] = []
+    unresolved = []
     for k in range(1, k_max + 1):
         thresholds = {m: r_threshold(table, k, m, eps) for m in (1, 2, 4)}
-        rows.append(
-            EtaRow(
-                k=k,
-                m_min=select_m(table, k, thresholds, eps),
-                thresholds=thresholds,
-                eta=eta(table, k, eps),
-            )
+        row = EtaRow(
+            k=k,
+            m_min=select_m(table, k, thresholds, eps),
+            thresholds=thresholds,
+            eta=thresholds[_m_k(k)],
         )
-    return EtaTable(rows=tuple(rows))
+        if rows:
+            rows[-1], row, tied = _separate(table, rows[-1], row, eps)
+            if tied:
+                unresolved.append(k)
+        rows.append(row)
+    return EtaTable(rows=tuple(rows), unresolved=tuple(unresolved))

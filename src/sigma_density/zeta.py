@@ -17,7 +17,7 @@ import mpmath
 from mpmath import iv
 
 from .brackets import Bracket, check_eps
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, PrecisionError, check_k, check_r
 from .primes import PrimeTable
 
 # Working precision for interval evaluations; ~60 decimal digits, far
@@ -34,11 +34,6 @@ def to_iv(x: float):
 def iv_pow(base, expo):
     """base**expo for interval base > 0 and arbitrary interval exponent."""
     return iv.exp(expo * iv.log(base))
-
-
-def _check_r(r: float) -> None:
-    if not r > 1:
-        raise DomainError(f"zeta/G_k/local factors require r > 1, got {r}")
 
 
 def zeta_iv(s, terms: int | None = None, corrections: int = 12):
@@ -81,7 +76,7 @@ def zeta_iv(s, terms: int | None = None, corrections: int = 12):
 
 def zeta(r: float, eps: float = 1e-13) -> Bracket:
     """Bracket of width <= eps containing zeta(r), r > 1."""
-    _check_r(r)
+    check_r(r)
     check_eps(eps)
     bracket = Bracket.from_iv(zeta_iv(to_iv(r)))
     if bracket.width > eps:
@@ -103,9 +98,8 @@ def log_g_iv(k: int, r_iv):
 
 def g_k(k: int, r: float, eps: float = 1e-10) -> Bracket:
     """Bracket for G_k(r), the supremum of the restricted divisor sum."""
-    if k < 1:
-        raise DomainError(f"k must be a positive integer, got {k}")
-    _check_r(r)
+    check_k(k)
+    check_r(r)
     check_eps(eps)
     bracket = Bracket.from_iv(g_k_iv(k, to_iv(r)))
     if bracket.width > eps:
@@ -117,11 +111,10 @@ def g_k(k: int, r: float, eps: float = 1e-10) -> Bracket:
 
 def local_factor(p: int, k: int, r: float) -> float:
     """Euler local factor sum_{j=0}^k p^{-jr} in closed form."""
-    if k < 1:
-        raise DomainError(f"k must be a positive integer, got {k}")
+    check_k(k)
     if p < 2:
         raise DomainError(f"p must be prime, got {p}")
-    _check_r(r)
+    check_r(r)
     x = float(p) ** (-r)
     return (1.0 - x ** (k + 1)) / (1.0 - x)
 
@@ -145,8 +138,7 @@ class FactorSketch:
     entries: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self):
-        if self.k < 1:
-            raise DomainError(f"k must be a positive integer, got {self.k}")
+        check_k(self.k)
         prev = 0
         for idx, exp in self.entries:
             if idx <= prev:
@@ -164,7 +156,7 @@ def log_sigma_restricted(sketch: FactorSketch, r: float, table: PrimeTable) -> f
     Multiplicativity turns the product of local factors into a sum of
     logs, which is the numerically stable form.
     """
-    _check_r(r)
+    check_r(r)
     return sum(
         math.log1p(_local_partial(table.nth(idx), exp, r))
         for idx, exp in sketch.entries
@@ -173,7 +165,7 @@ def log_sigma_restricted(sketch: FactorSketch, r: float, table: PrimeTable) -> f
 
 def sigma_restricted(sketch: FactorSketch, r: float, table: PrimeTable) -> float:
     """The restricted divisor sum sum_{d | n} d^{-r} at the sketched n."""
-    _check_r(r)
+    check_r(r)
     value = 1.0
     for idx, exp in sketch.entries:
         value *= 1.0 + _local_partial(table.nth(idx), exp, r)

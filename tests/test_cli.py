@@ -1,4 +1,7 @@
 import json
+import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -136,3 +139,24 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     envelope = json.loads(target.read_text())
     assert envelope["command"] == "eta-limit"
+
+
+def _readme_cli_commands():
+    """The argv of each line of the sh block under README's ## CLI."""
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = []
+    for line in block.splitlines():
+        words = shlex.split(line, comments=True)
+        if words:
+            assert words[0] == "sigma-density"
+            commands.append(words[1:])
+    return commands
+
+
+@pytest.mark.parametrize("argv", _readme_cli_commands(), ids=" ".join)
+def test_readme_cli_commands_succeed(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert "Traceback" not in err

@@ -1,7 +1,27 @@
 import pytest
+from mpmath import iv
 
 from sigma_density import density, solver
-from sigma_density.errors import DomainError
+from sigma_density.brackets import Bracket
+from sigma_density.errors import DomainError, PrecisionError
+from sigma_density.zeta import iv_pow, log_g_iv, to_iv
+
+
+def eta_defining_sign(k, r):
+    """The paper's defining equation for eta_k in log form, as its own
+    interval expression: an oracle for :func:`solver.eta`, which solves
+    the same equation as T_k(m_k, r) = 0."""
+    r_iv = to_iv(r)
+    if k == 1:
+        lhs = 2 * iv.log(1 + iv_pow(iv.mpf(2), -r_iv))
+    else:
+        s2 = iv.mpf(0)
+        s3 = iv.mpf(0)
+        for j in range(k + 1):
+            s2 += iv_pow(iv.mpf(2), -j * r_iv)
+            s3 += iv_pow(iv.mpf(3), -j * r_iv)
+        lhs = iv.log(s2) + iv.log(s3) + iv.log(1 + iv_pow(iv.mpf(3), -r_iv))
+    return Bracket.from_iv(lhs - log_g_iv(k, r_iv))
 
 
 def assert_certified_root(table, result, sign_fn):
@@ -66,14 +86,9 @@ class TestEta:
         eta1 = solver.eta(table, 1)
         assert 1.864633 < eta1.value.lo and eta1.value.hi < 1.8877909
 
-    def test_agrees_with_threshold_route(self, table):
+    def test_brackets_the_defining_equation(self, table):
         for k in (1, 2, 3, 7, 12, 20):
-            via_equation = solver.eta(table, k)
-            via_threshold = solver.r_threshold(table, k, solver.m_selector(table, k))
-            assert (
-                max(via_equation.value.lo, via_threshold.value.lo)
-                <= min(via_equation.value.hi, via_threshold.value.hi)
-            )
+            assert_certified_root(table, solver.eta(table, k), lambda r: eta_defining_sign(k, r))
 
     def test_strictly_increasing_in_k(self, table):
         # consecutive thresholds converge geometrically, so the later pairs
@@ -135,12 +150,76 @@ class TestR1Surrogate:
         assert density.v_func(table, 1, 1, result.value.hi) > 0
 
 
+class TestBisection:
+    def test_indeterminate_sign_raises(self):
+        start = solver.RootResult(Bracket(1.0001, 2.0), 0, Bracket(1.0, 1.0), "test")
+        with pytest.raises(PrecisionError):
+            solver._bisect(lambda r: Bracket(-1.0, 1.0), start, 1e-10)
+
+    def test_uncertified_start_raises(self):
+        def sign_fn(r):
+            return Bracket(1.0, 2.0) if r > 1.5 else Bracket(-1.0, 1.0)
+
+        with pytest.raises(PrecisionError):
+            solver._solve(sign_fn, sign_fn(2.0), 1e-10, "test")
+
+    def test_refining_equals_solving_at_the_finer_eps(self, table):
+        coarse = solver.r_threshold(table, 3, 2, 1e-10)
+        refined = solver._bisect(lambda r: density.t_func(table, 3, 2, r), coarse, 1e-12)
+        assert refined == solver.r_threshold(table, 3, 2, 1e-12)
+
+
+def _row(table, k, eps=solver.DEFAULT_EPS):
+    root = solver.r_threshold(table, k, solver._m_k(k), eps)
+    return solver.EtaRow(k=k, m_min=solver._m_k(k), thresholds={}, eta=root)
+
+
 class TestEtaTable:
     def test_small_table(self, table):
         tab = solver.eta_table(table, 3)
         assert [row.k for row in tab.rows] == [1, 2, 3]
         assert tab.rows[0].m_min == 1
         assert all(row.m_min == 2 for row in tab.rows[1:])
+        assert tab.unresolved == ()
         for row in tab.rows:
             assert 1 < row.eta.value.lo and row.eta.value.hi < 2
             assert row.thresholds[4].boundary
+            assert row.eta is row.thresholds[row.m_min]
+
+    def test_solves_each_threshold_once(self, table, monkeypatch):
+        calls = []
+        for name in ("r_threshold", "eta"):
+            original = getattr(solver, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(solver, name, spy)
+        solver.eta_table(table, 3)
+        assert calls == ["r_threshold"] * 9
+
+    @pytest.mark.parametrize("k, eps, separated_at", [(9, 1e-10, 1e-12), (11, 1e-13, 1e-14)])
+    def test_tied_rows_are_refined_until_they_separate(self, table, k, eps, separated_at):
+        # 1e-13 / 100 is below the floor: the last round refines at the floor itself.
+        prev, row, tied = solver._separate(table, _row(table, k - 1, eps), _row(table, k, eps), eps)
+        assert not tied
+        assert row.eta.value.lo > prev.eta.value.hi
+        assert row.eta == solver.r_threshold(table, k, 2, separated_at)
+
+    def test_tie_at_the_floor_is_unresolved(self, table):
+        prev, row, tied = solver._separate(table, _row(table, 11), _row(table, 12), 1e-10)
+        assert tied
+        assert row.eta.value.width <= 1e-14 and row.eta.value.lo <= prev.eta.value.hi
+
+    def test_certified_decrease_raises(self, table):
+        with pytest.raises(PrecisionError):
+            solver._separate(table, _row(table, 2), _row(table, 1), 1e-10)
+
+    def test_invariants(self, table):
+        one, two = _row(table, 1), _row(table, 2)
+        solver.EtaTable(rows=(one, two))
+        with pytest.raises(PrecisionError):
+            solver.EtaTable(rows=(two, one))
+        with pytest.raises(PrecisionError):
+            solver.EtaTable(rows=(one, solver.EtaRow(k=2, m_min=1, thresholds={}, eta=two.eta)))

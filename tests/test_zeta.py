@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sigma_density import zeta as zmod
 from sigma_density.brackets import Bracket, check_eps
-from sigma_density.errors import DomainError, PrecisionError
+from sigma_density.errors import DomainError, PrecisionError, check_r
 from sigma_density.zeta import FactorSketch
 
 PI = math.pi
@@ -25,7 +25,7 @@ def zeta_partial_sum(r: float, eps: float = 1e-6, max_terms: int = PARTIAL_SUM_M
     requires more than ``max_terms`` terms (r near 1), the term count is
     capped and the bracket widens with a warning rather than hanging.
     """
-    zmod._check_r(r)
+    check_r(r)
     check_eps(eps)
     # Tail-enclosure width < N^{1-r}/(r-1) - (N+1)^{1-r}/(r-1) < N^{-r};
     # a sufficient N solves N^{-r} = eps/2.
