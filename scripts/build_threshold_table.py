@@ -5,20 +5,25 @@ Columns: k, selector m, the three per-m thresholds (midpoints; 2 marks
 the boundary case), and the density constant with its bracket.
 """
 
-import argparse
+import sys
 
-from sigma_density import primes, solver
+from sigma_density import cli, primes, solver
+from sigma_density.errors import SigmaDensityError
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+def main(argv=None) -> int:
+    parser = cli.Parser(description=__doc__)
     parser.add_argument("--kmax", type=int, default=10)
-    parser.add_argument("--eps", type=float, default=1e-10)
+    parser.add_argument("--eps", type=cli.finite_float, default=1e-10)
     parser.add_argument("--prime-limit", type=int, default=primes.DEFAULT_LIMIT)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    table = primes.load_or_sieve(args.prime_limit)
-    result = solver.eta_table(table, args.kmax, args.eps)
+    try:
+        table = primes.load_or_sieve(args.prime_limit)
+        result = solver.eta_table(table, args.kmax, args.eps)
+    except SigmaDensityError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return cli.EXIT_ERROR
     print("k\tm\tR(1)\tR(2)\tR(4)\teta_lo\teta_hi")
     for row in result.rows:
         cells = [str(row.k), str(row.m_min)]
@@ -28,7 +33,8 @@ def main():
         cells.append(f"{row.eta.value.lo:.12f}")
         cells.append(f"{row.eta.value.hi:.12f}")
         print("\t".join(cells))
+    return cli.EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

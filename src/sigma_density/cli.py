@@ -32,14 +32,16 @@ EXIT_VERIFY_FAILED = 2
 EXIT_USAGE = 64
 
 
-class _Parser(argparse.ArgumentParser):
+class Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with EXIT_USAGE."""
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
 
 
-def _finite_float(text: str) -> float:
+def finite_float(text: str) -> float:
     """argparse type: a float that is neither infinite nor NaN."""
     try:
         value = float(text)
@@ -123,8 +125,8 @@ def _emit_census_tsv(census, args):
         sys.stdout.write(text)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="sigma-density", description=__doc__.splitlines()[0])
+def build_parser() -> Parser:
+    parser = Parser(prog="sigma-density", description=__doc__.splitlines()[0])
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
     parser.add_argument("--prime-limit", type=int, default=primes.DEFAULT_LIMIT)
     parser.add_argument("--out", default=None, help="write output to a file instead of stdout")
@@ -132,34 +134,34 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eta", help="density threshold for a given k")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", type=_finite_float, default=solver.DEFAULT_EPS)
+    p.add_argument("--eps", type=finite_float, default=solver.DEFAULT_EPS)
 
     p = sub.add_parser("eta-limit", help="the k -> infinity threshold")
-    p.add_argument("--eps", type=_finite_float, default=solver.LIMIT_EPS)
+    p.add_argument("--eps", type=finite_float, default=solver.LIMIT_EPS)
 
     p = sub.add_parser("thresholds", help="per-m thresholds and the selector for k")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", type=_finite_float, default=solver.DEFAULT_EPS)
+    p.add_argument("--eps", type=finite_float, default=solver.DEFAULT_EPS)
 
     p = sub.add_parser("table", help="thresholds and constants for k = 1..kmax")
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--eps", type=_finite_float, default=solver.DEFAULT_EPS)
+    p.add_argument("--eps", type=finite_float, default=solver.DEFAULT_EPS)
 
     p = sub.add_parser("density", help="density verdict for (k, r)")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=_finite_float, required=True)
+    p.add_argument("--r", type=finite_float, required=True)
 
     p = sub.add_parser("approximate", help="greedy approximation of a log-range target")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=_finite_float, required=True)
-    p.add_argument("--x", type=_finite_float, required=True)
+    p.add_argument("--r", type=finite_float, required=True)
+    p.add_argument("--x", type=finite_float, required=True)
     p.add_argument("--steps", type=int, required=True)
 
     p = sub.add_parser("census", help="empirical range census up to a bound")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=_finite_float, required=True)
+    p.add_argument("--r", type=finite_float, required=True)
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--resolution", type=_finite_float, default=None)
+    p.add_argument("--resolution", type=finite_float, default=None)
 
     p = sub.add_parser("verify", help="verification suites")
     p.add_argument(
@@ -167,7 +169,7 @@ def build_parser() -> _Parser:
         choices=("gap-lemma", "inequalities", "monotonicity", "all"),
         required=True,
     )
-    p.add_argument("--grid-step", type=_finite_float, default=1e-3)
+    p.add_argument("--grid-step", type=finite_float, default=1e-3)
     return parser
 
 

@@ -1,24 +1,32 @@
 """Certified root solving for the density thresholds.
 
 Every threshold is the unique root in (1, 2) of a function that is
-strictly increasing there, so plain bisection with certified sign tests
-is the whole method: each returned bracket has certified opposite signs
-at its endpoints, or carries an explicit boundary flag for the "no root,
-threshold = 2" case.  Faster root finders buy nothing at this scale and
-would complicate the certification story.
+strictly increasing there, found by bisection: each returned bracket has
+certified opposite signs at its endpoints, or carries an explicit
+boundary flag for the "no root, threshold = 2" case.
+
+A certified sign test costs an interval evaluation of zeta (milliseconds),
+so the bisection walks its path with a float64 estimate of the same
+function, its guide (microseconds), and certifies only the endpoints it
+reaches: the a-posteriori verification pattern of Rump, "Verification
+methods" (Acta Numerica 2010).  Because the function is increasing,
+certified endpoints make the guided path the certified path, so guided
+and certified-only solves return the same bits.  The certified-only
+walk remains the fallback and the tests' reference.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from mpmath import iv
+from mpmath import fp, iv
 
 from .brackets import PRECISION_FLOOR, Bracket, check_eps
-from .density import V_TRUNCATION, t_func, t_levels, v_func
+from .density import V_TRUNCATION, t_float, t_func, t_levels, v_func
 from .errors import DomainError, PrecisionError, check_k
 from .primes import PrimeTable
 from .zeta import iv_pow, log_g_iv, to_iv, zeta_iv
@@ -29,6 +37,14 @@ LIMIT_EPS = 1e-9
 # Every target diverges to -inf at 1+, so its sign is certified negative
 # here; a solve whose sign is not certified at this start fails loudly.
 _START = 1.0001
+
+# The guides stay within 2e-15 of their certified functions on [1.0001, 2]
+# (mpmath.fp.zeta is within 2e-16 relative of the 200-bit zeta there, and
+# each function is a few logs of size at most 10).  A guide's sign is
+# taken only where it clears this bound, a margin of 50, and a certified
+# test decides inside it.  The bound sets how many midpoints are
+# certified, never soundness: the endpoints are certified afterwards.
+GUIDE_ERROR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -48,44 +64,108 @@ class RootResult:
     boundary: bool = False
 
 
-def _bisect(sign_fn: Callable[[float], Bracket], root: RootResult, eps: float) -> RootResult:
+def _walk(
+    sign: Callable[[float], int | None], a: float, b: float, eps: float
+) -> tuple[float, float, int]:
+    """Bisect [a, b] down to width ``eps`` by the signs of ``sign``;
+    returns the final bracket and the number of steps."""
+    steps = 0
+    while b - a > eps:
+        mid = a + (b - a) * 0.5
+        s = sign(mid)
+        if s is None:
+            raise PrecisionError(
+                f"sign evaluation indeterminate at r = {mid} in [{a}, {b}]; "
+                "the requested tolerance is below the certification floor"
+            )
+        if s < 0:
+            a = mid
+        else:
+            b = mid
+        steps += 1
+    return a, b, steps
+
+
+def _guided_walk(
+    sign_fn: Callable[[float], Bracket],
+    guide: Callable[[float], float],
+    a: float,
+    b: float,
+    eps: float,
+) -> tuple[float, float, int] | None:
+    """The walk of :func:`_walk` with the guide's sign wherever
+    |guide| > GUIDE_ERROR and a certified test elsewhere, then a certified
+    test at each endpoint the walk moved.  None when the guide is NaN, an
+    in-band test is indeterminate, or an endpoint fails its test."""
+    signs: dict[float, int | None] = {}
+
+    def certified(r: float) -> int | None:
+        if r not in signs:
+            signs[r] = sign_fn(r).certified_sign()
+        return signs[r]
+
+    def sign(r: float) -> int | None:
+        g = guide(r)
+        if abs(g) > GUIDE_ERROR:
+            return 1 if g > 0 else -1
+        return None if math.isnan(g) else certified(r)
+
+    try:
+        lo, hi, steps = _walk(sign, a, b, eps)
+    except PrecisionError:
+        return None
+    if (lo == a or certified(lo) == -1) and (hi == b or certified(hi) == 1):
+        return lo, hi, steps
+    return None
+
+
+def _bisect(
+    sign_fn: Callable[[float], Bracket],
+    root: RootResult,
+    eps: float,
+    guide: Callable[[float], float] | None = None,
+) -> RootResult:
     """Continue the bisection of ``root`` on the strictly increasing
     ``sign_fn`` until its bracket is at most ``eps`` wide.
+
+    ``guide`` is a float estimate of ``sign_fn`` (see :func:`_guided_walk`).
+    Certified signs at the guided walk's endpoints put the root between
+    them, so every midpoint before went to the root's side, as a
+    certified test would have sent it: the guided walk is the certified
+    walk.  When the endpoints are not certified, the walk is redone with a
+    certified test at every midpoint.
 
     Bisection is deterministic, so refining a bracket solved at a coarser
     eps gives bit-for-bit the bracket a fresh solve at ``eps`` would.
     """
     a, b = root.value.lo, root.value.hi
-    iterations = root.iterations
-    while b - a > eps:
-        mid = a + (b - a) * 0.5
-        sign = sign_fn(mid).certified_sign()
-        if sign is None:
-            raise PrecisionError(
-                f"sign evaluation indeterminate at r = {mid} in [{a}, {b}]; "
-                "the requested tolerance is below the certification floor"
-            )
-        if sign < 0:
-            a = mid
-        else:
-            b = mid
-        iterations += 1
+    walked = None if guide is None else _guided_walk(sign_fn, guide, a, b, eps)
+    if walked is None:
+        walked = _walk(lambda r: sign_fn(r).certified_sign(), a, b, eps)
+    a, b, steps = walked
     return dataclasses.replace(
-        root, value=Bracket(a, b), iterations=iterations, residual=sign_fn(0.5 * (a + b))
+        root,
+        value=Bracket(a, b),
+        iterations=root.iterations + steps,
+        residual=sign_fn(0.5 * (a + b)),
     )
 
 
 def _solve(
-    sign_fn: Callable[[float], Bracket], at_two: Bracket, eps: float, method: str
+    sign_fn: Callable[[float], Bracket],
+    at_two: Bracket,
+    eps: float,
+    method: str,
+    guide: Callable[[float], float] | None = None,
 ) -> RootResult:
     """The root in (1, 2) of a strictly increasing ``sign_fn`` whose sign
-    at 2 is ``at_two``, by certified bisection from [_START, 2]."""
+    at 2 is ``at_two``, by bisection from [_START, 2]."""
     if not at_two.strictly_positive():
         raise PrecisionError(f"{method}: sign not certified positive at r = 2")
     if sign_fn(_START).certified_sign() != -1:
         raise PrecisionError(f"{method}: sign not certified negative at r = {_START}")
     start = RootResult(value=Bracket(_START, 2.0), iterations=0, residual=at_two, method=method)
-    return _bisect(sign_fn, start, eps)
+    return _bisect(sign_fn, start, eps, guide)
 
 
 def r_threshold(table: PrimeTable, k: int, m: int, eps: float = DEFAULT_EPS) -> RootResult:
@@ -105,7 +185,12 @@ def r_threshold(table: PrimeTable, k: int, m: int, eps: float = DEFAULT_EPS) -> 
             method="boundary (no sign change on (1, 2))",
             boundary=True,
         )
-    return _solve(sign_fn, at_two, eps, "bisection on T")
+    return _solve(sign_fn, at_two, eps, "bisection on T", partial(t_float, table, k, m))
+
+
+def _refine(table: PrimeTable, k: int, m: int, root: RootResult, eps: float) -> RootResult:
+    """A root of T_k(m, .) bisected on to ``eps`` (see :func:`_bisect`)."""
+    return _bisect(partial(t_func, table, k, m), root, eps, partial(t_float, table, k, m))
 
 
 def m_selector(table: PrimeTable, k: int) -> int:
@@ -140,7 +225,7 @@ def select_m(table: PrimeTable, k: int, roots: dict[int, RootResult], eps: float
                 "unseparated at the precision floor"
             )
         eps = max(eps / 100, PRECISION_FLOOR)
-        roots = {m: _bisect(partial(t_func, table, k, m), roots[m], eps) for m in (1, 2, 4)}
+        roots = {m: _refine(table, k, m, roots[m], eps) for m in (1, 2, 4)}
 
 
 def _m_k(k: int) -> int:
@@ -164,7 +249,8 @@ def eta(table: PrimeTable, k: int, eps: float = DEFAULT_EPS) -> RootResult:
         ((_, t, _),) = t_levels(table, k, r_iv, log_g_iv(k, r_iv), (m,))
         return t
 
-    return _solve(sign_fn, sign_fn(2.0), eps, "bisection on T at m_k")
+    guide = partial(t_float, table, k, m)
+    return _solve(sign_fn, sign_fn(2.0), eps, "bisection on T at m_k", guide)
 
 
 def eta_limit(eps: float = LIMIT_EPS) -> RootResult:
@@ -172,17 +258,25 @@ def eta_limit(eps: float = LIMIT_EPS) -> RootResult:
 
         (2^r/(2^r - 1)) ((3^r + 1)/(3^r - 1)) = zeta(r),
 
-    solved in log form by certified bisection."""
+    solved in log form by bisection."""
     check_eps(eps)
+    return _solve(
+        _limit_sign, _limit_sign(2.0), eps, "bisection on limit equation", _limit_guide
+    )
 
-    def sign_fn(r: float) -> Bracket:
-        r_iv = to_iv(r)
-        p2 = iv_pow(iv.mpf(2), r_iv)
-        p3 = iv_pow(iv.mpf(3), r_iv)
-        lhs = iv.log(p2 / (p2 - 1)) + iv.log((p3 + 1) / (p3 - 1))
-        return Bracket.from_iv(lhs - iv.log(zeta_iv(r_iv)))
 
-    return _solve(sign_fn, sign_fn(2.0), eps, "bisection on limit equation")
+def _limit_sign(r: float) -> Bracket:
+    """The limit equation in log form, lhs - log zeta(r), as a bracket."""
+    r_iv = to_iv(r)
+    p2 = iv_pow(iv.mpf(2), r_iv)
+    p3 = iv_pow(iv.mpf(3), r_iv)
+    lhs = iv.log(p2 / (p2 - 1)) + iv.log((p3 + 1) / (p3 - 1))
+    return Bracket.from_iv(lhs - iv.log(zeta_iv(r_iv)))
+
+
+def _limit_guide(r: float) -> float:
+    """:func:`_limit_sign` in double precision."""
+    return -math.log1p(-(2.0**-r)) + math.log1p(2.0 / (3.0**r - 1.0)) - math.log(fp.zeta(r))
 
 
 def r1_surrogate(table: PrimeTable, eps: float = 1e-8) -> RootResult:
@@ -264,7 +358,7 @@ def _separate(
             return prev, row, True
         eps = max(eps / 100, PRECISION_FLOOR)
         prev, row = (
-            dataclasses.replace(r, eta=_bisect(partial(t_func, table, r.k, _m_k(r.k)), r.eta, eps))
+            dataclasses.replace(r, eta=_refine(table, r.k, _m_k(r.k), r.eta, eps))
             for r in (prev, row)
         )
     return prev, row, False

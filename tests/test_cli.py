@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import pathlib
 import re
 import shlex
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sigma_density import cli
 
@@ -160,3 +163,59 @@ def test_readme_cli_commands_succeed(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert "Traceback" not in err
+
+
+# Strings for float options: the bad values the CLI must reject or report,
+# and ordinary ones.  r stays below 4 and k below 31: zeta's cost grows
+# with its argument (k + 1) r, and these keep each example cheap.
+FLOATS = st.sampled_from(
+    ["nan", "inf", "-inf", "-1", "0", "1e-20", "1e-14", "1e-9", "0.3", "1", "1.0001", "1.5", "2"]
+) | st.one_of(st.floats(1.0001, 3), st.floats(-2, 4)).map(repr)
+INTS = {
+    "--k": st.integers(-2, 30),
+    "--kmax": st.integers(-1, 3),
+    "--steps": st.integers(-1, 1000),
+    "--bound": st.integers(-1, 10_000),
+}
+COMMANDS = {
+    "eta": ("--k", "--eps"),
+    "eta-limit": ("--eps",),
+    "thresholds": ("--k", "--eps"),
+    "table": ("--kmax", "--eps"),
+    "density": ("--k", "--r"),
+    "approximate": ("--k", "--r", "--x", "--steps"),
+    "census": ("--k", "--r", "--bound", "--resolution"),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    limit = draw(st.sampled_from([-1, 0, 1, 5, 30, 1000]) | st.just(100_000))
+    argv = ["--prime-limit", str(limit)]
+    if draw(st.booleans()):
+        argv += ["--format", "tsv"]
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv.append(command)
+    for flag in COMMANDS[command]:
+        # a flag is sometimes left out, which is a usage error when required
+        if draw(st.integers(0, 9)):
+            value = draw(INTS[flag].map(str) if flag in INTS else FLOATS)
+            argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=cli_argv())
+def test_any_argv_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 64), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert out.getvalue()
+    else:
+        assert "error" in err.getvalue()

@@ -154,6 +154,16 @@ class TestV:
         assert 0 < gap < p_last ** (1 - r) / (r - 1)
 
 
+class TestTFloat:
+    @pytest.mark.parametrize("k", [1, 2, 5, 30])
+    def test_within_the_solver_margin_of_t(self, table, k):
+        # solver.GUIDE_ERROR assumes the float T is within 2e-15 of T on [1.0001, 2]
+        for m in (1, 2, 4):
+            for r in (1.0001, 1.2, 1.6, 1.86, 1.89, 2.0):
+                t = density.t_func(table, k, m, r)
+                assert t.lo - 2e-15 <= density.t_float(table, k, m, r) <= t.hi + 2e-15
+
+
 class TestGapInterval:
     def test_fires_above_threshold(self, table):
         gap = density.gap_interval(table, 1, 1, 1.95)

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from functools import partial
+
 import pytest
 from mpmath import iv
 
@@ -116,6 +119,12 @@ class TestEta:
 
 
 class TestEtaLimit:
+    def test_guide_within_the_solver_margin(self):
+        # solver.GUIDE_ERROR assumes the guide is within 2e-15 on [1.0001, 2]
+        for r in (1.0001, 1.2, 1.6, 1.88, 1.89, 2.0):
+            b = solver._limit_sign(r)
+            assert b.lo - 2e-15 <= solver._limit_guide(r) <= b.hi + 2e-15
+
     def test_published_value(self, table):
         result = solver.eta_limit(1e-9)
         assert result.value.width <= 1e-9
@@ -167,6 +176,79 @@ class TestBisection:
         coarse = solver.r_threshold(table, 3, 2, 1e-10)
         refined = solver._bisect(lambda r: density.t_func(table, 3, 2, r), coarse, 1e-12)
         assert refined == solver.r_threshold(table, 3, 2, 1e-12)
+
+
+@pytest.fixture(scope="module")
+def certified_only(table):
+    """The certified-only solve of T_k(m, .), the oracle for the guided
+    one, keyed by (k, m, eps).  The 1e-13 root continues the 1e-10 walk,
+    which equals a fresh solve (see TestBisection)."""
+    roots = {}
+
+    def solve(k, m, eps):
+        if (k, m, eps) not in roots:
+            sign_fn = partial(density.t_func, table, k, m)
+            if eps == 1e-13:
+                roots[k, m, eps] = solver._bisect(sign_fn, solve(k, m, 1e-10), eps)
+            else:
+                roots[k, m, eps] = solver._solve(sign_fn, sign_fn(2.0), eps, "bisection on T")
+        return roots[k, m, eps]
+
+    return solve
+
+
+class CountingSign:
+    """A certified function that counts its evaluations."""
+
+    def __init__(self, sign_fn):
+        self.sign_fn = sign_fn
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.sign_fn(*args)
+
+
+class TestGuidedBisection:
+    @pytest.mark.parametrize("eps", [1e-10, 1e-13])
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_r_threshold_is_the_certified_walk(self, table, certified_only, k, eps):
+        for m in (1, 2):
+            assert solver.r_threshold(table, k, m, eps) == certified_only(k, m, eps)
+        assert solver.r_threshold(table, k, 4, eps).boundary
+
+    @pytest.mark.parametrize("eps", [1e-10, 1e-13])
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_eta_is_the_certified_walk(self, table, certified_only, k, eps):
+        oracle = certified_only(k, solver._m_k(k), eps)
+        assert solver.eta(table, k, eps) == replace(oracle, method="bisection on T at m_k")
+
+    @pytest.mark.parametrize("eps", [solver.LIMIT_EPS, 1e-12])
+    def test_eta_limit_is_the_certified_walk(self, eps):
+        oracle = solver._solve(
+            solver._limit_sign, solver._limit_sign(2.0), eps, "bisection on limit equation"
+        )
+        assert solver.eta_limit(eps) == oracle
+
+    @pytest.mark.parametrize(
+        "lie",
+        [lambda t, r: -1.0, lambda t, r: t(r) + 1e-3, lambda t, r: float("nan")],
+        ids=["always-negative", "shifted", "nan"],
+    )
+    def test_a_lying_guide_falls_back_to_the_certified_walk(self, table, certified_only, lie):
+        sign_fn = CountingSign(partial(density.t_func, table, 3, 2))
+        guide = partial(lie, partial(density.t_float, table, 3, 2))
+        root = solver._solve(sign_fn, sign_fn(2.0), 1e-10, "bisection on T", guide)
+        assert root == certified_only(3, 2, 1e-10)
+        # the certified walk tests every midpoint
+        assert sign_fn.calls > root.iterations
+
+    def test_r_threshold_certifies_few_points(self, table, monkeypatch):
+        sign_fn = CountingSign(density.t_func)
+        monkeypatch.setattr(solver, "t_func", sign_fn)
+        root = solver.r_threshold(table, 3, 2)
+        assert root.iterations == 34
+        assert sign_fn.calls <= 8
 
 
 def _row(table, k, eps=solver.DEFAULT_EPS):
