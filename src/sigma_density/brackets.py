@@ -89,9 +89,6 @@ class Bracket:
     def __neg__(self) -> "Bracket":
         return Bracket(-self.hi, -self.lo)
 
-    def as_pair(self) -> list[float]:
-        return [self.lo, self.hi]
-
     @classmethod
     def exact(cls, x: float) -> "Bracket":
         return cls(x, x)

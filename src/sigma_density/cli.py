@@ -102,27 +102,20 @@ def _flatten(obj, prefix=""):
         yield prefix, obj
 
 
+def _write(text, args):
+    """Write ``text`` to ``--out`` when given, else to stdout."""
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(envelope, args):
     if args.format == "json":
-        text = json.dumps(envelope, indent=2, allow_nan=False) + "\n"
+        _write(json.dumps(envelope, indent=2, allow_nan=False) + "\n", args)
     else:
-        lines = [f"{key}\t{value}" for key, value in _flatten(envelope)]
-        text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_census_tsv(census, args):
-    lines = [f"{float(v)!r}" for v in census.values]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        _write("".join(f"{key}\t{value}\n" for key, value in _flatten(envelope)), args)
 
 
 def build_parser() -> Parser:
@@ -281,7 +274,7 @@ def main(argv=None) -> int:
                 "resolution": result.resolution,
             }
             if args.format == "tsv":
-                _emit_census_tsv(result, args)
+                _write("".join(f"{float(v)!r}\n" for v in result.values), args)
                 return EXIT_OK
         elif args.command == "verify":
             tolerances["grid_step"] = args.grid_step

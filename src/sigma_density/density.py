@@ -40,6 +40,16 @@ V_TRUNCATION = 100_000
 # Upper end of the interval on which monotonicity of T in r is available.
 R_MONOTONE_HI = 7.0 / 3.0
 
+# Primes after p_m summed in double precision by :func:`t_derivative`
+# before its certified tail bound takes over.
+DERIVATIVE_PREFIX_PRIMES = 5000
+
+# Finest and coarsest grid steps of :func:`check_inequalities`.  Its last
+# check costs one certified zeta evaluation (about 1 ms) per point, some
+# (3 - 7/3)/step of them, so a run at the floor takes about 6 s.
+GRID_STEP_MIN = 1e-4
+GRID_STEP_MAX = 1e-3
+
 
 def _check_kmr(k: int, m: int, r: float) -> None:
     check_k(k)
@@ -116,9 +126,7 @@ def t_func(table: PrimeTable, k: int, m: int, r: float) -> Bracket:
     return t
 
 
-def t_derivative(
-    table: PrimeTable, k: int, m: int, r: float, prefix_primes: int = 5000
-) -> Bracket:
+def t_derivative(table: PrimeTable, k: int, m: int, r: float) -> Bracket:
     """d/dr of T_k(m, r) on (1, 7/3), as a certified bracket.
 
     The derivative series is
@@ -126,8 +134,8 @@ def t_derivative(
         sum_{i>m} w_i(r) log p_i  -  log p_m / (p_m^r + 1),
         w_i = (sum_{a=1}^k a p_i^{-ar}) / (sum_{b=0}^k p_i^{-br}).
 
-    The first ``prefix_primes`` terms are summed in double precision with
-    a rounding pad.  The dropped tail is nonnegative; it is bounded above
+    The first DERIVATIVE_PREFIX_PRIMES terms are summed in double precision
+    with a rounding pad.  The dropped tail is nonnegative; it is bounded above
     by sum_{i>I} log(p_i) p_i^{-r} / (1 - p_{I+1}^{-r})^2, and the prime
     sum in turn by the integral of log(x) x^{-r} from p_I, giving
     p_I^{1-r} (log p_I / (r-1) + 1/(r-1)^2).
@@ -135,7 +143,7 @@ def t_derivative(
     _check_kmr(k, m, r)
     if not 1 < r < R_MONOTONE_HI:
         raise DomainError(f"derivative domain is (1, 7/3), got r={r}")
-    last = m + prefix_primes
+    last = m + DERIVATIVE_PREFIX_PRIMES
     p = table.slice(m + 1, last).astype(np.float64)
     x = p ** (-r)
     numerator = np.zeros_like(x)
@@ -293,10 +301,11 @@ def check_inequalities(grid_step: float = 1e-3) -> InequalityReport:
 
     Failures are reported findings, never exceptions.  The zeta bound in
     the last check uses the certified upper bracket endpoint, so positive
-    slack there is a sound claim at each grid point.
+    slack there is a sound claim at each grid point.  The step must lie
+    in [GRID_STEP_MIN, GRID_STEP_MAX].
     """
-    if grid_step > 1e-3:
-        raise DomainError(f"grid step must be <= 1e-3, got {grid_step}")
+    if not GRID_STEP_MIN <= grid_step <= GRID_STEP_MAX:
+        raise DomainError(f"grid step must lie in [1e-4, 1e-3], got {grid_step}")
     checks = []
 
     def run(name, description, lo, hi, slack_fn, include_hi=False):

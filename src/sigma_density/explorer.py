@@ -21,6 +21,8 @@ from .primes import PrimeTable
 from .zeta import FactorSketch, log_g_iv, to_iv
 
 CENSUS_MAX_BOUND = 50_000_000
+# Levels m = 1..CENSUS_SCAN_LEVELS of the analytic gap scan a census overlays.
+CENSUS_SCAN_LEVELS = 10
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,6 @@ def range_census(
     r: float,
     bound: int,
     resolution: float | None = None,
-    m_max: int = 10,
 ) -> GapCensus:
     """Enumerate the range up to ``bound`` and report its gap structure.
 
@@ -209,7 +210,7 @@ def range_census(
             math.nextafter(math.exp(entry.interval[0]), math.inf),
             math.nextafter(math.exp(entry.interval[1]), -math.inf),
         )
-        for entry in analytic_gap_scan(table, k, r, m_max)
+        for entry in analytic_gap_scan(table, k, r, CENSUS_SCAN_LEVELS)
         if entry.interval is not None
     )
     return GapCensus(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 
 # Exhaustive-search bound for the gap ratio check.
 GAP_SEARCH_BOUND = 396738
@@ -22,6 +22,8 @@ GAP_EXCLUDED_INDICES = (1, 2, 4)
 
 # Enough for the first 100000 primes (p_100000 = 1299709) with headroom.
 DEFAULT_LIMIT = 2_000_000
+# Largest sieve: a one-byte mask per integer, about 50 MB at this limit.
+SIEVE_MAX_LIMIT = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,8 @@ def sieve(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes up to ``limit`` inclusive."""
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
+    if limit > SIEVE_MAX_LIMIT:
+        raise CapacityError(f"sieve limit {limit} exceeds {SIEVE_MAX_LIMIT}", SIEVE_MAX_LIMIT)
     mask = np.ones(limit + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, int(limit**0.5) + 1):

@@ -280,12 +280,14 @@ def _limit_guide(r: float) -> float:
 
 
 def r1_surrogate(table: PrimeTable, eps: float = 1e-8) -> RootResult:
-    """Root of the truncated surrogate V_1(1, .) on (1, 7/3).
+    """Root of the truncated surrogate V_1(1, .) in (1.5, 7/3).
 
     The surrogate itself is a plain double-precision sum over the first
     10^5 primes, so this result is float-certified only: the sign tests
     are exact for the computed V, whose own rounding error (~1e-12) is
-    far below any tolerance of interest here.
+    far below any tolerance of interest here.  V is fixed by those
+    primes, and v(1.5) = -0.171 < 0 < v(7/3) = 0.062, so the walk starts
+    from that bracket.
     """
     check_eps(eps)
     if len(table) < V_TRUNCATION + 1:
@@ -294,19 +296,7 @@ def r1_surrogate(table: PrimeTable, eps: float = 1e-8) -> RootResult:
     def v(r: float) -> float:
         return v_func(table, 1, 1, r)
 
-    a, b = 1.5, 7.0 / 3.0
-    if not (v(a) < 0 < v(b)):
-        a = 1.0001
-        if not (v(a) < 0 < v(b)):
-            raise PrecisionError("no sign change for the surrogate on (1, 7/3)")
-    iterations = 0
-    while b - a > eps:
-        mid = 0.5 * (a + b)
-        if v(mid) < 0:
-            a = mid
-        else:
-            b = mid
-        iterations += 1
+    a, b, iterations = _walk(lambda r: -1 if v(r) < 0 else 1, 1.5, 7.0 / 3.0, eps)
     mid = 0.5 * (a + b)
     return RootResult(
         value=Bracket(a, b),

@@ -4,6 +4,7 @@ import json
 import pathlib
 import re
 import shlex
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -135,6 +136,26 @@ def test_bad_input_is_a_typed_error(capsys, argv):
     assert "error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("step", ["0", "-1e-3", "1e-9"])
+def test_grid_step_outside_its_range_is_an_error(capsys, step):
+    code, _, err = run(capsys, "verify", "--suite", "inequalities", f"--grid-step={step}")
+    assert code == 1
+    assert "grid step" in err and "Traceback" not in err
+
+
+def test_prime_limit_above_capacity_allocates_nothing_large(capsys):
+    tracemalloc.start()
+    try:
+        code = cli.main(["--prime-limit", "10000000000", "density", "--k", "1", "--r", "2"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error" in err and "Traceback" not in err
+    assert peak < 10_000_000
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     code, out, _ = run(capsys, *PRIME_ARGS, "--out", str(target), "eta-limit", "--eps", "1e-6")
@@ -166,16 +187,20 @@ def test_readme_cli_commands_succeed(capsys, argv):
 
 
 # Strings for float options: the bad values the CLI must reject or report,
-# and ordinary ones.  r stays below 4 and k below 31: zeta's cost grows
-# with its argument (k + 1) r, and these keep each example cheap.
+# and ordinary ones, up to magnitude 1e6.  zeta's cost does not depend on
+# its argument (k + 1) r, so neither k nor r is kept small.
 FLOATS = st.sampled_from(
-    ["nan", "inf", "-inf", "-1", "0", "1e-20", "1e-14", "1e-9", "0.3", "1", "1.0001", "1.5", "2"]
-) | st.one_of(st.floats(1.0001, 3), st.floats(-2, 4)).map(repr)
-INTS = {
-    "--k": st.integers(-2, 30),
-    "--kmax": st.integers(-1, 3),
-    "--steps": st.integers(-1, 1000),
-    "--bound": st.integers(-1, 10_000),
+    ["nan", "inf", "-inf", "-1", "0", "1e-20", "1e-14", "1e-9", "0.3", "1", "1.0001", "1.5", "2", "1e6"]
+) | st.one_of(st.floats(1.0001, 3), st.floats(-1e6, 1e6)).map(repr)
+# Strings for the other options; FLOATS for any option not listed.  --kmax
+# stays small: a table solves every row up to it.
+VALUES = {
+    "--k": st.integers(-2, 1000).map(str),
+    "--kmax": st.integers(-1, 3).map(str),
+    "--steps": st.integers(-1, 1000).map(str),
+    "--bound": st.integers(-1, 10_000).map(str),
+    "--suite": st.just("inequalities"),
+    "--grid-step": FLOATS | st.just("1e-3"),
 }
 COMMANDS = {
     "eta": ("--k", "--eps"),
@@ -185,12 +210,13 @@ COMMANDS = {
     "density": ("--k", "--r"),
     "approximate": ("--k", "--r", "--x", "--steps"),
     "census": ("--k", "--r", "--bound", "--resolution"),
+    "verify": ("--suite", "--grid-step"),
 }
 
 
 @st.composite
 def cli_argv(draw):
-    limit = draw(st.sampled_from([-1, 0, 1, 5, 30, 1000]) | st.just(100_000))
+    limit = draw(st.sampled_from([-1, 0, 1, 5, 30, 1000, 10**10]) | st.just(100_000))
     argv = ["--prime-limit", str(limit)]
     if draw(st.booleans()):
         argv += ["--format", "tsv"]
@@ -199,7 +225,7 @@ def cli_argv(draw):
     for flag in COMMANDS[command]:
         # a flag is sometimes left out, which is a usage error when required
         if draw(st.integers(0, 9)):
-            value = draw(INTS[flag].map(str) if flag in INTS else FLOATS)
+            value = draw(VALUES.get(flag, FLOATS))
             argv += [flag, value]
     return argv
 

@@ -196,8 +196,9 @@ class TestInequalities:
         assert (1 + 2**-r) ** 2 > zeta(r, 1e-10).hi
 
     def test_step_validation(self):
-        with pytest.raises(DomainError):
-            density.check_inequalities(1e-2)
+        for step in (1e-2, 0.0, -1e-3, 1e-9, 1e-20, math.nan):
+            with pytest.raises(DomainError):
+                density.check_inequalities(step)
 
 
 class TestDensityReport:

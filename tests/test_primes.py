@@ -3,7 +3,7 @@ import math
 import pytest
 
 from sigma_density import primes
-from sigma_density.errors import DomainError
+from sigma_density.errors import CapacityError, DomainError
 
 
 def _trial_division_primes(limit):
@@ -22,6 +22,11 @@ def test_small_sieves():
 def test_sieve_rejects_tiny_limit():
     with pytest.raises(DomainError):
         primes.sieve(1)
+
+
+def test_sieve_rejects_a_limit_above_capacity():
+    with pytest.raises(CapacityError):
+        primes.sieve(primes.SIEVE_MAX_LIMIT + 1)
 
 
 def test_sieve_matches_trial_division():

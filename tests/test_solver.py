@@ -158,6 +158,12 @@ class TestR1Surrogate:
         assert density.v_func(table, 1, 1, result.value.lo) < 0
         assert density.v_func(table, 1, 1, result.value.hi) > 0
 
+    def test_pinned_bracket(self, table):
+        # bisection of [1.5, 7/3] by the shared walk
+        result = solver.r1_surrogate(table, 1e-8)
+        assert (result.value.lo, result.value.hi) == (1.8646329852441947, 1.864632991453012)
+        assert result.iterations == 27
+
 
 class TestBisection:
     def test_indeterminate_sign_raises(self):

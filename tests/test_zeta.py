@@ -1,10 +1,12 @@
 import math
+import time
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import iv
 
 from sigma_density import zeta as zmod
 from sigma_density.brackets import Bracket, check_eps
@@ -47,6 +49,59 @@ def zeta_partial_sum(r: float, eps: float = 1e-6, max_terms: int = PARTIAL_SUM_M
         math.nextafter(partial - rounding + tail_lo * (1 - 1e-14), -math.inf),
         math.nextafter(partial + rounding + tail_hi * (1 + 1e-14), math.inf),
     )
+
+
+def zeta_iv_oracle(s):
+    """The Euler-Maclaurin kernel with an s-dependent term count and the
+    Bernoulli fractions and logs rebuilt on every call.
+
+    This was the library's kernel before its constants were hoisted, with
+    one change: the remainder bound is kept at working precision, where
+    the old kernel rounded it to the nearest double.
+    """
+    s_hi = float(mpmath.mpf(s.b))
+    terms = max(25, int(s_hi / 4) + 10)
+    corrections = 12
+    total = iv.mpf(0)
+    for n in range(1, terms + 1):
+        total += zmod.iv_pow(iv.mpf(n), -s)
+    N = iv.mpf(terms)
+    total += zmod.iv_pow(N, 1 - s) / (s - 1)
+    total -= zmod.iv_pow(N, -s) / 2
+    rising = s  # s(s+1)...(s+2j-2), starting value for j = 1
+    factorial = iv.mpf(2)  # (2j)!
+    for j in range(1, corrections + 1):
+        p, q = mpmath.bernfrac(2 * j)
+        term = (iv.mpf(int(p)) / iv.mpf(int(q))) / factorial * rising * zmod.iv_pow(N, 1 - s - 2 * j)
+        total += term
+        rising = rising * (s + 2 * j - 1) * (s + 2 * j)
+        factorial = factorial * (2 * j + 1) * (2 * j + 2)
+    p, q = mpmath.bernfrac(2 * corrections + 2)
+    rem = abs(
+        (iv.mpf(int(p)) / iv.mpf(int(q))) / factorial * rising
+        * zmod.iv_pow(N, 1 - s - 2 * corrections - 2)
+    )
+    return total + iv.mpf([-rem.b, rem.b])
+
+
+class TestKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.floats(min_value=1, max_value=64, exclude_min=True, exclude_max=True))
+    def test_endpoints_equal_the_oracle(self, s):
+        # below s = 64 the oracle also sums 25 terms, so the two agree bit
+        # for bit at the working precision
+        fast, slow = zmod.zeta_iv(iv.mpf(s)), zeta_iv_oracle(iv.mpf(s))
+        assert fast.a == slow.a and fast.b == slow.b
+
+    @pytest.mark.parametrize("s", [64.5, 100, 1e3, 1e6])
+    def test_large_argument(self, s):
+        start = time.perf_counter()
+        b = zmod.zeta(s, 1e-13)
+        assert time.perf_counter() - start < 1.0
+        assert b.width <= 4 * math.ulp(1.0)
+        with mpmath.workprec(400):
+            reference = mpmath.zeta(mpmath.mpf(s))
+            assert mpmath.mpf(b.lo) <= reference <= mpmath.mpf(b.hi)
 
 
 class TestZeta:
