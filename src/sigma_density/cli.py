@@ -162,7 +162,6 @@ def build_parser() -> Parser:
         choices=("gap-lemma", "inequalities", "monotonicity", "all"),
         required=True,
     )
-    p.add_argument("--grid-step", type=finite_float, default=1e-3)
     return parser
 
 
@@ -176,45 +175,12 @@ def _suite_gap_lemma(table):
     }
 
 
-def _suite_inequalities(grid_step):
-    report = density.check_inequalities(grid_step)
+def _suite_cover(name, report):
     return {
-        "suite": "inequalities",
+        "suite": name,
         "passed": report.all_passed,
         "report": report,
         "margin": min(c.min_slack for c in report.checks),
-    }
-
-
-def _suite_monotonicity(table):
-    """Grid monotonicity of T in r and of the 7-term comparison functions."""
-    failures = []
-    min_increment = float("inf")
-    grid = [1.05 + 0.05 * i for i in range(26)]  # 1.05 .. 2.30
-    for k in (1, 2, 5):
-        for m in (1, 2, 4):
-            mids = [density.t_func(table, k, m, r).mid for r in grid]
-            for a, b in zip(mids, mids[1:]):
-                min_increment = min(min_increment, b - a)
-                if b <= a:
-                    failures.append(f"T_{k}({m}, .) not increasing on grid")
-    j_margin = float("inf")
-    for m in (1, 2, 4):
-        xs = [1.0 + 0.01 * i for i in range(1, 134)]  # up to 2.33 < 7/3
-        js = [density.j_func(table, m, x) for x in xs]
-        for a, b in zip(js, js[1:]):
-            if b <= a:
-                failures.append(f"J_{m} not increasing on grid")
-                break
-        end = density.j_func(table, m, 7.0 / 3.0)
-        j_margin = min(j_margin, -end)
-        if end >= 0:
-            failures.append(f"J_{m}(7/3) = {end} is not negative")
-    return {
-        "suite": "monotonicity",
-        "passed": not failures,
-        "failures": sorted(set(failures)),
-        "margin": min(min_increment, j_margin),
     }
 
 
@@ -223,9 +189,9 @@ def _run_verify(args, table):
     if args.suite in ("gap-lemma", "all"):
         suites.append(_suite_gap_lemma(table))
     if args.suite in ("inequalities", "all"):
-        suites.append(_suite_inequalities(args.grid_step))
+        suites.append(_suite_cover("inequalities", density.check_inequalities()))
     if args.suite in ("monotonicity", "all"):
-        suites.append(_suite_monotonicity(table))
+        suites.append(_suite_cover("monotonicity", density.check_monotonicity(table)))
     for suite in suites:
         status = "PASS" if suite["passed"] else "FAIL"
         print(f"{status} {suite['suite']} (margin {suite['margin']:.6g})", file=sys.stderr)
@@ -277,11 +243,10 @@ def main(argv=None) -> int:
                 _write("".join(f"{float(v)!r}\n" for v in result.values), args)
                 return EXIT_OK
         elif args.command == "verify":
-            tolerances["grid_step"] = args.grid_step
             suites, ok = _run_verify(args, table)
             envelope = _envelope(
                 args.command,
-                {"suite": args.suite, "grid_step": args.grid_step},
+                {"suite": args.suite},
                 {"suites": suites},
                 table.limit,
                 tolerances,

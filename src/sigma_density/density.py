@@ -11,7 +11,9 @@ range.  T has one interval expression (:func:`t_levels`), shared by
 :func:`t_func`, :func:`gap_interval`, :func:`density_report` and the gap
 scan.  Everything here returns certified brackets, and verdicts are
 three-valued (dense / not_dense / undetermined) so float artifacts can
-never silently misclassify a near-threshold input.
+never silently misclassify a near-threshold input.  The standing
+inequalities and the monotonicity of T in r are proved over intervals,
+by one cell cover (:func:`_cover`).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from mpmath import fp, iv
@@ -37,18 +40,15 @@ from .zeta import (
 # Truncation point of the computational surrogate V (number of primes).
 V_TRUNCATION = 100_000
 
-# Upper end of the interval on which monotonicity of T in r is available.
+# The range on which T_k(m, .) for m in {1, 2, 4} and J_m are proved
+# increasing by :func:`check_monotonicity`; it holds the solver's bracket
+# [1.0001, 2].
+R_MONOTONE_LO = 1.0001
 R_MONOTONE_HI = 7.0 / 3.0
 
-# Primes after p_m summed in double precision by :func:`t_derivative`
-# before its certified tail bound takes over.
-DERIVATIVE_PREFIX_PRIMES = 5000
-
-# Finest and coarsest grid steps of :func:`check_inequalities`.  Its last
-# check costs one certified zeta evaluation (about 1 ms) per point, some
-# (3 - 7/3)/step of them, so a run at the floor takes about 6 s.
-GRID_STEP_MIN = 1e-4
-GRID_STEP_MAX = 1e-3
+# Most cells :func:`_cover` evaluates for one claim; a claim not proved
+# by then is reported failed.  A cell costs at most one zeta evaluation.
+COVER_MAX_CELLS = 256
 
 
 def _check_kmr(k: int, m: int, r: float) -> None:
@@ -126,68 +126,36 @@ def t_func(table: PrimeTable, k: int, m: int, r: float) -> Bracket:
     return t
 
 
-def t_derivative(table: PrimeTable, k: int, m: int, r: float) -> Bracket:
-    """d/dr of T_k(m, r) on (1, 7/3), as a certified bracket.
-
-    The derivative series is
-
-        sum_{i>m} w_i(r) log p_i  -  log p_m / (p_m^r + 1),
-        w_i = (sum_{a=1}^k a p_i^{-ar}) / (sum_{b=0}^k p_i^{-br}).
-
-    The first DERIVATIVE_PREFIX_PRIMES terms are summed in double precision
-    with a rounding pad.  The dropped tail is nonnegative; it is bounded above
-    by sum_{i>I} log(p_i) p_i^{-r} / (1 - p_{I+1}^{-r})^2, and the prime
-    sum in turn by the integral of log(x) x^{-r} from p_I, giving
-    p_I^{1-r} (log p_I / (r-1) + 1/(r-1)^2).
-    """
-    _check_kmr(k, m, r)
-    if not 1 < r < R_MONOTONE_HI:
-        raise DomainError(f"derivative domain is (1, 7/3), got r={r}")
-    last = m + DERIVATIVE_PREFIX_PRIMES
-    p = table.slice(m + 1, last).astype(np.float64)
-    x = p ** (-r)
-    numerator = np.zeros_like(x)
-    denominator = np.ones_like(x)
-    xa = np.ones_like(x)
-    for a in range(1, k + 1):
-        xa = xa * x
-        numerator += a * xa
-        denominator += xa
-    terms = (numerator / denominator) * np.log(p)
-    prefix = float(np.sum(terms))
-    rounding = (math.log2(len(terms)) + 6) * 2.3e-16 * float(np.sum(np.abs(terms)))
-
-    p_last = float(table.nth(last))
-    x_next = float(table.nth(last + 1)) ** (-r)
-    tail_hi = (
-        p_last ** (1.0 - r)
-        * (math.log(p_last) / (r - 1.0) + 1.0 / (r - 1.0) ** 2)
-        / (1.0 - x_next) ** 2
-    )
-
-    pm = float(table.nth(m))
-    pm_term = math.log(pm) / (pm**r + 1.0)
-    pm_pad = 4e-16 * abs(pm_term)
-
-    lo = prefix - rounding - pm_term - pm_pad
-    hi = prefix + rounding + tail_hi * (1 + 1e-14) - pm_term + pm_pad
-    return Bracket(math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf))
+def _log_over(p: int, x):
+    """log p / (p^x + 1), decreasing in x."""
+    p = iv.mpf(p)
+    return iv.log(p) / (iv_pow(p, x) + 1)
 
 
-def j_func(table: PrimeTable, m: int, x: float) -> float:
-    """log p_m / (p_m^x + 1) minus the same expression summed over the
-    next six primes; negative at 7/3 for m in {1, 2, 4}."""
+def _log_sq_over(p: int, x):
+    """(log p)^2 / (p^x + 2 + p^-x), minus the derivative of
+    :func:`_log_over`; decreasing in x > 0."""
+    p = iv.mpf(p)
+    q = iv_pow(p, x)
+    return iv.log(p) ** 2 / (q + 2 + 1 / q)
+
+
+def _rise(table: PrimeTable, m: int, n: int, term, x):
+    """A lower bound on sum_{i=m+1}^{m+n} term(p_i, .) - term(p_m, .) over
+    the interval x, for a ``term`` decreasing in its argument: each term
+    is taken at the end of x where it is smallest.  Exact for a point x."""
+    rest = sum((term(table.nth(i), x.b) for i in range(m + 1, m + n + 1)), iv.mpf(0))
+    return rest - term(table.nth(m), x.a)
+
+
+def j_func(table: PrimeTable, m: int, x: float) -> Bracket:
+    """J_m(x): log p_m / (p_m^x + 1) minus the same expression summed over
+    the next six primes; negative at 7/3 for m in {1, 2, 4}."""
     if m not in (1, 2, 4):
         raise DomainError(f"m must be one of 1, 2, 4, got {m}")
     if not 1 < x <= R_MONOTONE_HI:
         raise DomainError(f"domain is (1, 7/3], got x={x}")
-    pm = float(table.nth(m))
-    head = math.log(pm) / (pm**x + 1.0)
-    rest = sum(
-        math.log(p) / (p**x + 1.0)
-        for p in (float(table.nth(i)) for i in range(m + 1, m + 7))
-    )
-    return head - rest
+    return Bracket.from_iv(-_rise(table, m, 6, _log_over, to_iv(x)))
 
 
 def v_func(table: PrimeTable, k: int, m: int, r: float) -> float:
@@ -267,14 +235,18 @@ def gap_interval(table: PrimeTable, k: int, m: int, r: float) -> GapInterval | N
 
 @dataclass(frozen=True)
 class InequalityCheck:
+    """The claim "expression > 0 on the closed range [r_lo, r_hi]", as
+    covered by :func:`_cover`.  ``cells`` counts the cells accepted.  When
+    ``passed``, they cover the range and ``min_slack`` is a certified lower
+    bound on the expression over the whole range; otherwise it is the
+    lower bound of the cell that could not be accepted."""
+
     name: str
     description: str
     r_lo: float
     r_hi: float
-    step: float
-    points: int
+    cells: int
     min_slack: float
-    argmin_r: float
     passed: bool
 
 
@@ -287,85 +259,118 @@ class InequalityReport:
         return all(c.passed for c in self.checks)
 
 
-def _grid(lo: float, hi: float, step: float, include_hi: bool) -> np.ndarray:
-    n = int(round((hi - lo) / step))
-    pts = lo + step * np.arange(1, n)
-    if include_hi:
-        pts = np.append(pts, hi)
-    return pts
+def _cover(claim, lo: float, hi: float) -> tuple[int, float, bool]:
+    """Prove claim(r) > 0 for every r in [lo, hi] by range enclosure over
+    a cover of cells (Moore, Kearfott and Cloud, *Introduction to Interval
+    Analysis*, ch. 5): ``claim`` maps an interval cell to an interval
+    enclosing the claim's values there.  A cell whose lower bound is > 0
+    is accepted; any other cell is bisected.  Returns the cells accepted,
+    the lowest lower bound (rounded down to a double), and whether the
+    claim is proved.  It is not when COVER_MAX_CELLS cells have been
+    evaluated, or when a cell too narrow to bisect is not accepted."""
+    accepted, evaluated, lowest = 0, 0, math.inf
+    stack = [(lo, hi)]
+    while stack:
+        a, b = stack.pop()
+        evaluated += 1
+        lower = Bracket.from_iv(claim(iv.mpf([a, b]))).lo
+        if lower > 0:
+            accepted += 1
+            lowest = min(lowest, lower)
+            continue
+        mid = a + (b - a) * 0.5
+        if evaluated >= COVER_MAX_CELLS or not a < mid < b:
+            return accepted, lower, False
+        stack += [(mid, b), (a, mid)]
+    return accepted, lowest, True
 
 
-def check_inequalities(grid_step: float = 1e-3) -> InequalityReport:
-    """Grid verification, with minimum-slack reporting, of the standing
-    inequalities behind the selector and dichotomy arguments.
+def _check(name: str, description: str, lo: float, hi: float, claim) -> InequalityCheck:
+    cells, min_slack, passed = _cover(claim, lo, hi)
+    return InequalityCheck(name, description, lo, hi, cells, min_slack, passed)
 
-    Failures are reported findings, never exceptions.  The zeta bound in
-    the last check uses the certified upper bracket endpoint, so positive
-    slack there is a sound claim at each grid point.  The step must lie
-    in [GRID_STEP_MIN, GRID_STEP_MAX].
+
+def _x(p: int, r):
+    """p^-r for an interval r."""
+    return iv_pow(iv.mpf(p), -r)
+
+
+def check_inequalities() -> InequalityReport:
+    """Proofs, by :func:`_cover`, of the standing inequalities behind the
+    selector and dichotomy arguments on their closed ranges.  Each is
+    evaluated in powers p^-r, the same function as its description with
+    fewer occurrences of r, which keeps its enclosures narrow.
+
+    Failures are reported findings, never exceptions.
     """
-    if not GRID_STEP_MIN <= grid_step <= GRID_STEP_MAX:
-        raise DomainError(f"grid step must lie in [1e-4, 1e-3], got {grid_step}")
-    checks = []
-
-    def run(name, description, lo, hi, slack_fn, include_hi=False):
-        pts = _grid(lo, hi, grid_step, include_hi)
-        slack = np.array([slack_fn(float(r)) for r in pts])
-        i = int(np.argmin(slack))
-        checks.append(
-            InequalityCheck(
-                name=name,
-                description=description,
-                r_lo=lo,
-                r_hi=hi,
-                step=grid_step,
-                points=len(pts),
-                min_slack=float(slack[i]),
-                argmin_r=float(pts[i]),
-                passed=bool(np.all(slack > 0)),
-            )
+    return InequalityReport(
+        checks=(
+            _check(
+                "two_vs_three_lower",
+                "(1+3^-r)(1+3^-r+3^-2r) - (1+2^-r) > 0",
+                1.67,
+                1.98,
+                lambda r: (1 + _x(3, r)) * (1 + _x(3, r) + _x(3, 2 * r)) - (1 + _x(2, r)),
+            ),
+            _check(
+                "three_vs_five_seven",
+                "(1+3^-r) - (5^r/(5^r-1))((7^r+1)/(7^r-1)) > 0",
+                1.67,
+                1.98,
+                lambda r: (1 + _x(3, r)) - ((1 + _x(7, r)) / (1 - _x(7, r))) / (1 - _x(5, r)),
+            ),
+            _check(
+                "pair_product_m2",
+                "(1+2^-r)(3^r/(3^r+1)) - (1+3^-r) > 0",
+                1.8638,
+                2.0,
+                lambda r: (1 + _x(2, r)) / (1 + _x(3, r)) - (1 + _x(3, r)),
+            ),
+            _check(
+                "pair_product_m4",
+                "(1+2^-r)(3^r/(3^r+1))(5^r/(5^r+1))(7^r/(7^r+1)) - (1+7^-r) > 0",
+                1.8638,
+                2.0,
+                lambda r: (1 + _x(2, r))
+                / ((1 + _x(3, r)) * (1 + _x(5, r)) * (1 + _x(7, r)))
+                - (1 + _x(7, r)),
+            ),
+            _check(
+                "square_dominates_zeta",
+                "(1+2^-r)^2 - zeta(r) > 0",
+                R_MONOTONE_HI,
+                3.0,
+                lambda r: (1 + _x(2, r)) ** 2 - zeta_iv(r),
+            ),
         )
+    )
 
-    run(
-        "two_vs_three_lower",
-        "(1+3^-r)(1+3^-r+3^-2r) - (1+2^-r) > 0",
-        1.67,
-        1.98,
-        lambda r: (1 + 3**-r) * (1 + 3**-r + 3 ** (-2 * r)) - (1 + 2**-r),
-    )
-    run(
-        "three_vs_five_seven",
-        "(1+3^-r) - (5^r/(5^r-1))((7^r+1)/(7^r-1)) > 0",
-        1.67,
-        1.98,
-        lambda r: (1 + 3**-r) - (5**r / (5**r - 1)) * ((7**r + 1) / (7**r - 1)),
-    )
-    run(
-        "pair_product_m2",
-        "(1+2^-r)(3^r/(3^r+1)) - (1+3^-r) > 0",
-        1.8638,
-        2.0,
-        lambda r: (1 + 2**-r) * (3**r / (3**r + 1)) - (1 + 3**-r),
-    )
-    run(
-        "pair_product_m4",
-        "(1+2^-r)(3^r/(3^r+1))(5^r/(5^r+1))(7^r/(7^r+1)) - (1+7^-r) > 0",
-        1.8638,
-        2.0,
-        lambda r: (1 + 2**-r)
-        * (3**r / (3**r + 1))
-        * (5**r / (5**r + 1))
-        * (7**r / (7**r + 1))
-        - (1 + 7**-r),
-    )
-    run(
-        "square_dominates_zeta",
-        "(1+2^-r)^2 - zeta(r) > 0 using the certified zeta upper bound",
-        R_MONOTONE_HI,
-        3.0,
-        lambda r: (1 + 2**-r) ** 2 - Bracket.from_iv(zeta_iv(to_iv(r))).hi,
-        include_hi=True,
-    )
+
+def check_monotonicity(table: PrimeTable) -> InequalityReport:
+    """Proofs, by :func:`_cover`, of the monotonicity claims behind the
+    dichotomy and the solver, on [R_MONOTONE_LO, R_MONOTONE_HI]:
+
+    * T_k(m, .) is increasing for m in {1, 2, 4} and every k.  Its
+      derivative is sum_{i>m} w_i(r) log p_i - log p_m / (p_m^r + 1),
+      where w_i, the mean of the geometric law with ratio p_i^-r truncated
+      to {0..k}, decreases in r and grows with k.  Dropping the terms
+      i > m + 10, all positive, and taking k = 1, where
+      w_i = 1 / (p_i^r + 1), leaves a bound that holds for every k.
+    * J_m is increasing: J_m' is the same difference of
+      (log p)^2 / (p^x + 2 + p^-x), each decreasing in x.
+    * J_m(7/3) < 0.
+    """
+    lo, hi = R_MONOTONE_LO, R_MONOTONE_HI
+    checks = []
+    for m in (1, 2, 4):
+        t_slope = partial(_rise, table, m, 10, _log_over)
+        j_slope = partial(_rise, table, m, 6, _log_sq_over)
+        minus_j = partial(_rise, table, m, 6, _log_over)
+        checks += [
+            _check(f"t_increasing_m{m}", f"dT_k({m}, r)/dr > 0 for every k", lo, hi, t_slope),
+            _check(f"j_increasing_m{m}", f"J_{m}'(x) > 0", lo, hi, j_slope),
+            _check(f"j_negative_m{m}", f"J_{m}(7/3) < 0", hi, hi, minus_j),
+        ]
     return InequalityReport(checks=tuple(checks))
 
 

@@ -21,6 +21,10 @@ from .primes import PrimeTable
 from .zeta import FactorSketch, log_g_iv, to_iv
 
 CENSUS_MAX_BOUND = 50_000_000
+# Largest (k + 1) * steps of a greedy walk: its table of partial local
+# factors holds that many doubles, and its peak memory is about 20 bytes
+# an entry (80 MB at this cap).
+GREEDY_MAX_ENTRIES = 4_000_000
 # Levels m = 1..CENSUS_SCAN_LEVELS of the analytic gap scan a census overlays.
 CENSUS_SCAN_LEVELS = 10
 
@@ -69,6 +73,11 @@ def greedy_approximate(
         raise DomainError(f"steps must be >= 1, got {steps}")
     if steps > len(table):
         raise DomainError(f"steps={steps} exceeds the table of {len(table)} primes")
+    if (k + 1) * steps > GREEDY_MAX_ENTRIES:
+        raise CapacityError(
+            f"(k + 1) * steps = {(k + 1) * steps} exceeds the walk capacity {GREEDY_MAX_ENTRIES}",
+            suggested_bound=GREEDY_MAX_ENTRIES // (k + 1),
+        )
     if x < 0:
         raise DomainError(f"target must be >= 0, got {x}")
     log_g = Bracket.from_iv(log_g_iv(k, to_iv(r)))

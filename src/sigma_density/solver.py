@@ -1,9 +1,10 @@
 """Certified root solving for the density thresholds.
 
 Every threshold is the unique root in (1, 2) of a function that is
-strictly increasing there, found by bisection: each returned bracket has
-certified opposite signs at its endpoints, or carries an explicit
-boundary flag for the "no root, threshold = 2" case.
+strictly increasing there (``density.check_monotonicity`` proves it for
+T_k(m, .), m in {1, 2, 4}, at every k), found by bisection: each
+returned bracket has certified opposite signs at its endpoints, or
+carries an explicit boundary flag for the "no root, threshold = 2" case.
 
 A certified sign test costs an interval evaluation of zeta (milliseconds),
 so the bisection walks its path with a float64 estimate of the same
@@ -27,12 +28,15 @@ from mpmath import fp, iv
 
 from .brackets import PRECISION_FLOOR, Bracket, check_eps
 from .density import V_TRUNCATION, t_float, t_func, t_levels, v_func
-from .errors import DomainError, PrecisionError, check_k
+from .errors import CapacityError, DomainError, PrecisionError, check_k
 from .primes import PrimeTable
 from .zeta import iv_pow, log_g_iv, to_iv, zeta_iv
 
 DEFAULT_EPS = 1e-10
 LIMIT_EPS = 1e-9
+
+# Largest k_max of :func:`eta_table`; a row costs about 70 ms at any k.
+ETA_TABLE_MAX_K = 100
 
 # Every target diverges to -inf at 1+, so its sign is certified negative
 # here; a solve whose sign is not certified at this start fails loudly.
@@ -311,17 +315,25 @@ class EtaRow:
     k: int
     m_min: int
     thresholds: dict[int, RootResult]  # m in {1, 2, 4}
-    eta: RootResult  # thresholds[m_k], refined when the column needs it
+    eta: RootResult  # thresholds[m_k]
 
 
 @dataclass(frozen=True)
 class EtaTable:
-    """Rows for k = 1..k_max.  Each row's eta bracket lies certified above
-    the previous row's, except for the k in ``unresolved``, whose bracket
-    still overlaps row k-1's at the precision floor."""
+    """Rows for k = 1..k_max, each with ``m_min == m_k``.
+
+    The eta column is strictly increasing, by a lemma rather than by its
+    brackets: LF_{k+1}(p) > LF_k(p) for every prime, so
+    T_{k+1}(m, .) < T_k(m, .) everywhere, and since T is increasing in r
+    (``density.check_monotonicity``) its root R_k(m) moves right with k.
+    That gives eta_{k+1} = R_{k+1}(2) > R_k(2) = eta_k for k >= 2, and
+    eta_1 = R_1(1) < R_1(2) < R_2(2) = eta_2, where R_1(1) < R_1(2) is
+    certified by ``select_m``.  From k = 12 on the brackets of adjacent
+    rows overlap at the precision floor, so only a certified decrease,
+    which would contradict the lemma, is an error.
+    """
 
     rows: tuple[EtaRow, ...] = field(default=())
-    unresolved: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
         for row in self.rows:
@@ -330,51 +342,29 @@ class EtaTable:
                     f"selector m_min={row.m_min} differs from m_k={_m_k(row.k)} at k={row.k}"
                 )
         for prev, row in zip(self.rows, self.rows[1:]):
-            if row.eta.value.lo <= prev.eta.value.hi and row.k not in self.unresolved:
-                raise PrecisionError(f"threshold column not strictly increasing at k={row.k}")
-
-
-def _separate(
-    table: PrimeTable, prev: EtaRow, row: EtaRow, eps: float
-) -> tuple[EtaRow, EtaRow, bool]:
-    """Refine the eta brackets of two adjacent rows at eps/100 per round,
-    down to the precision floor, until ``row``'s lies above ``prev``'s.
-    Returns the refined rows and whether they are still tied at the
-    floor; a certified decrease raises."""
-    while row.eta.value.lo <= prev.eta.value.hi:
-        if row.eta.value.hi < prev.eta.value.lo:
-            raise PrecisionError(f"eta({row.k}) is certified below eta({prev.k})")
-        if eps <= PRECISION_FLOOR:
-            return prev, row, True
-        eps = max(eps / 100, PRECISION_FLOOR)
-        prev, row = (
-            dataclasses.replace(r, eta=_refine(table, r.k, _m_k(r.k), r.eta, eps))
-            for r in (prev, row)
-        )
-    return prev, row, False
+            if row.eta.value.hi < prev.eta.value.lo:
+                raise PrecisionError(f"eta({row.k}) is certified below eta({prev.k})")
 
 
 def eta_table(table: PrimeTable, k_max: int, eps: float = DEFAULT_EPS) -> EtaTable:
-    """Thresholds, selector values, and density constants for k = 1..k_max.
-
-    Each row's eta is its threshold at m_k, solved once.  Consecutive eta
-    converge geometrically in k, so a row whose bracket overlaps the
-    previous row's is refined together with it (see :func:`_separate`).
-    """
+    """Thresholds, selector values, and density constants for k = 1..k_max,
+    at most ETA_TABLE_MAX_K.  Each row's eta is its threshold at m_k,
+    solved once at ``eps``."""
     check_k(k_max, "k_max")
-    rows: list[EtaRow] = []
-    unresolved = []
+    if k_max > ETA_TABLE_MAX_K:
+        raise CapacityError(
+            f"k_max {k_max} exceeds the table capacity; try {ETA_TABLE_MAX_K} or less",
+            suggested_bound=ETA_TABLE_MAX_K,
+        )
+    rows = []
     for k in range(1, k_max + 1):
         thresholds = {m: r_threshold(table, k, m, eps) for m in (1, 2, 4)}
-        row = EtaRow(
-            k=k,
-            m_min=select_m(table, k, thresholds, eps),
-            thresholds=thresholds,
-            eta=thresholds[_m_k(k)],
+        rows.append(
+            EtaRow(
+                k=k,
+                m_min=select_m(table, k, thresholds, eps),
+                thresholds=thresholds,
+                eta=thresholds[_m_k(k)],
+            )
         )
-        if rows:
-            rows[-1], row, tied = _separate(table, rows[-1], row, eps)
-            if tied:
-                unresolved.append(k)
-        rows.append(row)
-    return EtaTable(rows=tuple(rows), unresolved=tuple(unresolved))
+    return EtaTable(rows=tuple(rows))

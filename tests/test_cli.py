@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigma_density import cli
+from sigma_density import cli, solver
 
 PRIME_ARGS = ["--prime-limit", "500000"]
 
@@ -136,23 +136,41 @@ def test_bad_input_is_a_typed_error(capsys, argv):
     assert "error" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("step", ["0", "-1e-3", "1e-9"])
-def test_grid_step_outside_its_range_is_an_error(capsys, step):
-    code, _, err = run(capsys, "verify", "--suite", "inequalities", f"--grid-step={step}")
-    assert code == 1
-    assert "grid step" in err and "Traceback" not in err
+def test_verify_reports_covers(capsys):
+    code, envelope, err = run_json(capsys, *PRIME_ARGS, "verify", "--suite", "all")
+    assert code == 0
+    assert envelope["parameters"] == {"suite": "all"}
+    suites = envelope["result"]["suites"]
+    assert [s["suite"] for s in suites] == ["gap-lemma", "inequalities", "monotonicity"]
+    for suite in suites[1:]:
+        assert suite["passed"] is True and suite["margin"] > 0
+        for check in suite["report"]["checks"]:
+            assert check["cells"] >= 1 and check["min_slack"] > 0
 
 
-def test_prime_limit_above_capacity_allocates_nothing_large(capsys):
+def _exit_code_and_peak(capsys, argv):
     tracemalloc.start()
     try:
-        code = cli.main(["--prime-limit", "10000000000", "density", "--k", "1", "--r", "2"])
+        code = cli.main(argv)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     err = capsys.readouterr().err
-    assert code == 1
     assert "error" in err and "Traceback" not in err
+    return code, peak
+
+
+def test_prime_limit_above_capacity_allocates_nothing_large(capsys):
+    argv = ["--prime-limit", "10000000000", "density", "--k", "1", "--r", "2"]
+    code, peak = _exit_code_and_peak(capsys, argv)
+    assert code == 1
+    assert peak < 10_000_000
+
+
+def test_walk_above_capacity_allocates_nothing_large(capsys):
+    argv = ["approximate", "--k", "1000000", "--r", "1.5", "--x", "0.3", "--steps", "1000"]
+    code, peak = _exit_code_and_peak(capsys, argv)
+    assert code == 1
     assert peak < 10_000_000
 
 
@@ -193,14 +211,14 @@ FLOATS = st.sampled_from(
     ["nan", "inf", "-inf", "-1", "0", "1e-20", "1e-14", "1e-9", "0.3", "1", "1.0001", "1.5", "2", "1e6"]
 ) | st.one_of(st.floats(1.0001, 3), st.floats(-1e6, 1e6)).map(repr)
 # Strings for the other options; FLOATS for any option not listed.  --kmax
-# stays small: a table solves every row up to it.
+# is small, or above the table's capacity, where it must fail before any
+# solve: a table solves every row up to it.
 VALUES = {
     "--k": st.integers(-2, 1000).map(str),
-    "--kmax": st.integers(-1, 3).map(str),
+    "--kmax": (st.integers(-1, 3) | st.integers(101, 10**9)).map(str),
     "--steps": st.integers(-1, 1000).map(str),
     "--bound": st.integers(-1, 10_000).map(str),
-    "--suite": st.just("inequalities"),
-    "--grid-step": FLOATS | st.just("1e-3"),
+    "--suite": st.sampled_from(["gap-lemma", "inequalities", "monotonicity", "all"]),
 }
 COMMANDS = {
     "eta": ("--k", "--eps"),
@@ -210,7 +228,7 @@ COMMANDS = {
     "density": ("--k", "--r"),
     "approximate": ("--k", "--r", "--x", "--steps"),
     "census": ("--k", "--r", "--bound", "--resolution"),
-    "verify": ("--suite", "--grid-step"),
+    "verify": ("--suite",),
 }
 
 
@@ -241,6 +259,8 @@ def test_any_argv_exits_with_a_documented_code(argv):
             code = exc.code
     assert code in (0, 1, 2, 64), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if "--kmax" in argv and int(argv[argv.index("--kmax") + 1]) > solver.ETA_TABLE_MAX_K:
+        assert code in (1, 64)
     if code == 0:
         assert out.getvalue()
     else:

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import iv
 
 from sigma_density import density, solver
 from sigma_density.brackets import Bracket
@@ -24,6 +27,58 @@ def f(table, k, m, r):
 
 def log_g(k, r):
     return Bracket.from_iv(log_g_iv(k, to_iv(r)))
+
+
+# Primes after p_m summed in double precision by t_derivative before its
+# tail bound takes over.
+DERIVATIVE_PREFIX_PRIMES = 5000
+
+
+def t_derivative(table, k, m, r):
+    """Oracle: d/dr of T_k(m, r) on (1, 7/3), as a bracket.
+
+    The derivative series is
+
+        sum_{i>m} w_i(r) log p_i  -  log p_m / (p_m^r + 1),
+        w_i = (sum_{a=1}^k a p_i^{-ar}) / (sum_{b=0}^k p_i^{-br}).
+
+    The first DERIVATIVE_PREFIX_PRIMES terms are summed in double precision
+    with a rounding pad.  The dropped tail is nonnegative; it is bounded above
+    by sum_{i>I} log(p_i) p_i^{-r} / (1 - p_{I+1}^{-r})^2, and the prime
+    sum in turn by the integral of log(x) x^{-r} from p_I, giving
+    p_I^{1-r} (log p_I / (r-1) + 1/(r-1)^2).
+    """
+    if not 1 < r < density.R_MONOTONE_HI:
+        raise DomainError(f"derivative domain is (1, 7/3), got r={r}")
+    last = m + DERIVATIVE_PREFIX_PRIMES
+    p = table.slice(m + 1, last).astype(np.float64)
+    x = p ** (-r)
+    numerator = np.zeros_like(x)
+    denominator = np.ones_like(x)
+    xa = np.ones_like(x)
+    for a in range(1, k + 1):
+        xa = xa * x
+        numerator += a * xa
+        denominator += xa
+    terms = (numerator / denominator) * np.log(p)
+    prefix = float(np.sum(terms))
+    rounding = (math.log2(len(terms)) + 6) * 2.3e-16 * float(np.sum(np.abs(terms)))
+
+    p_last = float(table.nth(last))
+    x_next = float(table.nth(last + 1)) ** (-r)
+    tail_hi = (
+        p_last ** (1.0 - r)
+        * (math.log(p_last) / (r - 1.0) + 1.0 / (r - 1.0) ** 2)
+        / (1.0 - x_next) ** 2
+    )
+
+    pm = float(table.nth(m))
+    pm_term = math.log(pm) / (pm**r + 1.0)
+    pm_pad = 4e-16 * abs(pm_term)
+
+    lo = prefix - rounding - pm_term - pm_pad
+    hi = prefix + rounding + tail_hi * (1 + 1e-14) - pm_term + pm_pad
+    return Bracket(math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf))
 
 
 class TestF:
@@ -92,20 +147,20 @@ class TestT:
 
 class TestDerivative:
     def test_positive_bracket(self, table):
-        assert density.t_derivative(table, 1, 1, 2).strictly_positive()
-        assert density.t_derivative(table, 3, 2, 1.5).strictly_positive()
+        assert t_derivative(table, 1, 1, 2).strictly_positive()
+        assert t_derivative(table, 3, 2, 1.5).strictly_positive()
 
     def test_finite_difference(self, table):
         k, m, r, h = 1, 1, 1.9, 1e-5
         fd = (
             density.t_func(table, k, m, r + h).mid - density.t_func(table, k, m, r - h).mid
         ) / (2 * h)
-        bracket = density.t_derivative(table, k, m, r)
+        bracket = t_derivative(table, k, m, r)
         assert bracket.lo - 1e-6 <= fd <= bracket.hi + 1e-6
 
     def test_seven_term_lower_bound(self, table):
         k, m, r = 1, 1, 2.0
-        bracket = density.t_derivative(table, k, m, r)
+        bracket = t_derivative(table, k, m, r)
         lower = sum(
             math.log(table.nth(i)) / (table.nth(i) ** r + 1) for i in range(m + 1, m + 7)
         ) - math.log(table.nth(m)) / (table.nth(m) ** r + 1)
@@ -113,19 +168,19 @@ class TestDerivative:
 
     def test_domain(self, table):
         with pytest.raises(DomainError):
-            density.t_derivative(table, 1, 1, 2.5)
+            t_derivative(table, 1, 1, 2.5)
 
 
 class TestJ:
     def test_negative_at_upper_end(self, table):
         for m in (1, 2, 4):
-            assert density.j_func(table, m, 7 / 3) < 0
+            assert density.j_func(table, m, 7 / 3).hi < 0
 
     def test_increasing_on_grid(self, table):
         for m in (1, 2, 4):
             xs = [1.01 + 0.02 * i for i in range(66)]
             js = [density.j_func(table, m, x) for x in xs]
-            assert all(b > a for a, b in zip(js, js[1:]))
+            assert all(b.lo > a.hi for a, b in zip(js, js[1:]))
 
     def test_domain(self, table):
         with pytest.raises(DomainError):
@@ -181,11 +236,11 @@ class TestGapInterval:
 
 class TestInequalities:
     def test_all_pass_with_positive_slack(self):
-        report = density.check_inequalities(1e-3)
+        report = density.check_inequalities()
         assert report.all_passed
         for check in report.checks:
             assert check.min_slack > 0
-            assert check.points > 100
+            assert 1 <= check.cells < density.COVER_MAX_CELLS
 
     def test_spot_values(self):
         r = 1.8
@@ -195,10 +250,87 @@ class TestInequalities:
 
         assert (1 + 2**-r) ** 2 > zeta(r, 1e-10).hi
 
-    def test_step_validation(self):
-        for step in (1e-2, 0.0, -1e-3, 1e-9, 1e-20, math.nan):
-            with pytest.raises(DomainError):
-                density.check_inequalities(step)
+    def test_slack_is_a_lower_bound_at_points_of_the_range(self):
+        # the float forms of the five expressions, as the grid checked them
+        forms = [
+            lambda r: (1 + 3**-r) * (1 + 3**-r + 3 ** (-2 * r)) - (1 + 2**-r),
+            lambda r: (1 + 3**-r) - (5**r / (5**r - 1)) * ((7**r + 1) / (7**r - 1)),
+            lambda r: (1 + 2**-r) * (3**r / (3**r + 1)) - (1 + 3**-r),
+            lambda r: (1 + 2**-r) * (3**r / (3**r + 1)) * (5**r / (5**r + 1)) * (7**r / (7**r + 1))
+            - (1 + 7**-r),
+            lambda r: (1 + 2**-r) ** 2 - float(mpmath.zeta(r)),
+        ]
+        for check, form in zip(density.check_inequalities().checks, forms):
+            for r in np.linspace(check.r_lo, check.r_hi, 101):
+                assert check.min_slack <= form(float(r)) + 1e-12, (check.name, r)
+
+
+class TestCover:
+    def test_a_false_claim_fails_within_the_budget(self):
+        cells, lowest, passed = density._cover(lambda r: r - 1.8, 1.67, 1.98)
+        assert not passed
+        assert lowest <= 0
+
+    @pytest.mark.parametrize("claim", [lambda r: r - 1.67, lambda r: 1.98 - r], ids=["lo", "hi"])
+    def test_a_claim_zero_at_an_endpoint_fails(self, claim):
+        cells, lowest, passed = density._cover(claim, 1.67, 1.98)
+        assert not passed
+        assert lowest <= 0
+
+    def test_the_budget_bounds_the_evaluations(self, monkeypatch):
+        monkeypatch.setattr(density, "COVER_MAX_CELLS", 9)
+        calls = []
+
+        def claim(r):
+            calls.append(r)
+            return r - 1.8
+
+        assert density._cover(claim, 1.0, 1.9)[2] is False
+        assert len(calls) == 9
+
+    def test_a_point_range(self):
+        assert density._cover(lambda r: r - 1.5, 2.0, 2.0) == (1, math.nextafter(0.5, 0), True)
+
+    def test_a_true_claim_is_covered(self):
+        cells, lowest, passed = density._cover(lambda r: r - 1.0, 1.001, 2.0)
+        assert passed and cells == 1 and 0 < lowest <= 0.001
+
+
+class TestMonotonicity:
+    def test_all_claims_proved(self, table):
+        report = density.check_monotonicity(table)
+        assert report.all_passed
+        assert len(report.checks) == 9
+        for check in report.checks:
+            assert check.min_slack > 0
+            assert 1 <= check.cells < density.COVER_MAX_CELLS
+
+    @pytest.mark.parametrize("k", [1, 3, 20])
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_slope_bound_is_below_the_derivative(self, table, k, m):
+        # the k = 1 bound on a cell lies below dT_k/dr at points of the cell
+        edges = np.linspace(density.R_MONOTONE_LO, 2.3, 7)
+        for a, b in zip(edges, edges[1:]):
+            cell = iv.mpf([float(a), float(b)])
+            bound = Bracket.from_iv(density._rise(table, m, 10, density._log_over, cell))
+            for r in (a, 0.5 * (a + b), b):
+                assert bound.lo <= t_derivative(table, k, m, float(r)).hi
+
+    def test_j_derivative_bound_is_below_a_difference_quotient(self, table):
+        h = 1e-6
+        for m in (1, 2, 4):
+            for a, b in ((1.01, 1.2), (1.5, 1.9), (2.0, 2.33)):
+                cell = iv.mpf([a, b])
+                bound = Bracket.from_iv(density._rise(table, m, 6, density._log_sq_over, cell))
+                for x in (a, 0.5 * (a + b), b - h):
+                    j0, j1 = (density.j_func(table, m, y).mid for y in (x, x + h))
+                    assert bound.lo <= (j1 - j0) / h + 1e-6
+
+    def test_t_falls_as_k_grows(self, table):
+        # the premise of the eta ordering lemma in solver.EtaTable
+        for k in range(1, 9):
+            for r in (1.0002, 1.3, 1.7, 1.88, 1.99):
+                assert density.t_func(table, k + 1, 2, r).hi < density.t_func(table, k, 2, r).lo
 
 
 class TestDensityReport:

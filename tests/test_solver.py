@@ -6,7 +6,7 @@ from mpmath import iv
 
 from sigma_density import density, solver
 from sigma_density.brackets import Bracket
-from sigma_density.errors import DomainError, PrecisionError
+from sigma_density.errors import CapacityError, DomainError, PrecisionError
 from sigma_density.zeta import iv_pow, log_g_iv, to_iv
 
 
@@ -268,7 +268,6 @@ class TestEtaTable:
         assert [row.k for row in tab.rows] == [1, 2, 3]
         assert tab.rows[0].m_min == 1
         assert all(row.m_min == 2 for row in tab.rows[1:])
-        assert tab.unresolved == ()
         for row in tab.rows:
             assert 1 < row.eta.value.lo and row.eta.value.hi < 2
             assert row.thresholds[4].boundary
@@ -276,7 +275,7 @@ class TestEtaTable:
 
     def test_solves_each_threshold_once(self, table, monkeypatch):
         calls = []
-        for name in ("r_threshold", "eta"):
+        for name in ("r_threshold", "eta", "_refine"):
             original = getattr(solver, name)
 
             def spy(*args, _name=name, _original=original, **kwargs):
@@ -284,30 +283,35 @@ class TestEtaTable:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(solver, name, spy)
-        solver.eta_table(table, 3)
-        assert calls == ["r_threshold"] * 9
+        tab = solver.eta_table(table, 20)
+        assert calls == ["r_threshold"] * 60
+        # every row's eta is its threshold at m_k, at the requested eps
+        for row in tab.rows:
+            assert row.eta.value.width <= solver.DEFAULT_EPS
+            assert row.eta == solver.r_threshold(table, row.k, solver._m_k(row.k))
 
-    @pytest.mark.parametrize("k, eps, separated_at", [(9, 1e-10, 1e-12), (11, 1e-13, 1e-14)])
-    def test_tied_rows_are_refined_until_they_separate(self, table, k, eps, separated_at):
-        # 1e-13 / 100 is below the floor: the last round refines at the floor itself.
-        prev, row, tied = solver._separate(table, _row(table, k - 1, eps), _row(table, k, eps), eps)
-        assert not tied
-        assert row.eta.value.lo > prev.eta.value.hi
-        assert row.eta == solver.r_threshold(table, k, 2, separated_at)
-
-    def test_tie_at_the_floor_is_unresolved(self, table):
-        prev, row, tied = solver._separate(table, _row(table, 11), _row(table, 12), 1e-10)
-        assert tied
-        assert row.eta.value.width <= 1e-14 and row.eta.value.lo <= prev.eta.value.hi
+    def test_rows_tied_at_the_floor_are_accepted(self, table):
+        # from k = 12 adjacent brackets overlap at 1e-14; the lemma orders them
+        eleven, twelve = _row(table, 11, 1e-14), _row(table, 12, 1e-14)
+        assert twelve.eta.value.lo <= eleven.eta.value.hi
+        solver.EtaTable(rows=(eleven, twelve))
 
     def test_certified_decrease_raises(self, table):
-        with pytest.raises(PrecisionError):
-            solver._separate(table, _row(table, 2), _row(table, 1), 1e-10)
+        one, two = _row(table, 1), _row(table, 2)
+        with pytest.raises(PrecisionError, match=r"eta\(1\) is certified below eta\(2\)"):
+            solver.EtaTable(rows=(two, one))
 
     def test_invariants(self, table):
         one, two = _row(table, 1), _row(table, 2)
         solver.EtaTable(rows=(one, two))
-        with pytest.raises(PrecisionError):
-            solver.EtaTable(rows=(two, one))
-        with pytest.raises(PrecisionError):
+        with pytest.raises(PrecisionError, match="differs from m_k"):
             solver.EtaTable(rows=(one, solver.EtaRow(k=2, m_min=1, thresholds={}, eta=two.eta)))
+
+    def test_k_max_above_capacity_solves_nothing(self, table, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("eta_table must not solve above its capacity")
+
+        monkeypatch.setattr(solver, "r_threshold", no_solve)
+        with pytest.raises(CapacityError) as excinfo:
+            solver.eta_table(table, solver.ETA_TABLE_MAX_K + 1)
+        assert excinfo.value.suggested_bound == solver.ETA_TABLE_MAX_K
