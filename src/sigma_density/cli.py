@@ -8,8 +8,8 @@ floats serialize with shortest round-trip representation, which is exact
 to the double.  TSV flattens the same numbers to key/value lines, except
 for the census where it emits one range value per line.
 
-Exit codes: 0 success, 1 domain/precision error, 2 verification-suite
-failure, 64 usage error.
+Exit codes: 0 success, 1 domain/precision error or a closed output pipe,
+2 verification-suite failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -52,11 +53,45 @@ def finite_float(text: str) -> float:
     return value
 
 
+class _Flat:
+    """A flat list of floats or ints, written with one join of
+    ``rep`` (``float.__repr__`` or ``int.__repr__``, as json writes them)."""
+
+    def __init__(self, items, rep):
+        self.items = items
+        self.rep = rep
+
+    def join(self, separator):
+        if self.rep is float.__repr__ and not all(map(math.isfinite, self.items)):
+            raise ValueError("Out of range float values are not JSON compliant")
+        return separator.join(map(self.rep, self.items))
+
+
+def _flat(obj):
+    """``obj`` as a _Flat when it is an array, or a list or tuple of only
+    floats or only ints (bool is not an int here), else None."""
+    if isinstance(obj, np.ndarray):
+        return _Flat(np.asarray(obj, dtype=np.float64).tolist(), float.__repr__)
+    if isinstance(obj, (list, tuple)) and obj:
+        kinds = set(map(type, obj))
+        if all(issubclass(kind, float) for kind in kinds):
+            return _Flat(obj, float.__repr__)
+        if kinds == {int}:
+            return _Flat(obj, int.__repr__)
+    return None
+
+
 def _convert(obj, path, brackets):
-    """Recursively turn results into JSON-ready values, indexing brackets."""
+    """Recursively turn results into JSON-ready values, indexing brackets.
+    Flat lists of numbers become _Flat, which _json_pieces writes."""
     if isinstance(obj, Bracket):
         brackets[path] = [obj.lo, obj.hi]
         return [obj.lo, obj.hi]
+    flat = _flat(obj)
+    if flat is not None:
+        return flat
+    if isinstance(obj, (list, tuple)):
+        return [_convert(v, f"{path}[{i}]", brackets) for i, v in enumerate(obj)]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: _convert(getattr(obj, f.name), f"{path}.{f.name}" if path else f.name, brackets)
@@ -64,10 +99,6 @@ def _convert(obj, path, brackets):
         }
     if isinstance(obj, dict):
         return {str(k): _convert(v, f"{path}.{k}" if path else str(k), brackets) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
-        return [float(v) for v in obj]
-    if isinstance(obj, (list, tuple)):
-        return [_convert(v, f"{path}[{i}]", brackets) for i, v in enumerate(obj)]
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):
@@ -98,24 +129,61 @@ def _flatten(obj, prefix=""):
     elif isinstance(obj, list):
         for i, v in enumerate(obj):
             yield from _flatten(v, f"{prefix}[{i}]")
+    elif isinstance(obj, _Flat):
+        for i, text in enumerate(map(obj.rep, obj.items)):
+            yield f"{prefix}[{i}]", text
     else:
         yield prefix, obj
 
 
-def _write(text, args):
-    """Write ``text`` to ``--out`` when given, else to stdout."""
+def _json_pieces(envelope):
+    """``json.dumps(envelope, indent=2, allow_nan=False) + "\\n"`` as a list
+    of strings, with each _Flat written by one join at the indentation
+    json would give it.
+
+    json.dumps writes a _Flat as a placeholder string: a NUL character,
+    which no other string of an envelope holds, and its index."""
+    flats = []
+
+    def placeholder(obj):
+        if not isinstance(obj, _Flat):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        flats.append(obj)
+        return f"\0{len(flats) - 1}"
+
+    text = json.dumps(envelope, indent=2, allow_nan=False, default=placeholder)
+    pieces = []
+    start = 0
+    for i, flat in enumerate(flats):
+        token = f'"\\u0000{i}"'
+        at = text.index(token, start)
+        pieces.append(text[start:at])
+        start = at + len(token)
+        if not flat.items:
+            pieces.append("[]")
+            continue
+        line = text[text.rindex("\n", 0, at) + 1 : at]
+        outer = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        inner = outer + "  "
+        pieces += ["[" + inner, flat.join("," + inner), outer + "]"]
+    pieces.append(text[start:] + "\n")
+    return pieces
+
+
+def _write(pieces, args):
+    """Write the strings ``pieces`` to ``--out`` when given, else to stdout."""
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _emit(envelope, args):
     if args.format == "json":
-        _write(json.dumps(envelope, indent=2, allow_nan=False) + "\n", args)
+        _write(_json_pieces(envelope), args)
     else:
-        _write("".join(f"{key}\t{value}\n" for key, value in _flatten(envelope)), args)
+        _write(["".join(f"{key}\t{value}\n" for key, value in _flatten(envelope))], args)
 
 
 def build_parser() -> Parser:
@@ -199,7 +267,16 @@ def _run_verify(args, table):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        return _main(build_parser().parse_args(argv))
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``).  Point stdout at devnull,
+        # so that the interpreter's flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
+
+
+def _main(args) -> int:
     tolerances = {}
     try:
         table = primes.load_or_sieve(args.prime_limit)
@@ -240,7 +317,7 @@ def main(argv=None) -> int:
                 "resolution": result.resolution,
             }
             if args.format == "tsv":
-                _write("".join(f"{float(v)!r}\n" for v in result.values), args)
+                _write([_flat(result.values).join("\n"), "\n"], args)
                 return EXIT_OK
         elif args.command == "verify":
             suites, ok = _run_verify(args, table)

@@ -1,15 +1,22 @@
 import contextlib
+import dataclasses
 import io
 import json
+import math
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigma_density import cli, solver
+from sigma_density import cli, explorer, primes, solver
+from sigma_density.brackets import Bracket
 
 PRIME_ARGS = ["--prime-limit", "500000"]
 
@@ -174,6 +181,63 @@ def test_walk_above_capacity_allocates_nothing_large(capsys):
     assert peak < 10_000_000
 
 
+def test_census_above_capacity_allocates_nothing_large(capsys):
+    argv = ["census", "--k", "1", "--r", "2", "--bound", str(explorer.CENSUS_MAX_BOUND + 1)]
+    code, peak = _exit_code_and_peak(capsys, argv)
+    assert code == 1
+    assert peak < 10_000_000
+
+
+def test_census_cost_is_bounded_by_the_bound_not_k(capsys):
+    # 2^13 <= 10000 < 2^14: no n <= 10000 has an exponent above 13, so
+    # every k >= 13 admits the same n.
+    argv = ["census", "--r", "2", "--bound", "10000", "--k"]
+    _, small, _ = run_json(capsys, *argv, "14")
+    tracemalloc.start()
+    try:
+        code = cli.main([*argv, "1000000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    huge = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert huge["result"]["values"] == small["result"]["values"]
+    assert peak < 20_000_000
+
+
+def test_census_needs_no_primes_from_the_table(capsys):
+    argv = ["census", "--k", "2", "--r", "1.7", "--bound", "100000"]
+    code, small_table, _ = run_json(capsys, "--prime-limit", "30", *argv)
+    assert code == 0
+    _, default_table, _ = run_json(capsys, *argv)
+    assert small_table["result"]["values"] == default_table["result"]["values"]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_pipe_exits_without_a_traceback(unbuffered):
+    # The census writes about 1.6 MB, far more than a pipe buffers, so the
+    # write is still going on when the reader closes its end.  Unbuffered,
+    # stdout takes a short write silently, and a later write fails.
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = ["census", "--k", "1", "--r", "2", "--bound", "100000"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "sigma_density.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert "Traceback" not in err, err
+    assert code == 1
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     code, out, _ = run(capsys, *PRIME_ARGS, "--out", str(target), "eta-limit", "--eps", "1e-6")
@@ -265,3 +329,122 @@ def test_any_argv_exits_with_a_documented_code(argv):
         assert out.getvalue()
     else:
         assert "error" in err.getvalue()
+
+
+# The envelope route before flat number lists were joined in one piece:
+# every value converted one at a time and written by json.dumps, kept as
+# the oracle of cli's output.
+def _old_convert(obj, path, brackets):
+    if isinstance(obj, Bracket):
+        brackets[path] = [obj.lo, obj.hi]
+        return [obj.lo, obj.hi]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {
+            f.name: _old_convert(getattr(obj, f.name), f"{path}.{f.name}" if path else f.name, brackets)
+            for f in dataclasses.fields(obj)
+        }
+    if isinstance(obj, dict):
+        return {str(k): _old_convert(v, f"{path}.{k}" if path else str(k), brackets) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        return [float(v) for v in obj]
+    if isinstance(obj, (list, tuple)):
+        return [_old_convert(v, f"{path}[{i}]", brackets) for i, v in enumerate(obj)]
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    return obj
+
+
+def _old_flatten(obj, prefix=""):
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _old_flatten(v, f"{prefix}.{k}" if prefix else str(k))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _old_flatten(v, f"{prefix}[{i}]")
+    else:
+        yield prefix, obj
+
+
+def first_difference(got, expected):
+    """The first line where two texts differ, or None: a diff of whole
+    outputs this long would take pytest minutes to print."""
+    if got == expected:
+        return None
+    got_lines, expected_lines = got.splitlines(True), expected.splitlines(True)
+    for i, (a, b) in enumerate(zip(got_lines, expected_lines)):
+        if a != b:
+            return i, a, b
+    return len(got_lines), len(expected_lines)
+
+
+def _old_json(envelope):
+    return json.dumps(envelope, indent=2, allow_nan=False) + "\n"
+
+
+def _old_emit(envelope, args):
+    if args.format == "json":
+        sys.stdout.write(_old_json(envelope))
+    else:
+        sys.stdout.write("".join(f"{key}\t{value}\n" for key, value in _old_flatten(envelope)))
+
+
+ENVELOPE_COMMANDS = [
+    ["census", "--k", "1", "--r", "2", "--bound", "2000"],
+    ["census", "--k", "2", "--r", "1.9", "--bound", "2000"],
+    ["census", "--k", "3", "--r", "2.45", "--bound", "2000"],
+    ["approximate", "--k", "2", "--r", "1.8", "--x", "0.4", "--steps", "500"],
+    ["table", "--kmax", "3"],
+    ["density", "--k", "1", "--r", "2"],
+    ["verify", "--suite", "all"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+@pytest.mark.parametrize("argv", ENVELOPE_COMMANDS, ids=" ".join)
+def test_output_is_byte_identical_to_the_old_envelope_route(capsys, monkeypatch, argv, fmt):
+    argv = [*PRIME_ARGS, "--format", fmt, *argv]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    if fmt == "tsv" and argv[4] == "census":
+        # The census TSV is one value a line, not an envelope.
+        k, r, bound = int(argv[6]), float(argv[8]), int(argv[10])
+        census = explorer.range_census(primes.sieve(500000), k, r, bound)
+        assert first_difference(out, "".join(f"{float(v)!r}\n" for v in census.values)) is None
+        return
+    monkeypatch.setattr(cli, "_convert", _old_convert)
+    monkeypatch.setattr(cli, "_emit", _old_emit)
+    code, old, _ = run(capsys, *argv)
+    assert code == 0
+    assert first_difference(out, old) is None
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"values": np.array([1.0, 1.25, 3.0e-300, 2.5e20])},
+        {"empty": np.array([]), "list": [], "tuple": ()},
+        {"floats": [0.1, -2.0, 1e-7], "np": [np.float64(0.1), np.float64(1e22)]},
+        {"ints": [3, -1, 10**30], "bools": [True, False], "mixed": [1, 2.0, True]},
+        {"nested": [[1.0, 2.0], [3, 4], (5.5, 6.5), [[7.0]], [None, 1.0]]},
+        {"records": ((1, 0.5, 0.25), (2, 0.75, 1.0)), "np_ints": [np.int64(3)]},
+        {"bracket": Bracket(0.5, 0.75), "strings": ['"\\u00000"', "\\u00000"], "flat": [1.0]},
+    ],
+)
+def test_json_pieces_match_json_dumps(payload):
+    brackets = {}
+    old = _old_json(_old_convert(payload, "", brackets))
+    new = "".join(cli._json_pieces(cli._convert(payload, "", {})))
+    assert first_difference(new, old) is None
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [[1.0, math.nan], [math.inf, 2.0], np.array([1.0, -math.inf]), [np.float64("nan")]],
+)
+def test_non_finite_float_in_a_flat_list_raises(payload):
+    with pytest.raises(ValueError):
+        _old_json(_old_convert({"values": payload}, "", {}))
+    with pytest.raises(ValueError):
+        cli._json_pieces(cli._convert({"values": payload}, "", {}))
