@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import math
 import os
@@ -53,25 +54,38 @@ def finite_float(text: str) -> float:
     return value
 
 
+# Values of a flat list joined into one piece of the output: a str for
+# every value of a census is never held at once.
+JOIN_BLOCK = 4096
+
+
 class _Flat:
-    """A flat list of floats or ints, written with one join of
-    ``rep`` (``float.__repr__`` or ``int.__repr__``, as json writes them)."""
+    """A flat list or array of floats or ints, written by ``rep``
+    (``float.__repr__`` or ``int.__repr__``, as json writes them)."""
 
     def __init__(self, items, rep):
         self.items = items
         self.rep = rep
 
     def join(self, separator):
-        if self.rep is float.__repr__ and not all(map(math.isfinite, self.items)):
-            raise ValueError("Out of range float values are not JSON compliant")
-        return separator.join(map(self.rep, self.items))
+        """The items' text with ``separator`` between them, as pieces of
+        JOIN_BLOCK items."""
+        pieces = []
+        for start in range(0, len(self.items), JOIN_BLOCK):
+            block = self.items[start : start + JOIN_BLOCK]
+            if isinstance(block, np.ndarray):
+                block = block.tolist()
+            if self.rep is float.__repr__ and not all(map(math.isfinite, block)):
+                raise ValueError("Out of range float values are not JSON compliant")
+            pieces.append((separator if start else "") + separator.join(map(self.rep, block)))
+        return pieces
 
 
 def _flat(obj):
     """``obj`` as a _Flat when it is an array, or a list or tuple of only
     floats or only ints (bool is not an int here), else None."""
     if isinstance(obj, np.ndarray):
-        return _Flat(np.asarray(obj, dtype=np.float64).tolist(), float.__repr__)
+        return _Flat(np.asarray(obj, dtype=np.float64), float.__repr__)
     if isinstance(obj, (list, tuple)) and obj:
         kinds = set(map(type, obj))
         if all(issubclass(kind, float) for kind in kinds):
@@ -138,8 +152,8 @@ def _flatten(obj, prefix=""):
 
 def _json_pieces(envelope):
     """``json.dumps(envelope, indent=2, allow_nan=False) + "\\n"`` as a list
-    of strings, with each _Flat written by one join at the indentation
-    json would give it.
+    of strings, with each _Flat written by its blocked join at the
+    indentation json would give it.
 
     json.dumps writes a _Flat as a placeholder string: a NUL character,
     which no other string of an envelope holds, and its index."""
@@ -159,24 +173,37 @@ def _json_pieces(envelope):
         at = text.index(token, start)
         pieces.append(text[start:at])
         start = at + len(token)
-        if not flat.items:
+        if not len(flat.items):
             pieces.append("[]")
             continue
         line = text[text.rindex("\n", 0, at) + 1 : at]
         outer = "\n" + " " * (len(line) - len(line.lstrip(" ")))
         inner = outer + "  "
-        pieces += ["[" + inner, flat.join("," + inner), outer + "]"]
+        pieces += ["[" + inner, *flat.join("," + inner), outer + "]"]
     pieces.append(text[start:] + "\n")
     return pieces
 
 
 def _write(pieces, args):
-    """Write the strings ``pieces`` to ``--out`` when given, else to stdout."""
+    """Write the strings ``pieces`` to ``--out`` when given, else to stdout.
+
+    An unbuffered stdout (``python -u``) writes through to the raw file,
+    and its text layer drops whatever a short write leaves, so there each
+    piece is written as bytes until the raw file has taken all of it, or
+    a closed pipe raises."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.writelines(pieces)
-    else:
+        return
+    raw = getattr(sys.stdout, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
         sys.stdout.writelines(pieces)
+        return
+    sys.stdout.flush()
+    for piece in pieces:
+        data = memoryview(piece.encode(sys.stdout.encoding, sys.stdout.errors))
+        while data:
+            data = data[raw.write(data) :]
 
 
 def _emit(envelope, args):
@@ -317,7 +344,7 @@ def _main(args) -> int:
                 "resolution": result.resolution,
             }
             if args.format == "tsv":
-                _write([_flat(result.values).join("\n"), "\n"], args)
+                _write([*_flat(result.values).join("\n"), "\n"], args)
                 return EXIT_OK
         elif args.command == "verify":
             suites, ok = _run_verify(args, table)

@@ -172,10 +172,6 @@ def v_func(table: PrimeTable, k: int, m: int, r: float) -> float:
         raise DomainError(f"r must be positive, got {r}")
     if m >= V_TRUNCATION:
         raise DomainError(f"m must be below the truncation point {V_TRUNCATION}")
-    if len(table) < V_TRUNCATION:
-        raise DomainError(
-            f"table holds {len(table)} primes; the surrogate needs {V_TRUNCATION}"
-        )
     pm = float(table.nth(m))
     p = table.slice(m + 1, V_TRUNCATION).astype(np.float64)
     x = p ** (-r)

@@ -78,8 +78,10 @@ def greedy_approximate(
     check_r(r)
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
-    if steps > len(table):
-        raise DomainError(f"steps={steps} exceeds the table of {len(table)} primes")
+    try:
+        p = table.slice(1, steps)
+    except DomainError:
+        raise DomainError(f"steps={steps} exceeds the table of {len(table)} primes") from None
     if (k + 1) * steps > GREEDY_MAX_ENTRIES:
         raise CapacityError(
             f"(k + 1) * steps = {(k + 1) * steps} exceeds the walk capacity {GREEDY_MAX_ENTRIES}",
@@ -95,7 +97,7 @@ def greedy_approximate(
             f"target {x} falls inside the log G bracket [{log_g.lo}, {log_g.hi}]"
         )
 
-    p = table.slice(1, steps).astype(np.float64)
+    p = p.astype(np.float64)
     # partial_logs[a][l] = log(sum_{j<=a} p_l^{-jr}); row 0 is zero.
     powers = p ** (-r)
     partials = np.cumsum(

@@ -9,7 +9,8 @@ search is the only computational content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,22 +20,52 @@ from .errors import CapacityError, DomainError
 GAP_SEARCH_BOUND = 396738
 # Indices excluded from the sqrt(2) gap bound (gaps 2->3, 3->5, 7->11).
 GAP_EXCLUDED_INDICES = (1, 2, 4)
+# Index of the first prime past the search bound: p_33608 = 396733 and
+# p_33609 = 396833.
+GAP_SEARCH_INDEX = 33609
 
 # Enough for the first 100000 primes (p_100000 = 1299709) with headroom.
 DEFAULT_LIMIT = 2_000_000
 # Largest sieve: a one-byte mask per integer, about 50 MB at this limit.
 SIEVE_MAX_LIMIT = 50_000_000
+# The first bound a table sieves to, and the factor each re-sieve grows it
+# by.  The first bound covers p_172 = 1021, more than the density criterion
+# and the solvers read.
+FIRST_SIEVE_BOUND = 1024
+SIEVE_GROWTH = 4
 
 
-@dataclass(frozen=True)
 class PrimeTable:
-    """Immutable ascending list of all primes up to ``limit``.
+    """Every prime up to ``limit``, ascending; indexing is 1-based:
+    ``nth(1) == 2``.
 
-    Indexing is 1-based: ``nth(1) == 2``.
+    The table sieves on demand.  A read grows the sieved prefix until it
+    holds the index asked for, never past ``limit``, by sieving afresh at
+    ``SIEVE_GROWTH`` times the last bound; so a request pays for the
+    primes it reads, and all the sieves together cost at most
+    SIEVE_GROWTH / (SIEVE_GROWTH - 1) times the last one.  ``len`` and
+    ``primes`` mean the whole table, so they sieve up to ``limit``.
     """
 
-    limit: int
-    primes: np.ndarray = field(repr=False)
+    def __init__(self, limit: int):
+        self.limit = limit
+        # (bound, primes up to it), replaced as one value, so that a reader
+        # in another thread never pairs a bound with another bound's primes.
+        self._sieved = (0, np.empty(0, dtype=np.int64))
+
+    def _prefix(self, count: float) -> np.ndarray:
+        """The sieved primes, grown until they number ``count`` or the
+        sieve reaches ``limit``."""
+        bound, primes = self._sieved
+        while len(primes) < count and bound < self.limit:
+            bound = min(self.limit, max(FIRST_SIEVE_BOUND, SIEVE_GROWTH * bound))
+            primes = _eratosthenes(bound)
+            self._sieved = (bound, primes)
+        return primes
+
+    @property
+    def primes(self) -> np.ndarray:
+        return self._prefix(math.inf)
 
     def __len__(self) -> int:
         return len(self.primes)
@@ -43,39 +74,45 @@ class PrimeTable:
         """The i-th prime, 1-based."""
         if i < 1:
             raise DomainError(f"prime index must be >= 1, got {i}")
-        if i > len(self.primes):
+        primes = self._prefix(i)
+        if i > len(primes):
             raise DomainError(
-                f"table holds {len(self.primes)} primes (limit {self.limit}); "
+                f"table holds {len(primes)} primes (limit {self.limit}); "
                 f"index {i} requires a larger sieve"
             )
-        return int(self.primes[i - 1])
+        return int(primes[i - 1])
 
     def slice(self, start: int, stop: int) -> np.ndarray:
         """Primes p_start .. p_stop inclusive, 1-based, as int64 array."""
-        if start < 1 or stop > len(self.primes):
-            raise DomainError(f"prime slice [{start}, {stop}] outside table of size {len(self.primes)}")
-        return self.primes[start - 1 : stop]
+        primes = self._prefix(stop)
+        if start < 1 or stop > len(primes):
+            raise DomainError(f"prime slice [{start}, {stop}] outside table of size {len(self)}")
+        return primes[start - 1 : stop]
 
 
-def sieve(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes up to ``limit`` inclusive."""
-    if limit < 2:
-        raise DomainError(f"sieve limit must be >= 2, got {limit}")
-    if limit > SIEVE_MAX_LIMIT:
-        raise CapacityError(f"sieve limit {limit} exceeds {SIEVE_MAX_LIMIT}", SIEVE_MAX_LIMIT)
-    mask = np.ones(limit + 1, dtype=bool)
+def _eratosthenes(bound: int) -> np.ndarray:
+    """The primes up to ``bound`` inclusive, as a read-only int64 array."""
+    mask = np.ones(bound + 1, dtype=bool)
     mask[:2] = False
-    for p in range(2, int(limit**0.5) + 1):
+    for p in range(2, math.isqrt(bound) + 1):
         if mask[p]:
             mask[p * p :: p] = False
     primes = np.nonzero(mask)[0].astype(np.int64)
     primes.setflags(write=False)
-    return PrimeTable(limit=limit, primes=primes)
+    return primes
+
+
+def sieve(limit: int) -> PrimeTable:
+    """The table of the primes up to ``limit`` inclusive, sieved on demand."""
+    if limit < 2:
+        raise DomainError(f"sieve limit must be >= 2, got {limit}")
+    if limit > SIEVE_MAX_LIMIT:
+        raise CapacityError(f"sieve limit {limit} exceeds {SIEVE_MAX_LIMIT}", SIEVE_MAX_LIMIT)
+    return PrimeTable(limit)
 
 
 def load_or_sieve(limit: int = DEFAULT_LIMIT) -> PrimeTable:
-    """The prime table up to ``limit``, sieved afresh: sieving the default
-    limit is faster than reading the primes back from a text file."""
+    """The prime table up to ``limit``; the same as :func:`sieve`."""
     return sieve(limit)
 
 
@@ -102,10 +139,11 @@ def verify_gap_lemma(table: PrimeTable) -> GapLemmaReport:
         raise DomainError(
             f"table limit {table.limit} < search bound {GAP_SEARCH_BOUND}"
         )
-    primes = table.primes
-    n_below = int(np.searchsorted(primes, GAP_SEARCH_BOUND))
-    if n_below >= len(primes):
-        raise DomainError("table must contain at least one prime beyond the search bound")
+    try:
+        primes = table.slice(1, GAP_SEARCH_INDEX)
+    except DomainError:
+        raise DomainError("table must contain at least one prime beyond the search bound") from None
+    n_below = GAP_SEARCH_INDEX - 1
 
     max_ratio_sq = (0, 1)  # p_{j+1}^2 / p_j^2 as an exact pair
     argmax = 0

@@ -27,7 +27,7 @@ from typing import Callable
 from mpmath import fp, iv
 
 from .brackets import PRECISION_FLOOR, Bracket, check_eps
-from .density import V_TRUNCATION, t_float, t_func, t_levels, v_func
+from .density import t_float, t_func, t_levels, v_func
 from .errors import CapacityError, DomainError, PrecisionError, check_k
 from .primes import PrimeTable
 from .zeta import iv_pow, log_g_iv, to_iv, zeta_iv
@@ -294,8 +294,6 @@ def r1_surrogate(table: PrimeTable, eps: float = 1e-8) -> RootResult:
     from that bracket.
     """
     check_eps(eps)
-    if len(table) < V_TRUNCATION + 1:
-        raise DomainError(f"surrogate needs a table of at least {V_TRUNCATION} primes")
 
     def v(r: float) -> float:
         return v_func(table, 1, 1, r)

@@ -213,24 +213,59 @@ def test_census_needs_no_primes_from_the_table(capsys):
     assert small_table["result"]["values"] == default_table["result"]["values"]
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_closed_pipe_exits_without_a_traceback(unbuffered):
-    # The census writes about 1.6 MB, far more than a pipe buffers, so the
-    # write is still going on when the reader closes its end.  Unbuffered,
-    # stdout takes a short write silently, and a later write fails.
+SIEVED_ON_DEMAND = [
+    ["density", "--k", "2", "--r", "1.7"],
+    ["eta", "--k", "3"],
+    ["eta-limit"],
+    ["thresholds", "--k", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", SIEVED_ON_DEMAND, ids=" ".join)
+def test_a_request_sieves_only_the_primes_it_reads(capsys, sieve_bounds, argv):
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert sum(sieve_bounds) <= 4096, sieve_bounds
+
+
+def test_walk_past_the_table_fails_before_any_walk(capsys, monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(explorer, "log_g_iv", no_walk)
+    argv = ["--prime-limit", "100", "approximate", "--k", "1", "--r", "1.5", "--x", "0.3", "--steps", "1000"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "sigma-density: error: steps=1000 exceeds the table of 25 primes\n"
+
+
+# Each writes far more than a pipe buffers, so the write is still going on
+# when the reader closes its end.  Unbuffered, stdout writes through to the
+# raw file, which takes a short write without an error: a TSV envelope is
+# one piece, which used to end cut short with exit 0.
+CENSUS = ["census", "--k", "1", "--r", "2", "--bound", "100000"]
+TSV_WALK = ["--format", "tsv", "approximate", "--k", "1", "--r", "1.5", "--x", "0.3", "--steps", "100000"]
+
+
+@pytest.mark.parametrize(
+    "unbuffered, argv",
+    [(False, CENSUS), (True, CENSUS), (False, TSV_WALK), (True, TSV_WALK)],
+    ids=["buffered", "unbuffered", "tsv-buffered", "tsv-unbuffered"],
+)
+def test_closed_pipe_exits_without_a_traceback(unbuffered, argv):
     src = str(pathlib.Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    argv = ["census", "--k", "1", "--r", "2", "--bound", "100000"]
     with subprocess.Popen(
         [sys.executable, "-m", "sigma_density.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
     ) as proc:
-        assert proc.stdout.readline() == b"{\n"
+        assert proc.stdout.readline() in (b"{\n", b"command\tapproximate\n")
         proc.stdout.close()
         err = proc.stderr.read().decode()
         code = proc.wait(timeout=60)
@@ -437,6 +472,21 @@ def test_json_pieces_match_json_dumps(payload):
     old = _old_json(_old_convert(payload, "", brackets))
     new = "".join(cli._json_pieces(cli._convert(payload, "", {})))
     assert first_difference(new, old) is None
+
+
+def test_flat_lists_are_joined_in_blocks():
+    n = 2 * cli.JOIN_BLOCK + 3
+    payload = {
+        "values": np.linspace(1.0, 2.0, n),
+        "nested": {"ints": list(range(-5, n)), "floats": [0.1 * i for i in range(cli.JOIN_BLOCK)]},
+    }
+    pieces = cli._json_pieces(cli._convert(payload, "", {}))
+    assert first_difference("".join(pieces), _old_json(_old_convert(payload, "", {}))) is None
+    assert max(piece.count(",") for piece in pieces) <= cli.JOIN_BLOCK
+    flat = cli._flat(payload["values"])
+    assert [len(piece.split("\n")) for piece in flat.join("\n")] == [cli.JOIN_BLOCK, cli.JOIN_BLOCK + 1, 4]
+    with pytest.raises(ValueError):
+        cli._flat([*payload["nested"]["floats"], 1.0, math.nan]).join(",")
 
 
 @pytest.mark.parametrize(

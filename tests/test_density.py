@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv
 
-from sigma_density import density, solver
+from sigma_density import density, primes, solver
 from sigma_density.brackets import Bracket
 from sigma_density.errors import DomainError, IndeterminateError
 from sigma_density.zeta import local_factor, log_g_iv, to_iv
@@ -196,6 +196,14 @@ class TestV:
     def test_negative_at_one(self, table):
         assert density.v_func(table, 1, 1, 1.0) < 0
         assert density.v_func(table, 1, 1, 7 / 3) > 0
+
+    def test_needs_the_truncation_point_in_the_table(self):
+        # p_99999 = 1299689 <= 1299700 < p_100000 = 1299709
+        short = primes.sieve(1_299_700)
+        with pytest.raises(DomainError):
+            density.v_func(short, 1, 1, 1.5)
+        with pytest.raises(DomainError):
+            solver.r1_surrogate(short)
 
     def test_v_above_t(self, table):
         for k, m, r in ((1, 1, 1.5), (2, 2, 1.9), (3, 4, 2.2)):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from sigma_density import primes
@@ -12,6 +13,17 @@ def _trial_division_primes(limit):
         if all(n % p for p in found if p * p <= n):
             found.append(n)
     return found
+
+
+def eager_sieve(limit):
+    """The primes up to ``limit``, sieved at once: the table's body before
+    it sieved on demand, kept as the oracle."""
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, int(limit**0.5) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return np.nonzero(mask)[0].astype(np.int64)
 
 
 def test_small_sieves():
@@ -42,12 +54,65 @@ def test_nth_prime_examples(table):
 
 def test_nth_prime_out_of_range():
     small = primes.sieve(10)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^table holds 4 primes \(limit 10\); index 5 requires a larger sieve$"):
         small.nth(5)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^prime index must be >= 1, got 0$"):
         small.nth(0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^prime slice \[1, 5\] outside table of size 4$"):
         small.slice(1, 5)
+    with pytest.raises(DomainError, match=r"^prime slice \[0, 2\] outside table of size 4$"):
+        primes.sieve(10).slice(0, 2)
+
+
+LIMITS = [2, 3, 10, 1000, 1025, 5000, 2_000_000]
+
+
+@pytest.mark.parametrize("limit", LIMITS)
+def test_on_demand_table_matches_the_eager_sieve(limit):
+    expected = eager_sieve(limit)
+    n = len(expected)
+    reads = primes.sieve(limit)
+    picks = [n // 3 + 1, 1, n, n // 2 + 1, max(n - 1, 1)]
+    assert [reads.nth(i) for i in picks] == [int(expected[i - 1]) for i in picks]
+    for start, stop in [(1, 1), (1, n), (n, n), (n // 3 + 1, n // 2 + 1), (2, 1)]:
+        assert np.array_equal(reads.slice(start, stop), expected[start - 1 : stop])
+    whole = primes.sieve(limit)
+    assert whole.primes.dtype == np.int64
+    assert np.array_equal(whole.primes, expected)
+    assert len(whole) == n
+    with pytest.raises(DomainError):
+        whole.nth(n + 1)
+    with pytest.raises(DomainError):
+        reads.slice(1, n + 1)
+
+
+def test_answers_do_not_depend_on_the_order_of_reads():
+    far_first, near_first = primes.sieve(primes.DEFAULT_LIMIT), primes.sieve(primes.DEFAULT_LIMIT)
+    far = far_first.nth(100_000)
+    near = far_first.slice(1, 10)
+    assert list(near_first.slice(1, 10)) == list(near) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert near_first.nth(100_000) == far == 1_299_709
+    assert np.array_equal(far_first.primes, near_first.primes)
+
+
+def test_a_read_sieves_only_as_far_as_it_needs(sieve_bounds):
+    table = primes.sieve(primes.DEFAULT_LIMIT)
+    assert sieve_bounds == []
+    assert table.nth(4) == 7 and list(table.slice(1, 172))[-1] == 1021
+    assert sieve_bounds == [primes.FIRST_SIEVE_BOUND]
+    table.nth(1000)  # p_1000 = 7919
+    assert max(sieve_bounds) < primes.SIEVE_GROWTH * 7919
+    table.nth(1)
+    assert len(sieve_bounds) == 3
+    # growth is geometric, so the sieves together cost a bounded multiple of the last
+    assert sum(sieve_bounds) < primes.SIEVE_GROWTH / (primes.SIEVE_GROWTH - 1) * sieve_bounds[-1] + 1
+
+
+def test_whole_table_reads_sieve_to_the_limit(sieve_bounds):
+    assert len(primes.sieve(5000)) == 669
+    assert sieve_bounds[-1] == 5000
+    assert primes.sieve(1025).primes[-1] == 1021
+    assert sieve_bounds[-1] == 1025
 
 
 def test_prefix_property():
@@ -84,3 +149,23 @@ def test_gap_lemma_requires_capacity():
     small = primes.sieve(1000)
     with pytest.raises(DomainError):
         primes.verify_gap_lemma(small)
+    with pytest.raises(DomainError, match="at least one prime beyond the search bound"):
+        primes.verify_gap_lemma(primes.sieve(396_800))
+
+
+def test_gap_search_index_is_the_first_prime_past_the_bound():
+    below = eager_sieve(primes.GAP_SEARCH_BOUND)
+    assert len(below) + 1 == primes.GAP_SEARCH_INDEX
+    assert below[-1] < primes.GAP_SEARCH_BOUND < primes.sieve(500_000).nth(primes.GAP_SEARCH_INDEX)
+
+
+def test_gap_lemma_matches_a_search_of_the_whole_table(sieve_bounds):
+    report = primes.verify_gap_lemma(primes.sieve(primes.DEFAULT_LIMIT))
+    assert max(sieve_bounds) < primes.DEFAULT_LIMIT
+    expected = eager_sieve(primes.DEFAULT_LIMIT).tolist()
+    n_below = int(np.searchsorted(expected, primes.GAP_SEARCH_BOUND))
+    ratios = {j: expected[j] / expected[j - 1] for j in range(1, n_below + 1)}
+    assert report.checked == n_below - len(primes.GAP_EXCLUDED_INDICES)
+    assert report.excluded == tuple((j, ratios[j]) for j in primes.GAP_EXCLUDED_INDICES)
+    kept = {j: q for j, q in ratios.items() if j not in primes.GAP_EXCLUDED_INDICES}
+    assert report.argmax_index == max(kept, key=kept.get)
