@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -213,7 +214,10 @@ def _emit(envelope, args):
         _write(["".join(f"{key}\t{value}\n" for key, value in _flatten(envelope))], args)
 
 
+@functools.cache
 def build_parser() -> Parser:
+    """The argument parser, built once per process: nothing mutates it
+    after it is built, and each parse fills a fresh namespace."""
     parser = Parser(prog="sigma-density", description=__doc__.splitlines()[0])
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
     parser.add_argument("--prime-limit", type=int, default=primes.DEFAULT_LIMIT)

@@ -43,8 +43,11 @@ class PrimeTable:
     holds the index asked for, never past ``limit``, by sieving afresh at
     ``SIEVE_GROWTH`` times the last bound; so a request pays for the
     primes it reads, and all the sieves together cost at most
-    SIEVE_GROWTH / (SIEVE_GROWTH - 1) times the last one.  ``len`` and
-    ``primes`` mean the whole table, so they sieve up to ``limit``.
+    SIEVE_GROWTH / (SIEVE_GROWTH - 1) times the last one.  A read whose
+    index bound (:func:`nth_prime_bound`) lies past one more growth step
+    sieves straight to that bound instead, so no read sieves more than
+    twice.  ``len`` and ``primes`` mean the whole table, so they sieve
+    once, to ``limit``.
     """
 
     def __init__(self, limit: int):
@@ -58,7 +61,9 @@ class PrimeTable:
         sieve reaches ``limit``."""
         bound, primes = self._sieved
         while len(primes) < count and bound < self.limit:
-            bound = min(self.limit, max(FIRST_SIEVE_BOUND, SIEVE_GROWTH * bound))
+            grown = max(FIRST_SIEVE_BOUND, SIEVE_GROWTH * bound)
+            needed = nth_prime_bound(count)
+            bound = math.ceil(min(self.limit, needed if needed > SIEVE_GROWTH * grown else grown))
             primes = _eratosthenes(bound)
             self._sieved = (bound, primes)
         return primes
@@ -88,6 +93,14 @@ class PrimeTable:
         if start < 1 or stop > len(primes):
             raise DomainError(f"prime slice [{start}, {stop}] outside table of size {len(self)}")
         return primes[start - 1 : stop]
+
+
+def nth_prime_bound(n: float) -> float:
+    """An upper bound on the n-th prime: n (ln n + ln ln n) for n >= 6
+    (Rosser and Schoenfeld, 1962), and p_5 = 11 below."""
+    if n < 6:
+        return 11
+    return n * (math.log(n) + math.log(math.log(n)))
 
 
 def _eratosthenes(bound: int) -> np.ndarray:
@@ -131,8 +144,9 @@ class GapLemmaReport:
 def verify_gap_lemma(table: PrimeTable) -> GapLemmaReport:
     """Check p_{j+1}^2 < 2 p_j^2 for all j not in {1,2,4} with p_j < 396738.
 
-    The comparison is exact integer arithmetic; no floating point enters
-    the pass/fail decision.  The excluded indices are reported with their
+    The decision is exact integer arithmetic: floating point only picks
+    out the indices it compares, so it cannot change the verdict or the
+    argmax.  The excluded indices are reported with their
     (super-sqrt(2)) ratios for reference.
     """
     if table.limit < GAP_SEARCH_BOUND:
@@ -143,29 +157,27 @@ def verify_gap_lemma(table: PrimeTable) -> GapLemmaReport:
         primes = table.slice(1, GAP_SEARCH_INDEX)
     except DomainError:
         raise DomainError("table must contain at least one prime beyond the search bound") from None
-    n_below = GAP_SEARCH_INDEX - 1
-
-    max_ratio_sq = (0, 1)  # p_{j+1}^2 / p_j^2 as an exact pair
-    argmax = 0
-    checked = 0
-    passed = True
-    excluded = []
-    for j in range(1, n_below + 1):
-        p, q = int(primes[j - 1]), int(primes[j])
-        if j in GAP_EXCLUDED_INDICES:
-            excluded.append((j, q / p))
-            continue
-        checked += 1
-        if q * q >= 2 * p * p:
-            passed = False
-        if q * q * max_ratio_sq[1] > max_ratio_sq[0] * p * p:
-            max_ratio_sq = (q * q, p * p)
-            argmax = j
+    ratio = primes[1:] / primes[:-1]  # p_{j+1} / p_j at position j - 1
+    ratio[[j - 1 for j in GAP_EXCLUDED_INDICES]] = 0
+    # Division and sqrt round correctly, and rounding is monotone: a ratio
+    # of at least sqrt(2) rounds to at least the double sqrt(2), and the
+    # largest ratio to the largest double.  Exact integer comparisons
+    # decide among the few indices the doubles pick out.
+    passed = all(
+        int(primes[i + 1]) ** 2 < 2 * int(primes[i]) ** 2
+        for i in np.flatnonzero(ratio >= math.sqrt(2))
+    )
+    argmax, max_p, max_q = 0, 1, 0
+    for i in np.flatnonzero(ratio == ratio.max()):
+        p, q = int(primes[i]), int(primes[i + 1])
+        if q * max_p > max_q * p:
+            argmax, max_p, max_q = int(i) + 1, p, q
+    excluded = tuple((j, int(primes[j]) / int(primes[j - 1])) for j in GAP_EXCLUDED_INDICES)
     return GapLemmaReport(
         bound=GAP_SEARCH_BOUND,
-        checked=checked,
-        max_ratio=(max_ratio_sq[0] / max_ratio_sq[1]) ** 0.5,
+        checked=len(ratio) - len(excluded),
+        max_ratio=(max_q * max_q / (max_p * max_p)) ** 0.5,
         argmax_index=argmax,
         passed=passed,
-        excluded=tuple(excluded),
+        excluded=excluded,
     )

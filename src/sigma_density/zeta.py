@@ -37,19 +37,32 @@ def iv_pow(base, expo):
 
 
 # Euler-Maclaurin about N = EM_TERMS with M = EM_CORRECTIONS corrections,
-# both fixed.  log n for n <= N, and B_{2j}/(2j)! for j <= M + 1 (the last
-# bounds the remainder), are built once at the working precision.
+# both fixed.  Everything that does not depend on s is built once at the
+# working precision: log p for the primes p <= N, the smallest prime
+# factor of each n <= N, B_{2j}/(2j)! * N^{1-2j} for j <= M + 1 (the last
+# bounds the remainder), and the integers of the rising factorial.
 EM_TERMS = 25
 EM_CORRECTIONS = 12
-_LOG_N = [iv.log(iv.mpf(n)) for n in range(1, EM_TERMS + 1)]
+_SMALLEST_FACTOR = [0, 1] + [
+    next(p for p in range(2, n + 1) if n % p == 0) for n in range(2, EM_TERMS + 1)
+]
+_LOG_P = {
+    p: iv.log(iv.mpf(p)) for p in range(2, EM_TERMS + 1) if _SMALLEST_FACTOR[p] == p
+}
 
 
-def _bernoulli_over_factorial(j: int):
+def _em_coefficient(j: int):
+    """B_{2j}/(2j)! * N^{1-2j}."""
     p, q = mpmath.bernfrac(2 * j)
-    return iv.mpf(int(p)) / iv.mpf(int(q)) / iv.mpf(math.factorial(2 * j))
+    denominator = q * math.factorial(2 * j) * EM_TERMS ** (2 * j - 1)
+    return iv.mpf(int(p)) / iv.mpf(int(denominator))
 
 
-_EM_COEFFS = [_bernoulli_over_factorial(j) for j in range(1, EM_CORRECTIONS + 2)]
+_EM_COEFFS = [_em_coefficient(j) for j in range(1, EM_CORRECTIONS + 2)]
+# (2j - 1, 2j) for j <= M: the factors that extend the rising factorial.
+_RISING_STEPS = [(iv.mpf(2 * j - 1), iv.mpf(2 * j)) for j in range(1, EM_CORRECTIONS + 1)]
+_N = iv.mpf(EM_TERMS)
+_UNIT = iv.mpf([-1, 1])
 
 
 def zeta_iv(s):
@@ -63,20 +76,29 @@ def zeta_iv(s):
     real s > 1 and N >= 1, so the classical remainder theorem puts R_M
     between 0 and the first omitted term (j = M + 1) with N and M fixed:
     the cost does not grow with s.
+
+    Only p^-s for the primes p <= N takes an exp; every other n^-s is the
+    product of two earlier powers, and N^{1-s-2j} = N^{1-2j} * N^-s.
+    Each factor is positive and decreasing in s, so the products enclose
+    as tightly as the exps they replace.
     """
-    total = iv.mpf(0)
-    for log_n in _LOG_N:
-        total += iv.exp(-s * log_n)
-    log_N = _LOG_N[-1]
-    total += iv.exp((1 - s) * log_N) / (s - 1)
-    total -= iv.exp(-s * log_N) / 2
+    powers = [None, iv.mpf(1)]  # powers[n] = n^-s
+    total = iv.mpf(1)
+    for n in range(2, EM_TERMS + 1):
+        p = _SMALLEST_FACTOR[n]
+        powers.append(iv.exp(-s * _LOG_P[p]) if p == n else powers[p] * powers[n // p])
+        total += powers[n]
+    N_s = powers[EM_TERMS]
+    total += _N * N_s / (s - 1)
+    total -= N_s / 2
     rising = s  # s(s+1)...(s+2j-2), starting value for j = 1
     for j, coeff in enumerate(_EM_COEFFS, start=1):
-        term = coeff * rising * iv.exp((1 - s - 2 * j) * log_N)
+        term = coeff * rising * N_s
         if j > EM_CORRECTIONS:  # R_M lies between 0 and this omitted term
-            return total + term * iv.mpf([-1, 1])
+            return total + term * _UNIT
         total += term
-        rising = rising * (s + 2 * j - 1) * (s + 2 * j)
+        odd, even = _RISING_STEPS[j - 1]
+        rising = rising * (s + odd) * (s + even)
 
 
 def zeta(r: float, eps: float = 1e-13) -> Bracket:

@@ -123,6 +123,51 @@ def test_usage_error_exit_code(capsys):
     assert excinfo.value.code == 64
 
 
+def _outcome(capsys, argv):
+    """Exit code, stdout and stderr of one request, usage errors included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_every_request_of_a_process(capsys):
+    requests = [
+        [*PRIME_ARGS, "eta", "--k", "notanumber"],
+        [*PRIME_ARGS, "density", "--k", "2", "--r", "1.9"],
+        ["--format", "tsv", "census", "--k", "1", "--r", "1.5", "--bound", "1000"],
+        ["eta", "--k", "3"],
+    ]
+    fresh = []
+    for argv in requests:
+        cli.build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    cli.build_parser.cache_clear()
+    shared = [_outcome(capsys, argv) for argv in requests]
+    assert cli.build_parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [cli.EXIT_USAGE, 0, 0, 0]
+
+
+def test_parser_defaults_do_not_leak_between_requests(tmp_path, capsys):
+    target = tmp_path / "first.json"
+    argv = ["--prime-limit", "5000", "--out", str(target), "eta", "--k", "1", "--eps", "1e-6"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == ""
+    first = json.loads(target.read_text())
+    assert first["provenance"]["prime_limit"] == 5000
+    assert first["parameters"]["eps"] == 1e-6
+    code, envelope, _ = run_json(capsys, "eta", "--k", "1")
+    assert code == 0
+    assert envelope["provenance"]["prime_limit"] == primes.DEFAULT_LIMIT
+    assert envelope["parameters"]["eps"] == solver.DEFAULT_EPS
+    args = cli.build_parser().parse_args(["density", "--k", "1", "--r", "2"])
+    assert (args.format, args.prime_limit, args.out) == ("json", primes.DEFAULT_LIMIT, None)
+    assert not hasattr(args, "eps")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -26,6 +26,42 @@ def eager_sieve(limit):
     return np.nonzero(mask)[0].astype(np.int64)
 
 
+def gap_lemma_loop(table):
+    """The gap check one index at a time in Python ints: the library's
+    loop before it ran in int64 arrays, kept as the oracle."""
+    primes_ = table.slice(1, primes.GAP_SEARCH_INDEX)
+    max_ratio_sq, argmax, checked, passed, excluded = (0, 1), 0, 0, True, []
+    for j in range(1, primes.GAP_SEARCH_INDEX):
+        p, q = int(primes_[j - 1]), int(primes_[j])
+        if j in primes.GAP_EXCLUDED_INDICES:
+            excluded.append((j, q / p))
+            continue
+        checked += 1
+        if q * q >= 2 * p * p:
+            passed = False
+        if q * q * max_ratio_sq[1] > max_ratio_sq[0] * p * p:
+            max_ratio_sq, argmax = (q * q, p * p), j
+    return primes.GapLemmaReport(
+        bound=primes.GAP_SEARCH_BOUND,
+        checked=checked,
+        max_ratio=(max_ratio_sq[0] / max_ratio_sq[1]) ** 0.5,
+        argmax_index=argmax,
+        passed=passed,
+        excluded=tuple(excluded),
+    )
+
+
+class _FixedTable:
+    """A stand-in table that serves a given array of 'primes'."""
+
+    def __init__(self, values):
+        self.limit = primes.DEFAULT_LIMIT
+        self.values = values
+
+    def slice(self, start, stop):
+        return self.values[start - 1 : stop]
+
+
 def test_small_sieves():
     assert list(primes.sieve(10).primes) == [2, 3, 5, 7]
     assert list(primes.sieve(2).primes) == [2]
@@ -169,3 +205,35 @@ def test_gap_lemma_matches_a_search_of_the_whole_table(sieve_bounds):
     assert report.excluded == tuple((j, ratios[j]) for j in primes.GAP_EXCLUDED_INDICES)
     kept = {j: q for j, q in ratios.items() if j not in primes.GAP_EXCLUDED_INDICES}
     assert report.argmax_index == max(kept, key=kept.get)
+
+
+def test_nth_prime_bound_holds_across_the_default_table():
+    expected = eager_sieve(primes.DEFAULT_LIMIT)
+    bounds = np.array([primes.nth_prime_bound(n) for n in range(1, len(expected) + 1)])
+    assert len(expected) == 148_933
+    assert np.all(bounds >= expected)
+    assert primes.nth_prime_bound(math.inf) == math.inf
+
+
+def test_gap_search_sieves_once(sieve_bounds):
+    table = primes.sieve(primes.DEFAULT_LIMIT)
+    table.slice(1, primes.GAP_SEARCH_INDEX)
+    assert len(sieve_bounds) == 1
+    assert sieve_bounds[0] <= 430_000
+
+
+def test_gap_lemma_report_equals_the_loop(table):
+    assert repr(primes.verify_gap_lemma(table)) == repr(gap_lemma_loop(table))
+
+
+@pytest.mark.parametrize("j", [30, 5000, primes.GAP_SEARCH_INDEX - 1])
+@pytest.mark.parametrize("reaches", [True, False])
+def test_gap_lemma_decides_exactly_at_sqrt_2(table, j, reaches):
+    # p_{j+1} set to the least integer whose square reaches 2 p_j^2, or to
+    # the one below it: ratios either side of sqrt(2) within one part in p_j
+    values = table.slice(1, primes.GAP_SEARCH_INDEX).copy()
+    values[j] = math.isqrt(2 * int(values[j - 1]) ** 2 - 1) + reaches
+    fake = _FixedTable(values)
+    report = primes.verify_gap_lemma(fake)
+    assert report.passed is not reaches and report.argmax_index == j
+    assert report == gap_lemma_loop(fake)

@@ -84,14 +84,46 @@ def zeta_iv_oracle(s):
     return total + iv.mpf([-rem.b, rem.b])
 
 
+def assert_agrees_with_the_oracle(fast, slow):
+    """Equal as double brackets, and equal to within 2^-190 relative at
+    the working precision."""
+    assert Bracket.from_iv(fast) == Bracket.from_iv(slow)
+    for x, y in ((fast.a, slow.a), (fast.b, slow.b)):
+        x, y = mpmath.mpf(x), mpmath.mpf(y)
+        assert abs(x - y) <= abs(y) * mpmath.ldexp(1, -190)
+
+
 class TestKernel:
     @settings(max_examples=60, deadline=None)
     @given(s=st.floats(min_value=1, max_value=64, exclude_min=True, exclude_max=True))
     def test_endpoints_equal_the_oracle(self, s):
-        # below s = 64 the oracle also sums 25 terms, so the two agree bit
-        # for bit at the working precision
+        # below s = 64 the oracle also sums 25 terms; its exps round
+        # differently from the kernel's products in the last bits at the
+        # working precision, but never in the doubles any output reads
         fast, slow = zmod.zeta_iv(iv.mpf(s)), zeta_iv_oracle(iv.mpf(s))
-        assert fast.a == slow.a and fast.b == slow.b
+        assert_agrees_with_the_oracle(fast, slow)
+        with mpmath.workprec(400):
+            reference = mpmath.zeta(mpmath.mpf(s))
+            for enclosure in (fast, slow):
+                assert mpmath.mpf(enclosure.a) <= reference <= mpmath.mpf(enclosure.b)
+
+    @pytest.mark.parametrize("cell", [[7 / 3, 2.5], [2.5, 3], [1.0001, 2]])
+    def test_wide_cells_agree_with_the_oracle(self, cell):
+        # the proof cells of density._cover are this wide, so its cell
+        # counts and slacks read the same doubles as with the oracle
+        assert_agrees_with_the_oracle(zmod.zeta_iv(iv.mpf(cell)), zeta_iv_oracle(iv.mpf(cell)))
+
+    def test_one_exp_per_prime_up_to_the_term_count(self, monkeypatch):
+        calls = []
+        exp = zmod.iv.exp
+
+        def spy(x):
+            calls.append(x)
+            return exp(x)
+
+        monkeypatch.setattr(zmod.iv, "exp", spy)
+        zmod.zeta_iv(iv.mpf(1.88))
+        assert len(calls) == 9  # 2, 3, 5, 7, 11, 13, 17, 19, 23
 
     @pytest.mark.parametrize("s", [64.5, 100, 1e3, 1e6])
     def test_large_argument(self, s):
