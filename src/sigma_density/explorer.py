@@ -78,10 +78,6 @@ def greedy_approximate(
     check_r(r)
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
-    try:
-        p = table.slice(1, steps)
-    except DomainError:
-        raise DomainError(f"steps={steps} exceeds the table of {len(table)} primes") from None
     if (k + 1) * steps > GREEDY_MAX_ENTRIES:
         raise CapacityError(
             f"(k + 1) * steps = {(k + 1) * steps} exceeds the walk capacity {GREEDY_MAX_ENTRIES}",
@@ -89,6 +85,11 @@ def greedy_approximate(
         )
     if x < 0:
         raise DomainError(f"target must be >= 0, got {x}")
+    # the slice sieves the first ``steps`` primes: check the cheap bounds first
+    try:
+        p = table.slice(1, steps)
+    except DomainError:
+        raise DomainError(f"steps={steps} exceeds the table of {len(table)} primes") from None
     log_g = Bracket.from_iv(log_g_iv(k, to_iv(r)))
     if x >= log_g.hi:
         raise DomainError(f"target {x} is not below log G_{k}({r}) = {log_g.hi}")

@@ -110,7 +110,7 @@ def _eratosthenes(bound: int) -> np.ndarray:
     for p in range(2, math.isqrt(bound) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    primes = np.nonzero(mask)[0].astype(np.int64)
+    primes = np.nonzero(mask)[0].astype(np.int64, copy=False)
     primes.setflags(write=False)
     return primes
 

@@ -8,11 +8,13 @@ carries an explicit boundary flag for the "no root, threshold = 2" case.
 
 A certified sign test costs an interval evaluation of zeta (milliseconds),
 so the bisection walks its path with a float64 estimate of the same
-function, its guide (microseconds), and certifies only the endpoints it
-reaches: the a-posteriori verification pattern of Rump, "Verification
+function, its guide (microseconds), and certifies only the points the
+returned bracket rests on: its two endpoints and the residual at its
+midpoint, the a-posteriori verification pattern of Rump, "Verification
 methods" (Acta Numerica 2010).  Because the function is increasing,
 certified endpoints make the guided path the certified path, so guided
-and certified-only solves return the same bits.  The certified-only
+and certified-only solves return the same bits, and the ends of the
+start bracket [1.0001, 2] need no test of their own.  The certified-only
 walk remains the fallback and the tests' reference.
 """
 
@@ -38,8 +40,9 @@ LIMIT_EPS = 1e-9
 # Largest k_max of :func:`eta_table`; a row costs about 70 ms at any k.
 ETA_TABLE_MAX_K = 100
 
-# Every target diverges to -inf at 1+, so its sign is certified negative
-# here; a solve whose sign is not certified at this start fails loudly.
+# Every target diverges to -inf at 1+, so its sign is negative here; a
+# solve that tests this start (see :func:`_solve`) and cannot certify
+# that sign fails loudly.
 _START = 1.0001
 
 # The guides stay within 2e-15 of their certified functions on [1.0001, 2]
@@ -91,22 +94,18 @@ def _walk(
 
 
 def _guided_walk(
-    sign_fn: Callable[[float], Bracket],
+    certified: Callable[[float], int | None],
     guide: Callable[[float], float],
     a: float,
     b: float,
     eps: float,
+    held: tuple[float, ...] = (),
 ) -> tuple[float, float, int] | None:
     """The walk of :func:`_walk` with the guide's sign wherever
-    |guide| > GUIDE_ERROR and a certified test elsewhere, then a certified
-    test at each endpoint the walk moved.  None when the guide is NaN, an
-    in-band test is indeterminate, or an endpoint fails its test."""
-    signs: dict[float, int | None] = {}
-
-    def certified(r: float) -> int | None:
-        if r not in signs:
-            signs[r] = sign_fn(r).certified_sign()
-        return signs[r]
+    |guide| > GUIDE_ERROR and the ``certified`` sign elsewhere, then a
+    certified test at each endpoint not in ``held``, the ends of [a, b]
+    already certified.  None when the guide is NaN, an in-band test is
+    indeterminate, or an endpoint fails its test."""
 
     def sign(r: float) -> int | None:
         g = guide(r)
@@ -118,9 +117,23 @@ def _guided_walk(
         lo, hi, steps = _walk(sign, a, b, eps)
     except PrecisionError:
         return None
-    if (lo == a or certified(lo) == -1) and (hi == b or certified(hi) == 1):
+    if (lo in held or certified(lo) == -1) and (hi in held or certified(hi) == 1):
         return lo, hi, steps
     return None
+
+
+def _certifier(
+    sign_fn: Callable[[float], Bracket], brackets: dict[float, Bracket]
+) -> Callable[[float], int | None]:
+    """The certified sign of ``sign_fn``, evaluated at most once per point:
+    ``brackets`` keeps each evaluation and may hold some already."""
+
+    def certified(r: float) -> int | None:
+        if r not in brackets:
+            brackets[r] = sign_fn(r)
+        return brackets[r].certified_sign()
+
+    return certified
 
 
 def _bisect(
@@ -129,8 +142,9 @@ def _bisect(
     eps: float,
     guide: Callable[[float], float] | None = None,
 ) -> RootResult:
-    """Continue the bisection of ``root`` on the strictly increasing
-    ``sign_fn`` until its bracket is at most ``eps`` wide.
+    """Continue the bisection of ``root``, whose ends are certified, on the
+    strictly increasing ``sign_fn`` until its bracket is at most ``eps``
+    wide.
 
     ``guide`` is a float estimate of ``sign_fn`` (see :func:`_guided_walk`).
     Certified signs at the guided walk's endpoints put the root between
@@ -143,9 +157,10 @@ def _bisect(
     eps gives bit-for-bit the bracket a fresh solve at ``eps`` would.
     """
     a, b = root.value.lo, root.value.hi
-    walked = None if guide is None else _guided_walk(sign_fn, guide, a, b, eps)
+    certified = _certifier(sign_fn, {})
+    walked = None if guide is None else _guided_walk(certified, guide, a, b, eps, (a, b))
     if walked is None:
-        walked = _walk(lambda r: sign_fn(r).certified_sign(), a, b, eps)
+        walked = _walk(certified, a, b, eps)
     a, b, steps = walked
     return dataclasses.replace(
         root,
@@ -157,19 +172,47 @@ def _bisect(
 
 def _solve(
     sign_fn: Callable[[float], Bracket],
-    at_two: Bracket,
+    at_two: Bracket | None,
     eps: float,
     method: str,
     guide: Callable[[float], float] | None = None,
+    boundary: bool = False,
 ) -> RootResult:
-    """The root in (1, 2) of a strictly increasing ``sign_fn`` whose sign
-    at 2 is ``at_two``, by bisection from [_START, 2]."""
-    if not at_two.strictly_positive():
-        raise PrecisionError(f"{method}: sign not certified positive at r = 2")
-    if sign_fn(_START).certified_sign() != -1:
-        raise PrecisionError(f"{method}: sign not certified negative at r = {_START}")
-    start = RootResult(value=Bracket(_START, 2.0), iterations=0, residual=at_two, method=method)
-    return _bisect(sign_fn, start, eps, guide)
+    """The root in (1, 2) of a strictly increasing ``sign_fn`` by bisection
+    from [_START, 2]; ``at_two`` is sign_fn(2.0) when the caller has it.
+
+    Only the points the result rests on are certified: the two endpoints
+    of the guided walk and the residual at their midpoint.  The ends of
+    [_START, 2] are certified only when the walk ends on one of them, or
+    when it cannot be trusted (no guide, the walk fails, or ``at_two`` is
+    known and not positive): then, after one certified sign test at each
+    end, the walk is redone with a certified test at every midpoint.  A
+    sign at 2 certified nonpositive gives the boundary result when
+    ``boundary`` is set and raises otherwise.
+    """
+    brackets = {} if at_two is None else {2.0: at_two}
+    certified = _certifier(sign_fn, brackets)
+    walked = None
+    if guide is not None and (at_two is None or at_two.strictly_positive()):
+        walked = _guided_walk(certified, guide, _START, 2.0, eps)
+    if walked is None:
+        if certified(2.0) != 1:
+            if boundary and brackets[2.0].nonpositive():
+                return RootResult(
+                    value=Bracket.exact(2.0),
+                    iterations=0,
+                    residual=brackets[2.0],
+                    method="boundary (no sign change on (1, 2))",
+                    boundary=True,
+                )
+            raise PrecisionError(f"{method}: sign not certified positive at r = 2")
+        if certified(_START) != -1:
+            raise PrecisionError(f"{method}: sign not certified negative at r = {_START}")
+        walked = _walk(certified, _START, 2.0, eps)
+    a, b, steps = walked
+    return RootResult(
+        value=Bracket(a, b), iterations=steps, residual=sign_fn(0.5 * (a + b)), method=method
+    )
 
 
 def r_threshold(table: PrimeTable, k: int, m: int, eps: float = DEFAULT_EPS) -> RootResult:
@@ -179,17 +222,12 @@ def r_threshold(table: PrimeTable, k: int, m: int, eps: float = DEFAULT_EPS) -> 
     if m not in (1, 2, 4):
         raise DomainError(f"m must be one of 1, 2, 4, got {m}")
     check_eps(eps)
+    guide = partial(t_float, table, k, m)
     sign_fn = partial(t_func, table, k, m)
-    at_two = sign_fn(2.0)
-    if at_two.nonpositive():
-        return RootResult(
-            value=Bracket.exact(2.0),
-            iterations=0,
-            residual=at_two,
-            method="boundary (no sign change on (1, 2))",
-            boundary=True,
-        )
-    return _solve(sign_fn, at_two, eps, "bisection on T", partial(t_float, table, k, m))
+    # The boundary verdict needs T(2) certified; a guide clearly positive
+    # there leaves T(2) to the walk, which certifies it if it ends there.
+    at_two = None if guide(2.0) > GUIDE_ERROR else sign_fn(2.0)
+    return _solve(sign_fn, at_two, eps, "bisection on T", guide, boundary=True)
 
 
 def _refine(table: PrimeTable, k: int, m: int, root: RootResult, eps: float) -> RootResult:
@@ -254,7 +292,7 @@ def eta(table: PrimeTable, k: int, eps: float = DEFAULT_EPS) -> RootResult:
         return t
 
     guide = partial(t_float, table, k, m)
-    return _solve(sign_fn, sign_fn(2.0), eps, "bisection on T at m_k", guide)
+    return _solve(sign_fn, None, eps, "bisection on T at m_k", guide)
 
 
 def eta_limit(eps: float = LIMIT_EPS) -> RootResult:
@@ -264,9 +302,7 @@ def eta_limit(eps: float = LIMIT_EPS) -> RootResult:
 
     solved in log form by bisection."""
     check_eps(eps)
-    return _solve(
-        _limit_sign, _limit_sign(2.0), eps, "bisection on limit equation", _limit_guide
-    )
+    return _solve(_limit_sign, None, eps, "bisection on limit equation", _limit_guide)
 
 
 def _limit_sign(r: float) -> Bracket:

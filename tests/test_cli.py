@@ -226,6 +226,14 @@ def test_walk_above_capacity_allocates_nothing_large(capsys):
     assert peak < 10_000_000
 
 
+def test_walk_above_capacity_sieves_nothing_large(capsys):
+    # the capacity check comes before the slice that would sieve 5e7 integers
+    argv = ["--prime-limit", "50000000", "approximate", "--k", "1", "--r", "1.5", "--x", "0.1", "--steps", "2500000"]
+    code, peak = _exit_code_and_peak(capsys, argv)
+    assert code == 1
+    assert peak < 10_000_000
+
+
 def test_census_above_capacity_allocates_nothing_large(capsys):
     argv = ["census", "--k", "1", "--r", "2", "--bound", str(explorer.CENSUS_MAX_BOUND + 1)]
     code, peak = _exit_code_and_peak(capsys, argv)

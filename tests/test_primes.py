@@ -77,6 +77,15 @@ def test_sieve_rejects_a_limit_above_capacity():
         primes.sieve(primes.SIEVE_MAX_LIMIT + 1)
 
 
+@pytest.mark.parametrize("bound", [2, 1000])
+def test_sieved_primes_are_read_only_int64(bound):
+    for values in (primes._eratosthenes(bound), primes.sieve(bound).primes):
+        assert values.dtype == np.int64
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 4
+
+
 def test_sieve_matches_trial_division():
     assert list(primes.sieve(500).primes) == _trial_division_primes(500)
 

@@ -27,6 +27,21 @@ def eta_defining_sign(k, r):
     return Bracket.from_iv(lhs - log_g_iv(k, r_iv))
 
 
+# solver.eta(table, k) at the default eps
+ETA_BRACKETS = {
+    1: (1.8646345674817102, 1.864634567539912),
+    2: (1.886908414499799, 1.8869084145580008),
+    3: (1.887751789835904, 1.8877517898941059),
+    4: (1.8877891206707802, 1.887789120728982),
+    5: (1.8877908418155973, 1.887790841873799),
+    6: (1.887790922657953, 1.887790922716155),
+    7: (1.887790926499275, 1.8877909265574766),
+    8: (1.8877909266738802, 1.887790926732082),
+    9: (1.8877909266738802, 1.887790926732082),
+    10: (1.8877909266738802, 1.887790926732082),
+}
+
+
 def assert_certified_root(table, result, sign_fn):
     assert not result.boundary
     assert sign_fn(result.value.lo).certified_sign() == -1
@@ -109,6 +124,16 @@ class TestEta:
         for k in (1, 4):
             result = solver.eta(table, k)
             assert abs(result.residual.mid) < 10 * max(result.value.width, 1e-12)
+
+    def test_pinned_brackets(self, table):
+        # the brackets `eta --k 1..10` and `eta-limit` print, bit for bit
+        for k, (lo, hi) in ETA_BRACKETS.items():
+            root = solver.eta(table, k)
+            assert root.value == Bracket(lo, hi), k
+            assert root.iterations == 34
+        limit = solver.eta_limit()
+        assert limit.value == Bracket(1.8877909263246693, 1.8877909272558986)
+        assert limit.iterations == 30
 
     def test_approaches_limit(self, table):
         eta30 = solver.eta(table, 30)
@@ -197,7 +222,9 @@ def certified_only(table):
             if eps == 1e-13:
                 roots[k, m, eps] = solver._bisect(sign_fn, solve(k, m, 1e-10), eps)
             else:
-                roots[k, m, eps] = solver._solve(sign_fn, sign_fn(2.0), eps, "bisection on T")
+                roots[k, m, eps] = solver._solve(
+                    sign_fn, sign_fn(2.0), eps, "bisection on T", boundary=True
+                )
         return roots[k, m, eps]
 
     return solve
@@ -249,12 +276,45 @@ class TestGuidedBisection:
         # the certified walk tests every midpoint
         assert sign_fn.calls > root.iterations
 
+    @pytest.mark.parametrize(
+        "lie",
+        [lambda r: 1.0, lambda r: 1.0 if r == 2.0 else -1.0],
+        ids=["always-positive", "positive-only-at-2"],
+    )
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_a_guide_lying_at_2_keeps_the_boundary(self, table, monkeypatch, certified_only, k, lie):
+        # T_k(4, 2) <= 0: the boundary verdict rests on a certified T(2),
+        # whether the walk ends away from 2 or on it
+        assert density.t_func(table, k, 4, 2.0).nonpositive()
+        monkeypatch.setattr(solver, "t_float", lambda table, k, m, r: lie(r))
+        root = solver.r_threshold(table, k, 4)
+        assert root.boundary
+        assert root == certified_only(k, 4, solver.DEFAULT_EPS)
+
     def test_r_threshold_certifies_few_points(self, table, monkeypatch):
         sign_fn = CountingSign(density.t_func)
         monkeypatch.setattr(solver, "t_func", sign_fn)
         root = solver.r_threshold(table, 3, 2)
         assert root.iterations == 34
-        assert sign_fn.calls <= 8
+        assert sign_fn.calls == 3
+
+    def test_a_boundary_certifies_only_2(self, table, monkeypatch):
+        sign_fn = CountingSign(density.t_func)
+        monkeypatch.setattr(solver, "t_func", sign_fn)
+        assert solver.r_threshold(table, 1, 4).boundary
+        assert sign_fn.calls == 1
+
+    def test_eta_certifies_the_endpoints_and_the_residual(self, table, monkeypatch):
+        log_g = CountingSign(solver.log_g_iv)
+        monkeypatch.setattr(solver, "log_g_iv", log_g)
+        assert solver.eta(table, 4).iterations == 34
+        assert log_g.calls == 3
+
+    def test_eta_limit_certifies_the_endpoints_and_the_residual(self, monkeypatch):
+        sign_fn = CountingSign(solver._limit_sign)
+        monkeypatch.setattr(solver, "_limit_sign", sign_fn)
+        assert solver.eta_limit().iterations == 30
+        assert sign_fn.calls == 3
 
 
 def _row(table, k, eps=solver.DEFAULT_EPS):
