@@ -23,8 +23,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__, density, explorer, primes, solver
 from .brackets import Bracket
 from .errors import SigmaDensityError
@@ -74,7 +72,7 @@ class _Flat:
         pieces = []
         for start in range(0, len(self.items), JOIN_BLOCK):
             block = self.items[start : start + JOIN_BLOCK]
-            if isinstance(block, np.ndarray):
+            if not isinstance(block, (list, tuple)):
                 block = block.tolist()
             if self.rep is float.__repr__ and not all(map(math.isfinite, block)):
                 raise ValueError("Out of range float values are not JSON compliant")
@@ -85,7 +83,10 @@ class _Flat:
 def _flat(obj):
     """``obj`` as a _Flat when it is an array, or a list or tuple of only
     floats or only ints (bool is not an int here), else None."""
-    if isinstance(obj, np.ndarray):
+    # No array exists unless some code has imported numpy, so it is not
+    # imported here.
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, np.ndarray):
         return _Flat(np.asarray(obj, dtype=np.float64), float.__repr__)
     if isinstance(obj, (list, tuple)) and obj:
         kinds = set(map(type, obj))
@@ -114,10 +115,9 @@ def _convert(obj, path, brackets):
         }
     if isinstance(obj, dict):
         return {str(k): _convert(v, f"{path}.{k}" if path else str(k), brackets) for k, v in obj.items()}
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    np = sys.modules.get("numpy")  # as in _flat
+    if np is not None and isinstance(obj, (np.integer, np.floating)):
+        return obj.item()
     return obj
 
 

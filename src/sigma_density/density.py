@@ -23,7 +23,6 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
 from mpmath import fp, iv
 
 from .brackets import Bracket
@@ -166,6 +165,8 @@ def v_func(table: PrimeTable, k: int, m: int, r: float) -> float:
     terms from the subtracted sum.  Unlike T, the sum is finite, so any
     r > 0 is admissible; sign checks at r = 1 are meaningful.
     """
+    import numpy as np
+
     check_k(k)
     check_k(m, "m")
     if not r > 0:

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .brackets import Bracket
 from .density import t_levels
-from .errors import CapacityError, DomainError, IndeterminateError, check_k, check_r
-from .primes import PrimeTable, sieve
+from .errors import CapacityError, DomainError, IndeterminateError, PrecisionError, check_k, check_r
+from .primes import PrimeTable, nth_prime_bound, sieve
 from .zeta import FactorSketch, log_g_iv, to_iv
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Largest census bound, from measurement (Python 3.11, numpy 2.4, one
 # process on a 2-core x86-64 host).  range_census peaks at 28.5 bytes an
@@ -85,11 +87,11 @@ def greedy_approximate(
         )
     if x < 0:
         raise DomainError(f"target must be >= 0, got {x}")
-    # the slice sieves the first ``steps`` primes: check the cheap bounds first
-    try:
-        p = table.slice(1, steps)
-    except DomainError:
-        raise DomainError(f"steps={steps} exceeds the table of {len(table)} primes") from None
+    # The slice sieves the first ``steps`` primes, so every cheap check goes
+    # first.  A table whose limit is past the bound on p_steps surely holds
+    # them, and then the target is checked before the table is.
+    if nth_prime_bound(steps) > table.limit:
+        _walk_primes(table, steps)
     log_g = Bracket.from_iv(log_g_iv(k, to_iv(r)))
     if x >= log_g.hi:
         raise DomainError(f"target {x} is not below log G_{k}({r}) = {log_g.hi}")
@@ -98,7 +100,9 @@ def greedy_approximate(
             f"target {x} falls inside the log G bracket [{log_g.lo}, {log_g.hi}]"
         )
 
-    p = p.astype(np.float64)
+    import numpy as np
+
+    p = _walk_primes(table, steps).astype(np.float64)
     # partial_logs[a][l] = log(sum_{j<=a} p_l^{-jr}); row 0 is zero.
     powers = p ** (-r)
     partials = np.cumsum(
@@ -136,6 +140,14 @@ def greedy_approximate(
         achieved=c,
         residual=x - c,
     )
+
+
+def _walk_primes(table: PrimeTable, steps: int) -> np.ndarray:
+    """The first ``steps`` primes of ``table``."""
+    try:
+        return table.slice(1, steps)
+    except DomainError:
+        raise DomainError(f"steps={steps} exceeds the table of {len(table)} primes") from None
 
 
 @dataclass(frozen=True)
@@ -176,6 +188,8 @@ def _sigma_values(k: int, r: float, bound: int) -> np.ndarray:
     is n with those primes divided out: 1 or one prime above sqrt(bound),
     whose factor goes in last, in bulk.  int32 holds every n up to
     CENSUS_MAX_BOUND."""
+    import numpy as np
+
     root = math.isqrt(bound)
     small = sieve(root).primes.tolist() if root >= 2 else []
     cofactor = np.arange(bound + 1, dtype=np.int32)
@@ -233,12 +247,6 @@ def range_census(
     if not resolution > 0:
         raise DomainError(f"resolution must be positive, got {resolution}")
 
-    values = _sigma_values(k, r, bound)
-    diffs = np.diff(values)
-    wide = np.nonzero(diffs > resolution)[0]
-    gaps = tuple(
-        zip(values[wide].tolist(), values[wide + 1].tolist(), diffs[wide].tolist())
-    )
     # math.exp is accurate to within an ulp but not directed: one ulp
     # inward keeps each linear endpoint inside the certified log-interval.
     analytic = tuple(
@@ -249,6 +257,22 @@ def range_census(
         )
         for entry in analytic_gap_scan(table, k, r, CENSUS_SCAN_LEVELS)
         if entry.interval is not None
+    )
+    # A gap narrower than a few ulps of 1 has no inward-rounded double
+    # endpoints; it is an error, never printed empty or inverted.
+    for m, left, right in analytic:
+        if left >= right:
+            raise PrecisionError(
+                f"the certified gap at level m = {m} is too narrow for doubles at r = {r}"
+            )
+
+    import numpy as np
+
+    values = _sigma_values(k, r, bound)
+    diffs = np.diff(values)
+    wide = np.nonzero(diffs > resolution)[0]
+    gaps = tuple(
+        zip(values[wide].tolist(), values[wide + 1].tolist(), diffs[wide].tolist())
     )
     return GapCensus(
         k=k,

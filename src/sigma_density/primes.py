@@ -9,12 +9,15 @@ search is the only computational content.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CapacityError, DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Exhaustive-search bound for the gap ratio check.
 GAP_SEARCH_BOUND = 396738
@@ -30,7 +33,8 @@ DEFAULT_LIMIT = 2_000_000
 SIEVE_MAX_LIMIT = 50_000_000
 # The first bound a table sieves to, and the factor each re-sieve grows it
 # by.  The first bound covers p_172 = 1021, more than the density criterion
-# and the solvers read.
+# and the solvers read; it is sieved in pure Python, so a request that
+# reads no further never imports numpy.
 FIRST_SIEVE_BOUND = 1024
 SIEVE_GROWTH = 4
 
@@ -48,29 +52,42 @@ class PrimeTable:
     sieves straight to that bound instead, so no read sieves more than
     twice.  ``len`` and ``primes`` mean the whole table, so they sieve
     once, to ``limit``.
+
+    A first sieve to at most ``FIRST_SIEVE_BOUND`` gives a tuple, which
+    ``nth`` reads; ``primes`` and ``slice`` turn it into an array once.
+    Every larger sieve gives a read-only int64 array.
     """
 
     def __init__(self, limit: int):
         self.limit = limit
         # (bound, primes up to it), replaced as one value, so that a reader
         # in another thread never pairs a bound with another bound's primes.
-        self._sieved = (0, np.empty(0, dtype=np.int64))
+        self._sieved = (0, ())
 
-    def _prefix(self, count: float) -> np.ndarray:
-        """The sieved primes, grown until they number ``count`` or the
-        sieve reaches ``limit``."""
+    def _prefix(self, count: float) -> tuple[int, tuple[int, ...] | np.ndarray]:
+        """The sieved (bound, primes), grown until the primes number
+        ``count`` or the sieve reaches ``limit``."""
         bound, primes = self._sieved
         while len(primes) < count and bound < self.limit:
             grown = max(FIRST_SIEVE_BOUND, SIEVE_GROWTH * bound)
             needed = nth_prime_bound(count)
             bound = math.ceil(min(self.limit, needed if needed > SIEVE_GROWTH * grown else grown))
-            primes = _eratosthenes(bound)
+            primes = _first_sieve(bound) if bound <= FIRST_SIEVE_BOUND else _eratosthenes(bound)
+            self._sieved = (bound, primes)
+        return bound, primes
+
+    def _array(self, count: float) -> np.ndarray:
+        """The sieved primes as by :meth:`_prefix`, as a read-only int64
+        array; a first sieve's tuple is turned into one once."""
+        bound, primes = self._prefix(count)
+        if isinstance(primes, tuple):
+            primes = _frozen_array(primes)
             self._sieved = (bound, primes)
         return primes
 
     @property
     def primes(self) -> np.ndarray:
-        return self._prefix(math.inf)
+        return self._array(math.inf)
 
     def __len__(self) -> int:
         return len(self.primes)
@@ -79,7 +96,7 @@ class PrimeTable:
         """The i-th prime, 1-based."""
         if i < 1:
             raise DomainError(f"prime index must be >= 1, got {i}")
-        primes = self._prefix(i)
+        primes = self._prefix(i)[1]
         if i > len(primes):
             raise DomainError(
                 f"table holds {len(primes)} primes (limit {self.limit}); "
@@ -89,7 +106,7 @@ class PrimeTable:
 
     def slice(self, start: int, stop: int) -> np.ndarray:
         """Primes p_start .. p_stop inclusive, 1-based, as int64 array."""
-        primes = self._prefix(stop)
+        primes = self._array(stop)
         if start < 1 or stop > len(primes):
             raise DomainError(f"prime slice [{start}, {stop}] outside table of size {len(self)}")
         return primes[start - 1 : stop]
@@ -103,16 +120,37 @@ def nth_prime_bound(n: float) -> float:
     return n * (math.log(n) + math.log(math.log(n)))
 
 
+def _first_sieve(bound: int) -> tuple[int, ...]:
+    """The primes up to ``bound`` inclusive, as a tuple, sieved in pure
+    Python: at ``FIRST_SIEVE_BOUND`` this takes about 40 us, against
+    18 us for numpy's sieve and tens of ms for numpy's import."""
+    mask = bytearray(b"\1") * (bound + 1)
+    mask[:2] = b"\0\0"
+    for p in range(2, math.isqrt(bound) + 1):
+        if mask[p]:
+            mask[p * p :: p] = bytes((bound - p * p) // p + 1)
+    return tuple(itertools.compress(range(bound + 1), mask))
+
+
+def _frozen_array(values) -> np.ndarray:
+    """``values`` as a read-only int64 array."""
+    import numpy as np
+
+    array = np.asarray(values, dtype=np.int64)
+    array.setflags(write=False)
+    return array
+
+
 def _eratosthenes(bound: int) -> np.ndarray:
     """The primes up to ``bound`` inclusive, as a read-only int64 array."""
+    import numpy as np
+
     mask = np.ones(bound + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, math.isqrt(bound) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    primes = np.nonzero(mask)[0].astype(np.int64, copy=False)
-    primes.setflags(write=False)
-    return primes
+    return _frozen_array(np.nonzero(mask)[0])
 
 
 def sieve(limit: int) -> PrimeTable:
@@ -149,6 +187,8 @@ def verify_gap_lemma(table: PrimeTable) -> GapLemmaReport:
     argmax.  The excluded indices are reported with their
     (super-sqrt(2)) ratios for reference.
     """
+    import numpy as np
+
     if table.limit < GAP_SEARCH_BOUND:
         raise DomainError(
             f"table limit {table.limit} < search bound {GAP_SEARCH_BOUND}"

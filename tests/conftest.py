@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from sigma_density import primes
@@ -10,13 +12,14 @@ def table():
 
 @pytest.fixture
 def sieve_bounds(monkeypatch):
-    """The bound of every sieve run while the test runs."""
+    """The bound of every sieve run while the test runs: the pure first
+    sieve's and numpy's."""
     bounds = []
-    sieve = primes._eratosthenes
 
-    def spy(bound):
+    def spy(sieve, bound):
         bounds.append(bound)
         return sieve(bound)
 
-    monkeypatch.setattr(primes, "_eratosthenes", spy)
+    for name in ("_first_sieve", "_eratosthenes"):
+        monkeypatch.setattr(primes, name, functools.partial(spy, getattr(primes, name)))
     return bounds

@@ -234,6 +234,25 @@ def test_walk_above_capacity_sieves_nothing_large(capsys):
     assert peak < 10_000_000
 
 
+def test_walk_to_a_target_past_log_g_sieves_nothing(capsys, sieve_bounds):
+    # the bound on p_1999999 is below the limit, so the table surely holds
+    # the walk's primes and the target is checked before the slice sieves them
+    argv = ["--prime-limit", "50000000", "approximate", "--k", "1", "--r", "1.5", "--x", "100", "--steps", "1999999"]
+    assert primes.nth_prime_bound(1999999) <= 50_000_000
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "sigma-density: error: target 100.0 is not below log G_1(1.5) = 0.776225727339294\n"
+    assert sieve_bounds == []
+    assert peak < 10_000_000
+
+
 def test_census_above_capacity_allocates_nothing_large(capsys):
     argv = ["census", "--k", "1", "--r", "2", "--bound", str(explorer.CENSUS_MAX_BOUND + 1)]
     code, peak = _exit_code_and_peak(capsys, argv)
@@ -279,6 +298,52 @@ def test_a_request_sieves_only_the_primes_it_reads(capsys, sieve_bounds, argv):
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert sum(sieve_bounds) <= 4096, sieve_bounds
+
+
+def test_census_gap_too_narrow_for_doubles_is_an_error(capsys):
+    # at r = 40 the gaps of levels 2..9 would print with lo > hi
+    code, out, err = run(capsys, "census", "--k", "2", "--r", "40", "--bound", "100000")
+    assert code == 1
+    assert out == ""
+    assert err == "sigma-density: error: the certified gap at level m = 2 is too narrow for doubles at r = 40.0\n"
+
+
+# Run in a fresh interpreter: ``import sigma_density`` and, given arguments,
+# the CLI as ``python -m sigma_density.cli`` runs it; then report the exit
+# code and whether numpy was ever imported.
+NUMPY_PROBE = """
+import runpy, sys
+import sigma_density
+code = 0
+if sys.argv[1:]:
+    try:
+        runpy.run_module("sigma_density.cli", run_name="__main__")
+    except SystemExit as stop:
+        code = stop.code
+print(code, "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["density", "--k", "1", "--r", "2"],
+        ["eta", "--k", "3"],
+        ["eta-limit"],
+        ["thresholds", "--k", "3"],
+        ["table", "--kmax", "3"],
+    ],
+    ids=lambda argv: " ".join(argv) or "import",
+)
+def test_point_requests_never_import_numpy(argv):
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "0 False\n"
 
 
 def test_walk_past_the_table_fails_before_any_walk(capsys, monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sigma_density import density, explorer
-from sigma_density.errors import CapacityError, DomainError, IndeterminateError
+from sigma_density.errors import CapacityError, DomainError, IndeterminateError, PrecisionError
 from sigma_density.zeta import g_k, log_sigma_restricted
 
 
@@ -179,6 +179,18 @@ class TestCensus:
     def test_capacity_error(self, table):
         with pytest.raises(CapacityError):
             explorer.range_census(table, 1, 2, explorer.CENSUS_MAX_BOUND + 1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    def test_gaps_below_r_10_are_not_empty(self, table, k):
+        census = explorer.range_census(table, k, 9.9, 100)
+        assert len(census.analytic_gaps) == explorer.CENSUS_SCAN_LEVELS
+        assert all(left < right for _, left, right in census.analytic_gaps)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    def test_gap_too_narrow_for_doubles_is_an_error(self, table, k):
+        # at r = 10.15 the level-10 gap rounds inward to lo >= hi
+        with pytest.raises(PrecisionError, match=r"level m = 10 .* r = 10\.15$"):
+            explorer.range_census(table, k, 10.15, 100)
 
 
 class TestAnalyticScan:

@@ -86,6 +86,24 @@ def test_sieved_primes_are_read_only_int64(bound):
             values[0] = 4
 
 
+def test_first_sieve_matches_the_numpy_sieve():
+    for bound in range(2, primes.FIRST_SIEVE_BOUND + 1):
+        assert list(primes._first_sieve(bound)) == primes._eratosthenes(bound).tolist()
+
+
+def test_a_first_sieve_table_serves_read_only_arrays_without_copies(sieve_bounds):
+    table = primes.sieve(primes.DEFAULT_LIMIT)
+    assert table.nth(4) == 7
+    head, tail = table.slice(1, 4), table.slice(100, 172)
+    assert sieve_bounds == [primes.FIRST_SIEVE_BOUND]
+    for values in (head, tail):
+        assert values.dtype == np.int64
+        assert not values.flags.writeable
+    # both are views of one array, made once
+    assert head.base is tail.base is not None
+    assert list(head) == [2, 3, 5, 7] and tail[-1] == 1021
+
+
 def test_sieve_matches_trial_division():
     assert list(primes.sieve(500).primes) == _trial_division_primes(500)
 
