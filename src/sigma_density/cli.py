@@ -8,8 +8,8 @@ floats serialize with shortest round-trip representation, which is exact
 to the double.  TSV flattens the same numbers to key/value lines, except
 for the census where it emits one range value per line.
 
-Exit codes: 0 success, 1 domain/precision error or a closed output pipe,
-2 verification-suite failure, 64 usage error.
+Exit codes: 0 success, 1 domain/precision error, an unwritable ``--out``
+or a closed output pipe, 2 verification-suite failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -191,10 +191,13 @@ def _write(pieces, args):
     An unbuffered stdout (``python -u``) writes through to the raw file,
     and its text layer drops whatever a short write leaves, so there each
     piece is written as bytes until the raw file has taken all of it, or
-    a closed pipe raises."""
+    a closed pipe raises.  A ``--out`` that cannot be written is an error."""
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.writelines(pieces)
+        try:
+            with open(args.out, "w") as fh:
+                fh.writelines(pieces)
+        except OSError as exc:
+            raise SigmaDensityError(f"cannot write {args.out}: {exc.strerror}") from None
         return
     raw = getattr(sys.stdout, "buffer", None)
     if not isinstance(raw, io.RawIOBase):
@@ -363,11 +366,10 @@ def _main(args) -> int:
             return EXIT_OK if ok else EXIT_VERIFY_FAILED
         else:  # pragma: no cover - argparse enforces the choices
             raise AssertionError(args.command)
+        _emit(_envelope(args.command, params, result, table.limit, tolerances), args)
     except SigmaDensityError as exc:
         print(f"sigma-density: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    envelope = _envelope(args.command, params, result, table.limit, tolerances)
-    _emit(envelope, args)
     return EXIT_OK
 
 

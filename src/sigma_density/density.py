@@ -56,18 +56,6 @@ def _check_kmr(k: int, m: int, r: float) -> None:
     check_r(r)
 
 
-def _log_one_plus_pm_iv(table: PrimeTable, m: int, r_iv):
-    pm = iv.mpf(table.nth(m))
-    return iv.log(1 + iv_pow(pm, -r_iv))
-
-
-def _prefix_log_factors_iv(table: PrimeTable, k: int, m: int, r_iv):
-    total = iv.mpf(0)
-    for i in range(1, m + 1):
-        total += log_local_factor_iv(table.nth(i), k, r_iv)
-    return total
-
-
 def tail(table: PrimeTable, k: int, m: int, r: float) -> Bracket:
     """The infinite tail sum_{i>m} log(local factor at p_i).
 
@@ -80,7 +68,8 @@ def tail(table: PrimeTable, k: int, m: int, r: float) -> Bracket:
     check_k(k)
     check_r(r)
     r_iv = to_iv(r)
-    return Bracket.from_iv(log_g_iv(k, r_iv) - _prefix_log_factors_iv(table, k, m, r_iv))
+    prefix = sum((log_local_factor_iv(table.nth(i), k, r_iv) for i in range(1, m + 1)), iv.mpf(0))
+    return Bracket.from_iv(log_g_iv(k, r_iv) - prefix)
 
 
 def t_levels(
@@ -100,7 +89,7 @@ def t_levels(
         for i in range(done + 1, m + 1):
             prefix += log_local_factor_iv(table.nth(i), k, r_iv)
         done = m
-        head = _log_one_plus_pm_iv(table, m, r_iv)
+        head = iv.log(1 + iv_pow(iv.mpf(table.nth(m)), -r_iv))
         t = Bracket.from_iv(head - log_g + prefix)
         gap = None
         if t.strictly_positive():

@@ -7,20 +7,23 @@ returned bracket has certified opposite signs at its endpoints, or
 carries an explicit boundary flag for the "no root, threshold = 2" case.
 
 A certified sign test costs an interval evaluation of zeta (milliseconds),
-so the bisection walks its path with a float64 estimate of the same
-function, its guide (microseconds), and certifies only the points the
-returned bracket rests on: its two endpoints and the residual at its
-midpoint, the a-posteriori verification pattern of Rump, "Verification
-methods" (Acta Numerica 2010).  Because the function is increasing,
-certified endpoints make the guided path the certified path, so guided
-and certified-only solves return the same bits, and the ends of the
-start bracket [1.0001, 2] need no test of their own.  The certified-only
-walk remains the fallback and the tests' reference.
+so the one bisection routine, :func:`_solve`, walks its path with a
+float64 estimate of the same function, its guide (microseconds), and
+certifies only the points the returned bracket rests on: its two
+endpoints and the residual at its midpoint, the a-posteriori
+verification pattern of Rump, "Verification methods" (Acta Numerica
+2010).  Because the function is increasing, certified endpoints make the
+guided path the certified path, so guided and certified-only solves
+return the same bits, and the ends of the start bracket [1.0001, 2] need
+no certified test of their own while the guide clears them.  The
+certified-only walk remains the fallback and, as the solve with a NaN
+guide, the tests' reference.  Bisection is deterministic, so the
+selector, when thresholds tie, solves them again at eps/100 and gets the
+bits a fresh solve at that eps gives.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -93,109 +96,48 @@ def _walk(
     return a, b, steps
 
 
-def _guided_walk(
-    certified: Callable[[float], int | None],
+def _solve(
+    sign_fn: Callable[[float], Bracket],
     guide: Callable[[float], float],
-    a: float,
-    b: float,
     eps: float,
-    held: tuple[float, ...] = (),
-) -> tuple[float, float, int] | None:
-    """The walk of :func:`_walk` with the guide's sign wherever
-    |guide| > GUIDE_ERROR and the ``certified`` sign elsewhere, then a
-    certified test at each endpoint not in ``held``, the ends of [a, b]
-    already certified.  None when the guide is NaN, an in-band test is
-    indeterminate, or an endpoint fails its test."""
+    method: str,
+    boundary: bool = False,
+) -> RootResult:
+    """The root in (1, 2) of a strictly increasing ``sign_fn`` by bisection
+    from [_START, 2], steered by ``guide``, a float estimate of ``sign_fn``:
+    a point's sign is the guide's wherever |guide| > GUIDE_ERROR and a
+    certified test elsewhere, each point tested at most once per solve.
 
-    def sign(r: float) -> int | None:
-        g = guide(r)
-        if abs(g) > GUIDE_ERROR:
-            return 1 if g > 0 else -1
-        return None if math.isnan(g) else certified(r)
-
-    try:
-        lo, hi, steps = _walk(sign, a, b, eps)
-    except PrecisionError:
-        return None
-    if (lo in held or certified(lo) == -1) and (hi in held or certified(hi) == 1):
-        return lo, hi, steps
-    return None
-
-
-def _certifier(
-    sign_fn: Callable[[float], Bracket], brackets: dict[float, Bracket]
-) -> Callable[[float], int | None]:
-    """The certified sign of ``sign_fn``, evaluated at most once per point:
-    ``brackets`` keeps each evaluation and may hold some already."""
+    The steered sign at 2 comes first.  When it is positive, the walk is
+    steered and its two endpoints are then certified: certified opposite
+    signs there put the root between them, so every midpoint before went
+    to the root's side, as a certified test would have sent it, and the
+    steered walk is the certified walk.  Otherwise, or when an endpoint
+    fails its test, both ends of [_START, 2] are certified and the walk is
+    redone with a certified test at every midpoint.  A sign at 2 certified
+    nonpositive gives the boundary result when ``boundary`` is set and
+    raises otherwise.  A NaN guide makes every sign a certified test.
+    """
+    brackets: dict[float, Bracket] = {}
 
     def certified(r: float) -> int | None:
         if r not in brackets:
             brackets[r] = sign_fn(r)
         return brackets[r].certified_sign()
 
-    return certified
+    def steered(r: float) -> int | None:
+        g = guide(r)
+        if abs(g) > GUIDE_ERROR:
+            return 1 if g > 0 else -1
+        return certified(r)
 
-
-def _bisect(
-    sign_fn: Callable[[float], Bracket],
-    root: RootResult,
-    eps: float,
-    guide: Callable[[float], float] | None = None,
-) -> RootResult:
-    """Continue the bisection of ``root``, whose ends are certified, on the
-    strictly increasing ``sign_fn`` until its bracket is at most ``eps``
-    wide.
-
-    ``guide`` is a float estimate of ``sign_fn`` (see :func:`_guided_walk`).
-    Certified signs at the guided walk's endpoints put the root between
-    them, so every midpoint before went to the root's side, as a
-    certified test would have sent it: the guided walk is the certified
-    walk.  When the endpoints are not certified, the walk is redone with a
-    certified test at every midpoint.
-
-    Bisection is deterministic, so refining a bracket solved at a coarser
-    eps gives bit-for-bit the bracket a fresh solve at ``eps`` would.
-    """
-    a, b = root.value.lo, root.value.hi
-    certified = _certifier(sign_fn, {})
-    walked = None if guide is None else _guided_walk(certified, guide, a, b, eps, (a, b))
-    if walked is None:
-        walked = _walk(certified, a, b, eps)
-    a, b, steps = walked
-    return dataclasses.replace(
-        root,
-        value=Bracket(a, b),
-        iterations=root.iterations + steps,
-        residual=sign_fn(0.5 * (a + b)),
-    )
-
-
-def _solve(
-    sign_fn: Callable[[float], Bracket],
-    at_two: Bracket | None,
-    eps: float,
-    method: str,
-    guide: Callable[[float], float] | None = None,
-    boundary: bool = False,
-) -> RootResult:
-    """The root in (1, 2) of a strictly increasing ``sign_fn`` by bisection
-    from [_START, 2]; ``at_two`` is sign_fn(2.0) when the caller has it.
-
-    Only the points the result rests on are certified: the two endpoints
-    of the guided walk and the residual at their midpoint.  The ends of
-    [_START, 2] are certified only when the walk ends on one of them, or
-    when it cannot be trusted (no guide, the walk fails, or ``at_two`` is
-    known and not positive): then, after one certified sign test at each
-    end, the walk is redone with a certified test at every midpoint.  A
-    sign at 2 certified nonpositive gives the boundary result when
-    ``boundary`` is set and raises otherwise.
-    """
-    brackets = {} if at_two is None else {2.0: at_two}
-    certified = _certifier(sign_fn, brackets)
     walked = None
-    if guide is not None and (at_two is None or at_two.strictly_positive()):
-        walked = _guided_walk(certified, guide, _START, 2.0, eps)
-    if walked is None:
+    if steered(2.0) == 1:
+        try:
+            walked = _walk(steered, _START, 2.0, eps)
+        except PrecisionError:
+            pass
+    if walked is None or certified(walked[0]) != -1 or certified(walked[1]) != 1:
         if certified(2.0) != 1:
             if boundary and brackets[2.0].nonpositive():
                 return RootResult(
@@ -222,17 +164,9 @@ def r_threshold(table: PrimeTable, k: int, m: int, eps: float = DEFAULT_EPS) -> 
     if m not in (1, 2, 4):
         raise DomainError(f"m must be one of 1, 2, 4, got {m}")
     check_eps(eps)
-    guide = partial(t_float, table, k, m)
     sign_fn = partial(t_func, table, k, m)
-    # The boundary verdict needs T(2) certified; a guide clearly positive
-    # there leaves T(2) to the walk, which certifies it if it ends there.
-    at_two = None if guide(2.0) > GUIDE_ERROR else sign_fn(2.0)
-    return _solve(sign_fn, at_two, eps, "bisection on T", guide, boundary=True)
-
-
-def _refine(table: PrimeTable, k: int, m: int, root: RootResult, eps: float) -> RootResult:
-    """A root of T_k(m, .) bisected on to ``eps`` (see :func:`_bisect`)."""
-    return _bisect(partial(t_func, table, k, m), root, eps, partial(t_float, table, k, m))
+    guide = partial(t_float, table, k, m)
+    return _solve(sign_fn, guide, eps, "bisection on T", boundary=True)
 
 
 def m_selector(table: PrimeTable, k: int) -> int:
@@ -245,9 +179,9 @@ def m_selector(table: PrimeTable, k: int) -> int:
 def select_m(table: PrimeTable, k: int, roots: dict[int, RootResult], eps: float) -> int:
     """The selector from thresholds already solved at ``eps``.
 
-    While the winner has not separated from the rest, the brackets held
-    are refined at eps/100 per round, down to the precision floor; a tie
-    that persists there raises with the tied candidates.  Equal
+    While the winner has not separated from the rest, the three thresholds
+    are solved again at eps/100 per round, down to the precision floor; a
+    tie that persists there raises with the tied candidates.  Equal
     boundaries tie to the smallest m.
     """
     while True:
@@ -267,7 +201,7 @@ def select_m(table: PrimeTable, k: int, roots: dict[int, RootResult], eps: float
                 "unseparated at the precision floor"
             )
         eps = max(eps / 100, PRECISION_FLOOR)
-        roots = {m: _refine(table, k, m, roots[m], eps) for m in (1, 2, 4)}
+        roots = {m: r_threshold(table, k, m, eps) for m in (1, 2, 4)}
 
 
 def _m_k(k: int) -> int:
@@ -291,8 +225,7 @@ def eta(table: PrimeTable, k: int, eps: float = DEFAULT_EPS) -> RootResult:
         ((_, t, _),) = t_levels(table, k, r_iv, log_g_iv(k, r_iv), (m,))
         return t
 
-    guide = partial(t_float, table, k, m)
-    return _solve(sign_fn, None, eps, "bisection on T at m_k", guide)
+    return _solve(sign_fn, partial(t_float, table, k, m), eps, "bisection on T at m_k")
 
 
 def eta_limit(eps: float = LIMIT_EPS) -> RootResult:
@@ -302,7 +235,7 @@ def eta_limit(eps: float = LIMIT_EPS) -> RootResult:
 
     solved in log form by bisection."""
     check_eps(eps)
-    return _solve(_limit_sign, None, eps, "bisection on limit equation", _limit_guide)
+    return _solve(_limit_sign, _limit_guide, eps, "bisection on limit equation")
 
 
 def _limit_sign(r: float) -> Bracket:

@@ -400,6 +400,19 @@ def test_out_file(tmp_path, capsys):
     assert envelope["command"] == "eta-limit"
 
 
+@pytest.mark.parametrize(
+    "target, reason",
+    [("missing/result.json", "No such file or directory"), (".", "Is a directory")],
+    ids=["missing-dir", "a-dir"],
+)
+def test_unwritable_out_is_an_error(tmp_path, capsys, target, reason):
+    path = str(tmp_path / target)
+    code, out, err = run(capsys, *PRIME_ARGS, "--out", path, "eta-limit", "--eps", "1e-6")
+    assert code == cli.EXIT_ERROR
+    assert out == ""
+    assert err == f"sigma-density: error: cannot write {path}: {reason}\n"
+
+
 def _readme_cli_commands():
     """The argv of each line of the sh block under README's ## CLI."""
     readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()

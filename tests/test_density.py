@@ -9,7 +9,7 @@ from mpmath import iv
 from sigma_density import density, primes, solver
 from sigma_density.brackets import Bracket
 from sigma_density.errors import DomainError, IndeterminateError
-from sigma_density.zeta import local_factor, log_g_iv, to_iv
+from sigma_density.zeta import local_factor, log_g_iv, log_local_factor_iv, to_iv
 
 PI = math.pi
 LOG_10_OVER_PI_SQ = math.log(10 / PI**2)
@@ -19,10 +19,11 @@ def f(table, k, m, r):
     """Oracle: f_k(m, r) = log(1 + p_m^{-r}) + sum_{i<=m} log(local factor
     at p_i), so that T_k(m, r) = f_k(m, r) - log G_k(r)."""
     r_iv = to_iv(r)
-    return Bracket.from_iv(
-        density._log_one_plus_pm_iv(table, m, r_iv)
-        + density._prefix_log_factors_iv(table, k, m, r_iv)
-    )
+    head = iv.log(1 + iv.mpf(table.nth(m)) ** -r_iv)
+    prefix = iv.mpf(0)
+    for i in range(1, m + 1):
+        prefix += log_local_factor_iv(table.nth(i), k, r_iv)
+    return Bracket.from_iv(head + prefix)
 
 
 def log_g(k, r):

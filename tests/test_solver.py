@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from functools import partial
 
@@ -5,7 +6,7 @@ import pytest
 from mpmath import iv
 
 from sigma_density import density, solver
-from sigma_density.brackets import Bracket
+from sigma_density.brackets import PRECISION_FLOOR, Bracket
 from sigma_density.errors import CapacityError, DomainError, PrecisionError
 from sigma_density.zeta import iv_pow, log_g_iv, to_iv
 
@@ -40,6 +41,11 @@ ETA_BRACKETS = {
     9: (1.8877909266738802, 1.887790926732082),
     10: (1.8877909266738802, 1.887790926732082),
 }
+
+
+def no_guide(r):
+    """A guide that never clears GUIDE_ERROR: every sign is a certified test."""
+    return math.nan
 
 
 def assert_certified_root(table, result, sign_fn):
@@ -97,6 +103,35 @@ class TestSelector:
         assert solver.m_selector(table, 1) == 1
         assert solver.m_selector(table, 2) == 2
         assert solver.m_selector(table, 10) == 2
+
+    def test_a_tie_is_solved_again_at_eps_over_100(self, table, monkeypatch):
+        # R_1(1) and R_1(2) lie 6e-4 apart: their 1e-2 brackets overlap
+        roots = {m: solver.r_threshold(table, 1, m, 1e-2) for m in (1, 2, 4)}
+        assert roots[2].value.lo <= roots[1].value.hi
+        fresh = solver.r_threshold
+        solved = {}
+
+        def spy(table, k, m, eps):
+            solved[m, eps] = fresh(table, k, m, eps)
+            return solved[m, eps]
+
+        monkeypatch.setattr(solver, "r_threshold", spy)
+        assert solver.select_m(table, 1, roots, 1e-2) == 1
+        assert list(solved) == [(1, 1e-4), (2, 1e-4), (4, 1e-4)]
+        for (m, eps), root in solved.items():
+            assert root == fresh(table, 1, m, eps)
+
+    def test_a_tie_at_the_floor_raises(self, table, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("no eps below the floor is solved")
+
+        monkeypatch.setattr(solver, "r_threshold", no_solve)
+        tied = solver.RootResult(Bracket(1.8, 1.8 + 1e-14), 46, Bracket(-1.0, 1.0), "test")
+        two = solver.RootResult(Bracket.exact(2.0), 0, Bracket(-1.0, -0.5), "test", True)
+        roots = {1: tied, 2: tied, 4: two}
+        floor = r"m=\[1, 2\] remain unseparated at the precision floor"
+        with pytest.raises(PrecisionError, match=floor):
+            solver.select_m(table, 1, roots, PRECISION_FLOOR)
 
 
 class TestEta:
@@ -192,38 +227,52 @@ class TestR1Surrogate:
 
 class TestBisection:
     def test_indeterminate_sign_raises(self):
-        start = solver.RootResult(Bracket(1.0001, 2.0), 0, Bracket(1.0, 1.0), "test")
-        with pytest.raises(PrecisionError):
-            solver._bisect(lambda r: Bracket(-1.0, 1.0), start, 1e-10)
+        # certified at both ends, indeterminate at every midpoint
+        ends = {solver._START: Bracket(-2.0, -1.0), 2.0: Bracket(1.0, 2.0)}
+        with pytest.raises(PrecisionError, match="indeterminate"):
+            solver._solve(lambda r: ends.get(r, Bracket(-1.0, 1.0)), no_guide, 1e-10, "test")
 
     def test_uncertified_start_raises(self):
         def sign_fn(r):
             return Bracket(1.0, 2.0) if r > 1.5 else Bracket(-1.0, 1.0)
 
         with pytest.raises(PrecisionError):
-            solver._solve(sign_fn, sign_fn(2.0), 1e-10, "test")
+            solver._solve(sign_fn, no_guide, 1e-10, "test")
 
     def test_refining_equals_solving_at_the_finer_eps(self, table):
+        # bisection is deterministic: a 1e-10 bracket walked on to 1e-12 is
+        # the 1e-12 solve, so the selector solving a tie again at a finer eps
+        # gets the bits a refinement of the tied brackets would
         coarse = solver.r_threshold(table, 3, 2, 1e-10)
-        refined = solver._bisect(lambda r: density.t_func(table, 3, 2, r), coarse, 1e-12)
-        assert refined == solver.r_threshold(table, 3, 2, 1e-12)
+        sign = lambda r: density.t_func(table, 3, 2, r).certified_sign()  # noqa: E731
+        lo, hi, steps = solver._walk(sign, coarse.value.lo, coarse.value.hi, 1e-12)
+        fine = solver.r_threshold(table, 3, 2, 1e-12)
+        assert (Bracket(lo, hi), coarse.iterations + steps) == (fine.value, fine.iterations)
 
 
 @pytest.fixture(scope="module")
 def certified_only(table):
     """The certified-only solve of T_k(m, .), the oracle for the guided
-    one, keyed by (k, m, eps).  The 1e-13 root continues the 1e-10 walk,
-    which equals a fresh solve (see TestBisection)."""
+    one, keyed by (k, m, eps).  The 1e-13 root continues the certified
+    1e-10 walk, which equals a fresh solve (see TestBisection)."""
     roots = {}
 
     def solve(k, m, eps):
         if (k, m, eps) not in roots:
             sign_fn = partial(density.t_func, table, k, m)
             if eps == 1e-13:
-                roots[k, m, eps] = solver._bisect(sign_fn, solve(k, m, 1e-10), eps)
+                coarse = solve(k, m, 1e-10)
+                sign = lambda r: sign_fn(r).certified_sign()  # noqa: E731
+                lo, hi, steps = solver._walk(sign, coarse.value.lo, coarse.value.hi, eps)
+                roots[k, m, eps] = replace(
+                    coarse,
+                    value=Bracket(lo, hi),
+                    iterations=coarse.iterations + steps,
+                    residual=sign_fn(0.5 * (lo + hi)),
+                )
             else:
                 roots[k, m, eps] = solver._solve(
-                    sign_fn, sign_fn(2.0), eps, "bisection on T", boundary=True
+                    sign_fn, no_guide, eps, "bisection on T", boundary=True
                 )
         return roots[k, m, eps]
 
@@ -258,9 +307,7 @@ class TestGuidedBisection:
 
     @pytest.mark.parametrize("eps", [solver.LIMIT_EPS, 1e-12])
     def test_eta_limit_is_the_certified_walk(self, eps):
-        oracle = solver._solve(
-            solver._limit_sign, solver._limit_sign(2.0), eps, "bisection on limit equation"
-        )
+        oracle = solver._solve(solver._limit_sign, no_guide, eps, "bisection on limit equation")
         assert solver.eta_limit(eps) == oracle
 
     @pytest.mark.parametrize(
@@ -271,7 +318,7 @@ class TestGuidedBisection:
     def test_a_lying_guide_falls_back_to_the_certified_walk(self, table, certified_only, lie):
         sign_fn = CountingSign(partial(density.t_func, table, 3, 2))
         guide = partial(lie, partial(density.t_float, table, 3, 2))
-        root = solver._solve(sign_fn, sign_fn(2.0), 1e-10, "bisection on T", guide)
+        root = solver._solve(sign_fn, guide, 1e-10, "bisection on T")
         assert root == certified_only(3, 2, 1e-10)
         # the certified walk tests every midpoint
         assert sign_fn.calls > root.iterations
@@ -335,7 +382,7 @@ class TestEtaTable:
 
     def test_solves_each_threshold_once(self, table, monkeypatch):
         calls = []
-        for name in ("r_threshold", "eta", "_refine"):
+        for name in ("r_threshold", "eta"):
             original = getattr(solver, name)
 
             def spy(*args, _name=name, _original=original, **kwargs):
