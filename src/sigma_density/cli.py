@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import io
 import json
@@ -185,6 +186,24 @@ def _json_pieces(envelope):
     return pieces
 
 
+def _check_out(path):
+    """Raise the error that writing ``path`` would give, before any work:
+    its directory must exist and be writable, and ``path`` must be neither
+    a directory nor an existing file that cannot be written.  Nothing is
+    created or truncated, so a request that then fails leaves an existing
+    file as it was."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise SigmaDensityError(f"cannot write {path}: {os.strerror(code)}")
+
+
 def _write(pieces, args):
     """Write the strings ``pieces`` to ``--out`` when given, else to stdout.
 
@@ -313,6 +332,8 @@ def main(argv=None) -> int:
 def _main(args) -> int:
     tolerances = {}
     try:
+        if args.out:
+            _check_out(args.out)
         table = primes.load_or_sieve(args.prime_limit)
         if args.command == "eta":
             tolerances["eps"] = args.eps

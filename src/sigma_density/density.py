@@ -29,6 +29,8 @@ from .brackets import Bracket
 from .errors import DomainError, IndeterminateError, check_k, check_r
 from .primes import PrimeTable
 from .zeta import (
+    FULL_SIZE,
+    KernelSize,
     iv_pow,
     log_g_iv,
     log_local_factor_iv,
@@ -100,17 +102,20 @@ def t_levels(
 
 
 def _level(
-    table: PrimeTable, k: int, m: int, r: float
+    table: PrimeTable, k: int, m: int, r: float, size: KernelSize = FULL_SIZE
 ) -> tuple[int, Bracket, GapInterval | None]:
     _check_kmr(k, m, r)
     r_iv = to_iv(r)
-    (level,) = t_levels(table, k, r_iv, log_g_iv(k, r_iv), (m,))
+    (level,) = t_levels(table, k, r_iv, log_g_iv(k, r_iv, size), (m,))
     return level
 
 
-def t_func(table: PrimeTable, k: int, m: int, r: float) -> Bracket:
-    """T_k(m, r) = log(1 + p_m^{-r}) - tail(k, m, r)."""
-    _, t, _ = _level(table, k, m, r)
+def t_func(
+    table: PrimeTable, k: int, m: int, r: float, size: KernelSize = FULL_SIZE
+) -> Bracket:
+    """T_k(m, r) = log(1 + p_m^{-r}) - tail(k, m, r), with zeta at ``size``
+    (the solver's sign tests take ``zeta.SIGN_SIZE``)."""
+    _, t, _ = _level(table, k, m, r, size)
     return t
 
 

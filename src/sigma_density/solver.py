@@ -12,7 +12,11 @@ float64 estimate of the same function, its guide (microseconds), and
 certifies only the points the returned bracket rests on: its two
 endpoints and the residual at its midpoint, the a-posteriori
 verification pattern of Rump, "Verification methods" (Acta Numerica
-2010).  Because the function is increasing, certified endpoints make the
+2010).  An endpoint test needs only a sign, so it takes zeta at
+``zeta.SIGN_SIZE`` and escalates to ``zeta.FULL_SIZE`` only where the
+small bracket straddles 0; every printed bracket (the residual, and a
+boundary's bracket at 2) is full size, so no output depends on the sign
+size.  Because the function is increasing, certified endpoints make the
 guided path the certified path, so guided and certified-only solves
 return the same bits, and the ends of the start bracket [1.0001, 2] need
 no certified test of their own while the guide clears them.  The
@@ -35,7 +39,7 @@ from .brackets import PRECISION_FLOOR, Bracket, check_eps
 from .density import t_float, t_func, t_levels, v_func
 from .errors import CapacityError, DomainError, PrecisionError, check_k
 from .primes import PrimeTable
-from .zeta import iv_pow, log_g_iv, to_iv, zeta_iv
+from .zeta import FULL_SIZE, SIGN_SIZE, KernelSize, iv_pow, log_g_iv, to_iv, zeta_iv
 
 DEFAULT_EPS = 1e-10
 LIMIT_EPS = 1e-9
@@ -97,7 +101,7 @@ def _walk(
 
 
 def _solve(
-    sign_fn: Callable[[float], Bracket],
+    sign_fn: Callable[[float, KernelSize], Bracket],
     guide: Callable[[float], float],
     eps: float,
     method: str,
@@ -106,24 +110,33 @@ def _solve(
     """The root in (1, 2) of a strictly increasing ``sign_fn`` by bisection
     from [_START, 2], steered by ``guide``, a float estimate of ``sign_fn``:
     a point's sign is the guide's wherever |guide| > GUIDE_ERROR and a
-    certified test elsewhere, each point tested at most once per solve.
+    certified test elsewhere.  ``sign_fn(r, size)`` brackets the function
+    at r with zeta at ``size``, at most once per point and size per solve:
+    a certified test reads the SIGN_SIZE bracket and escalates to the
+    FULL_SIZE one only where that straddles 0.  The residual and a
+    boundary's bracket at 2, which are printed, are FULL_SIZE.
 
     The steered sign at 2 comes first.  When it is positive, the walk is
     steered and its two endpoints are then certified: certified opposite
     signs there put the root between them, so every midpoint before went
     to the root's side, as a certified test would have sent it, and the
     steered walk is the certified walk.  Otherwise, or when an endpoint
-    fails its test, both ends of [_START, 2] are certified and the walk is
-    redone with a certified test at every midpoint.  A sign at 2 certified
-    nonpositive gives the boundary result when ``boundary`` is set and
-    raises otherwise.  A NaN guide makes every sign a certified test.
+    fails its test, both ends of [_START, 2] are certified, 2 at FULL_SIZE,
+    and the walk is redone with a certified test at every midpoint.  A
+    sign at 2 certified nonpositive gives the boundary result when
+    ``boundary`` is set and raises otherwise.  A NaN guide makes every
+    sign a certified test.
     """
-    brackets: dict[float, Bracket] = {}
+    brackets: dict[tuple[float, KernelSize], Bracket] = {}
+
+    def bracket(r: float, size: KernelSize) -> Bracket:
+        if (r, size) not in brackets:
+            brackets[r, size] = sign_fn(r, size)
+        return brackets[r, size]
 
     def certified(r: float) -> int | None:
-        if r not in brackets:
-            brackets[r] = sign_fn(r)
-        return brackets[r].certified_sign()
+        sign = bracket(r, SIGN_SIZE).certified_sign()
+        return bracket(r, FULL_SIZE).certified_sign() if sign is None else sign
 
     def steered(r: float) -> int | None:
         g = guide(r)
@@ -138,12 +151,13 @@ def _solve(
         except PrecisionError:
             pass
     if walked is None or certified(walked[0]) != -1 or certified(walked[1]) != 1:
-        if certified(2.0) != 1:
-            if boundary and brackets[2.0].nonpositive():
+        at_two = bracket(2.0, FULL_SIZE)
+        if at_two.certified_sign() != 1:
+            if boundary and at_two.nonpositive():
                 return RootResult(
                     value=Bracket.exact(2.0),
                     iterations=0,
-                    residual=brackets[2.0],
+                    residual=at_two,
                     method="boundary (no sign change on (1, 2))",
                     boundary=True,
                 )
@@ -153,7 +167,10 @@ def _solve(
         walked = _walk(certified, _START, 2.0, eps)
     a, b, steps = walked
     return RootResult(
-        value=Bracket(a, b), iterations=steps, residual=sign_fn(0.5 * (a + b)), method=method
+        value=Bracket(a, b),
+        iterations=steps,
+        residual=sign_fn(0.5 * (a + b), FULL_SIZE),
+        method=method,
     )
 
 
@@ -220,9 +237,9 @@ def eta(table: PrimeTable, k: int, eps: float = DEFAULT_EPS) -> RootResult:
     check_eps(eps)
     m = _m_k(k)
 
-    def sign_fn(r: float) -> Bracket:
+    def sign_fn(r: float, size: KernelSize) -> Bracket:
         r_iv = to_iv(r)
-        ((_, t, _),) = t_levels(table, k, r_iv, log_g_iv(k, r_iv), (m,))
+        ((_, t, _),) = t_levels(table, k, r_iv, log_g_iv(k, r_iv, size), (m,))
         return t
 
     return _solve(sign_fn, partial(t_float, table, k, m), eps, "bisection on T at m_k")
@@ -238,13 +255,14 @@ def eta_limit(eps: float = LIMIT_EPS) -> RootResult:
     return _solve(_limit_sign, _limit_guide, eps, "bisection on limit equation")
 
 
-def _limit_sign(r: float) -> Bracket:
-    """The limit equation in log form, lhs - log zeta(r), as a bracket."""
+def _limit_sign(r: float, size: KernelSize = FULL_SIZE) -> Bracket:
+    """The limit equation in log form, lhs - log zeta(r), as a bracket,
+    with zeta at ``size``."""
     r_iv = to_iv(r)
     p2 = iv_pow(iv.mpf(2), r_iv)
     p3 = iv_pow(iv.mpf(3), r_iv)
     lhs = iv.log(p2 / (p2 - 1)) + iv.log((p3 + 1) / (p3 - 1))
-    return Bracket.from_iv(lhs - iv.log(zeta_iv(r_iv)))
+    return Bracket.from_iv(lhs - iv.log(zeta_iv(r_iv, size)))
 
 
 def _limit_guide(r: float) -> float:

@@ -4,9 +4,11 @@ Euler local factors, and restricted divisor sums on factored arguments.
 zeta is evaluated by Euler-Maclaurin summation with the classical
 remainder bound (for real r > 1 the remainder is no larger in magnitude
 than the first omitted correction term), entirely in mpmath interval
-arithmetic so rounding is accounted for.  The result is a
-:class:`~sigma_density.brackets.Bracket` whose width is checked against
-the requested tolerance.
+arithmetic so rounding is accounted for.  The one kernel, :func:`zeta_iv`,
+has two fixed sizes: FULL_SIZE feeds every bracket the program prints,
+and SIGN_SIZE, about half the cost, only the solver's sign tests.  The
+result is a :class:`~sigma_density.brackets.Bracket` whose width is
+checked against the requested tolerance.
 """
 from __future__ import annotations
 
@@ -15,6 +17,21 @@ from dataclasses import dataclass, field
 
 import mpmath
 from mpmath import iv
+from mpmath.libmp import (
+    fnone,
+    fone,
+    from_int,
+    ftwo,
+    mpi_add,
+    mpi_div,
+    mpi_exp,
+    mpi_log,
+    mpi_mul,
+    mpi_neg,
+    mpi_sub,
+    round_ceiling,
+    round_floor,
+)
 
 from .brackets import Bracket, check_eps
 from .errors import DomainError, PrecisionError, check_k, check_r
@@ -36,69 +53,108 @@ def iv_pow(base, expo):
     return iv.exp(expo * iv.log(base))
 
 
-# Euler-Maclaurin about N = EM_TERMS with M = EM_CORRECTIONS corrections,
-# both fixed.  Everything that does not depend on s is built once at the
-# working precision: log p for the primes p <= N, the smallest prime
-# factor of each n <= N, B_{2j}/(2j)! * N^{1-2j} for j <= M + 1 (the last
-# bounds the remainder), and the integers of the rising factorial.
-EM_TERMS = 25
-EM_CORRECTIONS = 12
-_SMALLEST_FACTOR = [0, 1] + [
-    next(p for p in range(2, n + 1) if n % p == 0) for n in range(2, EM_TERMS + 1)
-]
-_LOG_P = {
-    p: iv.log(iv.mpf(p)) for p in range(2, EM_TERMS + 1) if _SMALLEST_FACTOR[p] == p
-}
+# The kernel runs on the libmp interval tuples that mpmath.iv objects
+# wrap, with its precision as an argument rather than the global iv.prec.
+# A size fixes N (Euler-Maclaurin terms), M (corrections) and the
+# precision, and holds everything that does not depend on s, built at that
+# precision: the smallest prime factor of each n <= N, log p for the
+# primes p <= N, B_{2j}/(2j)! * N^{1-2j} for j <= M, the integers of the
+# rising factorial, and the remainder coefficient (j = M + 1) times [-1, 1].
+@dataclass(frozen=True, eq=False)
+class KernelSize:
+    """One fixed (N, M, precision) of :func:`zeta_iv` with its constants."""
+
+    terms: int
+    corrections: int
+    prec: int
+    smallest_factor: tuple[int, ...] = field(repr=False)
+    log_p: dict[int, tuple] = field(repr=False)
+    n: tuple = field(repr=False)
+    coeffs: tuple[tuple, ...] = field(repr=False)
+    rising_steps: tuple[tuple[tuple, tuple], ...] = field(repr=False)
+    remainder: tuple = field(repr=False)
 
 
-def _em_coefficient(j: int):
-    """B_{2j}/(2j)! * N^{1-2j}."""
-    p, q = mpmath.bernfrac(2 * j)
-    denominator = q * math.factorial(2 * j) * EM_TERMS ** (2 * j - 1)
-    return iv.mpf(int(p)) / iv.mpf(int(denominator))
+_ONE, _TWO = (fone, fone), (ftwo, ftwo)
 
 
-_EM_COEFFS = [_em_coefficient(j) for j in range(1, EM_CORRECTIONS + 2)]
-# (2j - 1, 2j) for j <= M: the factors that extend the rising factorial.
-_RISING_STEPS = [(iv.mpf(2 * j - 1), iv.mpf(2 * j)) for j in range(1, EM_CORRECTIONS + 1)]
-_N = iv.mpf(EM_TERMS)
-_UNIT = iv.mpf([-1, 1])
+def _kernel_size(terms: int, corrections: int, prec: int) -> KernelSize:
+    def exact(n: int) -> tuple:
+        return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+
+    def coefficient(j: int) -> tuple:
+        """B_{2j}/(2j)! * N^{1-2j}."""
+        p, q = mpmath.bernfrac(2 * j)
+        denominator = q * math.factorial(2 * j) * terms ** (2 * j - 1)
+        return mpi_div(exact(int(p)), exact(int(denominator)), prec)
+
+    smallest = [0, 1] + [
+        next(p for p in range(2, n + 1) if n % p == 0) for n in range(2, terms + 1)
+    ]
+    return KernelSize(
+        terms=terms,
+        corrections=corrections,
+        prec=prec,
+        smallest_factor=tuple(smallest),
+        log_p={p: mpi_log(exact(p), prec) for p in range(2, terms + 1) if smallest[p] == p},
+        n=exact(terms),
+        coeffs=tuple(coefficient(j) for j in range(1, corrections + 1)),
+        rising_steps=tuple((exact(2 * j - 1), exact(2 * j)) for j in range(1, corrections + 1)),
+        remainder=mpi_mul(coefficient(corrections + 1), (fnone, fone), prec),
+    )
 
 
-def zeta_iv(s):
+# Every printed bracket comes from the full size, about 3e-32 wide
+# relative to zeta on [1.0001, 202].  The sign size, about 1e-16 wide
+# there at under half the cost, serves only the solver's certified sign
+# tests, which escalate to the full size where its bracket straddles 0.
+FULL_SIZE = _kernel_size(25, 12, 200)
+SIGN_SIZE = _kernel_size(12, 6, 80)
+
+
+def zeta_iv(s, size: KernelSize = FULL_SIZE):
     """Interval enclosure of zeta(s) for an interval s with s.a > 1:
 
         zeta(s) = sum_{n<=N} n^-s + N^{1-s}/(s-1) - N^-s/2
                   + sum_{j<=M} B_{2j}/(2j)! * s(s+1)...(s+2j-2) * N^{1-s-2j}
-                  + R_M.
+                  + R_M,
 
-    Every even derivative of f(x) = x^-s is positive on [N, oo) for every
-    real s > 1 and N >= 1, so the classical remainder theorem puts R_M
-    between 0 and the first omitted term (j = M + 1) with N and M fixed:
-    the cost does not grow with s.
+    with N, M and the working precision fixed by ``size``.  Every even
+    derivative of f(x) = x^-s is positive on [N, oo) for every real s > 1
+    and N >= 1, so the classical remainder theorem puts R_M between 0 and
+    the first omitted term (j = M + 1): the cost does not grow with s.
 
     Only p^-s for the primes p <= N takes an exp; every other n^-s is the
     product of two earlier powers, and N^{1-s-2j} = N^{1-2j} * N^-s.
     Each factor is positive and decreasing in s, so the products enclose
     as tightly as the exps they replace.
     """
-    powers = [None, iv.mpf(1)]  # powers[n] = n^-s
-    total = iv.mpf(1)
-    for n in range(2, EM_TERMS + 1):
-        p = _SMALLEST_FACTOR[n]
-        powers.append(iv.exp(-s * _LOG_P[p]) if p == n else powers[p] * powers[n // p])
-        total += powers[n]
-    N_s = powers[EM_TERMS]
-    total += _N * N_s / (s - 1)
-    total -= N_s / 2
+    prec = size.prec
+    s = s._mpi_
+    minus_s = mpi_neg(s, prec)
+    powers = [None, _ONE]  # powers[n] = n^-s
+    total = _ONE
+    for n in range(2, size.terms + 1):
+        p = size.smallest_factor[n]
+        if p == n:
+            power = mpi_exp(mpi_mul(minus_s, size.log_p[p], prec), prec)
+        else:
+            power = mpi_mul(powers[p], powers[n // p], prec)
+        powers.append(power)
+        total = mpi_add(total, power, prec)
+    N_s = powers[size.terms]
+    total = mpi_add(
+        total, mpi_div(mpi_mul(size.n, N_s, prec), mpi_sub(s, _ONE, prec), prec), prec
+    )
+    total = mpi_sub(total, mpi_div(N_s, _TWO, prec), prec)
     rising = s  # s(s+1)...(s+2j-2), starting value for j = 1
-    for j, coeff in enumerate(_EM_COEFFS, start=1):
-        term = coeff * rising * N_s
-        if j > EM_CORRECTIONS:  # R_M lies between 0 and this omitted term
-            return total + term * _UNIT
-        total += term
-        odd, even = _RISING_STEPS[j - 1]
-        rising = rising * (s + odd) * (s + even)
+    for coeff, (odd, even) in zip(size.coeffs, size.rising_steps):
+        total = mpi_add(total, mpi_mul(mpi_mul(coeff, rising, prec), N_s, prec), prec)
+        rising = mpi_mul(
+            mpi_mul(rising, mpi_add(s, odd, prec), prec), mpi_add(s, even, prec), prec
+        )
+    remainder = mpi_mul(mpi_mul(size.remainder, rising, prec), N_s, prec)
+    return iv.make_mpf(mpi_add(total, remainder, prec))
 
 
 def zeta(r: float, eps: float = 1e-13) -> Bracket:
@@ -118,9 +174,9 @@ def g_k_iv(k: int, r_iv):
     return zeta_iv(r_iv) / zeta_iv((k + 1) * r_iv)
 
 
-def log_g_iv(k: int, r_iv):
-    """Interval enclosure of log G_k(r)."""
-    return iv.log(zeta_iv(r_iv)) - iv.log(zeta_iv((k + 1) * r_iv))
+def log_g_iv(k: int, r_iv, size: KernelSize = FULL_SIZE):
+    """Interval enclosure of log G_k(r), from zeta at ``size``."""
+    return iv.log(zeta_iv(r_iv, size)) - iv.log(zeta_iv((k + 1) * r_iv, size))
 
 
 def g_k(k: int, r: float, eps: float = 1e-10) -> Bracket:

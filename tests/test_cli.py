@@ -400,17 +400,49 @@ def test_out_file(tmp_path, capsys):
     assert envelope["command"] == "eta-limit"
 
 
-@pytest.mark.parametrize(
+UNWRITABLE_OUT = pytest.mark.parametrize(
     "target, reason",
-    [("missing/result.json", "No such file or directory"), (".", "Is a directory")],
-    ids=["missing-dir", "a-dir"],
+    [
+        ("missing/result.json", "No such file or directory"),
+        (".", "Is a directory"),
+        ("file/result.json", "Not a directory"),
+    ],
+    ids=["missing-dir", "a-dir", "under-a-file"],
 )
+
+
+@UNWRITABLE_OUT
 def test_unwritable_out_is_an_error(tmp_path, capsys, target, reason):
+    (tmp_path / "file").write_text("")
     path = str(tmp_path / target)
     code, out, err = run(capsys, *PRIME_ARGS, "--out", path, "eta-limit", "--eps", "1e-6")
     assert code == cli.EXIT_ERROR
     assert out == ""
     assert err == f"sigma-density: error: cannot write {path}: {reason}\n"
+
+
+@UNWRITABLE_OUT
+def test_unwritable_out_fails_before_the_request_runs(tmp_path, capsys, monkeypatch, target, reason):
+    def no_request(*args, **kwargs):
+        raise AssertionError("the request must not run")
+
+    monkeypatch.setattr(primes, "load_or_sieve", no_request)
+    monkeypatch.setattr(explorer, "range_census", no_request)
+    (tmp_path / "file").write_text("")
+    path = str(tmp_path / target)
+    argv = ["--out", path, "census", "--k", "1", "--r", "2", "--bound", "3000000"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    assert err == f"sigma-density: error: cannot write {path}: {reason}\n"
+
+
+def test_a_failed_request_leaves_an_existing_out_untouched(tmp_path, capsys):
+    target = tmp_path / "result.json"
+    target.write_text("earlier output\n")
+    code, out, err = run(capsys, *PRIME_ARGS, "--out", str(target), "eta", "--k", "0")
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    assert err.startswith("sigma-density: error: k must be")
+    assert target.read_text() == "earlier output\n"
 
 
 def _readme_cli_commands():

@@ -5,7 +5,7 @@ from functools import partial
 import pytest
 from mpmath import iv
 
-from sigma_density import density, solver
+from sigma_density import density, solver, zeta
 from sigma_density.brackets import PRECISION_FLOOR, Bracket
 from sigma_density.errors import CapacityError, DomainError, PrecisionError
 from sigma_density.zeta import iv_pow, log_g_iv, to_iv
@@ -40,6 +40,20 @@ ETA_BRACKETS = {
     8: (1.8877909266738802, 1.887790926732082),
     9: (1.8877909266738802, 1.887790926732082),
     10: (1.8877909266738802, 1.887790926732082),
+}
+
+# the residuals those solves print: T_k(m_k, .) at the bracket's midpoint
+ETA_RESIDUALS = {
+    1: (3.948659690174808e-12, 3.948659690174809e-12),
+    2: (2.0566570677364218e-12, 2.0566570677364226e-12),
+    3: (-3.793416919277442e-12, -3.7934169192774406e-12),
+    4: (3.1798327675458726e-12, 3.1798327675458734e-12),
+    5: (-1.9215333895763868e-13, -1.9215333895763863e-13),
+    6: (4.998700247573563e-13, 4.998700247573565e-13),
+    7: (1.7561120510900387e-12, 1.7561120510900391e-12),
+    8: (5.869486150544885e-13, 5.869486150544887e-13),
+    9: (-6.852438208184304e-13, -6.852438208184301e-13),
+    10: (-7.461073296705422e-13, -7.46107329670542e-13),
 }
 
 
@@ -161,13 +175,16 @@ class TestEta:
             assert abs(result.residual.mid) < 10 * max(result.value.width, 1e-12)
 
     def test_pinned_brackets(self, table):
-        # the brackets `eta --k 1..10` and `eta-limit` print, bit for bit
+        # the brackets and residuals `eta --k 1..10` and `eta-limit` print,
+        # bit for bit
         for k, (lo, hi) in ETA_BRACKETS.items():
             root = solver.eta(table, k)
             assert root.value == Bracket(lo, hi), k
+            assert root.residual == Bracket(*ETA_RESIDUALS[k]), k
             assert root.iterations == 34
         limit = solver.eta_limit()
         assert limit.value == Bracket(1.8877909263246693, 1.8877909272558986)
+        assert limit.residual == Bracket(1.1980814953738852e-11, 1.1980814953738855e-11)
         assert limit.iterations == 30
 
     def test_approaches_limit(self, table):
@@ -230,10 +247,12 @@ class TestBisection:
         # certified at both ends, indeterminate at every midpoint
         ends = {solver._START: Bracket(-2.0, -1.0), 2.0: Bracket(1.0, 2.0)}
         with pytest.raises(PrecisionError, match="indeterminate"):
-            solver._solve(lambda r: ends.get(r, Bracket(-1.0, 1.0)), no_guide, 1e-10, "test")
+            solver._solve(
+                lambda r, size: ends.get(r, Bracket(-1.0, 1.0)), no_guide, 1e-10, "test"
+            )
 
     def test_uncertified_start_raises(self):
-        def sign_fn(r):
+        def sign_fn(r, size):
             return Bracket(1.0, 2.0) if r > 1.5 else Bracket(-1.0, 1.0)
 
         with pytest.raises(PrecisionError):
@@ -280,15 +299,25 @@ def certified_only(table):
 
 
 class CountingSign:
-    """A certified function that counts its evaluations."""
+    """A certified function that records each evaluation's arguments; the
+    solver passes the kernel size last."""
 
     def __init__(self, sign_fn):
         self.sign_fn = sign_fn
-        self.calls = 0
+        self.args = []
 
     def __call__(self, *args):
-        self.calls += 1
+        self.args.append(args)
         return self.sign_fn(*args)
+
+    @property
+    def calls(self):
+        return len(self.args)
+
+    def sizes(self):
+        """(SIGN_SIZE evaluations, FULL_SIZE evaluations)."""
+        sizes = [args[-1] for args in self.args]
+        return sizes.count(zeta.SIGN_SIZE), sizes.count(zeta.FULL_SIZE)
 
 
 class TestGuidedBisection:
@@ -339,29 +368,54 @@ class TestGuidedBisection:
         assert root == certified_only(k, 4, solver.DEFAULT_EPS)
 
     def test_r_threshold_certifies_few_points(self, table, monkeypatch):
+        # two endpoint sign tests on the sign size, the residual on the full
         sign_fn = CountingSign(density.t_func)
         monkeypatch.setattr(solver, "t_func", sign_fn)
         root = solver.r_threshold(table, 3, 2)
         assert root.iterations == 34
-        assert sign_fn.calls == 3
+        assert sign_fn.sizes() == (2, 1)
 
     def test_a_boundary_certifies_only_2(self, table, monkeypatch):
+        # the boundary prints its bracket at 2, so that one test is full size
         sign_fn = CountingSign(density.t_func)
         monkeypatch.setattr(solver, "t_func", sign_fn)
         assert solver.r_threshold(table, 1, 4).boundary
-        assert sign_fn.calls == 1
+        assert sign_fn.sizes() == (0, 1)
 
     def test_eta_certifies_the_endpoints_and_the_residual(self, table, monkeypatch):
         log_g = CountingSign(solver.log_g_iv)
         monkeypatch.setattr(solver, "log_g_iv", log_g)
         assert solver.eta(table, 4).iterations == 34
-        assert log_g.calls == 3
+        assert log_g.sizes() == (2, 1)
 
     def test_eta_limit_certifies_the_endpoints_and_the_residual(self, monkeypatch):
         sign_fn = CountingSign(solver._limit_sign)
         monkeypatch.setattr(solver, "_limit_sign", sign_fn)
         assert solver.eta_limit().iterations == 30
-        assert sign_fn.calls == 3
+        assert sign_fn.sizes() == (2, 1)
+
+    def test_an_undecided_sign_test_escalates_to_the_full_size(self, table, monkeypatch):
+        # at 1e-13 the lower endpoint of R_7(1) is within the sign size's
+        # width of the root; the full size decides it, and the solve is
+        # still the certified-only walk
+        oracle = solver._solve(
+            partial(density.t_func, table, 7, 1), no_guide, 1e-13, "bisection on T", boundary=True
+        )
+        sign_fn = CountingSign(density.t_func)
+        monkeypatch.setattr(solver, "t_func", sign_fn)
+        root = solver.r_threshold(table, 7, 1, 1e-13)
+        assert root == oracle
+        full = [args[3] for args in sign_fn.args if args[-1] is zeta.FULL_SIZE]
+        assert full == [1.9401015191900979, root.value.mid]
+        assert root.value.lo == 1.9401015191900979
+
+    def test_eta_never_escalates_at_the_default_eps(self, table, monkeypatch):
+        log_g = CountingSign(solver.log_g_iv)
+        monkeypatch.setattr(solver, "log_g_iv", log_g)
+        for k in range(1, 11):
+            solver.eta(table, k)
+        # every full-size evaluation is a residual
+        assert log_g.sizes()[1] == 10
 
 
 def _row(table, k, eps=solver.DEFAULT_EPS):

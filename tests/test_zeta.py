@@ -11,6 +11,7 @@ from mpmath import iv
 from sigma_density import zeta as zmod
 from sigma_density.brackets import Bracket, check_eps
 from sigma_density.errors import DomainError, PrecisionError, check_r
+from sigma_density.solver import ETA_TABLE_MAX_K
 from sigma_density.zeta import FactorSketch
 
 PI = math.pi
@@ -84,6 +85,42 @@ def zeta_iv_oracle(s):
     return total + iv.mpf([-rem.b, rem.b])
 
 
+# The kernel as it ran on mpmath.iv objects at iv.prec = 200, before it
+# moved to libmp interval tuples: N = 25 terms and M = 12 corrections,
+# with the same operations in the same order as zmod.FULL_SIZE, which
+# must therefore give the same intervals bit for bit.
+REF_TERMS, REF_CORRECTIONS = 25, 12
+REF_SMALLEST_FACTOR = [0, 1] + [
+    next(p for p in range(2, n + 1) if n % p == 0) for n in range(2, REF_TERMS + 1)
+]
+REF_LOG_P = {p: iv.log(iv.mpf(p)) for p in range(2, REF_TERMS + 1) if REF_SMALLEST_FACTOR[p] == p}
+REF_COEFFS = [
+    iv.mpf(int(mpmath.bernfrac(2 * j)[0]))
+    / iv.mpf(int(mpmath.bernfrac(2 * j)[1] * math.factorial(2 * j) * REF_TERMS ** (2 * j - 1)))
+    for j in range(1, REF_CORRECTIONS + 2)
+]
+
+
+def zeta_iv_reference(s):
+    assert iv.prec == 200
+    powers = [None, iv.mpf(1)]  # powers[n] = n^-s
+    total = iv.mpf(1)
+    for n in range(2, REF_TERMS + 1):
+        p = REF_SMALLEST_FACTOR[n]
+        powers.append(iv.exp(-s * REF_LOG_P[p]) if p == n else powers[p] * powers[n // p])
+        total += powers[n]
+    N_s = powers[REF_TERMS]
+    total += iv.mpf(REF_TERMS) * N_s / (s - 1)
+    total -= N_s / 2
+    rising = s  # s(s+1)...(s+2j-2), starting value for j = 1
+    for j, coeff in enumerate(REF_COEFFS, start=1):
+        term = coeff * rising * N_s
+        if j > REF_CORRECTIONS:  # R_M lies between 0 and this omitted term
+            return total + term * iv.mpf([-1, 1])
+        total += term
+        rising = rising * (s + iv.mpf(2 * j - 1)) * (s + iv.mpf(2 * j))
+
+
 def assert_agrees_with_the_oracle(fast, slow):
     """Equal as double brackets, and equal to within 2^-190 relative at
     the working precision."""
@@ -115,15 +152,41 @@ class TestKernel:
 
     def test_one_exp_per_prime_up_to_the_term_count(self, monkeypatch):
         calls = []
-        exp = zmod.iv.exp
+        exp = zmod.mpi_exp
 
-        def spy(x):
-            calls.append(x)
-            return exp(x)
+        def spy(x, prec):
+            calls.append(prec)
+            return exp(x, prec)
 
-        monkeypatch.setattr(zmod.iv, "exp", spy)
-        zmod.zeta_iv(iv.mpf(1.88))
-        assert len(calls) == 9  # 2, 3, 5, 7, 11, 13, 17, 19, 23
+        monkeypatch.setattr(zmod, "mpi_exp", spy)
+        # 2, 3, 5, 7, 11 and, at N = 25, also 13, 17, 19, 23
+        for size, primes in ((zmod.FULL_SIZE, 9), (zmod.SIGN_SIZE, 5)):
+            calls.clear()
+            zmod.zeta_iv(iv.mpf(1.88), size)
+            assert calls == [size.prec] * primes
+
+    @pytest.mark.parametrize(
+        "s",
+        [1.0001, 1.5, 1.8646345674817102, 1.88, 2.0, 3.7, 4.0, 20.0, 63.9, 64.5, 202.0, 1e3, 1e6]
+        + [[7 / 3, 2.5], [2.5, 3], [1.0001, 2]],
+    )
+    def test_full_size_is_the_iv_kernel_bit_for_bit(self, s):
+        assert zmod.zeta_iv(iv.mpf(s))._mpi_ == zeta_iv_reference(iv.mpf(s))._mpi_
+
+    @pytest.mark.parametrize("size", [zmod.FULL_SIZE, zmod.SIGN_SIZE], ids=["full", "sign"])
+    def test_both_sizes_enclose_zeta_up_to_the_table_reach(self, size):
+        # eta_table reaches zeta((k + 1) r) at k = ETA_TABLE_MAX_K, r = 2
+        top = (ETA_TABLE_MAX_K + 1) * 2.0
+        points = [1.0001, 1.001, 1.5, 1.88, 2.0, 2.5, 7 / 3, 4.0, 22.0, top]
+        points += list(np.geomspace(1.0001, top, 40))
+        with mpmath.workprec(400):
+            for s in points:
+                enclosure = zmod.zeta_iv(iv.mpf(s), size)
+                lo, hi = mpmath.mpf(enclosure.a), mpmath.mpf(enclosure.b)
+                reference = mpmath.zeta(mpmath.mpf(s))
+                assert lo <= reference <= hi, s
+                # narrow enough to settle a sign test the guide leaves to it
+                assert hi - lo <= 1e-15 * reference, s
 
     @pytest.mark.parametrize("s", [64.5, 100, 1e3, 1e6])
     def test_large_argument(self, s):
