@@ -2,28 +2,33 @@
 
 Every threshold is the unique root in (1, 2) of a function that is
 strictly increasing there (``density.check_monotonicity`` proves it for
-T_k(m, .), m in {1, 2, 4}, at every k), found by bisection: each
-returned bracket has certified opposite signs at its endpoints, or
-carries an explicit boundary flag for the "no root, threshold = 2" case.
+T_k(m, .), m in {1, 2, 4}, at every k; for the limit equation it is
+assumed), found by bisection: each returned bracket contains a root by
+the intermediate value theorem on certified signs, or carries an
+explicit boundary flag for the "no root, threshold = 2" case.
 
 A certified sign test costs an interval evaluation of zeta (milliseconds),
 so the one bisection routine, :func:`_solve`, walks its path with a
 float64 estimate of the same function, its guide (microseconds), and
-certifies only the points the returned bracket rests on: its two
-endpoints and the residual at its midpoint, the a-posteriori
-verification pattern of Rump, "Verification methods" (Acta Numerica
-2010).  An endpoint test needs only a sign, so it takes zeta at
-``zeta.SIGN_SIZE`` and escalates to ``zeta.FULL_SIZE`` only where the
-small bracket straddles 0; every printed bracket (the residual, and a
-boundary's bracket at 2) is full size, so no output depends on the sign
-size.  Because the function is increasing, certified endpoints make the
-guided path the certified path, so guided and certified-only solves
-return the same bits, and the ends of the start bracket [1.0001, 2] need
-no certified test of their own while the guide clears them.  The
-certified-only walk remains the fallback and, as the solve with a NaN
-guide, the tests' reference.  Bisection is deterministic, so the
-selector, when thresholds tie, solves them again at eps/100 and gets the
-bits a fresh solve at that eps gives.
+certifies only the points the returned bracket rests on, the
+a-posteriori verification pattern of Rump, "Verification methods" (Acta
+Numerica 2010): the residual at its midpoint, which is printed, and the
+endpoint on the other side of the root.  A certified sign at the
+midpoint and the opposite one at that endpoint put a root between them,
+inside the bracket; the sign at the far endpoint, and that the root is
+the only one, rest on monotonicity.  Where the residual straddles 0,
+both endpoints are certified.  An endpoint test needs only a sign, so it
+takes zeta at ``zeta.SIGN_SIZE`` and escalates to ``zeta.FULL_SIZE``
+only where the small bracket straddles 0; every printed bracket (the
+residual, and a boundary's bracket at 2) is full size, so no output
+depends on the sign size.  Because the function is increasing, a root
+certified inside the bracket makes the guided path the certified path,
+so guided and certified-only solves return the same bits, and the ends
+of the start bracket [1.0001, 2] need no certified test of their own
+while the guide clears them.  The certified-only walk remains the
+fallback and, as the solve with a NaN guide, the tests' reference.
+Bisection is deterministic, so the selector, when thresholds tie, solves
+them again at eps/100 and gets the bits a fresh solve at that eps gives.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ _START = 1.0001
 # each function is a few logs of size at most 10).  A guide's sign is
 # taken only where it clears this bound, a margin of 50, and a certified
 # test decides inside it.  The bound sets how many midpoints are
-# certified, never soundness: the endpoints are certified afterwards.
+# certified, never soundness: the root is certified in the bracket afterwards.
 GUIDE_ERROR = 1e-13
 
 
@@ -65,9 +70,12 @@ GUIDE_ERROR = 1e-13
 class RootResult:
     """A solved threshold with certified enclosure.
 
-    ``value`` encloses the root; unless ``boundary`` is set, the target
-    function has certified opposite signs at value.lo and value.hi.
-    ``residual`` is the function bracket at the midpoint.  ``boundary``
+    ``value`` encloses the root.  Unless ``boundary`` is set, a root lies
+    inside it by the intermediate value theorem: ``residual``, the
+    function bracket at the midpoint, and a certified sign at the
+    endpoint across the root from it (at both endpoints when the residual
+    straddles 0) are opposite.  That the function is increasing gives the
+    sign at the other endpoint and that the root is unique.  ``boundary``
     marks the no-root case where the threshold is exactly 2.
     """
 
@@ -117,15 +125,19 @@ def _solve(
     boundary's bracket at 2, which are printed, are FULL_SIZE.
 
     The steered sign at 2 comes first.  When it is positive, the walk is
-    steered and its two endpoints are then certified: certified opposite
-    signs there put the root between them, so every midpoint before went
-    to the root's side, as a certified test would have sent it, and the
-    steered walk is the certified walk.  Otherwise, or when an endpoint
-    fails its test, both ends of [_START, 2] are certified, 2 at FULL_SIZE,
-    and the walk is redone with a certified test at every midpoint.  A
-    sign at 2 certified nonpositive gives the boundary result when
-    ``boundary`` is set and raises otherwise.  A NaN guide makes every
-    sign a certified test.
+    steered, and the full-size residual at the midpoint of the bracket
+    [a, b] it ends on is taken first.  Certified positive, it needs only
+    a sign at a certified negative: a root lies in (a, mid), and the
+    function at b exceeds its positive value at mid.  Certified negative,
+    it needs only a sign at b certified positive; straddling 0, it needs
+    both.  A root so certified inside [a, b] means every midpoint before
+    went to the root's side, as a certified test would have sent it, so
+    the steered walk is the certified walk.  Otherwise, or when an
+    endpoint fails its test, both ends of [_START, 2] are certified, 2 at
+    FULL_SIZE, and the walk is redone with a certified test at every
+    midpoint.  A sign at 2 certified nonpositive gives the boundary result
+    when ``boundary`` is set and raises otherwise.  A NaN guide makes
+    every sign a certified test.
     """
     brackets: dict[tuple[float, KernelSize], Bracket] = {}
 
@@ -144,13 +156,17 @@ def _solve(
             return 1 if g > 0 else -1
         return certified(r)
 
+    def rests_on_root(a: float, b: float) -> bool:
+        side = bracket(0.5 * (a + b), FULL_SIZE).certified_sign()
+        return (side == -1 or certified(a) == -1) and (side == 1 or certified(b) == 1)
+
     walked = None
     if steered(2.0) == 1:
         try:
             walked = _walk(steered, _START, 2.0, eps)
         except PrecisionError:
             pass
-    if walked is None or certified(walked[0]) != -1 or certified(walked[1]) != 1:
+    if walked is None or not rests_on_root(*walked[:2]):
         at_two = bracket(2.0, FULL_SIZE)
         if at_two.certified_sign() != 1:
             if boundary and at_two.nonpositive():
@@ -169,7 +185,7 @@ def _solve(
     return RootResult(
         value=Bracket(a, b),
         iterations=steps,
-        residual=sign_fn(0.5 * (a + b), FULL_SIZE),
+        residual=bracket(0.5 * (a + b), FULL_SIZE),
         method=method,
     )
 

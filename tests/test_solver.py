@@ -368,12 +368,43 @@ class TestGuidedBisection:
         assert root == certified_only(k, 4, solver.DEFAULT_EPS)
 
     def test_r_threshold_certifies_few_points(self, table, monkeypatch):
-        # two endpoint sign tests on the sign size, the residual on the full
+        # the residual on the full size, one endpoint sign test on the sign size
         sign_fn = CountingSign(density.t_func)
         monkeypatch.setattr(solver, "t_func", sign_fn)
         root = solver.r_threshold(table, 3, 2)
         assert root.iterations == 34
-        assert sign_fn.sizes() == (2, 1)
+        assert sign_fn.sizes() == (1, 1)
+
+    @pytest.mark.parametrize(
+        "k, m, side, end", [(1, 1, 1, "lo"), (3, 2, -1, "hi")], ids=["positive", "negative"]
+    )
+    def test_a_certified_residual_certifies_only_the_end_across_the_root(
+        self, table, monkeypatch, k, m, side, end
+    ):
+        # T(mid) > 0 and T(lo) < 0 put a root in (lo, mid), and T(hi) >
+        # T(mid) since T is increasing; symmetrically for T(mid) < 0
+        sign_fn = CountingSign(density.t_func)
+        monkeypatch.setattr(solver, "t_func", sign_fn)
+        root = solver.r_threshold(table, k, m)
+        assert root.residual.certified_sign() == side
+        assert [args[3] for args in sign_fn.args] == [root.value.mid, getattr(root.value, end)]
+        assert sign_fn.sizes() == (1, 1)
+
+    def test_a_straddling_residual_certifies_both_ends(self):
+        # f(r) = r - 1.7, whose full-size bracket is 2 eps wide, so it
+        # straddles 0 at the final midpoint; the sign size decides the ends
+        eps = 1e-10
+
+        def f(r, size):
+            width = 2 * eps if size is zeta.FULL_SIZE else 0.0
+            return Bracket(r - 1.7 - width, r - 1.7 + width)
+
+        sign_fn = CountingSign(f)
+        root = solver._solve(sign_fn, lambda r: r - 1.7, eps, "test")
+        assert root.residual.certified_sign() is None
+        ends = [args[0] for args in sign_fn.args if args[1] is zeta.SIGN_SIZE]
+        assert ends == [root.value.lo, root.value.hi]
+        assert root == solver._solve(f, no_guide, eps, "test")
 
     def test_a_boundary_certifies_only_2(self, table, monkeypatch):
         # the boundary prints its bracket at 2, so that one test is full size
@@ -383,16 +414,18 @@ class TestGuidedBisection:
         assert sign_fn.sizes() == (0, 1)
 
     def test_eta_certifies_the_endpoints_and_the_residual(self, table, monkeypatch):
+        # the residual, then the one endpoint on the other side of the root
         log_g = CountingSign(solver.log_g_iv)
         monkeypatch.setattr(solver, "log_g_iv", log_g)
         assert solver.eta(table, 4).iterations == 34
-        assert log_g.sizes() == (2, 1)
+        assert log_g.sizes() == (1, 1)
 
     def test_eta_limit_certifies_the_endpoints_and_the_residual(self, monkeypatch):
+        # the residual, then the one endpoint on the other side of the root
         sign_fn = CountingSign(solver._limit_sign)
         monkeypatch.setattr(solver, "_limit_sign", sign_fn)
         assert solver.eta_limit().iterations == 30
-        assert sign_fn.sizes() == (2, 1)
+        assert sign_fn.sizes() == (1, 1)
 
     def test_an_undecided_sign_test_escalates_to_the_full_size(self, table, monkeypatch):
         # at 1e-13 the lower endpoint of R_7(1) is within the sign size's
