@@ -9,11 +9,13 @@ is <= 0 for every m; for r in (1, 2] it suffices to test m in {1, 2, 4}.
 A positive T at some m certifies a forbidden open interval in the log
 range.  T has one interval expression (:func:`t_levels`), shared by
 :func:`t_func`, :func:`gap_interval`, :func:`density_report` and the gap
-scan.  Everything here returns certified brackets, and verdicts are
-three-valued (dense / not_dense / undetermined) so float artifacts can
-never silently misclassify a near-threshold input.  The standing
-inequalities and the monotonicity of T in r are proved over intervals,
-by one cell cover (:func:`_cover`).
+scan; the solver's sign tests read its sign from a log-free comparison
+of products (:func:`t_sign`).  Every p^-r is exp(-r log p) with log p
+taken once per prime (``zeta.log_prime``).  Everything here returns
+certified brackets, and verdicts are three-valued (dense / not_dense /
+undetermined) so float artifacts can never silently misclassify a
+near-threshold input.  The standing inequalities and the monotonicity of
+T in r are proved over intervals, by one cell cover (:func:`_cover`).
 """
 
 from __future__ import annotations
@@ -28,15 +30,7 @@ from mpmath import fp, iv
 from .brackets import Bracket
 from .errors import DomainError, IndeterminateError, check_k, check_r
 from .primes import PrimeTable
-from .zeta import (
-    FULL_SIZE,
-    KernelSize,
-    iv_pow,
-    log_g_iv,
-    log_local_factor_iv,
-    to_iv,
-    zeta_iv,
-)
+from .zeta import KernelSize, log_g_iv, log_prime, prime_power, to_iv, zeta_iv
 
 # Truncation point of the computational surrogate V (number of primes).
 V_TRUNCATION = 100_000
@@ -70,8 +64,33 @@ def tail(table: PrimeTable, k: int, m: int, r: float) -> Bracket:
     check_k(k)
     check_r(r)
     r_iv = to_iv(r)
-    prefix = sum((log_local_factor_iv(table.nth(i), k, r_iv) for i in range(1, m + 1)), iv.mpf(0))
+    prefix = sum((_log_local(_x(table.nth(i), r_iv), k) for i in range(1, m + 1)), iv.mpf(0))
     return Bracket.from_iv(log_g_iv(k, r_iv) - prefix)
+
+
+def _x(p: int, r):
+    """p^-r for an interval r."""
+    return prime_power(p, -r)
+
+
+def _log_local(x, k: int):
+    """log(1 + x + ... + x^k), the log of the local factor at p for x = p^-r."""
+    return iv.log((1 - x ** (k + 1)) / (1 - x))
+
+
+def _levels(table: PrimeTable, k: int, r_iv, ms: Iterable[int]):
+    """(m, head, prefix) for each m of the strictly ascending ``ms``, as
+    intervals: head = log(1 + p_m^-r) and prefix = sum_{i<=m} of the log
+    local factor at p_i.  The prefix is carried from one level to the
+    next, and the head reuses the p_m^-r its last term took."""
+    prefix = iv.mpf(0)
+    done = 0
+    for m in ms:
+        for i in range(done + 1, m + 1):
+            x = _x(table.nth(i), r_iv)
+            prefix += _log_local(x, k)
+        done = m
+        yield m, iv.log(1 + x), prefix
 
 
 def t_levels(
@@ -85,13 +104,7 @@ def t_levels(
     of local factors is carried from one level to the next, so a scan
     over m = 1..M costs M local factors and no zeta evaluation.
     """
-    prefix = iv.mpf(0)
-    done = 0
-    for m in ms:
-        for i in range(done + 1, m + 1):
-            prefix += log_local_factor_iv(table.nth(i), k, r_iv)
-        done = m
-        head = iv.log(1 + iv_pow(iv.mpf(table.nth(m)), -r_iv))
+    for m, head, prefix in _levels(table, k, r_iv, ms):
         t = Bracket.from_iv(head - log_g + prefix)
         gap = None
         if t.strictly_positive():
@@ -101,36 +114,48 @@ def t_levels(
         yield m, t, gap
 
 
-def _level(
-    table: PrimeTable, k: int, m: int, r: float, size: KernelSize = FULL_SIZE
-) -> tuple[int, Bracket, GapInterval | None]:
+def _level(table: PrimeTable, k: int, m: int, r: float) -> tuple[int, Bracket, GapInterval | None]:
     _check_kmr(k, m, r)
     r_iv = to_iv(r)
-    (level,) = t_levels(table, k, r_iv, log_g_iv(k, r_iv, size), (m,))
+    (level,) = t_levels(table, k, r_iv, log_g_iv(k, r_iv), (m,))
     return level
 
 
-def t_func(
-    table: PrimeTable, k: int, m: int, r: float, size: KernelSize = FULL_SIZE
-) -> Bracket:
-    """T_k(m, r) = log(1 + p_m^{-r}) - tail(k, m, r), with zeta at ``size``
-    (the solver's sign tests take ``zeta.SIGN_SIZE``)."""
-    _, t, _ = _level(table, k, m, r, size)
+def t_func(table: PrimeTable, k: int, m: int, r: float) -> Bracket:
+    """T_k(m, r) = log(1 + p_m^{-r}) - tail(k, m, r)."""
+    _, t, _ = _level(table, k, m, r)
     return t
+
+
+def t_sign(table: PrimeTable, k: int, m: int, r: float, size: KernelSize) -> int | None:
+    """The certified sign of T_k(m, r), with zeta at ``size``, or None
+    where it is not decided.  exp(T) is a ratio of products, so
+
+        T > 0  <=>  (1 + x_m) zeta((k+1)r) prod_{i<=m} (1 - x_i^{k+1})
+                        > zeta(r) prod_{i<=m} (1 - x_i),   x_i = p_i^-r,
+
+    and the test takes no log."""
+    _check_kmr(k, m, r)
+    r_iv = to_iv(r)
+    kept = dropped = iv.mpf(1)
+    for i in range(1, m + 1):
+        x = _x(table.nth(i), r_iv)
+        kept *= 1 - x ** (k + 1)
+        dropped *= 1 - x
+    lhs = (1 + x) * zeta_iv((k + 1) * r_iv, size) * kept
+    return Bracket.from_iv(lhs - zeta_iv(r_iv, size) * dropped).certified_sign()
 
 
 def _log_over(p: int, x):
     """log p / (p^x + 1), decreasing in x."""
-    p = iv.mpf(p)
-    return iv.log(p) / (iv_pow(p, x) + 1)
+    return log_prime(p) / (prime_power(p, x) + 1)
 
 
 def _log_sq_over(p: int, x):
     """(log p)^2 / (p^x + 2 + p^-x), minus the derivative of
     :func:`_log_over`; decreasing in x > 0."""
-    p = iv.mpf(p)
-    q = iv_pow(p, x)
-    return iv.log(p) ** 2 / (q + 2 + 1 / q)
+    q = prime_power(p, x)
+    return log_prime(p) ** 2 / (q + 2 + 1 / q)
 
 
 def _rise(table: PrimeTable, m: int, n: int, term, x):
@@ -281,16 +306,12 @@ def _check(name: str, description: str, lo: float, hi: float, claim) -> Inequali
     return InequalityCheck(name, description, lo, hi, cells, min_slack, passed)
 
 
-def _x(p: int, r):
-    """p^-r for an interval r."""
-    return iv_pow(iv.mpf(p), -r)
-
-
 def check_inequalities() -> InequalityReport:
     """Proofs, by :func:`_cover`, of the standing inequalities behind the
     selector and dichotomy arguments on their closed ranges.  Each is
     evaluated in powers p^-r, the same function as its description with
-    fewer occurrences of r, which keeps its enclosures narrow.
+    fewer occurrences of r, which keeps its enclosures narrow, and each
+    power is taken once per cell.
 
     Failures are reported findings, never exceptions.
     """
@@ -301,21 +322,21 @@ def check_inequalities() -> InequalityReport:
                 "(1+3^-r)(1+3^-r+3^-2r) - (1+2^-r) > 0",
                 1.67,
                 1.98,
-                lambda r: (1 + _x(3, r)) * (1 + _x(3, r) + _x(3, 2 * r)) - (1 + _x(2, r)),
+                lambda r: (1 + (x3 := _x(3, r))) * (1 + x3 + _x(3, 2 * r)) - (1 + _x(2, r)),
             ),
             _check(
                 "three_vs_five_seven",
                 "(1+3^-r) - (5^r/(5^r-1))((7^r+1)/(7^r-1)) > 0",
                 1.67,
                 1.98,
-                lambda r: (1 + _x(3, r)) - ((1 + _x(7, r)) / (1 - _x(7, r))) / (1 - _x(5, r)),
+                lambda r: (1 + _x(3, r)) - ((1 + (x7 := _x(7, r))) / (1 - x7)) / (1 - _x(5, r)),
             ),
             _check(
                 "pair_product_m2",
                 "(1+2^-r)(3^r/(3^r+1)) - (1+3^-r) > 0",
                 1.8638,
                 2.0,
-                lambda r: (1 + _x(2, r)) / (1 + _x(3, r)) - (1 + _x(3, r)),
+                lambda r: (1 + _x(2, r)) / (1 + (x3 := _x(3, r))) - (1 + x3),
             ),
             _check(
                 "pair_product_m4",
@@ -323,8 +344,8 @@ def check_inequalities() -> InequalityReport:
                 1.8638,
                 2.0,
                 lambda r: (1 + _x(2, r))
-                / ((1 + _x(3, r)) * (1 + _x(5, r)) * (1 + _x(7, r)))
-                - (1 + _x(7, r)),
+                / ((1 + _x(3, r)) * (1 + _x(5, r)) * (1 + (x7 := _x(7, r))))
+                - (1 + x7),
             ),
             _check(
                 "square_dominates_zeta",
@@ -347,6 +368,10 @@ def check_monotonicity(table: PrimeTable) -> InequalityReport:
       to {0..k}, decreases in r and grows with k.  Dropping the terms
       i > m + 10, all positive, and taking k = 1, where
       w_i = 1 / (p_i^r + 1), leaves a bound that holds for every k.
+    * So is the limit equation of ``solver.eta_limit``: its function,
+      log(1 + 3^-r) - log zeta(r) - log(1 - 2^-r) - log(1 - 3^-r), is
+      T at m = 2 as k -> oo, whose weights w_i = 1 / (p_i^r - 1) exceed
+      the k = 1 weights, so ``t_increasing_m2`` proves it too.
     * J_m is increasing: J_m' is the same difference of
       (log p)^2 / (p^x + 2 + p^-x), each decreasing in x.
     * J_m(7/3) < 0.

@@ -34,6 +34,8 @@ CENSUS_MAX_BOUND = 5_000_000
 # factors holds that many doubles, and its peak memory is about 20 bytes
 # an entry (80 MB at this cap).
 GREEDY_MAX_ENTRIES = 4_000_000
+# Primes per block the greedy walk reads from that table as Python floats.
+GREEDY_BLOCK = 4096
 # Levels m = 1..CENSUS_SCAN_LEVELS of the analytic gap scan a census overlays.
 CENSUS_SCAN_LEVELS = 10
 
@@ -116,19 +118,22 @@ def greedy_approximate(
     E: list[float] = []
     c = 0.0
     e = 0.0
-    for l in range(steps):
-        alpha = 0
-        for a in range(k, 0, -1):
-            if c + partial_logs[a, l] <= x:
-                alpha = a
-                break
-        c += partial_logs[alpha, l]
-        d = partial_logs[k, l] - partial_logs[alpha, l]
-        e += d
-        alphas.append(alpha)
-        C.append(c)
-        D.append(d)
-        E.append(e)
+    # Read the table as Python floats a block of primes at a time: one
+    # tolist() of the whole table would double the walk's peak memory.
+    for start in range(0, steps, GREEDY_BLOCK):
+        for logs in partial_logs[:, start : start + GREEDY_BLOCK].T.tolist():
+            alpha = 0
+            for a in range(k, 0, -1):
+                if c + logs[a] <= x:
+                    alpha = a
+                    break
+            c += logs[alpha]
+            d = logs[k] - logs[alpha]
+            e += d
+            alphas.append(alpha)
+            C.append(c)
+            D.append(d)
+            E.append(e)
     return GreedyTrace(
         k=k,
         r=r,

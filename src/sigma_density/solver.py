@@ -2,10 +2,10 @@
 
 Every threshold is the unique root in (1, 2) of a function that is
 strictly increasing there (``density.check_monotonicity`` proves it for
-T_k(m, .), m in {1, 2, 4}, at every k; for the limit equation it is
-assumed), found by bisection: each returned bracket contains a root by
-the intermediate value theorem on certified signs, or carries an
-explicit boundary flag for the "no root, threshold = 2" case.
+T_k(m, .), m in {1, 2, 4}, at every k, and for the limit equation, which
+is T at m = 2 as k -> oo), found by bisection: each returned bracket
+contains a root by the intermediate value theorem on certified signs, or
+carries an explicit boundary flag for the "no root, threshold = 2" case.
 
 A certified sign test costs an interval evaluation of zeta (milliseconds),
 so the one bisection routine, :func:`_solve`, walks its path with a
@@ -18,15 +18,17 @@ midpoint and the opposite one at that endpoint put a root between them,
 inside the bracket; the sign at the far endpoint, and that the root is
 the only one, rest on monotonicity.  Where the residual straddles 0,
 both endpoints are certified.  An endpoint test needs only a sign, so it
-takes zeta at ``zeta.SIGN_SIZE`` and escalates to ``zeta.FULL_SIZE``
-only where the small bracket straddles 0; every printed bracket (the
-residual, and a boundary's bracket at 2) is full size, so no output
-depends on the sign size.  Because the function is increasing, a root
-certified inside the bracket makes the guided path the certified path,
-so guided and certified-only solves return the same bits, and the ends
-of the start bracket [1.0001, 2] need no certified test of their own
-while the guide clears them.  The certified-only walk remains the
-fallback and, as the solve with a NaN guide, the tests' reference.
+compares two products instead of taking logs (:func:`density.t_sign`,
+:func:`_limit_sign_test`), takes zeta at ``zeta.SIGN_SIZE`` and
+escalates to ``zeta.FULL_SIZE`` only where that sign is undecided; every
+printed bracket (the residual, and a boundary's bracket at 2) is the
+full-size log form, so no output depends on the sign test.  Because the
+function is increasing, a root certified inside the bracket makes the
+guided path the certified path, so guided and certified-only solves
+return the same bits, and the ends of the start bracket [1.0001, 2] need
+no certified test of their own while the guide clears them.  The
+certified-only walk remains the fallback and, as the solve with a NaN
+guide, the tests' reference.
 Bisection is deterministic, so the selector, when thresholds tie, solves
 them again at eps/100 and gets the bits a fresh solve at that eps gives.
 """
@@ -41,10 +43,10 @@ from typing import Callable
 from mpmath import fp, iv
 
 from .brackets import PRECISION_FLOOR, Bracket, check_eps
-from .density import t_float, t_func, t_levels, v_func
+from .density import t_float, t_func, t_levels, t_sign, v_func
 from .errors import CapacityError, DomainError, PrecisionError, check_k
 from .primes import PrimeTable
-from .zeta import FULL_SIZE, SIGN_SIZE, KernelSize, iv_pow, log_g_iv, to_iv, zeta_iv
+from .zeta import FULL_SIZE, SIGN_SIZE, KernelSize, log_g_iv, prime_power, to_iv, zeta_iv
 
 DEFAULT_EPS = 1e-10
 LIMIT_EPS = 1e-9
@@ -109,20 +111,22 @@ def _walk(
 
 
 def _solve(
-    sign_fn: Callable[[float, KernelSize], Bracket],
+    value: Callable[[float], Bracket],
+    sign: Callable[[float, KernelSize], int | None],
     guide: Callable[[float], float],
     eps: float,
     method: str,
     boundary: bool = False,
 ) -> RootResult:
-    """The root in (1, 2) of a strictly increasing ``sign_fn`` by bisection
-    from [_START, 2], steered by ``guide``, a float estimate of ``sign_fn``:
-    a point's sign is the guide's wherever |guide| > GUIDE_ERROR and a
-    certified test elsewhere.  ``sign_fn(r, size)`` brackets the function
-    at r with zeta at ``size``, at most once per point and size per solve:
-    a certified test reads the SIGN_SIZE bracket and escalates to the
-    FULL_SIZE one only where that straddles 0.  The residual and a
-    boundary's bracket at 2, which are printed, are FULL_SIZE.
+    """The root in (1, 2) of a strictly increasing function by bisection
+    from [_START, 2], steered by ``guide``, a float estimate of it: a
+    point's sign is the guide's wherever |guide| > GUIDE_ERROR and a
+    certified test elsewhere.  ``value(r)`` is the function's FULL_SIZE
+    bracket, which is printed (the residual, and a boundary's bracket at
+    2), and ``sign(r, size)`` its certified sign with zeta at ``size``, or
+    None where that is undecided.  A certified test takes the SIGN_SIZE
+    sign and escalates to the FULL_SIZE one only where that is None.
+    Each is evaluated at most once per point per solve.
 
     The steered sign at 2 comes first.  When it is positive, the walk is
     steered, and the full-size residual at the midpoint of the bracket
@@ -139,16 +143,19 @@ def _solve(
     when ``boundary`` is set and raises otherwise.  A NaN guide makes
     every sign a certified test.
     """
-    brackets: dict[tuple[float, KernelSize], Bracket] = {}
+    values: dict[float, Bracket] = {}
+    signs: dict[float, int | None] = {}
 
-    def bracket(r: float, size: KernelSize) -> Bracket:
-        if (r, size) not in brackets:
-            brackets[r, size] = sign_fn(r, size)
-        return brackets[r, size]
+    def value_at(r: float) -> Bracket:
+        if r not in values:
+            values[r] = value(r)
+        return values[r]
 
     def certified(r: float) -> int | None:
-        sign = bracket(r, SIGN_SIZE).certified_sign()
-        return bracket(r, FULL_SIZE).certified_sign() if sign is None else sign
+        if r not in signs:
+            s = sign(r, SIGN_SIZE)
+            signs[r] = sign(r, FULL_SIZE) if s is None else s
+        return signs[r]
 
     def steered(r: float) -> int | None:
         g = guide(r)
@@ -157,7 +164,7 @@ def _solve(
         return certified(r)
 
     def rests_on_root(a: float, b: float) -> bool:
-        side = bracket(0.5 * (a + b), FULL_SIZE).certified_sign()
+        side = value_at(0.5 * (a + b)).certified_sign()
         return (side == -1 or certified(a) == -1) and (side == 1 or certified(b) == 1)
 
     walked = None
@@ -167,7 +174,7 @@ def _solve(
         except PrecisionError:
             pass
     if walked is None or not rests_on_root(*walked[:2]):
-        at_two = bracket(2.0, FULL_SIZE)
+        at_two = value_at(2.0)
         if at_two.certified_sign() != 1:
             if boundary and at_two.nonpositive():
                 return RootResult(
@@ -185,7 +192,7 @@ def _solve(
     return RootResult(
         value=Bracket(a, b),
         iterations=steps,
-        residual=bracket(0.5 * (a + b), FULL_SIZE),
+        residual=value_at(0.5 * (a + b)),
         method=method,
     )
 
@@ -197,9 +204,14 @@ def r_threshold(table: PrimeTable, k: int, m: int, eps: float = DEFAULT_EPS) -> 
     if m not in (1, 2, 4):
         raise DomainError(f"m must be one of 1, 2, 4, got {m}")
     check_eps(eps)
-    sign_fn = partial(t_func, table, k, m)
-    guide = partial(t_float, table, k, m)
-    return _solve(sign_fn, guide, eps, "bisection on T", boundary=True)
+    return _solve(
+        partial(t_func, table, k, m),
+        partial(t_sign, table, k, m),
+        partial(t_float, table, k, m),
+        eps,
+        "bisection on T",
+        boundary=True,
+    )
 
 
 def m_selector(table: PrimeTable, k: int) -> int:
@@ -253,12 +265,18 @@ def eta(table: PrimeTable, k: int, eps: float = DEFAULT_EPS) -> RootResult:
     check_eps(eps)
     m = _m_k(k)
 
-    def sign_fn(r: float, size: KernelSize) -> Bracket:
+    def value(r: float) -> Bracket:
         r_iv = to_iv(r)
-        ((_, t, _),) = t_levels(table, k, r_iv, log_g_iv(k, r_iv, size), (m,))
+        ((_, t, _),) = t_levels(table, k, r_iv, log_g_iv(k, r_iv), (m,))
         return t
 
-    return _solve(sign_fn, partial(t_float, table, k, m), eps, "bisection on T at m_k")
+    return _solve(
+        value,
+        partial(t_sign, table, k, m),
+        partial(t_float, table, k, m),
+        eps,
+        "bisection on T at m_k",
+    )
 
 
 def eta_limit(eps: float = LIMIT_EPS) -> RootResult:
@@ -268,17 +286,30 @@ def eta_limit(eps: float = LIMIT_EPS) -> RootResult:
 
     solved in log form by bisection."""
     check_eps(eps)
-    return _solve(_limit_sign, _limit_guide, eps, "bisection on limit equation")
+    return _solve(_limit_sign, _limit_sign_test, _limit_guide, eps, "bisection on limit equation")
 
 
-def _limit_sign(r: float, size: KernelSize = FULL_SIZE) -> Bracket:
-    """The limit equation in log form, lhs - log zeta(r), as a bracket,
-    with zeta at ``size``."""
+def _limit_sign(r: float) -> Bracket:
+    """The limit equation in log form, lhs - log zeta(r), as a bracket."""
     r_iv = to_iv(r)
-    p2 = iv_pow(iv.mpf(2), r_iv)
-    p3 = iv_pow(iv.mpf(3), r_iv)
+    p2 = prime_power(2, r_iv)
+    p3 = prime_power(3, r_iv)
     lhs = iv.log(p2 / (p2 - 1)) + iv.log((p3 + 1) / (p3 - 1))
-    return Bracket.from_iv(lhs - iv.log(zeta_iv(r_iv, size)))
+    return Bracket.from_iv(lhs - iv.log(zeta_iv(r_iv)))
+
+
+def _limit_sign_test(r: float, size: KernelSize) -> int | None:
+    """The certified sign of :func:`_limit_sign`, with zeta at ``size``, or
+    None where it is not decided.  Its lhs is the log of
+    (1 + x_3) / ((1 - x_2)(1 - x_3)) with x_p = p^-r, so the test takes
+    no log: the function is > 0 exactly when
+
+        1 + x_3 > zeta(r) (1 - x_2) (1 - x_3)."""
+    r_iv = to_iv(r)
+    x2 = prime_power(2, -r_iv)
+    x3 = prime_power(3, -r_iv)
+    difference = 1 + x3 - zeta_iv(r_iv, size) * (1 - x2) * (1 - x3)
+    return Bracket.from_iv(difference).certified_sign()
 
 
 def _limit_guide(r: float) -> float:

@@ -48,9 +48,21 @@ def to_iv(x: float):
     return iv.mpf(x)
 
 
-def iv_pow(base, expo):
-    """base**expo for interval base > 0 and arbitrary interval exponent."""
-    return iv.exp(expo * iv.log(base))
+# Interval log p by (prime, working precision), each taken on first use.
+_LOG_PRIME: dict[tuple[int, int], object] = {}
+
+
+def log_prime(p: int):
+    """Interval log p at the working precision, taken once per prime."""
+    key = p, iv.prec
+    if key not in _LOG_PRIME:
+        _LOG_PRIME[key] = iv.log(iv.mpf(p))
+    return _LOG_PRIME[key]
+
+
+def prime_power(p: int, expo):
+    """p**expo = exp(expo * log p) for a prime p and an interval exponent."""
+    return iv.exp(expo * log_prime(p))
 
 
 # The kernel runs on the libmp interval tuples that mpmath.iv objects
@@ -174,9 +186,9 @@ def g_k_iv(k: int, r_iv):
     return zeta_iv(r_iv) / zeta_iv((k + 1) * r_iv)
 
 
-def log_g_iv(k: int, r_iv, size: KernelSize = FULL_SIZE):
-    """Interval enclosure of log G_k(r), from zeta at ``size``."""
-    return iv.log(zeta_iv(r_iv, size)) - iv.log(zeta_iv((k + 1) * r_iv, size))
+def log_g_iv(k: int, r_iv):
+    """Interval enclosure of log G_k(r)."""
+    return iv.log(zeta_iv(r_iv)) - iv.log(zeta_iv((k + 1) * r_iv))
 
 
 def g_k(k: int, r: float, eps: float = 1e-10) -> Bracket:
@@ -200,12 +212,6 @@ def local_factor(p: int, k: int, r: float) -> float:
     check_r(r)
     x = float(p) ** (-r)
     return (1.0 - x ** (k + 1)) / (1.0 - x)
-
-
-def log_local_factor_iv(p: int, k: int, r_iv):
-    """Interval enclosure of log(sum_{j=0}^k p^{-jr})."""
-    x = iv_pow(iv.mpf(p), -r_iv)
-    return iv.log((1 - x ** (k + 1)) / (1 - x))
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv
 
-from sigma_density import density, primes, solver
+from oracles import iv_pow, log_local_factor_iv
+from sigma_density import density, primes, solver, zeta
 from sigma_density.brackets import Bracket
 from sigma_density.errors import DomainError, IndeterminateError
-from sigma_density.zeta import local_factor, log_g_iv, log_local_factor_iv, to_iv
+from sigma_density.zeta import local_factor, log_g_iv, to_iv
 
 PI = math.pi
 LOG_10_OVER_PI_SQ = math.log(10 / PI**2)
@@ -144,6 +145,80 @@ class TestT:
             if all(density.t_func(table, k, m, r).nonpositive() for m in (1, 2, 4)):
                 for m in [3] + list(range(5, 21)):
                     assert density.t_func(table, k, m, r).nonpositive()
+
+
+class TestOneLogPerPrime:
+    """Every p^-r outside the zeta kernel is exp(-r log p) from one cached
+    log p: the same operations in the same order as the oracle route,
+    which takes a fresh log for every power, so the same bits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.one_of(st.integers(1, 12), st.integers(1, 10**6)),
+        ms=st.lists(st.integers(1, 30), min_size=1, max_size=5, unique=True).map(sorted),
+        r=st.floats(min_value=1.0001, max_value=40.0),
+    )
+    def test_t_log_g_and_gaps_equal_the_oracle_route(self, table, k, ms, r):
+        r_iv = to_iv(r)
+        log_g = log_g_iv(k, r_iv)
+        oracle_log_g = iv.log(zeta.zeta_iv(r_iv)) - iv.log(zeta.zeta_iv((k + 1) * r_iv))
+        assert log_g._mpi_ == oracle_log_g._mpi_
+        levels = density._levels(table, k, r_iv, ms)
+        for (m, head, prefix), (_, t, gap) in zip(levels, density.t_levels(table, k, r_iv, log_g, ms)):
+            oracle_prefix = iv.mpf(0)
+            for i in range(1, m + 1):
+                oracle_prefix += log_local_factor_iv(table.nth(i), k, r_iv)
+            oracle_head = iv.log(1 + iv_pow(iv.mpf(table.nth(m)), -r_iv))
+            oracle_t = oracle_head - log_g + oracle_prefix
+            assert (head - log_g + prefix)._mpi_ == oracle_t._mpi_
+            assert (log_g - prefix)._mpi_ == (log_g - oracle_prefix)._mpi_
+            assert head._mpi_ == oracle_head._mpi_
+            assert t == Bracket.from_iv(oracle_t)
+            if t.strictly_positive():
+                assert gap.lo == Bracket.from_iv(log_g - oracle_prefix)
+                assert gap.hi == Bracket.from_iv(oracle_head)
+            else:
+                assert gap is None
+        assert density.tail(table, k, m, r) == Bracket.from_iv(log_g - oracle_prefix)
+
+    @pytest.mark.parametrize("x", [1.0001, 1.5, 7 / 3, [1.0001, 7 / 3], [1.8, 1.9]])
+    @pytest.mark.parametrize("p", [2, 3, 7, 31, 1999993])
+    def test_cover_terms_equal_the_oracle_route(self, p, x):
+        x = iv.mpf(x)
+        log_p = iv.log(iv.mpf(p))
+        assert density._x(p, x)._mpi_ == iv_pow(iv.mpf(p), -x)._mpi_
+        assert density._log_over(p, x)._mpi_ == (log_p / (iv_pow(iv.mpf(p), x) + 1))._mpi_
+        q = iv_pow(iv.mpf(p), x)
+        assert density._log_sq_over(p, x)._mpi_ == (log_p**2 / (q + 2 + 1 / q))._mpi_
+
+
+class TestLogFreeSign:
+    """density.t_sign reads the sign of T from products, with no log."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.one_of(st.integers(1, 12), st.integers(1, 10**6)),
+        m=st.integers(1, 30),
+        r=st.floats(min_value=1.0001, max_value=2.0),
+    )
+    def test_equals_the_sign_of_the_full_size_t_on_the_solver_range(self, table, k, m, r):
+        t = density.t_func(table, k, m, r).certified_sign()
+        assert density.t_sign(table, k, m, r, zeta.FULL_SIZE) == t
+        assert density.t_sign(table, k, m, r, zeta.SIGN_SIZE) in (None, t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.one_of(st.integers(1, 12), st.integers(1, 10**6)),
+        m=st.integers(1, 30),
+        r=st.floats(min_value=1.0001, max_value=40.0),
+    )
+    def test_agrees_with_the_full_size_t_wherever_both_decide(self, table, k, m, r):
+        # Where T is about 1e-60 or less both routes can be undecided, and
+        # they stop deciding at slightly different r (up to 0.03 apart).
+        t = density.t_func(table, k, m, r).certified_sign()
+        full = density.t_sign(table, k, m, r, zeta.FULL_SIZE)
+        assert None in (t, full) or full == t
+        assert density.t_sign(table, k, m, r, zeta.SIGN_SIZE) in (None, t)
 
 
 class TestDerivative:

@@ -1,6 +1,6 @@
-"""The solver commands' stdout, byte for byte, against checked-in
-files: how a root is certified decides which points are evaluated,
-never a printed digit."""
+"""The CLI's stdout, byte for byte, against checked-in files: how a
+root, a T bracket or a cover cell is certified decides which points are
+evaluated and how, never a printed digit."""
 
 import pathlib
 
@@ -17,6 +17,17 @@ GOLDEN = {
     "thresholds_k7_eps1e-13.txt": ["thresholds", "--k", "7", "--eps", "1e-13"],
     # the thresholds tie, so the selector solves them again at eps/100
     "thresholds_k1_eps1e-2.txt": ["thresholds", "--k", "1", "--eps", "1e-2"],
+    # every cover claim's cells and min_slack, and the gap lemma
+    "verify_all.txt": ["verify", "--suite", "all"],
+    "density_k1_r1.5.txt": ["density", "--k", "1", "--r", "1.5"],
+    "density_k5_r1.87.txt": ["density", "--k", "5", "--r", "1.87"],
+    # T is tiny and positive at every level
+    "density_k2_r40.txt": ["density", "--k", "2", "--r", "40"],
+    # the gap scan runs through t_levels
+    "census_k1_r2_bound1000.txt": ["census", "--k", "1", "--r", "2.0", "--bound", "1000"],
+    "approximate_k2_r1.9_x0.5_steps1000.txt": [
+        "approximate", "--k", "2", "--r", "1.9", "--x", "0.5", "--steps", "1000"
+    ],
 }
 
 

@@ -3,12 +3,14 @@ from dataclasses import replace
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import iv
 
+from oracles import iv_pow
 from sigma_density import density, solver, zeta
 from sigma_density.brackets import PRECISION_FLOOR, Bracket
 from sigma_density.errors import CapacityError, DomainError, PrecisionError
-from sigma_density.zeta import iv_pow, log_g_iv, to_iv
+from sigma_density.zeta import log_g_iv, to_iv
 
 
 def eta_defining_sign(k, r):
@@ -60,6 +62,11 @@ ETA_RESIDUALS = {
 def no_guide(r):
     """A guide that never clears GUIDE_ERROR: every sign is a certified test."""
     return math.nan
+
+
+def sign_of(value):
+    """A sized sign test that reads the sign of ``value`` at every size."""
+    return lambda r, size: value(r).certified_sign()
 
 
 def assert_certified_root(table, result, sign_fn):
@@ -202,6 +209,13 @@ class TestEtaLimit:
             b = solver._limit_sign(r)
             assert b.lo - 2e-15 <= solver._limit_guide(r) <= b.hi + 2e-15
 
+    @settings(max_examples=40, deadline=None)
+    @given(r=st.floats(min_value=1.0001, max_value=40.0))
+    def test_log_free_sign_is_the_sign_of_the_full_size_bracket(self, r):
+        full = solver._limit_sign(r).certified_sign()
+        assert solver._limit_sign_test(r, zeta.FULL_SIZE) == full
+        assert solver._limit_sign_test(r, zeta.SIGN_SIZE) in (None, full)
+
     def test_published_value(self, table):
         result = solver.eta_limit(1e-9)
         assert result.value.width <= 1e-9
@@ -246,17 +260,19 @@ class TestBisection:
     def test_indeterminate_sign_raises(self):
         # certified at both ends, indeterminate at every midpoint
         ends = {solver._START: Bracket(-2.0, -1.0), 2.0: Bracket(1.0, 2.0)}
+
+        def value(r):
+            return ends.get(r, Bracket(-1.0, 1.0))
+
         with pytest.raises(PrecisionError, match="indeterminate"):
-            solver._solve(
-                lambda r, size: ends.get(r, Bracket(-1.0, 1.0)), no_guide, 1e-10, "test"
-            )
+            solver._solve(value, sign_of(value), no_guide, 1e-10, "test")
 
     def test_uncertified_start_raises(self):
-        def sign_fn(r, size):
+        def value(r):
             return Bracket(1.0, 2.0) if r > 1.5 else Bracket(-1.0, 1.0)
 
         with pytest.raises(PrecisionError):
-            solver._solve(sign_fn, no_guide, 1e-10, "test")
+            solver._solve(value, sign_of(value), no_guide, 1e-10, "test")
 
     def test_refining_equals_solving_at_the_finer_eps(self, table):
         # bisection is deterministic: a 1e-10 bracket walked on to 1e-12 is
@@ -278,46 +294,56 @@ def certified_only(table):
 
     def solve(k, m, eps):
         if (k, m, eps) not in roots:
-            sign_fn = partial(density.t_func, table, k, m)
+            value = partial(density.t_func, table, k, m)
             if eps == 1e-13:
                 coarse = solve(k, m, 1e-10)
-                sign = lambda r: sign_fn(r).certified_sign()  # noqa: E731
+                sign = lambda r: value(r).certified_sign()  # noqa: E731
                 lo, hi, steps = solver._walk(sign, coarse.value.lo, coarse.value.hi, eps)
                 roots[k, m, eps] = replace(
                     coarse,
                     value=Bracket(lo, hi),
                     iterations=coarse.iterations + steps,
-                    residual=sign_fn(0.5 * (lo + hi)),
+                    residual=value(0.5 * (lo + hi)),
                 )
             else:
+                sign = partial(density.t_sign, table, k, m)
                 roots[k, m, eps] = solver._solve(
-                    sign_fn, no_guide, eps, "bisection on T", boundary=True
+                    value, sign, no_guide, eps, "bisection on T", boundary=True
                 )
         return roots[k, m, eps]
 
     return solve
 
 
-class CountingSign:
-    """A certified function that records each evaluation's arguments; the
-    solver passes the kernel size last."""
+class Counting:
+    """A certified function, a value or a sign test, that records each
+    evaluation's arguments; the solver passes a sign test's kernel size
+    last."""
 
-    def __init__(self, sign_fn):
-        self.sign_fn = sign_fn
+    def __init__(self, fn):
+        self.fn = fn
         self.args = []
 
     def __call__(self, *args):
         self.args.append(args)
-        return self.sign_fn(*args)
+        return self.fn(*args)
 
     @property
     def calls(self):
         return len(self.args)
 
     def sizes(self):
-        """(SIGN_SIZE evaluations, FULL_SIZE evaluations)."""
+        """(SIGN_SIZE sign tests, FULL_SIZE sign tests)."""
         sizes = [args[-1] for args in self.args]
         return sizes.count(zeta.SIGN_SIZE), sizes.count(zeta.FULL_SIZE)
+
+
+def counting_t(monkeypatch):
+    """Count the solver's evaluations of T: (values, sign tests)."""
+    value, sign = Counting(density.t_func), Counting(density.t_sign)
+    monkeypatch.setattr(solver, "t_func", value)
+    monkeypatch.setattr(solver, "t_sign", sign)
+    return value, sign
 
 
 class TestGuidedBisection:
@@ -336,7 +362,13 @@ class TestGuidedBisection:
 
     @pytest.mark.parametrize("eps", [solver.LIMIT_EPS, 1e-12])
     def test_eta_limit_is_the_certified_walk(self, eps):
-        oracle = solver._solve(solver._limit_sign, no_guide, eps, "bisection on limit equation")
+        oracle = solver._solve(
+            solver._limit_sign,
+            solver._limit_sign_test,
+            no_guide,
+            eps,
+            "bisection on limit equation",
+        )
         assert solver.eta_limit(eps) == oracle
 
     @pytest.mark.parametrize(
@@ -345,12 +377,13 @@ class TestGuidedBisection:
         ids=["always-negative", "shifted", "nan"],
     )
     def test_a_lying_guide_falls_back_to_the_certified_walk(self, table, certified_only, lie):
-        sign_fn = CountingSign(partial(density.t_func, table, 3, 2))
+        sign = Counting(partial(density.t_sign, table, 3, 2))
         guide = partial(lie, partial(density.t_float, table, 3, 2))
-        root = solver._solve(sign_fn, guide, 1e-10, "bisection on T")
+        value = partial(density.t_func, table, 3, 2)
+        root = solver._solve(value, sign, guide, 1e-10, "bisection on T")
         assert root == certified_only(3, 2, 1e-10)
         # the certified walk tests every midpoint
-        assert sign_fn.calls > root.iterations
+        assert sign.calls > root.iterations
 
     @pytest.mark.parametrize(
         "lie",
@@ -369,11 +402,10 @@ class TestGuidedBisection:
 
     def test_r_threshold_certifies_few_points(self, table, monkeypatch):
         # the residual on the full size, one endpoint sign test on the sign size
-        sign_fn = CountingSign(density.t_func)
-        monkeypatch.setattr(solver, "t_func", sign_fn)
+        value, sign = counting_t(monkeypatch)
         root = solver.r_threshold(table, 3, 2)
         assert root.iterations == 34
-        assert sign_fn.sizes() == (1, 1)
+        assert (value.calls, sign.sizes()) == (1, (1, 0))
 
     @pytest.mark.parametrize(
         "k, m, side, end", [(1, 1, 1, "lo"), (3, 2, -1, "hi")], ids=["positive", "negative"]
@@ -383,72 +415,82 @@ class TestGuidedBisection:
     ):
         # T(mid) > 0 and T(lo) < 0 put a root in (lo, mid), and T(hi) >
         # T(mid) since T is increasing; symmetrically for T(mid) < 0
-        sign_fn = CountingSign(density.t_func)
-        monkeypatch.setattr(solver, "t_func", sign_fn)
+        value, sign = counting_t(monkeypatch)
         root = solver.r_threshold(table, k, m)
         assert root.residual.certified_sign() == side
-        assert [args[3] for args in sign_fn.args] == [root.value.mid, getattr(root.value, end)]
-        assert sign_fn.sizes() == (1, 1)
+        assert [args[3] for args in value.args] == [root.value.mid]
+        assert [args[3] for args in sign.args] == [getattr(root.value, end)]
+        assert sign.sizes() == (1, 0)
 
     def test_a_straddling_residual_certifies_both_ends(self):
         # f(r) = r - 1.7, whose full-size bracket is 2 eps wide, so it
         # straddles 0 at the final midpoint; the sign size decides the ends
         eps = 1e-10
 
-        def f(r, size):
-            width = 2 * eps if size is zeta.FULL_SIZE else 0.0
-            return Bracket(r - 1.7 - width, r - 1.7 + width)
+        def f(r):
+            return Bracket(r - 1.7 - 2 * eps, r - 1.7 + 2 * eps)
 
-        sign_fn = CountingSign(f)
-        root = solver._solve(sign_fn, lambda r: r - 1.7, eps, "test")
+        def f_sign(r, size):
+            return Bracket.exact(r - 1.7).certified_sign()
+
+        sign = Counting(f_sign)
+        root = solver._solve(f, sign, lambda r: r - 1.7, eps, "test")
         assert root.residual.certified_sign() is None
-        ends = [args[0] for args in sign_fn.args if args[1] is zeta.SIGN_SIZE]
+        ends = [args[0] for args in sign.args if args[1] is zeta.SIGN_SIZE]
         assert ends == [root.value.lo, root.value.hi]
-        assert root == solver._solve(f, no_guide, eps, "test")
+        assert root == solver._solve(f, f_sign, no_guide, eps, "test")
 
     def test_a_boundary_certifies_only_2(self, table, monkeypatch):
-        # the boundary prints its bracket at 2, so that one test is full size
-        sign_fn = CountingSign(density.t_func)
-        monkeypatch.setattr(solver, "t_func", sign_fn)
+        # the boundary prints its bracket at 2: one full-size value, no sign test
+        value, sign = counting_t(monkeypatch)
         assert solver.r_threshold(table, 1, 4).boundary
-        assert sign_fn.sizes() == (0, 1)
+        assert (value.calls, sign.sizes()) == (1, (0, 0))
 
     def test_eta_certifies_the_endpoints_and_the_residual(self, table, monkeypatch):
         # the residual, then the one endpoint on the other side of the root
-        log_g = CountingSign(solver.log_g_iv)
+        log_g = Counting(solver.log_g_iv)
         monkeypatch.setattr(solver, "log_g_iv", log_g)
+        _, sign = counting_t(monkeypatch)
         assert solver.eta(table, 4).iterations == 34
-        assert log_g.sizes() == (1, 1)
+        assert (log_g.calls, sign.sizes()) == (1, (1, 0))
 
     def test_eta_limit_certifies_the_endpoints_and_the_residual(self, monkeypatch):
         # the residual, then the one endpoint on the other side of the root
-        sign_fn = CountingSign(solver._limit_sign)
-        monkeypatch.setattr(solver, "_limit_sign", sign_fn)
+        value = Counting(solver._limit_sign)
+        sign = Counting(solver._limit_sign_test)
+        monkeypatch.setattr(solver, "_limit_sign", value)
+        monkeypatch.setattr(solver, "_limit_sign_test", sign)
         assert solver.eta_limit().iterations == 30
-        assert sign_fn.sizes() == (1, 1)
+        assert (value.calls, sign.sizes()) == (1, (1, 0))
 
     def test_an_undecided_sign_test_escalates_to_the_full_size(self, table, monkeypatch):
         # at 1e-13 the lower endpoint of R_7(1) is within the sign size's
         # width of the root; the full size decides it, and the solve is
         # still the certified-only walk
         oracle = solver._solve(
-            partial(density.t_func, table, 7, 1), no_guide, 1e-13, "bisection on T", boundary=True
+            partial(density.t_func, table, 7, 1),
+            partial(density.t_sign, table, 7, 1),
+            no_guide,
+            1e-13,
+            "bisection on T",
+            boundary=True,
         )
-        sign_fn = CountingSign(density.t_func)
-        monkeypatch.setattr(solver, "t_func", sign_fn)
+        value, sign = counting_t(monkeypatch)
         root = solver.r_threshold(table, 7, 1, 1e-13)
         assert root == oracle
-        full = [args[3] for args in sign_fn.args if args[-1] is zeta.FULL_SIZE]
-        assert full == [1.9401015191900979, root.value.mid]
+        full = [args[3] for args in sign.args if args[-1] is zeta.FULL_SIZE]
+        assert full == [1.9401015191900979]
+        assert [args[3] for args in value.args] == [root.value.mid]
         assert root.value.lo == 1.9401015191900979
 
     def test_eta_never_escalates_at_the_default_eps(self, table, monkeypatch):
-        log_g = CountingSign(solver.log_g_iv)
+        log_g = Counting(solver.log_g_iv)
         monkeypatch.setattr(solver, "log_g_iv", log_g)
+        _, sign = counting_t(monkeypatch)
         for k in range(1, 11):
             solver.eta(table, k)
         # every full-size evaluation is a residual
-        assert log_g.sizes()[1] == 10
+        assert (log_g.calls, sign.sizes()[1]) == (10, 0)
 
 
 def _row(table, k, eps=solver.DEFAULT_EPS):
