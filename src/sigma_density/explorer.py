@@ -120,8 +120,12 @@ def greedy_approximate(
     e = 0.0
     # Read the table as Python floats a block of primes at a time: one
     # tolist() of the whole table would double the walk's peak memory.
+    # A block is k + 1 rows zipped into one short-lived tuple per prime,
+    # not a list per prime: thousands of lists alive at once would trip
+    # the cyclic garbage collector, whose full passes then land in the
+    # walk and in whichever request follows it.
     for start in range(0, steps, GREEDY_BLOCK):
-        for logs in partial_logs[:, start : start + GREEDY_BLOCK].T.tolist():
+        for logs in zip(*partial_logs[:, start : start + GREEDY_BLOCK].tolist()):
             alpha = 0
             for a in range(k, 0, -1):
                 if c + logs[a] <= x:

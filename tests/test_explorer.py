@@ -1,3 +1,4 @@
+import gc
 import math
 
 import mpmath
@@ -113,6 +114,47 @@ class TestGreedy:
         trace = explorer.greedy_approximate(table, 2, 1.5, 0.6, 500)
         value = log_sigma_restricted(trace.witness(), 1.5, table)
         assert value == pytest.approx(trace.achieved, abs=1e-12)
+
+    def test_blocks_match_the_indexed_table(self, table):
+        # The walk as it read the numpy table one entry at a time.
+        k, r, x = 3, 1.8, 0.4
+        steps = 2 * explorer.GREEDY_BLOCK + 5
+        powers = explorer._walk_primes(table, steps).astype(np.float64) ** (-r)
+        partial_logs = np.log(
+            np.cumsum(np.vstack([np.ones_like(powers)] + [powers**a for a in range(1, k + 1)]), axis=0)
+        )
+        alphas, C, D, E = [], [], [], []
+        c = e = 0.0
+        for l in range(steps):
+            alpha = next((a for a in range(k, 0, -1) if c + partial_logs[a, l] <= x), 0)
+            c += partial_logs[alpha, l]
+            d = partial_logs[k, l] - partial_logs[alpha, l]
+            e += d
+            alphas.append(alpha)
+            C.append(c)
+            D.append(d)
+            E.append(e)
+        trace = explorer.greedy_approximate(table, k, r, x, steps)
+        assert (trace.alphas, trace.C, trace.D, trace.E) == (alphas, C, D, E)
+
+    def test_a_long_walk_runs_no_garbage_collection(self, table):
+        # A walk that kept an object per step alive would trip the cyclic
+        # collector every few hundred steps, and its full passes would land
+        # in whatever runs next.
+        explorer.greedy_approximate(table, 2, 1.9, 0.3, 20_000)
+        collections = []
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            explorer.greedy_approximate(table, 1, 1.9, 0.3, 20_000)
+        finally:
+            gc.callbacks.remove(count)
+        assert collections == []
 
     def test_domain_errors(self, table):
         with pytest.raises(DomainError):
