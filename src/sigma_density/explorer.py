@@ -25,10 +25,10 @@ if TYPE_CHECKING:
 # Largest census bound, from measurement (Python 3.11, numpy 2.4, one
 # process on a 2-core x86-64 host).  range_census peaks at 28.5 bytes an
 # integer under tracemalloc, taking 0.11 s at 1e6 and 1.6 s at 1e7.  The
-# census command's JSON, one repr string per value, lifts the request to
-# about 160 bytes an integer where every n is admissible and its value
-# distinct (k = 1000, r = 1.0001): at this cap, 0.79 GB under tracemalloc,
-# 0.96 GB resident and 14 s.
+# command's worst case is where every n is admissible and its value
+# distinct: `census --k 1000 --r 1.0001 --bound 5000000` as JSON to --out
+# (161 MB) takes 3.7 s, 0.30 GB resident and a 0.26 GB peak under
+# tracemalloc.
 CENSUS_MAX_BOUND = 5_000_000
 # Largest (k + 1) * steps of a greedy walk: its table of partial local
 # factors holds that many doubles, and its peak memory is about 20 bytes

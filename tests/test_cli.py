@@ -628,6 +628,8 @@ def test_output_is_byte_identical_to_the_old_envelope_route(capsys, monkeypatch,
         {"nested": [[1.0, 2.0], [3, 4], (5.5, 6.5), [[7.0]], [None, 1.0]]},
         {"records": ((1, 0.5, 0.25), (2, 0.75, 1.0)), "np_ints": [np.int64(3)]},
         {"bracket": Bracket(0.5, 0.75), "strings": ['"\\u00000"', "\\u00000"], "flat": [1.0]},
+        {"table": [[1.0, 2.5], [3.0, 4.0]], "column": ((0.5,),), "ragged": [[1.0], [2.0, 3.0]]},
+        {"gaps": tuple((1.0 + i / 7, 1.5 + i / 3, 1e-7 * i + 1e-6) for i in range(cli.JOIN_BLOCK + 5))},
     ],
 )
 def test_json_pieces_match_json_dumps(payload):
@@ -635,6 +637,13 @@ def test_json_pieces_match_json_dumps(payload):
     old = _old_json(_old_convert(payload, "", brackets))
     new = "".join(cli._json_pieces(cli._convert(payload, "", {})))
     assert first_difference(new, old) is None
+
+
+def test_tsv_of_a_table_of_floats_keys_each_cell():
+    gaps = tuple((1.0 + i / 7, 1.5 + i / 3, 2.0**-i) for i in range(cli.FLOAT_TEXT_MIN))
+    envelope = {"result": {"gaps": gaps, "m": [1, 2]}}
+    old = [f"{key}\t{value}" for key, value in _old_flatten(_old_convert(envelope, "", {}))]
+    assert [f"{key}\t{value}" for key, value in cli._flatten(cli._convert(envelope, "", {}))] == old
 
 
 def test_flat_lists_are_joined_in_blocks():
