@@ -9,11 +9,14 @@ to the double.  TSV flattens the same numbers to key/value lines, except
 for the census where it emits one range value per line.
 
 Floats print byte for byte as ``float.__repr__`` writes them, but long
-lists and arrays a block at a time through numpy (``_float_text``).  At
-``census --bound 1000000`` (k = 1..3) writing a value takes 214-233 ns
-in TSV and 248-303 ns in JSON with the gap rows, against 600-795 ns by
-``float.__repr__``, while enumerating it takes 95-155 ns (Python 3.11,
-numpy 2.4, a shared 2-vCPU x86-64 host; ``BENCH_census_writer.json``).
+lists and arrays a block at a time through numpy (``_float_text``), which
+covers [1e-20, 1e17).  At ``census --bound 1000000`` (k = 1..3) writing a
+value takes 214-233 ns in TSV and 248-303 ns in JSON with the gap rows,
+against 600-795 ns by ``float.__repr__``, while enumerating it takes
+95-155 ns (``BENCH_census_writer.json``).  A 100000-step greedy walk's
+deficits D, nearly all below 1e-6, take 286-342 ns a value in JSON
+against 829-1101 ns by ``float.__repr__`` (``BENCH_greedy_arrays.json``;
+Python 3.11, numpy 2.4, a shared 2-vCPU x86-64 host).
 
 Exit codes: 0 success, 1 domain/precision error, an unwritable ``--out``
 or a closed output pipe, 2 verification-suite failure, 64 usage error.
@@ -145,6 +148,14 @@ _SPLIT = 134217729.0
 _DIGITS = 22
 _SUFFIX = 4
 _REPR = 24
+# _float_text writes a value x in [10**d, 10**(d + 1)) for -20 <= d <= 16
+# from y = x * 10**j, j = 16 - d; 5**j is one exact double up to j = _EXACT.
+_DEEPEST = 36
+_EXACT = 22
+# Strict bounds on the error of r and of |i + r| - h in _float_text, for
+# j > _EXACT.
+_R_BOUND = 2.0**-53
+_H_BOUND = 2.0**-48
 
 
 @functools.cache
@@ -156,16 +167,24 @@ def _float_tables(np):
     groups = np.ascontiguousarray(chars + ord("0"), dtype=np.uint8).view(np.uint32).ravel()
     trailing = np.select([group % 1000 == 0, group % 100 == 0, group % 10 == 0], [3, 2, 1], 0)
     trailing[0] = 4
-    powers = np.array([10.0**j for j in range(23)])  # exact doubles
-    c = powers * _SPLIT
-    high = c - (c - powers)
-    # decades[i] is the double nearest 10**(i - 6); a value at or above the
-    # last one is out of range.
-    decades = np.array([float(f"1e{d}") for d in range(-6, 18)])
+    # 5**j = five_hi[j] + five_lo[j] exactly for j <= _DEEPEST, since
+    # 5**36 < 2**84; five_lo is 0 up to j = _EXACT.  Each half comes with
+    # its Veltkamp halves, for Dekker's product.
+    fives = [5**j for j in range(_DEEPEST + 1)]
+    five_hi = np.array([float(f) for f in fives])
+    five_lo = np.array([float(f - int(float(f))) for f in fives])
+    halves = []
+    for half in (five_hi, five_lo):
+        c = half * _SPLIT
+        high = c - (c - half)
+        halves.append((half, high, half - high))
+    # decades[i] is the double nearest 10**(i - 20); a value at or above
+    # the last one is out of range.
+    decades = np.array([float(f"1e{d}") for d in range(-20, 18)])
     # left[d + 6, c]: column c of the text of a value in [10**d, 10**(d + 1))
     # holds a digit left of the point.
     left = np.arange(_DIGITS) <= 4 + np.arange(-6, 16)[:, None]
-    return groups, trailing, powers, high, powers - high, decades, left
+    return groups, trailing, halves, decades, left
 
 
 @functools.cache
@@ -188,6 +207,12 @@ def _float_masks(np, separators):
     )
 
 
+def _dekker(x, x_high, x_low, y, y_high, y_low):
+    """Dekker's exact product of two split doubles: x * y = p + e."""
+    p = x * y
+    return p, ((x_high * y_high - p) + x_high * y_low + x_low * y_high) + x_low * y_low
+
+
 def _float_text(np, values, separator, row_separator, width):
     """``float.__repr__`` of every value of the float64 array ``values``,
     with ``separator`` between them and ``row_separator`` after every
@@ -195,71 +220,105 @@ def _float_text(np, values, separator, row_separator, width):
     fewer than half the values are in the range below, where the array
     work would be spent for nothing.
 
-    A value x in [10**d, 10**(d + 1)) with -6 <= d <= 16 is written
+    A value x in [10**d, 10**(d + 1)) with -20 <= d <= 16 is written
     from y = x * 10**j, j = 16 - d, which lies in [10**16, 10**17).
-    Dekker's product of x and the exact double 10**j gives y as p + e
-    exactly, so N17 = p + rint(e) is the nearest integer to y (p > 2**53
-    is even, so ties go to even) and r = y - N17 = e - rint(e) is exact.
+    Scaling x by 2**j is exact, and 5**j = P_hi + P_lo exactly with two
+    doubles, P_lo = 0 for j <= 22.  Dekker's products give y as
+    p + e + p' + e' exactly, from P_hi and P_lo, and TwoSum gives
+    e + p' = s + t exactly.  So with N17 = p + rint(s), an integer since
+    p >= 2**53 is, r = (s - rint(s)) + (t + e') is y - N17, exactly for
+    j <= 22, where p' = e' = t = 0: then N17 is the nearest integer to y
+    (p is even, so ties go to even) and r is exact.
 
     The n-digit candidate nearest x, for n = 16 and 15, is N17 rounded to
     a multiple of 10 or 100, ties to even; its distance from y is an
     integer i plus r.  It parses back to x when that distance is below
-    h = ulp(x) / 2 * 10**j, an exact double, or equal to it when x's
-    mantissa is even: x's rounding interval is symmetric, since x is not
-    a power of two.  The double i + r compares with h as the exact sum
-    does.  When the spacing g of y, a power of two, is at most 1, y and
-    every integer are multiples of g, while h = 5**j * g / 2 is an odd
-    multiple of g / 2 near which doubles lie at most g / 4 apart
-    (5**j < 2**52): the sum never rounds onto h.  When g > 1, y is an
-    integer, r = 0 and the sum is i.
+    h = ulp(x) / 2 * 10**j, or equal to it when x's mantissa is even:
+    x's rounding interval is symmetric, since x is not a power of two.
+    For j <= 22, h is an exact double and the double i + r compares with
+    h as the exact sum does.  When the spacing g of y, a power of two, is
+    at most 1, y and every integer are multiples of g, while
+    h = 5**j * g / 2 is an odd multiple of g / 2 near which doubles lie
+    at most g / 4 apart (5**j < 2**52): the sum never rounds onto h.
+    When g > 1, y is an integer, r = 0 and the sum is i.
 
-    N17 always parses back, since h > 0.5.  At 15 digits the interval
-    holds at most one candidate.  So the shortest digits are the 15-digit
-    ones with their trailing zeros stripped when they parse back, else
-    the 16-digit ones when they do, else N17: the digits of the shortest
-    round-trip repr (Gay's mode 0), which picks the nearest digits of
-    that length.  No candidate rounds up to 10**(d + 1): that one parses
-    back only to the double nearest 10**(d + 1), which ``decades`` files
-    under d + 1.
+    For j > 22 (d <= -7), r and h carry rounding errors, bounded thus.
+    p < 2**57, so |e| <= 8; |P_lo| <= 2**-53 P_hi, so |p'| < 16 and
+    |e'| <= 2**-50; then |s| < 32 and |t| <= 2**-49.  s - rint(s) is
+    exact, t + e' rounds by at most 2**-101 and the last sum, below 1, by
+    2**-54: r is within _R_BOUND = 2**-53 of y - N17.  A row whose |r| is
+    within _R_BOUND of 0 or 1/2 goes to ``float.__repr__``, so elsewhere
+    N17 is the nearest integer and r has the sign of y - N17.  h is taken
+    from P_hi alone, within h * 2**-53 of the true h, which is below 11.2
+    (h <= y * 2**-53), and i + r below 16 in size rounds by at most
+    2**-50: a row whose |i + r| is within _H_BOUND = 2**-48 of h goes to
+    ``float.__repr__`` too, so elsewhere the comparison is exact.  No
+    distance equals h here: a candidate N at a midpoint between doubles,
+    N * 10**-j = (2M + 1) * 2**(E - 1), would be a multiple of
+    (2M + 1) * 5**j >= 2**53 * 5**23 > 10**17.
+
+    N17 parses back whenever it is the nearest integer, since h > 0.5.
+    At 15 digits the interval holds at most one candidate.  So the
+    shortest digits are the 15-digit ones with their trailing zeros
+    stripped when they parse back, else the 16-digit ones when they do,
+    else N17: the digits of the shortest round-trip repr (Gay's mode 0),
+    which picks the nearest digits of that length.  No candidate rounds
+    up to 10**(d + 1): that one parses back only to the double nearest
+    10**(d + 1), which ``decades`` files under d + 1.
 
     Every other value goes through ``float.__repr__`` alone: negative
-    values, -0.0, powers of two, values outside that range, and any value
-    whose y misses [10**16, 10**17) since its decade was misjudged."""
+    values, -0.0, powers of two, values outside that range, any value
+    whose y misses [10**16, 10**17) since its decade was misjudged, and
+    the rows within the bounds above."""
     if not np.isfinite(values).all():
         raise ValueError("Out of range float values are not JSON compliant")
-    groups, trailing, powers, high, low, decades, left = _float_tables(np)
+    groups, trailing, (five_hi, five_lo), decades, left = _float_tables(np)
     n = len(values)
     bits = values.view(np.uint64)
     zero = bits == 0
-    d = np.searchsorted(decades, values, side="right") - 7
-    exact = (d >= -6) & (d <= 16) & (bits & np.uint64(2**52 - 1) != 0)
+    d = np.searchsorted(decades, values, side="right") - 21
+    exact = (d >= -20) & (d <= 16) & (bits & np.uint64(2**52 - 1) != 0)
     if 2 * np.count_nonzero(exact | zero) < n:
         return None
     x = np.where(exact, values, 1.5)  # any value in range, for the rest
     d[~exact] = 0
     j = 16 - d
-    power, power_high, power_low = powers[j], high[j], low[j]
-    # Dekker's product: y = p + e exactly.
-    c = x * _SPLIT
-    x_high = c - (c - x)
-    x_low = x - x_high
-    p = x * power
-    e = ((x_high * power_high - p) + x_high * power_low + x_low * power_high) + x_low * power_low
-    # y in [10**16, 10**17), since p is y rounded and both ends are doubles.
-    exact &= ((p > 1e16) | ((p == 1e16) & (e >= 0))) & (p < 1e17)
-    f = np.rint(e)
+    shift = j.astype(np.int32)  # np.ldexp is slow with int64 exponents
+    scaled = np.ldexp(x, shift)
+    c = scaled * _SPLIT
+    high = c - (c - scaled)
+    hi = [part[j] for part in five_hi]
+    p, e = _dekker(scaled, high, scaled - high, *hi)
+    deep = j > _EXACT
+    any_deep = deep.any()
+    s, tail = e, 0.0
+    if any_deep:
+        p_lo, e_lo = _dekker(scaled, high, scaled - high, *(part[j] for part in five_lo))
+        # TwoSum: s + t = e + p_lo exactly; the tail is t + e_lo.
+        s = e + p_lo
+        v = s - e
+        tail = ((e - (s - v)) + (p_lo - v)) + e_lo
+    f = np.rint(s)
     n17 = p.astype(np.int64) + f.astype(np.int64)
-    r = e - f
+    r = (s - f) + tail
+    if any_deep:
+        size = np.abs(r)
+        exact &= ~(deep & ((size < _R_BOUND) | (size > 0.5 - _R_BOUND)))
+    # y in [10**16, 10**17), now that N17 is its nearest integer.
+    exact &= (n17 < 10**17) & ((n17 > 10**16) | ((n17 == 10**16) & (r >= 0)))
     x_bits = x.view(np.uint64)
-    h = np.ldexp(power, (x_bits >> np.uint64(52)).astype(np.int32) - 1076)
+    h = np.ldexp(hi[0], (x_bits >> np.uint64(52)).astype(np.int32) - 1076 + shift)
     even = (x_bits & np.uint64(1)) == 0
 
     def nearest(scale):
         """N17 rounded to a multiple of scale, over scale, and whether that
-        parses back to x."""
+        parses back to x; a row too near the boundary to tell is no
+        longer exact."""
         q, b = np.divmod(n17, scale)
         up = (b > scale // 2) | ((b == scale // 2) & ((r > 0) | ((r == 0) & (q & 1 == 1))))
         size = np.abs((b - scale * up) + r)
+        if any_deep:
+            exact[deep & (np.abs(size - h) < _H_BOUND)] = False
         return q + up, (size < h) | ((size == h) & even)
 
     n16, fits16 = nearest(10)
@@ -363,7 +422,8 @@ def _flatten(obj, prefix=""):
         for i, v in enumerate(obj):
             yield from _flatten(v, f"{prefix}[{i}]")
     elif isinstance(obj, _Flat):
-        for i, text in enumerate(map(obj.rep, obj.items)):
+        items = obj.items if isinstance(obj.items, (list, tuple)) else obj.items.tolist()
+        for i, text in enumerate(map(obj.rep, items)):
             if obj.width is None:
                 yield f"{prefix}[{i}]", text
             else:

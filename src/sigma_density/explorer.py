@@ -31,11 +31,13 @@ if TYPE_CHECKING:
 # tracemalloc.
 CENSUS_MAX_BOUND = 5_000_000
 # Largest (k + 1) * steps of a greedy walk: its table of partial local
-# factors holds that many doubles, and its peak memory is about 20 bytes
-# an entry (80 MB at this cap).
+# factors holds that many doubles, and its peak memory is about 10 bytes
+# an entry (39 MB under tracemalloc at k = 25 and 148933 steps, the
+# largest walk the default prime limit allows).
 GREEDY_MAX_ENTRIES = 4_000_000
-# Primes per block the greedy walk reads from that table as Python floats.
-GREEDY_BLOCK = 4096
+# Primes in the first window of a greedy run's array test; the window
+# doubles while the run lasts.
+GREEDY_WINDOW = 64
 # Levels m = 1..CENSUS_SCAN_LEVELS of the analytic gap scan a census overlays.
 CENSUS_SCAN_LEVELS = 10
 
@@ -44,18 +46,20 @@ CENSUS_SCAN_LEVELS = 10
 class GreedyTrace:
     """Full record of one greedy run.
 
-    C are the partial log sums (nondecreasing, never exceeding the
-    target), D the per-prime deficits against the full local factor, E
-    the cumulative deficits; C_l + E_l converges to log G_k(r).
+    ``alphas`` are the chosen exponents, one int per prime.  C are the
+    partial log sums (nondecreasing, never exceeding the target), D the
+    per-prime deficits against the full local factor, E the cumulative
+    deficits, each a float64 array of one entry per prime; C_l + E_l
+    converges to log G_k(r).
     """
 
     k: int
     r: float
     target: float
     alphas: list[int]
-    C: list[float]
-    D: list[float]
-    E: list[float]
+    C: np.ndarray
+    D: np.ndarray
+    E: np.ndarray
     achieved: float
     residual: float
 
@@ -104,51 +108,87 @@ def greedy_approximate(
 
     import numpy as np
 
-    p = _walk_primes(table, steps).astype(np.float64)
-    # partial_logs[a][l] = log(sum_{j<=a} p_l^{-jr}); row 0 is zero.
-    powers = p ** (-r)
-    partials = np.cumsum(
-        np.vstack([np.ones_like(p)] + [powers**a for a in range(1, k + 1)]), axis=0
-    )
-    partial_logs = np.log(partials)
-
-    alphas: list[int] = []
-    C: list[float] = []
-    D: list[float] = []
-    E: list[float] = []
-    c = 0.0
-    e = 0.0
-    # Read the table as Python floats a block of primes at a time: one
-    # tolist() of the whole table would double the walk's peak memory.
-    # A block is k + 1 rows zipped into one short-lived tuple per prime,
-    # not a list per prime: thousands of lists alive at once would trip
-    # the cyclic garbage collector, whose full passes then land in the
-    # walk and in whichever request follows it.
-    for start in range(0, steps, GREEDY_BLOCK):
-        for logs in zip(*partial_logs[:, start : start + GREEDY_BLOCK].tolist()):
-            alpha = 0
-            for a in range(k, 0, -1):
-                if c + logs[a] <= x:
-                    alpha = a
-                    break
-            c += logs[alpha]
-            d = logs[k] - logs[alpha]
-            e += d
-            alphas.append(alpha)
-            C.append(c)
-            D.append(d)
-            E.append(e)
+    powers = _walk_primes(table, steps).astype(np.float64) ** (-r)
+    # partial_logs[a][l] = log(sum_{j<=a} p_l^{-jr}); row 0 is zero.  Each
+    # row is the one above plus p^-ar, as np.cumsum over the rows adds.
+    partial_logs = np.empty((k + 1, steps))
+    partial_logs[0] = 1.0
+    for a in range(1, k + 1):
+        np.add(partial_logs[a - 1], powers**a, out=partial_logs[a])
+    np.log(partial_logs, out=partial_logs)
+    alphas = _greedy_alphas(partial_logs, x)
+    taken = partial_logs[alphas, np.arange(steps)]
+    C = np.cumsum(taken)
+    D = partial_logs[k] - taken
+    achieved = float(C[-1])
     return GreedyTrace(
         k=k,
         r=r,
         target=x,
-        alphas=alphas,
+        alphas=alphas.tolist(),
         C=C,
         D=D,
-        E=E,
-        achieved=c,
-        residual=x - c,
+        E=np.cumsum(D),
+        achieved=achieved,
+        residual=x - achieved,
     )
+
+
+def _greedy_alphas(partial_logs: np.ndarray, x: float) -> np.ndarray:
+    """The greedy exponents of the walk over ``partial_logs``, by runs.
+
+    The rule at each prime l is: with c the sum so far, take the largest
+    alpha <= k with c + partial_logs[alpha, l] <= x, else 0, and add
+    partial_logs[alpha, l] to c.  Most of a walk is long runs of alpha 0,
+    where c stands still, and of alpha k, where c is a running sum of row
+    k, so each run is found by array tests over windows of GREEDY_WINDOW
+    primes, doubling while the run lasts:
+
+    - after an alpha of 0, the run ends at the first prime where
+      c + partial_logs[a, l] <= x for some a >= 1.  Rounding is monotone,
+      so that holds exactly where c plus the least of those logs is <= x;
+    - after an alpha of k, the run ends at the first prime where the
+      running sum c + partial_logs[k, i] + ... passes x.  ``np.cumsum``
+      adds from the left, one rounding a term, as the walk does.
+
+    The prime that ends a run, and every other prime, takes the rule
+    itself.  So every alpha, and every sum the walk compares, is the one
+    the walk prime by prime takes, bit for bit."""
+    import numpy as np
+
+    k, steps = partial_logs.shape[0] - 1, partial_logs.shape[1]
+    least = partial_logs[1:].min(axis=0)
+    top = partial_logs[k]
+    alphas = np.zeros(steps, dtype=np.intp)
+    c = 0.0
+    i = 0
+    while i < steps:
+        logs = partial_logs[:, i].tolist()
+        alpha = next((a for a in range(k, 0, -1) if c + logs[a] <= x), 0)
+        alphas[i] = alpha
+        c += logs[alpha]
+        i += 1
+        window = GREEDY_WINDOW
+        if alpha == 0:
+            while i < steps:
+                below = c + least[i : i + window] <= x
+                if below.any():
+                    i += int(below.argmax())
+                    break
+                i += window
+                window *= 2
+        elif alpha == k:
+            while i < steps:
+                sums = np.cumsum(np.concatenate(([c], top[i : i + window])))
+                over = sums[1:] > x
+                run = int(over.argmax()) if over.any() else len(over)
+                alphas[i : i + run] = k
+                c = float(sums[run])
+                i += run
+                if run < len(over):
+                    break
+                window *= 2
+    return alphas
 
 
 def _walk_primes(table: PrimeTable, steps: int) -> np.ndarray:
@@ -196,7 +236,13 @@ def _sigma_values(k: int, r: float, bound: int) -> np.ndarray:
     inadmissible because every admissible value is >= 1.  ``cofactor[n]``
     is n with those primes divided out: 1 or one prime above sqrt(bound),
     whose factor goes in last, in bulk.  int32 holds every n up to
-    CENSUS_MAX_BOUND."""
+    CENSUS_MAX_BOUND.
+
+    That last factor is _local_factor's expression written out over a
+    list of floats, 1.2x as fast as a call per prime, and it keeps
+    Python's ``float(q) ** -r``: ``np.power`` rounds some of those powers
+    differently (42k of the 783k primes in (1000, 1e6] over ten r in
+    [1.01, 3], numpy 2.4 on x86-64), which would change census values."""
     import numpy as np
 
     root = math.isqrt(bound)
@@ -220,7 +266,7 @@ def _sigma_values(k: int, r: float, bound: int) -> np.ndarray:
     large = np.arange(root + 1, bound + 1, dtype=np.int32)
     large = large[cofactor[root + 1 :] == large]
     lookup = np.ones(bound + 1)
-    lookup[large] = [_local_factor(q, 1, r) for q in large.tolist()]
+    lookup[large] = [(1.0 - x**2) / (1.0 - x) for x in [float(q) ** -r for q in large.tolist()]]
     value *= lookup[cofactor]
     del cofactor, lookup  # freed before the sort, which copies
     value[0] = 0.0

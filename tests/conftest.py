@@ -1,4 +1,6 @@
 import functools
+import importlib.util
+import pathlib
 
 import pytest
 
@@ -23,3 +25,26 @@ def sieve_bounds(monkeypatch):
     for name in ("_first_sieve", "_eratosthenes"):
         monkeypatch.setattr(primes, name, functools.partial(spy, getattr(primes, name)))
     return bounds
+
+
+# The benchmark's run length (BENCHMARK.json "run_seconds") and the seeds
+# whose greedy walks the tests replay.
+PLAN_SECONDS = 18
+PLAN_SEEDS = (1, 2, 3)
+
+
+@pytest.fixture(scope="session")
+def plan_walks():
+    """(k, r, x, steps) of every ``approximate`` request of the benchmark's
+    plans, on every workload at seeds 1-3."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [
+        (int(argv[2]), float(argv[4]), float(argv[6]), int(argv[8]))
+        for workload in workloads.WORKLOADS
+        for seed in PLAN_SEEDS
+        for argv in workloads.plan(workload, seed, PLAN_SECONDS)
+        if argv[0] == "approximate"
+    ]

@@ -1,9 +1,11 @@
 """Reference routes that the library replaced with faster ones giving the
 same results bit for bit: each power of a prime took its own log, each
-log local factor its own power, and the CLI wrote each float of its
-output by its own ``float.__repr__``."""
+log local factor its own power, the greedy walk took one prime at a time,
+and the CLI wrote each float of its output by its own ``float.__repr__``."""
 
 import math
+
+import numpy as np
 
 from mpmath import iv
 
@@ -30,3 +32,26 @@ def repr_join(values, separator, row_separator=None, width=None):
     if width is None:
         return separator.join(texts)
     return row_separator.join(map(separator.join, zip(*[texts] * width)))
+
+
+def greedy_walk_loop(primes, k, r, x):
+    """The greedy walk over the array ``primes``, one prime at a time, as
+    lists: (alphas, C, D, E).  At each prime it takes the largest
+    alpha <= k whose log partial local factor keeps the sum at or below
+    x, else 0."""
+    powers = primes.astype(np.float64) ** (-r)
+    partial_logs = np.log(
+        np.cumsum(np.vstack([np.ones_like(powers)] + [powers**a for a in range(1, k + 1)]), axis=0)
+    )
+    alphas, C, D, E = [], [], [], []
+    c = e = 0.0
+    for logs in zip(*partial_logs.tolist()):
+        alpha = next((a for a in range(k, 0, -1) if c + logs[a] <= x), 0)
+        c += logs[alpha]
+        d = logs[k] - logs[alpha]
+        e += d
+        alphas.append(alpha)
+        C.append(c)
+        D.append(d)
+        E.append(e)
+    return alphas, C, D, E

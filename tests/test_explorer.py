@@ -4,10 +4,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import greedy_walk_loop
 from sigma_density import density, explorer
+from sigma_density.brackets import Bracket
 from sigma_density.errors import CapacityError, DomainError, IndeterminateError, PrecisionError
-from sigma_density.zeta import g_k, log_sigma_restricted
+from sigma_density.zeta import g_k, log_g_iv, log_sigma_restricted, to_iv
 
 
 def sigma_values_loop(k, r, bound):
@@ -116,9 +119,10 @@ class TestGreedy:
         assert value == pytest.approx(trace.achieved, abs=1e-12)
 
     def test_blocks_match_the_indexed_table(self, table):
-        # The walk as it read the numpy table one entry at a time.
+        # The walk as it read the numpy table one entry at a time, over
+        # several windows of each run.
         k, r, x = 3, 1.8, 0.4
-        steps = 2 * explorer.GREEDY_BLOCK + 5
+        steps = 2 * 4096 + 5
         powers = explorer._walk_primes(table, steps).astype(np.float64) ** (-r)
         partial_logs = np.log(
             np.cumsum(np.vstack([np.ones_like(powers)] + [powers**a for a in range(1, k + 1)]), axis=0)
@@ -135,7 +139,7 @@ class TestGreedy:
             D.append(d)
             E.append(e)
         trace = explorer.greedy_approximate(table, k, r, x, steps)
-        assert (trace.alphas, trace.C, trace.D, trace.E) == (alphas, C, D, E)
+        assert (trace.alphas, trace.C.tolist(), trace.D.tolist(), trace.E.tolist()) == (alphas, C, D, E)
 
     def test_a_long_walk_runs_no_garbage_collection(self, table):
         # A walk that kept an object per step alive would trip the cyclic
@@ -167,6 +171,75 @@ class TestGreedy:
         log_g = Bracket.from_iv(log_g_iv(1, to_iv(1.5)))
         with pytest.raises(IndeterminateError):
             explorer.greedy_approximate(table, 1, 1.5, log_g.lo, 10)
+
+
+def assert_walk_matches_the_loop(table, k, r, x, steps):
+    """The run walk's trace equals the prime-by-prime loop's bit for bit."""
+    trace = explorer.greedy_approximate(table, k, r, x, steps)
+    alphas, C, D, E = greedy_walk_loop(explorer._walk_primes(table, steps), k, r, x)
+    assert trace.alphas == alphas
+    assert all(type(a) is int for a in trace.alphas)
+    for got, expected in ((trace.C, C), (trace.D, D), (trace.E, E)):
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), np.array(expected).view(np.uint64))
+    assert (trace.achieved, trace.residual) == (C[-1], x - C[-1])
+    assert type(trace.achieved) is float
+    return trace
+
+
+def target(k, r, fraction):
+    """fraction of the way from 0 to the lower end of the log G_k(r) bracket."""
+    return fraction * Bracket.from_iv(log_g_iv(k, to_iv(r))).lo
+
+
+class TestGreedyRuns:
+    def test_plan_walks(self, table, plan_walks):
+        assert len(plan_walks) > 100
+        for k, r, x, steps in plan_walks:
+            assert_walk_matches_the_loop(table, k, r, x, steps)
+
+    def test_zero_target(self, table):
+        trace = assert_walk_matches_the_loop(table, 3, 1.5, 0.0, 5000)
+        assert trace.alphas == [0] * 5000
+
+    def test_exactly_attainable_target(self, table):
+        r = 1.5
+        x = math.log(1 + 2**-r) + math.log(1 + 3**-r)
+        trace = assert_walk_matches_the_loop(table, 1, r, x, 5000)
+        assert trace.alphas[:2] == [1, 1]
+
+    def test_stalled_walk_takes_every_later_prime(self, table):
+        # Past the gap, at k = 1 and r = 2.198, the walk skips 3 and takes
+        # every other prime: one run of alpha k to the end, and a residual
+        # that stalls at about 0.0179.
+        k, r, steps = 1, 2.198, 20_000
+        x = target(k, r, 1.0) - math.log1p(3.0**-r) + 0.0179
+        trace = assert_walk_matches_the_loop(table, k, r, x, steps)
+        assert trace.alphas == [1, 0] + [1] * (steps - 2)
+        assert 0.0179 < trace.residual < 0.018
+
+    @pytest.mark.parametrize("fraction", [0.2, 0.6, 0.95])
+    def test_k_10(self, table, fraction):
+        assert_walk_matches_the_loop(table, 10, 1.3, target(10, 1.3, fraction), 20_000)
+
+    @pytest.mark.parametrize(
+        "steps",
+        [1, 2, explorer.GREEDY_WINDOW - 1, explorer.GREEDY_WINDOW, explorer.GREEDY_WINDOW + 1,
+         3 * explorer.GREEDY_WINDOW + 1, 4095, 4096, 4097],
+    )
+    @pytest.mark.parametrize("k, r, fraction", [(1, 1.6, 0.3), (2, 2.4, 0.999), (3, 1.2, 0.5)])
+    def test_short_walks(self, table, k, r, fraction, steps):
+        assert_walk_matches_the_loop(table, k, r, target(k, r, fraction), steps)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        k=st.integers(1, 10),
+        r=st.floats(1.01, 4.0),
+        fraction=st.floats(0.0, 1.0, exclude_max=True),
+        steps=st.integers(1, 3000),
+    )
+    def test_random_walks(self, table, k, r, fraction, steps):
+        assert_walk_matches_the_loop(table, k, r, target(k, r, fraction), steps)
 
 
 class TestCensus:
