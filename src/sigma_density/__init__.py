@@ -14,7 +14,6 @@ from .errors import (
     SigmaDensityError,
 )
 from .primes import PrimeTable, load_or_sieve, sieve, verify_gap_lemma
-from .zeta import FactorSketch, g_k, local_factor, log_sigma_restricted, sigma_restricted
 
 __all__ = [
     "Bracket",
@@ -28,10 +27,5 @@ __all__ = [
     "load_or_sieve",
     "sieve",
     "verify_gap_lemma",
-    "FactorSketch",
-    "g_k",
-    "local_factor",
-    "log_sigma_restricted",
-    "sigma_restricted",
     "__version__",
 ]

@@ -1,10 +1,9 @@
 """Sound floating-point enclosures.
 
 A :class:`Bracket` is a closed interval ``[lo, hi]`` of doubles that is
-guaranteed to contain the true real value it stands for.  Arithmetic on
-brackets rounds outward, so soundness is preserved under composition.
-High-precision enclosures (mpmath interval values) are converted to
-brackets by padding each endpoint one ulp outward.
+guaranteed to contain the true real value it stands for.  The program
+computes in mpmath intervals and converts each enclosure it reports to a
+bracket by padding each endpoint one ulp outward (:meth:`Bracket.from_iv`).
 
 The achievable bracket width in double precision is a few ulps of the
 value; tolerances below :data:`PRECISION_FLOOR` are rejected loudly
@@ -73,21 +72,6 @@ class Bracket:
         if self.hi < 0.0:
             return -1
         return None
-
-    def __add__(self, other: "Bracket") -> "Bracket":
-        return Bracket(
-            math.nextafter(self.lo + other.lo, -math.inf),
-            math.nextafter(self.hi + other.hi, math.inf),
-        )
-
-    def __sub__(self, other: "Bracket") -> "Bracket":
-        return Bracket(
-            math.nextafter(self.lo - other.hi, -math.inf),
-            math.nextafter(self.hi - other.lo, math.inf),
-        )
-
-    def __neg__(self) -> "Bracket":
-        return Bracket(-self.hi, -self.lo)
 
     @classmethod
     def exact(cls, x: float) -> "Bracket":

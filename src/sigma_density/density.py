@@ -8,9 +8,9 @@ restricted divisor sum is dense in [1, G_k(r)) exactly when the statistic
 is <= 0 for every m; for r in (1, 2] it suffices to test m in {1, 2, 4}.
 A positive T at some m certifies a forbidden open interval in the log
 range.  T has one interval expression (:func:`t_levels`), shared by
-:func:`t_func`, :func:`gap_interval`, :func:`density_report` and the gap
-scan; the solver's sign tests read its sign from a log-free comparison
-of products (:func:`t_sign`).  Every p^-r is exp(-r log p) with log p
+:func:`t_func`, :func:`density_report` and ``explorer.analytic_gap_scan``;
+the solver's sign tests read its sign from a log-free comparison of
+products (:func:`t_sign`).  Every p^-r is exp(-r log p) with log p
 taken once per prime (``zeta.log_prime``).  Everything here returns
 certified brackets, and verdicts are three-valued (dense / not_dense /
 undetermined) so float artifacts can never silently misclassify a
@@ -28,7 +28,7 @@ from functools import partial
 from mpmath import fp, iv
 
 from .brackets import Bracket
-from .errors import DomainError, IndeterminateError, check_k, check_r
+from .errors import DomainError, check_k, check_r
 from .primes import PrimeTable
 from .zeta import KernelSize, log_g_iv, log_prime, prime_power, to_iv, zeta_iv
 
@@ -50,22 +50,6 @@ def _check_kmr(k: int, m: int, r: float) -> None:
     check_k(k)
     check_k(m, "m")
     check_r(r)
-
-
-def tail(table: PrimeTable, k: int, m: int, r: float) -> Bracket:
-    """The infinite tail sum_{i>m} log(local factor at p_i).
-
-    Computed by the exact rearrangement log G_k(r) minus the finite prefix,
-    so the enclosure inherits the zeta bracket's certification.  m = 0
-    returns log G_k(r) itself.
-    """
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
-    check_k(k)
-    check_r(r)
-    r_iv = to_iv(r)
-    prefix = sum((_log_local(_x(table.nth(i), r_iv), k) for i in range(1, m + 1)), iv.mpf(0))
-    return Bracket.from_iv(log_g_iv(k, r_iv) - prefix)
 
 
 def _x(p: int, r):
@@ -96,8 +80,9 @@ def _levels(table: PrimeTable, k: int, r_iv, ms: Iterable[int]):
 def t_levels(
     table: PrimeTable, k: int, r_iv, log_g, ms: Iterable[int]
 ) -> Iterator[tuple[int, Bracket, GapInterval | None]]:
-    """T_k(m, r) = log(1 + p_m^{-r}) - tail(k, m, r) for each m of the
-    ascending ``ms``, given the interval ``log_g`` of log G_k(r).
+    """T_k(m, r) = log(1 + p_m^{-r}) - sum_{i>m} log(local factor at p_i)
+    for each m of the ascending ``ms``, with that tail taken as the
+    interval ``log_g`` of log G_k(r) minus the prefix i <= m.
 
     Yields (m, T bracket, gap), where gap is the forbidden interval at
     level m when T is certified positive and None otherwise.  The prefix
@@ -114,16 +99,11 @@ def t_levels(
         yield m, t, gap
 
 
-def _level(table: PrimeTable, k: int, m: int, r: float) -> tuple[int, Bracket, GapInterval | None]:
+def t_func(table: PrimeTable, k: int, m: int, r: float) -> Bracket:
+    """T_k(m, r), the one level m of :func:`t_levels`."""
     _check_kmr(k, m, r)
     r_iv = to_iv(r)
-    (level,) = t_levels(table, k, r_iv, log_g_iv(k, r_iv), (m,))
-    return level
-
-
-def t_func(table: PrimeTable, k: int, m: int, r: float) -> Bracket:
-    """T_k(m, r) = log(1 + p_m^{-r}) - tail(k, m, r)."""
-    _, t, _ = _level(table, k, m, r)
+    ((_, t, _),) = t_levels(table, k, r_iv, log_g_iv(k, r_iv), (m,))
     return t
 
 
@@ -164,16 +144,6 @@ def _rise(table: PrimeTable, m: int, n: int, term, x):
     is taken at the end of x where it is smallest.  Exact for a point x."""
     rest = sum((term(table.nth(i), x.b) for i in range(m + 1, m + n + 1)), iv.mpf(0))
     return rest - term(table.nth(m), x.a)
-
-
-def j_func(table: PrimeTable, m: int, x: float) -> Bracket:
-    """J_m(x): log p_m / (p_m^x + 1) minus the same expression summed over
-    the next six primes; negative at 7/3 for m in {1, 2, 4}."""
-    if m not in (1, 2, 4):
-        raise DomainError(f"m must be one of 1, 2, 4, got {m}")
-    if not 1 < x <= R_MONOTONE_HI:
-        raise DomainError(f"domain is (1, 7/3], got x={x}")
-    return Bracket.from_iv(-_rise(table, m, 6, _log_over, to_iv(x)))
 
 
 def v_func(table: PrimeTable, k: int, m: int, r: float) -> float:
@@ -231,22 +201,6 @@ class GapInterval:
     @property
     def inner(self) -> tuple[float, float]:
         return (self.lo.hi, self.hi.lo)
-
-    @property
-    def width(self) -> float:
-        return max(0.0, self.hi.lo - self.lo.hi)
-
-
-def gap_interval(table: PrimeTable, k: int, m: int, r: float) -> GapInterval | None:
-    """The forbidden log-interval at level m, or None when T_k(m,r) <= 0."""
-    _, t, gap = _level(table, k, m, r)
-    if t.nonpositive():
-        return None
-    if gap is None:
-        raise IndeterminateError(
-            f"T_{k}({m}, {r}) bracket [{t.lo}, {t.hi}] straddles 0 at working precision"
-        )
-    return gap
 
 
 @dataclass(frozen=True)
@@ -372,7 +326,8 @@ def check_monotonicity(table: PrimeTable) -> InequalityReport:
       log(1 + 3^-r) - log zeta(r) - log(1 - 2^-r) - log(1 - 3^-r), is
       T at m = 2 as k -> oo, whose weights w_i = 1 / (p_i^r - 1) exceed
       the k = 1 weights, so ``t_increasing_m2`` proves it too.
-    * J_m is increasing: J_m' is the same difference of
+    * J_m(x) = log p_m / (p_m^x + 1) minus the same expression summed over
+      the next six primes is increasing: J_m' is the same difference of
       (log p)^2 / (p^x + 2 + p^-x), each decreasing in x.
     * J_m(7/3) < 0.
     """

@@ -17,7 +17,7 @@ from .brackets import Bracket
 from .density import t_levels
 from .errors import CapacityError, DomainError, IndeterminateError, PrecisionError, check_k, check_r
 from .primes import PrimeTable, nth_prime_bound, sieve
-from .zeta import FactorSketch, log_g_iv, to_iv
+from .zeta import log_g_iv, to_iv
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,7 +46,8 @@ CENSUS_SCAN_LEVELS = 10
 class GreedyTrace:
     """Full record of one greedy run.
 
-    ``alphas`` are the chosen exponents, one int per prime.  C are the
+    ``alphas`` are the chosen exponents, one int per prime: the witness
+    n = prod_l p_l^alpha_l has log sigma ``achieved`` up to rounding.  C are the
     partial log sums (nondecreasing, never exceeding the target), D the
     per-prime deficits against the full local factor, E the cumulative
     deficits, each a float64 array of one entry per prime; C_l + E_l
@@ -62,15 +63,6 @@ class GreedyTrace:
     E: np.ndarray
     achieved: float
     residual: float
-
-    def witness(self) -> FactorSketch:
-        """The factored integer realizing ``achieved``."""
-        return FactorSketch(
-            k=self.k,
-            entries=tuple(
-                (i + 1, a) for i, a in enumerate(self.alphas) if a > 0
-            ),
-        )
 
 
 def greedy_approximate(
@@ -91,7 +83,7 @@ def greedy_approximate(
             f"(k + 1) * steps = {(k + 1) * steps} exceeds the walk capacity {GREEDY_MAX_ENTRIES}",
             suggested_bound=GREEDY_MAX_ENTRIES // (k + 1),
         )
-    if x < 0:
+    if not x >= 0:
         raise DomainError(f"target must be >= 0, got {x}")
     # The slice sieves the first ``steps`` primes, so every cheap check goes
     # first.  A table whose limit is past the bound on p_steps surely holds
@@ -356,8 +348,8 @@ def analytic_gap_scan(
 ) -> tuple[ScanEntry, ...]:
     """Certified first-level forbidden intervals for m = 1..m_max.
 
-    The intervals are the inner cores of :func:`density.gap_interval`,
-    from the same evaluation of T; log G_k(r) is evaluated once per scan.
+    The intervals are the inner cores (``GapInterval.inner``) of the gaps
+    :func:`density.t_levels` yields; log G_k(r) is evaluated once per scan.
     Entries whose T bracket straddles zero are flagged indeterminate, not
     guessed.  Callers wanting only firing levels filter on status."""
     check_k(k)

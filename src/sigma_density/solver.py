@@ -51,7 +51,9 @@ from .zeta import FULL_SIZE, SIGN_SIZE, KernelSize, log_g_iv, prime_power, to_iv
 DEFAULT_EPS = 1e-10
 LIMIT_EPS = 1e-9
 
-# Largest k_max of :func:`eta_table`; a row costs about 70 ms at any k.
+# Largest k_max of :func:`eta_table`; a row costs 6-7 ms of CPU at any k
+# (best of 3 in process: 57, 291 and 689 ms at k_max 10, 50 and 100;
+# Python 3.11, mpmath 1.3, one process on a 2-core x86-64 host).
 ETA_TABLE_MAX_K = 100
 
 # Every target diverges to -inf at 1+, so its sign is negative here; a

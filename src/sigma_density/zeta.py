@@ -1,14 +1,15 @@
-"""Certified evaluation of zeta(r), the ratio G_k(r) = zeta(r)/zeta((k+1)r),
-Euler local factors, and restricted divisor sums on factored arguments.
+"""Certified enclosures of zeta(r) and of log G_k(r), where
+G_k(r) = zeta(r)/zeta((k+1)r) is the supremum of the restricted divisor
+sum, and the interval powers p^-r of primes.
 
 zeta is evaluated by Euler-Maclaurin summation with the classical
 remainder bound (for real r > 1 the remainder is no larger in magnitude
 than the first omitted correction term), entirely in mpmath interval
 arithmetic so rounding is accounted for.  The one kernel, :func:`zeta_iv`,
 has two fixed sizes: FULL_SIZE feeds every bracket the program prints,
-and SIGN_SIZE, about half the cost, only the solver's sign tests.  The
-result is a :class:`~sigma_density.brackets.Bracket` whose width is
-checked against the requested tolerance.
+and SIGN_SIZE, about half the cost, only the solver's sign tests.
+Callers turn an enclosure into a printed bracket with
+:meth:`~sigma_density.brackets.Bracket.from_iv`.
 """
 from __future__ import annotations
 
@@ -32,10 +33,6 @@ from mpmath.libmp import (
     round_ceiling,
     round_floor,
 )
-
-from .brackets import Bracket, check_eps
-from .errors import DomainError, PrecisionError, check_k, check_r
-from .primes import PrimeTable
 
 # Working precision for interval evaluations; ~60 decimal digits, far
 # below the double-precision bracket floor, so interval rounding never
@@ -169,99 +166,6 @@ def zeta_iv(s, size: KernelSize = FULL_SIZE):
     return iv.make_mpf(mpi_add(total, remainder, prec))
 
 
-def zeta(r: float, eps: float = 1e-13) -> Bracket:
-    """Bracket of width <= eps containing zeta(r), r > 1."""
-    check_r(r)
-    check_eps(eps)
-    bracket = Bracket.from_iv(zeta_iv(to_iv(r)))
-    if bracket.width > eps:
-        raise PrecisionError(
-            f"achieved bracket width {bracket.width} exceeds requested eps {eps}"
-        )
-    return bracket
-
-
-def g_k_iv(k: int, r_iv):
-    """Interval enclosure of G_k(r) = zeta(r)/zeta((k+1)r)."""
-    return zeta_iv(r_iv) / zeta_iv((k + 1) * r_iv)
-
-
 def log_g_iv(k: int, r_iv):
-    """Interval enclosure of log G_k(r)."""
+    """Interval enclosure of log G_k(r), G_k(r) = zeta(r)/zeta((k+1)r)."""
     return iv.log(zeta_iv(r_iv)) - iv.log(zeta_iv((k + 1) * r_iv))
-
-
-def g_k(k: int, r: float, eps: float = 1e-10) -> Bracket:
-    """Bracket for G_k(r), the supremum of the restricted divisor sum."""
-    check_k(k)
-    check_r(r)
-    check_eps(eps)
-    bracket = Bracket.from_iv(g_k_iv(k, to_iv(r)))
-    if bracket.width > eps:
-        raise PrecisionError(
-            f"achieved bracket width {bracket.width} exceeds requested eps {eps}"
-        )
-    return bracket
-
-
-def local_factor(p: int, k: int, r: float) -> float:
-    """Euler local factor sum_{j=0}^k p^{-jr} in closed form."""
-    check_k(k)
-    if p < 2:
-        raise DomainError(f"p must be prime, got {p}")
-    check_r(r)
-    x = float(p) ** (-r)
-    return (1.0 - x ** (k + 1)) / (1.0 - x)
-
-
-@dataclass(frozen=True)
-class FactorSketch:
-    """An element of the (k+1)-free integers in factored form.
-
-    ``entries`` holds (prime_index, exponent) pairs with 1-based prime
-    indices strictly increasing and every exponent in [1, k].  The empty
-    list represents n = 1.  The integer itself is never materialized.
-    """
-
-    k: int
-    entries: tuple[tuple[int, int], ...] = field(default=())
-
-    def __post_init__(self):
-        check_k(self.k)
-        prev = 0
-        for idx, exp in self.entries:
-            if idx <= prev:
-                raise DomainError("prime indices must be strictly increasing and >= 1")
-            if not 1 <= exp <= self.k:
-                raise DomainError(
-                    f"exponent {exp} at prime index {idx} outside [1, {self.k}]"
-                )
-            prev = idx
-
-
-def log_sigma_restricted(sketch: FactorSketch, r: float, table: PrimeTable) -> float:
-    """log of the restricted divisor sum at the sketched integer.
-
-    Multiplicativity turns the product of local factors into a sum of
-    logs, which is the numerically stable form.
-    """
-    check_r(r)
-    return sum(
-        math.log1p(_local_partial(table.nth(idx), exp, r))
-        for idx, exp in sketch.entries
-    )
-
-
-def sigma_restricted(sketch: FactorSketch, r: float, table: PrimeTable) -> float:
-    """The restricted divisor sum sum_{d | n} d^{-r} at the sketched n."""
-    check_r(r)
-    value = 1.0
-    for idx, exp in sketch.entries:
-        value *= 1.0 + _local_partial(table.nth(idx), exp, r)
-    return value
-
-
-def _local_partial(p: int, exponent: int, r: float) -> float:
-    """sum_{j=1}^{exponent} p^{-jr} (the local factor minus its leading 1)."""
-    x = float(p) ** (-r)
-    return x * (1.0 - x**exponent) / (1.0 - x)

@@ -1,13 +1,21 @@
 """Reference routes that the library replaced with faster ones giving the
 same results bit for bit: each power of a prime took its own log, each
 log local factor its own power, the greedy walk took one prime at a time,
-and the CLI wrote each float of its output by its own ``float.__repr__``."""
+and the CLI wrote each float of its output by its own ``float.__repr__``.
+
+Also the library's former second routes to two quantities that it now
+reaches only inside other computations: the tail of the log Euler product
+(the lower end of a forbidden gap) and log sigma at the integer a greedy
+walk's exponents spell out."""
 
 import math
 
 import numpy as np
 
 from mpmath import iv
+
+from sigma_density.brackets import Bracket
+from sigma_density.zeta import log_g_iv
 
 
 def iv_pow(base, expo):
@@ -19,6 +27,25 @@ def log_local_factor_iv(p: int, k: int, r_iv):
     """Interval enclosure of log(sum_{j=0}^k p^{-jr})."""
     x = iv_pow(iv.mpf(p), -r_iv)
     return iv.log((1 - x ** (k + 1)) / (1 - x))
+
+
+def tail_bracket(table, k: int, m: int, r: float) -> Bracket:
+    """The tail sum_{i>m} log(local factor at p_i) as a bracket, by the
+    exact rearrangement log G_k(r) minus the prefix i <= m."""
+    r_iv = iv.mpf(r)
+    prefix = sum((log_local_factor_iv(table.nth(i), k, r_iv) for i in range(1, m + 1)), iv.mpf(0))
+    return Bracket.from_iv(log_g_iv(k, r_iv) - prefix)
+
+
+def log_sigma_of_alphas(table, alphas, r: float) -> float:
+    """log sigma_{-r}(n) at n = prod_l p_l^alphas[l - 1], the sum over the
+    primes of n of log(1 + p^-r + ... + p^-ar) in double precision."""
+    total = 0.0
+    for l, a in enumerate(alphas, 1):
+        if a:
+            x = float(table.nth(l)) ** -r
+            total += math.log1p(x * (1.0 - x**a) / (1.0 - x))
+    return total
 
 
 def repr_join(values, separator, row_separator=None, width=None):

@@ -11,7 +11,9 @@ import time
 import numpy as np
 import pytest
 
+from oracles import log_sigma_of_alphas, tail_bracket
 from sigma_density import cli, density, explorer, primes, solver, zeta
+from sigma_density.brackets import Bracket
 
 
 def _report(name, ok, detail=""):
@@ -185,15 +187,15 @@ def test_09_census_avoids_certified_gap(table, capsys):
 
 def test_10_greedy_convergence(table, capsys):
     k, r, steps = 1, 1.5, 10_000
-    log_g = math.log(zeta.g_k(k, r, 1e-12).lo)
-    tail_bound = density.tail(table, k, steps, r).hi
+    log_g = Bracket.from_iv(zeta.log_g_iv(k, zeta.to_iv(r))).lo
+    tail_bound = tail_bracket(table, k, steps, r).hi
     rng = np.random.default_rng(20260825)
     ok = True
     worst = 0.0
     for _ in range(100):
         x = float(rng.uniform(0.0, log_g))
         trace = explorer.greedy_approximate(table, k, r, x, steps)
-        reeval = zeta.log_sigma_restricted(trace.witness(), r, table)
+        reeval = log_sigma_of_alphas(table, trace.alphas, r)
         worst = max(worst, trace.residual)
         if not (
             0 <= trace.residual < tail_bound and abs(reeval - trace.achieved) < 1e-12
@@ -209,8 +211,7 @@ def test_10_greedy_convergence(table, capsys):
 
 
 def test_11_zeta_sanity(capsys):
-    two = zeta.zeta(2, 1e-12)
-    four = zeta.zeta(4, 1e-12)
+    two, four = (Bracket.from_iv(zeta.zeta_iv(zeta.to_iv(s))) for s in (2, 4))
     with capsys.disabled():
         _report(
             "zeta brackets contain the classical closed forms",

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv
 
-from oracles import iv_pow, log_local_factor_iv
-from sigma_density import density, primes, solver, zeta
+from oracles import iv_pow, log_local_factor_iv, tail_bracket
+from sigma_density import density, explorer, primes, solver, zeta
 from sigma_density.brackets import Bracket
 from sigma_density.errors import DomainError, IndeterminateError
-from sigma_density.zeta import local_factor, log_g_iv, to_iv
+from sigma_density.zeta import log_g_iv, to_iv
 
 PI = math.pi
 LOG_10_OVER_PI_SQ = math.log(10 / PI**2)
@@ -29,6 +29,17 @@ def f(table, k, m, r):
 
 def log_g(k, r):
     return Bracket.from_iv(log_g_iv(k, to_iv(r)))
+
+
+def j_bracket(table, m, x):
+    """J_m(x): log p_m / (p_m^x + 1) minus the same expression summed over
+    the next six primes, the claim ``j_negative_m*`` proves negative."""
+    return Bracket.from_iv(-density._rise(table, m, 6, density._log_over, to_iv(x)))
+
+
+def gap_core(table, k, m, r):
+    """The certified forbidden log-interval at level m, or None."""
+    return explorer.analytic_gap_scan(table, k, r, m)[-1].interval
 
 
 # Primes after p_m summed in double precision by t_derivative before its
@@ -94,22 +105,23 @@ class TestF:
         # at m = 1, changing k shifts f by the log of the local-factor ratio
         r = 1.7
         d = f(table, 3, 1, r).mid - f(table, 1, 1, r).mid
-        expected = math.log(local_factor(2, 3, r)) - math.log(local_factor(2, 1, r))
+        x = 2**-r
+        expected = math.log(1 + x + x**2 + x**3) - math.log(1 + x)
         assert d == pytest.approx(expected, abs=1e-12)
 
 
 class TestTail:
     def test_m_zero_is_log_g(self, table):
-        b = density.tail(table, 2, 0, 1.5)
-        g = log_g(2, 1.5)
-        assert abs(b.mid - g.mid) < 1e-13
+        assert tail_bracket(table, 2, 0, 1.5) == density.density_report(table, 2, 1.5).log_g
 
     def test_closed_form(self, table):
-        b = density.tail(table, 1, 1, 2)
+        b = tail_bracket(table, 1, 1, 2)
         assert b.contains(math.log(15 / PI**2) - math.log(5 / 4))
+        # the lower end of the level-1 gap is this tail
+        assert gap_core(table, 1, 1, 2.0)[0] == b.hi
 
     def test_strictly_decreasing_in_m(self, table):
-        values = [density.tail(table, 1, m, 1.5).mid for m in range(0, 8)]
+        values = [tail_bracket(table, 1, m, 1.5).mid for m in range(0, 8)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -130,7 +142,8 @@ class TestT:
     )
     def test_two_formulas_agree(self, table, k, m, r):
         direct = density.t_func(table, k, m, r)
-        assembled = f(table, k, m, r) - log_g(k, r)
+        f_b, g_b = f(table, k, m, r), log_g(k, r)
+        assembled = Bracket.from_iv(iv.mpf([f_b.lo, f_b.hi]) - iv.mpf([g_b.lo, g_b.hi]))
         assert max(direct.lo, assembled.lo) <= min(direct.hi, assembled.hi)
 
     def test_monotone_in_r(self, table):
@@ -179,7 +192,6 @@ class TestOneLogPerPrime:
                 assert gap.hi == Bracket.from_iv(oracle_head)
             else:
                 assert gap is None
-        assert density.tail(table, k, m, r) == Bracket.from_iv(log_g - oracle_prefix)
 
     @pytest.mark.parametrize("x", [1.0001, 1.5, 7 / 3, [1.0001, 7 / 3], [1.8, 1.9]])
     @pytest.mark.parametrize("p", [2, 3, 7, 31, 1999993])
@@ -250,19 +262,13 @@ class TestDerivative:
 class TestJ:
     def test_negative_at_upper_end(self, table):
         for m in (1, 2, 4):
-            assert density.j_func(table, m, 7 / 3).hi < 0
+            assert j_bracket(table, m, 7 / 3).hi < 0
 
     def test_increasing_on_grid(self, table):
         for m in (1, 2, 4):
             xs = [1.01 + 0.02 * i for i in range(66)]
-            js = [density.j_func(table, m, x) for x in xs]
+            js = [j_bracket(table, m, x) for x in xs]
             assert all(b.lo > a.hi for a, b in zip(js, js[1:]))
-
-    def test_domain(self, table):
-        with pytest.raises(DomainError):
-            density.j_func(table, 3, 2.0)
-        with pytest.raises(DomainError):
-            density.j_func(table, 1, 2.4)
 
 
 class TestV:
@@ -305,17 +311,17 @@ class TestTFloat:
 
 class TestGapInterval:
     def test_fires_above_threshold(self, table):
-        gap = density.gap_interval(table, 1, 1, 1.95)
+        gap = gap_core(table, 1, 1, 1.95)
         assert gap is not None
-        assert gap.width > 0
+        assert gap[1] > gap[0]
 
     def test_silent_below_threshold(self, table):
-        assert density.gap_interval(table, 1, 1, 1.5) is None
+        assert gap_core(table, 1, 1, 1.5) is None
 
     def test_width_shrinks_toward_threshold(self, table):
-        w_far = density.gap_interval(table, 1, 1, 1.95).width
-        w_near = density.gap_interval(table, 1, 1, 1.87).width
-        assert 0 < w_near < w_far
+        lo_far, hi_far = gap_core(table, 1, 1, 1.95)
+        lo_near, hi_near = gap_core(table, 1, 1, 1.87)
+        assert 0 < hi_near - lo_near < hi_far - lo_far
 
 
 class TestInequalities:
@@ -330,9 +336,7 @@ class TestInequalities:
         r = 1.8
         assert 1 + 2**-r < (1 + 3**-r) * (1 + 3**-r + 3 ** (-2 * r))
         r = 2.5
-        from sigma_density.zeta import zeta
-
-        assert (1 + 2**-r) ** 2 > zeta(r, 1e-10).hi
+        assert (1 + 2**-r) ** 2 > Bracket.from_iv(zeta.zeta_iv(to_iv(r))).hi
 
     def test_slack_is_a_lower_bound_at_points_of_the_range(self):
         # the float forms of the five expressions, as the grid checked them
@@ -407,7 +411,7 @@ class TestMonotonicity:
                 cell = iv.mpf([a, b])
                 bound = Bracket.from_iv(density._rise(table, m, 6, density._log_sq_over, cell))
                 for x in (a, 0.5 * (a + b), b - h):
-                    j0, j1 = (density.j_func(table, m, y).mid for y in (x, x + h))
+                    j0, j1 = (j_bracket(table, m, y).mid for y in (x, x + h))
                     assert bound.lo <= (j1 - j0) / h + 1e-6
 
     def test_t_falls_as_k_grows(self, table):

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import greedy_walk_loop
-from sigma_density import density, explorer
+from oracles import greedy_walk_loop, log_sigma_of_alphas, tail_bracket
+from sigma_density import explorer
 from sigma_density.brackets import Bracket
 from sigma_density.errors import CapacityError, DomainError, IndeterminateError, PrecisionError
-from sigma_density.zeta import g_k, log_g_iv, log_sigma_restricted, to_iv
+from sigma_density.zeta import log_g_iv, to_iv
 
 
 def sigma_values_loop(k, r, bound):
@@ -72,7 +72,6 @@ class TestGreedy:
         assert trace.alphas == [0] * 10
         assert trace.achieved == 0.0
         assert trace.residual == 0.0
-        assert trace.witness().entries == ()
 
     def test_exactly_attainable_target(self, table):
         r = 1.5
@@ -84,10 +83,10 @@ class TestGreedy:
 
     def test_residual_bounded_by_tail(self, table):
         k, r, steps = 1, 1.5, 10_000
-        x = 0.9 * math.log(g_k(k, r, 1e-10).mid)
+        x = 0.9 * Bracket.from_iv(log_g_iv(k, to_iv(r))).mid
         trace = explorer.greedy_approximate(table, k, r, x, steps)
         assert trace.residual >= 0
-        assert trace.residual < density.tail(table, k, steps, r).hi
+        assert trace.residual < tail_bracket(table, k, steps, r).hi
 
     def test_partial_sums_invariants(self, table):
         trace = explorer.greedy_approximate(table, 2, 1.4, 0.5, 200)
@@ -95,11 +94,11 @@ class TestGreedy:
         assert all(c <= trace.target for c in C)
         assert all(b >= a for a, b in zip(C, C[1:]))
         # C_l + E_l climbs toward log G
-        log_g = math.log(g_k(2, 1.4, 1e-10).mid)
+        log_g = Bracket.from_iv(log_g_iv(2, to_iv(1.4))).mid
         combined = [c + e for c, e in zip(C, trace.E)]
         assert all(b >= a - 1e-12 for a, b in zip(combined, combined[1:]))
         assert combined[-1] < log_g
-        assert log_g - combined[-1] < density.tail(table, 2, 200, 1.4).hi + 1e-12
+        assert log_g - combined[-1] < tail_bracket(table, 2, 200, 1.4).hi + 1e-12
 
     def test_per_step_optimality(self, table):
         # taking alpha + 1 at any step would overshoot the target
@@ -115,7 +114,7 @@ class TestGreedy:
 
     def test_witness_reevaluates(self, table):
         trace = explorer.greedy_approximate(table, 2, 1.5, 0.6, 500)
-        value = log_sigma_restricted(trace.witness(), 1.5, table)
+        value = log_sigma_of_alphas(table, trace.alphas, 1.5)
         assert value == pytest.approx(trace.achieved, abs=1e-12)
 
     def test_blocks_match_the_indexed_table(self, table):
@@ -276,7 +275,7 @@ class TestCensus:
         # a witness over few primes is a small integer, so its value shows up
         trace = explorer.greedy_approximate(table, 1, 2.0, 0.21, 5)
         n = 1
-        for idx, a in trace.witness().entries:
+        for idx, a in enumerate(trace.alphas, 1):
             n *= table.nth(idx) ** a
         census = explorer.range_census(table, 1, 2.0, max(n, 10))
         assert np.min(np.abs(census.values - math.exp(trace.achieved))) < 1e-12
@@ -324,12 +323,6 @@ class TestAnalyticScan:
         with mpmath.workprec(300):
             exact = mpmath.log(1 + mpmath.mpf(2) ** (-mpmath.mpf(r)))
             assert mpmath.mpf(entry.interval[1]) <= exact
-
-    def test_intervals_are_gap_interval_cores(self, table):
-        k, r = 2, 2.1
-        for entry in explorer.analytic_gap_scan(table, k, r, 8):
-            gap = density.gap_interval(table, k, entry.m, r)
-            assert entry.interval == (gap.inner if gap else None)
 
     def test_fired_intervals_disjoint(self, table):
         entries = explorer.analytic_gap_scan(table, 1, 2.1, 8)

@@ -229,9 +229,7 @@ class TestEtaLimit:
         result = solver.eta_limit(1e-9)
         r = result.value.mid
         lhs = (2**r / (2**r - 1)) * ((3**r + 1) / (3**r - 1))
-        from sigma_density.zeta import zeta
-
-        assert abs(lhs - zeta(r, 1e-10).mid) < 1e-8
+        assert abs(lhs - Bracket.from_iv(zeta.zeta_iv(to_iv(r))).mid) < 1e-8
 
 
 class TestR1Surrogate:

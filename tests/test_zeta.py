@@ -9,13 +9,21 @@ from hypothesis import given, settings, strategies as st
 from mpmath import iv
 
 from oracles import iv_pow
-from sigma_density import zeta as zmod
+from sigma_density import explorer, zeta as zmod
 from sigma_density.brackets import Bracket, check_eps
 from sigma_density.errors import DomainError, PrecisionError, check_r
 from sigma_density.solver import ETA_TABLE_MAX_K
-from sigma_density.zeta import FactorSketch
 
 PI = math.pi
+
+def zeta_bracket(r: float) -> Bracket:
+    """zeta(r) as the program prints it: the full-size kernel's enclosure."""
+    return Bracket.from_iv(zmod.zeta_iv(zmod.to_iv(r)))
+
+
+def log_g_bracket(k: int, r: float) -> Bracket:
+    return Bracket.from_iv(zmod.log_g_iv(k, zmod.to_iv(r)))
+
 
 # Partial-sum term cap for the oracle route near r = 1.
 PARTIAL_SUM_MAX_TERMS = 2_000_000
@@ -192,7 +200,7 @@ class TestKernel:
     @pytest.mark.parametrize("s", [64.5, 100, 1e3, 1e6])
     def test_large_argument(self, s):
         start = time.perf_counter()
-        b = zmod.zeta(s, 1e-13)
+        b = zeta_bracket(s)
         assert time.perf_counter() - start < 1.0
         assert b.width <= 4 * math.ulp(1.0)
         with mpmath.workprec(400):
@@ -202,35 +210,37 @@ class TestKernel:
 
 class TestZeta:
     def test_closed_form_two(self):
-        b = zmod.zeta(2, 1e-12)
+        b = zeta_bracket(2)
         assert b.contains(PI**2 / 6)
         assert b.width <= 1e-12
 
     def test_closed_form_four(self):
-        b = zmod.zeta(4, 1e-12)
+        b = zeta_bracket(4)
         assert b.contains(PI**4 / 90)
 
     def test_near_limit_constant(self):
         # the value at which the limiting threshold equation balances
         r = 1.8877909
-        b = zmod.zeta(r, 1e-10)
+        b = zeta_bracket(r)
         lhs = (2**r / (2**r - 1)) * ((3**r + 1) / (3**r - 1))
         assert abs(lhs - b.mid) < 1e-6
 
     def test_domain_errors(self):
+        # every entry point checks r with check_r before it reaches zeta
         with pytest.raises(DomainError):
-            zmod.zeta(1.0, 1e-6)
+            check_r(1.0)
         with pytest.raises(DomainError):
-            zmod.zeta(0.5, 1e-6)
+            check_r(0.5)
 
     def test_precision_floor(self):
+        # and every requested tolerance with check_eps
         with pytest.raises(PrecisionError):
-            zmod.zeta(2, 1e-30)
+            check_eps(1e-30)
 
     @settings(max_examples=25, deadline=None)
     @given(r=st.floats(min_value=1.05, max_value=40))
     def test_bracket_soundness_against_high_precision(self, r):
-        b = zmod.zeta(r, 1e-12)
+        b = zeta_bracket(r)
         with mpmath.workdps(60):
             reference = mpmath.zeta(mpmath.mpf(r))
             assert mpmath.mpf(b.lo) <= reference <= mpmath.mpf(b.hi)
@@ -238,7 +248,7 @@ class TestZeta:
     def test_partial_sum_route_agrees(self):
         # dual-route check: the elementary baseline encloses the same value
         for r in (1.5, 2.0, 3.25):
-            fast = zmod.zeta(r, 1e-12)
+            fast = zeta_bracket(r)
             slow = zeta_partial_sum(r, 1e-6)
             assert slow.lo <= fast.lo and fast.hi <= slow.hi
 
@@ -250,61 +260,71 @@ class TestZeta:
 
 class TestGk:
     def test_k1_r2_closed_form(self):
-        b = zmod.g_k(1, 2, 1e-10)
-        assert b.contains(15 / PI**2)
+        b = log_g_bracket(1, 2)
+        with mpmath.workdps(40):
+            assert b.lo <= mpmath.log(15 / mpmath.pi**2) <= b.hi
 
     def test_large_k_approaches_zeta(self):
-        g = zmod.g_k(40, 2, 1e-12)
-        z = zmod.zeta(2, 1e-12)
-        assert abs(g.mid - z.mid) < 1e-10
+        log_g = log_g_bracket(40, 2)
+        log_z = Bracket.from_iv(iv.log(zmod.zeta_iv(zmod.to_iv(2))))
+        assert abs(log_g.mid - log_z.mid) < 1e-10
 
     def test_finite_near_one(self):
-        b = zmod.g_k(1, 1.01, 1e-8)
+        b = log_g_bracket(1, 1.01)
         assert math.isfinite(b.lo) and math.isfinite(b.hi)
 
     def test_between_one_and_zeta(self):
         for k, r in ((1, 1.5), (3, 2.0), (7, 1.2)):
-            g = zmod.g_k(k, r, 1e-10)
-            z = zmod.zeta(r, 1e-10)
-            assert 1 < g.lo and g.hi < z.hi
+            log_g = log_g_bracket(k, r)
+            log_z = Bracket.from_iv(iv.log(zmod.zeta_iv(zmod.to_iv(r))))
+            assert 0 < log_g.lo and log_g.hi < log_z.hi
 
 
 class TestLocalFactor:
-    def test_examples(self):
-        assert zmod.local_factor(2, 1, 2) == pytest.approx(1.25, abs=1e-15)
-        assert zmod.local_factor(2, 3, 2) == pytest.approx(1 + 1 / 4 + 1 / 16 + 1 / 64, abs=1e-15)
+    """The census's local factor 1 + p^-r + ... + p^-er."""
 
-    def test_r_one_rejected(self):
+    def test_examples(self):
+        assert explorer._local_factor(2, 1, 2) == pytest.approx(1.25, abs=1e-15)
+        assert explorer._local_factor(2, 3, 2) == pytest.approx(1 + 1 / 4 + 1 / 16 + 1 / 64, abs=1e-15)
+
+    def test_r_one_rejected(self, table):
+        # the commands that take local factors check r first
         with pytest.raises(DomainError):
-            zmod.local_factor(3, 2, 1)
+            explorer.range_census(table, 2, 1.0, 10)
+        with pytest.raises(DomainError):
+            explorer.greedy_approximate(table, 2, 1.0, 0.1, 10)
 
     def test_bounds(self):
         for p, k, r in ((2, 1, 1.5), (3, 4, 2.0), (13, 2, 1.1)):
-            v = zmod.local_factor(p, k, r)
+            v = explorer._local_factor(p, k, r)
             assert 1 < v < p**r / (p**r - 1)
 
 
+# Census bound of the multiplicativity test: every n it builds is at most
+# this, from primes up to 19.
+SIGMA_BOUND = 10_000
+
+
 class TestSigmaRestricted:
-    def test_empty_sketch_is_one(self, table):
-        sketch = FactorSketch(k=1)
-        assert zmod.sigma_restricted(sketch, 2, table) == 1.0
-        assert zmod.log_sigma_restricted(sketch, 2, table) == 0.0
+    """sigma_{-r}(n) over the (k+1)-free n, as the census enumerates it."""
 
-    def test_single_prime(self, table):
-        sketch = FactorSketch(k=1, entries=((1, 1),))  # n = 2
-        assert zmod.sigma_restricted(sketch, 2, table) == pytest.approx(1.25, abs=1e-15)
+    def test_empty_sketch_is_one(self):
+        # n = 1 has no prime factor
+        assert explorer._sigma_values(1, 2.0, 1).tolist() == [1.0]
 
-    def test_two_primes(self, table):
-        sketch = FactorSketch(k=1, entries=((1, 1), (2, 1)))  # n = 6
-        assert zmod.sigma_restricted(sketch, 2, table) == pytest.approx(
-            1.25 * (1 + 1 / 9), abs=1e-14
-        )
+    def test_single_prime(self):
+        # n = 2
+        assert explorer._sigma_values(1, 2.0, 2)[1] == pytest.approx(1.25, abs=1e-15)
+
+    def test_two_primes(self):
+        # n = 6
+        values = explorer._sigma_values(1, 2.0, 6)
+        assert np.abs(values - 1.25 * (1 + 1 / 9)).min() <= 1e-14
 
     def test_invariant_violations(self):
-        with pytest.raises(DomainError):
-            FactorSketch(k=1, entries=((1, 2),))  # exponent above k
-        with pytest.raises(DomainError):
-            FactorSketch(k=2, entries=((3, 1), (2, 1)))  # indices not increasing
+        # an exponent above k leaves n out: 4 = 2^2 at k = 1, 8 = 2^3 at k = 2
+        assert explorer._sigma_values(1, 2.0, 4).tolist() == pytest.approx([1.0, 1 + 1 / 9, 1.25], abs=1e-15)
+        assert len(explorer._sigma_values(2, 2.0, 8)) == len(explorer._sigma_values(2, 2.0, 7)) == 7
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -313,26 +333,24 @@ class TestSigmaRestricted:
         data=st.data(),
     )
     def test_multiplicativity_and_range(self, table, k, r, data):
-        indices = data.draw(
-            st.lists(st.integers(1, 50), min_size=0, max_size=6, unique=True)
-        )
-        entries = tuple(
-            (i, data.draw(st.integers(1, k))) for i in sorted(indices)
-        )
-        sketch = FactorSketch(k=k, entries=entries)
-        value = zmod.sigma_restricted(sketch, r, table)
-        product = 1.0
-        for entry in entries:
-            product *= zmod.sigma_restricted(FactorSketch(k=k, entries=(entry,)), r, table)
-        assert value == pytest.approx(product, rel=1e-12)
-        assert 1 <= value < zmod.g_k(k, r, 1e-10).hi
+        indices = data.draw(st.lists(st.integers(1, 8), min_size=0, max_size=4, unique=True))
+        n, product = 1, 1.0
+        for i in sorted(indices):
+            p, e = table.nth(i), data.draw(st.integers(1, k))
+            if n * p**e <= SIGMA_BOUND:
+                n *= p**e
+                product *= explorer._local_factor(p, e, r)
+        values = explorer._sigma_values(k, r, SIGMA_BOUND)
+        assert np.abs(values - product).min() <= 1e-12 * product
+        assert values[0] == 1.0 and values[-1] < math.exp(log_g_bracket(k, r).lo)
 
     def test_euler_product_partial_sums_approach_log_g(self, table):
+        # sigma at n = (p_1 ... p_N)^k is the Euler product cut after p_N
         k, r = 2, 1.5
         p = table.slice(1, 100_000).astype(float)
         x = p ** (-r)
         partial = float(np.sum(np.log((1 - x ** (k + 1)) / (1 - x))))
-        target = math.log(zmod.g_k(k, r, 1e-10).mid)
+        target = log_g_bracket(k, r).mid
         # analytic bound on the dropped tail: sum_{i>N} log local < sum_{n>p_N} n^-r
         p_last = float(table.nth(100_000))
         tail_bound = p_last ** (1 - r) / (r - 1)
