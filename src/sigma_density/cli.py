@@ -11,11 +11,10 @@ for the census where it emits one range value per line.
 Floats print byte for byte as ``float.__repr__`` writes them, but long
 lists and arrays a block at a time through numpy (``_float_text``), which
 covers [1e-20, 1e17).  At ``census --bound 1000000`` (k = 1..3) writing a
-value takes 214-233 ns in TSV and 248-303 ns in JSON with the gap rows,
-against 600-795 ns by ``float.__repr__``, while enumerating it takes
-95-155 ns (``BENCH_census_writer.json``).  A 100000-step greedy walk's
-deficits D, nearly all below 1e-6, take 286-342 ns a value in JSON
-against 829-1101 ns by ``float.__repr__`` (``BENCH_greedy_arrays.json``;
+value takes 213-271 ns in TSV and 286-322 ns in JSON with the gap rows,
+against about 1.1 us by ``float.__repr__``.  A 100000-step greedy walk's
+values take 245-369 ns each in JSON (C, D and E) and its exponents 38-57
+ns, against 143-151 ns by ``int.__repr__`` (``BENCH_walk_output.json``;
 Python 3.11, numpy 2.4, a shared 2-vCPU x86-64 host).
 
 Exit codes: 0 success, 1 domain/precision error, an unwritable ``--out``
@@ -66,13 +65,21 @@ def finite_float(text: str) -> float:
 
 
 # Values of a flat list joined into one piece of the output: a str for
-# every value of a census is never held at once.
-JOIN_BLOCK = 4096
+# every value of a census is never held at once.  Against 4096, census
+# values, C and D cost 18-28% less a value, since _float_text's cost per
+# call falls on twice the values.  16384 saves up to 16% more on census
+# values and C but not on D, and holds twice the text
+# (BENCH_walk_output.json).
+JOIN_BLOCK = 8192
 # Fewest floats of a block that _float_text writes, when numpy is loaded:
-# it costs about 0.2 ms a call whatever the block's length, and saves
-# about 0.4 us a value over float.__repr__ (Python 3.11, numpy 2.4, one
-# process on a 2-core x86-64 host).
+# it costs about 0.2-0.3 ms a call whatever the block's length, and saves
+# about 0.8 us a value over float.__repr__ on census values, 0.4 us on
+# values across decades, so the two break even near 400 values (Python
+# 3.11, numpy 2.4, one process on a 2-core x86-64 host).
 FLOAT_TEXT_MIN = 512
+# The text of the ints 0..255, such as a walk's exponents: a block of them
+# is written by lookups, at under half the cost of int.__repr__.
+_INT_TEXTS = {i: int.__repr__(i) for i in range(256)}
 
 
 class _Flat:
@@ -109,6 +116,11 @@ class _Flat:
                 if self.rep is float.__repr__ and not all(map(math.isfinite, block)):
                     raise ValueError("Out of range float values are not JSON compliant")
                 texts = map(self.rep, block)
+                if self.rep is int.__repr__:
+                    try:
+                        texts = list(map(_INT_TEXTS.__getitem__, block))
+                    except KeyError:
+                        pass
                 if width > 1:
                     texts = map(separator.join, zip(*[texts] * width))
                 text = row_separator.join(texts)
@@ -350,9 +362,17 @@ def _float_text(np, values, separator, row_separator, width):
     # Column c of the text holds column c + 3 of chars left of the point,
     # and column c + 2 right of it.
     text = out[:, :_DIGITS]
-    text[...] = chars[:, 2:24]
-    np.copyto(text, chars[:, 3:25], where=left[point + 6])
-    text[np.arange(n), 5 + point] = ord(".")
+    if (point == point[0]).all():
+        # Every point in one column, as in a block of one decade (every
+        # census value is in [1, 10)): three slice copies.
+        p = int(point[0])
+        text[:, : 5 + p] = chars[:, 3 : 8 + p]
+        text[:, 5 + p] = ord(".")
+        text[:, 6 + p :] = chars[:, 8 + p : 24]
+    else:
+        text[...] = chars[:, 2:24]
+        np.copyto(text, chars[:, 3:25], where=left[point + 6])
+        text[np.arange(n), 5 + point] = ord(".")
     if exponent.any():
         out[:, _DIGITS] = ord("e")
         out[:, _DIGITS + 1] = np.where(d < 0, ord("-"), ord("+"))

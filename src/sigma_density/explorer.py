@@ -17,7 +17,7 @@ from .brackets import Bracket
 from .density import t_levels
 from .errors import CapacityError, DomainError, IndeterminateError, PrecisionError, check_k, check_r
 from .primes import PrimeTable, nth_prime_bound, sieve
-from .zeta import log_g_iv, to_iv
+from .zeta import SIGN_SIZE, log_g_iv, to_iv
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,9 +71,24 @@ def greedy_approximate(
     """Run the greedy construction over the first ``steps`` primes.
 
     The target must satisfy 0 <= x < log G_k(r), certified against the
-    bracket for log G_k(r); a target inside the bracket's uncertainty
-    band is rejected as indeterminate rather than guessed about.
-    """
+    full-size bracket for log G_k(r); a target inside the bracket's
+    uncertainty band is rejected as indeterminate rather than guessed about.
+
+    The sign size settles most targets at about half the cost: with
+    ``lower`` the lower end of its bracket, x < nextafter(lower, -inf) is
+    accepted at once, and every other target takes the full-size check
+    and its errors.  No outcome or message changes, since the full
+    bracket's lower end is at or above nextafter(lower, -inf).  Both
+    enclosures contain log G, and ``Bracket.from_iv`` takes a lower end as
+    the double nearest the enclosure's, then one double down.  The sign
+    enclosure's lower end is at most log G, so nextafter(lower, -inf) is
+    at least two doubles below RN(log G).  The full enclosure's lower end
+    is within half a spacing of doubles of log G, so its double is at most
+    two below RN(log G).  That last step needs log G large: the sign
+    size's 80-bit rounding keeps lower <= 0, and so accepts nothing,
+    unless log G is above about 2**-75, where the full size's 200-bit
+    rounding and remainder (below 1e-31 relative) leave its enclosure
+    narrower than 1e-14 of a spacing."""
     check_k(k)
     check_r(r)
     if steps < 1:
@@ -90,13 +105,15 @@ def greedy_approximate(
     # them, and then the target is checked before the table is.
     if nth_prime_bound(steps) > table.limit:
         _walk_primes(table, steps)
-    log_g = Bracket.from_iv(log_g_iv(k, to_iv(r)))
-    if x >= log_g.hi:
-        raise DomainError(f"target {x} is not below log G_{k}({r}) = {log_g.hi}")
-    if x >= log_g.lo:
-        raise IndeterminateError(
-            f"target {x} falls inside the log G bracket [{log_g.lo}, {log_g.hi}]"
-        )
+    lower = Bracket.from_iv(log_g_iv(k, to_iv(r), SIGN_SIZE)).lo
+    if not x < math.nextafter(lower, -math.inf):
+        log_g = Bracket.from_iv(log_g_iv(k, to_iv(r)))
+        if x >= log_g.hi:
+            raise DomainError(f"target {x} is not below log G_{k}({r}) = {log_g.hi}")
+        if x >= log_g.lo:
+            raise IndeterminateError(
+                f"target {x} falls inside the log G bracket [{log_g.lo}, {log_g.hi}]"
+            )
 
     import numpy as np
 
@@ -293,6 +310,11 @@ def range_census(
         resolution = 10.0 / bound
     if not resolution > 0:
         raise DomainError(f"resolution must be positive, got {resolution}")
+    # The largest local factor is 2's; once it rounds to 1.0 (r >= 54), so
+    # does every other, and a census would print one value for a range
+    # that is nowhere dense.
+    if _local_factor(2, 1, r) == 1.0:
+        raise PrecisionError(f"every census value rounds to 1.0 at r = {r}")
 
     # math.exp is accurate to within an ulp but not directed: one ulp
     # inward keeps each linear endpoint inside the certified log-interval.

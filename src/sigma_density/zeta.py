@@ -166,6 +166,7 @@ def zeta_iv(s, size: KernelSize = FULL_SIZE):
     return iv.make_mpf(mpi_add(total, remainder, prec))
 
 
-def log_g_iv(k: int, r_iv):
-    """Interval enclosure of log G_k(r), G_k(r) = zeta(r)/zeta((k+1)r)."""
-    return iv.log(zeta_iv(r_iv)) - iv.log(zeta_iv((k + 1) * r_iv))
+def log_g_iv(k: int, r_iv, size: KernelSize = FULL_SIZE):
+    """Interval enclosure of log G_k(r), G_k(r) = zeta(r)/zeta((k+1)r),
+    from two zeta_iv calls of ``size``."""
+    return iv.log(zeta_iv(r_iv, size)) - iv.log(zeta_iv((k + 1) * r_iv, size))

@@ -6,7 +6,9 @@ and the CLI wrote each float of its output by its own ``float.__repr__``.
 Also the library's former second routes to two quantities that it now
 reaches only inside other computations: the tail of the log Euler product
 (the lower end of a forbidden gap) and log sigma at the integer a greedy
-walk's exponents spell out."""
+walk's exponents spell out; and the greedy walk's target check at the
+full kernel size alone, which the walk now makes at the sign size first.
+``neighbours`` gives the doubles beside a boundary that these are tested at."""
 
 import math
 
@@ -15,6 +17,7 @@ import numpy as np
 from mpmath import iv
 
 from sigma_density.brackets import Bracket
+from sigma_density.errors import DomainError, IndeterminateError
 from sigma_density.zeta import log_g_iv
 
 
@@ -37,6 +40,18 @@ def tail_bracket(table, k: int, m: int, r: float) -> Bracket:
     return Bracket.from_iv(log_g_iv(k, r_iv) - prefix)
 
 
+def greedy_target_check(k: int, r: float, x: float):
+    """The greedy walk's check of 0 <= x < log G_k(r) against the full-size
+    bracket: None when the target is accepted, else the error it raises
+    as (type, message)."""
+    log_g = Bracket.from_iv(log_g_iv(k, iv.mpf(r)))
+    if x >= log_g.hi:
+        return DomainError, f"target {x} is not below log G_{k}({r}) = {log_g.hi}"
+    if x >= log_g.lo:
+        return IndeterminateError, f"target {x} falls inside the log G bracket [{log_g.lo}, {log_g.hi}]"
+    return None
+
+
 def log_sigma_of_alphas(table, alphas, r: float) -> float:
     """log sigma_{-r}(n) at n = prod_l p_l^alphas[l - 1], the sum over the
     primes of n of log(1 + p^-r + ... + p^-ar) in double precision."""
@@ -46,6 +61,16 @@ def log_sigma_of_alphas(table, alphas, r: float) -> float:
             x = float(table.nth(l)) ** -r
             total += math.log1p(x * (1.0 - x**a) / (1.0 - x))
     return total
+
+
+def neighbours(x, count):
+    """The ``count`` doubles each side of x, and x."""
+    below = [x]
+    above = [x]
+    for _ in range(count):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return [*reversed(below[1:]), *above]
 
 
 def repr_join(values, separator, row_separator=None, width=None):

@@ -308,6 +308,14 @@ def test_census_gap_too_narrow_for_doubles_is_an_error(capsys):
     assert err == "sigma-density: error: the certified gap at level m = 2 is too narrow for doubles at r = 40.0\n"
 
 
+@pytest.mark.parametrize("r", ["195", "1000"])
+def test_census_where_every_value_rounds_to_one_is_an_error(capsys, r):
+    code, out, err = run(capsys, "census", "--k", "1", "--r", r, "--bound", "100")
+    assert code == 1
+    assert out == ""
+    assert err == f"sigma-density: error: every census value rounds to 1.0 at r = {float(r)}\n"
+
+
 # Run in a fresh interpreter: ``import sigma_density`` and, given arguments,
 # the CLI as ``python -m sigma_density.cli`` runs it; then report the exit
 # code and whether numpy was ever imported.
@@ -659,6 +667,19 @@ def test_flat_lists_are_joined_in_blocks():
     assert [len(piece.split("\n")) for piece in flat.join("\n")] == [cli.JOIN_BLOCK, cli.JOIN_BLOCK + 1, 4]
     with pytest.raises(ValueError):
         cli._flat([*payload["nested"]["floats"], 1.0, math.nan]).join(",")
+
+
+@pytest.mark.parametrize(
+    "ints",
+    [
+        [i % 7 for i in range(3 * cli.JOIN_BLOCK + 11)],  # every value in the table
+        [i % 256 for i in range(1000)] + [256, 2**70],  # values past the table
+        [5, -1, 0, 3] * 700,  # a negative value
+    ],
+    ids=["small", "large", "negative"],
+)
+def test_int_blocks_match_int_repr(ints):
+    assert "".join(cli._flat(ints).join(", ")) == ", ".join(map(int.__repr__, ints))
 
 
 @pytest.mark.parametrize(

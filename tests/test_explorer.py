@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import greedy_walk_loop, log_sigma_of_alphas, tail_bracket
-from sigma_density import explorer
+from oracles import greedy_target_check, greedy_walk_loop, log_sigma_of_alphas, neighbours, tail_bracket
+from sigma_density import explorer, zeta
 from sigma_density.brackets import Bracket
 from sigma_density.errors import CapacityError, DomainError, IndeterminateError, PrecisionError
-from sigma_density.zeta import log_g_iv, to_iv
+from sigma_density.zeta import FULL_SIZE, SIGN_SIZE, log_g_iv, to_iv
 
 
 def sigma_values_loop(k, r, bound):
@@ -170,6 +170,50 @@ class TestGreedy:
         log_g = Bracket.from_iv(log_g_iv(1, to_iv(1.5)))
         with pytest.raises(IndeterminateError):
             explorer.greedy_approximate(table, 1, 1.5, log_g.lo, 10)
+
+
+class TestTargetCheck:
+    @pytest.mark.parametrize("k, r", [(1, 1.5), (2, 1.9), (3, 2.4), (10, 1.2), (1, 30.0), (2, 70.0), (1, 1e6)])
+    def test_outcomes_and_messages_match_the_full_size_check(self, table, k, r):
+        log_g = Bracket.from_iv(log_g_iv(k, to_iv(r)))
+        for x in [*neighbours(log_g.lo, 4), *neighbours(log_g.hi, 4)]:
+            if x < 0:
+                continue
+            expected = greedy_target_check(k, r, x)
+            try:
+                explorer.greedy_approximate(table, k, r, x, 10)
+                outcome = None
+            except (DomainError, IndeterminateError) as exc:
+                outcome = type(exc), str(exc)
+            assert outcome == expected, x
+
+    def test_the_sign_size_accepts_only_below_the_full_bracket(self):
+        # The docstring's argument, over k <= 100 and r up to where the
+        # sign size's lower end stops being positive.
+        rs = [1.0001, 1.01, *np.linspace(1.1, 3.0, 20).tolist(), 5.0, 10.0, 40.0, 60.0, 70.0, 75.0, 100.0]
+        accepted = 0
+        for k in (1, 2, 5, 100):
+            for r in rs:
+                lower = Bracket.from_iv(log_g_iv(k, to_iv(r), SIGN_SIZE)).lo
+                threshold = math.nextafter(lower, -math.inf)
+                if threshold > 0:
+                    accepted += 1
+                    assert threshold <= Bracket.from_iv(log_g_iv(k, to_iv(r))).lo
+        assert accepted >= 4 * len(rs) - 8
+
+    def test_a_walk_to_a_target_below_log_g_takes_no_full_size_zeta(self, table, monkeypatch):
+        sizes = []
+
+        def spy(s, size=FULL_SIZE):
+            sizes.append(size)
+            return original(s, size)
+
+        walks = [(k, r, target(k, r, 0.999)) for k, r in ((1, 1.6), (2, 1.9), (7, 2.8))]
+        original = zeta.zeta_iv
+        monkeypatch.setattr(zeta, "zeta_iv", spy)
+        for k, r, x in walks:
+            explorer.greedy_approximate(table, k, r, x, 1000)
+        assert sizes == [SIGN_SIZE] * 6
 
 
 def assert_walk_matches_the_loop(table, k, r, x, steps):

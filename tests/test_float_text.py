@@ -1,5 +1,6 @@
 """The CLI's array writer of floats against ``float.__repr__``, byte for byte."""
 
+import fractions
 import itertools
 import math
 import re
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import repr_join
+from oracles import neighbours, repr_join
 from sigma_density import cli, explorer
 
 SEPARATOR = ",\n      "
@@ -28,16 +29,6 @@ def assert_matches(values, **separators):
     assert written(values, **separators) == expected
     flat = cli._Flat(list(map(float, values)), float.__repr__, separators.get("width"))
     assert "".join(flat.join(SEPARATOR, separators.get("row_separator"))) == expected
-
-
-def neighbours(x, count):
-    """The ``count`` doubles each side of x, and x."""
-    below = [x]
-    above = [x]
-    for _ in range(count):
-        below.append(math.nextafter(below[-1], -math.inf))
-        above.append(math.nextafter(above[-1], math.inf))
-    return [*reversed(below[1:]), *above]
 
 
 @pytest.mark.parametrize("k, r", [(1, 1.55), (2, 1.95), (3, 2.4)])
@@ -64,6 +55,23 @@ def test_powers_of_two_and_their_neighbours():
 def test_doubles_each_side_of_a_power_of_ten():
     values = [v for d in range(-20, 17) for v in neighbours(float(f"1e{d}"), 40)]
     assert_matches(values)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("d", range(-20, 17))
+def test_one_decade_blocks(d, width):
+    # Every value in [10**d, 10**(d + 1)), so the block takes the writer's
+    # one-decade path, with its least and greatest doubles.
+    decade = fractions.Fraction(10) ** d
+    low, high = float(f"1e{d}"), float(f"1e{d + 1}")
+    rng = np.random.default_rng(d + 20)
+    values = rng.uniform(low, high, 3 * cli.FLOAT_TEXT_MIN).tolist()
+    values[:2] = [low if low >= decade else math.nextafter(low, math.inf), math.nextafter(high, -math.inf)]
+    assert all(decade <= v < 10 * decade for v in map(fractions.Fraction, values))
+    if width == 1:
+        assert_matches(values)
+    else:
+        assert_matches(values, row_separator="],\n    [", width=3)
 
 
 def test_short_mantissas():
@@ -220,10 +228,12 @@ def test_block_boundaries():
     assert "".join(pieces) == repr_join(values, "\n")
     lines = [cli.JOIN_BLOCK, cli.JOIN_BLOCK + 1, cli.FLOAT_TEXT_MIN + 2]
     assert [len(piece.split("\n")) for piece in pieces] == lines
-    rows = cli._Flat(values[: 3 * 2000].tolist(), float.__repr__, 3)
+    # Rows of three: a piece holds the most whole rows that fit in a block.
+    step = cli.JOIN_BLOCK // 3 * 3
+    rows = cli._Flat(values[: step + 1905].tolist(), float.__repr__, 3)
     pieces = rows.join(",", ";\n")
-    assert "".join(pieces) == repr_join(values[: 3 * 2000], ",", ";\n", 3)
-    assert [len(re.split(",|;\n", piece.removeprefix(";\n"))) for piece in pieces] == [4095, 1905]
+    assert "".join(pieces) == repr_join(values[: step + 1905], ",", ";\n", 3)
+    assert [len(re.split(",|;\n", piece.removeprefix(";\n"))) for piece in pieces] == [step, 1905]
 
 
 # Bit patterns of the writer's range [1e-20, 1e17), less the powers of two.
