@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
+from mpmath.libmp import round_nearest, to_float
 
 from .errors import DomainError, PrecisionError
 
@@ -87,7 +87,10 @@ class Bracket:
 
     @classmethod
     def from_iv(cls, x) -> "Bracket":
-        """Convert an mpmath interval to a double bracket, rounding outward."""
-        lo = math.nextafter(float(mpmath.mpf(x.a)), -math.inf)
-        hi = math.nextafter(float(mpmath.mpf(x.b)), math.inf)
+        """Convert an interval, an ``mpmath.iv`` object or the libmp tuple
+        (lo, hi) that one wraps, to a double bracket: each end to its
+        nearest double, then one double outward."""
+        a, b = getattr(x, "_mpi_", x)
+        lo = math.nextafter(to_float(a, rnd=round_nearest), -math.inf)
+        hi = math.nextafter(to_float(b, rnd=round_nearest), math.inf)
         return cls(lo, hi)

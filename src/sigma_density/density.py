@@ -10,12 +10,17 @@ A positive T at some m certifies a forbidden open interval in the log
 range.  T has one interval expression (:func:`t_levels`), shared by
 :func:`t_func`, :func:`density_report` and ``explorer.analytic_gap_scan``;
 the solver's sign tests read its sign from a log-free comparison of
-products (:func:`t_sign`).  Every p^-r is exp(-r log p) with log p
-taken once per prime (``zeta.log_prime``).  Everything here returns
-certified brackets, and verdicts are three-valued (dense / not_dense /
-undetermined) so float artifacts can never silently misclassify a
-near-threshold input.  The standing inequalities and the monotonicity of
-T in r are proved over intervals, by one cell cover (:func:`_cover`).
+products (:func:`t_sign`).  Both run on ``mpmath.libmp`` interval tuples:
+the printed route at ``FULL_SIZE.prec``, a sign test at its kernel
+size's precision.  Each p^-r with p <= N comes from the table of n^-r
+that the evaluation of zeta(r) returns (``zeta.zeta_iv``), and a sign
+test's p^-(k+1)r from that of zeta((k+1)r); a prime beyond N takes
+exp(-r log p) with log p taken once per prime (``zeta.prime_power``).
+Everything here returns certified brackets, and verdicts are three-valued
+(dense / not_dense / undetermined) so float artifacts can never silently
+misclassify a near-threshold input.  The standing inequalities and the
+monotonicity of T in r are proved over intervals of ``mpmath.iv``
+objects, by one cell cover (:func:`_cover`).
 """
 
 from __future__ import annotations
@@ -26,11 +31,12 @@ from dataclasses import dataclass
 from functools import partial
 
 from mpmath import fp, iv
+from mpmath.libmp import fzero, mpi_add, mpi_div, mpi_log, mpi_mul, mpi_neg, mpi_pow_int, mpi_sub
 
 from .brackets import Bracket
 from .errors import DomainError, check_k, check_r
 from .primes import PrimeTable
-from .zeta import KernelSize, log_g_iv, log_prime, prime_power, to_iv, zeta_iv
+from .zeta import FULL_SIZE, ONE, KernelSize, log_g_iv, log_prime, prime_power, scale, to_iv, zeta_iv
 
 # Truncation point of the computational surrogate V (number of primes).
 V_TRUNCATION = 100_000
@@ -52,49 +58,70 @@ def _check_kmr(k: int, m: int, r: float) -> None:
     check_r(r)
 
 
+def _iv_log_prime(p: int):
+    return iv.make_mpf(log_prime(p, iv.prec))
+
+
+def _iv_power(p: int, expo):
+    """p**expo for an iv interval exponent, as an iv object."""
+    return iv.make_mpf(prime_power(p, expo._mpi_, iv.prec))
+
+
 def _x(p: int, r):
-    """p^-r for an interval r."""
-    return prime_power(p, -r)
+    """p^-r for an iv interval r."""
+    return _iv_power(p, -r)
 
 
-def _log_local(x, k: int):
-    """log(1 + x + ... + x^k), the log of the local factor at p for x = p^-r."""
-    return iv.log((1 - x ** (k + 1)) / (1 - x))
+def _power(p: int, minus_r: tuple, powers: list, prec: int) -> tuple:
+    """p^-r: the entry of ``powers``, a zeta evaluation's table of n^-r,
+    where that holds p, else exp(-r log p)."""
+    return powers[p] if p < len(powers) else prime_power(p, minus_r, prec)
 
 
-def _levels(table: PrimeTable, k: int, r_iv, ms: Iterable[int]):
+def _levels(table: PrimeTable, k: int, r: tuple, powers: list, ms: Iterable[int]):
     """(m, head, prefix) for each m of the strictly ascending ``ms``, as
-    intervals: head = log(1 + p_m^-r) and prefix = sum_{i<=m} of the log
-    local factor at p_i.  The prefix is carried from one level to the
-    next, and the head reuses the p_m^-r its last term took."""
-    prefix = iv.mpf(0)
+    interval tuples at FULL_SIZE.prec: head = log(1 + p_m^-r) and prefix =
+    sum_{i<=m} of the log local factor at p_i, log((1 - x^{k+1})/(1 - x))
+    with x = p_i^-r read from ``powers``, the table of zeta(r)'s full-size
+    evaluation.  The prefix is carried from one level to the next, and
+    the head reuses the p_m^-r its last term took."""
+    prec = FULL_SIZE.prec
+    minus_r = mpi_neg(r, prec)
+    prefix = fzero, fzero
     done = 0
     for m in ms:
         for i in range(done + 1, m + 1):
-            x = _x(table.nth(i), r_iv)
-            prefix += _log_local(x, k)
+            x = _power(table.nth(i), minus_r, powers, prec)
+            local = mpi_div(
+                mpi_sub(ONE, mpi_pow_int(x, k + 1, prec), prec), mpi_sub(ONE, x, prec), prec
+            )
+            prefix = mpi_add(prefix, mpi_log(local, prec), prec)
         done = m
-        yield m, iv.log(1 + x), prefix
+        yield m, mpi_log(mpi_add(ONE, x, prec), prec), prefix
 
 
 def t_levels(
-    table: PrimeTable, k: int, r_iv, log_g, ms: Iterable[int]
+    table: PrimeTable, k: int, r: tuple, log_g: tuple[tuple, list], ms: Iterable[int]
 ) -> Iterator[tuple[int, Bracket, GapInterval | None]]:
     """T_k(m, r) = log(1 + p_m^{-r}) - sum_{i>m} log(local factor at p_i)
-    for each m of the ascending ``ms``, with that tail taken as the
-    interval ``log_g`` of log G_k(r) minus the prefix i <= m.
+    for each m of the ascending ``ms``, with that tail taken as log G_k(r)
+    minus the prefix i <= m.  ``log_g`` is what ``zeta.log_g_iv(k, r)``
+    returns: the interval of log G_k(r) and the table of n^-r that
+    :func:`_levels` reads.
 
     Yields (m, T bracket, gap), where gap is the forbidden interval at
     level m when T is certified positive and None otherwise.  The prefix
     of local factors is carried from one level to the next, so a scan
     over m = 1..M costs M local factors and no zeta evaluation.
     """
-    for m, head, prefix in _levels(table, k, r_iv, ms):
-        t = Bracket.from_iv(head - log_g + prefix)
+    prec = FULL_SIZE.prec
+    log_g, powers = log_g
+    for m, head, prefix in _levels(table, k, r, powers, ms):
+        t = Bracket.from_iv(mpi_add(mpi_sub(head, log_g, prec), prefix, prec))
         gap = None
         if t.strictly_positive():
             gap = GapInterval(
-                m=m, lo=Bracket.from_iv(log_g - prefix), hi=Bracket.from_iv(head)
+                m=m, lo=Bracket.from_iv(mpi_sub(log_g, prefix, prec)), hi=Bracket.from_iv(head)
             )
         yield m, t, gap
 
@@ -114,28 +141,36 @@ def t_sign(table: PrimeTable, k: int, m: int, r: float, size: KernelSize) -> int
         T > 0  <=>  (1 + x_m) zeta((k+1)r) prod_{i<=m} (1 - x_i^{k+1})
                         > zeta(r) prod_{i<=m} (1 - x_i),   x_i = p_i^-r,
 
-    and the test takes no log."""
+    and the test takes no log.  x_i and x_i^{k+1} are the entries for p_i
+    of the tables of zeta(r) and zeta((k+1)r), at ``size``'s precision."""
     _check_kmr(k, m, r)
+    prec = size.prec
     r_iv = to_iv(r)
-    kept = dropped = iv.mpf(1)
+    kr = scale(k + 1, r_iv, prec)
+    zeta_r, powers = zeta_iv(r_iv, size)
+    zeta_kr, powers_k = zeta_iv(kr, size)
+    minus_r, minus_kr = mpi_neg(r_iv, prec), mpi_neg(kr, prec)
+    kept = dropped = ONE
     for i in range(1, m + 1):
-        x = _x(table.nth(i), r_iv)
-        kept *= 1 - x ** (k + 1)
-        dropped *= 1 - x
-    lhs = (1 + x) * zeta_iv((k + 1) * r_iv, size) * kept
-    return Bracket.from_iv(lhs - zeta_iv(r_iv, size) * dropped).certified_sign()
+        p = table.nth(i)
+        x = _power(p, minus_r, powers, prec)
+        kept = mpi_mul(kept, mpi_sub(ONE, _power(p, minus_kr, powers_k, prec), prec), prec)
+        dropped = mpi_mul(dropped, mpi_sub(ONE, x, prec), prec)
+    lhs = mpi_mul(mpi_mul(mpi_add(ONE, x, prec), zeta_kr, prec), kept, prec)
+    difference = mpi_sub(lhs, mpi_mul(zeta_r, dropped, prec), prec)
+    return Bracket.from_iv(difference).certified_sign()
 
 
 def _log_over(p: int, x):
     """log p / (p^x + 1), decreasing in x."""
-    return log_prime(p) / (prime_power(p, x) + 1)
+    return _iv_log_prime(p) / (_iv_power(p, x) + 1)
 
 
 def _log_sq_over(p: int, x):
     """(log p)^2 / (p^x + 2 + p^-x), minus the derivative of
     :func:`_log_over`; decreasing in x > 0."""
-    q = prime_power(p, x)
-    return log_prime(p) ** 2 / (q + 2 + 1 / q)
+    q = _iv_power(p, x)
+    return _iv_log_prime(p) ** 2 / (q + 2 + 1 / q)
 
 
 def _rise(table: PrimeTable, m: int, n: int, term, x):
@@ -306,7 +341,7 @@ def check_inequalities() -> InequalityReport:
                 "(1+2^-r)^2 - zeta(r) > 0",
                 R_MONOTONE_HI,
                 3.0,
-                lambda r: (1 + _x(2, r)) ** 2 - zeta_iv(r),
+                lambda r: (1 + _x(2, r)) ** 2 - iv.make_mpf(zeta_iv(r._mpi_)[0]),
             ),
         )
     )
@@ -392,7 +427,7 @@ def density_report(table: PrimeTable, k: int, r: float) -> DensityReport:
         k=k,
         r=r,
         per_m=per_m,
-        log_g=Bracket.from_iv(log_g),
+        log_g=Bracket.from_iv(log_g[0]),
         verdict=verdict,
         undetermined_width=width,
     )

@@ -105,9 +105,9 @@ def greedy_approximate(
     # them, and then the target is checked before the table is.
     if nth_prime_bound(steps) > table.limit:
         _walk_primes(table, steps)
-    lower = Bracket.from_iv(log_g_iv(k, to_iv(r), SIGN_SIZE)).lo
+    lower = Bracket.from_iv(log_g_iv(k, to_iv(r), SIGN_SIZE)[0]).lo
     if not x < math.nextafter(lower, -math.inf):
-        log_g = Bracket.from_iv(log_g_iv(k, to_iv(r)))
+        log_g = Bracket.from_iv(log_g_iv(k, to_iv(r))[0])
         if x >= log_g.hi:
             raise DomainError(f"target {x} is not below log G_{k}({r}) = {log_g.hi}")
         if x >= log_g.lo:

@@ -19,10 +19,13 @@ inside the bracket; the sign at the far endpoint, and that the root is
 the only one, rest on monotonicity.  Where the residual straddles 0,
 both endpoints are certified.  An endpoint test needs only a sign, so it
 compares two products instead of taking logs (:func:`density.t_sign`,
-:func:`_limit_sign_test`), takes zeta at ``zeta.SIGN_SIZE`` and
-escalates to ``zeta.FULL_SIZE`` only where that sign is undecided; every
-printed bracket (the residual, and a boundary's bracket at 2) is the
-full-size log form, so no output depends on the sign test.  Because the
+:func:`_limit_sign_test`), takes zeta at ``zeta.SIGN_SIZE``, with each
+p^-r and p^-(k+1)r read from the tables of n^-s that its zeta
+evaluations return, and escalates to ``zeta.FULL_SIZE`` only where that
+sign is undecided; every printed bracket (the residual, and a boundary's
+bracket at 2) is the full-size log form, on ``mpmath.libmp`` interval
+tuples at ``FULL_SIZE.prec`` with p^-r from zeta(r)'s full-size table,
+so no output depends on the sign test.  Because the
 function is increasing, a root certified inside the bracket makes the
 guided path the certified path, so guided and certified-only solves
 return the same bits, and the ends of the start bracket [1.0001, 2] need
@@ -40,13 +43,14 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from mpmath import fp, iv
+from mpmath import fp
+from mpmath.libmp import mpi_add, mpi_div, mpi_log, mpi_mul, mpi_sub
 
 from .brackets import PRECISION_FLOOR, Bracket, check_eps
 from .density import t_float, t_func, t_levels, t_sign, v_func
 from .errors import CapacityError, DomainError, PrecisionError, check_k
 from .primes import PrimeTable
-from .zeta import FULL_SIZE, SIGN_SIZE, KernelSize, log_g_iv, prime_power, to_iv, zeta_iv
+from .zeta import FULL_SIZE, ONE, SIGN_SIZE, KernelSize, log_g_iv, prime_power, to_iv, zeta_iv
 
 DEFAULT_EPS = 1e-10
 LIMIT_EPS = 1e-9
@@ -292,12 +296,18 @@ def eta_limit(eps: float = LIMIT_EPS) -> RootResult:
 
 
 def _limit_sign(r: float) -> Bracket:
-    """The limit equation in log form, lhs - log zeta(r), as a bracket."""
+    """The limit equation in log form, lhs - log zeta(r), as a bracket,
+    on interval tuples at FULL_SIZE.prec."""
+    prec = FULL_SIZE.prec
     r_iv = to_iv(r)
-    p2 = prime_power(2, r_iv)
-    p3 = prime_power(3, r_iv)
-    lhs = iv.log(p2 / (p2 - 1)) + iv.log((p3 + 1) / (p3 - 1))
-    return Bracket.from_iv(lhs - iv.log(zeta_iv(r_iv)))
+    p2 = prime_power(2, r_iv, prec)
+    p3 = prime_power(3, r_iv, prec)
+    lhs = mpi_add(
+        mpi_log(mpi_div(p2, mpi_sub(p2, ONE, prec), prec), prec),
+        mpi_log(mpi_div(mpi_add(p3, ONE, prec), mpi_sub(p3, ONE, prec), prec), prec),
+        prec,
+    )
+    return Bracket.from_iv(mpi_sub(lhs, mpi_log(zeta_iv(r_iv)[0], prec), prec))
 
 
 def _limit_sign_test(r: float, size: KernelSize) -> int | None:
@@ -306,12 +316,14 @@ def _limit_sign_test(r: float, size: KernelSize) -> int | None:
     (1 + x_3) / ((1 - x_2)(1 - x_3)) with x_p = p^-r, so the test takes
     no log: the function is > 0 exactly when
 
-        1 + x_3 > zeta(r) (1 - x_2) (1 - x_3)."""
-    r_iv = to_iv(r)
-    x2 = prime_power(2, -r_iv)
-    x3 = prime_power(3, -r_iv)
-    difference = 1 + x3 - zeta_iv(r_iv, size) * (1 - x2) * (1 - x3)
-    return Bracket.from_iv(difference).certified_sign()
+        1 + x_3 > zeta(r) (1 - x_2) (1 - x_3),
+
+    with x_2 and x_3 read from zeta(r)'s table, at ``size``'s precision."""
+    prec = size.prec
+    zeta_r, powers = zeta_iv(to_iv(r), size)
+    x2, x3 = powers[2], powers[3]
+    dropped = mpi_mul(mpi_mul(zeta_r, mpi_sub(ONE, x2, prec), prec), mpi_sub(ONE, x3, prec), prec)
+    return Bracket.from_iv(mpi_sub(mpi_add(ONE, x3, prec), dropped, prec)).certified_sign()
 
 
 def _limit_guide(r: float) -> float:

@@ -4,11 +4,16 @@ sum, and the interval powers p^-r of primes.
 
 zeta is evaluated by Euler-Maclaurin summation with the classical
 remainder bound (for real r > 1 the remainder is no larger in magnitude
-than the first omitted correction term), entirely in mpmath interval
-arithmetic so rounding is accounted for.  The one kernel, :func:`zeta_iv`,
-has two fixed sizes: FULL_SIZE feeds every bracket the program prints,
-and SIGN_SIZE, about half the cost, only the solver's sign tests.
-Callers turn an enclosure into a printed bracket with
+than the first omitted correction term), entirely in interval arithmetic
+so rounding is accounted for.  Everything here runs on the
+``mpmath.libmp`` interval tuples (lo, hi) that ``mpmath.iv`` objects
+wrap, with the precision passed in.  The one kernel, :func:`zeta_iv`, has
+two fixed sizes: FULL_SIZE feeds every bracket the program prints, and
+SIGN_SIZE, about half the cost, only the solver's sign tests.  Besides
+zeta(s) it returns its table of n^-s for n <= N, so the T route reads
+p^-r for the primes p <= N from the evaluation of zeta(r) it makes
+anyway, with the same bits as :func:`prime_power`.  Callers turn an
+enclosure into a printed bracket with
 :meth:`~sigma_density.brackets.Bracket.from_iv`.
 """
 from __future__ import annotations
@@ -21,45 +26,62 @@ from mpmath import iv
 from mpmath.libmp import (
     fnone,
     fone,
+    from_float,
     from_int,
-    ftwo,
-    mpi_add,
+    mpf_add,
+    mpf_div,
+    mpf_exp,
+    mpf_mul,
+    mpf_neg,
+    mpf_shift,
+    mpf_sub,
     mpi_div,
     mpi_exp,
     mpi_log,
     mpi_mul,
-    mpi_neg,
     mpi_sub,
     round_ceiling,
     round_floor,
 )
 
-# Working precision for interval evaluations; ~60 decimal digits, far
-# below the double-precision bracket floor, so interval rounding never
-# dominates a returned bracket.
+# Working precision of the mpmath.iv objects of the cell cover
+# (density.check_inequalities and check_monotonicity); ~60 decimal digits,
+# far below the double-precision bracket floor.
 iv.prec = 200
 
+ONE = fone, fone
 
-def to_iv(x: float):
+
+def to_iv(x: float) -> tuple:
     """Exact interval image of a double (doubles are dyadic rationals)."""
-    return iv.mpf(x)
+    v = from_float(x)
+    return v, v
 
 
-# Interval log p by (prime, working precision), each taken on first use.
-_LOG_PRIME: dict[tuple[int, int], object] = {}
+def _exact(n: int, prec: int) -> tuple:
+    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
 
 
-def log_prime(p: int):
-    """Interval log p at the working precision, taken once per prime."""
-    key = p, iv.prec
+def scale(n: int, r: tuple, prec: int) -> tuple:
+    """n * r for an integer n, formed as the iv context at ``prec`` forms it."""
+    return mpi_mul(_exact(n, prec), r, prec)
+
+
+# Interval log p by (prime, precision), each taken on first use.
+_LOG_PRIME: dict[tuple[int, int], tuple] = {}
+
+
+def log_prime(p: int, prec: int) -> tuple:
+    """Interval log p at ``prec`` bits, taken once per prime and precision."""
+    key = p, prec
     if key not in _LOG_PRIME:
-        _LOG_PRIME[key] = iv.log(iv.mpf(p))
+        _LOG_PRIME[key] = mpi_log(_exact(p, prec), prec)
     return _LOG_PRIME[key]
 
 
-def prime_power(p: int, expo):
+def prime_power(p: int, expo: tuple, prec: int) -> tuple:
     """p**expo = exp(expo * log p) for a prime p and an interval exponent."""
-    return iv.exp(expo * log_prime(p))
+    return mpi_exp(mpi_mul(expo, log_prime(p, prec), prec), prec)
 
 
 # The kernel runs on the libmp interval tuples that mpmath.iv objects
@@ -84,18 +106,12 @@ class KernelSize:
     remainder: tuple = field(repr=False)
 
 
-_ONE, _TWO = (fone, fone), (ftwo, ftwo)
-
-
 def _kernel_size(terms: int, corrections: int, prec: int) -> KernelSize:
-    def exact(n: int) -> tuple:
-        return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
-
     def coefficient(j: int) -> tuple:
         """B_{2j}/(2j)! * N^{1-2j}."""
         p, q = mpmath.bernfrac(2 * j)
         denominator = q * math.factorial(2 * j) * terms ** (2 * j - 1)
-        return mpi_div(exact(int(p)), exact(int(denominator)), prec)
+        return mpi_div(_exact(int(p), prec), _exact(int(denominator), prec), prec)
 
     smallest = [0, 1] + [
         next(p for p in range(2, n + 1) if n % p == 0) for n in range(2, terms + 1)
@@ -105,10 +121,12 @@ def _kernel_size(terms: int, corrections: int, prec: int) -> KernelSize:
         corrections=corrections,
         prec=prec,
         smallest_factor=tuple(smallest),
-        log_p={p: mpi_log(exact(p), prec) for p in range(2, terms + 1) if smallest[p] == p},
-        n=exact(terms),
+        log_p={p: log_prime(p, prec) for p in range(2, terms + 1) if smallest[p] == p},
+        n=_exact(terms, prec),
         coeffs=tuple(coefficient(j) for j in range(1, corrections + 1)),
-        rising_steps=tuple((exact(2 * j - 1), exact(2 * j)) for j in range(1, corrections + 1)),
+        rising_steps=tuple(
+            (_exact(2 * j - 1, prec), _exact(2 * j, prec)) for j in range(1, corrections + 1)
+        ),
         remainder=mpi_mul(coefficient(corrections + 1), (fnone, fone), prec),
     )
 
@@ -121,52 +139,76 @@ FULL_SIZE = _kernel_size(25, 12, 200)
 SIGN_SIZE = _kernel_size(12, 6, 80)
 
 
-def zeta_iv(s, size: KernelSize = FULL_SIZE):
+def zeta_iv(s: tuple, size: KernelSize = FULL_SIZE) -> tuple[tuple, list]:
     """Interval enclosure of zeta(s) for an interval s with s.a > 1:
 
         zeta(s) = sum_{n<=N} n^-s + N^{1-s}/(s-1) - N^-s/2
                   + sum_{j<=M} B_{2j}/(2j)! * s(s+1)...(s+2j-2) * N^{1-s-2j}
                   + R_M,
 
-    with N, M and the working precision fixed by ``size``.  Every even
-    derivative of f(x) = x^-s is positive on [N, oo) for every real s > 1
-    and N >= 1, so the classical remainder theorem puts R_M between 0 and
-    the first omitted term (j = M + 1): the cost does not grow with s.
+    with N, M and the working precision fixed by ``size``, and the table
+    ``powers`` of its terms, ``powers[n]`` = n^-s for 1 <= n <= N.  Every
+    even derivative of f(x) = x^-s is positive on [N, oo) for every real
+    s > 1 and N >= 1, so the classical remainder theorem puts R_M between
+    0 and the first omitted term (j = M + 1): the cost does not grow with s.
 
-    Only p^-s for the primes p <= N takes an exp; every other n^-s is the
-    product of two earlier powers, and N^{1-s-2j} = N^{1-2j} * N^-s.
-    Each factor is positive and decreasing in s, so the products enclose
-    as tightly as the exps they replace.
+    Only p^-s for the primes p <= N takes an exp, the same one as
+    :func:`prime_power`; every other n^-s is the product of two earlier
+    powers, and N^{1-s-2j} = N^{1-2j} * N^-s.  Each factor is positive and
+    decreasing in s, so the products enclose as tightly as the exps they
+    replace.  Every factor but B_{2j}, whose sign alternates, and the
+    remainder's [-1, 1] is positive, so each step is written out as the
+    pair of roundings, floor for the lower end and ceiling for the upper,
+    that ``mpi_mul``, ``mpi_add`` and ``mpi_div`` would pick: the same
+    bits without their sign dispatch.
     """
-    prec = size.prec
-    s = s._mpi_
-    minus_s = mpi_neg(s, prec)
-    powers = [None, _ONE]  # powers[n] = n^-s
-    total = _ONE
+    prec, down, up = size.prec, round_floor, round_ceiling
+    sa, sb = s
+    # -s as mpi_neg rounds it; times log p, as mpi_mul pairs a negative
+    # interval with a positive one
+    minus_sa, minus_sb = mpf_neg(sa, prec, up), mpf_neg(sb, prec, down)
+    powers = [None, ONE]
+    lo = hi = fone
     for n in range(2, size.terms + 1):
         p = size.smallest_factor[n]
         if p == n:
-            power = mpi_exp(mpi_mul(minus_s, size.log_p[p], prec), prec)
+            log_lo, log_hi = size.log_p[p]
+            a = mpf_exp(mpf_mul(minus_sb, log_hi, prec, down), prec, down)
+            b = mpf_exp(mpf_mul(minus_sa, log_lo, prec, up), prec, up)
         else:
-            power = mpi_mul(powers[p], powers[n // p], prec)
-        powers.append(power)
-        total = mpi_add(total, power, prec)
-    N_s = powers[size.terms]
-    total = mpi_add(
-        total, mpi_div(mpi_mul(size.n, N_s, prec), mpi_sub(s, _ONE, prec), prec), prec
-    )
-    total = mpi_sub(total, mpi_div(N_s, _TWO, prec), prec)
-    rising = s  # s(s+1)...(s+2j-2), starting value for j = 1
-    for coeff, (odd, even) in zip(size.coeffs, size.rising_steps):
-        total = mpi_add(total, mpi_mul(mpi_mul(coeff, rising, prec), N_s, prec), prec)
-        rising = mpi_mul(
-            mpi_mul(rising, mpi_add(s, odd, prec), prec), mpi_add(s, even, prec), prec
-        )
-    remainder = mpi_mul(mpi_mul(size.remainder, rising, prec), N_s, prec)
-    return iv.make_mpf(mpi_add(total, remainder, prec))
+            (pa, pb), (qa, qb) = powers[p], powers[n // p]
+            a, b = mpf_mul(pa, qa, prec, down), mpf_mul(pb, qb, prec, up)
+        powers.append((a, b))
+        lo, hi = mpf_add(lo, a, prec, down), mpf_add(hi, b, prec, up)
+    na, nb = powers[size.terms]
+    # + N * N^-s / (s - 1), then - N^-s / 2 (halving is exact)
+    a = mpf_div(mpf_mul(size.n[0], na, prec, down), mpf_sub(sb, fone, prec, up), prec, down)
+    b = mpf_div(mpf_mul(size.n[1], nb, prec, up), mpf_sub(sa, fone, prec, down), prec, up)
+    lo = mpf_sub(mpf_add(lo, a, prec, down), mpf_shift(nb, -1), prec, down)
+    hi = mpf_sub(mpf_add(hi, b, prec, up), mpf_shift(na, -1), prec, up)
+    ra, rb = sa, sb  # s(s+1)...(s+2j-2), starting value for j = 1
+    for (ca, cb), ((odd, _), (even, _)) in zip(size.coeffs, size.rising_steps):
+        if ca[0]:  # B_{2j} < 0: the lower end pairs with the larger factors
+            a = mpf_mul(mpf_mul(ca, rb, prec, down), nb, prec, down)
+            b = mpf_mul(mpf_mul(cb, ra, prec, up), na, prec, up)
+        else:
+            a = mpf_mul(mpf_mul(ca, ra, prec, down), na, prec, down)
+            b = mpf_mul(mpf_mul(cb, rb, prec, up), nb, prec, up)
+        lo, hi = mpf_add(lo, a, prec, down), mpf_add(hi, b, prec, up)
+        ra = mpf_mul(ra, mpf_add(sa, odd, prec, down), prec, down)
+        ra = mpf_mul(ra, mpf_add(sa, even, prec, down), prec, down)
+        rb = mpf_mul(rb, mpf_add(sb, odd, prec, up), prec, up)
+        rb = mpf_mul(rb, mpf_add(sb, even, prec, up), prec, up)
+    # R_M in [-c, c] * rising * N^-s, with c = size.remainder's upper end
+    bound = mpf_mul(mpf_mul(size.remainder[1], rb, prec, up), nb, prec, up)
+    return (mpf_sub(lo, bound, prec, down), mpf_add(hi, bound, prec, up)), powers
 
 
-def log_g_iv(k: int, r_iv, size: KernelSize = FULL_SIZE):
+def log_g_iv(k: int, r: tuple, size: KernelSize = FULL_SIZE) -> tuple[tuple, list]:
     """Interval enclosure of log G_k(r), G_k(r) = zeta(r)/zeta((k+1)r),
-    from two zeta_iv calls of ``size``."""
-    return iv.log(zeta_iv(r_iv, size)) - iv.log(zeta_iv((k + 1) * r_iv, size))
+    from two zeta_iv calls of ``size`` at its precision, with the table of
+    n^-r that the call at r returns."""
+    prec = size.prec
+    zeta_r, powers = zeta_iv(r, size)
+    zeta_kr, _ = zeta_iv(scale(k + 1, r, prec), size)
+    return mpi_sub(mpi_log(zeta_r, prec), mpi_log(zeta_kr, prec), prec), powers

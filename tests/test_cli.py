@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import first_difference
 from sigma_density import cli, explorer, primes, solver
 from sigma_density.brackets import Bracket
 
@@ -571,18 +572,6 @@ def _old_flatten(obj, prefix=""):
             yield from _old_flatten(v, f"{prefix}[{i}]")
     else:
         yield prefix, obj
-
-
-def first_difference(got, expected):
-    """The first line where two texts differ, or None: a diff of whole
-    outputs this long would take pytest minutes to print."""
-    if got == expected:
-        return None
-    got_lines, expected_lines = got.splitlines(True), expected.splitlines(True)
-    for i, (a, b) in enumerate(zip(got_lines, expected_lines)):
-        if a != b:
-            return i, a, b
-    return len(got_lines), len(expected_lines)
 
 
 def _old_json(envelope):

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv
 
-from oracles import iv_pow, log_local_factor_iv, tail_bracket
+from oracles import (
+    iv_pow,
+    levels_oracle,
+    log_g_iv_oracle,
+    log_local_factor_iv,
+    t_levels_oracle,
+    t_sign_oracle,
+    tail_bracket,
+)
 from sigma_density import density, explorer, primes, solver, zeta
 from sigma_density.brackets import Bracket
 from sigma_density.errors import DomainError, IndeterminateError
@@ -19,7 +27,7 @@ LOG_10_OVER_PI_SQ = math.log(10 / PI**2)
 def f(table, k, m, r):
     """Oracle: f_k(m, r) = log(1 + p_m^{-r}) + sum_{i<=m} log(local factor
     at p_i), so that T_k(m, r) = f_k(m, r) - log G_k(r)."""
-    r_iv = to_iv(r)
+    r_iv = iv.mpf(r)
     head = iv.log(1 + iv.mpf(table.nth(m)) ** -r_iv)
     prefix = iv.mpf(0)
     for i in range(1, m + 1):
@@ -28,13 +36,13 @@ def f(table, k, m, r):
 
 
 def log_g(k, r):
-    return Bracket.from_iv(log_g_iv(k, to_iv(r)))
+    return Bracket.from_iv(log_g_iv(k, to_iv(r))[0])
 
 
 def j_bracket(table, m, x):
     """J_m(x): log p_m / (p_m^x + 1) minus the same expression summed over
     the next six primes, the claim ``j_negative_m*`` proves negative."""
-    return Bracket.from_iv(-density._rise(table, m, 6, density._log_over, to_iv(x)))
+    return Bracket.from_iv(-density._rise(table, m, 6, density._log_over, iv.mpf(x)))
 
 
 def gap_core(table, k, m, r):
@@ -161,9 +169,10 @@ class TestT:
 
 
 class TestOneLogPerPrime:
-    """Every p^-r outside the zeta kernel is exp(-r log p) from one cached
-    log p: the same operations in the same order as the oracle route,
-    which takes a fresh log for every power, so the same bits."""
+    """Every p^-r of the T route is exp(-r log p) from one cached log p, or
+    the entry for p of zeta(r)'s table, which takes the same exp: the same
+    bits as the oracle route on iv objects, which takes a fresh log for
+    every power."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -174,21 +183,21 @@ class TestOneLogPerPrime:
     def test_t_log_g_and_gaps_equal_the_oracle_route(self, table, k, ms, r):
         r_iv = to_iv(r)
         log_g = log_g_iv(k, r_iv)
-        oracle_log_g = iv.log(zeta.zeta_iv(r_iv)) - iv.log(zeta.zeta_iv((k + 1) * r_iv))
-        assert log_g._mpi_ == oracle_log_g._mpi_
-        levels = density._levels(table, k, r_iv, ms)
-        for (m, head, prefix), (_, t, gap) in zip(levels, density.t_levels(table, k, r_iv, log_g, ms)):
-            oracle_prefix = iv.mpf(0)
-            for i in range(1, m + 1):
-                oracle_prefix += log_local_factor_iv(table.nth(i), k, r_iv)
-            oracle_head = iv.log(1 + iv_pow(iv.mpf(table.nth(m)), -r_iv))
-            oracle_t = oracle_head - log_g + oracle_prefix
-            assert (head - log_g + prefix)._mpi_ == oracle_t._mpi_
-            assert (log_g - prefix)._mpi_ == (log_g - oracle_prefix)._mpi_
-            assert head._mpi_ == oracle_head._mpi_
+        oracle_log_g = log_g_iv_oracle(k, iv.mpf(r))
+        assert log_g[0] == oracle_log_g._mpi_
+        levels = zip(
+            density._levels(table, k, r_iv, log_g[1], ms),
+            levels_oracle(table, k, iv.mpf(r), ms),
+            density.t_levels(table, k, r_iv, log_g, ms),
+        )
+        for (m, head, prefix), (_, oracle_head, oracle_prefix), (_, t, gap) in levels:
+            # each p^-r, log local factor and head, with p_i from the table
+            assert prefix == oracle_prefix._mpi_
+            assert head == oracle_head._mpi_
+            oracle_t = oracle_head - oracle_log_g + oracle_prefix
             assert t == Bracket.from_iv(oracle_t)
             if t.strictly_positive():
-                assert gap.lo == Bracket.from_iv(log_g - oracle_prefix)
+                assert gap.lo == Bracket.from_iv(oracle_log_g - oracle_prefix)
                 assert gap.hi == Bracket.from_iv(oracle_head)
             else:
                 assert gap is None
@@ -231,6 +240,45 @@ class TestLogFreeSign:
         full = density.t_sign(table, k, m, r, zeta.FULL_SIZE)
         assert None in (t, full) or full == t
         assert density.t_sign(table, k, m, r, zeta.SIGN_SIZE) in (None, t)
+
+
+class TestTupleRoute:
+    """The T route on interval tuples, with p^-r from zeta(r)'s table,
+    prints the oracle route's brackets bit for bit; the sign test, on the
+    sign size's tables, gives its signs."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        k=st.one_of(st.integers(1, 12), st.integers(1, 10**6)),
+        r=st.one_of(st.floats(1.0001, 3.0), st.floats(1.0001, 300.0)),
+    )
+    def test_printed_brackets_equal_the_oracle(self, table, k, r):
+        oracle = list(t_levels_oracle(table, k, r, range(1, 11)))
+        r_iv = to_iv(r)
+        levels = list(density.t_levels(table, k, r_iv, log_g_iv(k, r_iv), range(1, 11)))
+        assert [(m, t) for m, t, _ in levels] == [(m, t) for m, t, _ in oracle]
+        assert [gap and (gap.lo, gap.hi) for _, _, gap in levels] == [gap for _, _, gap in oracle]
+        for m in (1, 2, 4, 10):
+            assert density.t_func(table, k, m, r) == oracle[m - 1][1]
+        report = density.density_report(table, k, r)
+        assert report.per_m == {m: oracle[m - 1][1] for m in (1, 2, 4)}
+        assert report.log_g == Bracket.from_iv(log_g_iv_oracle(k, iv.mpf(r)))
+        scan = explorer.analytic_gap_scan(table, k, r, 10)
+        assert [e.t for e in scan] == [t for _, t, _ in oracle]
+        cores = [gap and (gap[0].hi, gap[1].lo) for _, _, gap in oracle]
+        assert [e.interval for e in scan] == cores
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.one_of(st.integers(1, 12), st.integers(1, 10**6)),
+        m=st.integers(1, 30),
+        r=st.floats(min_value=1.0001, max_value=40.0),
+        size=st.sampled_from([zeta.FULL_SIZE, zeta.SIGN_SIZE]),
+    )
+    def test_sign_test_agrees_with_the_oracle_wherever_both_decide(self, table, k, m, r, size):
+        sign = density.t_sign(table, k, m, r, size)
+        oracle = t_sign_oracle(table, k, m, r, size)
+        assert None in (sign, oracle) or sign == oracle
 
 
 class TestDerivative:
@@ -336,7 +384,7 @@ class TestInequalities:
         r = 1.8
         assert 1 + 2**-r < (1 + 3**-r) * (1 + 3**-r + 3 ** (-2 * r))
         r = 2.5
-        assert (1 + 2**-r) ** 2 > Bracket.from_iv(zeta.zeta_iv(to_iv(r))).hi
+        assert (1 + 2**-r) ** 2 > Bracket.from_iv(zeta.zeta_iv(to_iv(r))[0]).hi
 
     def test_slack_is_a_lower_bound_at_points_of_the_range(self):
         # the float forms of the five expressions, as the grid checked them

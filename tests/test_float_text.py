@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import neighbours, repr_join
+from oracles import first_difference, neighbours, repr_join
 from sigma_density import cli, explorer
 
 SEPARATOR = ",\n      "
@@ -26,9 +26,10 @@ def written(values, separator=SEPARATOR, row_separator=None, width=None):
 def assert_matches(values, **separators):
     """Both the array writer and _Flat.join write ``values`` as the oracle does."""
     expected = repr_join(values, SEPARATOR, **separators)
-    assert written(values, **separators) == expected
+    assert first_difference(written(values, **separators), expected) is None
     flat = cli._Flat(list(map(float, values)), float.__repr__, separators.get("width"))
-    assert "".join(flat.join(SEPARATOR, separators.get("row_separator"))) == expected
+    joined = "".join(flat.join(SEPARATOR, separators.get("row_separator")))
+    assert first_difference(joined, expected) is None
 
 
 @pytest.mark.parametrize("k, r", [(1, 1.55), (2, 1.95), (3, 2.4)])
@@ -36,7 +37,7 @@ def test_census_values(table, k, r):
     census = explorer.range_census(table, k, r, 300_000)
     for start in range(0, len(census.values), cli.JOIN_BLOCK):
         block = census.values[start : start + cli.JOIN_BLOCK]
-        assert written(block) == repr_join(block, SEPARATOR)
+        assert first_difference(written(block), repr_join(block, SEPARATOR)) is None
     gaps = [value for gap in census.gaps for value in gap]
     assert_matches(gaps, row_separator="],\n    [", width=3)
 
@@ -183,7 +184,7 @@ def test_greedy_deficits(table, plan_walks):
             block = deficits[start : start + cli.JOIN_BLOCK]
             text = cli._float_text(np, block, SEPARATOR, SEPARATOR, 1)
             if text is not None:
-                assert text == repr_join(block, SEPARATOR)
+                assert first_difference(text, repr_join(block, SEPARATOR)) is None
                 written_blocks += 1
             blocks += 1
     assert written_blocks >= 0.9 * blocks
@@ -218,21 +219,23 @@ def test_values_out_of_range_are_written_by_repr():
 def test_a_block_mostly_out_of_range_is_declined():
     values = np.array([1e-30] * 300 + [1.5] * 299)
     assert cli._float_text(np, values, ",", ",", 1) is None
-    assert "".join(cli._Flat(values, float.__repr__).join(",")) == repr_join(values, ",")
+    joined = "".join(cli._Flat(values, float.__repr__).join(","))
+    assert first_difference(joined, repr_join(values, ",")) is None
 
 
 def test_block_boundaries():
     n = 2 * cli.JOIN_BLOCK + cli.FLOAT_TEXT_MIN + 1
     values = np.linspace(0.001, 3.0, n)
     pieces = cli._flat(values).join("\n")
-    assert "".join(pieces) == repr_join(values, "\n")
+    assert first_difference("".join(pieces), repr_join(values, "\n")) is None
     lines = [cli.JOIN_BLOCK, cli.JOIN_BLOCK + 1, cli.FLOAT_TEXT_MIN + 2]
     assert [len(piece.split("\n")) for piece in pieces] == lines
     # Rows of three: a piece holds the most whole rows that fit in a block.
     step = cli.JOIN_BLOCK // 3 * 3
     rows = cli._Flat(values[: step + 1905].tolist(), float.__repr__, 3)
     pieces = rows.join(",", ";\n")
-    assert "".join(pieces) == repr_join(values[: step + 1905], ",", ";\n", 3)
+    expected = repr_join(values[: step + 1905], ",", ";\n", 3)
+    assert first_difference("".join(pieces), expected) is None
     assert [len(re.split(",|;\n", piece.removeprefix(";\n"))) for piece in pieces] == [step, 1905]
 
 

@@ -6,18 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv
 
-from oracles import iv_pow
+from oracles import iv_pow, log_g_iv_oracle
 from sigma_density import density, solver, zeta
 from sigma_density.brackets import PRECISION_FLOOR, Bracket
 from sigma_density.errors import CapacityError, DomainError, PrecisionError
-from sigma_density.zeta import log_g_iv, to_iv
+from sigma_density.zeta import to_iv
 
 
 def eta_defining_sign(k, r):
     """The paper's defining equation for eta_k in log form, as its own
     interval expression: an oracle for :func:`solver.eta`, which solves
     the same equation as T_k(m_k, r) = 0."""
-    r_iv = to_iv(r)
+    r_iv = iv.mpf(r)
     if k == 1:
         lhs = 2 * iv.log(1 + iv_pow(iv.mpf(2), -r_iv))
     else:
@@ -27,7 +27,7 @@ def eta_defining_sign(k, r):
             s2 += iv_pow(iv.mpf(2), -j * r_iv)
             s3 += iv_pow(iv.mpf(3), -j * r_iv)
         lhs = iv.log(s2) + iv.log(s3) + iv.log(1 + iv_pow(iv.mpf(3), -r_iv))
-    return Bracket.from_iv(lhs - log_g_iv(k, r_iv))
+    return Bracket.from_iv(lhs - log_g_iv_oracle(k, r_iv))
 
 
 # solver.eta(table, k) at the default eps
@@ -229,7 +229,7 @@ class TestEtaLimit:
         result = solver.eta_limit(1e-9)
         r = result.value.mid
         lhs = (2**r / (2**r - 1)) * ((3**r + 1) / (3**r - 1))
-        assert abs(lhs - Bracket.from_iv(zeta.zeta_iv(to_iv(r))).mid) < 1e-8
+        assert abs(lhs - Bracket.from_iv(zeta.zeta_iv(to_iv(r))[0]).mid) < 1e-8
 
 
 class TestR1Surrogate:
@@ -489,6 +489,27 @@ class TestGuidedBisection:
             solver.eta(table, k)
         # every full-size evaluation is a residual
         assert (log_g.calls, sign.sizes()[1]) == (10, 0)
+
+
+def test_zeta_calls_over_the_solve_set(table, monkeypatch):
+    # every threshold of k = 1..10 and the limit at two tolerances: the
+    # sign tests read their powers from the zeta tables without changing
+    # how often a sign-size test is undecided and escalates
+    sizes = []
+    original = zeta.zeta_iv
+
+    def spy(s, size=zeta.FULL_SIZE):
+        sizes.append(size)
+        return original(s, size)
+
+    for module in (zeta, density, solver):
+        monkeypatch.setattr(module, "zeta_iv", spy)
+    for eps in (1e-10, 1e-13):
+        for k in range(1, 11):
+            for m in (1, 2, 4):
+                solver.r_threshold(table, k, m, eps)
+        solver.eta_limit(eps)
+    assert (sizes.count(zeta.FULL_SIZE), sizes.count(zeta.SIGN_SIZE)) == (124, 255)
 
 
 def _row(table, k, eps=solver.DEFAULT_EPS):

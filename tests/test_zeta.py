@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv
+from mpmath.libmp import mpi_neg
 
-from oracles import iv_pow
+from oracles import iv_pow, zeta_mpi
 from sigma_density import explorer, zeta as zmod
 from sigma_density.brackets import Bracket, check_eps
 from sigma_density.errors import DomainError, PrecisionError, check_r
@@ -16,13 +17,20 @@ from sigma_density.solver import ETA_TABLE_MAX_K
 
 PI = math.pi
 
+
+def kernel(s, size=zmod.FULL_SIZE):
+    """The kernel's enclosure of zeta(s) for a double or a cell [a, b], as
+    an iv object."""
+    return iv.make_mpf(zmod.zeta_iv(iv.mpf(s)._mpi_, size)[0])
+
+
 def zeta_bracket(r: float) -> Bracket:
     """zeta(r) as the program prints it: the full-size kernel's enclosure."""
-    return Bracket.from_iv(zmod.zeta_iv(zmod.to_iv(r)))
+    return Bracket.from_iv(zmod.zeta_iv(zmod.to_iv(r))[0])
 
 
 def log_g_bracket(k: int, r: float) -> Bracket:
-    return Bracket.from_iv(zmod.log_g_iv(k, zmod.to_iv(r)))
+    return Bracket.from_iv(zmod.log_g_iv(k, zmod.to_iv(r))[0])
 
 
 # Partial-sum term cap for the oracle route near r = 1.
@@ -146,7 +154,7 @@ class TestKernel:
         # below s = 64 the oracle also sums 25 terms; its exps round
         # differently from the kernel's products in the last bits at the
         # working precision, but never in the doubles any output reads
-        fast, slow = zmod.zeta_iv(iv.mpf(s)), zeta_iv_oracle(iv.mpf(s))
+        fast, slow = kernel(s), zeta_iv_oracle(iv.mpf(s))
         assert_agrees_with_the_oracle(fast, slow)
         with mpmath.workprec(400):
             reference = mpmath.zeta(mpmath.mpf(s))
@@ -157,22 +165,59 @@ class TestKernel:
     def test_wide_cells_agree_with_the_oracle(self, cell):
         # the proof cells of density._cover are this wide, so its cell
         # counts and slacks read the same doubles as with the oracle
-        assert_agrees_with_the_oracle(zmod.zeta_iv(iv.mpf(cell)), zeta_iv_oracle(iv.mpf(cell)))
+        assert_agrees_with_the_oracle(kernel(cell), zeta_iv_oracle(iv.mpf(cell)))
 
     def test_one_exp_per_prime_up_to_the_term_count(self, monkeypatch):
+        # one interval exp per prime, written out as its two endpoint exps
         calls = []
-        exp = zmod.mpi_exp
+        exp = zmod.mpf_exp
 
-        def spy(x, prec):
+        def spy(x, prec, rounding):
             calls.append(prec)
-            return exp(x, prec)
+            return exp(x, prec, rounding)
 
-        monkeypatch.setattr(zmod, "mpi_exp", spy)
+        monkeypatch.setattr(zmod, "mpf_exp", spy)
         # 2, 3, 5, 7, 11 and, at N = 25, also 13, 17, 19, 23
         for size, primes in ((zmod.FULL_SIZE, 9), (zmod.SIGN_SIZE, 5)):
             calls.clear()
-            zmod.zeta_iv(iv.mpf(1.88), size)
-            assert calls == [size.prec] * primes
+            kernel(1.88, size)
+            assert calls == [size.prec] * (2 * primes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        s=st.floats(min_value=1.0001, max_value=300.0),
+        width=st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=2.0)),
+        size=st.sampled_from([zmod.FULL_SIZE, zmod.SIGN_SIZE]),
+    )
+    def test_bits_and_table_equal_the_mpi_kernel(self, s, width, size):
+        # the written-out roundings are the ones mpi_* picks, at both sizes,
+        # at points and on the cells the cover passes
+        cell = iv.mpf([s, s + width])
+        value, powers = zmod.zeta_iv(cell._mpi_, size)
+        oracle, oracle_powers = zeta_mpi(cell, size)
+        assert value == oracle._mpi_
+        assert powers == oracle_powers
+
+    @pytest.mark.parametrize("k", [1, 3, 10**6, 10**9])
+    def test_bits_equal_the_mpi_kernel_at_a_rounded_argument(self, k):
+        # (k + 1) r formed at 200 bits has more bits than the sign size
+        s = (k + 1) * iv.mpf(1.8876543)
+        for size in (zmod.FULL_SIZE, zmod.SIGN_SIZE):
+            value, powers = zmod.zeta_iv(s._mpi_, size)
+            oracle, oracle_powers = zeta_mpi(s, size)
+            assert (value, powers) == (oracle._mpi_, oracle_powers)
+
+    @settings(max_examples=40, deadline=None)
+    @given(r=st.floats(min_value=1.0001, max_value=300.0))
+    def test_table_entries_are_the_prime_powers(self, r):
+        # the T route reads p^-r for p <= N from this table
+        size = zmod.FULL_SIZE
+        r_iv = zmod.to_iv(r)
+        minus_r = mpi_neg(r_iv, size.prec)
+        _, powers = zmod.zeta_iv(r_iv)
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+            assert powers[p] == zmod.prime_power(p, minus_r, size.prec)
+            assert powers[p] == iv_pow(iv.mpf(p), -iv.mpf(r))._mpi_
 
     @pytest.mark.parametrize(
         "s",
@@ -180,7 +225,7 @@ class TestKernel:
         + [[7 / 3, 2.5], [2.5, 3], [1.0001, 2]],
     )
     def test_full_size_is_the_iv_kernel_bit_for_bit(self, s):
-        assert zmod.zeta_iv(iv.mpf(s))._mpi_ == zeta_iv_reference(iv.mpf(s))._mpi_
+        assert kernel(s)._mpi_ == zeta_iv_reference(iv.mpf(s))._mpi_
 
     @pytest.mark.parametrize("size", [zmod.FULL_SIZE, zmod.SIGN_SIZE], ids=["full", "sign"])
     def test_both_sizes_enclose_zeta_up_to_the_table_reach(self, size):
@@ -190,7 +235,7 @@ class TestKernel:
         points += list(np.geomspace(1.0001, top, 40))
         with mpmath.workprec(400):
             for s in points:
-                enclosure = zmod.zeta_iv(iv.mpf(s), size)
+                enclosure = kernel(s, size)
                 lo, hi = mpmath.mpf(enclosure.a), mpmath.mpf(enclosure.b)
                 reference = mpmath.zeta(mpmath.mpf(s))
                 assert lo <= reference <= hi, s
@@ -266,7 +311,7 @@ class TestGk:
 
     def test_large_k_approaches_zeta(self):
         log_g = log_g_bracket(40, 2)
-        log_z = Bracket.from_iv(iv.log(zmod.zeta_iv(zmod.to_iv(2))))
+        log_z = Bracket.from_iv(iv.log(kernel(2)))
         assert abs(log_g.mid - log_z.mid) < 1e-10
 
     def test_finite_near_one(self):
@@ -276,7 +321,7 @@ class TestGk:
     def test_between_one_and_zeta(self):
         for k, r in ((1, 1.5), (3, 2.0), (7, 1.2)):
             log_g = log_g_bracket(k, r)
-            log_z = Bracket.from_iv(iv.log(zmod.zeta_iv(zmod.to_iv(r))))
+            log_z = Bracket.from_iv(iv.log(kernel(r)))
             assert 0 < log_g.lo and log_g.hi < log_z.hi
 
 
