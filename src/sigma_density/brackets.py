@@ -53,9 +53,6 @@ class Bracket:
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
     def strictly_positive(self) -> bool:
         return self.lo > 0.0
 
@@ -76,14 +73,6 @@ class Bracket:
     @classmethod
     def exact(cls, x: float) -> "Bracket":
         return cls(x, x)
-
-    @classmethod
-    def from_value_error(cls, value: float, abs_err: float) -> "Bracket":
-        """Enclosure of value +- abs_err, padded one ulp outward."""
-        return cls(
-            math.nextafter(value - abs_err, -math.inf),
-            math.nextafter(value + abs_err, math.inf),
-        )
 
     @classmethod
     def from_iv(cls, x) -> "Bracket":

@@ -19,8 +19,9 @@ exp(-r log p) with log p taken once per prime (``zeta.prime_power``).
 Everything here returns certified brackets, and verdicts are three-valued
 (dense / not_dense / undetermined) so float artifacts can never silently
 misclassify a near-threshold input.  The standing inequalities and the
-monotonicity of T in r are proved over intervals of ``mpmath.iv``
-objects, by one cell cover (:func:`_cover`).
+monotonicity of T in r are proved by one cell cover (:func:`_cover`), on
+interval tuples at ``FULL_SIZE.prec``, with each end of each prime power
+taken once per ``check_*`` call (:func:`_power_table`).
 """
 
 from __future__ import annotations
@@ -30,16 +31,29 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
 
-from mpmath import fp, iv
-from mpmath.libmp import fzero, mpi_add, mpi_div, mpi_log, mpi_mul, mpi_neg, mpi_pow_int, mpi_sub
+from mpmath import fp
+from mpmath.libmp import (
+    from_float,
+    from_int,
+    ftwo,
+    fzero,
+    mpf_exp,
+    mpf_mul,
+    mpi_add,
+    mpi_div,
+    mpi_log,
+    mpi_mul,
+    mpi_neg,
+    mpi_pow_int,
+    mpi_sub,
+    round_ceiling,
+    round_floor,
+)
 
 from .brackets import Bracket
-from .errors import DomainError, check_k, check_r
+from .errors import check_k, check_r
 from .primes import PrimeTable
 from .zeta import FULL_SIZE, ONE, KernelSize, log_g_iv, log_prime, prime_power, scale, to_iv, zeta_iv
-
-# Truncation point of the computational surrogate V (number of primes).
-V_TRUNCATION = 100_000
 
 # The range on which T_k(m, .) for m in {1, 2, 4} and J_m are proved
 # increasing by :func:`check_monotonicity`; it holds the solver's bracket
@@ -56,20 +70,6 @@ def _check_kmr(k: int, m: int, r: float) -> None:
     check_k(k)
     check_k(m, "m")
     check_r(r)
-
-
-def _iv_log_prime(p: int):
-    return iv.make_mpf(log_prime(p, iv.prec))
-
-
-def _iv_power(p: int, expo):
-    """p**expo for an iv interval exponent, as an iv object."""
-    return iv.make_mpf(prime_power(p, expo._mpi_, iv.prec))
-
-
-def _x(p: int, r):
-    """p^-r for an iv interval r."""
-    return _iv_power(p, -r)
 
 
 def _power(p: int, minus_r: tuple, powers: list, prec: int) -> tuple:
@@ -161,47 +161,65 @@ def t_sign(table: PrimeTable, k: int, m: int, r: float, size: KernelSize) -> int
     return Bracket.from_iv(difference).certified_sign()
 
 
-def _log_over(p: int, x):
-    """log p / (p^x + 1), decreasing in x."""
-    return _iv_log_prime(p) / (_iv_power(p, x) + 1)
+def _power_table():
+    """A table of the ends of prime powers for one ``check_*`` call:
+    ``power(p, j, a, b)`` is the interval p^(j r) over the cell r in
+    [a, b], for a prime p, an integer j != 0 and doubles a <= b, as
+    ``zeta.prime_power`` rounds it at FULL_SIZE.prec.  Each end depends on
+    one end of the cell (exp(j b log p) rounded down and exp(j a log p) up
+    for j < 0, the other way round for j > 0) and is taken once per table:
+    a cell shares two of its four power ends with its parent, and the
+    claims on one range share their grid points."""
+    prec = FULL_SIZE.prec
+    ends = {}
+
+    def end(p: int, j: int, x: float, up: bool) -> tuple:
+        key = p, j, x, up
+        if key not in ends:
+            y = mpf_mul(from_int(j), from_float(x))
+            # the end of log p that mpi_mul pairs with y at this rounding
+            log_p = log_prime(p, prec)[(j < 0) != up]
+            rounding = round_ceiling if up else round_floor
+            ends[key] = mpf_exp(mpf_mul(y, log_p, prec, rounding), prec, rounding)
+        return ends[key]
+
+    def power(p: int, j: int, a: float, b: float) -> tuple:
+        if j < 0:
+            a, b = b, a
+        return end(p, j, a, False), end(p, j, b, True)
+
+    return power
 
 
-def _log_sq_over(p: int, x):
-    """(log p)^2 / (p^x + 2 + p^-x), minus the derivative of
+TWO = ftwo, ftwo
+
+
+def _log_over(p: int, q: tuple) -> tuple:
+    """log p / (q + 1) at q = p^x, decreasing in x."""
+    prec = FULL_SIZE.prec
+    return mpi_div(log_prime(p, prec), mpi_add(q, ONE, prec), prec)
+
+
+def _log_sq_over(p: int, q: tuple) -> tuple:
+    """(log p)^2 / (q + 2 + 1/q) at q = p^x, minus the derivative of
     :func:`_log_over`; decreasing in x > 0."""
-    q = _iv_power(p, x)
-    return _iv_log_prime(p) ** 2 / (q + 2 + 1 / q)
+    prec = FULL_SIZE.prec
+    denominator = mpi_add(mpi_add(q, TWO, prec), mpi_div(ONE, q, prec), prec)
+    return mpi_div(mpi_pow_int(log_prime(p, prec), 2, prec), denominator, prec)
 
 
-def _rise(table: PrimeTable, m: int, n: int, term, x):
+def _rise(table: PrimeTable, power, m: int, n: int, term, a: float, b: float) -> tuple:
     """A lower bound on sum_{i=m+1}^{m+n} term(p_i, .) - term(p_m, .) over
-    the interval x, for a ``term`` decreasing in its argument: each term
-    is taken at the end of x where it is smallest.  Exact for a point x."""
-    rest = sum((term(table.nth(i), x.b) for i in range(m + 1, m + n + 1)), iv.mpf(0))
-    return rest - term(table.nth(m), x.a)
-
-
-def v_func(table: PrimeTable, k: int, m: int, r: float) -> float:
-    """The truncated surrogate for T: the tail is cut at the 10^5-th prime.
-
-    Plain double precision by design; V is a computational surrogate, not
-    a certified quantity.  V >= T always, since truncation drops positive
-    terms from the subtracted sum.  Unlike T, the sum is finite, so any
-    r > 0 is admissible; sign checks at r = 1 are meaningful.
-    """
-    import numpy as np
-
-    check_k(k)
-    check_k(m, "m")
-    if not r > 0:
-        raise DomainError(f"r must be positive, got {r}")
-    if m >= V_TRUNCATION:
-        raise DomainError(f"m must be below the truncation point {V_TRUNCATION}")
-    pm = float(table.nth(m))
-    p = table.slice(m + 1, V_TRUNCATION).astype(np.float64)
-    x = p ** (-r)
-    local = (1.0 - x ** (k + 1)) / (1.0 - x)
-    return math.log1p(pm ** (-r)) - float(np.sum(np.log(local)))
+    the cell [a, b], for a ``term`` of p and q = p^x decreasing in x: each
+    term is taken at the end of the cell where it is smallest, with p^x
+    from ``power``, a :func:`_power_table`.  Exact for a point cell."""
+    prec = FULL_SIZE.prec
+    rest = fzero, fzero
+    for i in range(m + 1, m + n + 1):
+        p = table.nth(i)
+        rest = mpi_add(rest, term(p, power(p, 1, b, b)), prec)
+    p = table.nth(m)
+    return mpi_sub(rest, term(p, power(p, 1, a, a)), prec)
 
 
 def t_float(table: PrimeTable, k: int, m: int, r: float) -> float:
@@ -267,8 +285,8 @@ class InequalityReport:
 def _cover(claim, lo: float, hi: float) -> tuple[int, float, bool]:
     """Prove claim(r) > 0 for every r in [lo, hi] by range enclosure over
     a cover of cells (Moore, Kearfott and Cloud, *Introduction to Interval
-    Analysis*, ch. 5): ``claim`` maps an interval cell to an interval
-    enclosing the claim's values there.  A cell whose lower bound is > 0
+    Analysis*, ch. 5): ``claim`` maps the ends a <= b of a cell, two
+    doubles, to an interval tuple enclosing the claim's values there.  A cell whose lower bound is > 0
     is accepted; any other cell is bisected.  Returns the cells accepted,
     the lowest lower bound (rounded down to a double), and whether the
     claim is proved.  It is not when COVER_MAX_CELLS cells have been
@@ -278,7 +296,7 @@ def _cover(claim, lo: float, hi: float) -> tuple[int, float, bool]:
     while stack:
         a, b = stack.pop()
         evaluated += 1
-        lower = Bracket.from_iv(claim(iv.mpf([a, b]))).lo
+        lower = Bracket.from_iv(claim(a, b)).lo
         if lower > 0:
             accepted += 1
             lowest = min(lowest, lower)
@@ -300,10 +318,37 @@ def check_inequalities() -> InequalityReport:
     selector and dichotomy arguments on their closed ranges.  Each is
     evaluated in powers p^-r, the same function as its description with
     fewer occurrences of r, which keeps its enclosures narrow, and each
-    power is taken once per cell.
+    power end is taken once per call (:func:`_power_table`).
 
     Failures are reported findings, never exceptions.
     """
+    prec = FULL_SIZE.prec
+    power = _power_table()
+    add, sub, mul, div = (partial(f, prec=prec) for f in (mpi_add, mpi_sub, mpi_mul, mpi_div))
+
+    def two_vs_three_lower(a, b):
+        x3 = power(3, -1, a, b)
+        lhs = mul(add(ONE, x3), add(add(ONE, x3), power(3, -2, a, b)))
+        return sub(lhs, add(ONE, power(2, -1, a, b)))
+
+    def three_vs_five_seven(a, b):
+        x7 = power(7, -1, a, b)
+        rhs = div(div(add(ONE, x7), sub(ONE, x7)), sub(ONE, power(5, -1, a, b)))
+        return sub(add(ONE, power(3, -1, a, b)), rhs)
+
+    def pair_product_m2(a, b):
+        x3 = power(3, -1, a, b)
+        return sub(div(add(ONE, power(2, -1, a, b)), add(ONE, x3)), add(ONE, x3))
+
+    def pair_product_m4(a, b):
+        x7 = power(7, -1, a, b)
+        dropped = mul(mul(add(ONE, power(3, -1, a, b)), add(ONE, power(5, -1, a, b))), add(ONE, x7))
+        return sub(div(add(ONE, power(2, -1, a, b)), dropped), add(ONE, x7))
+
+    def square_dominates_zeta(a, b):
+        zeta_r, powers = zeta_iv((from_float(a), from_float(b)))
+        return sub(mpi_pow_int(add(ONE, powers[2]), 2, prec), zeta_r)
+
     return InequalityReport(
         checks=(
             _check(
@@ -311,37 +356,35 @@ def check_inequalities() -> InequalityReport:
                 "(1+3^-r)(1+3^-r+3^-2r) - (1+2^-r) > 0",
                 1.67,
                 1.98,
-                lambda r: (1 + (x3 := _x(3, r))) * (1 + x3 + _x(3, 2 * r)) - (1 + _x(2, r)),
+                two_vs_three_lower,
             ),
             _check(
                 "three_vs_five_seven",
                 "(1+3^-r) - (5^r/(5^r-1))((7^r+1)/(7^r-1)) > 0",
                 1.67,
                 1.98,
-                lambda r: (1 + _x(3, r)) - ((1 + (x7 := _x(7, r))) / (1 - x7)) / (1 - _x(5, r)),
+                three_vs_five_seven,
             ),
             _check(
                 "pair_product_m2",
                 "(1+2^-r)(3^r/(3^r+1)) - (1+3^-r) > 0",
                 1.8638,
                 2.0,
-                lambda r: (1 + _x(2, r)) / (1 + (x3 := _x(3, r))) - (1 + x3),
+                pair_product_m2,
             ),
             _check(
                 "pair_product_m4",
                 "(1+2^-r)(3^r/(3^r+1))(5^r/(5^r+1))(7^r/(7^r+1)) - (1+7^-r) > 0",
                 1.8638,
                 2.0,
-                lambda r: (1 + _x(2, r))
-                / ((1 + _x(3, r)) * (1 + _x(5, r)) * (1 + (x7 := _x(7, r))))
-                - (1 + x7),
+                pair_product_m4,
             ),
             _check(
                 "square_dominates_zeta",
                 "(1+2^-r)^2 - zeta(r) > 0",
                 R_MONOTONE_HI,
                 3.0,
-                lambda r: (1 + _x(2, r)) ** 2 - iv.make_mpf(zeta_iv(r._mpi_)[0]),
+                square_dominates_zeta,
             ),
         )
     )
@@ -365,13 +408,16 @@ def check_monotonicity(table: PrimeTable) -> InequalityReport:
       the next six primes is increasing: J_m' is the same difference of
       (log p)^2 / (p^x + 2 + p^-x), each decreasing in x.
     * J_m(7/3) < 0.
+
+    Every p^x is read from one :func:`_power_table` for the call.
     """
     lo, hi = R_MONOTONE_LO, R_MONOTONE_HI
+    power = _power_table()
     checks = []
     for m in (1, 2, 4):
-        t_slope = partial(_rise, table, m, 10, _log_over)
-        j_slope = partial(_rise, table, m, 6, _log_sq_over)
-        minus_j = partial(_rise, table, m, 6, _log_over)
+        t_slope = partial(_rise, table, power, m, 10, _log_over)
+        j_slope = partial(_rise, table, power, m, 6, _log_sq_over)
+        minus_j = partial(_rise, table, power, m, 6, _log_over)
         checks += [
             _check(f"t_increasing_m{m}", f"dT_k({m}, r)/dr > 0 for every k", lo, hi, t_slope),
             _check(f"j_increasing_m{m}", f"J_{m}'(x) > 0", lo, hi, j_slope),

@@ -47,7 +47,7 @@ from mpmath import fp
 from mpmath.libmp import mpi_add, mpi_div, mpi_log, mpi_mul, mpi_sub
 
 from .brackets import PRECISION_FLOOR, Bracket, check_eps
-from .density import t_float, t_func, t_levels, t_sign, v_func
+from .density import t_float, t_func, t_levels, t_sign
 from .errors import CapacityError, DomainError, PrecisionError, check_k
 from .primes import PrimeTable
 from .zeta import FULL_SIZE, ONE, SIGN_SIZE, KernelSize, log_g_iv, prime_power, to_iv, zeta_iv
@@ -329,31 +329,6 @@ def _limit_sign_test(r: float, size: KernelSize) -> int | None:
 def _limit_guide(r: float) -> float:
     """:func:`_limit_sign` in double precision."""
     return -math.log1p(-(2.0**-r)) + math.log1p(2.0 / (3.0**r - 1.0)) - math.log(fp.zeta(r))
-
-
-def r1_surrogate(table: PrimeTable, eps: float = 1e-8) -> RootResult:
-    """Root of the truncated surrogate V_1(1, .) in (1.5, 7/3).
-
-    The surrogate itself is a plain double-precision sum over the first
-    10^5 primes, so this result is float-certified only: the sign tests
-    are exact for the computed V, whose own rounding error (~1e-12) is
-    far below any tolerance of interest here.  V is fixed by those
-    primes, and v(1.5) = -0.171 < 0 < v(7/3) = 0.062, so the walk starts
-    from that bracket.
-    """
-    check_eps(eps)
-
-    def v(r: float) -> float:
-        return v_func(table, 1, 1, r)
-
-    a, b, iterations = _walk(lambda r: -1 if v(r) < 0 else 1, 1.5, 7.0 / 3.0, eps)
-    mid = 0.5 * (a + b)
-    return RootResult(
-        value=Bracket(a, b),
-        iterations=iterations,
-        residual=Bracket.from_value_error(v(mid), 1e-11),
-        method="float64 bisection on truncated surrogate",
-    )
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ so rounding is accounted for.  Everything here runs on the
 ``mpmath.libmp`` interval tuples (lo, hi) that ``mpmath.iv`` objects
 wrap, with the precision passed in.  The one kernel, :func:`zeta_iv`, has
 two fixed sizes: FULL_SIZE feeds every bracket the program prints, and
-SIGN_SIZE, about half the cost, only the solver's sign tests.  Besides
+SIGN_SIZE, about half the cost, only the solver's sign tests.  It does
+its sums, products and quotients on signed integer (mantissa, exponent)
+pairs, rounded as mpmath rounds them, and returns mpf tuples.  Besides
 zeta(s) it returns its table of n^-s for n <= N, so the T route reads
 p^-r for the primes p <= N from the evaluation of zeta(r) it makes
 anyway, with the same bits as :func:`prime_power`.  Callers turn an
@@ -22,19 +24,15 @@ import math
 from dataclasses import dataclass, field
 
 import mpmath
-from mpmath import iv
 from mpmath.libmp import (
-    fnone,
     fone,
     from_float,
     from_int,
-    mpf_add,
-    mpf_div,
+    from_man_exp,
     mpf_exp,
     mpf_mul,
     mpf_neg,
-    mpf_shift,
-    mpf_sub,
+    mpi_abs,
     mpi_div,
     mpi_exp,
     mpi_log,
@@ -43,11 +41,6 @@ from mpmath.libmp import (
     round_ceiling,
     round_floor,
 )
-
-# Working precision of the mpmath.iv objects of the cell cover
-# (density.check_inequalities and check_monotonicity); ~60 decimal digits,
-# far below the double-precision bracket floor.
-iv.prec = 200
 
 ONE = fone, fone
 
@@ -85,12 +78,12 @@ def prime_power(p: int, expo: tuple, prec: int) -> tuple:
 
 
 # The kernel runs on the libmp interval tuples that mpmath.iv objects
-# wrap, with its precision as an argument rather than the global iv.prec.
-# A size fixes N (Euler-Maclaurin terms), M (corrections) and the
-# precision, and holds everything that does not depend on s, built at that
-# precision: the smallest prime factor of each n <= N, log p for the
-# primes p <= N, B_{2j}/(2j)! * N^{1-2j} for j <= M, the integers of the
-# rising factorial, and the remainder coefficient (j = M + 1) times [-1, 1].
+# wrap, with its precision as an argument.  A size fixes N (Euler-Maclaurin
+# terms), M (corrections) and the precision, and holds everything that
+# does not depend on s, built at that precision: the smallest prime factor
+# of each n <= N, log p for the primes p <= N, and, as (mantissa, exponent)
+# pairs, B_{2j}/(2j)! * N^{1-2j} for j <= M and the remainder coefficient
+# (j = M + 1) in magnitude, rounded up.
 @dataclass(frozen=True, eq=False)
 class KernelSize:
     """One fixed (N, M, precision) of :func:`zeta_iv` with its constants."""
@@ -100,10 +93,14 @@ class KernelSize:
     prec: int
     smallest_factor: tuple[int, ...] = field(repr=False)
     log_p: dict[int, tuple] = field(repr=False)
-    n: tuple = field(repr=False)
-    coeffs: tuple[tuple, ...] = field(repr=False)
-    rising_steps: tuple[tuple[tuple, tuple], ...] = field(repr=False)
-    remainder: tuple = field(repr=False)
+    coeffs: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = field(repr=False)
+    remainder: tuple[int, int] = field(repr=False)
+
+
+def _pair(x: tuple) -> tuple[int, int]:
+    """An mpf tuple as a signed (mantissa, exponent) pair."""
+    sign, man, exp, _ = x
+    return (-man if sign else man), exp
 
 
 def _kernel_size(terms: int, corrections: int, prec: int) -> KernelSize:
@@ -122,12 +119,8 @@ def _kernel_size(terms: int, corrections: int, prec: int) -> KernelSize:
         prec=prec,
         smallest_factor=tuple(smallest),
         log_p={p: log_prime(p, prec) for p in range(2, terms + 1) if smallest[p] == p},
-        n=_exact(terms, prec),
-        coeffs=tuple(coefficient(j) for j in range(1, corrections + 1)),
-        rising_steps=tuple(
-            (_exact(2 * j - 1, prec), _exact(2 * j, prec)) for j in range(1, corrections + 1)
-        ),
-        remainder=mpi_mul(coefficient(corrections + 1), (fnone, fone), prec),
+        coeffs=tuple(tuple(map(_pair, coefficient(j))) for j in range(1, corrections + 1)),
+        remainder=_pair(mpi_abs(coefficient(corrections + 1), prec)[1]),
     )
 
 
@@ -137,6 +130,61 @@ def _kernel_size(terms: int, corrections: int, prec: int) -> KernelSize:
 # tests, which escalate to the full size where its bracket straddles 0.
 FULL_SIZE = _kernel_size(25, 12, 200)
 SIGN_SIZE = _kernel_size(12, 6, 80)
+
+
+# The kernel's arithmetic on signed (mantissa, exponent) pairs m * 2^e,
+# each result rounded to ``prec`` bits as mpmath rounds it, so that every
+# step gives the bits of the mpf_* call it replaces.
+def _round(m: int, e: int, prec: int, up: bool) -> tuple[int, int]:
+    """m * 2^e to ``prec`` bits: floor, or ceiling when ``up``."""
+    s = m.bit_length() - prec
+    if s <= 0:
+        return m, e
+    return (-(-m >> s) if up else m >> s), e + s
+
+
+def _mul(x: tuple[int, int], y: tuple[int, int], prec: int, up: bool) -> tuple[int, int]:
+    m, e = x[0] * y[0], x[1] + y[1]
+    s = m.bit_length() - prec
+    if s <= 0:
+        return m, e
+    return (-(-m >> s) if up else m >> s), e + s
+
+
+def _add(x: tuple[int, int], y: tuple[int, int], prec: int, up: bool) -> tuple[int, int]:
+    """x + y for nonzero x and y.  Where the smaller lies wholly below both
+    the larger's last bit and its rounding position, it is replaced by +-1
+    eight bits below them: the rounding is the same, and the sum needs no
+    shift by the distance between them (n^-s and 1 at s = 1e308 lie about
+    1.4e308 bits apart)."""
+    m, e = x
+    n, f = y
+    top, top_y = e + m.bit_length(), f + n.bit_length()
+    if top < top_y:
+        m, e, n, f, top, top_y = n, f, m, e, top_y, top
+    low = top - prec
+    if e < low:
+        low = e
+    if top_y < low - 4:
+        shift = e - low + 8
+        m, e = (m << shift) + (1 if n > 0 else -1), e - shift
+    elif e > f:
+        m, e = (m << (e - f)) + n, f
+    else:
+        m += n << (f - e)
+    s = m.bit_length() - prec
+    if s <= 0:
+        return m, e
+    return (-(-m >> s) if up else m >> s), e + s
+
+
+def _div(x: tuple[int, int], y: tuple[int, int], prec: int, up: bool) -> tuple[int, int]:
+    """x / y for y > 0: the floor or ceiling integer quotient, with at
+    least prec + 2 bits, rounded again the same way."""
+    (m, e), (n, f) = x, y
+    shift = max(prec + 2 + n.bit_length() - m.bit_length(), 0)
+    q = -((-m << shift) // n) if up else (m << shift) // n
+    return _round(q, e - f - shift, prec, up)
 
 
 def zeta_iv(s: tuple, size: KernelSize = FULL_SIZE) -> tuple[tuple, list]:
@@ -159,49 +207,62 @@ def zeta_iv(s: tuple, size: KernelSize = FULL_SIZE) -> tuple[tuple, list]:
     replace.  Every factor but B_{2j}, whose sign alternates, and the
     remainder's [-1, 1] is positive, so each step is written out as the
     pair of roundings, floor for the lower end and ceiling for the upper,
-    that ``mpi_mul``, ``mpi_add`` and ``mpi_div`` would pick: the same
-    bits without their sign dispatch.
+    that ``mpi_mul``, ``mpi_add`` and ``mpi_div`` would pick, on integer
+    (mantissa, exponent) pairs: the same bits, without their sign dispatch
+    or the normalisation of each intermediate mpf.
     """
-    prec, down, up = size.prec, round_floor, round_ceiling
+    prec = size.prec
     sa, sb = s
     # -s as mpi_neg rounds it; times log p, as mpi_mul pairs a negative
     # interval with a positive one
-    minus_sa, minus_sb = mpf_neg(sa, prec, up), mpf_neg(sb, prec, down)
-    powers = [None, ONE]
-    lo = hi = fone
+    minus_sa, minus_sb = mpf_neg(sa, prec, round_ceiling), mpf_neg(sb, prec, round_floor)
+    powers = [None, ONE]  # mpf ends; a product's are written at the return
+    ends = [None, ((1, 0), (1, 0))]  # the same as pairs
+    lo = hi = 1, 0
     for n in range(2, size.terms + 1):
         p = size.smallest_factor[n]
         if p == n:
             log_lo, log_hi = size.log_p[p]
-            a = mpf_exp(mpf_mul(minus_sb, log_hi, prec, down), prec, down)
-            b = mpf_exp(mpf_mul(minus_sa, log_lo, prec, up), prec, up)
+            a = mpf_exp(mpf_mul(minus_sb, log_hi, prec, round_floor), prec, round_floor)
+            b = mpf_exp(mpf_mul(minus_sa, log_lo, prec, round_ceiling), prec, round_ceiling)
+            powers.append((a, b))
+            a, b = _pair(a), _pair(b)
         else:
-            (pa, pb), (qa, qb) = powers[p], powers[n // p]
-            a, b = mpf_mul(pa, qa, prec, down), mpf_mul(pb, qb, prec, up)
-        powers.append((a, b))
-        lo, hi = mpf_add(lo, a, prec, down), mpf_add(hi, b, prec, up)
-    na, nb = powers[size.terms]
+            powers.append(None)
+            (pa, pb), (qa, qb) = ends[p], ends[n // p]
+            a, b = _mul(pa, qa, prec, False), _mul(pb, qb, prec, True)
+        ends.append((a, b))
+        lo, hi = _add(lo, a, prec, False), _add(hi, b, prec, True)
+    na, nb = ends[size.terms]
+    sa, sb = _pair(sa), _pair(sb)
     # + N * N^-s / (s - 1), then - N^-s / 2 (halving is exact)
-    a = mpf_div(mpf_mul(size.n[0], na, prec, down), mpf_sub(sb, fone, prec, up), prec, down)
-    b = mpf_div(mpf_mul(size.n[1], nb, prec, up), mpf_sub(sa, fone, prec, down), prec, up)
-    lo = mpf_sub(mpf_add(lo, a, prec, down), mpf_shift(nb, -1), prec, down)
-    hi = mpf_sub(mpf_add(hi, b, prec, up), mpf_shift(na, -1), prec, up)
+    terms = size.terms, 0
+    a = _div(_mul(terms, na, prec, False), _add(sb, (-1, 0), prec, True), prec, False)
+    b = _div(_mul(terms, nb, prec, True), _add(sa, (-1, 0), prec, False), prec, True)
+    lo = _add(_add(lo, a, prec, False), (-nb[0], nb[1] - 1), prec, False)
+    hi = _add(_add(hi, b, prec, True), (-na[0], na[1] - 1), prec, True)
     ra, rb = sa, sb  # s(s+1)...(s+2j-2), starting value for j = 1
-    for (ca, cb), ((odd, _), (even, _)) in zip(size.coeffs, size.rising_steps):
-        if ca[0]:  # B_{2j} < 0: the lower end pairs with the larger factors
-            a = mpf_mul(mpf_mul(ca, rb, prec, down), nb, prec, down)
-            b = mpf_mul(mpf_mul(cb, ra, prec, up), na, prec, up)
+    for j, (ca, cb) in enumerate(size.coeffs, 1):
+        if ca[0] < 0:  # B_{2j} < 0: the lower end pairs with the larger factors
+            a = _mul(_mul(ca, rb, prec, False), nb, prec, False)
+            b = _mul(_mul(cb, ra, prec, True), na, prec, True)
         else:
-            a = mpf_mul(mpf_mul(ca, ra, prec, down), na, prec, down)
-            b = mpf_mul(mpf_mul(cb, rb, prec, up), nb, prec, up)
-        lo, hi = mpf_add(lo, a, prec, down), mpf_add(hi, b, prec, up)
-        ra = mpf_mul(ra, mpf_add(sa, odd, prec, down), prec, down)
-        ra = mpf_mul(ra, mpf_add(sa, even, prec, down), prec, down)
-        rb = mpf_mul(rb, mpf_add(sb, odd, prec, up), prec, up)
-        rb = mpf_mul(rb, mpf_add(sb, even, prec, up), prec, up)
-    # R_M in [-c, c] * rising * N^-s, with c = size.remainder's upper end
-    bound = mpf_mul(mpf_mul(size.remainder[1], rb, prec, up), nb, prec, up)
-    return (mpf_sub(lo, bound, prec, down), mpf_add(hi, bound, prec, up)), powers
+            a = _mul(_mul(ca, ra, prec, False), na, prec, False)
+            b = _mul(_mul(cb, rb, prec, True), nb, prec, True)
+        lo, hi = _add(lo, a, prec, False), _add(hi, b, prec, True)
+        odd, even = (2 * j - 1, 0), (2 * j, 0)
+        ra = _mul(ra, _add(sa, odd, prec, False), prec, False)
+        ra = _mul(ra, _add(sa, even, prec, False), prec, False)
+        rb = _mul(rb, _add(sb, odd, prec, True), prec, True)
+        rb = _mul(rb, _add(sb, even, prec, True), prec, True)
+    # R_M in [-c, c] * rising * N^-s, with c = size.remainder
+    m, e = _mul(_mul(size.remainder, rb, prec, True), nb, prec, True)
+    lo, hi = _add(lo, (-m, e), prec, False), _add(hi, (m, e), prec, True)
+    for n in range(2, size.terms + 1):
+        if powers[n] is None:
+            (ma, ea), (mb, eb) = ends[n]
+            powers[n] = from_man_exp(ma, ea), from_man_exp(mb, eb)
+    return (from_man_exp(*lo), from_man_exp(*hi)), powers
 
 
 def log_g_iv(k: int, r: tuple, size: KernelSize = FULL_SIZE) -> tuple[tuple, list]:

@@ -3,8 +3,14 @@ import importlib.util
 import pathlib
 
 import pytest
+from mpmath import iv
 
 from sigma_density import primes
+
+# The tests and their oracles build mpmath.iv objects at 200 bits, the
+# precision of the library's certified route (zeta.FULL_SIZE.prec); the
+# library itself leaves iv.prec alone.
+iv.prec = 200
 
 
 @pytest.fixture(scope="session")

@@ -12,18 +12,41 @@ reaches only inside other computations: the tail of the log Euler product
 walk's exponents spell out; and the greedy walk's target check at the
 full kernel size alone, which the walk now makes at the sign size first.
 ``neighbours`` gives the doubles beside a boundary that these are tested at,
-and ``first_difference`` compares long texts with an oracle's."""
+and ``first_difference`` compares long texts with an oracle's.
 
+Also the float surrogate V, which no command prints: its truncated tail
+sum, its root by float bisection, and the two ``Bracket`` helpers only it
+and the tests read, ``contains`` and ``from_value_error``.
+
+Every ``mpmath.iv`` object here and in the tests is built at 200 bits, the
+precision of the library's certified route, which conftest.py sets."""
+
+import functools
 import math
 
 import numpy as np
 
+import mpmath
 from mpmath import iv
-from mpmath.libmp import fone, ftwo, mpi_add, mpi_div, mpi_exp, mpi_mul, mpi_neg, mpi_sub
+from mpmath.libmp import (
+    fnone,
+    fone,
+    from_int,
+    ftwo,
+    mpi_add,
+    mpi_div,
+    mpi_exp,
+    mpi_mul,
+    mpi_neg,
+    mpi_sub,
+    round_ceiling,
+    round_floor,
+)
 
-from sigma_density.brackets import Bracket
-from sigma_density.errors import DomainError, IndeterminateError
-from sigma_density.zeta import FULL_SIZE
+from sigma_density import solver
+from sigma_density.brackets import Bracket, check_eps
+from sigma_density.errors import DomainError, IndeterminateError, check_k
+from sigma_density.zeta import FULL_SIZE, log_prime, prime_power, zeta_iv
 
 
 def iv_pow(base, expo):
@@ -43,6 +66,17 @@ def tail_bracket(table, k: int, m: int, r: float) -> Bracket:
     r_iv = iv.mpf(r)
     prefix = sum((log_local_factor_iv(table.nth(i), k, r_iv) for i in range(1, m + 1)), iv.mpf(0))
     return Bracket.from_iv(log_g_iv_oracle(k, r_iv) - prefix)
+
+
+def _exact(n, prec):
+    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+
+
+def _coefficient(j, terms, prec):
+    """B_{2j}/(2j)! * N^{1-2j} as an interval at ``prec``."""
+    p, q = mpmath.bernfrac(2 * j)
+    denominator = q * math.factorial(2 * j) * terms ** (2 * j - 1)
+    return mpi_div(_exact(int(p), prec), _exact(int(denominator), prec), prec)
 
 
 def zeta_mpi(s, size=FULL_SIZE):
@@ -65,16 +99,21 @@ def zeta_mpi(s, size=FULL_SIZE):
         total = mpi_add(total, power, prec)
     N_s = powers[size.terms]
     total = mpi_add(
-        total, mpi_div(mpi_mul(size.n, N_s, prec), mpi_sub(s, one, prec), prec), prec
+        total,
+        mpi_div(mpi_mul(_exact(size.terms, prec), N_s, prec), mpi_sub(s, one, prec), prec),
+        prec,
     )
     total = mpi_sub(total, mpi_div(N_s, (ftwo, ftwo), prec), prec)
     rising = s  # s(s+1)...(s+2j-2), starting value for j = 1
-    for coeff, (odd, even) in zip(size.coeffs, size.rising_steps):
+    for j in range(1, size.corrections + 1):
+        coeff = _coefficient(j, size.terms, prec)
         total = mpi_add(total, mpi_mul(mpi_mul(coeff, rising, prec), N_s, prec), prec)
+        odd, even = _exact(2 * j - 1, prec), _exact(2 * j, prec)
         rising = mpi_mul(
             mpi_mul(rising, mpi_add(s, odd, prec), prec), mpi_add(s, even, prec), prec
         )
-    remainder = mpi_mul(mpi_mul(size.remainder, rising, prec), N_s, prec)
+    remainder = mpi_mul(_coefficient(size.corrections + 1, size.terms, prec), (fnone, fone), prec)
+    remainder = mpi_mul(mpi_mul(remainder, rising, prec), N_s, prec)
     return iv.make_mpf(mpi_add(total, remainder, prec)), powers
 
 
@@ -205,3 +244,120 @@ def first_difference(got, expected):
         if a != b:
             return i, a, b
     return len(got_lines), len(expected_lines)
+
+
+# The cell cover on iv objects: each claim maps an iv cell to an iv
+# enclosure, and each power of each cell takes its own exp.
+def _iv_log_prime(p):
+    return iv.make_mpf(log_prime(p, iv.prec))
+
+
+def _iv_power(p, expo):
+    """p**expo for an iv interval exponent, as an iv object."""
+    return iv.make_mpf(prime_power(p, expo._mpi_, iv.prec))
+
+
+def cover_x(p, r):
+    """p^-r for an iv interval r."""
+    return _iv_power(p, -r)
+
+
+def log_over_oracle(p, x):
+    """log p / (p^x + 1), decreasing in x."""
+    return _iv_log_prime(p) / (_iv_power(p, x) + 1)
+
+
+def log_sq_over_oracle(p, x):
+    """(log p)^2 / (p^x + 2 + p^-x)."""
+    q = _iv_power(p, x)
+    return _iv_log_prime(p) ** 2 / (q + 2 + 1 / q)
+
+
+def rise_oracle(table, m, n, term, x):
+    """sum_{i=m+1}^{m+n} term(p_i, x.b) - term(p_m, x.a) on iv objects."""
+    rest = sum((term(table.nth(i), x.b) for i in range(m + 1, m + n + 1)), iv.mpf(0))
+    return rest - term(table.nth(m), x.a)
+
+
+def cover_claims_oracle(table):
+    """The claim of each of check_inequalities' and check_monotonicity's
+    checks, by name, on iv cells."""
+    x = cover_x
+    claims = {
+        "two_vs_three_lower": lambda r: (1 + (x3 := x(3, r))) * (1 + x3 + x(3, 2 * r))
+        - (1 + x(2, r)),
+        "three_vs_five_seven": lambda r: (1 + x(3, r)) - ((1 + (x7 := x(7, r))) / (1 - x7))
+        / (1 - x(5, r)),
+        "pair_product_m2": lambda r: (1 + x(2, r)) / (1 + (x3 := x(3, r))) - (1 + x3),
+        "pair_product_m4": lambda r: (1 + x(2, r))
+        / ((1 + x(3, r)) * (1 + x(5, r)) * (1 + (x7 := x(7, r))))
+        - (1 + x7),
+        "square_dominates_zeta": lambda r: (1 + x(2, r)) ** 2 - iv.make_mpf(zeta_iv(r._mpi_)[0]),
+    }
+    for m in (1, 2, 4):
+        claims[f"t_increasing_m{m}"] = functools.partial(rise_oracle, table, m, 10, log_over_oracle)
+        claims[f"j_increasing_m{m}"] = functools.partial(rise_oracle, table, m, 6, log_sq_over_oracle)
+        claims[f"j_negative_m{m}"] = functools.partial(rise_oracle, table, m, 6, log_over_oracle)
+    return claims
+
+
+# The truncated surrogate V and its float root.
+V_TRUNCATION = 100_000
+
+
+def v_func(table, k: int, m: int, r: float) -> float:
+    """The truncated surrogate for T: the tail is cut at the 10^5-th prime.
+
+    Plain double precision by design; V is a computational surrogate, not
+    a certified quantity.  V >= T always, since truncation drops positive
+    terms from the subtracted sum.  Unlike T, the sum is finite, so any
+    r > 0 is admissible; sign checks at r = 1 are meaningful.
+    """
+    check_k(k)
+    check_k(m, "m")
+    if not r > 0:
+        raise DomainError(f"r must be positive, got {r}")
+    if m >= V_TRUNCATION:
+        raise DomainError(f"m must be below the truncation point {V_TRUNCATION}")
+    pm = float(table.nth(m))
+    p = table.slice(m + 1, V_TRUNCATION).astype(np.float64)
+    x = p ** (-r)
+    local = (1.0 - x ** (k + 1)) / (1.0 - x)
+    return math.log1p(pm ** (-r)) - float(np.sum(np.log(local)))
+
+
+def from_value_error(value: float, abs_err: float) -> Bracket:
+    """Enclosure of value +- abs_err, padded one ulp outward."""
+    return Bracket(
+        math.nextafter(value - abs_err, -math.inf),
+        math.nextafter(value + abs_err, math.inf),
+    )
+
+
+def contains(bracket: Bracket, x: float) -> bool:
+    return bracket.lo <= x <= bracket.hi
+
+
+def r1_surrogate(table, eps: float = 1e-8) -> solver.RootResult:
+    """Root of the truncated surrogate V_1(1, .) in (1.5, 7/3).
+
+    The surrogate itself is a plain double-precision sum over the first
+    10^5 primes, so this result is float-certified only: the sign tests
+    are exact for the computed V, whose own rounding error (~1e-12) is
+    far below any tolerance of interest here.  V is fixed by those
+    primes, and v(1.5) = -0.171 < 0 < v(7/3) = 0.062, so the walk starts
+    from that bracket.
+    """
+    check_eps(eps)
+
+    def v(r: float) -> float:
+        return v_func(table, 1, 1, r)
+
+    a, b, iterations = solver._walk(lambda r: -1 if v(r) < 0 else 1, 1.5, 7.0 / 3.0, eps)
+    mid = 0.5 * (a + b)
+    return solver.RootResult(
+        value=Bracket(a, b),
+        iterations=iterations,
+        residual=from_value_error(v(mid), 1e-11),
+        method="float64 bisection on truncated surrogate",
+    )

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from oracles import contains, from_value_error
 from sigma_density.brackets import PRECISION_FLOOR, Bracket, check_eps
 from sigma_density.errors import DomainError, PrecisionError
 
@@ -17,8 +18,8 @@ def test_basic_accessors():
     b = Bracket(1.0, 1.5)
     assert b.width == 0.5
     assert b.mid == 1.25
-    assert b.contains(1.2)
-    assert not b.contains(1.6)
+    assert contains(b, 1.2)
+    assert not contains(b, 1.6)
 
 
 def test_sign_tests():
@@ -30,7 +31,7 @@ def test_sign_tests():
 
 
 def test_from_value_error_encloses():
-    b = Bracket.from_value_error(1.0, 1e-10)
+    b = from_value_error(1.0, 1e-10)
     assert b.lo < 1.0 - 0.9e-10 and b.hi > 1.0 + 0.9e-10
 
 

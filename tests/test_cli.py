@@ -355,6 +355,30 @@ def test_point_requests_never_import_numpy(argv):
     assert done.stderr == "0 False\n"
 
 
+# Prints mpmath.iv.prec before the package is imported and after the
+# verify suites ran, in a fresh interpreter.
+IV_PREC_PROBE = """
+import contextlib, io, json
+import mpmath
+before = mpmath.iv.prec
+import sigma_density.cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = sigma_density.cli.main(["verify", "--suite", "all"])
+suites = json.loads(out.getvalue())["result"]["suites"]
+print(code, len(suites), all(s["passed"] for s in suites), before, mpmath.iv.prec)
+"""
+
+
+def test_the_library_leaves_the_host_mpmath_iv_precision_alone():
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", IV_PREC_PROBE], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 3 True 53 53\n"
+
+
 def test_walk_past_the_table_fails_before_any_walk(capsys, monkeypatch):
     def no_walk(*args):
         raise AssertionError("the walk started")

@@ -1,19 +1,27 @@
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv
+from mpmath.libmp import from_float, mpi_neg, mpi_sub
 
 from oracles import (
+    V_TRUNCATION,
+    contains,
+    cover_claims_oracle,
+    cover_x,
     iv_pow,
     levels_oracle,
     log_g_iv_oracle,
     log_local_factor_iv,
+    r1_surrogate,
     t_levels_oracle,
     t_sign_oracle,
     tail_bracket,
+    v_func,
 )
 from sigma_density import density, explorer, primes, solver, zeta
 from sigma_density.brackets import Bracket
@@ -42,7 +50,8 @@ def log_g(k, r):
 def j_bracket(table, m, x):
     """J_m(x): log p_m / (p_m^x + 1) minus the same expression summed over
     the next six primes, the claim ``j_negative_m*`` proves negative."""
-    return Bracket.from_iv(-density._rise(table, m, 6, density._log_over, iv.mpf(x)))
+    rise = density._rise(table, density._power_table(), m, 6, density._log_over, x, x)
+    return Bracket.from_iv(mpi_neg(rise))
 
 
 def gap_core(table, k, m, r):
@@ -105,9 +114,9 @@ def t_derivative(table, k, m, r):
 class TestF:
     def test_hand_evaluations(self, table):
         b = f(table, 1, 1, 2)
-        assert b.contains(2 * math.log(5 / 4))
+        assert contains(b, 2 * math.log(5 / 4))
         b = f(table, 1, 2, 2)
-        assert b.contains(math.log(10 / 9) + math.log(5 / 4) + math.log(10 / 9))
+        assert contains(b, math.log(10 / 9) + math.log(5 / 4) + math.log(10 / 9))
 
     def test_structural_identity_in_k(self, table):
         # at m = 1, changing k shifts f by the log of the local-factor ratio
@@ -124,7 +133,7 @@ class TestTail:
 
     def test_closed_form(self, table):
         b = tail_bracket(table, 1, 1, 2)
-        assert b.contains(math.log(15 / PI**2) - math.log(5 / 4))
+        assert contains(b, math.log(15 / PI**2) - math.log(5 / 4))
         # the lower end of the level-1 gap is this tail
         assert gap_core(table, 1, 1, 2.0)[0] == b.hi
 
@@ -205,12 +214,15 @@ class TestOneLogPerPrime:
     @pytest.mark.parametrize("x", [1.0001, 1.5, 7 / 3, [1.0001, 7 / 3], [1.8, 1.9]])
     @pytest.mark.parametrize("p", [2, 3, 7, 31, 1999993])
     def test_cover_terms_equal_the_oracle_route(self, p, x):
-        x = iv.mpf(x)
+        a, b = x if isinstance(x, list) else (x, x)
+        power, x = density._power_table(), iv.mpf(x)
         log_p = iv.log(iv.mpf(p))
-        assert density._x(p, x)._mpi_ == iv_pow(iv.mpf(p), -x)._mpi_
-        assert density._log_over(p, x)._mpi_ == (log_p / (iv_pow(iv.mpf(p), x) + 1))._mpi_
+        assert power(p, -1, a, b) == iv_pow(iv.mpf(p), -x)._mpi_ == cover_x(p, x)._mpi_
+        assert power(p, -2, a, b) == iv_pow(iv.mpf(p), -(2 * x))._mpi_
         q = iv_pow(iv.mpf(p), x)
-        assert density._log_sq_over(p, x)._mpi_ == (log_p**2 / (q + 2 + 1 / q))._mpi_
+        assert power(p, 1, a, b) == q._mpi_
+        assert density._log_over(p, power(p, 1, a, b)) == (log_p / (q + 1))._mpi_
+        assert density._log_sq_over(p, power(p, 1, a, b)) == (log_p**2 / (q + 2 + 1 / q))._mpi_
 
 
 class TestLogFreeSign:
@@ -321,29 +333,29 @@ class TestJ:
 
 class TestV:
     def test_root_location(self, table):
-        assert abs(density.v_func(table, 1, 1, 1.864633)) < 1e-5
+        assert abs(v_func(table, 1, 1, 1.864633)) < 1e-5
 
     def test_negative_at_one(self, table):
-        assert density.v_func(table, 1, 1, 1.0) < 0
-        assert density.v_func(table, 1, 1, 7 / 3) > 0
+        assert v_func(table, 1, 1, 1.0) < 0
+        assert v_func(table, 1, 1, 7 / 3) > 0
 
     def test_needs_the_truncation_point_in_the_table(self):
         # p_99999 = 1299689 <= 1299700 < p_100000 = 1299709
         short = primes.sieve(1_299_700)
         with pytest.raises(DomainError):
-            density.v_func(short, 1, 1, 1.5)
+            v_func(short, 1, 1, 1.5)
         with pytest.raises(DomainError):
-            solver.r1_surrogate(short)
+            r1_surrogate(short)
 
     def test_v_above_t(self, table):
         for k, m, r in ((1, 1, 1.5), (2, 2, 1.9), (3, 4, 2.2)):
-            assert density.v_func(table, k, m, r) > density.t_func(table, k, m, r).hi
+            assert v_func(table, k, m, r) > density.t_func(table, k, m, r).hi
 
     def test_truncation_gap_bounded(self, table):
         # V - T equals the dropped tail beyond the 10^5-th prime
         k, m, r = 1, 1, 1.5
-        gap = density.v_func(table, k, m, r) - density.t_func(table, k, m, r).mid
-        p_last = float(table.nth(density.V_TRUNCATION))
+        gap = v_func(table, k, m, r) - density.t_func(table, k, m, r).mid
+        p_last = float(table.nth(V_TRUNCATION))
         assert 0 < gap < p_last ** (1 - r) / (r - 1)
 
 
@@ -401,13 +413,34 @@ class TestInequalities:
                 assert check.min_slack <= form(float(r)) + 1e-12, (check.name, r)
 
 
+def above(c):
+    """The claim r - c on a cell [a, b], as an interval tuple."""
+    return lambda a, b: mpi_sub((from_float(a), from_float(b)), to_iv(c))
+
+
+def below(c):
+    """The claim c - r on a cell [a, b], as an interval tuple."""
+    return lambda a, b: mpi_sub(to_iv(c), (from_float(a), from_float(b)))
+
+
+def recorded(claim, cells):
+    """``claim``, appending each cell's ends and enclosure to ``cells``."""
+
+    def wrapped(a, b):
+        enclosure = claim(a, b)
+        cells.append((a, b, enclosure))
+        return enclosure
+
+    return wrapped
+
+
 class TestCover:
     def test_a_false_claim_fails_within_the_budget(self):
-        cells, lowest, passed = density._cover(lambda r: r - 1.8, 1.67, 1.98)
+        cells, lowest, passed = density._cover(above(1.8), 1.67, 1.98)
         assert not passed
         assert lowest <= 0
 
-    @pytest.mark.parametrize("claim", [lambda r: r - 1.67, lambda r: 1.98 - r], ids=["lo", "hi"])
+    @pytest.mark.parametrize("claim", [above(1.67), below(1.98)], ids=["lo", "hi"])
     def test_a_claim_zero_at_an_endpoint_fails(self, claim):
         cells, lowest, passed = density._cover(claim, 1.67, 1.98)
         assert not passed
@@ -416,20 +449,61 @@ class TestCover:
     def test_the_budget_bounds_the_evaluations(self, monkeypatch):
         monkeypatch.setattr(density, "COVER_MAX_CELLS", 9)
         calls = []
-
-        def claim(r):
-            calls.append(r)
-            return r - 1.8
-
-        assert density._cover(claim, 1.0, 1.9)[2] is False
+        assert density._cover(recorded(above(1.8), calls), 1.0, 1.9)[2] is False
         assert len(calls) == 9
 
     def test_a_point_range(self):
-        assert density._cover(lambda r: r - 1.5, 2.0, 2.0) == (1, math.nextafter(0.5, 0), True)
+        assert density._cover(above(1.5), 2.0, 2.0) == (1, math.nextafter(0.5, 0), True)
 
     def test_a_true_claim_is_covered(self):
-        cells, lowest, passed = density._cover(lambda r: r - 1.0, 1.001, 2.0)
+        cells, lowest, passed = density._cover(above(1.0), 1.001, 2.0)
         assert passed and cells == 1 and 0 < lowest <= 0.001
+
+    def test_every_cell_equals_the_iv_oracle(self, table, monkeypatch):
+        # all 14 checks: the same cells, each cell's enclosure bit for bit,
+        # and so the same lower bounds, min_slack and verdict, as the cover
+        # on iv objects with each power of each cell by its own exp
+        cells = {}
+        check = density._check
+
+        def spy(name, description, lo, hi, claim):
+            return check(name, description, lo, hi, recorded(claim, cells.setdefault(name, [])))
+
+        monkeypatch.setattr(density, "_check", spy)
+        checks = density.check_inequalities().checks + density.check_monotonicity(table).checks
+        claims = cover_claims_oracle(table)
+        assert [c.name for c in checks] == list(claims)
+        for c in checks:
+            oracle = claims[c.name]
+            oracle_cells = []
+            result = density._cover(
+                recorded(lambda a, b: oracle(iv.mpf([a, b]))._mpi_, oracle_cells), c.r_lo, c.r_hi
+            )
+            assert result == (c.cells, c.min_slack, c.passed)
+            assert cells[c.name] == oracle_cells
+
+    @pytest.mark.parametrize("suite", ["inequalities", "monotonicity"])
+    def test_each_power_end_is_taken_once_per_call(self, table, monkeypatch, suite):
+        # one exp per (p, j, cell end, rounding), in a table that ends
+        # with the call: a second call takes the same exps again
+        calls = []
+        exp = density.mpf_exp
+
+        def spy(x, prec, rounding):
+            calls.append((x, rounding))
+            return exp(x, prec, rounding)
+
+        monkeypatch.setattr(density, "mpf_exp", spy)
+        run = {
+            "inequalities": density.check_inequalities,
+            "monotonicity": partial(density.check_monotonicity, table),
+        }[suite]
+        run()
+        first = list(calls)
+        assert len(set(first)) == len(first) == {"inequalities": 252, "monotonicity": 204}[suite]
+        calls.clear()
+        run()
+        assert calls == first
 
 
 class TestMonotonicity:
@@ -447,8 +521,10 @@ class TestMonotonicity:
         # the k = 1 bound on a cell lies below dT_k/dr at points of the cell
         edges = np.linspace(density.R_MONOTONE_LO, 2.3, 7)
         for a, b in zip(edges, edges[1:]):
-            cell = iv.mpf([float(a), float(b)])
-            bound = Bracket.from_iv(density._rise(table, m, 10, density._log_over, cell))
+            rise = density._rise(
+                table, density._power_table(), m, 10, density._log_over, float(a), float(b)
+            )
+            bound = Bracket.from_iv(rise)
             for r in (a, 0.5 * (a + b), b):
                 assert bound.lo <= t_derivative(table, k, m, float(r)).hi
 
@@ -456,8 +532,8 @@ class TestMonotonicity:
         h = 1e-6
         for m in (1, 2, 4):
             for a, b in ((1.01, 1.2), (1.5, 1.9), (2.0, 2.33)):
-                cell = iv.mpf([a, b])
-                bound = Bracket.from_iv(density._rise(table, m, 6, density._log_sq_over, cell))
+                rise = density._rise(table, density._power_table(), m, 6, density._log_sq_over, a, b)
+                bound = Bracket.from_iv(rise)
                 for x in (a, 0.5 * (a + b), b - h):
                     j0, j1 = (j_bracket(table, m, y).mid for y in (x, x + h))
                     assert bound.lo <= (j1 - j0) / h + 1e-6

@@ -61,11 +61,6 @@ SCRIPTS = {
 }
 
 ALLOWED = {
-    "brackets.Bracket.contains": "a one-line accessor that only the tests read",
-    "brackets.Bracket.from_value_error": "the residual of r1_surrogate's float root",
-    "density.v_func": "the truncated surrogate V, read only by r1_surrogate",
-    "solver.r1_surrogate": "the float root of V, which only the acceptance tests read",
-    "solver.r1_surrogate.<locals>.v": "r1_surrogate's V at k = m = 1",
     "solver.m_selector": "perfbench/spans.py traces it by name; thresholds and table call "
     "select_m",
 }

