@@ -646,7 +646,7 @@ def _main(args) -> int:
             params = {"k": args.k, "eps": args.eps}
         elif args.command == "eta-limit":
             tolerances["eps"] = args.eps
-            result = solver.eta_limit(args.eps)
+            result = solver.eta_limit(table, args.eps)
             params = {"eps": args.eps}
         elif args.command == "thresholds":
             tolerances["eps"] = args.eps

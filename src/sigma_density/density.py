@@ -6,13 +6,14 @@ restricted divisor sum is dense in [1, G_k(r)) exactly when the statistic
     T_k(m, r) = log(1 + p_m^{-r}) - sum_{i>m} log(local factor at p_i)
 
 is <= 0 for every m; for r in (1, 2] it suffices to test m in {1, 2, 4}.
-A positive T at some m certifies a forbidden open interval in the log
-range.  T has one interval expression (:func:`t_levels`), shared by
+k may be math.inf, the unrestricted sum: its local factor at p is
+1/(1 - p^-r) and G_inf(r) = zeta(r).  A positive T at some m certifies
+a forbidden open interval in the log range.  T has one interval expression (:func:`t_levels`), shared by
 :func:`t_func`, :func:`density_report` and ``explorer.analytic_gap_scan``;
 the solver's sign tests read its sign from a log-free comparison of
 products (:func:`t_sign`).  Both run on ``mpmath.libmp`` interval tuples:
 the printed route at ``FULL_SIZE.prec``, a sign test at its kernel
-size's precision.  Each p^-r with p <= N comes from the table of n^-r
+size's precision.  Each p^-r with p <= N comes from the table of p^-r
 that the evaluation of zeta(r) returns (``zeta.zeta_iv``), and a sign
 test's p^-(k+1)r from that of zeta((k+1)r); a prime beyond N takes
 exp(-r log p) with log p taken once per prime (``zeta.prime_power``).
@@ -66,9 +67,9 @@ R_MONOTONE_HI = 7.0 / 3.0
 COVER_MAX_CELLS = 256
 
 
-def _check_kmr(k: int, m: int, r: float) -> None:
+def _check_kmr(k: int | float, m: int, r: float) -> None:
     check_k(k)
-    check_k(m, "m")
+    check_k(m, "m", infinite=False)
     check_r(r)
 
 
@@ -81,10 +82,11 @@ def _power(p: int, minus_r: tuple, powers: list, prec: int) -> tuple:
 def _levels(table: PrimeTable, k: int, r: tuple, powers: list, ms: Iterable[int]):
     """(m, head, prefix) for each m of the strictly ascending ``ms``, as
     interval tuples at FULL_SIZE.prec: head = log(1 + p_m^-r) and prefix =
-    sum_{i<=m} of the log local factor at p_i, log((1 - x^{k+1})/(1 - x))
-    with x = p_i^-r read from ``powers``, the table of zeta(r)'s full-size
-    evaluation.  The prefix is carried from one level to the next, and
-    the head reuses the p_m^-r its last term took."""
+    sum_{i<=m} of the log local factor at p_i, log((1 - x^{k+1})/(1 - x)),
+    or log(1/(1 - x)) at k = inf, with x = p_i^-r read from ``powers``,
+    the table of zeta(r)'s full-size evaluation.  The prefix is carried
+    from one level to the next, and the head reuses the p_m^-r its last
+    term took."""
     prec = FULL_SIZE.prec
     minus_r = mpi_neg(r, prec)
     prefix = fzero, fzero
@@ -92,16 +94,15 @@ def _levels(table: PrimeTable, k: int, r: tuple, powers: list, ms: Iterable[int]
     for m in ms:
         for i in range(done + 1, m + 1):
             x = _power(table.nth(i), minus_r, powers, prec)
-            local = mpi_div(
-                mpi_sub(ONE, mpi_pow_int(x, k + 1, prec), prec), mpi_sub(ONE, x, prec), prec
-            )
+            kept = ONE if k == math.inf else mpi_sub(ONE, mpi_pow_int(x, k + 1, prec), prec)
+            local = mpi_div(kept, mpi_sub(ONE, x, prec), prec)
             prefix = mpi_add(prefix, mpi_log(local, prec), prec)
         done = m
         yield m, mpi_log(mpi_add(ONE, x, prec), prec), prefix
 
 
 def t_levels(
-    table: PrimeTable, k: int, r: tuple, log_g: tuple[tuple, list], ms: Iterable[int]
+    table: PrimeTable, k: int | float, r: tuple, log_g: tuple[tuple, list], ms: Iterable[int]
 ) -> Iterator[tuple[int, Bracket, GapInterval | None]]:
     """T_k(m, r) = log(1 + p_m^{-r}) - sum_{i>m} log(local factor at p_i)
     for each m of the ascending ``ms``, with that tail taken as log G_k(r)
@@ -126,7 +127,7 @@ def t_levels(
         yield m, t, gap
 
 
-def t_func(table: PrimeTable, k: int, m: int, r: float) -> Bracket:
+def t_func(table: PrimeTable, k: int | float, m: int, r: float) -> Bracket:
     """T_k(m, r), the one level m of :func:`t_levels`."""
     _check_kmr(k, m, r)
     r_iv = to_iv(r)
@@ -134,7 +135,17 @@ def t_func(table: PrimeTable, k: int, m: int, r: float) -> Bracket:
     return t
 
 
-def t_sign(table: PrimeTable, k: int, m: int, r: float, size: KernelSize) -> int | None:
+def _euler_prefix(table: PrimeTable, m: int, minus_s: tuple, powers: list, prec: int) -> tuple:
+    """prod_{i<=m} (1 - p_i^-s), each p_i^-s read from ``powers``, the table
+    of zeta(s)'s evaluation, where that holds it."""
+    product = ONE
+    for i in range(1, m + 1):
+        x = _power(table.nth(i), minus_s, powers, prec)
+        product = mpi_mul(product, mpi_sub(ONE, x, prec), prec)
+    return product
+
+
+def t_sign(table: PrimeTable, k: int | float, m: int, r: float, size: KernelSize) -> int | None:
     """The certified sign of T_k(m, r), with zeta at ``size``, or None
     where it is not decided.  exp(T) is a ratio of products, so
 
@@ -142,20 +153,21 @@ def t_sign(table: PrimeTable, k: int, m: int, r: float, size: KernelSize) -> int
                         > zeta(r) prod_{i<=m} (1 - x_i),   x_i = p_i^-r,
 
     and the test takes no log.  x_i and x_i^{k+1} are the entries for p_i
-    of the tables of zeta(r) and zeta((k+1)r), at ``size``'s precision."""
+    of the tables of zeta(r) and zeta((k+1)r), at ``size``'s precision.
+    At k = inf, x_i^{k+1} = 0 and zeta((k+1)r) = 1."""
     _check_kmr(k, m, r)
     prec = size.prec
     r_iv = to_iv(r)
-    kr = scale(k + 1, r_iv, prec)
+    minus_r = mpi_neg(r_iv, prec)
     zeta_r, powers = zeta_iv(r_iv, size)
-    zeta_kr, powers_k = zeta_iv(kr, size)
-    minus_r, minus_kr = mpi_neg(r_iv, prec), mpi_neg(kr, prec)
-    kept = dropped = ONE
-    for i in range(1, m + 1):
-        p = table.nth(i)
-        x = _power(p, minus_r, powers, prec)
-        kept = mpi_mul(kept, mpi_sub(ONE, _power(p, minus_kr, powers_k, prec), prec), prec)
-        dropped = mpi_mul(dropped, mpi_sub(ONE, x, prec), prec)
+    dropped = _euler_prefix(table, m, minus_r, powers, prec)
+    if k == math.inf:
+        zeta_kr = kept = ONE
+    else:
+        kr = scale(k + 1, r_iv, prec)
+        zeta_kr, powers_k = zeta_iv(kr, size)
+        kept = _euler_prefix(table, m, mpi_neg(kr, prec), powers_k, prec)
+    x = _power(table.nth(m), minus_r, powers, prec)
     lhs = mpi_mul(mpi_mul(mpi_add(ONE, x, prec), zeta_kr, prec), kept, prec)
     difference = mpi_sub(lhs, mpi_mul(zeta_r, dropped, prec), prec)
     return Bracket.from_iv(difference).certified_sign()
@@ -222,7 +234,7 @@ def _rise(table: PrimeTable, power, m: int, n: int, term, a: float, b: float) ->
     return mpi_sub(rest, term(p, power(p, 1, a, a)), prec)
 
 
-def t_float(table: PrimeTable, k: int, m: int, r: float) -> float:
+def t_float(table: PrimeTable, k: int | float, m: int, r: float) -> float:
     """T_k(m, r) in plain double precision, from ``mpmath.fp.zeta``.
 
     Not a certified quantity: the solver walks its bisection path with
@@ -231,7 +243,9 @@ def t_float(table: PrimeTable, k: int, m: int, r: float) -> float:
     estimate is within 2e-15 of T on [1.0001, 2].
     """
     _check_kmr(k, m, r)
-    log_g = math.log(fp.zeta(r)) - math.log(fp.zeta((k + 1) * r))
+    log_g = math.log(fp.zeta(r))
+    if k != math.inf:  # zeta((k+1)r) = 1 at k = inf, and x**k = 0 below
+        log_g -= math.log(fp.zeta((k + 1) * r))
     prefix = 0.0
     for i in range(1, m + 1):
         x = float(table.nth(i)) ** (-r)
@@ -399,11 +413,10 @@ def check_monotonicity(table: PrimeTable) -> InequalityReport:
       where w_i, the mean of the geometric law with ratio p_i^-r truncated
       to {0..k}, decreases in r and grows with k.  Dropping the terms
       i > m + 10, all positive, and taking k = 1, where
-      w_i = 1 / (p_i^r + 1), leaves a bound that holds for every k.
-    * So is the limit equation of ``solver.eta_limit``: its function,
-      log(1 + 3^-r) - log zeta(r) - log(1 - 2^-r) - log(1 - 3^-r), is
-      T at m = 2 as k -> oo, whose weights w_i = 1 / (p_i^r - 1) exceed
-      the k = 1 weights, so ``t_increasing_m2`` proves it too.
+      w_i = 1 / (p_i^r + 1), leaves a bound that holds for every k.  It
+      covers T_inf(m, .) for m in {1, 2, 4} too, whose weights
+      w_i = 1 / (p_i^r - 1) exceed 1 / (p_i^r + 1); T_inf(2, .) is the
+      limit equation of ``solver.eta_limit``.
     * J_m(x) = log p_m / (p_m^x + 1) minus the same expression summed over
       the next six primes is increasing: J_m' is the same difference of
       (log p)^2 / (p^x + 2 + p^-x), each decreasing in x.

@@ -2,6 +2,7 @@
 raise them."""
 
 import math
+import numbers
 
 
 class SigmaDensityError(Exception):
@@ -30,9 +31,13 @@ class CapacityError(SigmaDensityError):
         self.suggested_bound = suggested_bound
 
 
-def check_k(k: int, name: str = "k") -> None:
-    if k < 1:
-        raise DomainError(f"{name} must be a positive integer, got {k}")
+def check_k(k: int | float, name: str = "k", infinite: bool = True) -> None:
+    """k must be a positive integer, or math.inf where ``infinite`` (the
+    unrestricted sum, no bound on a prime's exponent); NaN, -inf,
+    non-integral and non-numeric values are rejected."""
+    if not (isinstance(k, numbers.Integral) and k >= 1 or infinite and k == math.inf):
+        kind = "a positive integer or inf" if infinite else "a positive integer"
+        raise DomainError(f"{name} must be {kind}, got {k}")
 
 
 def check_r(r: float) -> None:

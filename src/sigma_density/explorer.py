@@ -297,7 +297,7 @@ def range_census(
     are structural rather than enumeration artifacts.  The census never
     reconciles empirical and analytic gaps; both are reported as found.
     """
-    check_k(k)
+    check_k(k, infinite=False)  # the census enumerates a finite k
     check_r(r)
     if bound < 1:
         raise DomainError(f"bound must be >= 1, got {bound}")

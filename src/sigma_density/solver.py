@@ -2,10 +2,11 @@
 
 Every threshold is the unique root in (1, 2) of a function that is
 strictly increasing there (``density.check_monotonicity`` proves it for
-T_k(m, .), m in {1, 2, 4}, at every k, and for the limit equation, which
-is T at m = 2 as k -> oo), found by bisection: each returned bracket
-contains a root by the intermediate value theorem on certified signs, or
-carries an explicit boundary flag for the "no root, threshold = 2" case.
+T_k(m, .), m in {1, 2, 4}, at every k, k = inf included; the limit
+equation that gives eta_inf is T_inf(2, .)), found by bisection: each
+returned bracket contains a root by the intermediate value theorem on
+certified signs, or carries an explicit boundary flag for the "no root,
+threshold = 2" case.
 
 A certified sign test costs an interval evaluation of zeta (milliseconds),
 so the one bisection routine, :func:`_solve`, walks its path with a
@@ -18,15 +19,14 @@ midpoint and the opposite one at that endpoint put a root between them,
 inside the bracket; the sign at the far endpoint, and that the root is
 the only one, rest on monotonicity.  Where the residual straddles 0,
 both endpoints are certified.  An endpoint test needs only a sign, so it
-compares two products instead of taking logs (:func:`density.t_sign`,
-:func:`_limit_sign_test`), takes zeta at ``zeta.SIGN_SIZE``, with each
-p^-r and p^-(k+1)r read from the tables of n^-s that its zeta
-evaluations return, and escalates to ``zeta.FULL_SIZE`` only where that
-sign is undecided; every printed bracket (the residual, and a boundary's
-bracket at 2) is the full-size log form, on ``mpmath.libmp`` interval
-tuples at ``FULL_SIZE.prec`` with p^-r from zeta(r)'s full-size table,
-so no output depends on the sign test.  Because the
-function is increasing, a root certified inside the bracket makes the
+compares two products instead of taking logs (:func:`density.t_sign`),
+takes zeta at ``zeta.SIGN_SIZE``, with each p^-r and p^-(k+1)r read
+from the tables of p^-s that its zeta evaluations return, and escalates
+to ``zeta.FULL_SIZE`` only where that sign is undecided; every printed
+bracket (the residual, and a boundary's bracket at 2) is the full-size
+log form, on ``mpmath.libmp`` interval tuples at ``FULL_SIZE.prec`` with
+p^-r from zeta(r)'s full-size table, so no output depends on the sign
+test.  Because the function is increasing, a root certified inside the bracket makes the
 guided path the certified path, so guided and certified-only solves
 return the same bits, and the ends of the start bracket [1.0001, 2] need
 no certified test of their own while the guide clears them.  The
@@ -43,14 +43,14 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from mpmath import fp
-from mpmath.libmp import mpi_add, mpi_div, mpi_log, mpi_mul, mpi_sub
-
 from .brackets import PRECISION_FLOOR, Bracket, check_eps
 from .density import t_float, t_func, t_levels, t_sign
 from .errors import CapacityError, DomainError, PrecisionError, check_k
 from .primes import PrimeTable
-from .zeta import FULL_SIZE, ONE, SIGN_SIZE, KernelSize, log_g_iv, prime_power, to_iv, zeta_iv
+from .zeta import FULL_SIZE, SIGN_SIZE, KernelSize, log_g_iv, to_iv
+# Unused here; kept because perfbench's tracer test checks that tracing
+# restores solver.zeta_iv.
+from .zeta import zeta_iv  # noqa: F401
 
 DEFAULT_EPS = 1e-10
 LIMIT_EPS = 1e-9
@@ -203,7 +203,7 @@ def _solve(
     )
 
 
-def r_threshold(table: PrimeTable, k: int, m: int, eps: float = DEFAULT_EPS) -> RootResult:
+def r_threshold(table: PrimeTable, k: int | float, m: int, eps: float = DEFAULT_EPS) -> RootResult:
     """The unique root of T_k(m, .) in (1, 2), or the boundary value 2
     when T_k(m, .) stays negative on the whole interval."""
     check_k(k)
@@ -255,20 +255,37 @@ def select_m(table: PrimeTable, k: int, roots: dict[int, RootResult], eps: float
         roots = {m: r_threshold(table, k, m, eps) for m in (1, 2, 4)}
 
 
-def _m_k(k: int) -> int:
+def _m_k(k: int | float) -> int:
     """The level whose threshold is eta_k: 1 for k = 1, 2 for k >= 2."""
     return 1 if k == 1 else 2
 
 
-def eta(table: PrimeTable, k: int, eps: float = DEFAULT_EPS) -> RootResult:
+def eta(table: PrimeTable, k: int | float, eps: float = DEFAULT_EPS) -> RootResult:
     """The density threshold eta_k: the root of T_k(m_k, .) in (1, 2).
 
     The paper's defining equation for eta_k is T_k(m_k, r) = 0 written
     out (for k = 1, 2 log(1 + 2^-r) = log G_1(r)), so this is
-    ``r_threshold(table, k, m_k, eps)`` with the same bracket.
+    ``r_threshold(table, k, m_k, eps)`` with the same bracket.  At
+    k = inf it is :func:`eta_limit` under this method string.
     """
     check_k(k)
     check_eps(eps)
+    return _eta(table, k, eps, "bisection on T at m_k")
+
+
+def eta_limit(table: PrimeTable, eps: float = LIMIT_EPS) -> RootResult:
+    """The limiting threshold eta_inf: the root in (1, 2) of T_inf(2, .),
+
+        log(1 + 3^-r) - log(1 - 2^-r) - log(1 - 3^-r) - log zeta(r),
+
+    the log of (2^r/(2^r - 1)) ((3^r + 1)/(3^r - 1)) / zeta(r)."""
+    check_eps(eps)
+    return _eta(table, math.inf, eps, "bisection on limit equation")
+
+
+def _eta(table: PrimeTable, k: int | float, eps: float, method: str) -> RootResult:
+    """The root of T_k(m_k, .) by :func:`_solve` under ``method``; a
+    printed value is the level m_k of :func:`density.t_levels`."""
     m = _m_k(k)
 
     def value(r: float) -> Bracket:
@@ -281,54 +298,8 @@ def eta(table: PrimeTable, k: int, eps: float = DEFAULT_EPS) -> RootResult:
         partial(t_sign, table, k, m),
         partial(t_float, table, k, m),
         eps,
-        "bisection on T at m_k",
+        method,
     )
-
-
-def eta_limit(eps: float = LIMIT_EPS) -> RootResult:
-    """The limiting threshold: the root in (1, 2) of
-
-        (2^r/(2^r - 1)) ((3^r + 1)/(3^r - 1)) = zeta(r),
-
-    solved in log form by bisection."""
-    check_eps(eps)
-    return _solve(_limit_sign, _limit_sign_test, _limit_guide, eps, "bisection on limit equation")
-
-
-def _limit_sign(r: float) -> Bracket:
-    """The limit equation in log form, lhs - log zeta(r), as a bracket,
-    on interval tuples at FULL_SIZE.prec."""
-    prec = FULL_SIZE.prec
-    r_iv = to_iv(r)
-    p2 = prime_power(2, r_iv, prec)
-    p3 = prime_power(3, r_iv, prec)
-    lhs = mpi_add(
-        mpi_log(mpi_div(p2, mpi_sub(p2, ONE, prec), prec), prec),
-        mpi_log(mpi_div(mpi_add(p3, ONE, prec), mpi_sub(p3, ONE, prec), prec), prec),
-        prec,
-    )
-    return Bracket.from_iv(mpi_sub(lhs, mpi_log(zeta_iv(r_iv)[0], prec), prec))
-
-
-def _limit_sign_test(r: float, size: KernelSize) -> int | None:
-    """The certified sign of :func:`_limit_sign`, with zeta at ``size``, or
-    None where it is not decided.  Its lhs is the log of
-    (1 + x_3) / ((1 - x_2)(1 - x_3)) with x_p = p^-r, so the test takes
-    no log: the function is > 0 exactly when
-
-        1 + x_3 > zeta(r) (1 - x_2) (1 - x_3),
-
-    with x_2 and x_3 read from zeta(r)'s table, at ``size``'s precision."""
-    prec = size.prec
-    zeta_r, powers = zeta_iv(to_iv(r), size)
-    x2, x3 = powers[2], powers[3]
-    dropped = mpi_mul(mpi_mul(zeta_r, mpi_sub(ONE, x2, prec), prec), mpi_sub(ONE, x3, prec), prec)
-    return Bracket.from_iv(mpi_sub(mpi_add(ONE, x3, prec), dropped, prec)).certified_sign()
-
-
-def _limit_guide(r: float) -> float:
-    """:func:`_limit_sign` in double precision."""
-    return -math.log1p(-(2.0**-r)) + math.log1p(2.0 / (3.0**r - 1.0)) - math.log(fp.zeta(r))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Certified enclosures of zeta(r) and of log G_k(r), where
 G_k(r) = zeta(r)/zeta((k+1)r) is the supremum of the restricted divisor
-sum, and the interval powers p^-r of primes.
+sum (zeta(r) at k = inf), and the interval powers p^-r of primes.
 
 zeta is evaluated by Euler-Maclaurin summation with the classical
 remainder bound (for real r > 1 the remainder is no larger in magnitude
@@ -12,9 +12,9 @@ two fixed sizes: FULL_SIZE feeds every bracket the program prints, and
 SIGN_SIZE, about half the cost, only the solver's sign tests.  It does
 its sums, products and quotients on signed integer (mantissa, exponent)
 pairs, rounded as mpmath rounds them, and returns mpf tuples.  Besides
-zeta(s) it returns its table of n^-s for n <= N, so the T route reads
-p^-r for the primes p <= N from the evaluation of zeta(r) it makes
-anyway, with the same bits as :func:`prime_power`.  Callers turn an
+zeta(s) it returns its table of p^-s for the primes p <= N, so the T
+route reads p^-r for those primes from the evaluation of zeta(r) it
+makes anyway, with the same bits as :func:`prime_power`.  Callers turn an
 enclosure into a printed bracket with
 :meth:`~sigma_density.brackets.Bracket.from_iv`.
 """
@@ -195,7 +195,8 @@ def zeta_iv(s: tuple, size: KernelSize = FULL_SIZE) -> tuple[tuple, list]:
                   + R_M,
 
     with N, M and the working precision fixed by ``size``, and the table
-    ``powers`` of its terms, ``powers[n]`` = n^-s for 1 <= n <= N.  Every
+    ``powers`` of its prime terms: ``powers[n]`` = n^-s for n = 1 and the
+    primes n <= N, and None at the composites, which no caller reads.  Every
     even derivative of f(x) = x^-s is positive on [N, oo) for every real
     s > 1 and N >= 1, so the classical remainder theorem puts R_M between
     0 and the first omitted term (j = M + 1): the cost does not grow with s.
@@ -216,8 +217,8 @@ def zeta_iv(s: tuple, size: KernelSize = FULL_SIZE) -> tuple[tuple, list]:
     # -s as mpi_neg rounds it; times log p, as mpi_mul pairs a negative
     # interval with a positive one
     minus_sa, minus_sb = mpf_neg(sa, prec, round_ceiling), mpf_neg(sb, prec, round_floor)
-    powers = [None, ONE]  # mpf ends; a product's are written at the return
-    ends = [None, ((1, 0), (1, 0))]  # the same as pairs
+    powers = [None, ONE]  # mpf ends of the prime entries; None at composites
+    ends = [None, ((1, 0), (1, 0))]  # every entry's, as pairs
     lo = hi = 1, 0
     for n in range(2, size.terms + 1):
         p = size.smallest_factor[n]
@@ -258,18 +259,18 @@ def zeta_iv(s: tuple, size: KernelSize = FULL_SIZE) -> tuple[tuple, list]:
     # R_M in [-c, c] * rising * N^-s, with c = size.remainder
     m, e = _mul(_mul(size.remainder, rb, prec, True), nb, prec, True)
     lo, hi = _add(lo, (-m, e), prec, False), _add(hi, (m, e), prec, True)
-    for n in range(2, size.terms + 1):
-        if powers[n] is None:
-            (ma, ea), (mb, eb) = ends[n]
-            powers[n] = from_man_exp(ma, ea), from_man_exp(mb, eb)
     return (from_man_exp(*lo), from_man_exp(*hi)), powers
 
 
-def log_g_iv(k: int, r: tuple, size: KernelSize = FULL_SIZE) -> tuple[tuple, list]:
+def log_g_iv(k: int | float, r: tuple, size: KernelSize = FULL_SIZE) -> tuple[tuple, list]:
     """Interval enclosure of log G_k(r), G_k(r) = zeta(r)/zeta((k+1)r),
-    from two zeta_iv calls of ``size`` at its precision, with the table of
-    n^-r that the call at r returns."""
+    from two zeta_iv calls of ``size`` at its precision (one at k = inf,
+    where zeta((k+1)r) = 1), with the table of p^-r that the call at r
+    returns."""
     prec = size.prec
     zeta_r, powers = zeta_iv(r, size)
-    zeta_kr, _ = zeta_iv(scale(k + 1, r, prec), size)
-    return mpi_sub(mpi_log(zeta_r, prec), mpi_log(zeta_kr, prec), prec), powers
+    log_g = mpi_log(zeta_r, prec)
+    if k != math.inf:
+        zeta_kr, _ = zeta_iv(scale(k + 1, r, prec), size)
+        log_g = mpi_sub(log_g, mpi_log(zeta_kr, prec), prec)
+    return log_g, powers

@@ -9,8 +9,10 @@ objects, each power of a prime by its own exp.
 Also the library's former second routes to two quantities that it now
 reaches only inside other computations: the tail of the log Euler product
 (the lower end of a forbidden gap) and log sigma at the integer a greedy
-walk's exponents spell out; and the greedy walk's target check at the
-full kernel size alone, which the walk now makes at the sign size first.
+walk's exponents spell out; the greedy walk's target check at the
+full kernel size alone, which the walk now makes at the sign size first;
+and the limit equation's closed form, which the solver now reaches as T
+at k = inf.
 ``neighbours`` gives the doubles beside a boundary that these are tested at,
 and ``first_difference`` compares long texts with an oracle's.
 
@@ -36,6 +38,7 @@ from mpmath.libmp import (
     mpi_add,
     mpi_div,
     mpi_exp,
+    mpi_log,
     mpi_mul,
     mpi_neg,
     mpi_sub,
@@ -46,7 +49,7 @@ from mpmath.libmp import (
 from sigma_density import solver
 from sigma_density.brackets import Bracket, check_eps
 from sigma_density.errors import DomainError, IndeterminateError, check_k
-from sigma_density.zeta import FULL_SIZE, log_prime, prime_power, zeta_iv
+from sigma_density.zeta import FULL_SIZE, log_prime, prime_power, to_iv, zeta_iv
 
 
 def iv_pow(base, expo):
@@ -163,6 +166,24 @@ def t_sign_oracle(table, k: int, m: int, r: float, size) -> int | None:
         dropped *= 1 - x
     lhs = (1 + x) * zeta_mpi((k + 1) * r_iv, size)[0] * kept
     return Bracket.from_iv(lhs - zeta_mpi(r_iv, size)[0] * dropped).certified_sign()
+
+
+def limit_equation(r: float) -> Bracket:
+    """The limit equation (2^r/(2^r - 1)) ((3^r + 1)/(3^r - 1)) = zeta(r)
+    in log form, lhs - log zeta(r), as a bracket on interval tuples at
+    FULL_SIZE.prec, with 2^r and 3^r by their own exps: T_inf(2, r) by
+    its own formula."""
+    prec = FULL_SIZE.prec
+    one = (fone, fone)
+    r_iv = to_iv(r)
+    p2 = prime_power(2, r_iv, prec)
+    p3 = prime_power(3, r_iv, prec)
+    lhs = mpi_add(
+        mpi_log(mpi_div(p2, mpi_sub(p2, one, prec), prec), prec),
+        mpi_log(mpi_div(mpi_add(p3, one, prec), mpi_sub(p3, one, prec), prec), prec),
+        prec,
+    )
+    return Bracket.from_iv(mpi_sub(lhs, mpi_log(zeta_iv(r_iv)[0], prec), prec))
 
 
 def greedy_target_check(k: int, r: float, x: float):
@@ -314,7 +335,7 @@ def v_func(table, k: int, m: int, r: float) -> float:
     r > 0 is admissible; sign checks at r = 1 are meaningful.
     """
     check_k(k)
-    check_k(m, "m")
+    check_k(m, "m", infinite=False)
     if not r > 0:
         raise DomainError(f"r must be positive, got {r}")
     if m >= V_TRUNCATION:

@@ -74,7 +74,7 @@ def test_04_ordering_chain(table, capsys):
     t11 = solver.r_threshold(table, 1, 1)
     t12 = solver.r_threshold(table, 1, 2)
     t14 = solver.r_threshold(table, 1, 4)
-    limit = solver.eta_limit(1e-9)
+    limit = solver.eta_limit(table, 1e-9)
     eta1 = solver.eta(table, 1)
     chain = (
         surrogate.value.hi < t11.value.lo

@@ -13,6 +13,8 @@ DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = {
     "table_kmax10.txt": ["table", "--kmax", "10"],
     "eta_limit.txt": ["eta-limit"],
+    # 44 steps; the residual is the last level of T at k = inf
+    "eta_limit_eps1e-13.txt": ["eta-limit", "--eps", "1e-13"],
     # a sign test of R_7(1) escalates to the full zeta kernel
     "thresholds_k7_eps1e-13.txt": ["thresholds", "--k", "7", "--eps", "1e-13"],
     # the thresholds tie, so the selector solves them again at eps/100

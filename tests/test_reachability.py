@@ -32,6 +32,7 @@ README = [
 ]
 GOLDEN = [
     ["eta-limit"],
+    ["eta-limit", "--eps", "1e-13"],
     ["thresholds", "--k", "7", "--eps", "1e-13"],
     ["thresholds", "--k", "1", "--eps", "1e-2"],
     ["density", "--k", "1", "--r", "1.5"],

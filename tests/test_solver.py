@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv
 
-from oracles import iv_pow, log_g_iv_oracle, r1_surrogate, v_func
+from oracles import iv_pow, limit_equation, log_g_iv_oracle, r1_surrogate, v_func
 from sigma_density import density, solver, zeta
 from sigma_density.brackets import PRECISION_FLOOR, Bracket
 from sigma_density.errors import CapacityError, DomainError, PrecisionError
@@ -189,47 +189,62 @@ class TestEta:
             assert root.value == Bracket(lo, hi), k
             assert root.residual == Bracket(*ETA_RESIDUALS[k]), k
             assert root.iterations == 34
-        limit = solver.eta_limit()
+        limit = solver.eta_limit(table)
         assert limit.value == Bracket(1.8877909263246693, 1.8877909272558986)
         assert limit.residual == Bracket(1.1980814953738852e-11, 1.1980814953738855e-11)
         assert limit.iterations == 30
 
     def test_approaches_limit(self, table):
         eta30 = solver.eta(table, 30)
-        limit = solver.eta_limit(1e-9)
+        limit = solver.eta_limit(table, 1e-9)
         assert abs(eta30.value.mid - limit.value.mid) < 1e-6
         for k in (1, 5, 15, 30):
             assert solver.eta(table, k).value.lo < limit.value.hi
 
 
 class TestEtaLimit:
-    def test_guide_within_the_solver_margin(self):
+    # the limit equation is T_inf(2, .); tests/oracles.py keeps its closed
+    # form, the solver's route before it solved T at k = inf
+    def test_guide_within_the_solver_margin(self, table):
         # solver.GUIDE_ERROR assumes the guide is within 2e-15 on [1.0001, 2]
         for r in (1.0001, 1.2, 1.6, 1.88, 1.89, 2.0):
-            b = solver._limit_sign(r)
-            assert b.lo - 2e-15 <= solver._limit_guide(r) <= b.hi + 2e-15
+            b = limit_equation(r)
+            assert b.lo - 2e-15 <= density.t_float(table, math.inf, 2, r) <= b.hi + 2e-15
 
     @settings(max_examples=40, deadline=None)
     @given(r=st.floats(min_value=1.0001, max_value=40.0))
-    def test_log_free_sign_is_the_sign_of_the_full_size_bracket(self, r):
-        full = solver._limit_sign(r).certified_sign()
-        assert solver._limit_sign_test(r, zeta.FULL_SIZE) == full
-        assert solver._limit_sign_test(r, zeta.SIGN_SIZE) in (None, full)
+    def test_t_at_k_inf_meets_the_closed_form(self, table, r):
+        t, closed = density.t_func(table, math.inf, 2, r), limit_equation(r)
+        assert t.lo <= closed.hi and closed.lo <= t.hi
+
+    @settings(max_examples=40, deadline=None)
+    @given(r=st.floats(min_value=1.0001, max_value=40.0))
+    def test_log_free_sign_is_the_sign_of_the_full_size_bracket(self, table, r):
+        full = limit_equation(r).certified_sign()
+        assert density.t_sign(table, math.inf, 2, r, zeta.FULL_SIZE) == full
+        assert density.t_sign(table, math.inf, 2, r, zeta.SIGN_SIZE) in (None, full)
 
     def test_published_value(self, table):
-        result = solver.eta_limit(1e-9)
+        result = solver.eta_limit(table, 1e-9)
         assert result.value.width <= 1e-9
         assert result.value.lo <= 1.8877909 <= result.value.hi or abs(
             result.value.mid - 1.8877909
         ) < 1e-7
 
-    def test_residual(self):
-        import math
-
-        result = solver.eta_limit(1e-9)
+    def test_residual(self, table):
+        result = solver.eta_limit(table, 1e-9)
         r = result.value.mid
         lhs = (2**r / (2**r - 1)) * ((3**r + 1) / (3**r - 1))
         assert abs(lhs - Bracket.from_iv(zeta.zeta_iv(to_iv(r))[0]).mid) < 1e-8
+
+    def test_is_eta_at_a_large_k(self, table):
+        # at k = 10^9, zeta((k+1)r) - 1 and x^(k+1) lie below every bracket's
+        # width: the same walk
+        assert solver.eta(table, 10**9, 1e-10).value == solver.eta_limit(table, 1e-10).value
+
+    def test_is_eta_at_k_inf(self, table):
+        limit = solver.eta_limit(table, 1e-10)
+        assert solver.eta(table, math.inf, 1e-10) == replace(limit, method="bisection on T at m_k")
 
 
 class TestR1Surrogate:
@@ -359,15 +374,17 @@ class TestGuidedBisection:
         assert solver.eta(table, k, eps) == replace(oracle, method="bisection on T at m_k")
 
     @pytest.mark.parametrize("eps", [solver.LIMIT_EPS, 1e-12])
-    def test_eta_limit_is_the_certified_walk(self, eps):
+    def test_eta_limit_is_the_certified_walk(self, table, eps):
+        # the certified-only walk on the limit equation's closed form
         oracle = solver._solve(
-            solver._limit_sign,
-            solver._limit_sign_test,
+            limit_equation,
+            lambda r, size: limit_equation(r).certified_sign(),
             no_guide,
             eps,
             "bisection on limit equation",
         )
-        assert solver.eta_limit(eps) == oracle
+        root = solver.eta_limit(table, eps)
+        assert (root.value, root.iterations) == (oracle.value, oracle.iterations)
 
     @pytest.mark.parametrize(
         "lie",
@@ -452,14 +469,13 @@ class TestGuidedBisection:
         assert solver.eta(table, 4).iterations == 34
         assert (log_g.calls, sign.sizes()) == (1, (1, 0))
 
-    def test_eta_limit_certifies_the_endpoints_and_the_residual(self, monkeypatch):
+    def test_eta_limit_certifies_the_endpoints_and_the_residual(self, table, monkeypatch):
         # the residual, then the one endpoint on the other side of the root
-        value = Counting(solver._limit_sign)
-        sign = Counting(solver._limit_sign_test)
-        monkeypatch.setattr(solver, "_limit_sign", value)
-        monkeypatch.setattr(solver, "_limit_sign_test", sign)
-        assert solver.eta_limit().iterations == 30
-        assert (value.calls, sign.sizes()) == (1, (1, 0))
+        log_g = Counting(solver.log_g_iv)
+        monkeypatch.setattr(solver, "log_g_iv", log_g)
+        _, sign = counting_t(monkeypatch)
+        assert solver.eta_limit(table).iterations == 30
+        assert (log_g.calls, sign.sizes()) == (1, (1, 0))
 
     def test_an_undecided_sign_test_escalates_to_the_full_size(self, table, monkeypatch):
         # at 1e-13 the lower endpoint of R_7(1) is within the sign size's
@@ -508,7 +524,7 @@ def test_zeta_calls_over_the_solve_set(table, monkeypatch):
         for k in range(1, 11):
             for m in (1, 2, 4):
                 solver.r_threshold(table, k, m, eps)
-        solver.eta_limit(eps)
+        solver.eta_limit(table, eps)
     assert (sizes.count(zeta.FULL_SIZE), sizes.count(zeta.SIGN_SIZE)) == (124, 255)
 
 
