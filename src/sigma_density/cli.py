@@ -17,6 +17,11 @@ values take 245-369 ns each in JSON (C, D and E) and its exponents 38-57
 ns, against 143-151 ns by ``int.__repr__`` (``BENCH_walk_output.json``;
 Python 3.11, numpy 2.4, a shared 2-vCPU x86-64 host).
 
+Output is written a piece at a time as it is made, to stdout or
+``--out``, once every check that can refuse the request has passed: a
+request holds about a block of JOIN_BLOCK values of its output, and a
+refused one writes nothing.
+
 Exit codes: 0 success, 1 domain/precision error, an unwritable ``--out``
 or a closed output pipe, 2 verification-suite failure, 64 usage error.
 """
@@ -64,11 +69,13 @@ def finite_float(text: str) -> float:
     return value
 
 
-# Values of a flat list joined into one piece of the output: a str for
-# every value of a census is never held at once.  Against 4096, census
+# Values of a flat list joined into one piece of the output, and lines of
+# an envelope's TSV.  Each piece is written as it is made, so a request
+# holds one piece's text and the arrays that make it, about 1 MB at 8192
+# values, whatever the length of its output.  Against 4096, census
 # values, C and D cost 18-28% less a value, since _float_text's cost per
 # call falls on twice the values.  16384 saves up to 16% more on census
-# values and C but not on D, and holds twice the text
+# values and C but not on D, and holds twice the text and arrays
 # (BENCH_walk_output.json).
 JOIN_BLOCK = 8192
 # Fewest floats of a block that _float_text writes, when numpy is loaded:
@@ -94,17 +101,27 @@ class _Flat:
 
     def join(self, separator, row_separator=None):
         """The items' text with ``separator`` between them, or
-        ``row_separator`` between rows, as pieces of at most JOIN_BLOCK
-        items that each start a row.
+        ``row_separator`` between rows, as an iterator of pieces of at most
+        JOIN_BLOCK items that each start a row, made as they are taken.
+        A float item that is not finite raises json's ValueError here,
+        before any piece is made.
 
         Float blocks of at least FLOAT_TEXT_MIN items go to _float_text
         when numpy is loaded."""
-        width = self.width or 1
-        if self.width is None:
-            row_separator = separator
-        step = max(1, JOIN_BLOCK // width) * width
         np = sys.modules.get("numpy")  # as in _flat
-        pieces = []
+        if self.rep is float.__repr__ and len(self.items):
+            ends = self.items
+            if not isinstance(ends, (list, tuple)):
+                # An array's min or max is NaN or infinite when any item
+                # is, and takes no array of the items' length.
+                ends = [ends.min(), ends.max()]
+            if not all(map(math.isfinite, ends)):
+                raise ValueError("Out of range float values are not JSON compliant")
+        return self._pieces(np, separator, separator if self.width is None else row_separator)
+
+    def _pieces(self, np, separator, row_separator):
+        width = self.width or 1
+        step = max(1, JOIN_BLOCK // width) * width
         for start in range(0, len(self.items), step):
             block = self.items[start : start + step]
             text = None
@@ -113,8 +130,6 @@ class _Flat:
             if text is None:
                 if not isinstance(block, (list, tuple)):
                     block = block.tolist()
-                if self.rep is float.__repr__ and not all(map(math.isfinite, block)):
-                    raise ValueError("Out of range float values are not JSON compliant")
                 texts = map(self.rep, block)
                 if self.rep is int.__repr__:
                     try:
@@ -124,8 +139,7 @@ class _Flat:
                 if width > 1:
                     texts = map(separator.join, zip(*[texts] * width))
                 text = row_separator.join(texts)
-            pieces.append((row_separator if start else "") + text)
-        return pieces
+            yield (row_separator if start else "") + text
 
 
 def _flat(obj):
@@ -160,6 +174,11 @@ _SPLIT = 134217729.0
 _DIGITS = 22
 _SUFFIX = 4
 _REPR = 24
+# Bytes of the seven four-digit words _digit_text writes in a row, which
+# hold the digits, the point and the suffix.
+_WORDS = 28
+# Rows whose text _float_text gathers at once.
+_GATHER_ROWS = 1024
 # _float_text writes a value x in [10**d, 10**(d + 1)) for -20 <= d <= 16
 # from y = x * 10**j, j = 16 - d; 5**j is one exact double up to j = _EXACT.
 _DEEPEST = 36
@@ -193,10 +212,7 @@ def _float_tables(np):
     # decades[i] is the double nearest 10**(i - 20); a value at or above
     # the last one is out of range.
     decades = np.array([float(f"1e{d}") for d in range(-20, 18)])
-    # left[d + 6, c]: column c of the text of a value in [10**d, 10**(d + 1))
-    # holds a digit left of the point.
-    left = np.arange(_DIGITS) <= 4 + np.arange(-6, 16)[:, None]
-    return groups, trailing, halves, decades, left
+    return groups, trailing, halves, decades
 
 
 @functools.cache
@@ -205,32 +221,40 @@ def _float_masks(np, separators):
     ((start * 25 + end) * 2 + exponent) * 3 + separator, where the digits
     are columns start..end - 1, exponent says whether the suffix is
     written, and separator is 0 or 1 for ``separators[0]`` or ``[1]`` and
-    2 for none."""
+    2 for none; and the count of text columns of each row."""
     start, end, exponent, separator = (
         axis.reshape(-1, 1)
         for axis in np.meshgrid(np.arange(5), np.arange(25), np.arange(2), np.arange(3), indexing="ij")
     )
     col = np.arange(_DIGITS + _SUFFIX + max(separators))
     length = np.array([*separators, 0])[separator]
-    return (
+    masks = (
         ((col >= start) & (col < end))
         | ((col >= _DIGITS) & (col < _DIGITS + _SUFFIX) & (exponent == 1))
         | ((col >= _DIGITS + _SUFFIX) & (col < _DIGITS + _SUFFIX + length))
     )
+    return masks, masks.sum(axis=1)
 
 
 def _dekker(x, x_high, x_low, y, y_high, y_low):
-    """Dekker's exact product of two split doubles: x * y = p + e."""
+    """Dekker's exact product of two split doubles: x * y = p + e,
+    e = (((x_high * y_high - p) + x_high * y_low) + x_low * y_high) +
+    x_low * y_low, summed in place."""
     p = x * y
-    return p, ((x_high * y_high - p) + x_high * y_low + x_low * y_high) + x_low * y_low
+    e = x_high * y_high
+    e -= p
+    e += x_high * y_low
+    e += x_low * y_high
+    e += x_low * y_low
+    return p, e
 
 
 def _float_text(np, values, separator, row_separator, width):
     """``float.__repr__`` of every value of the float64 array ``values``,
-    with ``separator`` between them and ``row_separator`` after every
-    ``width``, joined: the text built an array at a time.  None when
-    fewer than half the values are in the range below, where the array
-    work would be spent for nothing.
+    all finite, with ``separator`` between them and ``row_separator``
+    after every ``width``, joined: the text built an array at a time.
+    None when fewer than half the values are in the range below, where
+    the array work would be spent for nothing.
 
     A value x in [10**d, 10**(d + 1)) with -20 <= d <= 16 is written
     from y = x * 10**j, j = 16 - d, which lies in [10**16, 10**17).
@@ -281,10 +305,11 @@ def _float_text(np, values, separator, row_separator, width):
     Every other value goes through ``float.__repr__`` alone: negative
     values, -0.0, powers of two, values outside that range, any value
     whose y misses [10**16, 10**17) since its decade was misjudged, and
-    the rows within the bounds above."""
-    if not np.isfinite(values).all():
-        raise ValueError("Out of range float values are not JSON compliant")
-    groups, trailing, (five_hi, five_lo), decades, left = _float_tables(np)
+    the rows within the bounds above.
+
+    Each stage frees its arrays once the next has what it needs: a
+    block's arrays, not the text's length, set its peak memory."""
+    decades = _float_tables(np)[3]
     n = len(values)
     bits = values.view(np.uint64)
     zero = bits == 0
@@ -292,35 +317,94 @@ def _float_text(np, values, separator, row_separator, width):
     exact = (d >= -20) & (d <= 16) & (bits & np.uint64(2**52 - 1) != 0)
     if 2 * np.count_nonzero(exact | zero) < n:
         return None
-    x = np.where(exact, values, 1.5)  # any value in range, for the rest
     d[~exact] = 0
+    # Any value in range stands in for the rest.
+    v = _shortest_digits(np, np.where(exact, values, 1.5), d, exact, zero)
+    out = np.empty((n, _WORDS), np.uint8)
+    start, end, exponent = _digit_text(np, v, d, zero, out)
+    del v
+    if exponent.any():
+        out[:, _DIGITS] = ord("e")
+        out[:, _DIGITS + 1] = np.where(d < 0, ord("-"), ord("+"))
+        out[:, _DIGITS + 2] = ord("0") + abs(d) // 10
+        out[:, _DIGITS + 3] = ord("0") + abs(d) % 10
+    kind = np.zeros(n, np.intp)
+    kind[width - 1 :: width] = 1
+    kind[-1] = 2
+    rest = np.flatnonzero(~(exact | zero))
+    if len(rest):
+        reprs = list(map(float.__repr__, values[rest].tolist()))
+        out[rest, :_REPR] = np.array(reprs, dtype=f"S{_REPR}").view(np.uint8).reshape(-1, _REPR)
+        start[rest] = 0
+        end[rest] = list(map(len, reprs))
+        exponent[rest] = False
+    del zero, d, exact, rest
+    key = ((start * 25 + end) * 2 + exponent) * 3 + kind
+    del start, end, exponent, kind
+    encoded = (separator.encode(), row_separator.encode())
+    masks, lengths = _float_masks(np, tuple(map(len, encoded)))
+    # The text is gathered a chunk of rows at a time, from a buffer that
+    # holds the chunk's rows of out with their separators after them: no
+    # array of every row with its separator, or of every row's mask, is
+    # made.  A chunk is whole table rows, so that each separator keeps
+    # its place in the buffer; the mask of the block's last row takes
+    # none.
+    step = max(1, _GATHER_ROWS // width) * width
+    rows = np.empty((min(n, step), masks.shape[1]), np.uint8)
+    for sep_rows, sep in zip((rows, rows[width - 1 :: width]), encoded):
+        sep_rows[:, _DIGITS + _SUFFIX : _DIGITS + _SUFFIX + len(sep)] = np.frombuffer(sep, np.uint8)
+    text = np.empty(lengths[key].sum(), np.uint8)
+    size = 0
+    for first in range(0, n, step):
+        chunk = rows[: min(step, n - first)]
+        chunk[:, : _DIGITS + _SUFFIX] = out[first : first + step, : _DIGITS + _SUFFIX]
+        piece = chunk[masks[key[first : first + step]]]
+        text[size : size + len(piece)] = piece
+        size += len(piece)
+    del out, key, rows, chunk, piece
+    return str(text, "ascii")
+
+
+def _shortest_digits(np, x, d, exact, zero):
+    """The digits of the shortest repr of each double of ``x``, none a
+    power of two, in its decade [10**d, 10**(d + 1)), as the int64 of 17
+    digits that pads them with zeros, and 0 at ``zero``; each row too
+    near a bound to tell is cleared from ``exact``.  _float_text gives
+    the method."""
+    _, _, (five_hi, five_lo), _ = _float_tables(np)
     j = 16 - d
     shift = j.astype(np.int32)  # np.ldexp is slow with int64 exponents
-    scaled = np.ldexp(x, shift)
-    c = scaled * _SPLIT
-    high = c - (c - scaled)
-    hi = [part[j] for part in five_hi]
-    p, e = _dekker(scaled, high, scaled - high, *hi)
     deep = j > _EXACT
     any_deep = deep.any()
+    hi = [part[j] for part in five_hi]
+    x_bits = x.view(np.uint64)
+    h = np.ldexp(hi[0], (x_bits >> np.uint64(52)).astype(np.int32) - 1076 + shift)
+    even = (x_bits & np.uint64(1)) == 0
+    scaled = np.ldexp(x, shift)
+    del x, x_bits, shift
+    high = scaled * _SPLIT
+    high -= high - scaled
+    low = scaled - high
+    p, e = _dekker(scaled, high, low, *hi)
+    del hi
     s, tail = e, 0.0
     if any_deep:
-        p_lo, e_lo = _dekker(scaled, high, scaled - high, *(part[j] for part in five_lo))
+        p_lo, e_lo = _dekker(scaled, high, low, *(part[j] for part in five_lo))
         # TwoSum: s + t = e + p_lo exactly; the tail is t + e_lo.
         s = e + p_lo
         v = s - e
         tail = ((e - (s - v)) + (p_lo - v)) + e_lo
+        del p_lo, e_lo, v
     f = np.rint(s)
     n17 = p.astype(np.int64) + f.astype(np.int64)
     r = (s - f) + tail
+    del j, scaled, high, low, p, e, s, f, tail
     if any_deep:
         size = np.abs(r)
         exact &= ~(deep & ((size < _R_BOUND) | (size > 0.5 - _R_BOUND)))
+        del size
     # y in [10**16, 10**17), now that N17 is its nearest integer.
     exact &= (n17 < 10**17) & ((n17 > 10**16) | ((n17 == 10**16) & (r >= 0)))
-    x_bits = x.view(np.uint64)
-    h = np.ldexp(hi[0], (x_bits >> np.uint64(52)).astype(np.int32) - 1076 + shift)
-    even = (x_bits & np.uint64(1)) == 0
 
     def nearest(scale):
         """N17 rounded to a multiple of scale, over scale, and whether that
@@ -337,61 +421,52 @@ def _float_text(np, values, separator, row_separator, width):
     n15, fits15 = nearest(100)
     v = np.where(fits15, n15 * 100, np.where(fits16, n16 * 10, n17))
     v[zero] = 0
+    return v
+
+
+def _digit_text(np, v, d, zero, out):
+    """Write the 17 digits of each row of ``v`` with the decimal point of
+    its decade ``d`` into the first _DIGITS columns of ``out``, rows of
+    _WORDS bytes, as _float_text lays them out; return each row's first
+    and last text column and whether it takes an exponent.  ``v`` is
+    divided down in place."""
+    groups, trailing, _, _ = _float_tables(np)
     # The 17 digits of v, from four-digit groups, at columns 7..23 of
-    # chars, with "0" at columns 0..6 and 24..27.
-    words = np.empty((n, 7), np.uint32)
+    # out, with "0" at columns 0..6 and 24..27.
+    words = out.view(np.uint32)
     words[:, 0] = words[:, 6] = groups[0]
-    v, last = np.divmod(v, 10_000)
-    words[:, 5] = groups[last]
+    group = np.empty_like(v)
+    np.divmod(v, 10_000, out=(v, group))
+    words[:, 5] = groups[group]
+    digits = 17 - trailing[group]
+    many = np.flatnonzero(group == 0)  # four or more trailing zeros
     for k in (4, 3, 2):
-        v, g = np.divmod(v, 10_000)
-        words[:, k] = groups[g]
+        np.divmod(v, 10_000, out=(v, group))
+        words[:, k] = groups[group]
     words[:, 1] = groups[v]
-    chars = words.view(np.uint8)
-    digits = 17 - trailing[last]
-    many = np.flatnonzero(last == 0)  # four or more trailing zeros
-    digits[many] = 17 - np.argmax(chars[many, 23:6:-1] != ord("0"), axis=1)
+    del group
+    digits[many] = 17 - np.argmax(out[many, 23:6:-1] != ord("0"), axis=1)
     digits[zero] = 1
     # repr writes 1e-05 and 1e+16 with an exponent, 0.0001 and 1e+15 without.
     exponent = (d < -4) | (d > 15)
     point = np.where(exponent, 0, d)
+    # Column c of the text holds column c + 3 of the digits left of the
+    # point, and column c + 2 right of it.  Every row is copied in place
+    # as the most common point asks (every census value is in [1, 10)),
+    # and then each row with another point from a copy of its digits
+    # taken before.  The second copy of a row reads no column the first
+    # writes.
+    counts = np.bincount(point + 4)
+    common = int(counts.argmax()) - 4
+    others = [(p, point == p) for p in (np.flatnonzero(counts) - 4).tolist() if p != common]
+    copies = [(common, slice(None), out)] + [(p, rows, out[rows]) for p, rows in others]
+    for p, rows, digit_rows in copies:
+        out[rows, : 5 + p] = digit_rows[:, 3 : 8 + p]
+        out[rows, 5 + p] = ord(".")
+        out[rows, 6 + p : _DIGITS] = digit_rows[:, 8 + p : 24]
     start = 4 + np.minimum(point, 0)
     end = np.where(exponent, 4 + digits + (digits > 1), np.maximum(4 + digits, 6 + d) + 1)
-    encoded = (separator.encode(), row_separator.encode())
-    out = np.empty((n, _DIGITS + _SUFFIX + max(map(len, encoded))), np.uint8)
-    # Column c of the text holds column c + 3 of chars left of the point,
-    # and column c + 2 right of it.
-    text = out[:, :_DIGITS]
-    if (point == point[0]).all():
-        # Every point in one column, as in a block of one decade (every
-        # census value is in [1, 10)): three slice copies.
-        p = int(point[0])
-        text[:, : 5 + p] = chars[:, 3 : 8 + p]
-        text[:, 5 + p] = ord(".")
-        text[:, 6 + p :] = chars[:, 8 + p : 24]
-    else:
-        text[...] = chars[:, 2:24]
-        np.copyto(text, chars[:, 3:25], where=left[point + 6])
-        text[np.arange(n), 5 + point] = ord(".")
-    if exponent.any():
-        out[:, _DIGITS] = ord("e")
-        out[:, _DIGITS + 1] = np.where(d < 0, ord("-"), ord("+"))
-        out[:, _DIGITS + 2] = ord("0") + abs(d) // 10
-        out[:, _DIGITS + 3] = ord("0") + abs(d) % 10
-    kind = np.zeros(n, np.intp)
-    kind[width - 1 :: width] = 1
-    kind[-1] = 2
-    for rows, sep in zip((out, out[width - 1 :: width]), encoded):
-        rows[:, _DIGITS + _SUFFIX : _DIGITS + _SUFFIX + len(sep)] = np.frombuffer(sep, np.uint8)
-    rest = np.flatnonzero(~(exact | zero))
-    if len(rest):
-        reprs = list(map(float.__repr__, values[rest].tolist()))
-        out[rest, :_REPR] = np.array(reprs, dtype=f"S{_REPR}").view(np.uint8).reshape(-1, _REPR)
-        start[rest] = 0
-        end[rest] = list(map(len, reprs))
-        exponent[rest] = False
-    mask = _float_masks(np, tuple(map(len, encoded)))[((start * 25 + end) * 2 + exponent) * 3 + kind]
-    return out[mask].tobytes().decode("ascii")
+    return start, end, exponent
 
 
 def _convert(obj, path, brackets):
@@ -442,20 +517,26 @@ def _flatten(obj, prefix=""):
         for i, v in enumerate(obj):
             yield from _flatten(v, f"{prefix}[{i}]")
     elif isinstance(obj, _Flat):
-        items = obj.items if isinstance(obj.items, (list, tuple)) else obj.items.tolist()
-        for i, text in enumerate(map(obj.rep, items)):
-            if obj.width is None:
-                yield f"{prefix}[{i}]", text
-            else:
-                yield f"{prefix}[{i // obj.width}][{i % obj.width}]", text
+        for start in range(0, len(obj.items), JOIN_BLOCK):
+            block = obj.items[start : start + JOIN_BLOCK]
+            if not isinstance(block, (list, tuple)):
+                block = block.tolist()
+            for i, text in enumerate(map(obj.rep, block), start):
+                if obj.width is None:
+                    yield f"{prefix}[{i}]", text
+                else:
+                    yield f"{prefix}[{i // obj.width}][{i % obj.width}]", text
     else:
         yield prefix, obj
 
 
 def _json_pieces(envelope):
-    """``json.dumps(envelope, indent=2, allow_nan=False) + "\\n"`` as a list
-    of strings, with each _Flat written by its blocked join at the
-    indentation json would give it.
+    """``json.dumps(envelope, indent=2, allow_nan=False) + "\\n"`` as an
+    iterator of strings, with each _Flat written by its blocked join at the
+    indentation json would give it.  Every error json.dumps would raise is
+    raised by this call, before any string is taken: the skeleton (the
+    envelope less its _Flat) is dumped, and each _Flat's join checks its
+    items, here.
 
     json.dumps writes a _Flat as a placeholder string: a NUL character,
     which no other string of an envelope holds, and its index."""
@@ -468,35 +549,37 @@ def _json_pieces(envelope):
         return f"\0{len(flats) - 1}"
 
     text = json.dumps(envelope, indent=2, allow_nan=False, default=placeholder)
-    pieces = []
+    parts = []
     start = 0
     for i, flat in enumerate(flats):
         token = f'"\\u0000{i}"'
         at = text.index(token, start)
-        pieces.append(text[start:at])
+        parts.append([text[start:at]])
         start = at + len(token)
         if not len(flat.items):
-            pieces.append("[]")
+            parts.append(["[]"])
             continue
         line = text[text.rindex("\n", 0, at) + 1 : at]
         outer = "\n" + " " * (len(line) - len(line.lstrip(" ")))
         inner = outer + "  "
         if flat.width is None:
-            pieces += ["[" + inner, *flat.join("," + inner), outer + "]"]
+            parts += [["[" + inner], flat.join("," + inner), [outer + "]"]]
         else:
             cell = inner + "  "
             rows = flat.join("," + cell, inner + "]," + inner + "[" + cell)
-            pieces += ["[" + inner + "[" + cell, *rows, inner + "]" + outer + "]"]
-    pieces.append(text[start:] + "\n")
-    return pieces
+            parts += [["[" + inner + "[" + cell], rows, [inner + "]" + outer + "]"]]
+    parts.append([text[start:] + "\n"])
+    return itertools.chain.from_iterable(parts)
 
 
 def _check_out(path):
     """Raise the error that writing ``path`` would give, before any work:
     its directory must exist and be writable, and ``path`` must be neither
     a directory nor an existing file that cannot be written.  Nothing is
-    created or truncated, so a request that then fails leaves an existing
-    file as it was."""
+    created or truncated here, and _write opens ``path`` only once every
+    other check that can refuse the request has passed (json's errors
+    too: _json_pieces raises them before its first piece), so a request
+    that fails leaves an existing file as it was."""
     directory = os.path.dirname(path) or "."
     if os.path.isdir(path):
         code = errno.EISDIR
@@ -510,7 +593,9 @@ def _check_out(path):
 
 
 def _write(pieces, args):
-    """Write the strings ``pieces`` to ``--out`` when given, else to stdout.
+    """Write the strings of the iterable ``pieces`` to ``--out`` when
+    given, else to stdout, each as it is taken: no more than a piece of
+    the output is held at once.
 
     An unbuffered stdout (``python -u``) writes through to the raw file,
     and its text layer drops whatever a short write leaves, so there each
@@ -538,7 +623,9 @@ def _emit(envelope, args):
     if args.format == "json":
         _write(_json_pieces(envelope), args)
     else:
-        _write(["".join(f"{key}\t{value}\n" for key, value in _flatten(envelope))], args)
+        lines = (f"{key}\t{value}\n" for key, value in _flatten(envelope))
+        # JOIN_BLOCK lines a piece, until a piece is empty.
+        _write(iter(lambda: "".join(itertools.islice(lines, JOIN_BLOCK)), ""), args)
 
 
 @functools.cache
@@ -677,7 +764,7 @@ def _main(args) -> int:
                 "resolution": result.resolution,
             }
             if args.format == "tsv":
-                _write([*_flat(result.values).join("\n"), "\n"], args)
+                _write(itertools.chain(_flat(result.values).join("\n"), ["\n"]), args)
                 return EXIT_OK
         elif args.command == "verify":
             suites, ok = _run_verify(args, table)

@@ -23,18 +23,22 @@ if TYPE_CHECKING:
     import numpy as np
 
 # Largest census bound, from measurement (Python 3.11, numpy 2.4, one
-# process on a 2-core x86-64 host).  range_census peaks at 28.5 bytes an
-# integer under tracemalloc, taking 0.11 s at 1e6 and 1.6 s at 1e7.  The
+# process on a 2-core x86-64 host).  range_census peaks at 16.9 bytes an
+# integer under tracemalloc, taking 0.10 s at 1e6 and 0.65 s at 5e6.  The
 # command's worst case is where every n is admissible and its value
 # distinct: `census --k 1000 --r 1.0001 --bound 5000000` as JSON to --out
-# (161 MB) takes 3.7 s, 0.30 GB resident and a 0.26 GB peak under
-# tracemalloc.
+# (161 MB, written a block at a time) takes 2.3 s, 0.14 GB resident and a
+# 0.10 GB peak under tracemalloc.
 CENSUS_MAX_BOUND = 5_000_000
 # Largest (k + 1) * steps of a greedy walk: its table of partial local
-# factors holds that many doubles, and its peak memory is about 10 bytes
-# an entry (39 MB under tracemalloc at k = 25 and 148933 steps, the
-# largest walk the default prime limit allows).
+# factors holds that many doubles, and its peak memory is about 10.5
+# bytes an entry (40.5 MB under tracemalloc at k = 25 and 148933 steps,
+# the largest walk the default prime limit allows).  The command writes
+# that walk's 13.6 MB of JSON a block at a time, in about 1 MB more.
 GREEDY_MAX_ENTRIES = 4_000_000
+# Integers an array step of the census sieve takes at once, past its
+# full-length arrays.
+SIEVE_CHUNK = 2**16
 # Primes in the first window of a greedy run's array test; the window
 # doubles while the run lasts.
 GREEDY_WINDOW = 64
@@ -89,7 +93,7 @@ def greedy_approximate(
     unless log G is above about 2**-75, where the full size's 200-bit
     rounding and remainder (below 1e-31 relative) leave its enclosure
     narrower than 1e-14 of a spacing."""
-    check_k(k)
+    check_k(k, infinite=False)  # the walk takes exponents up to a finite k
     check_r(r)
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
@@ -251,7 +255,14 @@ def _sigma_values(k: int, r: float, bound: int) -> np.ndarray:
     list of floats, 1.2x as fast as a call per prime, and it keeps
     Python's ``float(q) ** -r``: ``np.power`` rounds some of those powers
     differently (42k of the 783k primes in (1000, 1e6] over ten r in
-    [1.01, 3], numpy 2.4 on x86-64), which would change census values."""
+    [1.01, 3], numpy 2.4 on x86-64), which would change census values.
+
+    Only ``value`` and ``cofactor`` are full length, with the table of
+    those last factors: once sqrt(bound) >= 2 every cofactor is 1 or an
+    odd prime, so the table takes one slot per odd number, at
+    ``cofactor >> 1``.  Every other array step runs SIEVE_CHUNK integers
+    at a time, and the values are sorted and deduplicated in place of
+    np.unique, which copies them first."""
     import numpy as np
 
     root = math.isqrt(bound)
@@ -270,17 +281,29 @@ def _sigma_values(k: int, r: float, bound: int) -> np.ndarray:
         for q in powers:
             exponent[q // p - 1 :: q // p] += 1
             cofactor[q::q] //= p
-        value[p::p] *= factors[exponent]
-    # Past sqrt(bound), n is its own cofactor exactly when n is prime.
-    large = np.arange(root + 1, bound + 1, dtype=np.int32)
-    large = large[cofactor[root + 1 :] == large]
-    lookup = np.ones(bound + 1)
-    lookup[large] = [(1.0 - x**2) / (1.0 - x) for x in [float(q) ** -r for q in large.tolist()]]
-    value *= lookup[cofactor]
-    del cofactor, lookup  # freed before the sort, which copies
+        multiples = value[p::p]
+        for start in range(0, len(exponent), SIEVE_CHUNK):
+            multiples[start : start + SIEVE_CHUNK] *= factors[exponent[start : start + SIEVE_CHUNK]]
+    # Below 4 the prime 2 is past sqrt(bound), and the table is indexed by
+    # the cofactor itself.
+    shift = 1 if root >= 2 else 0
+    lookup = np.ones((bound >> shift) + 1)
+    for start in range(root + 1, bound + 1, SIEVE_CHUNK):
+        # Past sqrt(bound), n is its own cofactor exactly when n is prime.
+        n = np.arange(start, min(start + SIEVE_CHUNK, bound + 1), dtype=np.int32)
+        large = n[cofactor[start : start + SIEVE_CHUNK] == n]
+        lookup[large >> shift] = [(1.0 - x**2) / (1.0 - x) for x in [float(q) ** -r for q in large.tolist()]]
+    for start in range(0, bound + 1, SIEVE_CHUNK):
+        value[start : start + SIEVE_CHUNK] *= lookup[cofactor[start : start + SIEVE_CHUNK] >> shift]
+    del cofactor, lookup  # freed before the dedupe, which copies
     value[0] = 0.0
-    value = value[value > 0]
-    return np.unique(value)
+    value.sort()
+    # Past the zeros: n = 0 and every inadmissible n.
+    value = value[np.searchsorted(value, 0.0, side="right") :]
+    distinct = np.empty(len(value), dtype=bool)
+    distinct[0] = True
+    np.not_equal(value[1:], value[:-1], out=distinct[1:])
+    return value[distinct]
 
 
 def range_census(
@@ -340,9 +363,9 @@ def range_census(
     values = _sigma_values(k, r, bound)
     diffs = np.diff(values)
     wide = np.nonzero(diffs > resolution)[0]
-    gaps = tuple(
-        zip(values[wide].tolist(), values[wide + 1].tolist(), diffs[wide].tolist())
-    )
+    widths = diffs[wide]
+    del diffs  # freed before the tuples of the gaps are built
+    gaps = tuple(zip(values[wide].tolist(), values[wide + 1].tolist(), widths.tolist()))
     return GapCensus(
         k=k,
         r=r,

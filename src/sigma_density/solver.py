@@ -342,7 +342,7 @@ def eta_table(table: PrimeTable, k_max: int, eps: float = DEFAULT_EPS) -> EtaTab
     """Thresholds, selector values, and density constants for k = 1..k_max,
     at most ETA_TABLE_MAX_K.  Each row's eta is its threshold at m_k,
     solved once at ``eps``."""
-    check_k(k_max, "k_max")
+    check_k(k_max, "k_max", infinite=False)  # the table has a row per k
     if k_max > ETA_TABLE_MAX_K:
         raise CapacityError(
             f"k_max {k_max} exceeds the table capacity; try {ETA_TABLE_MAX_K} or less",

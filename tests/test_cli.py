@@ -478,6 +478,54 @@ def test_a_failed_request_leaves_an_existing_out_untouched(tmp_path, capsys):
     assert target.read_text() == "earlier output\n"
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"values": np.r_[np.linspace(1.0, 2.0, 3 * cli.JOIN_BLOCK), math.nan]},
+        {"values": [*np.linspace(1.0, 2.0, 3 * cli.JOIN_BLOCK).tolist(), math.inf]},
+        {"gaps": [(1.0, 1.5, 0.5)] * cli.JOIN_BLOCK + [(2.0, math.nan, 0.5)]},
+        {"values": np.linspace(1.0, 2.0, 3 * cli.JOIN_BLOCK), "after": math.nan},
+    ],
+    ids=["array", "list", "rows", "skeleton"],
+)
+def test_a_refused_value_leaves_an_existing_out_untouched(tmp_path, payload):
+    # The output is streamed, so every refusal must come before the file
+    # is opened, however late in the arrays the value lies.
+    target = tmp_path / "result.json"
+    target.write_text("earlier output\n")
+    args = cli.build_parser().parse_args(["--out", str(target), "eta-limit"])
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._emit(cli._convert(payload, "", {}), args)
+    assert target.read_text() == "earlier output\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--k", "3", "--r", "1.6", "--bound", "200000"],
+        ["approximate", "--k", "2", "--r", "2.4", "--x", "0.3", "--steps", "100000"],
+    ],
+    ids=" ".join,
+)
+def test_output_is_written_in_memory_bounded_by_a_block(tmp_path, monkeypatch, argv):
+    # The writer holds a block of the output at a time, never the whole
+    # text: its peak is below a quarter of the bytes it writes.
+    target = tmp_path / "result.json"
+    requests = []
+    monkeypatch.setattr(cli, "_emit", lambda envelope, args: requests.append((envelope, args)))
+    assert cli.main(["--out", str(target), *argv]) == 0
+    monkeypatch.undo()
+    envelope, args = requests[0]
+    cli._emit(envelope, args)  # builds the writer's tables, once a process
+    tracemalloc.start()
+    try:
+        cli._emit(envelope, args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < target.stat().st_size / 4
+
+
 def _readme_cli_commands():
     """The argv of each line of the sh block under README's ## CLI."""
     readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
@@ -673,7 +721,7 @@ def test_flat_lists_are_joined_in_blocks():
         "values": np.linspace(1.0, 2.0, n),
         "nested": {"ints": list(range(-5, n)), "floats": [0.1 * i for i in range(cli.JOIN_BLOCK)]},
     }
-    pieces = cli._json_pieces(cli._convert(payload, "", {}))
+    pieces = list(cli._json_pieces(cli._convert(payload, "", {})))
     assert first_difference("".join(pieces), _old_json(_old_convert(payload, "", {}))) is None
     assert max(piece.count(",") for piece in pieces) <= cli.JOIN_BLOCK
     flat = cli._flat(payload["values"])

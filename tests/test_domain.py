@@ -7,7 +7,7 @@ import pytest
 
 from mpmath.libmp import mpi_log
 
-from sigma_density import density, explorer, zeta
+from sigma_density import density, explorer, solver, zeta
 from sigma_density.brackets import Bracket
 from sigma_density.errors import DomainError
 
@@ -58,3 +58,18 @@ def test_census_refuses_k_inf_before_it_allocates(table, sieve_bounds):
     with pytest.raises(DomainError, match="k must be a positive integer, got inf"):
         explorer.range_census(table, INF, 2.0, 10**6)
     assert sieve_bounds == []
+
+
+def test_greedy_walk_refuses_k_inf_before_it_sieves(table, sieve_bounds):
+    with pytest.raises(DomainError, match="k must be a positive integer, got inf"):
+        explorer.greedy_approximate(table, INF, 2.0, 0.5, 10**6)
+    assert sieve_bounds == []
+
+
+def test_eta_table_refuses_k_max_inf(table, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eta_table must not solve for k_max = inf")
+
+    monkeypatch.setattr(solver, "r_threshold", no_solve)
+    with pytest.raises(DomainError, match="k_max must be a positive integer, got inf"):
+        solver.eta_table(table, INF)

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -64,6 +65,19 @@ class TestSieve:
     @pytest.mark.parametrize("k, r", zip(SIEVE_KS, SIEVE_RS))
     def test_matches_the_loop_at_1e5(self, k, r):
         assert_bit_identical(explorer._sigma_values(k, r, 100_000), sigma_values_loop(k, r, 100_000))
+
+    def test_peak_memory_per_integer(self, table):
+        # value and cofactor are the only full-length arrays with the
+        # half-length table of last factors; the rest of the sieve runs in
+        # chunks, and the values are deduplicated without np.unique's copy.
+        explorer.range_census(table, 3, 1.5, 1000)
+        tracemalloc.start()
+        try:
+            explorer.range_census(table, 3, 1.5, 1_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 1_000_000
 
 
 class TestGreedy:

@@ -226,14 +226,14 @@ def test_a_block_mostly_out_of_range_is_declined():
 def test_block_boundaries():
     n = 2 * cli.JOIN_BLOCK + cli.FLOAT_TEXT_MIN + 1
     values = np.linspace(0.001, 3.0, n)
-    pieces = cli._flat(values).join("\n")
+    pieces = list(cli._flat(values).join("\n"))
     assert first_difference("".join(pieces), repr_join(values, "\n")) is None
     lines = [cli.JOIN_BLOCK, cli.JOIN_BLOCK + 1, cli.FLOAT_TEXT_MIN + 2]
     assert [len(piece.split("\n")) for piece in pieces] == lines
     # Rows of three: a piece holds the most whole rows that fit in a block.
     step = cli.JOIN_BLOCK // 3 * 3
     rows = cli._Flat(values[: step + 1905].tolist(), float.__repr__, 3)
-    pieces = rows.join(",", ";\n")
+    pieces = list(rows.join(",", ";\n"))
     expected = repr_join(values[: step + 1905], ",", ";\n", 3)
     assert first_difference("".join(pieces), expected) is None
     assert [len(re.split(",|;\n", piece.removeprefix(";\n"))) for piece in pieces] == [step, 1905]
