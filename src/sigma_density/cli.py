@@ -221,19 +221,18 @@ def _float_masks(np, separators):
     ((start * 25 + end) * 2 + exponent) * 3 + separator, where the digits
     are columns start..end - 1, exponent says whether the suffix is
     written, and separator is 0 or 1 for ``separators[0]`` or ``[1]`` and
-    2 for none; and the count of text columns of each row."""
+    2 for none."""
     start, end, exponent, separator = (
         axis.reshape(-1, 1)
         for axis in np.meshgrid(np.arange(5), np.arange(25), np.arange(2), np.arange(3), indexing="ij")
     )
     col = np.arange(_DIGITS + _SUFFIX + max(separators))
     length = np.array([*separators, 0])[separator]
-    masks = (
+    return (
         ((col >= start) & (col < end))
         | ((col >= _DIGITS) & (col < _DIGITS + _SUFFIX) & (exponent == 1))
         | ((col >= _DIGITS + _SUFFIX) & (col < _DIGITS + _SUFFIX + length))
     )
-    return masks, masks.sum(axis=1)
 
 
 def _dekker(x, x_high, x_low, y, y_high, y_low):
@@ -342,7 +341,7 @@ def _float_text(np, values, separator, row_separator, width):
     key = ((start * 25 + end) * 2 + exponent) * 3 + kind
     del start, end, exponent, kind
     encoded = (separator.encode(), row_separator.encode())
-    masks, lengths = _float_masks(np, tuple(map(len, encoded)))
+    masks = _float_masks(np, tuple(map(len, encoded)))
     # The text is gathered a chunk of rows at a time, from a buffer that
     # holds the chunk's rows of out with their separators after them: no
     # array of every row with its separator, or of every row's mask, is
@@ -353,15 +352,14 @@ def _float_text(np, values, separator, row_separator, width):
     rows = np.empty((min(n, step), masks.shape[1]), np.uint8)
     for sep_rows, sep in zip((rows, rows[width - 1 :: width]), encoded):
         sep_rows[:, _DIGITS + _SUFFIX : _DIGITS + _SUFFIX + len(sep)] = np.frombuffer(sep, np.uint8)
-    text = np.empty(lengths[key].sum(), np.uint8)
-    size = 0
+    pieces = []
     for first in range(0, n, step):
         chunk = rows[: min(step, n - first)]
         chunk[:, : _DIGITS + _SUFFIX] = out[first : first + step, : _DIGITS + _SUFFIX]
-        piece = chunk[masks[key[first : first + step]]]
-        text[size : size + len(piece)] = piece
-        size += len(piece)
-    del out, key, rows, chunk, piece
+        pieces.append(chunk[masks[key[first : first + step]]])
+    del out, key, rows, chunk
+    text = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    del pieces
     return str(text, "ascii")
 
 
