@@ -169,14 +169,12 @@ def _flat(obj):
 # half of the bits of x.
 _SPLIT = 134217729.0
 # Columns of a row of _float_text: the digits and the decimal point, then
-# an exponent suffix such as "e-05", then the separator.  A repr that
-# _float_text falls back to is at most _REPR characters long.
-_DIGITS = 22
+# an exponent suffix such as "e-05", then the separator.  The digits and
+# the suffix fill the seven four-digit words that _digit_text writes.  A
+# repr that _float_text falls back to is at most _REPR characters long.
+_DIGITS = 24
 _SUFFIX = 4
 _REPR = 24
-# Bytes of the seven four-digit words _digit_text writes in a row, which
-# hold the digits, the point and the suffix.
-_WORDS = 28
 # Rows whose text _float_text gathers at once.
 _GATHER_ROWS = 1024
 # _float_text writes a value x in [10**d, 10**(d + 1)) for -20 <= d <= 16
@@ -212,7 +210,10 @@ def _float_tables(np):
     # decades[i] is the double nearest 10**(i - 20); a value at or above
     # the last one is out of range.
     decades = np.array([float(f"1e{d}") for d in range(-20, 18)])
-    return groups, trailing, halves, decades
+    # left[d + 4, c]: column c + 2 of the text of a value in
+    # [10**d, 10**(d + 1)) holds a digit left of the point.
+    left = np.arange(_DIGITS - 3) < 5 + np.arange(-4, 16)[:, None]
+    return groups, trailing, halves, decades, left
 
 
 @functools.cache
@@ -224,7 +225,7 @@ def _float_masks(np, separators):
     2 for none."""
     start, end, exponent, separator = (
         axis.reshape(-1, 1)
-        for axis in np.meshgrid(np.arange(5), np.arange(25), np.arange(2), np.arange(3), indexing="ij")
+        for axis in np.meshgrid(np.arange(7), np.arange(25), np.arange(2), np.arange(3), indexing="ij")
     )
     col = np.arange(_DIGITS + _SUFFIX + max(separators))
     length = np.array([*separators, 0])[separator]
@@ -319,7 +320,7 @@ def _float_text(np, values, separator, row_separator, width):
     d[~exact] = 0
     # Any value in range stands in for the rest.
     v = _shortest_digits(np, np.where(exact, values, 1.5), d, exact, zero)
-    out = np.empty((n, _WORDS), np.uint8)
+    out = np.empty((n, _DIGITS + _SUFFIX), np.uint8)
     start, end, exponent = _digit_text(np, v, d, zero, out)
     del v
     if exponent.any():
@@ -369,7 +370,7 @@ def _shortest_digits(np, x, d, exact, zero):
     digits that pads them with zeros, and 0 at ``zero``; each row too
     near a bound to tell is cleared from ``exact``.  _float_text gives
     the method."""
-    _, _, (five_hi, five_lo), _ = _float_tables(np)
+    _, _, (five_hi, five_lo), _, _ = _float_tables(np)
     j = 16 - d
     shift = j.astype(np.int32)  # np.ldexp is slow with int64 exponents
     deep = j > _EXACT
@@ -424,11 +425,11 @@ def _shortest_digits(np, x, d, exact, zero):
 
 def _digit_text(np, v, d, zero, out):
     """Write the 17 digits of each row of ``v`` with the decimal point of
-    its decade ``d`` into the first _DIGITS columns of ``out``, rows of
-    _WORDS bytes, as _float_text lays them out; return each row's first
-    and last text column and whether it takes an exponent.  ``v`` is
-    divided down in place."""
-    groups, trailing, _, _ = _float_tables(np)
+    its decade ``d`` into the first _DIGITS columns of ``out``, as
+    _float_text lays them out; return each row's first and last text
+    column and whether it takes an exponent.  ``v`` is divided down in
+    place."""
+    groups, trailing, _, _, left = _float_tables(np)
     # The 17 digits of v, from four-digit groups, at columns 7..23 of
     # out, with "0" at columns 0..6 and 24..27.
     words = out.view(np.uint32)
@@ -448,22 +449,20 @@ def _digit_text(np, v, d, zero, out):
     # repr writes 1e-05 and 1e+16 with an exponent, 0.0001 and 1e+15 without.
     exponent = (d < -4) | (d > 15)
     point = np.where(exponent, 0, d)
-    # Column c of the text holds column c + 3 of the digits left of the
-    # point, and column c + 2 right of it.  Every row is copied in place
-    # as the most common point asks (every census value is in [1, 10)),
-    # and then each row with another point from a copy of its digits
-    # taken before.  The second copy of a row reads no column the first
-    # writes.
-    counts = np.bincount(point + 4)
-    common = int(counts.argmax()) - 4
-    others = [(p, point == p) for p in (np.flatnonzero(counts) - 4).tolist() if p != common]
-    copies = [(common, slice(None), out)] + [(p, rows, out[rows]) for p, rows in others]
-    for p, rows, digit_rows in copies:
-        out[rows, : 5 + p] = digit_rows[:, 3 : 8 + p]
-        out[rows, 5 + p] = ord(".")
-        out[rows, 6 + p : _DIGITS] = digit_rows[:, 8 + p : 24]
-    start = 4 + np.minimum(point, 0)
-    end = np.where(exponent, 4 + digits + (digits > 1), np.maximum(4 + digits, 6 + d) + 1)
+    # The digits right of the point stay in their columns, and those left
+    # of it move one column left, which leaves column 7 + point for the
+    # point.
+    if (point == point[0]).all():
+        # Every point in one column, as in a block of one decade (every
+        # census value is in [1, 10)): a slice copy.
+        p = int(point[0])
+        out[:, 2 : 7 + p] = out[:, 3 : 8 + p]
+        out[:, 7 + p] = ord(".")
+    else:
+        np.copyto(out[:, 2 : _DIGITS - 1], out[:, 3:_DIGITS], where=left[point + 4])
+        out[np.arange(len(point)), 7 + point] = ord(".")
+    start = 6 + np.minimum(point, 0)
+    end = np.where(exponent, 6 + digits + (digits > 1), np.maximum(6 + digits, 8 + d) + 1)
     return start, end, exponent
 
 
