@@ -71,8 +71,8 @@ def finite_float(text: str) -> float:
 
 # Values of a flat list joined into one piece of the output, and lines of
 # an envelope's TSV.  Each piece is written as it is made, so a request
-# holds one piece's text and the arrays that make it, about 1 MB at 8192
-# values, whatever the length of its output.  Against 4096, census
+# holds one piece's text and the arrays that make it, 2.8-3.5 MB at 8192
+# values under tracemalloc, whatever the length of its output.  Against 4096, census
 # values, C and D cost 18-28% less a value, since _float_text's cost per
 # call falls on twice the values.  16384 saves up to 16% more on census
 # values and C but not on D, and holds twice the text and arrays
@@ -169,14 +169,11 @@ def _flat(obj):
 # half of the bits of x.
 _SPLIT = 134217729.0
 # Columns of a row of _float_text: the digits and the decimal point, then
-# an exponent suffix such as "e-05", then the separator.  The digits and
-# the suffix fill the seven four-digit words that _digit_text writes.  A
-# repr that _float_text falls back to is at most _REPR characters long.
-_DIGITS = 24
+# an exponent suffix such as "e-05", then the separator.  A repr that
+# _float_text falls back to is at most _REPR characters long.
+_DIGITS = 22
 _SUFFIX = 4
 _REPR = 24
-# Rows whose text _float_text gathers at once.
-_GATHER_ROWS = 1024
 # _float_text writes a value x in [10**d, 10**(d + 1)) for -20 <= d <= 16
 # from y = x * 10**j, j = 16 - d; 5**j is one exact double up to j = _EXACT.
 _DEEPEST = 36
@@ -210,9 +207,9 @@ def _float_tables(np):
     # decades[i] is the double nearest 10**(i - 20); a value at or above
     # the last one is out of range.
     decades = np.array([float(f"1e{d}") for d in range(-20, 18)])
-    # left[d + 4, c]: column c + 2 of the text of a value in
-    # [10**d, 10**(d + 1)) holds a digit left of the point.
-    left = np.arange(_DIGITS - 3) < 5 + np.arange(-4, 16)[:, None]
+    # left[d + 6, c]: column c of the text of a value in [10**d, 10**(d + 1))
+    # holds a digit left of the point.
+    left = np.arange(_DIGITS) <= 4 + np.arange(-6, 16)[:, None]
     return groups, trailing, halves, decades, left
 
 
@@ -225,7 +222,7 @@ def _float_masks(np, separators):
     2 for none."""
     start, end, exponent, separator = (
         axis.reshape(-1, 1)
-        for axis in np.meshgrid(np.arange(7), np.arange(25), np.arange(2), np.arange(3), indexing="ij")
+        for axis in np.meshgrid(np.arange(5), np.arange(25), np.arange(2), np.arange(3), indexing="ij")
     )
     col = np.arange(_DIGITS + _SUFFIX + max(separators))
     length = np.array([*separators, 0])[separator]
@@ -237,16 +234,9 @@ def _float_masks(np, separators):
 
 
 def _dekker(x, x_high, x_low, y, y_high, y_low):
-    """Dekker's exact product of two split doubles: x * y = p + e,
-    e = (((x_high * y_high - p) + x_high * y_low) + x_low * y_high) +
-    x_low * y_low, summed in place."""
+    """Dekker's exact product of two split doubles: x * y = p + e."""
     p = x * y
-    e = x_high * y_high
-    e -= p
-    e += x_high * y_low
-    e += x_low * y_high
-    e += x_low * y_low
-    return p, e
+    return p, ((x_high * y_high - p) + x_high * y_low + x_low * y_high) + x_low * y_low
 
 
 def _float_text(np, values, separator, row_separator, width):
@@ -305,11 +295,8 @@ def _float_text(np, values, separator, row_separator, width):
     Every other value goes through ``float.__repr__`` alone: negative
     values, -0.0, powers of two, values outside that range, any value
     whose y misses [10**16, 10**17) since its decade was misjudged, and
-    the rows within the bounds above.
-
-    Each stage frees its arrays once the next has what it needs: a
-    block's arrays, not the text's length, set its peak memory."""
-    decades = _float_tables(np)[3]
+    the rows within the bounds above."""
+    groups, trailing, (five_hi, five_lo), decades, left = _float_tables(np)
     n = len(values)
     bits = values.view(np.uint64)
     zero = bits == 0
@@ -317,93 +304,35 @@ def _float_text(np, values, separator, row_separator, width):
     exact = (d >= -20) & (d <= 16) & (bits & np.uint64(2**52 - 1) != 0)
     if 2 * np.count_nonzero(exact | zero) < n:
         return None
+    x = np.where(exact, values, 1.5)  # any value in range, for the rest
     d[~exact] = 0
-    # Any value in range stands in for the rest.
-    v = _shortest_digits(np, np.where(exact, values, 1.5), d, exact, zero)
-    out = np.empty((n, _DIGITS + _SUFFIX), np.uint8)
-    start, end, exponent = _digit_text(np, v, d, zero, out)
-    del v
-    if exponent.any():
-        out[:, _DIGITS] = ord("e")
-        out[:, _DIGITS + 1] = np.where(d < 0, ord("-"), ord("+"))
-        out[:, _DIGITS + 2] = ord("0") + abs(d) // 10
-        out[:, _DIGITS + 3] = ord("0") + abs(d) % 10
-    kind = np.zeros(n, np.intp)
-    kind[width - 1 :: width] = 1
-    kind[-1] = 2
-    rest = np.flatnonzero(~(exact | zero))
-    if len(rest):
-        reprs = list(map(float.__repr__, values[rest].tolist()))
-        out[rest, :_REPR] = np.array(reprs, dtype=f"S{_REPR}").view(np.uint8).reshape(-1, _REPR)
-        start[rest] = 0
-        end[rest] = list(map(len, reprs))
-        exponent[rest] = False
-    del zero, d, exact, rest
-    key = ((start * 25 + end) * 2 + exponent) * 3 + kind
-    del start, end, exponent, kind
-    encoded = (separator.encode(), row_separator.encode())
-    masks = _float_masks(np, tuple(map(len, encoded)))
-    # The text is gathered a chunk of rows at a time, from a buffer that
-    # holds the chunk's rows of out with their separators after them: no
-    # array of every row with its separator, or of every row's mask, is
-    # made.  A chunk is whole table rows, so that each separator keeps
-    # its place in the buffer; the mask of the block's last row takes
-    # none.
-    step = max(1, _GATHER_ROWS // width) * width
-    rows = np.empty((min(n, step), masks.shape[1]), np.uint8)
-    for sep_rows, sep in zip((rows, rows[width - 1 :: width]), encoded):
-        sep_rows[:, _DIGITS + _SUFFIX : _DIGITS + _SUFFIX + len(sep)] = np.frombuffer(sep, np.uint8)
-    pieces = []
-    for first in range(0, n, step):
-        chunk = rows[: min(step, n - first)]
-        chunk[:, : _DIGITS + _SUFFIX] = out[first : first + step, : _DIGITS + _SUFFIX]
-        pieces.append(chunk[masks[key[first : first + step]]])
-    del out, key, rows, chunk
-    text = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-    del pieces
-    return str(text, "ascii")
-
-
-def _shortest_digits(np, x, d, exact, zero):
-    """The digits of the shortest repr of each double of ``x``, none a
-    power of two, in its decade [10**d, 10**(d + 1)), as the int64 of 17
-    digits that pads them with zeros, and 0 at ``zero``; each row too
-    near a bound to tell is cleared from ``exact``.  _float_text gives
-    the method."""
-    _, _, (five_hi, five_lo), _, _ = _float_tables(np)
     j = 16 - d
     shift = j.astype(np.int32)  # np.ldexp is slow with int64 exponents
+    scaled = np.ldexp(x, shift)
+    c = scaled * _SPLIT
+    high = c - (c - scaled)
+    hi = [part[j] for part in five_hi]
+    p, e = _dekker(scaled, high, scaled - high, *hi)
     deep = j > _EXACT
     any_deep = deep.any()
-    hi = [part[j] for part in five_hi]
-    x_bits = x.view(np.uint64)
-    h = np.ldexp(hi[0], (x_bits >> np.uint64(52)).astype(np.int32) - 1076 + shift)
-    even = (x_bits & np.uint64(1)) == 0
-    scaled = np.ldexp(x, shift)
-    del x, x_bits, shift
-    high = scaled * _SPLIT
-    high -= high - scaled
-    low = scaled - high
-    p, e = _dekker(scaled, high, low, *hi)
-    del hi
     s, tail = e, 0.0
     if any_deep:
-        p_lo, e_lo = _dekker(scaled, high, low, *(part[j] for part in five_lo))
+        p_lo, e_lo = _dekker(scaled, high, scaled - high, *(part[j] for part in five_lo))
         # TwoSum: s + t = e + p_lo exactly; the tail is t + e_lo.
         s = e + p_lo
         v = s - e
         tail = ((e - (s - v)) + (p_lo - v)) + e_lo
-        del p_lo, e_lo, v
     f = np.rint(s)
     n17 = p.astype(np.int64) + f.astype(np.int64)
     r = (s - f) + tail
-    del j, scaled, high, low, p, e, s, f, tail
     if any_deep:
         size = np.abs(r)
         exact &= ~(deep & ((size < _R_BOUND) | (size > 0.5 - _R_BOUND)))
-        del size
     # y in [10**16, 10**17), now that N17 is its nearest integer.
     exact &= (n17 < 10**17) & ((n17 > 10**16) | ((n17 == 10**16) & (r >= 0)))
+    x_bits = x.view(np.uint64)
+    h = np.ldexp(hi[0], (x_bits >> np.uint64(52)).astype(np.int32) - 1076 + shift)
+    even = (x_bits & np.uint64(1)) == 0
 
     def nearest(scale):
         """N17 rounded to a multiple of scale, over scale, and whether that
@@ -420,50 +349,61 @@ def _shortest_digits(np, x, d, exact, zero):
     n15, fits15 = nearest(100)
     v = np.where(fits15, n15 * 100, np.where(fits16, n16 * 10, n17))
     v[zero] = 0
-    return v
-
-
-def _digit_text(np, v, d, zero, out):
-    """Write the 17 digits of each row of ``v`` with the decimal point of
-    its decade ``d`` into the first _DIGITS columns of ``out``, as
-    _float_text lays them out; return each row's first and last text
-    column and whether it takes an exponent.  ``v`` is divided down in
-    place."""
-    groups, trailing, _, _, left = _float_tables(np)
     # The 17 digits of v, from four-digit groups, at columns 7..23 of
-    # out, with "0" at columns 0..6 and 24..27.
-    words = out.view(np.uint32)
+    # chars, with "0" at columns 0..6 and 24..27.
+    words = np.empty((n, 7), np.uint32)
     words[:, 0] = words[:, 6] = groups[0]
-    group = np.empty_like(v)
-    np.divmod(v, 10_000, out=(v, group))
-    words[:, 5] = groups[group]
-    digits = 17 - trailing[group]
-    many = np.flatnonzero(group == 0)  # four or more trailing zeros
+    v, last = np.divmod(v, 10_000)
+    words[:, 5] = groups[last]
     for k in (4, 3, 2):
-        np.divmod(v, 10_000, out=(v, group))
-        words[:, k] = groups[group]
+        v, g = np.divmod(v, 10_000)
+        words[:, k] = groups[g]
     words[:, 1] = groups[v]
-    del group
-    digits[many] = 17 - np.argmax(out[many, 23:6:-1] != ord("0"), axis=1)
+    chars = words.view(np.uint8)
+    digits = 17 - trailing[last]
+    many = np.flatnonzero(last == 0)  # four or more trailing zeros
+    digits[many] = 17 - np.argmax(chars[many, 23:6:-1] != ord("0"), axis=1)
     digits[zero] = 1
     # repr writes 1e-05 and 1e+16 with an exponent, 0.0001 and 1e+15 without.
     exponent = (d < -4) | (d > 15)
     point = np.where(exponent, 0, d)
-    # The digits right of the point stay in their columns, and those left
-    # of it move one column left, which leaves column 7 + point for the
-    # point.
+    start = 4 + np.minimum(point, 0)
+    end = np.where(exponent, 4 + digits + (digits > 1), np.maximum(4 + digits, 6 + d) + 1)
+    encoded = (separator.encode(), row_separator.encode())
+    out = np.empty((n, _DIGITS + _SUFFIX + max(map(len, encoded))), np.uint8)
+    # Column c of the text holds column c + 3 of chars left of the point,
+    # and column c + 2 right of it.
+    text = out[:, :_DIGITS]
     if (point == point[0]).all():
         # Every point in one column, as in a block of one decade (every
-        # census value is in [1, 10)): a slice copy.
+        # census value is in [1, 10)): three slice copies.
         p = int(point[0])
-        out[:, 2 : 7 + p] = out[:, 3 : 8 + p]
-        out[:, 7 + p] = ord(".")
+        text[:, : 5 + p] = chars[:, 3 : 8 + p]
+        text[:, 5 + p] = ord(".")
+        text[:, 6 + p :] = chars[:, 8 + p : 24]
     else:
-        np.copyto(out[:, 2 : _DIGITS - 1], out[:, 3:_DIGITS], where=left[point + 4])
-        out[np.arange(len(point)), 7 + point] = ord(".")
-    start = 6 + np.minimum(point, 0)
-    end = np.where(exponent, 6 + digits + (digits > 1), np.maximum(6 + digits, 8 + d) + 1)
-    return start, end, exponent
+        text[...] = chars[:, 2:24]
+        np.copyto(text, chars[:, 3:25], where=left[point + 6])
+        text[np.arange(n), 5 + point] = ord(".")
+    if exponent.any():
+        out[:, _DIGITS] = ord("e")
+        out[:, _DIGITS + 1] = np.where(d < 0, ord("-"), ord("+"))
+        out[:, _DIGITS + 2] = ord("0") + abs(d) // 10
+        out[:, _DIGITS + 3] = ord("0") + abs(d) % 10
+    kind = np.zeros(n, np.intp)
+    kind[width - 1 :: width] = 1
+    kind[-1] = 2
+    for rows, sep in zip((out, out[width - 1 :: width]), encoded):
+        rows[:, _DIGITS + _SUFFIX : _DIGITS + _SUFFIX + len(sep)] = np.frombuffer(sep, np.uint8)
+    rest = np.flatnonzero(~(exact | zero))
+    if len(rest):
+        reprs = list(map(float.__repr__, values[rest].tolist()))
+        out[rest, :_REPR] = np.array(reprs, dtype=f"S{_REPR}").view(np.uint8).reshape(-1, _REPR)
+        start[rest] = 0
+        end[rest] = list(map(len, reprs))
+        exponent[rest] = False
+    mask = _float_masks(np, tuple(map(len, encoded)))[((start * 25 + end) * 2 + exponent) * 3 + kind]
+    return out[mask].tobytes().decode("ascii")
 
 
 def _convert(obj, path, brackets):
@@ -575,8 +515,10 @@ def _check_out(path):
     a directory nor an existing file that cannot be written.  Nothing is
     created or truncated here, and _write opens ``path`` only once every
     other check that can refuse the request has passed (json's errors
-    too: _json_pieces raises them before its first piece), so a request
-    that fails leaves an existing file as it was."""
+    too: _json_pieces raises them before its first piece), so a refused
+    request leaves an existing file as it was.  The output is streamed,
+    so a failure while it is written, such as an interrupt or running out
+    of memory, leaves the file truncated or partly written."""
     directory = os.path.dirname(path) or "."
     if os.path.isdir(path):
         code = errno.EISDIR

@@ -27,14 +27,14 @@ if TYPE_CHECKING:
 # integer under tracemalloc, taking 0.10 s at 1e6 and 0.65 s at 5e6.  The
 # command's worst case is where every n is admissible and its value
 # distinct: `census --k 1000 --r 1.0001 --bound 5000000` as JSON to --out
-# (161 MB, written a block at a time) takes 2.3 s, 0.14 GB resident and a
-# 0.10 GB peak under tracemalloc.
+# (161 MB, written a block at a time) takes 2.3-2.9 s, 0.14 GB resident
+# and a 0.10 GB peak under tracemalloc.
 CENSUS_MAX_BOUND = 5_000_000
 # Largest (k + 1) * steps of a greedy walk: its table of partial local
 # factors holds that many doubles, and its peak memory is about 10.5
 # bytes an entry (40.5 MB under tracemalloc at k = 25 and 148933 steps,
 # the largest walk the default prime limit allows).  The command writes
-# that walk's 13.6 MB of JSON a block at a time, in about 1 MB more.
+# that walk's 13.6 MB of JSON a block at a time, in about 3.3 MB more.
 GREEDY_MAX_ENTRIES = 4_000_000
 # Integers an array step of the census sieve takes at once, past its
 # full-length arrays.
@@ -243,9 +243,9 @@ def _sigma_values(k: int, r: float, bound: int) -> np.ndarray:
     """Restricted divisor sums of every admissible n <= bound, distinct
     and sorted, by a multiplicative sieve.
 
-    ``value[n]`` takes the local factors of n's primes p <= sqrt(bound)
-    in ascending order, as one n at a time would, so every product rounds
-    the same; an exponent above k multiplies in 0, which marks n
+    ``value[n]`` takes the local factors of n's primes p <= sqrt(bound),
+    and of 2, in ascending order, as one n at a time would, so every
+    product rounds the same; an exponent above k multiplies in 0, which marks n
     inadmissible because every admissible value is >= 1.  ``cofactor[n]``
     is n with those primes divided out: 1 or one prime above sqrt(bound),
     whose factor goes in last, in bulk.  int32 holds every n up to
@@ -258,15 +258,15 @@ def _sigma_values(k: int, r: float, bound: int) -> np.ndarray:
     [1.01, 3], numpy 2.4 on x86-64), which would change census values.
 
     Only ``value`` and ``cofactor`` are full length, with the table of
-    those last factors: once sqrt(bound) >= 2 every cofactor is 1 or an
-    odd prime, so the table takes one slot per odd number, at
-    ``cofactor >> 1``.  Every other array step runs SIEVE_CHUNK integers
+    those last factors: 2 always counts among the small primes, so every
+    cofactor is 1 or an odd prime and the table takes one slot per odd
+    number, at ``cofactor >> 1``.  Every other array step runs SIEVE_CHUNK integers
     at a time, and the values are sorted and deduplicated in place of
     np.unique, which copies them first."""
     import numpy as np
 
     root = math.isqrt(bound)
-    small = sieve(root).primes.tolist() if root >= 2 else []
+    small = sieve(root).primes.tolist() if root >= 2 else [2]
     cofactor = np.arange(bound + 1, dtype=np.int32)
     value = np.ones(bound + 1)
     for p in small:
@@ -284,17 +284,14 @@ def _sigma_values(k: int, r: float, bound: int) -> np.ndarray:
         multiples = value[p::p]
         for start in range(0, len(exponent), SIEVE_CHUNK):
             multiples[start : start + SIEVE_CHUNK] *= factors[exponent[start : start + SIEVE_CHUNK]]
-    # Below 4 the prime 2 is past sqrt(bound), and the table is indexed by
-    # the cofactor itself.
-    shift = 1 if root >= 2 else 0
-    lookup = np.ones((bound >> shift) + 1)
+    lookup = np.ones((bound >> 1) + 1)
     for start in range(root + 1, bound + 1, SIEVE_CHUNK):
         # Past sqrt(bound), n is its own cofactor exactly when n is prime.
         n = np.arange(start, min(start + SIEVE_CHUNK, bound + 1), dtype=np.int32)
         large = n[cofactor[start : start + SIEVE_CHUNK] == n]
-        lookup[large >> shift] = [(1.0 - x**2) / (1.0 - x) for x in [float(q) ** -r for q in large.tolist()]]
+        lookup[large >> 1] = [(1.0 - x**2) / (1.0 - x) for x in [float(q) ** -r for q in large.tolist()]]
     for start in range(0, bound + 1, SIEVE_CHUNK):
-        value[start : start + SIEVE_CHUNK] *= lookup[cofactor[start : start + SIEVE_CHUNK] >> shift]
+        value[start : start + SIEVE_CHUNK] *= lookup[cofactor[start : start + SIEVE_CHUNK] >> 1]
     del cofactor, lookup  # freed before the dedupe, which copies
     value[0] = 0.0
     value.sort()
