@@ -72,11 +72,11 @@ def finite_float(text: str) -> float:
 # Values of a flat list joined into one piece of the output, and lines of
 # an envelope's TSV.  Each piece is written as it is made, so a request
 # holds one piece's text and the arrays that make it, 2.8-3.5 MB at 8192
-# values under tracemalloc, whatever the length of its output.  Against 4096, census
-# values, C and D cost 18-28% less a value, since _float_text's cost per
-# call falls on twice the values.  16384 saves up to 16% more on census
-# values and C but not on D, and holds twice the text and arrays
-# (BENCH_walk_output.json).
+# values under tracemalloc, whatever the length of its output.  Against
+# 4096, census values, C and D cost 18-28% less a value, since
+# _float_text's cost per call falls on twice the values.  16384 saves up
+# to 16% more on census values and C but not on D, and holds twice the
+# text and arrays (BENCH_walk_output.json).
 JOIN_BLOCK = 8192
 # Fewest floats of a block that _float_text writes, when numpy is loaded:
 # it costs about 0.2-0.3 ms a call whatever the block's length, and saves
