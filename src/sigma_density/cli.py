@@ -9,13 +9,18 @@ to the double.  TSV flattens the same numbers to key/value lines, except
 for the census where it emits one range value per line.
 
 Floats print byte for byte as ``float.__repr__`` writes them, but long
-lists and arrays a block at a time through numpy (``_float_text``), which
+lists and arrays a block at a time through numpy.  A block of fewer than
+FLOAT_TEXT_MIN runs of equal values takes one ``float.__repr__`` a run
+(``_run_text``): a 100000-step greedy walk's partial sums C, a step
+function, take 4-7 ns a value in JSON, against 183-286 ns before
+(``BENCH_float_runs.json``).  Other blocks go to ``_float_text``, which
 covers [1e-20, 1e17).  At ``census --bound 1000000`` (k = 1..3) writing a
 value takes 213-271 ns in TSV and 286-322 ns in JSON with the gap rows,
-against about 1.1 us by ``float.__repr__``.  A 100000-step greedy walk's
-values take 245-369 ns each in JSON (C, D and E) and its exponents 38-57
-ns, against 143-151 ns by ``int.__repr__`` (``BENCH_walk_output.json``;
-Python 3.11, numpy 2.4, a shared 2-vCPU x86-64 host).
+against about 1.1 us by ``float.__repr__``.  A walk's D and E take
+245-369 ns a value in JSON and its exponents 38-57 ns, against 143-151 ns
+by ``int.__repr__`` (``BENCH_walk_output.json``; Python 3.11, numpy 2.4,
+a shared 2-vCPU x86-64 host).  An envelope's TSV takes its values' texts
+from the same blocked writer, a line each.
 
 Output is written a piece at a time as it is made, to stdout or
 ``--out``, once every check that can refuse the request has passed: a
@@ -106,8 +111,9 @@ class _Flat:
         A float item that is not finite raises json's ValueError here,
         before any piece is made.
 
-        Float blocks of at least FLOAT_TEXT_MIN items go to _float_text
-        when numpy is loaded."""
+        When numpy is loaded, float blocks of at least FLOAT_TEXT_MIN items
+        go to _run_text unless they are rows, then to _float_text if that
+        declines."""
         np = sys.modules.get("numpy")  # as in _flat
         if self.rep is float.__repr__ and len(self.items):
             ends = self.items
@@ -126,7 +132,11 @@ class _Flat:
             block = self.items[start : start + step]
             text = None
             if self.rep is float.__repr__ and np is not None and len(block) >= FLOAT_TEXT_MIN:
-                text = _float_text(np, np.asarray(block, dtype=np.float64), separator, row_separator, width)
+                block = np.asarray(block, dtype=np.float64)
+                if self.width is None:
+                    text = _run_text(np, block, separator)
+                if text is None:
+                    text = _float_text(np, block, separator, row_separator, width)
             if text is None:
                 if not isinstance(block, (list, tuple)):
                     block = block.tolist()
@@ -142,8 +152,26 @@ class _Flat:
             yield (row_separator if start else "") + text
 
 
+def _run_text(np, values, separator):
+    """``float.__repr__`` of every value of the float64 array ``values``
+    with ``separator`` between them, each run of equal bit patterns (-0.0
+    and 0.0 apart) written by one repr; None when the runs number
+    FLOAT_TEXT_MIN or more, where _float_text pays better.  A greedy
+    walk's partial sums C are such runs."""
+    bits = values.view(np.uint64)
+    changes = bits[1:] != bits[:-1]
+    if np.count_nonzero(changes) >= FLOAT_TEXT_MIN - 1:
+        return None
+    ends = [*(np.flatnonzero(changes) + 1).tolist(), len(values)]
+    starts = [0, *ends[:-1]]
+    reprs = map(float.__repr__, values[starts].tolist())
+    text = "".join([(rep + separator) * (end - start) for rep, start, end in zip(reprs, starts, ends)])
+    return text[: len(text) - len(separator)]
+
+
 def _flat(obj):
-    """``obj`` as a _Flat when it is an array, a list or tuple of only
+    """``obj`` as a _Flat when it is an array (one of two dimensions as
+    rows of its second), a list or tuple of only
     floats or only ints (bool is not an int here), or a nonempty list or
     tuple of equally long, nonempty lists or tuples of only floats; else
     None."""
@@ -151,7 +179,10 @@ def _flat(obj):
     # imported here.
     np = sys.modules.get("numpy")
     if np is not None and isinstance(obj, np.ndarray):
-        return _Flat(np.asarray(obj, dtype=np.float64), float.__repr__)
+        a = np.asarray(obj, dtype=np.float64)
+        if a.ndim == 2:
+            return _Flat(a.ravel(), float.__repr__, a.shape[1])
+        return _Flat(a, float.__repr__)
     if isinstance(obj, (list, tuple)) and obj:
         kinds = set(map(type, obj))
         if all(issubclass(kind, float) for kind in kinds):
@@ -454,15 +485,15 @@ def _flatten(obj, prefix=""):
         for i, v in enumerate(obj):
             yield from _flatten(v, f"{prefix}[{i}]")
     elif isinstance(obj, _Flat):
-        for start in range(0, len(obj.items), JOIN_BLOCK):
-            block = obj.items[start : start + JOIN_BLOCK]
-            if not isinstance(block, (list, tuple)):
-                block = block.tolist()
-            for i, text in enumerate(map(obj.rep, block), start):
-                if obj.width is None:
-                    yield f"{prefix}[{i}]", text
-                else:
-                    yield f"{prefix}[{i // obj.width}][{i % obj.width}]", text
+        # The texts of a block, a line each, as the JSON writer makes them;
+        # a piece after the first starts with its separator.
+        pieces = obj.join("\n", "\n")
+        texts = itertools.chain.from_iterable(piece.removeprefix("\n").split("\n") for piece in pieces)
+        for i, text in enumerate(texts):
+            if obj.width is None:
+                yield f"{prefix}[{i}]", text
+            else:
+                yield f"{prefix}[{i // obj.width}][{i % obj.width}]", text
     else:
         yield prefix, obj
 

@@ -27,7 +27,7 @@ if TYPE_CHECKING:
 # integer under tracemalloc, taking 0.10 s at 1e6 and 0.65 s at 5e6.  The
 # command's worst case is where every n is admissible and its value
 # distinct: `census --k 1000 --r 1.0001 --bound 5000000` as JSON to --out
-# (161 MB, written a block at a time) takes 2.3-2.9 s, 0.14 GB resident
+# (161 MB, written a block at a time) takes 2.3-2.9 s, 0.13 GB resident
 # and a 0.10 GB peak under tracemalloc.
 CENSUS_MAX_BOUND = 5_000_000
 # Largest (k + 1) * steps of a greedy walk: its table of partial local
@@ -55,7 +55,11 @@ class GreedyTrace:
     partial log sums (nondecreasing, never exceeding the target), D the
     per-prime deficits against the full local factor, E the cumulative
     deficits, each a float64 array of one entry per prime; C_l + E_l
-    converges to log G_k(r).
+    converges to log G_k(r).  C stays constant at each prime that takes
+    exponent 0, so where most primes do, C is a step function of few runs
+    (5-21 distinct values in eight of the nine 100000-step walks of the
+    benchmark's census plan at seeds 1-3), and the CLI writes it at the
+    cost of one ``float.__repr__`` a run, not one a prime.
     """
 
     k: int
@@ -218,8 +222,9 @@ class GapCensus:
 
     ``values`` are the distinct restricted divisor sums of the admissible
     n <= bound, sorted ascending.  ``gaps`` are the adjacent spacings
-    wider than the resolution; ``analytic_gaps`` overlays the certified
-    first-level forbidden intervals (exponentiated to linear scale).
+    wider than the resolution, as a float64 table of one (left, right,
+    width) row each; ``analytic_gaps`` overlays the certified first-level
+    forbidden intervals (exponentiated to linear scale).
     """
 
     k: int
@@ -227,7 +232,7 @@ class GapCensus:
     bound: int
     resolution: float
     values: np.ndarray = field(repr=False)
-    gaps: tuple[tuple[float, float, float], ...]  # (left, right, width)
+    gaps: np.ndarray  # shape (n, 3): left, right, width
     analytic_gaps: tuple[tuple[int, float, float], ...]  # (m, left, right)
     estimated_intervals: int
 
@@ -360,9 +365,7 @@ def range_census(
     values = _sigma_values(k, r, bound)
     diffs = np.diff(values)
     wide = np.nonzero(diffs > resolution)[0]
-    widths = diffs[wide]
-    del diffs  # freed before the tuples of the gaps are built
-    gaps = tuple(zip(values[wide].tolist(), values[wide + 1].tolist(), widths.tolist()))
+    gaps = np.column_stack((values[wide], values[wide + 1], diffs[wide]))
     return GapCensus(
         k=k,
         r=r,

@@ -627,7 +627,8 @@ def _old_convert(obj, path, brackets):
     if isinstance(obj, dict):
         return {str(k): _old_convert(v, f"{path}.{k}" if path else str(k), brackets) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        return [float(v) for v in obj]
+        # a census's gaps are a table, rows of three floats
+        return np.asarray(obj, dtype=np.float64).tolist()
     if isinstance(obj, (list, tuple)):
         return [_old_convert(v, f"{path}[{i}]", brackets) for i, v in enumerate(obj)]
     if isinstance(obj, (np.integer,)):
@@ -701,6 +702,8 @@ def test_output_is_byte_identical_to_the_old_envelope_route(capsys, monkeypatch,
         {"bracket": Bracket(0.5, 0.75), "strings": ['"\\u00000"', "\\u00000"], "flat": [1.0]},
         {"table": [[1.0, 2.5], [3.0, 4.0]], "column": ((0.5,),), "ragged": [[1.0], [2.0, 3.0]]},
         {"gaps": tuple((1.0 + i / 7, 1.5 + i / 3, 1e-7 * i + 1e-6) for i in range(cli.JOIN_BLOCK + 5))},
+        # a census's gaps, a float64 table, and an empty one
+        {"gaps": np.arange(3.0 * cli.JOIN_BLOCK + 6).reshape(-1, 3) / 7, "none": np.empty((0, 3))},
     ],
 )
 def test_json_pieces_match_json_dumps(payload):
@@ -711,8 +714,12 @@ def test_json_pieces_match_json_dumps(payload):
 
 
 def test_tsv_of_a_table_of_floats_keys_each_cell():
-    gaps = tuple((1.0 + i / 7, 1.5 + i / 3, 2.0**-i) for i in range(cli.FLOAT_TEXT_MIN))
-    envelope = {"result": {"gaps": gaps, "m": [1, 2]}}
+    # Past a block, where the writer's pieces are split into lines: a
+    # table of floats, an array and an array of runs of equal values.
+    n = cli.JOIN_BLOCK + cli.FLOAT_TEXT_MIN
+    gaps = tuple((1.0 + i / 7, 1.5 + i / 3, 2.0 ** -(i % 64)) for i in range(n // 3))
+    steps = np.repeat([0.0, 0.25, -0.0, 0.25], n // 4)
+    envelope = {"result": {"gaps": gaps, "m": [1, 2], "values": np.linspace(0.001, 3.0, n), "steps": steps}}
     old = [f"{key}\t{value}" for key, value in _old_flatten(_old_convert(envelope, "", {}))]
     assert [f"{key}\t{value}" for key, value in cli._flatten(cli._convert(envelope, "", {}))] == old
 

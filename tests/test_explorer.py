@@ -304,7 +304,7 @@ class TestCensus:
         census = explorer.range_census(table, 1, 2, 1)
         assert list(census.values) == [1.0]
         assert census.estimated_intervals == 1
-        assert census.gaps == ()
+        assert len(census.gaps) == 0
 
     def test_not_dense_gap_avoided(self, table):
         census = explorer.range_census(table, 1, 2, 20_000)

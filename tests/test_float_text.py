@@ -1,13 +1,15 @@
 """The CLI's array writer of floats against ``float.__repr__``, byte for byte."""
 
+import dataclasses
 import fractions
 import itertools
+import json
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import first_difference, neighbours, repr_join
 from sigma_density import cli, explorer
@@ -268,3 +270,46 @@ DEEP = st.integers(*np.array([1e-20, 1e-6]).view(np.int64).tolist()).filter(lamb
 def test_deep_bit_patterns(bits):
     values = np.array(bits, dtype=np.uint64).view(np.float64)
     assert written(values) == repr_join(values, SEPARATOR)
+
+
+# Bit patterns of any finite double, and of the values beside which runs
+# are told apart by their bits: -0.0 and 0.0, the least subnormal, and a
+# value below the array writer's range.
+FINITE = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: int(np.float64(v).view(np.uint64)))
+SPECIALS = np.array([-0.0, 0.0, 5e-324, 1e-30]).view(np.uint64).tolist()
+SPECIAL = st.sampled_from(SPECIALS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    patterns=st.lists(st.one_of(IN_RANGE, DEEP, FINITE, SPECIAL), min_size=1, max_size=6),
+    runs=st.lists(st.tuples(st.integers(0, 5), st.integers(1, 3000)), min_size=1, max_size=12),
+)
+@example(patterns=SPECIALS[:2], runs=[(0, 600), (1, 600), (0, 1)])  # -0.0 beside 0.0
+def test_runs_of_equal_values(patterns, runs):
+    # Runs of a few bit patterns, 1 to 36000 values long: blocks of fewer
+    # than FLOAT_TEXT_MIN runs take one repr a run, the rest _float_text
+    # or float.__repr__.
+    which = [i % len(patterns) for i, _ in runs]
+    values = np.repeat(np.array(patterns, dtype=np.uint64)[which], [n for _, n in runs]).view(np.float64)
+    joined = "".join(cli._Flat(values, float.__repr__).join(SEPARATOR))
+    assert first_difference(joined, repr_join(values, SEPARATOR)) is None
+
+
+def test_a_run_takes_one_repr(monkeypatch):
+    def declined(*args):
+        raise AssertionError("a block of one run went to _float_text")
+
+    monkeypatch.setattr(cli, "_float_text", declined)
+    values = np.full(cli.JOIN_BLOCK, 0.1)
+    assert "".join(cli._Flat(values, float.__repr__).join(SEPARATOR)) == repr_join(values, SEPARATOR)
+
+
+def test_a_walk_at_target_zero(table):
+    # C is one run of 0.0, written a block at a time by one repr each.
+    trace = explorer.greedy_approximate(table, 1, 2.4, 0.0, 3 * cli.JOIN_BLOCK)
+    assert not trace.C.any()
+    fields = {f.name: getattr(trace, f.name) for f in dataclasses.fields(trace)}
+    got = "".join(cli._json_pieces(cli._convert(fields, "", {})))
+    plain = {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in fields.items()}
+    assert first_difference(got, json.dumps(plain, indent=2) + "\n") is None

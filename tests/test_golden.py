@@ -31,9 +31,12 @@ GOLDEN = {
         "approximate", "--k", "2", "--r", "1.9", "--x", "0.5", "--steps", "1000"
     ],
     # both TSV writers: the census's one value a line, and an envelope's
-    # key/value lines
+    # key/value lines, with a walk's arrays through the blocked float writer
     "census_k1_r2_bound1000.tsv": ["--format", "tsv", "census", "--k", "1", "--r", "2.0", "--bound", "1000"],
     "density_k1_r1.5.tsv": ["--format", "tsv", "density", "--k", "1", "--r", "1.5"],
+    "approximate_k2_r1.9_x0.5_steps1000.tsv": [
+        "--format", "tsv", "approximate", "--k", "2", "--r", "1.9", "--x", "0.5", "--steps", "1000"
+    ],
 }
 
 
