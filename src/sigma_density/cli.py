@@ -642,7 +642,7 @@ def build_parser() -> Parser:
     p = sub.add_parser("verify", help="verification suites")
     p.add_argument(
         "--suite",
-        choices=("gap-lemma", "inequalities", "monotonicity", "all"),
+        choices=("gap-lemma", "inequalities", "monotonicity", "selector", "all"),
         required=True,
     )
     return parser
@@ -675,6 +675,8 @@ def _run_verify(args, table):
         suites.append(_suite_cover("inequalities", density.check_inequalities()))
     if args.suite in ("monotonicity", "all"):
         suites.append(_suite_cover("monotonicity", density.check_monotonicity(table)))
+    if args.suite in ("selector", "all"):
+        suites.append(_suite_cover("selector", density.check_selector(table)))
     for suite in suites:
         status = "PASS" if suite["passed"] else "FAIL"
         print(f"{status} {suite['suite']} (margin {suite['margin']:.6g})", file=sys.stderr)
@@ -707,10 +709,9 @@ def _main(args) -> int:
             params = {"eps": args.eps}
         elif args.command == "thresholds":
             tolerances["eps"] = args.eps
-            thresholds = {m: solver.r_threshold(table, args.k, m, args.eps) for m in (1, 2, 4)}
             result = {
-                "thresholds": thresholds,
-                "m_min": solver.select_m(table, args.k, thresholds, args.eps),
+                "thresholds": {m: solver.r_threshold(table, args.k, m, args.eps) for m in (1, 2, 4)},
+                "m_min": solver.m_selector(args.k),
             }
             params = {"k": args.k, "eps": args.eps}
         elif args.command == "table":

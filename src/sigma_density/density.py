@@ -439,6 +439,62 @@ def check_monotonicity(table: PrimeTable) -> InequalityReport:
     return InequalityReport(checks=tuple(checks))
 
 
+# The signs :func:`check_selector` certifies, as (k, m, r, side): each is
+# the claim side * T_k(m, r) > 0.
+SELECTOR_SIGNS = (
+    (math.inf, 2, 1.9, 1),
+    (2, 1, 1.9, -1),
+    (1, 4, 2.0, -1),
+    (1, 1, 1.865, 1),
+    (1, 2, 1.865, -1),
+)
+
+
+def _signed_t(table: PrimeTable, k: int | float, m: int, side: int):
+    """The claim side * T_k(m, .) > 0 for :func:`_cover`: T over the cell
+    by :func:`t_levels`, negated where ``side`` is -1."""
+
+    def claim(a: float, b: float) -> tuple:
+        r = from_float(a), from_float(b)
+        ((_, t, _),) = t_levels(table, k, r, log_g_iv(k, r), (m,))
+        lo, hi = (t.lo, t.hi) if side > 0 else (-t.hi, -t.lo)
+        return from_float(lo), from_float(hi)
+
+    return claim
+
+
+def check_selector(table: PrimeTable) -> InequalityReport:
+    """Proof of the rule of ``solver.m_selector`` for every k, k = inf
+    included: m_k, the m in {1, 2, 4} of the least root R_k(m) of
+    T_k(m, .) in (1, 2), or 2 where T_k(m, .) < 0 on all of it, is 1 for
+    k = 1 and 2 for k >= 2.  Each claim of SELECTOR_SIGNS is one certified
+    sign, a cell r_lo = r_hi.  The lemma:
+
+    (a) LF_{k+1}(p) > LF_k(p) for every prime, and LF_inf(p) exceeds both,
+        so T_k(m, .) decreases in k and R_k(m) does not: R_2(m) <= R_k(m)
+        <= R_inf(m) for k >= 2.
+    (b) T_k(m, .) is increasing for m in {1, 2, 4} and every k
+        (``t_increasing_m*`` of :func:`check_monotonicity`), so a sign at
+        one point puts the root on one side of it.
+    (c) T_inf(2, 1.9) > 0 and T_2(1, 1.9) < 0: R_k(2) <= eta_inf < 1.9 <
+        R_2(1) <= R_k(1) for every k >= 2.
+    (d) T_1(4, 2) < 0: T_k(4, 2) < 0 for every k, so R_k(4) = 2 > 1.9.
+    (e) T_1(1, 1.865) > 0 and T_1(2, 1.865) < 0: R_1(1) < 1.865 < R_1(2),
+        and R_1(2) < 1.9 < R_1(4) by (c) and (d).  ``pair_product_m2`` of
+        :func:`check_inequalities`, T_1(1, .) > T_1(2, .) on [1.8638, 2],
+        is a second route to R_1(1) < R_1(2).
+
+    So m_k = 2 for k >= 2 and m_1 = 1, and no eta_k rests on a check of
+    its own k.
+    """
+    checks = []
+    for k, m, r, side in SELECTOR_SIGNS:
+        sign, relation = ("positive", ">") if side > 0 else ("negative", "<")
+        name, description = f"t{k}_m{m}_{sign}", f"T_{k}({m}, {r}) {relation} 0"
+        checks.append(_check(name, description, r, r, _signed_t(table, k, m, side)))
+    return InequalityReport(checks=tuple(checks))
+
+
 @dataclass(frozen=True)
 class DensityReport:
     """Verdict for a (k, r) pair with the supporting brackets.

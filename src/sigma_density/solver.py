@@ -32,8 +32,6 @@ return the same bits, and the ends of the start bracket [1.0001, 2] need
 no certified test of their own while the guide clears them.  The
 certified-only walk remains the fallback and, as the solve with a NaN
 guide, the tests' reference.
-Bisection is deterministic, so the selector, when thresholds tie, solves
-them again at eps/100 and gets the bits a fresh solve at that eps gives.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from .brackets import PRECISION_FLOOR, Bracket, check_eps
+from .brackets import Bracket, check_eps
 from .density import t_float, t_func, t_levels, t_sign
 from .errors import CapacityError, DomainError, PrecisionError, check_k
 from .primes import PrimeTable
@@ -220,43 +218,11 @@ def r_threshold(table: PrimeTable, k: int | float, m: int, eps: float = DEFAULT_
     )
 
 
-def m_selector(table: PrimeTable, k: int) -> int:
-    """The smallest m in {1, 2, 4} whose threshold attains the minimum."""
+def m_selector(k: int | float) -> int:
+    """m_k, the level whose threshold is the least of R_k(1), R_k(2) and
+    R_k(4), and so eta_k: 1 for k = 1, 2 for k >= 2 and k = inf.
+    ``density.check_selector`` proves this rule for every k."""
     check_k(k)
-    roots = {m: r_threshold(table, k, m, DEFAULT_EPS) for m in (1, 2, 4)}
-    return select_m(table, k, roots, DEFAULT_EPS)
-
-
-def select_m(table: PrimeTable, k: int, roots: dict[int, RootResult], eps: float) -> int:
-    """The selector from thresholds already solved at ``eps``.
-
-    While the winner has not separated from the rest, the three thresholds
-    are solved again at eps/100 per round, down to the precision floor; a
-    tie that persists there raises with the tied candidates.  Equal
-    boundaries tie to the smallest m.
-    """
-    while True:
-        best = min((1, 2, 4), key=lambda m: (roots[m].value.hi, m))
-        tied = [
-            m
-            for m in (1, 2, 4)
-            if m != best
-            and roots[m].value.lo <= roots[best].value.hi
-            and not (roots[m].boundary and roots[best].boundary)
-        ]
-        if not tied:
-            return best
-        if eps <= PRECISION_FLOOR:
-            raise PrecisionError(
-                f"threshold brackets for m={sorted([best] + tied)} remain "
-                "unseparated at the precision floor"
-            )
-        eps = max(eps / 100, PRECISION_FLOOR)
-        roots = {m: r_threshold(table, k, m, eps) for m in (1, 2, 4)}
-
-
-def _m_k(k: int | float) -> int:
-    """The level whose threshold is eta_k: 1 for k = 1, 2 for k >= 2."""
     return 1 if k == 1 else 2
 
 
@@ -286,7 +252,7 @@ def eta_limit(table: PrimeTable, eps: float = LIMIT_EPS) -> RootResult:
 def _eta(table: PrimeTable, k: int | float, eps: float, method: str) -> RootResult:
     """The root of T_k(m_k, .) by :func:`_solve` under ``method``; a
     printed value is the level m_k of :func:`density.t_levels`."""
-    m = _m_k(k)
+    m = m_selector(k)
 
     def value(r: float) -> Bracket:
         r_iv = to_iv(r)
@@ -312,7 +278,7 @@ class EtaRow:
 
 @dataclass(frozen=True)
 class EtaTable:
-    """Rows for k = 1..k_max, each with ``m_min == m_k``.
+    """Rows for k = 1..k_max, each with ``m_min = m_selector(k)``.
 
     The eta column is strictly increasing, by a lemma rather than by its
     brackets: LF_{k+1}(p) > LF_k(p) for every prime, so
@@ -320,19 +286,14 @@ class EtaTable:
     (``density.check_monotonicity``) its root R_k(m) moves right with k.
     That gives eta_{k+1} = R_{k+1}(2) > R_k(2) = eta_k for k >= 2, and
     eta_1 = R_1(1) < R_1(2) < R_2(2) = eta_2, where R_1(1) < R_1(2) is
-    certified by ``select_m``.  From k = 12 on the brackets of adjacent
-    rows overlap at the precision floor, so only a certified decrease,
-    which would contradict the lemma, is an error.
+    certified by ``density.check_selector``.  From k = 12 on the brackets
+    of adjacent rows overlap at the precision floor, so only a certified
+    decrease, which would contradict the lemma, is an error.
     """
 
     rows: tuple[EtaRow, ...] = field(default=())
 
     def __post_init__(self):
-        for row in self.rows:
-            if row.m_min != _m_k(row.k):
-                raise PrecisionError(
-                    f"selector m_min={row.m_min} differs from m_k={_m_k(row.k)} at k={row.k}"
-                )
         for prev, row in zip(self.rows, self.rows[1:]):
             if row.eta.value.hi < prev.eta.value.lo:
                 raise PrecisionError(f"eta({row.k}) is certified below eta({prev.k})")
@@ -351,12 +312,6 @@ def eta_table(table: PrimeTable, k_max: int, eps: float = DEFAULT_EPS) -> EtaTab
     rows = []
     for k in range(1, k_max + 1):
         thresholds = {m: r_threshold(table, k, m, eps) for m in (1, 2, 4)}
-        rows.append(
-            EtaRow(
-                k=k,
-                m_min=select_m(table, k, thresholds, eps),
-                thresholds=thresholds,
-                eta=thresholds[_m_k(k)],
-            )
-        )
+        m = m_selector(k)
+        rows.append(EtaRow(k=k, m_min=m, thresholds=thresholds, eta=thresholds[m]))
     return EtaTable(rows=tuple(rows))

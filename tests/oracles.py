@@ -11,8 +11,9 @@ reaches only inside other computations: the tail of the log Euler product
 (the lower end of a forbidden gap) and log sigma at the integer a greedy
 walk's exponents spell out; the greedy walk's target check at the
 full kernel size alone, which the walk now makes at the sign size first;
-and the limit equation's closed form, which the solver now reaches as T
-at k = inf.
+the limit equation's closed form, which the solver now reaches as T
+at k = inf; and the level selector solved for each k, which the library
+now takes from a rule that ``density.check_selector`` proves for every k.
 ``neighbours`` gives the doubles beside a boundary that these are tested at,
 and ``first_difference`` compares long texts with an oracle's.
 
@@ -184,6 +185,15 @@ def limit_equation(r: float) -> Bracket:
         prec,
     )
     return Bracket.from_iv(mpi_sub(lhs, mpi_log(zeta_iv(r_iv)[0], prec), prec))
+
+
+def selector_oracle(table, k) -> int:
+    """The m in {1, 2, 4} of the least threshold of T_k(m, .), each solved
+    at DEFAULT_EPS; its bracket must lie below the other two."""
+    roots = {m: solver.r_threshold(table, k, m, solver.DEFAULT_EPS).value for m in (1, 2, 4)}
+    best = min(roots, key=lambda m: roots[m].hi)
+    assert all(roots[best].hi < roots[m].lo for m in roots if m != best), (k, roots)
+    return best
 
 
 def greedy_target_check(k: int, r: float, x: float):

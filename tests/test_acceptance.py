@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import contains, log_sigma_of_alphas, r1_surrogate, tail_bracket
+from oracles import contains, log_sigma_of_alphas, r1_surrogate, selector_oracle, tail_bracket
 from sigma_density import cli, density, explorer, primes, solver, zeta
 from sigma_density.brackets import Bracket
 
@@ -59,12 +59,19 @@ def test_02_truncated_surrogate_root(table, capsys):
 
 def test_03_selector_values(table, capsys):
     start = time.monotonic()
-    selectors = {k: solver.m_selector(table, k) for k in range(1, 11)}
+    ks = [*range(1, 11), 30, math.inf]
+    selectors = {k: solver.m_selector(k) for k in ks}
+    solved = {k: selector_oracle(table, k) for k in ks}
+    proved = density.check_selector(table).all_passed
     elapsed = time.monotonic() - start
     with capsys.disabled():
         _report(
-            "selector is 1 at k=1 and 2 for k=2..10",
-            selectors[1] == 1 and all(selectors[k] == 2 for k in range(2, 11)) and elapsed < 60.0,
+            "selector is 1 at k=1 and 2 for k=2..10, 30 and inf, proved and solved",
+            proved
+            and selectors == solved
+            and selectors[1] == 1
+            and all(selectors[k] == 2 for k in ks[1:])
+            and elapsed < 60.0,
             f"{selectors}, {elapsed:.1f}s",
         )
 
@@ -153,7 +160,7 @@ def test_08_dichotomy_near_threshold(table, capsys):
     details = []
     for k in (1, 2, 5):
         eta_k = solver.eta(table, k).value.mid
-        m_k = solver.m_selector(table, k)
+        m_k = solver.m_selector(k)
         below = all(
             density.t_func(table, k, m, eta_k - 0.01).nonpositive() for m in (1, 2, 4)
         )

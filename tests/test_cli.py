@@ -50,6 +50,25 @@ def test_thresholds_selector(capsys):
     assert envelope["result"]["thresholds"]["4"]["boundary"] is True
 
 
+def test_tied_thresholds_are_solved_once(capsys, monkeypatch):
+    # R_1(1) and R_1(2) lie 6e-4 apart, so their 1e-2 brackets overlap;
+    # m_min is the proved rule, and no threshold is solved again
+    calls = []
+    r_threshold = solver.r_threshold
+
+    def spy(*args):
+        calls.append(args[1:])
+        return r_threshold(*args)
+
+    monkeypatch.setattr(solver, "r_threshold", spy)
+    code, envelope, _ = run_json(capsys, "thresholds", "--k", "1", "--eps", "1e-2")
+    assert code == 0
+    assert calls == [(1, m, 1e-2) for m in (1, 2, 4)]
+    thresholds = envelope["result"]["thresholds"]
+    assert thresholds["2"]["value"][0] <= thresholds["1"]["value"][1]
+    assert envelope["result"]["m_min"] == 1
+
+
 def test_density_not_dense(capsys):
     code, envelope, _ = run_json(capsys, *PRIME_ARGS, "density", "--k", "1", "--r", "2")
     assert code == 0
@@ -194,7 +213,7 @@ def test_verify_reports_covers(capsys):
     assert code == 0
     assert envelope["parameters"] == {"suite": "all"}
     suites = envelope["result"]["suites"]
-    assert [s["suite"] for s in suites] == ["gap-lemma", "inequalities", "monotonicity"]
+    assert [s["suite"] for s in suites] == ["gap-lemma", "inequalities", "monotonicity", "selector"]
     for suite in suites[1:]:
         assert suite["passed"] is True and suite["margin"] > 0
         for check in suite["report"]["checks"]:
@@ -376,7 +395,7 @@ def test_the_library_leaves_the_host_mpmath_iv_precision_alone():
         [sys.executable, "-c", IV_PREC_PROBE], capture_output=True, text=True, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "0 3 True 53 53\n"
+    assert done.stdout == "0 4 True 53 53\n"
 
 
 def test_walk_past_the_table_fails_before_any_walk(capsys, monkeypatch):
@@ -563,7 +582,7 @@ VALUES = {
     "--kmax": (st.integers(-1, 3) | st.integers(101, 10**9)).map(str),
     "--steps": st.integers(-1, 1000).map(str),
     "--bound": st.integers(-1, 10_000).map(str),
-    "--suite": st.sampled_from(["gap-lemma", "inequalities", "monotonicity", "all"]),
+    "--suite": st.sampled_from(["gap-lemma", "inequalities", "monotonicity", "selector", "all"]),
 }
 COMMANDS = {
     "eta": ("--k", "--eps"),

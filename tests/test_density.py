@@ -15,6 +15,7 @@ from oracles import (
     cover_x,
     iv_pow,
     levels_oracle,
+    limit_equation,
     log_g_iv_oracle,
     log_local_factor_iv,
     r1_surrogate,
@@ -543,6 +544,42 @@ class TestMonotonicity:
         for k in range(1, 9):
             for r in (1.0002, 1.3, 1.7, 1.88, 1.99):
                 assert density.t_func(table, k + 1, 2, r).hi < density.t_func(table, k, 2, r).lo
+
+
+def t_oracle(table, k, m, r):
+    """T_k(m, r) on iv objects; at k = inf, m = 2, the limit equation."""
+    if k == math.inf:
+        assert m == 2
+        return limit_equation(r)
+    ((_, t, _),) = t_levels_oracle(table, k, r, (m,))
+    return t
+
+
+# A point across each of SELECTOR_SIGNS' roots from its claim:
+# eta_inf = 1.88779, R_2(1) = 1.93259, R_1(1) = 1.86463, R_1(2) = 1.86526,
+# and T_1(4, .) turns positive between 2.3 and 3.
+ACROSS = {(math.inf, 2): 1.88, (2, 1): 1.94, (1, 4): 3.0, (1, 1): 1.864, (1, 2): 1.866}
+
+
+class TestSelectorSuite:
+    def test_every_sign_is_certified(self, table):
+        report = density.check_selector(table)
+        assert report.all_passed
+        assert [(c.r_lo, c.r_hi, c.cells) for c in report.checks] == [
+            (r, r, 1) for _, _, r, _ in density.SELECTOR_SIGNS
+        ]
+        for check, (k, m, r, side) in zip(report.checks, density.SELECTOR_SIGNS):
+            t = t_oracle(table, k, m, r)
+            assert t.certified_sign() == side
+            assert 0 < check.min_slack <= (t.lo if side > 0 else -t.hi)
+
+    @pytest.mark.parametrize("k, m, r, side", density.SELECTOR_SIGNS, ids=str)
+    def test_a_claim_across_its_root_fails(self, table, k, m, r, side):
+        across = ACROSS[k, m]
+        assert t_oracle(table, k, m, across).certified_sign() == -side
+        check = density._check("across", "", across, across, density._signed_t(table, k, m, side))
+        assert not check.passed
+        assert check.min_slack < 0
 
 
 class TestDensityReport:

@@ -17,9 +17,9 @@ GOLDEN = {
     "eta_limit_eps1e-13.txt": ["eta-limit", "--eps", "1e-13"],
     # a sign test of R_7(1) escalates to the full zeta kernel
     "thresholds_k7_eps1e-13.txt": ["thresholds", "--k", "7", "--eps", "1e-13"],
-    # the thresholds tie, so the selector solves them again at eps/100
+    # the thresholds' brackets overlap, and m_min is still the proved rule
     "thresholds_k1_eps1e-2.txt": ["thresholds", "--k", "1", "--eps", "1e-2"],
-    # every cover claim's cells and min_slack, and the gap lemma
+    # every cover claim's cells and min_slack, the gap lemma and the selector's signs
     "verify_all.txt": ["verify", "--suite", "all"],
     "density_k1_r1.5.txt": ["density", "--k", "1", "--r", "1.5"],
     "density_k5_r1.87.txt": ["density", "--k", "5", "--r", "1.87"],

@@ -61,10 +61,7 @@ SCRIPTS = {
     ],
 }
 
-ALLOWED = {
-    "solver.m_selector": "perfbench/spans.py traces it by name; thresholds and table call "
-    "select_m",
-}
+ALLOWED: dict[str, str] = {}
 
 DRIVER = """
 import contextlib, importlib.util, io, json, sys

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv
 
-from oracles import iv_pow, limit_equation, log_g_iv_oracle, r1_surrogate, v_func
+from oracles import iv_pow, limit_equation, log_g_iv_oracle, r1_surrogate, selector_oracle, v_func
 from sigma_density import density, solver, zeta
-from sigma_density.brackets import PRECISION_FLOOR, Bracket
+from sigma_density.brackets import Bracket
 from sigma_density.errors import CapacityError, DomainError, PrecisionError
 from sigma_density.zeta import to_iv
 
@@ -121,38 +121,15 @@ class TestRThreshold:
 
 class TestSelector:
     def test_values(self, table):
-        assert solver.m_selector(table, 1) == 1
-        assert solver.m_selector(table, 2) == 2
-        assert solver.m_selector(table, 10) == 2
+        # the rule against the selector solved for each k
+        for k in (*range(1, 11), 30, math.inf):
+            assert solver.m_selector(k) == selector_oracle(table, k) == (1 if k == 1 else 2)
+        # eta_inf = R_inf(2)
+        assert solver.eta(table, math.inf).value == solver.r_threshold(table, math.inf, 2).value
 
-    def test_a_tie_is_solved_again_at_eps_over_100(self, table, monkeypatch):
-        # R_1(1) and R_1(2) lie 6e-4 apart: their 1e-2 brackets overlap
-        roots = {m: solver.r_threshold(table, 1, m, 1e-2) for m in (1, 2, 4)}
-        assert roots[2].value.lo <= roots[1].value.hi
-        fresh = solver.r_threshold
-        solved = {}
-
-        def spy(table, k, m, eps):
-            solved[m, eps] = fresh(table, k, m, eps)
-            return solved[m, eps]
-
-        monkeypatch.setattr(solver, "r_threshold", spy)
-        assert solver.select_m(table, 1, roots, 1e-2) == 1
-        assert list(solved) == [(1, 1e-4), (2, 1e-4), (4, 1e-4)]
-        for (m, eps), root in solved.items():
-            assert root == fresh(table, 1, m, eps)
-
-    def test_a_tie_at_the_floor_raises(self, table, monkeypatch):
-        def no_solve(*args):
-            raise AssertionError("no eps below the floor is solved")
-
-        monkeypatch.setattr(solver, "r_threshold", no_solve)
-        tied = solver.RootResult(Bracket(1.8, 1.8 + 1e-14), 46, Bracket(-1.0, 1.0), "test")
-        two = solver.RootResult(Bracket.exact(2.0), 0, Bracket(-1.0, -0.5), "test", True)
-        roots = {1: tied, 2: tied, 4: two}
-        floor = r"m=\[1, 2\] remain unseparated at the precision floor"
-        with pytest.raises(PrecisionError, match=floor):
-            solver.select_m(table, 1, roots, PRECISION_FLOOR)
+    def test_invalid_k(self):
+        with pytest.raises(DomainError):
+            solver.m_selector(0)
 
 
 class TestEta:
@@ -289,8 +266,7 @@ class TestBisection:
 
     def test_refining_equals_solving_at_the_finer_eps(self, table):
         # bisection is deterministic: a 1e-10 bracket walked on to 1e-12 is
-        # the 1e-12 solve, so the selector solving a tie again at a finer eps
-        # gets the bits a refinement of the tied brackets would
+        # the 1e-12 solve, which the certified_only fixture relies on
         coarse = solver.r_threshold(table, 3, 2, 1e-10)
         sign = lambda r: density.t_func(table, 3, 2, r).certified_sign()  # noqa: E731
         lo, hi, steps = solver._walk(sign, coarse.value.lo, coarse.value.hi, 1e-12)
@@ -370,7 +346,7 @@ class TestGuidedBisection:
     @pytest.mark.parametrize("eps", [1e-10, 1e-13])
     @pytest.mark.parametrize("k", range(1, 13))
     def test_eta_is_the_certified_walk(self, table, certified_only, k, eps):
-        oracle = certified_only(k, solver._m_k(k), eps)
+        oracle = certified_only(k, solver.m_selector(k), eps)
         assert solver.eta(table, k, eps) == replace(oracle, method="bisection on T at m_k")
 
     @pytest.mark.parametrize("eps", [solver.LIMIT_EPS, 1e-12])
@@ -529,8 +505,8 @@ def test_zeta_calls_over_the_solve_set(table, monkeypatch):
 
 
 def _row(table, k, eps=solver.DEFAULT_EPS):
-    root = solver.r_threshold(table, k, solver._m_k(k), eps)
-    return solver.EtaRow(k=k, m_min=solver._m_k(k), thresholds={}, eta=root)
+    root = solver.r_threshold(table, k, solver.m_selector(k), eps)
+    return solver.EtaRow(k=k, m_min=solver.m_selector(k), thresholds={}, eta=root)
 
 
 class TestEtaTable:
@@ -559,7 +535,7 @@ class TestEtaTable:
         # every row's eta is its threshold at m_k, at the requested eps
         for row in tab.rows:
             assert row.eta.value.width <= solver.DEFAULT_EPS
-            assert row.eta == solver.r_threshold(table, row.k, solver._m_k(row.k))
+            assert row.eta == solver.r_threshold(table, row.k, solver.m_selector(row.k))
 
     def test_rows_tied_at_the_floor_are_accepted(self, table):
         # from k = 12 adjacent brackets overlap at 1e-14; the lemma orders them
@@ -575,8 +551,6 @@ class TestEtaTable:
     def test_invariants(self, table):
         one, two = _row(table, 1), _row(table, 2)
         solver.EtaTable(rows=(one, two))
-        with pytest.raises(PrecisionError, match="differs from m_k"):
-            solver.EtaTable(rows=(one, solver.EtaRow(k=2, m_min=1, thresholds={}, eta=two.eta)))
 
     def test_k_max_above_capacity_solves_nothing(self, table, monkeypatch):
         def no_solve(*args, **kwargs):
