@@ -171,10 +171,9 @@ def _run_text(np, values, separator):
 
 def _flat(obj):
     """``obj`` as a _Flat when it is an array (one of two dimensions as
-    rows of its second), a list or tuple of only
-    floats or only ints (bool is not an int here), or a nonempty list or
-    tuple of equally long, nonempty lists or tuples of only floats; else
-    None."""
+    rows of its second) or a nonempty list or tuple of only floats or only
+    ints (bool is not an int here); else None.  A list of lists is not
+    flat: _convert writes each inner list."""
     # No array exists unless some code has imported numpy, so it is not
     # imported here.
     np = sys.modules.get("numpy")
@@ -189,10 +188,6 @@ def _flat(obj):
             return _Flat(obj, float.__repr__)
         if kinds == {int}:
             return _Flat(obj, int.__repr__)
-        if kinds <= {list, tuple} and len(set(map(len, obj))) == 1 and obj[0]:
-            items = list(itertools.chain.from_iterable(obj))
-            if all(issubclass(kind, float) for kind in set(map(type, items))):
-                return _Flat(items, float.__repr__, len(obj[0]))
     return None
 
 
@@ -640,11 +635,7 @@ def build_parser() -> Parser:
     p.add_argument("--resolution", type=finite_float, default=None)
 
     p = sub.add_parser("verify", help="verification suites")
-    p.add_argument(
-        "--suite",
-        choices=("gap-lemma", "inequalities", "monotonicity", "selector", "all"),
-        required=True,
-    )
+    p.add_argument("--suite", choices=(*SUITES, "all"), required=True)
     return parser
 
 
@@ -667,20 +658,22 @@ def _suite_cover(name, report):
     }
 
 
+# The verify suites, in the order ``--suite`` lists them and ``--suite all``
+# runs them.
+SUITES = {
+    "gap-lemma": _suite_gap_lemma,
+    "inequalities": lambda table: _suite_cover("inequalities", density.check_inequalities()),
+    "monotonicity": lambda table: _suite_cover("monotonicity", density.check_monotonicity(table)),
+    "selector": lambda table: _suite_cover("selector", density.check_selector(table)),
+}
+
+
 def _run_verify(args, table):
-    suites = []
-    if args.suite in ("gap-lemma", "all"):
-        suites.append(_suite_gap_lemma(table))
-    if args.suite in ("inequalities", "all"):
-        suites.append(_suite_cover("inequalities", density.check_inequalities()))
-    if args.suite in ("monotonicity", "all"):
-        suites.append(_suite_cover("monotonicity", density.check_monotonicity(table)))
-    if args.suite in ("selector", "all"):
-        suites.append(_suite_cover("selector", density.check_selector(table)))
+    suites = [SUITES[name](table) for name in (SUITES if args.suite == "all" else [args.suite])]
     for suite in suites:
         status = "PASS" if suite["passed"] else "FAIL"
         print(f"{status} {suite['suite']} (margin {suite['margin']:.6g})", file=sys.stderr)
-    return suites, all(s["passed"] for s in suites)
+    return {"suites": suites}, all(s["passed"] for s in suites)
 
 
 def main(argv=None) -> int:
@@ -694,67 +687,47 @@ def main(argv=None) -> int:
 
 
 def _main(args) -> int:
-    tolerances = {}
+    # The subcommand's options, in the order they are declared.
+    parameters = {
+        name: value
+        for name, value in vars(args).items()
+        if name not in ("format", "prime_limit", "out", "command")
+    }
+    tolerances = {"eps": args.eps} if "eps" in parameters else {}
+    code = EXIT_OK
     try:
         if args.out:
             _check_out(args.out)
         table = primes.load_or_sieve(args.prime_limit)
         if args.command == "eta":
-            tolerances["eps"] = args.eps
             result = solver.eta(table, args.k, args.eps)
-            params = {"k": args.k, "eps": args.eps}
         elif args.command == "eta-limit":
-            tolerances["eps"] = args.eps
             result = solver.eta_limit(table, args.eps)
-            params = {"eps": args.eps}
         elif args.command == "thresholds":
-            tolerances["eps"] = args.eps
             result = {
                 "thresholds": {m: solver.r_threshold(table, args.k, m, args.eps) for m in (1, 2, 4)},
                 "m_min": solver.m_selector(args.k),
             }
-            params = {"k": args.k, "eps": args.eps}
         elif args.command == "table":
-            tolerances["eps"] = args.eps
             result = solver.eta_table(table, args.kmax, args.eps)
-            params = {"kmax": args.kmax, "eps": args.eps}
         elif args.command == "density":
             result = density.density_report(table, args.k, args.r)
-            params = {"k": args.k, "r": args.r}
         elif args.command == "approximate":
             result = explorer.greedy_approximate(table, args.k, args.r, args.x, args.steps)
-            params = {"k": args.k, "r": args.r, "x": args.x, "steps": args.steps}
         elif args.command == "census":
-            result = explorer.range_census(
-                table, args.k, args.r, args.bound, args.resolution
-            )
-            params = {
-                "k": args.k,
-                "r": args.r,
-                "bound": args.bound,
-                "resolution": result.resolution,
-            }
+            result = explorer.range_census(table, args.k, args.r, args.bound, args.resolution)
+            parameters["resolution"] = result.resolution
             if args.format == "tsv":
                 _write(itertools.chain(_flat(result.values).join("\n"), ["\n"]), args)
                 return EXIT_OK
-        elif args.command == "verify":
-            suites, ok = _run_verify(args, table)
-            envelope = _envelope(
-                args.command,
-                {"suite": args.suite},
-                {"suites": suites},
-                table.limit,
-                tolerances,
-            )
-            _emit(envelope, args)
-            return EXIT_OK if ok else EXIT_VERIFY_FAILED
-        else:  # pragma: no cover - argparse enforces the choices
-            raise AssertionError(args.command)
-        _emit(_envelope(args.command, params, result, table.limit, tolerances), args)
+        else:  # verify
+            result, passed = _run_verify(args, table)
+            code = EXIT_OK if passed else EXIT_VERIFY_FAILED
+        _emit(_envelope(args.command, parameters, result, table.limit, tolerances), args)
     except SigmaDensityError as exc:
         print(f"sigma-density: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ restricted divisor sum is dense in [1, G_k(r)) exactly when the statistic
 is <= 0 for every m; for r in (1, 2] it suffices to test m in {1, 2, 4}.
 k may be math.inf, the unrestricted sum: its local factor at p is
 1/(1 - p^-r) and G_inf(r) = zeta(r).  A positive T at some m certifies
-a forbidden open interval in the log range.  T has one interval expression (:func:`t_levels`), shared by
-:func:`t_func`, :func:`density_report` and ``explorer.analytic_gap_scan``;
-the solver's sign tests read its sign from a log-free comparison of
+a forbidden open interval in the log range.  T and that interval have
+one interval route, :func:`t_levels`, shared by :func:`t_func`,
+:func:`density_report` and ``explorer.analytic_gap_scan``; the solver's
+sign tests read the sign of T from a log-free comparison of
 products (:func:`t_sign`).  Both run on ``mpmath.libmp`` interval tuples:
 the printed route at ``FULL_SIZE.prec``, a sign test at its kernel
 size's precision.  Each p^-r with p <= N comes from the table of p^-r
@@ -79,15 +80,27 @@ def _power(p: int, minus_r: tuple, powers: list, prec: int) -> tuple:
     return powers[p] if p < len(powers) else prime_power(p, minus_r, prec)
 
 
-def _levels(table: PrimeTable, k: int, r: tuple, powers: list, ms: Iterable[int]):
-    """(m, head, prefix) for each m of the strictly ascending ``ms``, as
-    interval tuples at FULL_SIZE.prec: head = log(1 + p_m^-r) and prefix =
-    sum_{i<=m} of the log local factor at p_i, log((1 - x^{k+1})/(1 - x)),
-    or log(1/(1 - x)) at k = inf, with x = p_i^-r read from ``powers``,
-    the table of zeta(r)'s full-size evaluation.  The prefix is carried
-    from one level to the next, and the head reuses the p_m^-r its last
-    term took."""
+def t_levels(
+    table: PrimeTable, k: int | float, r: tuple, log_g: tuple[tuple, list], ms: Iterable[int]
+) -> Iterator[tuple[int, Bracket, tuple[float, float] | None]]:
+    """T_k(m, r) = log(1 + p_m^{-r}) - sum_{i>m} log(local factor at p_i)
+    for each m of the strictly ascending ``ms``, on interval tuples at
+    FULL_SIZE.prec.  The tail is log G_k(r) minus the prefix sum_{i<=m} of
+    the log local factor at p_i, log((1 - x^{k+1})/(1 - x)), or
+    log(1/(1 - x)) at k = inf, with x = p_i^-r.  ``log_g`` is what
+    ``zeta.log_g_iv(k, r)`` returns: the interval of log G_k(r) and the
+    table of n^-r of zeta(r)'s full-size evaluation, which each x is read
+    from.
+
+    Yields (m, T bracket, gap), where gap is the certified forbidden core
+    at level m, the doubles (log G_k(r) - prefix rounded up,
+    log(1 + p_m^-r) rounded down), when T is certified positive and None
+    otherwise.  The prefix is carried from one level to the next, and the
+    head reuses the p_m^-r its last term took, so a scan over m = 1..M
+    costs M local factors and no zeta evaluation.
+    """
     prec = FULL_SIZE.prec
+    log_g, powers = log_g
     minus_r = mpi_neg(r, prec)
     prefix = fzero, fzero
     done = 0
@@ -98,32 +111,11 @@ def _levels(table: PrimeTable, k: int, r: tuple, powers: list, ms: Iterable[int]
             local = mpi_div(kept, mpi_sub(ONE, x, prec), prec)
             prefix = mpi_add(prefix, mpi_log(local, prec), prec)
         done = m
-        yield m, mpi_log(mpi_add(ONE, x, prec), prec), prefix
-
-
-def t_levels(
-    table: PrimeTable, k: int | float, r: tuple, log_g: tuple[tuple, list], ms: Iterable[int]
-) -> Iterator[tuple[int, Bracket, GapInterval | None]]:
-    """T_k(m, r) = log(1 + p_m^{-r}) - sum_{i>m} log(local factor at p_i)
-    for each m of the ascending ``ms``, with that tail taken as log G_k(r)
-    minus the prefix i <= m.  ``log_g`` is what ``zeta.log_g_iv(k, r)``
-    returns: the interval of log G_k(r) and the table of n^-r that
-    :func:`_levels` reads.
-
-    Yields (m, T bracket, gap), where gap is the forbidden interval at
-    level m when T is certified positive and None otherwise.  The prefix
-    of local factors is carried from one level to the next, so a scan
-    over m = 1..M costs M local factors and no zeta evaluation.
-    """
-    prec = FULL_SIZE.prec
-    log_g, powers = log_g
-    for m, head, prefix in _levels(table, k, r, powers, ms):
+        head = mpi_log(mpi_add(ONE, x, prec), prec)
         t = Bracket.from_iv(mpi_add(mpi_sub(head, log_g, prec), prefix, prec))
         gap = None
         if t.strictly_positive():
-            gap = GapInterval(
-                m=m, lo=Bracket.from_iv(mpi_sub(log_g, prefix, prec)), hi=Bracket.from_iv(head)
-            )
+            gap = Bracket.from_iv(mpi_sub(log_g, prefix, prec)).hi, Bracket.from_iv(head).lo
         yield m, t, gap
 
 
@@ -251,23 +243,6 @@ def t_float(table: PrimeTable, k: int | float, m: int, r: float) -> float:
         x = float(table.nth(i)) ** (-r)
         prefix += math.log1p(x * (1.0 - x**k) / (1.0 - x))
     return math.log1p(float(table.nth(m)) ** (-r)) - log_g + prefix
-
-
-@dataclass(frozen=True)
-class GapInterval:
-    """A certified forbidden open interval in the log range.
-
-    ``lo`` is the tail bracket, ``hi`` the bracket of log(1 + p_m^{-r}).
-    The certainly-forbidden core is (lo.hi, hi.lo).
-    """
-
-    m: int
-    lo: Bracket
-    hi: Bracket
-
-    @property
-    def inner(self) -> tuple[float, float]:
-        return (self.lo.hi, self.hi.lo)
 
 
 @dataclass(frozen=True)

@@ -393,7 +393,7 @@ def analytic_gap_scan(
 ) -> tuple[ScanEntry, ...]:
     """Certified first-level forbidden intervals for m = 1..m_max.
 
-    The intervals are the inner cores (``GapInterval.inner``) of the gaps
+    The intervals are the certified forbidden cores that
     :func:`density.t_levels` yields; log G_k(r) is evaluated once per scan.
     Entries whose T bracket straddles zero are flagged indeterminate, not
     guessed.  Callers wanting only firing levels filter on status."""
@@ -410,7 +410,5 @@ def analytic_gap_scan(
             status = "nonpositive"
         else:
             status = "indeterminate"
-        entries.append(
-            ScanEntry(m=m, t=t, status=status, interval=gap.inner if gap else None)
-        )
+        entries.append(ScanEntry(m=m, t=t, status=status, interval=gap))
     return tuple(entries)

@@ -42,7 +42,7 @@ from functools import partial
 from typing import Callable
 
 from .brackets import Bracket, check_eps
-from .density import t_float, t_func, t_levels, t_sign
+from .density import R_MONOTONE_LO, t_float, t_func, t_levels, t_sign
 from .errors import CapacityError, DomainError, PrecisionError, check_k
 from .primes import PrimeTable
 from .zeta import FULL_SIZE, SIGN_SIZE, KernelSize, log_g_iv, to_iv
@@ -60,8 +60,9 @@ ETA_TABLE_MAX_K = 100
 
 # Every target diverges to -inf at 1+, so its sign is negative here; a
 # solve that tests this start (see :func:`_solve`) and cannot certify
-# that sign fails loudly.
-_START = 1.0001
+# that sign fails loudly.  The walk stays inside the range on which
+# density.check_monotonicity proves its target increasing.
+_START = R_MONOTONE_LO
 
 # The guides stay within 2e-15 of their certified functions on [1.0001, 2]
 # (mpmath.fp.zeta is within 2e-16 relative of the 200-bit zeta there, and

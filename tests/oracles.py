@@ -140,15 +140,16 @@ def levels_oracle(table, k: int, r_iv, ms):
 
 
 def t_levels_oracle(table, k: int, r: float, ms):
-    """(m, T bracket, gap ends or None) on iv objects: the T route before it
-    read p^-r from zeta(r)'s table."""
+    """(m, T bracket, gap core or None) on iv objects: the T route before it
+    read p^-r from zeta(r)'s table.  The core is the doubles (log G - prefix
+    rounded up, head rounded down)."""
     r_iv = iv.mpf(r)
     log_g = log_g_iv_oracle(k, r_iv)
     for m, head, prefix in levels_oracle(table, k, r_iv, ms):
         t = Bracket.from_iv(head - log_g + prefix)
         gap = None
         if t.strictly_positive():
-            gap = Bracket.from_iv(log_g - prefix), Bracket.from_iv(head)
+            gap = Bracket.from_iv(log_g - prefix).hi, Bracket.from_iv(head).lo
         yield m, t, gap
 
 

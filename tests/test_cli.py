@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import first_difference
-from sigma_density import cli, explorer, primes, solver
+from sigma_density import cli, density, explorer, primes, solver
 from sigma_density.brackets import Bracket
 
 PRIME_ARGS = ["--prime-limit", "500000"]
@@ -218,6 +218,18 @@ def test_verify_reports_covers(capsys):
         assert suite["passed"] is True and suite["margin"] > 0
         for check in suite["report"]["checks"]:
             assert check["cells"] >= 1 and check["min_slack"] > 0
+
+
+def test_a_failed_suite_prints_its_envelope_and_exits_2(capsys, monkeypatch):
+    failed = density.InequalityCheck("claim", "T > 0", 1.5, 1.5, 0, -1.0, False)
+    monkeypatch.setattr(density, "check_selector", lambda table: density.InequalityReport((failed,)))
+    code, envelope, err = run_json(capsys, *PRIME_ARGS, "verify", "--suite", "selector")
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert envelope["parameters"] == {"suite": "selector"}
+    assert envelope["provenance"]["tolerances"] == {}
+    (suite,) = envelope["result"]["suites"]
+    assert suite["suite"] == "selector" and suite["passed"] is False and suite["margin"] == -1.0
+    assert "FAIL selector (margin -1)" in err
 
 
 def _exit_code_and_peak(capsys, argv):

@@ -14,7 +14,6 @@ from oracles import (
     cover_claims_oracle,
     cover_x,
     iv_pow,
-    levels_oracle,
     limit_equation,
     log_g_iv_oracle,
     log_local_factor_iv,
@@ -193,24 +192,11 @@ class TestOneLogPerPrime:
     def test_t_log_g_and_gaps_equal_the_oracle_route(self, table, k, ms, r):
         r_iv = to_iv(r)
         log_g = log_g_iv(k, r_iv)
-        oracle_log_g = log_g_iv_oracle(k, iv.mpf(r))
-        assert log_g[0] == oracle_log_g._mpi_
-        levels = zip(
-            density._levels(table, k, r_iv, log_g[1], ms),
-            levels_oracle(table, k, iv.mpf(r), ms),
-            density.t_levels(table, k, r_iv, log_g, ms),
-        )
-        for (m, head, prefix), (_, oracle_head, oracle_prefix), (_, t, gap) in levels:
-            # each p^-r, log local factor and head, with p_i from the table
-            assert prefix == oracle_prefix._mpi_
-            assert head == oracle_head._mpi_
-            oracle_t = oracle_head - oracle_log_g + oracle_prefix
-            assert t == Bracket.from_iv(oracle_t)
-            if t.strictly_positive():
-                assert gap.lo == Bracket.from_iv(oracle_log_g - oracle_prefix)
-                assert gap.hi == Bracket.from_iv(oracle_head)
-            else:
-                assert gap is None
+        assert log_g[0] == log_g_iv_oracle(k, iv.mpf(r))._mpi_
+        # T and the gap core at each level, from each p^-r, log local factor
+        # and head, with p_i from the table
+        levels = density.t_levels(table, k, r_iv, log_g, ms)
+        assert list(levels) == list(t_levels_oracle(table, k, r, ms))
 
     @pytest.mark.parametrize("x", [1.0001, 1.5, 7 / 3, [1.0001, 7 / 3], [1.8, 1.9]])
     @pytest.mark.parametrize("p", [2, 3, 7, 31, 1999993])
@@ -268,18 +254,14 @@ class TestTupleRoute:
     def test_printed_brackets_equal_the_oracle(self, table, k, r):
         oracle = list(t_levels_oracle(table, k, r, range(1, 11)))
         r_iv = to_iv(r)
-        levels = list(density.t_levels(table, k, r_iv, log_g_iv(k, r_iv), range(1, 11)))
-        assert [(m, t) for m, t, _ in levels] == [(m, t) for m, t, _ in oracle]
-        assert [gap and (gap.lo, gap.hi) for _, _, gap in levels] == [gap for _, _, gap in oracle]
+        assert list(density.t_levels(table, k, r_iv, log_g_iv(k, r_iv), range(1, 11))) == oracle
         for m in (1, 2, 4, 10):
             assert density.t_func(table, k, m, r) == oracle[m - 1][1]
         report = density.density_report(table, k, r)
         assert report.per_m == {m: oracle[m - 1][1] for m in (1, 2, 4)}
         assert report.log_g == Bracket.from_iv(log_g_iv_oracle(k, iv.mpf(r)))
         scan = explorer.analytic_gap_scan(table, k, r, 10)
-        assert [e.t for e in scan] == [t for _, t, _ in oracle]
-        cores = [gap and (gap[0].hi, gap[1].lo) for _, _, gap in oracle]
-        assert [e.interval for e in scan] == cores
+        assert [(e.m, e.t, e.interval) for e in scan] == oracle
 
     @settings(max_examples=40, deadline=None)
     @given(

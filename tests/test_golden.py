@@ -11,6 +11,8 @@ from sigma_density import cli
 DATA = pathlib.Path(__file__).parent / "data"
 
 GOLDEN = {
+    # the root of T_3(m_k, .) at the default eps, and every parameter echoed
+    "eta_k3.txt": ["eta", "--k", "3"],
     "table_kmax10.txt": ["table", "--kmax", "10"],
     "eta_limit.txt": ["eta-limit"],
     # 44 steps; the residual is the last level of T at k = inf
