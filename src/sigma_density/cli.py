@@ -8,8 +8,10 @@ floats serialize with shortest round-trip representation, which is exact
 to the double.  TSV flattens the same numbers to key/value lines, except
 for the census where it emits one range value per line.
 
-Floats print byte for byte as ``float.__repr__`` writes them, but long
-lists and arrays a block at a time through numpy.  A block of fewer than
+Every flat column of numbers that a result holds is a numpy array, and
+the arrays are the only values written a block at a time: ints by
+``int.__repr__``, anything else as float64, printed byte for byte as
+``float.__repr__`` writes it, through numpy.  A block of fewer than
 FLOAT_TEXT_MIN runs of equal values takes one ``float.__repr__`` a run
 (``_run_text``): a 100000-step greedy walk's partial sums C, a step
 function, take 4-7 ns a value in JSON, against 183-286 ns before
@@ -19,8 +21,8 @@ value takes 213-271 ns in TSV and 286-322 ns in JSON with the gap rows,
 against about 1.1 us by ``float.__repr__``.  A walk's D and E take
 245-369 ns a value in JSON and its exponents 38-57 ns, against 143-151 ns
 by ``int.__repr__`` (``BENCH_walk_output.json``; Python 3.11, numpy 2.4,
-a shared 2-vCPU x86-64 host).  An envelope's TSV takes its values' texts
-from the same blocked writer, a line each.
+a shared 2-vCPU x86-64 host).  An envelope's TSV takes an array's texts
+from the same blocked writer and writes them a block of lines at a time.
 
 Output is written a piece at a time as it is made, to stdout or
 ``--out``, once every check that can refuse the request has passed: a
@@ -95,9 +97,9 @@ _INT_TEXTS = {i: int.__repr__(i) for i in range(256)}
 
 
 class _Flat:
-    """A flat list or array of floats or ints, written by ``rep``
-    (``float.__repr__`` or ``int.__repr__``, as json writes them).  With
-    a ``width``, the items are the rows of a table, ``width`` at a time."""
+    """A flat array of floats or ints, written by ``rep`` (``float.__repr__``
+    or ``int.__repr__``, as json writes them).  With a ``width``, the items
+    are the rows of a table, ``width`` at a time."""
 
     def __init__(self, items, rep, width=None):
         self.items = items
@@ -109,37 +111,31 @@ class _Flat:
         ``row_separator`` between rows, as an iterator of pieces of at most
         JOIN_BLOCK items that each start a row, made as they are taken.
         A float item that is not finite raises json's ValueError here,
-        before any piece is made.
+        before any piece is made: the array's min or max is then NaN or
+        infinite.
 
-        When numpy is loaded, float blocks of at least FLOAT_TEXT_MIN items
-        go to _run_text unless they are rows, then to _float_text if that
-        declines."""
-        np = sys.modules.get("numpy")  # as in _flat
+        Float blocks of at least FLOAT_TEXT_MIN items go to _run_text
+        unless they are rows, then to _float_text if that declines."""
         if self.rep is float.__repr__ and len(self.items):
-            ends = self.items
-            if not isinstance(ends, (list, tuple)):
-                # An array's min or max is NaN or infinite when any item
-                # is, and takes no array of the items' length.
-                ends = [ends.min(), ends.max()]
-            if not all(map(math.isfinite, ends)):
+            if not (math.isfinite(self.items.min()) and math.isfinite(self.items.max())):
                 raise ValueError("Out of range float values are not JSON compliant")
-        return self._pieces(np, separator, separator if self.width is None else row_separator)
+        return self._pieces(separator, separator if self.width is None else row_separator)
 
-    def _pieces(self, np, separator, row_separator):
+    def _pieces(self, separator, row_separator):
+        import numpy as np  # loaded: the items are an array
+
         width = self.width or 1
         step = max(1, JOIN_BLOCK // width) * width
         for start in range(0, len(self.items), step):
             block = self.items[start : start + step]
             text = None
-            if self.rep is float.__repr__ and np is not None and len(block) >= FLOAT_TEXT_MIN:
-                block = np.asarray(block, dtype=np.float64)
+            if self.rep is float.__repr__ and len(block) >= FLOAT_TEXT_MIN:
                 if self.width is None:
                     text = _run_text(np, block, separator)
                 if text is None:
                     text = _float_text(np, block, separator, row_separator, width)
             if text is None:
-                if not isinstance(block, (list, tuple)):
-                    block = block.tolist()
+                block = block.tolist()
                 texts = map(self.rep, block)
                 if self.rep is int.__repr__:
                     try:
@@ -170,25 +166,19 @@ def _run_text(np, values, separator):
 
 
 def _flat(obj):
-    """``obj`` as a _Flat when it is an array (one of two dimensions as
-    rows of its second) or a nonempty list or tuple of only floats or only
-    ints (bool is not an int here); else None.  A list of lists is not
-    flat: _convert writes each inner list."""
+    """``obj`` as a _Flat when it is an array, else None: an int array is
+    written by ``int.__repr__``, any other as float64, and one of two
+    dimensions as rows of its second."""
     # No array exists unless some code has imported numpy, so it is not
     # imported here.
     np = sys.modules.get("numpy")
-    if np is not None and isinstance(obj, np.ndarray):
-        a = np.asarray(obj, dtype=np.float64)
-        if a.ndim == 2:
-            return _Flat(a.ravel(), float.__repr__, a.shape[1])
-        return _Flat(a, float.__repr__)
-    if isinstance(obj, (list, tuple)) and obj:
-        kinds = set(map(type, obj))
-        if all(issubclass(kind, float) for kind in kinds):
-            return _Flat(obj, float.__repr__)
-        if kinds == {int}:
-            return _Flat(obj, int.__repr__)
-    return None
+    if np is None or not isinstance(obj, np.ndarray):
+        return None
+    if obj.dtype.kind in "iu":
+        rep = int.__repr__
+    else:
+        rep, obj = float.__repr__, obj.astype(np.float64, copy=False)
+    return _Flat(obj.ravel(), rep, obj.shape[1] if obj.ndim == 2 else None)
 
 
 # Veltkamp's splitter 2**27 + 1: x * SPLIT - (x * SPLIT - x) is the upper
@@ -434,7 +424,7 @@ def _float_text(np, values, separator, row_separator, width):
 
 def _convert(obj, path, brackets):
     """Recursively turn results into JSON-ready values, indexing brackets.
-    Flat lists of numbers become _Flat, which _json_pieces writes."""
+    Arrays become _Flat, which _json_pieces writes."""
     if isinstance(obj, Bracket):
         brackets[path] = [obj.lo, obj.hi]
         return [obj.lo, obj.hi]
@@ -472,25 +462,27 @@ def _envelope(command, parameters, result, prime_limit, tolerances):
     }
 
 
-def _flatten(obj, prefix=""):
+def _tsv_pieces(obj, prefix=""):
+    """The TSV of ``obj``, a line of key, tab and value a value: a piece per
+    scalar line, and a piece per block of a _Flat's join, which writes its
+    values' texts as the JSON writer does.  A _Flat is keyed as a flat
+    list, a table's cells too: no command writes a table in TSV, since the
+    census writes its values only."""
     if isinstance(obj, dict):
         for k, v in obj.items():
-            yield from _flatten(v, f"{prefix}.{k}" if prefix else str(k))
+            yield from _tsv_pieces(v, f"{prefix}.{k}" if prefix else str(k))
     elif isinstance(obj, list):
         for i, v in enumerate(obj):
-            yield from _flatten(v, f"{prefix}[{i}]")
+            yield from _tsv_pieces(v, f"{prefix}[{i}]")
     elif isinstance(obj, _Flat):
-        # The texts of a block, a line each, as the JSON writer makes them;
-        # a piece after the first starts with its separator.
-        pieces = obj.join("\n", "\n")
-        texts = itertools.chain.from_iterable(piece.removeprefix("\n").split("\n") for piece in pieces)
-        for i, text in enumerate(texts):
-            if obj.width is None:
-                yield f"{prefix}[{i}]", text
-            else:
-                yield f"{prefix}[{i // obj.width}][{i % obj.width}]", text
+        start = 0
+        for piece in obj.join("\n", "\n"):
+            # A piece after the first starts with its separator.
+            texts = piece.removeprefix("\n").split("\n")
+            yield "".join([f"{prefix}[{i}]\t{text}\n" for i, text in enumerate(texts, start)])
+            start += len(texts)
     else:
-        yield prefix, obj
+        yield f"{prefix}\t{obj}\n"
 
 
 def _json_pieces(envelope):
@@ -585,12 +577,7 @@ def _write(pieces, args):
 
 
 def _emit(envelope, args):
-    if args.format == "json":
-        _write(_json_pieces(envelope), args)
-    else:
-        lines = (f"{key}\t{value}\n" for key, value in _flatten(envelope))
-        # JOIN_BLOCK lines a piece, until a piece is empty.
-        _write(iter(lambda: "".join(itertools.islice(lines, JOIN_BLOCK)), ""), args)
+    _write(_json_pieces(envelope) if args.format == "json" else _tsv_pieces(envelope), args)
 
 
 @functools.cache
@@ -705,7 +692,7 @@ def _main(args) -> int:
             result = solver.eta_limit(table, args.eps)
         elif args.command == "thresholds":
             result = {
-                "thresholds": {m: solver.r_threshold(table, args.k, m, args.eps) for m in (1, 2, 4)},
+                "thresholds": {m: solver.r_threshold(table, args.k, m, args.eps) for m in density.LEVELS},
                 "m_min": solver.m_selector(args.k),
             }
         elif args.command == "table":

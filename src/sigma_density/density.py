@@ -57,7 +57,9 @@ from .errors import check_k, check_r
 from .primes import PrimeTable
 from .zeta import FULL_SIZE, ONE, KernelSize, log_g_iv, log_prime, prime_power, scale, to_iv, zeta_iv
 
-# The range on which T_k(m, .) for m in {1, 2, 4} and J_m are proved
+# The levels m of the criterion's test for r in (1, 2].
+LEVELS = (1, 2, 4)
+# The range on which T_k(m, .) for m in LEVELS and J_m are proved
 # increasing by :func:`check_monotonicity`; it holds the solver's bracket
 # [1.0001, 2].
 R_MONOTONE_LO = 1.0001
@@ -402,7 +404,7 @@ def check_monotonicity(table: PrimeTable) -> InequalityReport:
     lo, hi = R_MONOTONE_LO, R_MONOTONE_HI
     power = _power_table()
     checks = []
-    for m in (1, 2, 4):
+    for m in LEVELS:
         t_slope = partial(_rise, table, power, m, 10, _log_over)
         j_slope = partial(_rise, table, power, m, 6, _log_sq_over)
         minus_j = partial(_rise, table, power, m, 6, _log_over)
@@ -504,7 +506,7 @@ def density_report(table: PrimeTable, k: int, r: float) -> DensityReport:
     check_r(r)
     r_iv = to_iv(r)
     log_g = log_g_iv(k, r_iv)
-    per_m = {m: t for m, t, _ in t_levels(table, k, r_iv, log_g, (1, 2, 4))}
+    per_m = {m: t for m, t, _ in t_levels(table, k, r_iv, log_g, LEVELS)}
     t_brackets = list(per_m.values())
     verdict, width = "undetermined", 0.0
     if any(t.strictly_positive() for t in t_brackets):

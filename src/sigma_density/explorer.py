@@ -50,22 +50,22 @@ CENSUS_SCAN_LEVELS = 10
 class GreedyTrace:
     """Full record of one greedy run.
 
-    ``alphas`` are the chosen exponents, one int per prime: the witness
-    n = prod_l p_l^alpha_l has log sigma ``achieved`` up to rounding.  C are the
-    partial log sums (nondecreasing, never exceeding the target), D the
+    ``alphas`` are the chosen exponents, an intp array: the witness
+    n = prod_l p_l^alpha_l has log sigma ``achieved`` up to rounding.  C are
+    the partial log sums (nondecreasing, never exceeding the target), D the
     per-prime deficits against the full local factor, E the cumulative
-    deficits, each a float64 array of one entry per prime; C_l + E_l
-    converges to log G_k(r).  C stays constant at each prime that takes
-    exponent 0, so where most primes do, C is a step function of few runs
-    (5-21 distinct values in eight of the nine 100000-step walks of the
-    benchmark's census plan at seeds 1-3), and the CLI writes it at the
-    cost of one ``float.__repr__`` a run, not one a prime.
+    deficits, each a float64 array; every column has one entry per prime.
+    C_l + E_l converges to log G_k(r).  C stays constant at each prime
+    that takes exponent 0, so where most primes do, C is a step function
+    of few runs (5-21 distinct values in eight of the nine 100000-step
+    walks of the benchmark's census plan at seeds 1-3), and the CLI writes
+    it at the cost of one ``float.__repr__`` a run, not one a prime.
     """
 
     k: int
     r: float
     target: float
-    alphas: list[int]
+    alphas: np.ndarray
     C: np.ndarray
     D: np.ndarray
     E: np.ndarray
@@ -128,10 +128,16 @@ def greedy_approximate(
     powers = _walk_primes(table, steps).astype(np.float64) ** (-r)
     # partial_logs[a][l] = log(sum_{j<=a} p_l^{-jr}); row 0 is zero.  Each
     # row is the one above plus p^-ar, as np.cumsum over the rows adds.
+    # Once every p^-ar rounds away, so does every later power, which is
+    # smaller (p^-r < 1/2, and pow errs by under an ulp): the rest of the
+    # rows equal this one, and a walk at huge k fills them at once.
     partial_logs = np.empty((k + 1, steps))
     partial_logs[0] = 1.0
     for a in range(1, k + 1):
         np.add(partial_logs[a - 1], powers**a, out=partial_logs[a])
+        if np.array_equal(partial_logs[a], partial_logs[a - 1]):
+            partial_logs[a + 1 :] = partial_logs[a]
+            break
     np.log(partial_logs, out=partial_logs)
     alphas = _greedy_alphas(partial_logs, x)
     taken = partial_logs[alphas, np.arange(steps)]
@@ -142,7 +148,7 @@ def greedy_approximate(
         k=k,
         r=r,
         target=x,
-        alphas=alphas.tolist(),
+        alphas=alphas,
         C=C,
         D=D,
         E=np.cumsum(D),

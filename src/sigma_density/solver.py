@@ -42,7 +42,7 @@ from functools import partial
 from typing import Callable
 
 from .brackets import Bracket, check_eps
-from .density import R_MONOTONE_LO, t_float, t_func, t_levels, t_sign
+from .density import LEVELS, R_MONOTONE_LO, t_float, t_func, t_levels, t_sign
 from .errors import CapacityError, DomainError, PrecisionError, check_k
 from .primes import PrimeTable
 from .zeta import FULL_SIZE, SIGN_SIZE, KernelSize, log_g_iv, to_iv
@@ -121,7 +121,6 @@ def _solve(
     guide: Callable[[float], float],
     eps: float,
     method: str,
-    boundary: bool = False,
 ) -> RootResult:
     """The root in (1, 2) of a strictly increasing function by bisection
     from [_START, 2], steered by ``guide``, a float estimate of it: a
@@ -144,9 +143,12 @@ def _solve(
     the steered walk is the certified walk.  Otherwise, or when an
     endpoint fails its test, both ends of [_START, 2] are certified, 2 at
     FULL_SIZE, and the walk is redone with a certified test at every
-    midpoint.  A sign at 2 certified nonpositive gives the boundary result
-    when ``boundary`` is set and raises otherwise.  A NaN guide makes
-    every sign a certified test.
+    midpoint.  A bracket at 2 certified nonpositive gives the boundary
+    result, and one that straddles 0 raises.  Only r_threshold's solves
+    reach the boundary: the T_k(m_k, .) of :func:`eta` and
+    :func:`eta_limit` is positive at 2, since ``density.check_selector``
+    certifies it positive at 1.9 or below (signs (c) and (e)) and it is
+    increasing.  A NaN guide makes every sign a certified test.
     """
     values: dict[float, Bracket] = {}
     signs: dict[float, int | None] = {}
@@ -181,7 +183,7 @@ def _solve(
     if walked is None or not rests_on_root(*walked[:2]):
         at_two = value_at(2.0)
         if at_two.certified_sign() != 1:
-            if boundary and at_two.nonpositive():
+            if at_two.nonpositive():
                 return RootResult(
                     value=Bracket.exact(2.0),
                     iterations=0,
@@ -206,7 +208,7 @@ def r_threshold(table: PrimeTable, k: int | float, m: int, eps: float = DEFAULT_
     """The unique root of T_k(m, .) in (1, 2), or the boundary value 2
     when T_k(m, .) stays negative on the whole interval."""
     check_k(k)
-    if m not in (1, 2, 4):
+    if m not in LEVELS:
         raise DomainError(f"m must be one of 1, 2, 4, got {m}")
     check_eps(eps)
     return _solve(
@@ -215,7 +217,6 @@ def r_threshold(table: PrimeTable, k: int | float, m: int, eps: float = DEFAULT_
         partial(t_float, table, k, m),
         eps,
         "bisection on T",
-        boundary=True,
     )
 
 
@@ -312,7 +313,7 @@ def eta_table(table: PrimeTable, k_max: int, eps: float = DEFAULT_EPS) -> EtaTab
         )
     rows = []
     for k in range(1, k_max + 1):
-        thresholds = {m: r_threshold(table, k, m, eps) for m in (1, 2, 4)}
+        thresholds = {m: r_threshold(table, k, m, eps) for m in LEVELS}
         m = m_selector(k)
         rows.append(EtaRow(k=k, m_min=m, thresholds=thresholds, eta=thresholds[m]))
     return EtaTable(rows=tuple(rows))

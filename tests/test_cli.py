@@ -658,8 +658,8 @@ def _old_convert(obj, path, brackets):
     if isinstance(obj, dict):
         return {str(k): _old_convert(v, f"{path}.{k}" if path else str(k), brackets) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        # a census's gaps are a table, rows of three floats
-        return np.asarray(obj, dtype=np.float64).tolist()
+        # a walk's columns, and a census's gaps, a table of rows of three floats
+        return obj.tolist()
     if isinstance(obj, (list, tuple)):
         return [_old_convert(v, f"{path}[{i}]", brackets) for i, v in enumerate(obj)]
     if isinstance(obj, (np.integer,)):
@@ -751,15 +751,15 @@ def test_tsv_of_a_table_of_floats_keys_each_cell():
     gaps = tuple((1.0 + i / 7, 1.5 + i / 3, 2.0 ** -(i % 64)) for i in range(n // 3))
     steps = np.repeat([0.0, 0.25, -0.0, 0.25], n // 4)
     envelope = {"result": {"gaps": gaps, "m": [1, 2], "values": np.linspace(0.001, 3.0, n), "steps": steps}}
-    old = [f"{key}\t{value}" for key, value in _old_flatten(_old_convert(envelope, "", {}))]
-    assert [f"{key}\t{value}" for key, value in cli._flatten(cli._convert(envelope, "", {}))] == old
+    old = "".join(f"{key}\t{value}\n" for key, value in _old_flatten(_old_convert(envelope, "", {})))
+    assert first_difference("".join(cli._tsv_pieces(cli._convert(envelope, "", {}))), old) is None
 
 
 def test_flat_lists_are_joined_in_blocks():
     n = 2 * cli.JOIN_BLOCK + 3
     payload = {
         "values": np.linspace(1.0, 2.0, n),
-        "nested": {"ints": list(range(-5, n)), "floats": [0.1 * i for i in range(cli.JOIN_BLOCK)]},
+        "nested": {"ints": np.arange(-5, n), "floats": 0.1 * np.arange(cli.JOIN_BLOCK)},
     }
     pieces = list(cli._json_pieces(cli._convert(payload, "", {})))
     assert first_difference("".join(pieces), _old_json(_old_convert(payload, "", {}))) is None
@@ -767,20 +767,30 @@ def test_flat_lists_are_joined_in_blocks():
     flat = cli._flat(payload["values"])
     assert [len(piece.split("\n")) for piece in flat.join("\n")] == [cli.JOIN_BLOCK, cli.JOIN_BLOCK + 1, 4]
     with pytest.raises(ValueError):
-        cli._flat([*payload["nested"]["floats"], 1.0, math.nan]).join(",")
+        cli._flat(np.r_[payload["nested"]["floats"], 1.0, math.nan]).join(",")
+
+
+def test_only_arrays_are_flat():
+    # Lists and tuples go to json's writer, each item converted alone.
+    for obj in ([1.0, 2.0], (1, 2), [3], (), [np.float64(0.5)], 1.5, "text", None):
+        assert cli._flat(obj) is None
+    ints = cli._flat(np.array([[1, 2], [3, 4]], dtype=np.int32))
+    assert (ints.rep, ints.width, ints.items.tolist()) == (int.__repr__, 2, [1, 2, 3, 4])
+    floats = cli._flat(np.array([True, False]))
+    assert (floats.rep, floats.width, floats.items.dtype) == (float.__repr__, None, np.float64)
 
 
 @pytest.mark.parametrize(
     "ints",
     [
         [i % 7 for i in range(3 * cli.JOIN_BLOCK + 11)],  # every value in the table
-        [i % 256 for i in range(1000)] + [256, 2**70],  # values past the table
+        [i % 256 for i in range(1000)] + [256, 2**62],  # values past the table
         [5, -1, 0, 3] * 700,  # a negative value
     ],
     ids=["small", "large", "negative"],
 )
 def test_int_blocks_match_int_repr(ints):
-    assert "".join(cli._flat(ints).join(", ")) == ", ".join(map(int.__repr__, ints))
+    assert "".join(cli._flat(np.array(ints)).join(", ")) == ", ".join(map(int.__repr__, ints))
 
 
 @pytest.mark.parametrize(

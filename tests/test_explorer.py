@@ -83,7 +83,7 @@ class TestSieve:
 class TestGreedy:
     def test_zero_target(self, table):
         trace = explorer.greedy_approximate(table, 1, 1.5, 0.0, 10)
-        assert trace.alphas == [0] * 10
+        assert trace.alphas.tolist() == [0] * 10
         assert trace.achieved == 0.0
         assert trace.residual == 0.0
 
@@ -152,7 +152,29 @@ class TestGreedy:
             D.append(d)
             E.append(e)
         trace = explorer.greedy_approximate(table, k, r, x, steps)
-        assert (trace.alphas, trace.C.tolist(), trace.D.tolist(), trace.E.tolist()) == (alphas, C, D, E)
+        assert (trace.alphas.tolist(), trace.C.tolist(), trace.D.tolist(), trace.E.tolist()) == (alphas, C, D, E)
+
+    @pytest.mark.parametrize("x", [0.1, 0.4])
+    def test_a_walk_at_huge_k_stops_adding_rows_once_they_stop_growing(self, table, monkeypatch, x):
+        # The largest k that a one-prime walk may take.  At p = 2 and r = 2
+        # each p^-ar = 4^-a is exact (0 below 2**-1074), so the row-by-row
+        # table is the log of the running sum of those powers, in place.
+        k = explorer.GREEDY_MAX_ENTRIES - 1
+        logs = np.ldexp(1.0, -2 * np.arange(k + 1))
+        np.cumsum(logs, out=logs)
+        stop = int(np.argmax(logs[1:] == logs[:-1])) + 1  # the first row that adds nothing
+        np.log(logs, out=logs)
+        fits = np.flatnonzero(logs[1:] <= x)
+        alpha = int(fits[-1]) + 1 if len(fits) else 0
+        compared = []
+        array_equal = np.array_equal
+        monkeypatch.setattr(np, "array_equal", lambda *args: compared.append(args) or array_equal(*args))
+        trace = explorer.greedy_approximate(table, k, 2.0, x, 1)
+        got = (trace.alphas.tolist(), trace.C.tolist(), trace.D.tolist(), trace.E.tolist())
+        assert got == ([alpha], [logs[alpha]], [logs[k] - logs[alpha]], [logs[k] - logs[alpha]])
+        assert (trace.achieved, trace.residual) == (logs[alpha], x - logs[alpha])
+        # one comparison a row, up to the first row that adds nothing
+        assert len(compared) == stop < 64
 
     def test_a_long_walk_runs_no_garbage_collection(self, table):
         # A walk that kept an object per step alive would trip the cyclic
@@ -234,8 +256,8 @@ def assert_walk_matches_the_loop(table, k, r, x, steps):
     """The run walk's trace equals the prime-by-prime loop's bit for bit."""
     trace = explorer.greedy_approximate(table, k, r, x, steps)
     alphas, C, D, E = greedy_walk_loop(explorer._walk_primes(table, steps), k, r, x)
-    assert trace.alphas == alphas
-    assert all(type(a) is int for a in trace.alphas)
+    assert trace.alphas.dtype == np.intp
+    assert trace.alphas.tolist() == alphas
     for got, expected in ((trace.C, C), (trace.D, D), (trace.E, E)):
         assert got.dtype == np.float64
         assert np.array_equal(got.view(np.uint64), np.array(expected).view(np.uint64))
@@ -257,13 +279,13 @@ class TestGreedyRuns:
 
     def test_zero_target(self, table):
         trace = assert_walk_matches_the_loop(table, 3, 1.5, 0.0, 5000)
-        assert trace.alphas == [0] * 5000
+        assert trace.alphas.tolist() == [0] * 5000
 
     def test_exactly_attainable_target(self, table):
         r = 1.5
         x = math.log(1 + 2**-r) + math.log(1 + 3**-r)
         trace = assert_walk_matches_the_loop(table, 1, r, x, 5000)
-        assert trace.alphas[:2] == [1, 1]
+        assert trace.alphas[:2].tolist() == [1, 1]
 
     def test_stalled_walk_takes_every_later_prime(self, table):
         # Past the gap, at k = 1 and r = 2.198, the walk skips 3 and takes
@@ -272,7 +294,7 @@ class TestGreedyRuns:
         k, r, steps = 1, 2.198, 20_000
         x = target(k, r, 1.0) - math.log1p(3.0**-r) + 0.0179
         trace = assert_walk_matches_the_loop(table, k, r, x, steps)
-        assert trace.alphas == [1, 0] + [1] * (steps - 2)
+        assert trace.alphas.tolist() == [1, 0] + [1] * (steps - 2)
         assert 0.0179 < trace.residual < 0.018
 
     @pytest.mark.parametrize("fraction", [0.2, 0.6, 0.95])

@@ -29,7 +29,7 @@ def assert_matches(values, **separators):
     """Both the array writer and _Flat.join write ``values`` as the oracle does."""
     expected = repr_join(values, SEPARATOR, **separators)
     assert first_difference(written(values, **separators), expected) is None
-    flat = cli._Flat(list(map(float, values)), float.__repr__, separators.get("width"))
+    flat = cli._Flat(np.asarray(values, dtype=np.float64), float.__repr__, separators.get("width"))
     joined = "".join(flat.join(SEPARATOR, separators.get("row_separator")))
     assert first_difference(joined, expected) is None
 
@@ -234,7 +234,7 @@ def test_block_boundaries():
     assert [len(piece.split("\n")) for piece in pieces] == lines
     # Rows of three: a piece holds the most whole rows that fit in a block.
     step = cli.JOIN_BLOCK // 3 * 3
-    rows = cli._Flat(values[: step + 1905].tolist(), float.__repr__, 3)
+    rows = cli._Flat(values[: step + 1905], float.__repr__, 3)
     pieces = list(rows.join(",", ";\n"))
     expected = repr_join(values[: step + 1905], ",", ";\n", 3)
     assert first_difference("".join(pieces), expected) is None

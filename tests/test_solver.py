@@ -296,9 +296,7 @@ def certified_only(table):
                 )
             else:
                 sign = partial(density.t_sign, table, k, m)
-                roots[k, m, eps] = solver._solve(
-                    value, sign, no_guide, eps, "bisection on T", boundary=True
-                )
+                roots[k, m, eps] = solver._solve(value, sign, no_guide, eps, "bisection on T")
         return roots[k, m, eps]
 
     return solve
@@ -463,7 +461,6 @@ class TestGuidedBisection:
             no_guide,
             1e-13,
             "bisection on T",
-            boundary=True,
         )
         value, sign = counting_t(monkeypatch)
         root = solver.r_threshold(table, 7, 1, 1e-13)
