@@ -22,8 +22,8 @@ Everything here returns certified brackets, and verdicts are three-valued
 (dense / not_dense / undetermined) so float artifacts can never silently
 misclassify a near-threshold input.  The standing inequalities and the
 monotonicity of T in r are proved by one cell cover (:func:`_cover`), on
-interval tuples at ``FULL_SIZE.prec``, with each end of each prime power
-taken once per ``check_*`` call (:func:`_power_table`).
+interval tuples at ``FULL_SIZE.prec``, with each prime power taken once
+per cell end and ``check_*`` call (:func:`_power_table`).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from mpmath.libmp import (
     from_int,
     ftwo,
     fzero,
-    mpf_exp,
     mpf_mul,
     mpi_add,
     mpi_div,
@@ -48,8 +47,6 @@ from mpmath.libmp import (
     mpi_neg,
     mpi_pow_int,
     mpi_sub,
-    round_ceiling,
-    round_floor,
 )
 
 from .brackets import Bracket
@@ -170,29 +167,27 @@ def t_sign(table: PrimeTable, k: int | float, m: int, r: float, size: KernelSize
 def _power_table():
     """A table of the ends of prime powers for one ``check_*`` call:
     ``power(p, j, a, b)`` is the interval p^(j r) over the cell r in
-    [a, b], for a prime p, an integer j != 0 and doubles a <= b, as
-    ``zeta.prime_power`` rounds it at FULL_SIZE.prec.  Each end depends on
-    one end of the cell (exp(j b log p) rounded down and exp(j a log p) up
-    for j < 0, the other way round for j > 0) and is taken once per table:
-    a cell shares two of its four power ends with its parent, and the
-    claims on one range share their grid points."""
+    [a, b], for a prime p, an integer j != 0 and doubles a <= b.  Each end
+    is an end of ``zeta.prime_power`` at one end of the cell, at
+    FULL_SIZE.prec: its lower end at b and its upper end at a for j < 0,
+    the other way round for j > 0.  One power, one exp, is taken per
+    (p, j, end of a cell) and table: a cell shares two of its four power
+    ends with its parent, and the claims on one range share their grid
+    points."""
     prec = FULL_SIZE.prec
-    ends = {}
+    points = {}
 
-    def end(p: int, j: int, x: float, up: bool) -> tuple:
-        key = p, j, x, up
-        if key not in ends:
+    def at(p: int, j: int, x: float) -> tuple:
+        key = p, j, x
+        if key not in points:
             y = mpf_mul(from_int(j), from_float(x))
-            # the end of log p that mpi_mul pairs with y at this rounding
-            log_p = log_prime(p, prec)[(j < 0) != up]
-            rounding = round_ceiling if up else round_floor
-            ends[key] = mpf_exp(mpf_mul(y, log_p, prec, rounding), prec, rounding)
-        return ends[key]
+            points[key] = prime_power(p, (y, y), prec)
+        return points[key]
 
     def power(p: int, j: int, a: float, b: float) -> tuple:
         if j < 0:
             a, b = b, a
-        return end(p, j, a, False), end(p, j, b, True)
+        return at(p, j, a)[0], at(p, j, b)[1]
 
     return power
 

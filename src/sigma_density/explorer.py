@@ -93,10 +93,10 @@ def greedy_approximate(
     at least two doubles below RN(log G).  The full enclosure's lower end
     is within half a spacing of doubles of log G, so its double is at most
     two below RN(log G).  That last step needs log G large: the sign
-    size's 80-bit rounding keeps lower <= 0, and so accepts nothing,
-    unless log G is above about 2**-75, where the full size's 200-bit
-    rounding and remainder (below 1e-31 relative) leave its enclosure
-    narrower than 1e-14 of a spacing."""
+    size's unit of 2**-96 keeps lower <= 0, and so accepts nothing, unless
+    log G is above about 2**-93 (r up to about 92), where the full size's
+    unit of 2**-216 and remainder (below 1e-31 relative, and falling with
+    r) leave its enclosure narrower than 1e-14 of a spacing."""
     check_k(k, infinite=False)  # the walk takes exponents up to a finite k
     check_r(r)
     if steps < 1:
@@ -175,8 +175,12 @@ def _greedy_alphas(partial_logs: np.ndarray, x: float) -> np.ndarray:
       adds from the left, one rounding a term, as the walk does.
 
     The prime that ends a run, and every other prime, takes the rule
-    itself.  So every alpha, and every sum the walk compares, is the one
-    the walk prime by prime takes, bit for bit."""
+    itself, by binary search over its column: the column is
+    nondecreasing in alpha and rounding is monotone, so
+    c + partial_logs[alpha, l] <= x holds for a prefix of alphas, and a
+    prime costs O(log k) comparisons at any k.  So every alpha, and every
+    sum the walk compares, is the one the walk prime by prime takes, bit
+    for bit."""
     import numpy as np
 
     k, steps = partial_logs.shape[0] - 1, partial_logs.shape[1]
@@ -186,10 +190,16 @@ def _greedy_alphas(partial_logs: np.ndarray, x: float) -> np.ndarray:
     c = 0.0
     i = 0
     while i < steps:
-        logs = partial_logs[:, i].tolist()
-        alpha = next((a for a in range(k, 0, -1) if c + logs[a] <= x), 0)
+        column = partial_logs[:, i]
+        alpha, above = 0, k + 1  # c + column[alpha] <= x; above is the least a known to fail
+        while above - alpha > 1:
+            a = (alpha + above) >> 1
+            if c + float(column[a]) <= x:
+                alpha = a
+            else:
+                above = a
         alphas[i] = alpha
-        c += logs[alpha]
+        c += float(column[alpha])
         i += 1
         window = GREEDY_WINDOW
         if alpha == 0:

@@ -26,10 +26,13 @@ to ``zeta.FULL_SIZE`` only where that sign is undecided; every printed
 bracket (the residual, and a boundary's bracket at 2) is the full-size
 log form, on ``mpmath.libmp`` interval tuples at ``FULL_SIZE.prec`` with
 p^-r from zeta(r)'s full-size table, so no output depends on the sign
-test.  Because the function is increasing, a root certified inside the bracket makes the
-guided path the certified path, so guided and certified-only solves
-return the same bits, and the ends of the start bracket [1.0001, 2] need
-no certified test of their own while the guide clears them.  The
+test.  Because the function is increasing, a root certified inside the
+bracket makes the guided path the certified path, so guided and
+certified-only solves return the same bits, and the ends of the start
+bracket [1.0001, 2] need no certified test of their own while the guide
+clears them.  The guide itself is evaluated about ten times a root, not
+once a midpoint: its float root is found first by regula falsi, and the
+walk is replayed by comparing each midpoint with that root.  The
 certified-only walk remains the fallback and, as the solve with a NaN
 guide, the tests' reference.
 """
@@ -71,6 +74,15 @@ _START = R_MONOTONE_LO
 # test decides inside it.  The bound sets how many midpoints are
 # certified, never soundness: the root is certified in the bracket afterwards.
 GUIDE_ERROR = 1e-13
+
+# The replayed walk (see :func:`_solve`) takes the steered test at the
+# midpoints within GUIDE_NEAR of the guide's float root, and the side of
+# that root elsewhere.  :func:`_guide_root` stops where |guide| is at most
+# GUIDE_ROOT_VALUE, below the guide's own 2e-15 error, and after at most
+# GUIDE_ROOT_STEPS evaluations.
+GUIDE_NEAR = 1e-12
+GUIDE_ROOT_VALUE = 1e-15
+GUIDE_ROOT_STEPS = 40
 
 
 @dataclass(frozen=True)
@@ -115,6 +127,35 @@ def _walk(
     return a, b, steps
 
 
+def _guide_root(guide: Callable[[float], float], a: float, b: float, fa: float, fb: float) -> float:
+    """A float root of ``guide`` in [a, b], where fa = guide(a) < 0 < fb =
+    guide(b), by the Anderson-Bjorck variant of regula falsi (Anderson and
+    Bjorck, BIT 1973): when one end stays twice in a row, its value is
+    scaled by 1 - f(c)/f(other end), or halved where that is not
+    positive.  It returns a point where |guide| <= GUIDE_ROOT_VALUE, or
+    else the middle of the bracket once a secant point falls outside it,
+    or after GUIDE_ROOT_STEPS evaluations."""
+    kept = 0
+    for _ in range(GUIDE_ROOT_STEPS):
+        c = (a * fb - b * fa) / (fb - fa)
+        if not a < c < b:
+            break
+        fc = guide(c)
+        if abs(fc) <= GUIDE_ROOT_VALUE:
+            return c
+        if fc > 0:
+            if kept > 0:
+                m = 1.0 - fc / fb
+                fa *= m if m > 0 else 0.5
+            b, fb, kept = c, fc, 1
+        else:
+            if kept < 0:
+                m = 1.0 - fc / fa
+                fb *= m if m > 0 else 0.5
+            a, fa, kept = c, fc, -1
+    return a + (b - a) * 0.5
+
+
 def _solve(
     value: Callable[[float], Bracket],
     sign: Callable[[float, KernelSize], int | None],
@@ -133,14 +174,23 @@ def _solve(
     Each is evaluated at most once per point per solve.
 
     The steered sign at 2 comes first.  When it is positive, the walk is
-    steered, and the full-size residual at the midpoint of the bracket
-    [a, b] it ends on is taken first.  Certified positive, it needs only
+    steered.  Where the guide is negative at _START and positive at 2,
+    the walk is replayed from the guide's float root g (:func:`_guide_root`,
+    about ten guide evaluations where the walk has 34 or more midpoints):
+    a midpoint within GUIDE_NEAR of g takes the steered test, and any
+    other goes to g's side, the side the guide's sign gives there, as the
+    guide is within 2e-15 of the function and the function's slope
+    near its roots is far above 2e-15/GUIDE_NEAR.  A guide that does not
+    bracket a root on [_START, 2] steers every midpoint.  Either way the
+    full-size residual at the midpoint of the bracket [a, b] the walk
+    ends on is taken first.  Certified positive, it needs only
     a sign at a certified negative: a root lies in (a, mid), and the
     function at b exceeds its positive value at mid.  Certified negative,
     it needs only a sign at b certified positive; straddling 0, it needs
     both.  A root so certified inside [a, b] means every midpoint before
     went to the root's side, as a certified test would have sent it, so
-    the steered walk is the certified walk.  Otherwise, or when an
+    the steered walk is the certified walk, whatever g was: a wrong g can
+    only lead to the fallback.  Otherwise, or when an
     endpoint fails its test, both ends of [_START, 2] are certified, 2 at
     FULL_SIZE, and the walk is redone with a certified test at every
     midpoint.  A bracket at 2 certified nonpositive gives the boundary
@@ -152,6 +202,7 @@ def _solve(
     """
     values: dict[float, Bracket] = {}
     signs: dict[float, int | None] = {}
+    guides: dict[float, float] = {}
 
     def value_at(r: float) -> Bracket:
         if r not in values:
@@ -164,8 +215,13 @@ def _solve(
             signs[r] = sign(r, FULL_SIZE) if s is None else s
         return signs[r]
 
+    def guide_at(r: float) -> float:
+        if r not in guides:
+            guides[r] = guide(r)
+        return guides[r]
+
     def steered(r: float) -> int | None:
-        g = guide(r)
+        g = guide_at(r)
         if abs(g) > GUIDE_ERROR:
             return 1 if g > 0 else -1
         return certified(r)
@@ -176,8 +232,18 @@ def _solve(
 
     walked = None
     if steered(2.0) == 1:
+        sign_at = steered
+        at_two, at_start = guide_at(2.0), guide_at(_START)
+        if at_start < 0 < at_two:
+            root = _guide_root(guide_at, _START, 2.0, at_start, at_two)
+
+            def sign_at(r: float) -> int | None:
+                if abs(r - root) <= GUIDE_NEAR:
+                    return steered(r)
+                return 1 if r > root else -1
+
         try:
-            walked = _walk(steered, _START, 2.0, eps)
+            walked = _walk(sign_at, _START, 2.0, eps)
         except PrecisionError:
             pass
     if walked is None or not rests_on_root(*walked[:2]):

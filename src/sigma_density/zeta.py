@@ -4,18 +4,22 @@ sum (zeta(r) at k = inf), and the interval powers p^-r of primes.
 
 zeta is evaluated by Euler-Maclaurin summation with the classical
 remainder bound (for real r > 1 the remainder is no larger in magnitude
-than the first omitted correction term), entirely in interval arithmetic
-so rounding is accounted for.  Everything here runs on the
-``mpmath.libmp`` interval tuples (lo, hi) that ``mpmath.iv`` objects
-wrap, with the precision passed in.  The one kernel, :func:`zeta_iv`, has
-two fixed sizes: FULL_SIZE feeds every bracket the program prints, and
-SIGN_SIZE, about half the cost, only the solver's sign tests.  It does
-its sums, products and quotients on signed integer (mantissa, exponent)
-pairs, rounded as mpmath rounds them, and returns mpf tuples.  Besides
-zeta(s) it returns its table of p^-s for the primes p <= N, so the T
-route reads p^-r for those primes from the evaluation of zeta(r) it
-makes anyway, with the same bits as :func:`prime_power`.  Callers turn an
-enclosure into a printed bracket with
+than the first omitted correction term), or, where the integral tail is
+below the kernel's unit, by the direct sum, in interval arithmetic so
+rounding is accounted for.  Interfaces use the ``mpmath.libmp`` interval
+tuples (lo, hi) that ``mpmath.iv`` objects wrap, with the precision
+passed in.  The one kernel, :func:`zeta_iv`, has two fixed sizes:
+FULL_SIZE feeds every bracket the program prints, and SIGN_SIZE, about
+half the cost, only the solver's sign tests.  It sums on Python integers
+in units of 2^-F, F being the size's precision plus GUARD_BITS, each
+lower end rounded down and each upper end up, and returns exact mpf
+tuples.  Besides zeta(s) it returns its table of p^-s for the primes
+p <= N, each from :func:`prime_power`, so the T route reads p^-r for
+those primes from the evaluation of zeta(r) it makes anyway, with the
+same bits as for any other prime.  Every exp on a certified route goes
+through :func:`exp_out`, which takes ``mpf_exp`` to be within one ulp
+at its working precision and pads for that.  Callers turn an enclosure
+into a printed bracket with
 :meth:`~sigma_density.brackets.Bracket.from_iv`.
 """
 from __future__ import annotations
@@ -30,19 +34,24 @@ from mpmath.libmp import (
     from_int,
     from_man_exp,
     mpf_exp,
-    mpf_mul,
     mpf_neg,
-    mpi_abs,
-    mpi_div,
-    mpi_exp,
+    mpf_sub,
     mpi_log,
     mpi_mul,
     mpi_sub,
     round_ceiling,
     round_floor,
+    round_nearest,
 )
 
 ONE = fone, fone
+
+# Bits beyond a kernel size's precision in its fixed-point unit, and in
+# the exps of :func:`exp_out`.  With 16, -s log p at a point s is narrow
+# enough for one exp up to s of about 7000, past every (k+1)r <= 202 the
+# solver and the table reach; below 11 bits zeta((k+1)r) would take two
+# exps a prime there.  4 and 8 bits widened no printed bracket either.
+GUARD_BITS = 16
 
 
 def to_iv(x: float) -> tuple:
@@ -72,18 +81,63 @@ def log_prime(p: int, prec: int) -> tuple:
     return _LOG_PRIME[key]
 
 
+def _exp_ulps(x: tuple, wp: int) -> tuple[int, int]:
+    """mpf_exp(x) rounded to the nearest ``wp``-bit number, as (m, e) with
+    m of exactly wp bits, so that m +- 1 is one ulp either side."""
+    _, man, exp, bc = mpf_exp(x, wp, round_nearest)
+    return man << (wp - bc), exp - (wp - bc)
+
+
+def exp_out(t: tuple, prec: int) -> tuple:
+    """An interval enclosing exp over the interval t = (a, b), for a
+    result read at ``prec`` bits.  The exps are taken at
+    prec + GUARD_BITS bits, and mpf_exp is trusted only to within one ulp
+    there, so each end moves one ulp outward.  Where b - a < 2^-prec, as
+    for t = -s log p at a point s, whose width is the rounding of log p
+    and of the product, one exp at a serves both ends:
+    exp(b) = exp(a) e^(b-a) <= exp(a) (1 + 2(b - a)), as e^w <= 1 + 2w
+    for 0 <= w <= 1.  Otherwise b takes its own exp."""
+    wp = prec + GUARD_BITS
+    a, b = t
+    man, exp = _exp_ulps(a, wp)
+    lo = from_man_exp(man - 1, exp)
+    if a == b:
+        return lo, from_man_exp(man + 1, exp)
+    _, w_man, w_exp, w_bc = mpf_sub(b, a, 8, round_ceiling)
+    if w_exp + w_bc > -prec:
+        man, exp = _exp_ulps(b, wp)
+        return lo, from_man_exp(man + 1, exp)
+    up = man + 1
+    # ceil(up * 2w), with 2w = w_man * 2^(w_exp + 1) and w_exp + 1 < 0
+    return lo, from_man_exp(up - ((-up * w_man) >> -(w_exp + 1)), exp)
+
+
 def prime_power(p: int, expo: tuple, prec: int) -> tuple:
-    """p**expo = exp(expo * log p) for a prime p and an interval exponent."""
-    return mpi_exp(mpi_mul(expo, log_prime(p, prec), prec), prec)
+    """p**expo = exp(expo * log p) for a prime p and an interval exponent,
+    the product formed at prec + GUARD_BITS bits and its exp by
+    :func:`exp_out`."""
+    wp = prec + GUARD_BITS
+    return exp_out(mpi_mul(expo, log_prime(p, wp), wp), prec)
 
 
-# The kernel runs on the libmp interval tuples that mpmath.iv objects
-# wrap, with its precision as an argument.  A size fixes N (Euler-Maclaurin
-# terms), M (corrections) and the precision, and holds everything that
-# does not depend on s, built at that precision: the smallest prime factor
-# of each n <= N, log p for the primes p <= N, and, as (mantissa, exponent)
-# pairs, B_{2j}/(2j)! * N^{1-2j} for j <= M and the remainder coefficient
-# (j = M + 1) in magnitude, rounded up.
+def _fixed(x: tuple, unit: int, up: bool) -> int:
+    """The mpf x in units of 2^-unit: floor, or ceiling when ``up``."""
+    sign, man, exp, _ = x
+    if sign:
+        man = -man
+    shift = exp + unit
+    if shift >= 0:
+        return man << shift
+    return -((-man) >> -shift) if up else man >> -shift
+
+
+# A size fixes N (Euler-Maclaurin terms), M (corrections), the precision
+# and the unit 2^-F, F = prec + GUARD_BITS, and holds what does not depend
+# on s: the smallest prime factor of each n <= N and, as integers in units
+# of 2^-(F + H), the floor and ceiling of B_{2j}/(2j)! * N^{1-2j} for
+# j <= M and the ceiling of the remainder coefficient's magnitude
+# (j = M + 1).  H covers the rising factorial s(s+1)...(s+2M) wherever
+# the corrections are summed, so each product with it is good to a unit.
 @dataclass(frozen=True, eq=False)
 class KernelSize:
     """One fixed (N, M, precision) of :func:`zeta_iv` with its constants."""
@@ -91,36 +145,40 @@ class KernelSize:
     terms: int
     corrections: int
     prec: int
+    unit: int
+    coeff_unit: int
     smallest_factor: tuple[int, ...] = field(repr=False)
-    log_p: dict[int, tuple] = field(repr=False)
-    coeffs: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = field(repr=False)
-    remainder: tuple[int, int] = field(repr=False)
-
-
-def _pair(x: tuple) -> tuple[int, int]:
-    """An mpf tuple as a signed (mantissa, exponent) pair."""
-    sign, man, exp, _ = x
-    return (-man if sign else man), exp
+    coeffs: tuple[tuple[int, int], ...] = field(repr=False)
+    remainder: int = field(repr=False)
 
 
 def _kernel_size(terms: int, corrections: int, prec: int) -> KernelSize:
-    def coefficient(j: int) -> tuple:
-        """B_{2j}/(2j)! * N^{1-2j}."""
+    unit = prec + GUARD_BITS
+    # The corrections are summed only where N^(1-s)/(s-1) reaches a unit,
+    # s < 1 + unit/log2(N); there s(s+1)...(s+2M) < top^(2M+1), below
+    # 2^(coeff_unit - unit).
+    top = 2 + unit / math.log2(terms) + 2 * corrections
+    coeff_unit = unit + math.ceil((2 * corrections + 1) * math.log2(top))
+
+    def coefficient(j: int) -> tuple[int, int]:
+        """B_{2j}/(2j)! * N^{1-2j} in units of 2^-coeff_unit, floor and ceiling."""
         p, q = mpmath.bernfrac(2 * j)
-        denominator = q * math.factorial(2 * j) * terms ** (2 * j - 1)
-        return mpi_div(_exact(int(p), prec), _exact(int(denominator), prec), prec)
+        p, q = int(p) << coeff_unit, int(q) * math.factorial(2 * j) * terms ** (2 * j - 1)
+        return p // q, -(-p // q)
 
     smallest = [0, 1] + [
         next(p for p in range(2, n + 1) if n % p == 0) for n in range(2, terms + 1)
     ]
+    lo, hi = coefficient(corrections + 1)
     return KernelSize(
         terms=terms,
         corrections=corrections,
         prec=prec,
+        unit=unit,
+        coeff_unit=coeff_unit,
         smallest_factor=tuple(smallest),
-        log_p={p: log_prime(p, prec) for p in range(2, terms + 1) if smallest[p] == p},
-        coeffs=tuple(tuple(map(_pair, coefficient(j))) for j in range(1, corrections + 1)),
-        remainder=_pair(mpi_abs(coefficient(corrections + 1), prec)[1]),
+        coeffs=tuple(coefficient(j) for j in range(1, corrections + 1)),
+        remainder=max(-lo, hi),
     )
 
 
@@ -132,61 +190,6 @@ FULL_SIZE = _kernel_size(25, 12, 200)
 SIGN_SIZE = _kernel_size(12, 6, 80)
 
 
-# The kernel's arithmetic on signed (mantissa, exponent) pairs m * 2^e,
-# each result rounded to ``prec`` bits as mpmath rounds it, so that every
-# step gives the bits of the mpf_* call it replaces.
-def _round(m: int, e: int, prec: int, up: bool) -> tuple[int, int]:
-    """m * 2^e to ``prec`` bits: floor, or ceiling when ``up``."""
-    s = m.bit_length() - prec
-    if s <= 0:
-        return m, e
-    return (-(-m >> s) if up else m >> s), e + s
-
-
-def _mul(x: tuple[int, int], y: tuple[int, int], prec: int, up: bool) -> tuple[int, int]:
-    m, e = x[0] * y[0], x[1] + y[1]
-    s = m.bit_length() - prec
-    if s <= 0:
-        return m, e
-    return (-(-m >> s) if up else m >> s), e + s
-
-
-def _add(x: tuple[int, int], y: tuple[int, int], prec: int, up: bool) -> tuple[int, int]:
-    """x + y for nonzero x and y.  Where the smaller lies wholly below both
-    the larger's last bit and its rounding position, it is replaced by +-1
-    eight bits below them: the rounding is the same, and the sum needs no
-    shift by the distance between them (n^-s and 1 at s = 1e308 lie about
-    1.4e308 bits apart)."""
-    m, e = x
-    n, f = y
-    top, top_y = e + m.bit_length(), f + n.bit_length()
-    if top < top_y:
-        m, e, n, f, top, top_y = n, f, m, e, top_y, top
-    low = top - prec
-    if e < low:
-        low = e
-    if top_y < low - 4:
-        shift = e - low + 8
-        m, e = (m << shift) + (1 if n > 0 else -1), e - shift
-    elif e > f:
-        m, e = (m << (e - f)) + n, f
-    else:
-        m += n << (f - e)
-    s = m.bit_length() - prec
-    if s <= 0:
-        return m, e
-    return (-(-m >> s) if up else m >> s), e + s
-
-
-def _div(x: tuple[int, int], y: tuple[int, int], prec: int, up: bool) -> tuple[int, int]:
-    """x / y for y > 0: the floor or ceiling integer quotient, with at
-    least prec + 2 bits, rounded again the same way."""
-    (m, e), (n, f) = x, y
-    shift = max(prec + 2 + n.bit_length() - m.bit_length(), 0)
-    q = -((-m << shift) // n) if up else (m << shift) // n
-    return _round(q, e - f - shift, prec, up)
-
-
 def zeta_iv(s: tuple, size: KernelSize = FULL_SIZE) -> tuple[tuple, list]:
     """Interval enclosure of zeta(s) for an interval s with s.a > 1:
 
@@ -194,72 +197,68 @@ def zeta_iv(s: tuple, size: KernelSize = FULL_SIZE) -> tuple[tuple, list]:
                   + sum_{j<=M} B_{2j}/(2j)! * s(s+1)...(s+2j-2) * N^{1-s-2j}
                   + R_M,
 
-    with N, M and the working precision fixed by ``size``, and the table
-    ``powers`` of its prime terms: ``powers[n]`` = n^-s for n = 1 and the
-    primes n <= N, and None at the composites, which no caller reads.  Every
-    even derivative of f(x) = x^-s is positive on [N, oo) for every real
-    s > 1 and N >= 1, so the classical remainder theorem puts R_M between
-    0 and the first omitted term (j = M + 1): the cost does not grow with s.
+    with N, M and the unit fixed by ``size``, and the table ``powers`` of
+    its prime terms: ``powers[n]`` = n^-s for n = 1 and the primes n <= N,
+    the mpf intervals of :func:`prime_power`, and None at the composites,
+    which no caller reads.  Every even derivative of f(x) = x^-s is
+    positive on [N, oo) for every real s > 1 and N >= 1, so the classical
+    remainder theorem puts R_M between 0 and the first omitted term
+    (j = M + 1).  Where N^{1-s}/(s-1) is at most one unit (s above about
+    1 + F/log2 N), sum_{n>N} n^-s lies in [0, N^{1-s}/(s-1)], each term
+    being below its integral over [n - 1, n], and the corrections are
+    dropped: the cost does not grow with s.
 
-    Only p^-s for the primes p <= N takes an exp, the same one as
-    :func:`prime_power`; every other n^-s is the product of two earlier
-    powers, and N^{1-s-2j} = N^{1-2j} * N^-s.  Each factor is positive and
-    decreasing in s, so the products enclose as tightly as the exps they
-    replace.  Every factor but B_{2j}, whose sign alternates, and the
-    remainder's [-1, 1] is positive, so each step is written out as the
-    pair of roundings, floor for the lower end and ceiling for the upper,
-    that ``mpi_mul``, ``mpi_add`` and ``mpi_div`` would pick, on integer
-    (mantissa, exponent) pairs: the same bits, without their sign dispatch
-    or the normalisation of each intermediate mpf.
+    Only p^-s for the primes p <= N takes an exp; every other n^-s is
+    the product of two earlier powers, and N^{1-s-2j} = N^{1-2j} * N^-s.
+    The sums run on integers in units of 2^-F, every lower end rounded
+    down (``>>``) and every upper end up (``-((-x) >> F)``); each factor
+    but B_{2j}, whose sign alternates, and the remainder's [-1, 1] is
+    positive, which fixes the pairing of the ends.
     """
-    prec = size.prec
+    unit = size.unit
+    one = 1 << unit
     sa, sb = s
-    # -s as mpi_neg rounds it; times log p, as mpi_mul pairs a negative
-    # interval with a positive one
-    minus_sa, minus_sb = mpf_neg(sa, prec, round_ceiling), mpf_neg(sb, prec, round_floor)
+    s_lo, s_hi = _fixed(sa, unit, False), _fixed(sb, unit, True)
+    minus_s = mpf_neg(sb), mpf_neg(sa)
     powers = [None, ONE]  # mpf ends of the prime entries; None at composites
-    ends = [None, ((1, 0), (1, 0))]  # every entry's, as pairs
-    lo = hi = 1, 0
+    ends = [None, (one, one)]  # every entry's, in units
+    lo = hi = one
     for n in range(2, size.terms + 1):
         p = size.smallest_factor[n]
         if p == n:
-            log_lo, log_hi = size.log_p[p]
-            a = mpf_exp(mpf_mul(minus_sb, log_hi, prec, round_floor), prec, round_floor)
-            b = mpf_exp(mpf_mul(minus_sa, log_lo, prec, round_ceiling), prec, round_ceiling)
-            powers.append((a, b))
-            a, b = _pair(a), _pair(b)
+            x = prime_power(p, minus_s, size.prec)
+            powers.append(x)
+            a, b = _fixed(x[0], unit, False), _fixed(x[1], unit, True)
         else:
             powers.append(None)
             (pa, pb), (qa, qb) = ends[p], ends[n // p]
-            a, b = _mul(pa, qa, prec, False), _mul(pb, qb, prec, True)
+            a, b = (pa * qa) >> unit, -((-pb * qb) >> unit)
         ends.append((a, b))
-        lo, hi = _add(lo, a, prec, False), _add(hi, b, prec, True)
+        lo += a
+        hi += b
     na, nb = ends[size.terms]
-    sa, sb = _pair(sa), _pair(sb)
-    # + N * N^-s / (s - 1), then - N^-s / 2 (halving is exact)
-    terms = size.terms, 0
-    a = _div(_mul(terms, na, prec, False), _add(sb, (-1, 0), prec, True), prec, False)
-    b = _div(_mul(terms, nb, prec, True), _add(sa, (-1, 0), prec, False), prec, True)
-    lo = _add(_add(lo, a, prec, False), (-nb[0], nb[1] - 1), prec, False)
-    hi = _add(_add(hi, b, prec, True), (-na[0], na[1] - 1), prec, True)
-    ra, rb = sa, sb  # s(s+1)...(s+2j-2), starting value for j = 1
+    # N * N^-s / (s - 1): one integer division for each end
+    tail_hi = -((-(size.terms * nb) << unit) // (s_lo - one))
+    if tail_hi <= 1:
+        return (from_man_exp(lo, -unit), from_man_exp(hi + tail_hi, -unit)), powers
+    lo += ((size.terms * na) << unit) // (s_hi - one) - ((nb + 1) >> 1)
+    hi += tail_hi - (na >> 1)
+    shift = size.coeff_unit
+    ra, rb = s_lo, s_hi  # s(s+1)...(s+2j-2), starting value for j = 1
     for j, (ca, cb) in enumerate(size.coeffs, 1):
-        if ca[0] < 0:  # B_{2j} < 0: the lower end pairs with the larger factors
-            a = _mul(_mul(ca, rb, prec, False), nb, prec, False)
-            b = _mul(_mul(cb, ra, prec, True), na, prec, True)
+        if ca < 0:  # B_{2j} < 0: the lower end pairs with the larger factors
+            lo += ((ca * rb) >> shift) * nb >> unit
+            hi -= ((-cb * ra) >> shift) * na >> unit
         else:
-            a = _mul(_mul(ca, ra, prec, False), na, prec, False)
-            b = _mul(_mul(cb, rb, prec, True), nb, prec, True)
-        lo, hi = _add(lo, a, prec, False), _add(hi, b, prec, True)
-        odd, even = (2 * j - 1, 0), (2 * j, 0)
-        ra = _mul(ra, _add(sa, odd, prec, False), prec, False)
-        ra = _mul(ra, _add(sa, even, prec, False), prec, False)
-        rb = _mul(rb, _add(sb, odd, prec, True), prec, True)
-        rb = _mul(rb, _add(sb, even, prec, True), prec, True)
+            lo += ((ca * ra) >> shift) * na >> unit
+            hi -= ((-cb * rb) >> shift) * nb >> unit
+        ra = (ra * (s_lo + (2 * j - 1) * one)) >> unit
+        ra = (ra * (s_lo + 2 * j * one)) >> unit
+        rb = -((-rb * (s_hi + (2 * j - 1) * one)) >> unit)
+        rb = -((-rb * (s_hi + 2 * j * one)) >> unit)
     # R_M in [-c, c] * rising * N^-s, with c = size.remainder
-    m, e = _mul(_mul(size.remainder, rb, prec, True), nb, prec, True)
-    lo, hi = _add(lo, (-m, e), prec, False), _add(hi, (m, e), prec, True)
-    return (from_man_exp(*lo), from_man_exp(*hi)), powers
+    m = -(((-size.remainder * rb) >> shift) * nb >> unit)
+    return (from_man_exp(lo - m, -unit), from_man_exp(hi + m, -unit)), powers
 
 
 def log_g_iv(k: int | float, r: tuple, size: KernelSize = FULL_SIZE) -> tuple[tuple, list]:

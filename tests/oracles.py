@@ -1,10 +1,17 @@
 """Reference routes that the library replaced with faster ones giving the
-same results bit for bit: each power of a prime took its own log, each
-log local factor its own power, the greedy walk took one prime at a time,
-and the CLI wrote each float of its output by its own ``float.__repr__``;
-the zeta kernel ran on ``mpi_*`` calls, which pick each rounding by the
-signs of their operands, and T's levels and sign test ran on ``mpmath.iv``
-objects, each power of a prime by its own exp.
+same results bit for bit: each log local factor took its own power, the
+greedy walk took one prime at a time and scanned each prime's exponents
+from k down, and the CLI wrote each float of its output by its own
+``float.__repr__``.
+
+The seed route of the certified numbers, which the library's brackets
+must equal or lie inside: the zeta kernel on ``mpi_*`` calls at the
+size's precision, which pick each rounding by the signs of their
+operands, each p^-s by an interval exp at each end, and T's levels and
+sign test on ``mpmath.iv`` objects, each power of a prime by its own log
+and exp.  ``seed_density_verdict`` is its verdict, and ``t_mpmath`` and
+``taylor_exp`` are references outside the library's arithmetic: T from
+mpmath's zeta, and exp from Python integers alone.
 
 Also the library's former second routes to two quantities that it now
 reaches only inside other computations: the tail of the log Euler product
@@ -26,6 +33,7 @@ precision of the library's certified route, which conftest.py sets."""
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -50,7 +58,7 @@ from mpmath.libmp import (
 from sigma_density import solver
 from sigma_density.brackets import Bracket, check_eps
 from sigma_density.errors import DomainError, IndeterminateError, check_k
-from sigma_density.zeta import FULL_SIZE, log_prime, prime_power, to_iv, zeta_iv
+from sigma_density.zeta import FULL_SIZE, log_g_iv, log_prime, prime_power, to_iv, zeta_iv
 
 
 def iv_pow(base, expo):
@@ -85,8 +93,8 @@ def _coefficient(j, terms, prec):
 
 def zeta_mpi(s, size=FULL_SIZE):
     """zeta(s) on ``mpi_*`` calls for an iv interval s, as an iv object,
-    and its table of n^-s: the kernel before each step was written out as
-    its pair of roundings."""
+    and its table of n^-s: the kernel before it moved to integers in units
+    of 2^-F, with an interval exp at each end of each p^-s."""
     prec = size.prec
     one = (fone, fone)
     s = s._mpi_
@@ -96,7 +104,7 @@ def zeta_mpi(s, size=FULL_SIZE):
     for n in range(2, size.terms + 1):
         p = size.smallest_factor[n]
         if p == n:
-            power = mpi_exp(mpi_mul(minus_s, size.log_p[p], prec), prec)
+            power = mpi_exp(mpi_mul(minus_s, log_prime(p, prec), prec), prec)
         else:
             power = mpi_mul(powers[p], powers[n // p], prec)
         powers.append(power)
@@ -153,6 +161,31 @@ def t_levels_oracle(table, k: int, r: float, ms):
         yield m, t, gap
 
 
+def seed_density_verdict(table, k: int, r: float) -> str:
+    """density_report's verdict from the T brackets of the seed route,
+    :func:`t_levels_oracle`, at m in {1, 2, 4}."""
+    ts = [t for _, t, _ in t_levels_oracle(table, k, r, (1, 2, 4))]
+    if any(t.strictly_positive() for t in ts):
+        return "not_dense"
+    if r <= 2.0 and all(t.nonpositive() for t in ts):
+        return "dense"
+    return "undetermined"
+
+
+def t_mpmath(table, k: int, m: int, r: float, digits: int = 60):
+    """T_k(m, r) from mpmath's zeta and powers, to about ``digits`` digits:
+    the working precision adds the digits that log G_k(r) = log zeta(r) -
+    log zeta((k+1)r), about 2^-r, cancels."""
+    with mpmath.workdps(digits + int(0.31 * r) + 10):
+        r = mpmath.mpf(r)
+        log_g = mpmath.log(mpmath.zeta(r)) - mpmath.log(mpmath.zeta((k + 1) * r))
+        prefix = mpmath.mpf(0)
+        for i in range(1, m + 1):
+            x = mpmath.power(table.nth(i), -r)
+            prefix += mpmath.log((1 - x ** (k + 1)) / (1 - x))
+        return +(mpmath.log1p(x) - log_g + prefix)
+
+
 def log_g_bracket_oracle(k: int, r: float) -> Bracket:
     return Bracket.from_iv(log_g_iv_oracle(k, iv.mpf(r)))
 
@@ -199,9 +232,9 @@ def selector_oracle(table, k) -> int:
 
 def greedy_target_check(k: int, r: float, x: float):
     """The greedy walk's check of 0 <= x < log G_k(r) against the full-size
-    bracket: None when the target is accepted, else the error it raises
-    as (type, message)."""
-    log_g = log_g_bracket_oracle(k, r)
+    bracket of ``zeta.log_g_iv`` alone: None when the target is accepted,
+    else the error it raises as (type, message)."""
+    log_g = Bracket.from_iv(log_g_iv(k, to_iv(r))[0])
     if x >= log_g.hi:
         return DomainError, f"target {x} is not below log G_{k}({r}) = {log_g.hi}"
     if x >= log_g.lo:
@@ -218,6 +251,66 @@ def log_sigma_of_alphas(table, alphas, r: float) -> float:
             x = float(table.nth(l)) ** -r
             total += math.log1p(x * (1.0 - x**a) / (1.0 - x))
     return total
+
+
+# Relative slack for mpmath's values at 300 bits, far below the width of
+# any enclosure the kernel returns (2^-216 relative at the least).
+REFERENCE_SLACK = mpmath.ldexp(1, -290)
+
+
+def encloses(enclosure, lo, hi):
+    """Whether an interval tuple holds [lo, hi], positive reals that
+    mpmath computed at 300 bits, up to REFERENCE_SLACK."""
+    a, b = enclosure
+    with mpmath.workprec(300):
+        return mpmath.mpf(a) <= lo * (1 + REFERENCE_SLACK) and hi * (1 - REFERENCE_SLACK) <= mpmath.mpf(b)
+
+
+def enclosure_width(enclosure):
+    a, b = enclosure
+    with mpmath.workprec(2000):
+        return mpmath.mpf(b) - mpmath.mpf(a)
+
+
+def mpf_fraction(x) -> Fraction:
+    """The exact value of an mpf tuple."""
+    sign, man, exp, _ = x
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+def taylor_exp(x, bits: int = 400) -> tuple[Fraction, Fraction]:
+    """Rational bounds (lo, hi) on exp(x) for an mpf x, from Python
+    integers alone, about 2^-bits apart relative: exp(|x|) is
+    exp(y)^(2^k) with y = |x|/2^k <= 1/2, exp(y) the Taylor series in
+    units of 2^-w, its terms rounded down for lo and up for hi, where
+    each term is at most half the one before, so hi adds the last term
+    again for the tail; then k squarings, rounded the same ways, and
+    exp(-|x|) = 1/exp(|x|)."""
+    sign, man, exp, bc = x
+    if not man:
+        return Fraction(1), Fraction(1)
+    k = max(0, exp + bc + 1)
+    w = bits + k + 16
+    one = 1 << w
+    shift = exp - k + w
+    y = {False: man << shift if shift >= 0 else man >> -shift}
+    y[True] = man << shift if shift >= 0 else -((-man) >> -shift)
+    ends = {}
+    for up in (False, True):
+        total = term = one
+        n = 0
+        while term > (1 if up else 0):
+            n += 1
+            term = -((-term * y[up]) // (n << w)) if up else (term * y[up]) // (n << w)
+            total += term
+        if up:
+            total += term
+        for _ in range(k):
+            total = -((-total * total) >> w) if up else (total * total) >> w
+        ends[up] = total
+    if sign:
+        return Fraction(one, ends[True]), Fraction(one, ends[False])
+    return Fraction(ends[False], one), Fraction(ends[True], one)
 
 
 def neighbours(x, count):
@@ -285,8 +378,11 @@ def _iv_log_prime(p):
 
 
 def _iv_power(p, expo):
-    """p**expo for an iv interval exponent, as an iv object."""
-    return iv.make_mpf(prime_power(p, expo._mpi_, iv.prec))
+    """p**expo for an iv interval exponent, as an iv object: its lower end
+    from the power at the exponent's lower end, its upper end from the
+    one at its upper end, each by ``zeta.prime_power`` at a point."""
+    u, v = expo._mpi_
+    return iv.make_mpf((prime_power(p, (u, u), iv.prec)[0], prime_power(p, (v, v), iv.prec)[1]))
 
 
 def cover_x(p, r):

@@ -320,6 +320,30 @@ class TestGreedyRuns:
     def test_random_walks(self, table, k, r, fraction, steps):
         assert_walk_matches_the_loop(table, k, r, target(k, r, fraction), steps)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 3000),
+        r=st.floats(1.01, 4.0),
+        fraction=st.floats(0.0, 1.0, exclude_max=True),
+        steps=st.integers(1, 12),
+    )
+    def test_the_exponent_search_at_large_k(self, table, k, r, fraction, steps):
+        # each exponent that no run decides is a binary search over its
+        # prime's column, which the loop scans from k down
+        assert_walk_matches_the_loop(table, k, r, target(k, r, fraction), steps)
+
+    @pytest.mark.parametrize("x", [0.0, 0.1, 0.3, 0.4])
+    def test_the_exponent_search_at_the_largest_k(self, table, x):
+        # the loop's table at k = 3999999 would take about 0.5 GB, so the
+        # walk of one prime is held against the loop's rule over the
+        # exact column: at p = 2 and r = 2 each 4^-a is exact
+        k = explorer.GREEDY_MAX_ENTRIES - 1
+        logs = np.log(np.cumsum(np.ldexp(1.0, -2 * np.arange(k + 1))))
+        fits = np.flatnonzero(0.0 + logs[1:] <= x)  # the loop's test at each alpha >= 1
+        alpha = int(fits[-1]) + 1 if len(fits) else 0
+        trace = explorer.greedy_approximate(table, k, 2.0, x, 1)
+        assert (trace.alphas.tolist(), trace.C.tolist()) == ([alpha], [logs[alpha]])
+
 
 class TestCensus:
     def test_bound_one(self, table):

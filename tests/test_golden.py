@@ -27,6 +27,8 @@ GOLDEN = {
     "density_k5_r1.87.txt": ["density", "--k", "5", "--r", "1.87"],
     # T is tiny and positive at every level
     "density_k2_r40.txt": ["density", "--k", "2", "--r", "40"],
+    # zeta((k + 1) r) = zeta(58.9) is a direct sum with an integral tail
+    "density_k30_r1.9.txt": ["density", "--k", "30", "--r", "1.9"],
     # the gap scan runs through t_levels
     "census_k1_r2_bound1000.txt": ["census", "--k", "1", "--r", "2.0", "--bound", "1000"],
     "approximate_k2_r1.9_x0.5_steps1000.txt": [

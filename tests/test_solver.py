@@ -389,6 +389,36 @@ class TestGuidedBisection:
         assert root.boundary
         assert root == certified_only(k, 4, solver.DEFAULT_EPS)
 
+    def test_a_root_takes_at_most_15_guide_evaluations(self, table, monkeypatch):
+        # regula falsi finds the guide's root, and only midpoints within
+        # GUIDE_NEAR of it read the guide again: 34 or more before
+        guides = []
+
+        def guide(table, k, m, r):
+            guides.append(r)
+            return density.t_float(table, k, m, r)
+
+        monkeypatch.setattr(solver, "t_float", guide)
+        for k in [*range(1, 13), math.inf]:
+            for m in (1, 2):
+                if k == math.inf and m == 1:
+                    continue
+                guides.clear()
+                root = solver.r_threshold(table, k, m)
+                assert root.iterations >= 34
+                assert len(guides) == len(set(guides)) <= 15, (k, m)
+        guides.clear()
+        solver.eta_limit(table)
+        assert len(guides) <= 15
+
+    def test_the_guide_root_is_the_float_root(self, table):
+        for k, m in ((1, 1), (3, 2), (math.inf, 2)):
+            guide = partial(density.t_float, table, k, m)
+            g = solver._guide_root(guide, solver._START, 2.0, guide(solver._START), guide(2.0))
+            assert abs(guide(g)) <= solver.GUIDE_ROOT_VALUE or guide(g - 1e-13) < 0 < guide(g + 1e-13)
+        # a linear guide lands on its root
+        assert solver._guide_root(lambda r: r - 1.7, 1.0, 2.0, -0.7, 0.3) == pytest.approx(1.7, abs=1e-15)
+
     def test_r_threshold_certifies_few_points(self, table, monkeypatch):
         # the residual on the full size, one endpoint sign test on the sign size
         value, sign = counting_t(monkeypatch)

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv
-from mpmath.libmp import mpi_neg
+from mpmath.libmp import from_float, mpf_exp, mpf_mul, mpi_neg, round_ceiling
 
-from oracles import contains, iv_pow, zeta_mpi
-from sigma_density import explorer, zeta as zmod
+from oracles import contains, enclosure_width, encloses, iv_pow, mpf_fraction, taylor_exp, zeta_mpi
+from sigma_density import density, explorer, solver, zeta as zmod
 from sigma_density.brackets import Bracket, check_eps
 from sigma_density.errors import DomainError, PrecisionError, check_r
 from sigma_density.solver import ETA_TABLE_MAX_K
@@ -28,6 +28,26 @@ def prime_entries(powers, size):
     """A table's entries at n = 1 and at the primes n <= N, the ones the
     kernel keeps."""
     return [powers[n] for n in range(1, size.terms + 1) if size.smallest_factor[n] == n]
+
+
+def assert_within_the_mpi_kernel(cell, size):
+    """zeta_iv over the iv cell, and each prime entry of its table, against
+    mpmath at 300 bits and against ``zeta_mpi``, the kernel on ``mpi_*``
+    calls: each enclosure holds the image of the cell (zeta(s) over
+    [s.a, s.b] is [zeta(s.b), zeta(s.a)]), is no wider than the mpi
+    kernel's, and prints as doubles inside the mpi kernel's."""
+    value, powers = zmod.zeta_iv(cell._mpi_, size)
+    oracle, oracle_powers = zeta_mpi(cell, size)
+    with mpmath.workprec(300):
+        sa, sb = mpmath.mpf(cell.a), mpmath.mpf(cell.b)
+        assert encloses(value, mpmath.zeta(sb), mpmath.zeta(sa))
+        for n, (x, y) in enumerate(zip(powers, oracle_powers)):
+            if x is not None and n > 1:
+                assert encloses(x, mpmath.power(n, -sb), mpmath.power(n, -sa)), n
+                assert enclosure_width(x) <= enclosure_width(y), n
+    assert enclosure_width(value) <= enclosure_width(oracle._mpi_)
+    printed, oracle_printed = Bracket.from_iv(value), Bracket.from_iv(oracle)
+    assert oracle_printed.lo <= printed.lo and printed.hi <= oracle_printed.hi
 
 
 def zeta_bracket(r: float) -> Bracket:
@@ -110,8 +130,8 @@ def zeta_iv_oracle(s):
 
 # The kernel as it ran on mpmath.iv objects at iv.prec = 200, before it
 # moved to libmp interval tuples: N = 25 terms and M = 12 corrections,
-# with the same operations in the same order as zmod.FULL_SIZE, which
-# must therefore give the same intervals bit for bit.
+# the terms of zmod.FULL_SIZE, whose enclosure must be no wider and
+# print the same doubles.
 REF_TERMS, REF_CORRECTIONS = 25, 12
 REF_SMALLEST_FACTOR = [0, 1] + [
     next(p for p in range(2, n + 1) if n % p == 0) for n in range(2, REF_TERMS + 1)
@@ -174,7 +194,8 @@ class TestKernel:
         assert_agrees_with_the_oracle(kernel(cell), zeta_iv_oracle(iv.mpf(cell)))
 
     def test_one_exp_per_prime_up_to_the_term_count(self, monkeypatch):
-        # one interval exp per prime, written out as its two endpoint exps
+        # one exp per prime at a point s, padded for both ends by exp_out;
+        # a cell takes one at each end
         calls = []
         exp = zmod.mpf_exp
 
@@ -185,9 +206,10 @@ class TestKernel:
         monkeypatch.setattr(zmod, "mpf_exp", spy)
         # 2, 3, 5, 7, 11 and, at N = 25, also 13, 17, 19, 23
         for size, primes in ((zmod.FULL_SIZE, 9), (zmod.SIGN_SIZE, 5)):
-            calls.clear()
-            kernel(1.88, size)
-            assert calls == [size.prec] * (2 * primes)
+            for s, ends in ((1.88, 1), ([1.8, 1.9], 2)):
+                calls.clear()
+                kernel(s, size)
+                assert calls == [size.prec + zmod.GUARD_BITS] * (ends * primes)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -196,47 +218,50 @@ class TestKernel:
         size=st.sampled_from([zmod.FULL_SIZE, zmod.SIGN_SIZE]),
     )
     def test_bits_and_table_equal_the_mpi_kernel(self, s, width, size):
-        # the written-out roundings are the ones mpi_* picks, at both sizes,
-        # at points and on the cells the cover passes
-        cell = iv.mpf([s, s + width])
-        value, powers = zmod.zeta_iv(cell._mpi_, size)
-        oracle, oracle_powers = zeta_mpi(cell, size)
-        assert value == oracle._mpi_
-        assert prime_entries(powers, size) == prime_entries(oracle_powers, size)
+        # at points and on the cells the cover passes, at both sizes: the
+        # enclosure and each table entry hold mpmath's value, no wider than
+        # the mpi kernel's, and print inside its doubles
+        assert_within_the_mpi_kernel(iv.mpf([s, s + width]), size)
 
     @pytest.mark.parametrize("k", [1, 3, 10**6, 10**9])
     def test_bits_equal_the_mpi_kernel_at_a_rounded_argument(self, k):
         # (k + 1) r formed at 200 bits has more bits than the sign size
         s = (k + 1) * iv.mpf(1.8876543)
         for size in (zmod.FULL_SIZE, zmod.SIGN_SIZE):
-            value, powers = zmod.zeta_iv(s._mpi_, size)
-            oracle, oracle_powers = zeta_mpi(s, size)
-            assert value == oracle._mpi_
-            assert prime_entries(powers, size) == prime_entries(oracle_powers, size)
+            assert_within_the_mpi_kernel(s, size)
 
     @pytest.mark.parametrize("size", [zmod.FULL_SIZE, zmod.SIGN_SIZE], ids=["full", "sign"])
     @pytest.mark.parametrize("s", [1e4, 1e6, 1e308, [1.0001, 3.0]])
     def test_bits_and_table_equal_the_mpi_kernel_far_out(self, s, size):
-        # n^-s lies more than prec + 4 bits below 1 from s = 1e4 on, so
-        # the kernel's sums replace it by a sticky bit; at s = 1e308 they
-        # lie about 1e308 bits apart
-        cell = iv.mpf(s)
-        value, powers = zmod.zeta_iv(cell._mpi_, size)
-        oracle, oracle_powers = zeta_mpi(cell, size)
-        assert value == oracle._mpi_
-        assert prime_entries(powers, size) == prime_entries(oracle_powers, size)
+        # the direct sum from s = 46.4 (full) or 26.5 (sign) on; at s = 1e308
+        # each -s log p is about 2^790 wide, and takes two exps
+        assert_within_the_mpi_kernel(iv.mpf(s), size)
+
+    @pytest.mark.parametrize("size", [zmod.FULL_SIZE, zmod.SIGN_SIZE], ids=["full", "sign"])
+    def test_encloses_zeta_no_wider_than_the_mpi_kernel(self, size):
+        # a grid of points and cells around the direct-sum threshold, where
+        # N^(1-s)/(s-1) falls below one unit: s near 1 + F/log2 N
+        points = [1.0001, *np.arange(24.0, 64.5, 0.5).tolist(), 1e6, 1e308]
+        cells = [[1.0001, 1.0002], [24.0, 25.0], [27.0, 29.0], [46.0, 49.0], [47.5, 47.75], [63.0, 64.0]]
+        for s in points + cells:
+            assert_within_the_mpi_kernel(iv.mpf(s), size)
 
     @settings(max_examples=40, deadline=None)
     @given(r=st.floats(min_value=1.0001, max_value=300.0))
     def test_table_entries_are_the_prime_powers(self, r):
-        # the T route reads p^-r for p <= N from this table
+        # the T route reads p^-r for p <= N from this table: the same
+        # intervals as prime_power, holding mpmath's p^-r, no wider than an
+        # interval exp at each end of -r log p
         size = zmod.FULL_SIZE
         r_iv = zmod.to_iv(r)
         minus_r = mpi_neg(r_iv, size.prec)
         _, powers = zmod.zeta_iv(r_iv)
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
             assert powers[p] == zmod.prime_power(p, minus_r, size.prec)
-            assert powers[p] == iv_pow(iv.mpf(p), -iv.mpf(r))._mpi_
+            with mpmath.workprec(300):
+                x = mpmath.power(p, -mpmath.mpf(r))
+            assert encloses(powers[p], x, x)
+            assert enclosure_width(powers[p]) <= enclosure_width(iv_pow(iv.mpf(p), -iv.mpf(r))._mpi_)
 
     @pytest.mark.parametrize("size", [zmod.FULL_SIZE, zmod.SIGN_SIZE], ids=["full", "sign"])
     def test_table_holds_only_the_prime_entries(self, size):
@@ -254,7 +279,11 @@ class TestKernel:
         + [[7 / 3, 2.5], [2.5, 3], [1.0001, 2]],
     )
     def test_full_size_is_the_iv_kernel_bit_for_bit(self, s):
-        assert kernel(s)._mpi_ == zeta_iv_reference(iv.mpf(s))._mpi_
+        # the printed doubles are the iv kernel's, bit for bit, from an
+        # enclosure no wider than its one
+        fast, slow = kernel(s), zeta_iv_reference(iv.mpf(s))
+        assert Bracket.from_iv(fast) == Bracket.from_iv(slow)
+        assert enclosure_width(fast._mpi_) <= enclosure_width(slow._mpi_)
 
     @pytest.mark.parametrize("size", [zmod.FULL_SIZE, zmod.SIGN_SIZE], ids=["full", "sign"])
     def test_both_sizes_enclose_zeta_up_to_the_table_reach(self, size):
@@ -271,7 +300,7 @@ class TestKernel:
                 # narrow enough to settle a sign test the guide leaves to it
                 assert hi - lo <= 1e-15 * reference, s
 
-    @pytest.mark.parametrize("s", [64.5, 100, 1e3, 1e6])
+    @pytest.mark.parametrize("s", [64.5, 100, 1e3, 1e6, 1e308])
     def test_large_argument(self, s):
         start = time.perf_counter()
         b = zeta_bracket(s)
@@ -280,6 +309,60 @@ class TestKernel:
         with mpmath.workprec(400):
             reference = mpmath.zeta(mpmath.mpf(s))
             assert mpmath.mpf(b.lo) <= reference <= mpmath.mpf(b.hi)
+
+
+class TestExpOut:
+    """zeta.exp_out's padded ends against oracles.taylor_exp, an enclosure
+    of exp from Python integers alone: mpf_exp is trusted to within one
+    ulp at its working precision, and the pad must cover that."""
+
+    def test_padded_ends_hold_the_taylor_enclosure(self, table, monkeypatch):
+        # every exp that the density verdicts of the golden files, a root
+        # and the verify suites take, with (k + 1) r at a rounded argument
+        calls = {}
+        exp_out = zmod.exp_out
+
+        def spy(t, prec):
+            calls[t, prec] = exp_out(t, prec)
+            return calls[t, prec]
+
+        monkeypatch.setattr(zmod, "exp_out", spy)
+        for k, r in ((1, 1.5), (5, 1.87), (2, 40.0), (30, 1.9), (1, 195.0), (1000, 1.8876543)):
+            density.density_report(table, k, r)
+        for size in (zmod.FULL_SIZE, zmod.SIGN_SIZE):
+            for s in (1.0001, 1.88, [1.0001, 2.0], [7 / 3, 2.5]):
+                kernel(s, size)
+        solver.eta(table, 3)
+        density.check_inequalities()
+        density.check_monotonicity(table)
+        density.check_selector(table)
+        assert len(calls) > 300
+        for ((a, b), prec), (lo, hi) in calls.items():
+            assert mpf_fraction(lo) <= taylor_exp(a)[0], (a, prec)
+            assert taylor_exp(b)[1] <= mpf_fraction(hi), (b, prec)
+
+    def test_the_pad_covers_an_exp_rounded_to_the_wrong_side(self):
+        # In the cover at p = 19 and the cell end r = 2.291669791666667,
+        # mpf_exp(x, 200, round_ceiling) returns 6.5e-62 below exp(x); the
+        # padded power holds it.
+        r = 2.291669791666667
+        x = mpf_mul(from_float(r), zmod.log_prime(19, 200)[1], 200, round_ceiling)
+        assert mpf_fraction(mpf_exp(x, 200, round_ceiling)) < taylor_exp(x)[0]
+        lo, hi = zmod.prime_power(19, zmod.to_iv(r), 200)
+        with mpmath.workprec(3000):
+            power = mpmath.power(19, mpmath.mpf(r))
+            assert mpmath.mpf(lo) < power < mpmath.mpf(hi)
+
+    def test_one_exp_at_a_narrow_interval_two_at_a_wide_one(self, monkeypatch):
+        calls = []
+        exp = zmod.mpf_exp
+        monkeypatch.setattr(zmod, "mpf_exp", lambda x, prec, rnd: calls.append(x) or exp(x, prec, rnd))
+        narrow = zmod.log_prime(3, 300)  # about 2^-299 wide
+        for t, exps in ((narrow, 1), ((narrow[0], narrow[0]), 1), (zmod.to_iv(1.0)[:1] + narrow[1:], 2)):
+            calls.clear()
+            lo, hi = zmod.exp_out(t, 200)
+            assert len(calls) == exps
+            assert mpf_fraction(lo) <= taylor_exp(t[0])[0] and taylor_exp(t[1])[1] <= mpf_fraction(hi)
 
 
 class TestZeta:
