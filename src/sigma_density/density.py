@@ -10,13 +10,14 @@ k may be math.inf, the unrestricted sum: its local factor at p is
 1/(1 - p^-r) and G_inf(r) = zeta(r).  A positive T at some m certifies
 a forbidden open interval in the log range.  T and that interval have
 one interval route, :func:`t_levels`, shared by :func:`t_func`,
-:func:`density_report` and ``explorer.analytic_gap_scan``; the solver's
-sign tests read the sign of T from a log-free comparison of
-products (:func:`t_sign`).  Both run on ``mpmath.libmp`` interval tuples:
-the printed route at ``FULL_SIZE.prec``, a sign test at its kernel
-size's precision.  Each p^-r with p <= N comes from the table of p^-r
-that the evaluation of zeta(r) returns (``zeta.zeta_iv``), and a sign
-test's p^-(k+1)r from that of zeta((k+1)r); a prime beyond N takes
+:func:`density_report` and ``explorer.analytic_gap_scan``.  The solver's
+sign tests first read the sign of T from a log-free comparison of
+products (:func:`t_sign`), and where that is undecided take the sign of
+the printed full-size T bracket.  Both run on ``mpmath.libmp`` interval
+tuples: the printed route at ``FULL_SIZE.prec``, the product test at
+``SIGN_SIZE.prec``.  Each p^-r with p <= N comes from the table of p^-r
+that the evaluation of zeta(r) returns (``zeta.zeta_iv``), and the
+product test's p^-(k+1)r from that of zeta((k+1)r); a prime beyond N takes
 exp(-r log p) with log p taken once per prime (``zeta.prime_power``).
 Everything here returns certified brackets, and verdicts are three-valued
 (dense / not_dense / undetermined) so float artifacts can never silently
@@ -52,7 +53,7 @@ from mpmath.libmp import (
 from .brackets import Bracket
 from .errors import check_k, check_r
 from .primes import PrimeTable
-from .zeta import FULL_SIZE, ONE, KernelSize, log_g_iv, log_prime, prime_power, scale, to_iv, zeta_iv
+from .zeta import FULL_SIZE, ONE, SIGN_SIZE, log_g_iv, log_prime, prime_power, scale, to_iv, zeta_iv
 
 # The levels m of the criterion's test for r in (1, 2].
 LEVELS = (1, 2, 4)
@@ -136,27 +137,27 @@ def _euler_prefix(table: PrimeTable, m: int, minus_s: tuple, powers: list, prec:
     return product
 
 
-def t_sign(table: PrimeTable, k: int | float, m: int, r: float, size: KernelSize) -> int | None:
-    """The certified sign of T_k(m, r), with zeta at ``size``, or None
+def t_sign(table: PrimeTable, k: int | float, m: int, r: float) -> int | None:
+    """The certified sign of T_k(m, r), with zeta at SIGN_SIZE, or None
     where it is not decided.  exp(T) is a ratio of products, so
 
         T > 0  <=>  (1 + x_m) zeta((k+1)r) prod_{i<=m} (1 - x_i^{k+1})
                         > zeta(r) prod_{i<=m} (1 - x_i),   x_i = p_i^-r,
 
     and the test takes no log.  x_i and x_i^{k+1} are the entries for p_i
-    of the tables of zeta(r) and zeta((k+1)r), at ``size``'s precision.
+    of the tables of zeta(r) and zeta((k+1)r), at SIGN_SIZE.prec.
     At k = inf, x_i^{k+1} = 0 and zeta((k+1)r) = 1."""
     _check_kmr(k, m, r)
-    prec = size.prec
+    prec = SIGN_SIZE.prec
     r_iv = to_iv(r)
     minus_r = mpi_neg(r_iv, prec)
-    zeta_r, powers = zeta_iv(r_iv, size)
+    zeta_r, powers = zeta_iv(r_iv, SIGN_SIZE)
     dropped = _euler_prefix(table, m, minus_r, powers, prec)
     if k == math.inf:
         zeta_kr = kept = ONE
     else:
         kr = scale(k + 1, r_iv, prec)
-        zeta_kr, powers_k = zeta_iv(kr, size)
+        zeta_kr, powers_k = zeta_iv(kr, SIGN_SIZE)
         kept = _euler_prefix(table, m, mpi_neg(kr, prec), powers_k, prec)
     x = _power(table.nth(m), minus_r, powers, prec)
     lhs = mpi_mul(mpi_mul(mpi_add(ONE, x, prec), zeta_kr, prec), kept, prec)

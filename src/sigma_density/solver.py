@@ -14,27 +14,24 @@ float64 estimate of the same function, its guide (microseconds), and
 certifies only the points the returned bracket rests on, the
 a-posteriori verification pattern of Rump, "Verification methods" (Acta
 Numerica 2010): the residual at its midpoint, which is printed, and the
-endpoint on the other side of the root.  A certified sign at the
-midpoint and the opposite one at that endpoint put a root between them,
-inside the bracket; the sign at the far endpoint, and that the root is
-the only one, rest on monotonicity.  Where the residual straddles 0,
-both endpoints are certified.  An endpoint test needs only a sign, so it
+endpoint on the other side of the root, or both ends where the residual
+straddles 0.  A certified sign at the midpoint and the opposite one at
+that endpoint put a root between them; the sign at the far endpoint, and
+that the root is the only one, rest on monotonicity.  An endpoint test
 compares two products instead of taking logs (:func:`density.t_sign`),
-takes zeta at ``zeta.SIGN_SIZE``, with each p^-r and p^-(k+1)r read
-from the tables of p^-s that its zeta evaluations return, and escalates
-to ``zeta.FULL_SIZE`` only where that sign is undecided; every printed
-bracket (the residual, and a boundary's bracket at 2) is the full-size
-log form, on ``mpmath.libmp`` interval tuples at ``FULL_SIZE.prec`` with
-p^-r from zeta(r)'s full-size table, so no output depends on the sign
-test.  Because the function is increasing, a root certified inside the
-bracket makes the guided path the certified path, so guided and
-certified-only solves return the same bits, and the ends of the start
-bracket [1.0001, 2] need no certified test of their own while the guide
-clears them.  The guide itself is evaluated about ten times a root, not
-once a midpoint: its float root is found first by regula falsi, and the
-walk is replayed by comparing each midpoint with that root.  The
-certified-only walk remains the fallback and, as the solve with a NaN
-guide, the tests' reference.
+with zeta at ``zeta.SIGN_SIZE``, and where that is undecided takes the
+sign of the printed full-size T bracket at that point.  Every printed
+bracket (the residual, and a boundary's bracket at 2) is that log form,
+on ``mpmath.libmp`` interval tuples at ``FULL_SIZE.prec``, so no output
+depends on the product test.  Because the function is increasing, a
+root certified inside the bracket makes the guided path the certified
+path, so guided and certified-only solves return the same bits.  The
+guide is evaluated about ten times a root, not once a midpoint: its
+float root is found first by regula falsi, and the walk is replayed by
+comparing each midpoint with that root.  A guide that brackets no root,
+or a replay that the certified points do not confirm, leads to the
+certified-only walk; as the solve with a NaN guide, it is the tests'
+reference.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ from .brackets import Bracket, check_eps
 from .density import LEVELS, R_MONOTONE_LO, t_float, t_func, t_levels, t_sign
 from .errors import CapacityError, DomainError, PrecisionError, check_k
 from .primes import PrimeTable
-from .zeta import FULL_SIZE, SIGN_SIZE, KernelSize, log_g_iv, to_iv
+from .zeta import log_g_iv, to_iv
 # Unused here; kept because perfbench's tracer test checks that tracing
 # restores solver.zeta_iv.
 from .zeta import zeta_iv  # noqa: F401
@@ -75,11 +72,12 @@ _START = R_MONOTONE_LO
 # certified, never soundness: the root is certified in the bracket afterwards.
 GUIDE_ERROR = 1e-13
 
-# The replayed walk (see :func:`_solve`) takes the steered test at the
-# midpoints within GUIDE_NEAR of the guide's float root, and the side of
-# that root elsewhere.  :func:`_guide_root` stops where |guide| is at most
-# GUIDE_ROOT_VALUE, below the guide's own 2e-15 error, and after at most
-# GUIDE_ROOT_STEPS evaluations.
+# The replayed walk (see :func:`_solve`) takes the guide's sign, or a
+# certified test inside GUIDE_ERROR, at the midpoints within GUIDE_NEAR of
+# the guide's float root, and the side of that root elsewhere.
+# :func:`_guide_root` stops where |guide| is at most GUIDE_ROOT_VALUE,
+# below the guide's own 2e-15 error, and after at most GUIDE_ROOT_STEPS
+# evaluations.
 GUIDE_NEAR = 1e-12
 GUIDE_ROOT_VALUE = 1e-15
 GUIDE_ROOT_STEPS = 40
@@ -158,47 +156,43 @@ def _guide_root(guide: Callable[[float], float], a: float, b: float, fa: float, 
 
 def _solve(
     value: Callable[[float], Bracket],
-    sign: Callable[[float, KernelSize], int | None],
+    sign: Callable[[float], int | None],
     guide: Callable[[float], float],
     eps: float,
     method: str,
 ) -> RootResult:
     """The root in (1, 2) of a strictly increasing function by bisection
-    from [_START, 2], steered by ``guide``, a float estimate of it: a
-    point's sign is the guide's wherever |guide| > GUIDE_ERROR and a
-    certified test elsewhere.  ``value(r)`` is the function's FULL_SIZE
-    bracket, which is printed (the residual, and a boundary's bracket at
-    2), and ``sign(r, size)`` its certified sign with zeta at ``size``, or
-    None where that is undecided.  A certified test takes the SIGN_SIZE
-    sign and escalates to the FULL_SIZE one only where that is None.
-    Each is evaluated at most once per point per solve.
+    from [_START, 2].  ``value(r)`` is its full-size bracket, which is
+    printed (the residual, and a boundary's bracket at 2), and ``sign(r)``
+    its certified sign with zeta at SIGN_SIZE, or None where that is
+    undecided; a certified test then takes the sign of ``value(r)``.  Each
+    is evaluated at most once per point per solve.
 
-    The steered sign at 2 comes first.  When it is positive, the walk is
-    steered.  Where the guide is negative at _START and positive at 2,
-    the walk is replayed from the guide's float root g (:func:`_guide_root`,
-    about ten guide evaluations where the walk has 34 or more midpoints):
-    a midpoint within GUIDE_NEAR of g takes the steered test, and any
-    other goes to g's side, the side the guide's sign gives there, as the
-    guide is within 2e-15 of the function and the function's slope
-    near its roots is far above 2e-15/GUIDE_NEAR.  A guide that does not
-    bracket a root on [_START, 2] steers every midpoint.  Either way the
-    full-size residual at the midpoint of the bracket [a, b] the walk
-    ends on is taken first.  Certified positive, it needs only
-    a sign at a certified negative: a root lies in (a, mid), and the
-    function at b exceeds its positive value at mid.  Certified negative,
-    it needs only a sign at b certified positive; straddling 0, it needs
-    both.  A root so certified inside [a, b] means every midpoint before
-    went to the root's side, as a certified test would have sent it, so
-    the steered walk is the certified walk, whatever g was: a wrong g can
-    only lead to the fallback.  Otherwise, or when an
-    endpoint fails its test, both ends of [_START, 2] are certified, 2 at
-    FULL_SIZE, and the walk is redone with a certified test at every
+    Where ``guide``, a float estimate of the function, is negative at
+    _START and positive at 2, the walk is replayed from the guide's float
+    root g (:func:`_guide_root`, about ten guide evaluations where the
+    walk has 34 or more midpoints): a midpoint within GUIDE_NEAR of g takes
+    the guide's sign where |guide| > GUIDE_ERROR and a certified test
+    elsewhere, and any other goes to g's side, as the guide is within
+    2e-15 of the function and the function's slope near its roots is far
+    above 2e-15/GUIDE_NEAR.  The full-size residual at the midpoint of the
+    bracket [a, b] the replay ends on is taken first.  Certified positive,
+    it needs only a sign at a certified negative: a root lies in (a, mid),
+    and the function at b exceeds its positive value at mid.  Certified
+    negative, it needs only a sign at b certified positive; straddling 0,
+    it needs both.  A root so certified inside [a, b] means every midpoint
+    before went to the root's side, as a certified test would have sent
+    it, so the replay is the certified walk, whatever g was.
+
+    Otherwise, and for a guide that brackets no root on [_START, 2] (a NaN
+    guide included), the ends of [_START, 2] are certified, 2 by its
+    printed bracket, and the walk takes a certified test at every
     midpoint.  A bracket at 2 certified nonpositive gives the boundary
     result, and one that straddles 0 raises.  Only r_threshold's solves
     reach the boundary: the T_k(m_k, .) of :func:`eta` and
     :func:`eta_limit` is positive at 2, since ``density.check_selector``
     certifies it positive at 1.9 or below (signs (c) and (e)) and it is
-    increasing.  A NaN guide makes every sign a certified test.
+    increasing.
     """
     values: dict[float, Bracket] = {}
     signs: dict[float, int | None] = {}
@@ -211,8 +205,8 @@ def _solve(
 
     def certified(r: float) -> int | None:
         if r not in signs:
-            s = sign(r, SIGN_SIZE)
-            signs[r] = sign(r, FULL_SIZE) if s is None else s
+            s = sign(r)
+            signs[r] = value_at(r).certified_sign() if s is None else s
         return signs[r]
 
     def guide_at(r: float) -> float:
@@ -220,30 +214,25 @@ def _solve(
             guides[r] = guide(r)
         return guides[r]
 
-    def steered(r: float) -> int | None:
-        g = guide_at(r)
-        if abs(g) > GUIDE_ERROR:
-            return 1 if g > 0 else -1
-        return certified(r)
-
     def rests_on_root(a: float, b: float) -> bool:
         side = value_at(0.5 * (a + b)).certified_sign()
         return (side == -1 or certified(a) == -1) and (side == 1 or certified(b) == 1)
 
     walked = None
-    if steered(2.0) == 1:
-        sign_at = steered
-        at_two, at_start = guide_at(2.0), guide_at(_START)
-        if at_start < 0 < at_two:
-            root = _guide_root(guide_at, _START, 2.0, at_start, at_two)
+    at_two, at_start = guide_at(2.0), guide_at(_START)
+    if at_start < 0 < at_two:
+        root = _guide_root(guide_at, _START, 2.0, at_start, at_two)
 
-            def sign_at(r: float) -> int | None:
-                if abs(r - root) <= GUIDE_NEAR:
-                    return steered(r)
+        def replayed(r: float) -> int | None:
+            if abs(r - root) > GUIDE_NEAR:
                 return 1 if r > root else -1
+            g = guide_at(r)
+            if abs(g) > GUIDE_ERROR:
+                return 1 if g > 0 else -1
+            return certified(r)
 
         try:
-            walked = _walk(sign_at, _START, 2.0, eps)
+            walked = _walk(replayed, _START, 2.0, eps)
         except PrecisionError:
             pass
     if walked is None or not rests_on_root(*walked[:2]):

@@ -10,16 +10,16 @@ rounding is accounted for.  Interfaces use the ``mpmath.libmp`` interval
 tuples (lo, hi) that ``mpmath.iv`` objects wrap, with the precision
 passed in.  The one kernel, :func:`zeta_iv`, has two fixed sizes:
 FULL_SIZE feeds every bracket the program prints, and SIGN_SIZE, about
-half the cost, only the solver's sign tests.  It sums on Python integers
-in units of 2^-F, F being the size's precision plus GUARD_BITS, each
-lower end rounded down and each upper end up, and returns exact mpf
-tuples.  Besides zeta(s) it returns its table of p^-s for the primes
-p <= N, each from :func:`prime_power`, so the T route reads p^-r for
-those primes from the evaluation of zeta(r) it makes anyway, with the
-same bits as for any other prime.  Every exp on a certified route goes
-through :func:`exp_out`, which takes ``mpf_exp`` to be within one ulp
-at its working precision and pads for that.  Callers turn an enclosure
-into a printed bracket with
+half the cost, only the solver's sign test and the walk's target check.
+It sums on Python integers in units of 2^-F, F being the size's
+precision plus GUARD_BITS, each lower end rounded down and each upper
+end up, and returns exact mpf tuples.  Besides zeta(s) it returns its
+table of p^-s for the primes p <= N, each from :func:`prime_power`, so
+the T route reads p^-r for those primes from the evaluation of zeta(r)
+it makes anyway, with the same bits as for any other prime.  Every exp
+on a certified route goes through :func:`exp_out`, which takes
+``mpf_exp`` to be within one ulp at its working precision and pads for
+that.  Callers turn an enclosure into a printed bracket with
 :meth:`~sigma_density.brackets.Bracket.from_iv`.
 """
 from __future__ import annotations
@@ -184,8 +184,8 @@ def _kernel_size(terms: int, corrections: int, prec: int) -> KernelSize:
 
 # Every printed bracket comes from the full size, about 3e-32 wide
 # relative to zeta on [1.0001, 202].  The sign size, about 1e-16 wide
-# there at under half the cost, serves only the solver's certified sign
-# tests, which escalate to the full size where its bracket straddles 0.
+# there at under half the cost, serves only the solver's product sign
+# test (density.t_sign) and the walk's target check.
 FULL_SIZE = _kernel_size(25, 12, 200)
 SIGN_SIZE = _kernel_size(12, 6, 80)
 

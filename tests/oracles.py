@@ -190,16 +190,20 @@ def log_g_bracket_oracle(k: int, r: float) -> Bracket:
     return Bracket.from_iv(log_g_iv_oracle(k, iv.mpf(r)))
 
 
-def t_sign_oracle(table, k: int, m: int, r: float, size) -> int | None:
-    """The certified sign of T_k(m, r) on iv objects: each x_i and
-    x_i^{k+1} from its own exp and power, zeta at ``size``."""
+def t_sign_oracle(table, k: int | float, m: int, r: float, size) -> int | None:
+    """The certified sign of T_k(m, r) by the log-free comparison of
+    products that ``density.t_sign`` makes, on iv objects: each x_i and
+    x_i^{k+1} from its own exp and power, zeta at ``size``.  At k = inf,
+    x_i^{k+1} = 0 and zeta((k+1)r) = 1."""
     r_iv = iv.mpf(r)
     kept = dropped = iv.mpf(1)
     for i in range(1, m + 1):
         x = iv_pow(iv.mpf(table.nth(i)), -r_iv)
-        kept *= 1 - x ** (k + 1)
+        if k != math.inf:
+            kept *= 1 - x ** (k + 1)
         dropped *= 1 - x
-    lhs = (1 + x) * zeta_mpi((k + 1) * r_iv, size)[0] * kept
+    zeta_kr = 1 if k == math.inf else zeta_mpi((k + 1) * r_iv, size)[0]
+    lhs = (1 + x) * zeta_kr * kept
     return Bracket.from_iv(lhs - zeta_mpi(r_iv, size)[0] * dropped).certified_sign()
 
 

@@ -16,7 +16,7 @@ INF = math.inf
 ENTRY_POINTS = {
     "density_report": lambda t: density.density_report(t, 1, INF),
     "t_func": lambda t: density.t_func(t, 1, 1, INF),
-    "t_sign": lambda t: density.t_sign(t, 1, 1, INF, zeta.SIGN_SIZE),
+    "t_sign": lambda t: density.t_sign(t, 1, 1, INF),
     "t_float": lambda t: density.t_float(t, 1, 1, INF),
     "greedy_approximate": lambda t: explorer.greedy_approximate(t, 1, INF, 0.1, 10),
     "range_census": lambda t: explorer.range_census(t, 1, INF, 10),

@@ -17,7 +17,8 @@ GOLDEN = {
     "eta_limit.txt": ["eta-limit"],
     # 44 steps; the residual is the last level of T at k = inf
     "eta_limit_eps1e-13.txt": ["eta-limit", "--eps", "1e-13"],
-    # a sign test of R_7(1) escalates to the full zeta kernel
+    # a sign test of R_7(1) is undecided at the sign size and takes the
+    # sign of the printed full-size T bracket
     "thresholds_k7_eps1e-13.txt": ["thresholds", "--k", "7", "--eps", "1e-13"],
     # the thresholds' brackets overlap, and m_min is still the proved rule
     "thresholds_k1_eps1e-2.txt": ["thresholds", "--k", "1", "--eps", "1e-2"],

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv
 
-from oracles import iv_pow, limit_equation, log_g_iv_oracle, r1_surrogate, selector_oracle, v_func
+from oracles import (
+    iv_pow,
+    limit_equation,
+    log_g_iv_oracle,
+    r1_surrogate,
+    selector_oracle,
+    t_sign_oracle,
+    v_func,
+)
 from sigma_density import density, solver, zeta
 from sigma_density.brackets import Bracket
 from sigma_density.errors import CapacityError, DomainError, PrecisionError
@@ -65,8 +73,8 @@ def no_guide(r):
 
 
 def sign_of(value):
-    """A sized sign test that reads the sign of ``value`` at every size."""
-    return lambda r, size: value(r).certified_sign()
+    """A sign test that reads the sign of ``value``."""
+    return lambda r: value(r).certified_sign()
 
 
 def assert_certified_root(table, result, sign_fn):
@@ -198,8 +206,8 @@ class TestEtaLimit:
     @given(r=st.floats(min_value=1.0001, max_value=40.0))
     def test_log_free_sign_is_the_sign_of_the_full_size_bracket(self, table, r):
         full = limit_equation(r).certified_sign()
-        assert density.t_sign(table, math.inf, 2, r, zeta.FULL_SIZE) == full
-        assert density.t_sign(table, math.inf, 2, r, zeta.SIGN_SIZE) in (None, full)
+        assert t_sign_oracle(table, math.inf, 2, r, zeta.FULL_SIZE) == full
+        assert density.t_sign(table, math.inf, 2, r) in (None, full)
 
     def test_published_value(self, table):
         result = solver.eta_limit(table, 1e-9)
@@ -304,8 +312,7 @@ def certified_only(table):
 
 class Counting:
     """A certified function, a value or a sign test, that records each
-    evaluation's arguments; the solver passes a sign test's kernel size
-    last."""
+    evaluation's arguments."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -318,11 +325,6 @@ class Counting:
     @property
     def calls(self):
         return len(self.args)
-
-    def sizes(self):
-        """(SIGN_SIZE sign tests, FULL_SIZE sign tests)."""
-        sizes = [args[-1] for args in self.args]
-        return sizes.count(zeta.SIGN_SIZE), sizes.count(zeta.FULL_SIZE)
 
 
 def counting_t(monkeypatch):
@@ -352,7 +354,7 @@ class TestGuidedBisection:
         # the certified-only walk on the limit equation's closed form
         oracle = solver._solve(
             limit_equation,
-            lambda r, size: limit_equation(r).certified_sign(),
+            sign_of(limit_equation),
             no_guide,
             eps,
             "bisection on limit equation",
@@ -373,6 +375,25 @@ class TestGuidedBisection:
         assert root == certified_only(3, 2, 1e-10)
         # the certified walk tests every midpoint
         assert sign.calls > root.iterations
+
+    @pytest.mark.parametrize(
+        "guide", [no_guide, lambda r: -1.0, lambda r: 1.0], ids=["nan", "always-negative", "always-positive"]
+    )
+    def test_a_guide_that_brackets_no_root_takes_only_the_certified_walk(
+        self, table, monkeypatch, certified_only, guide
+    ):
+        # no replay: the printed bracket at 2, the sign at the start, one
+        # sign test a midpoint and the residual
+        def replay(*args):
+            raise AssertionError("a guide that brackets no root was replayed")
+
+        oracle = certified_only(3, 2, 1e-10)
+        monkeypatch.setattr(solver, "_guide_root", replay)
+        value = Counting(partial(density.t_func, table, 3, 2))
+        sign = Counting(partial(density.t_sign, table, 3, 2))
+        root = solver._solve(value, sign, guide, 1e-10, "bisection on T")
+        assert root == oracle
+        assert (value.calls, sign.calls) == (2, root.iterations + 1)
 
     @pytest.mark.parametrize(
         "lie",
@@ -420,11 +441,11 @@ class TestGuidedBisection:
         assert solver._guide_root(lambda r: r - 1.7, 1.0, 2.0, -0.7, 0.3) == pytest.approx(1.7, abs=1e-15)
 
     def test_r_threshold_certifies_few_points(self, table, monkeypatch):
-        # the residual on the full size, one endpoint sign test on the sign size
+        # the full-size residual and one endpoint sign test
         value, sign = counting_t(monkeypatch)
         root = solver.r_threshold(table, 3, 2)
         assert root.iterations == 34
-        assert (value.calls, sign.sizes()) == (1, (1, 0))
+        assert (value.calls, sign.calls) == (1, 1)
 
     @pytest.mark.parametrize(
         "k, m, side, end", [(1, 1, 1, "lo"), (3, 2, -1, "hi")], ids=["positive", "negative"]
@@ -439,31 +460,29 @@ class TestGuidedBisection:
         assert root.residual.certified_sign() == side
         assert [args[3] for args in value.args] == [root.value.mid]
         assert [args[3] for args in sign.args] == [getattr(root.value, end)]
-        assert sign.sizes() == (1, 0)
 
     def test_a_straddling_residual_certifies_both_ends(self):
         # f(r) = r - 1.7, whose full-size bracket is 2 eps wide, so it
-        # straddles 0 at the final midpoint; the sign size decides the ends
+        # straddles 0 at the final midpoint; the sign test decides the ends
         eps = 1e-10
 
         def f(r):
             return Bracket(r - 1.7 - 2 * eps, r - 1.7 + 2 * eps)
 
-        def f_sign(r, size):
+        def f_sign(r):
             return Bracket.exact(r - 1.7).certified_sign()
 
         sign = Counting(f_sign)
         root = solver._solve(f, sign, lambda r: r - 1.7, eps, "test")
         assert root.residual.certified_sign() is None
-        ends = [args[0] for args in sign.args if args[1] is zeta.SIGN_SIZE]
-        assert ends == [root.value.lo, root.value.hi]
+        assert [args[0] for args in sign.args] == [root.value.lo, root.value.hi]
         assert root == solver._solve(f, f_sign, no_guide, eps, "test")
 
     def test_a_boundary_certifies_only_2(self, table, monkeypatch):
         # the boundary prints its bracket at 2: one full-size value, no sign test
         value, sign = counting_t(monkeypatch)
         assert solver.r_threshold(table, 1, 4).boundary
-        assert (value.calls, sign.sizes()) == (1, (0, 0))
+        assert (value.calls, sign.calls) == (1, 0)
 
     def test_eta_certifies_the_endpoints_and_the_residual(self, table, monkeypatch):
         # the residual, then the one endpoint on the other side of the root
@@ -471,7 +490,7 @@ class TestGuidedBisection:
         monkeypatch.setattr(solver, "log_g_iv", log_g)
         _, sign = counting_t(monkeypatch)
         assert solver.eta(table, 4).iterations == 34
-        assert (log_g.calls, sign.sizes()) == (1, (1, 0))
+        assert (log_g.calls, sign.calls) == (1, 1)
 
     def test_eta_limit_certifies_the_endpoints_and_the_residual(self, table, monkeypatch):
         # the residual, then the one endpoint on the other side of the root
@@ -479,12 +498,12 @@ class TestGuidedBisection:
         monkeypatch.setattr(solver, "log_g_iv", log_g)
         _, sign = counting_t(monkeypatch)
         assert solver.eta_limit(table).iterations == 30
-        assert (log_g.calls, sign.sizes()) == (1, (1, 0))
+        assert (log_g.calls, sign.calls) == (1, 1)
 
     def test_an_undecided_sign_test_escalates_to_the_full_size(self, table, monkeypatch):
         # at 1e-13 the lower endpoint of R_7(1) is within the sign size's
-        # width of the root; the full size decides it, and the solve is
-        # still the certified-only walk
+        # width of the root; the sign of its printed full-size T bracket
+        # decides it, and the solve is still the certified-only walk
         oracle = solver._solve(
             partial(density.t_func, table, 7, 1),
             partial(density.t_sign, table, 7, 1),
@@ -493,12 +512,23 @@ class TestGuidedBisection:
             "bisection on T",
         )
         value, sign = counting_t(monkeypatch)
+        product_sizes = []
+        original = zeta.zeta_iv
+
+        def spy(s, size=zeta.FULL_SIZE):
+            product_sizes.append(size)
+            return original(s, size)
+
+        # density.zeta_iv is the product sign test's; the log form goes
+        # through zeta.log_g_iv
+        monkeypatch.setattr(density, "zeta_iv", spy)
         root = solver.r_threshold(table, 7, 1, 1e-13)
         assert root == oracle
-        full = [args[3] for args in sign.args if args[-1] is zeta.FULL_SIZE]
-        assert full == [1.9401015191900979]
-        assert [args[3] for args in value.args] == [root.value.mid]
         assert root.value.lo == 1.9401015191900979
+        assert [args[3] for args in value.args] == [1.9401015191900979, root.value.mid]
+        assert 1.9401015191900979 in [args[3] for args in sign.args]
+        # no product sign test at the full size
+        assert product_sizes and set(product_sizes) == {zeta.SIGN_SIZE}
 
     def test_eta_never_escalates_at_the_default_eps(self, table, monkeypatch):
         log_g = Counting(solver.log_g_iv)
@@ -506,8 +536,9 @@ class TestGuidedBisection:
         _, sign = counting_t(monkeypatch)
         for k in range(1, 11):
             solver.eta(table, k)
-        # every full-size evaluation is a residual
-        assert (log_g.calls, sign.sizes()[1]) == (10, 0)
+        # every full-size evaluation is a residual, and every root takes
+        # one endpoint sign test
+        assert (log_g.calls, sign.calls) == (10, 10)
 
 
 def test_zeta_calls_over_the_solve_set(table, monkeypatch):
