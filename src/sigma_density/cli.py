@@ -12,16 +12,17 @@ Every flat column of numbers that a result holds is a numpy array, and
 the arrays are the only values written a block at a time: ints by
 ``int.__repr__``, anything else as float64, printed byte for byte as
 ``float.__repr__`` writes it, through numpy.  A block of fewer than
-FLOAT_TEXT_MIN runs of equal values takes one ``float.__repr__`` a run
+FLOAT_TEXT_MIN runs of equal values takes one repr a run
 (``_run_text``): a 100000-step greedy walk's partial sums C, a step
 function, take 4-7 ns a value in JSON, against 183-286 ns before
-(``BENCH_float_runs.json``).  Other blocks go to ``_float_text``, which
-covers [1e-20, 1e17).  At ``census --bound 1000000`` (k = 1..3) writing a
-value takes 213-271 ns in TSV and 286-322 ns in JSON with the gap rows,
-against about 1.1 us by ``float.__repr__``.  A walk's D and E take
-245-369 ns a value in JSON and its exponents 38-57 ns, against 143-151 ns
-by ``int.__repr__`` (``BENCH_walk_output.json``; Python 3.11, numpy 2.4,
-a shared 2-vCPU x86-64 host).  An envelope's TSV takes an array's texts
+(``BENCH_float_runs.json``), and its exponents 3.6-3.7 ns, against
+54-57 ns by lookups in a table of their texts (``BENCH_run_writer.json``).
+Other float blocks go to ``_float_text``, which covers [1e-20, 1e17).
+At ``census --bound 1000000`` (k = 1..3) writing a value takes
+213-271 ns in TSV and 286-322 ns in JSON with the gap rows, against
+about 1.1 us by ``float.__repr__``.  A walk's D and E take 245-369 ns a
+value in JSON (``BENCH_walk_output.json``; Python 3.11, numpy 2.4, a
+shared 2-vCPU x86-64 host).  An envelope's TSV takes an array's texts
 from the same blocked writer and writes them a block of lines at a time.
 
 Output is written a piece at a time as it is made, to stdout or
@@ -91,9 +92,6 @@ JOIN_BLOCK = 8192
 # values across decades, so the two break even near 400 values (Python
 # 3.11, numpy 2.4, one process on a 2-core x86-64 host).
 FLOAT_TEXT_MIN = 512
-# The text of the ints 0..255, such as a walk's exponents: a block of them
-# is written by lookups, at under half the cost of int.__repr__.
-_INT_TEXTS = {i: int.__repr__(i) for i in range(256)}
 
 
 class _Flat:
@@ -114,8 +112,8 @@ class _Flat:
         before any piece is made: the array's min or max is then NaN or
         infinite.
 
-        Float blocks of at least FLOAT_TEXT_MIN items go to _run_text
-        unless they are rows, then to _float_text if that declines."""
+        Blocks that are not rows go to _run_text first.  Float blocks of
+        at least FLOAT_TEXT_MIN items go to _float_text if that declines."""
         if self.rep is float.__repr__ and len(self.items):
             if not (math.isfinite(self.items.min()) and math.isfinite(self.items.max())):
                 raise ValueError("Out of range float values are not JSON compliant")
@@ -129,39 +127,32 @@ class _Flat:
         for start in range(0, len(self.items), step):
             block = self.items[start : start + step]
             text = None
-            if self.rep is float.__repr__ and len(block) >= FLOAT_TEXT_MIN:
-                if self.width is None:
-                    text = _run_text(np, block, separator)
-                if text is None:
-                    text = _float_text(np, block, separator, row_separator, width)
+            if self.width is None:
+                text = _run_text(np, block, separator, self.rep)
+            if text is None and self.rep is float.__repr__ and len(block) >= FLOAT_TEXT_MIN:
+                text = _float_text(np, block, separator, row_separator, width)
             if text is None:
-                block = block.tolist()
-                texts = map(self.rep, block)
-                if self.rep is int.__repr__:
-                    try:
-                        texts = list(map(_INT_TEXTS.__getitem__, block))
-                    except KeyError:
-                        pass
+                texts = map(self.rep, block.tolist())
                 if width > 1:
                     texts = map(separator.join, zip(*[texts] * width))
                 text = row_separator.join(texts)
             yield (row_separator if start else "") + text
 
 
-def _run_text(np, values, separator):
-    """``float.__repr__`` of every value of the float64 array ``values``
-    with ``separator`` between them, each run of equal bit patterns (-0.0
-    and 0.0 apart) written by one repr; None when the runs number
-    FLOAT_TEXT_MIN or more, where _float_text pays better.  A greedy
-    walk's partial sums C are such runs."""
-    bits = values.view(np.uint64)
+def _run_text(np, values, separator, rep):
+    """``rep`` of every value of the flat array ``values`` with
+    ``separator`` between them, each run of equal bit patterns (-0.0 and
+    0.0 apart) written by one ``rep``; None when the runs number
+    FLOAT_TEXT_MIN or more, where _float_text or a ``rep`` a value pays
+    better.  A greedy walk's exponents and partial sums C are such runs."""
+    bits = values.view(f"u{values.itemsize}")
     changes = bits[1:] != bits[:-1]
     if np.count_nonzero(changes) >= FLOAT_TEXT_MIN - 1:
         return None
     ends = [*(np.flatnonzero(changes) + 1).tolist(), len(values)]
     starts = [0, *ends[:-1]]
-    reprs = map(float.__repr__, values[starts].tolist())
-    text = "".join([(rep + separator) * (end - start) for rep, start, end in zip(reprs, starts, ends)])
+    texts = map(rep, values[starts].tolist())
+    text = "".join([(one + separator) * (end - start) for one, start, end in zip(texts, starts, ends)])
     return text[: len(text) - len(separator)]
 
 

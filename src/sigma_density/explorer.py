@@ -17,7 +17,7 @@ from .brackets import Bracket
 from .density import t_levels
 from .errors import CapacityError, DomainError, IndeterminateError, PrecisionError, check_k, check_r
 from .primes import PrimeTable, nth_prime_bound, sieve
-from .zeta import SIGN_SIZE, log_g_iv, to_iv
+from .zeta import SIGN_SIZE, exp_out, log_g_iv, to_iv
 
 if TYPE_CHECKING:
     import numpy as np
@@ -168,8 +168,9 @@ def _greedy_alphas(partial_logs: np.ndarray, x: float) -> np.ndarray:
     primes, doubling while the run lasts:
 
     - after an alpha of 0, the run ends at the first prime where
-      c + partial_logs[a, l] <= x for some a >= 1.  Rounding is monotone,
-      so that holds exactly where c plus the least of those logs is <= x;
+      c + partial_logs[a, l] <= x for some a >= 1.  Rounding is monotone
+      and each column is nondecreasing in alpha, so that holds exactly
+      where c + partial_logs[1, l] <= x;
     - after an alpha of k, the run ends at the first prime where the
       running sum c + partial_logs[k, i] + ... passes x.  ``np.cumsum``
       adds from the left, one rounding a term, as the walk does.
@@ -184,7 +185,7 @@ def _greedy_alphas(partial_logs: np.ndarray, x: float) -> np.ndarray:
     import numpy as np
 
     k, steps = partial_logs.shape[0] - 1, partial_logs.shape[1]
-    least = partial_logs[1:].min(axis=0)
+    least = partial_logs[1]
     top = partial_logs[k]
     alphas = np.zeros(steps, dtype=np.intp)
     c = 0.0
@@ -240,7 +241,7 @@ class GapCensus:
     n <= bound, sorted ascending.  ``gaps`` are the adjacent spacings
     wider than the resolution, as a float64 table of one (left, right,
     width) row each; ``analytic_gaps`` overlays the certified first-level
-    forbidden intervals (exponentiated to linear scale).
+    forbidden intervals, their linear ends taken inward through ``zeta.exp_out``.
     """
 
     k: int
@@ -357,19 +358,19 @@ def range_census(
     if _local_factor(2, 1, r) == 1.0:
         raise PrecisionError(f"every census value rounds to 1.0 at r = {r}")
 
-    # math.exp is accurate to within an ulp but not directed: one ulp
-    # inward keeps each linear endpoint inside the certified log-interval.
+    # Each linear end is the inner double of exp_out's bracket at its log
+    # end (53 bits), so it stays inside the certified log-interval.
     analytic = tuple(
         (
             entry.m,
-            math.nextafter(math.exp(entry.interval[0]), math.inf),
-            math.nextafter(math.exp(entry.interval[1]), -math.inf),
+            Bracket.from_iv(exp_out(to_iv(entry.interval[0]), 53)).hi,
+            Bracket.from_iv(exp_out(to_iv(entry.interval[1]), 53)).lo,
         )
         for entry in analytic_gap_scan(table, k, r, CENSUS_SCAN_LEVELS)
         if entry.interval is not None
     )
-    # A gap narrower than a few ulps of 1 has no inward-rounded double
-    # endpoints; it is an error, never printed empty or inverted.
+    # A gap narrower than a few ulps of 1 has no inner double endpoints;
+    # it is an error, never printed empty or inverted.
     for m, left, right in analytic:
         if left >= right:
             raise PrecisionError(

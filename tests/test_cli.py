@@ -783,11 +783,13 @@ def test_only_arrays_are_flat():
 @pytest.mark.parametrize(
     "ints",
     [
-        [i % 7 for i in range(3 * cli.JOIN_BLOCK + 11)],  # every value in the table
-        [i % 256 for i in range(1000)] + [256, 2**62],  # values past the table
+        [i % 7 for i in range(3 * cli.JOIN_BLOCK + 11)],  # a run a value
+        [i % 256 for i in range(1000)] + [256, 2**62],  # values past 255
         [5, -1, 0, 3] * 700,  # a negative value
+        # a walk's exponents: long runs of 0 and of k, past 255, and -1
+        [0] * 3000 + [300] * 6000 + [2, 1] + [0] * 9000 + [-1] + [256] * 4000 + [300],
     ],
-    ids=["small", "large", "negative"],
+    ids=["small", "large", "negative", "runs"],
 )
 def test_int_blocks_match_int_repr(ints):
     assert "".join(cli._flat(np.array(ints)).join(", ")) == ", ".join(map(int.__repr__, ints))

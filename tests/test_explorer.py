@@ -48,6 +48,17 @@ SIEVE_KS = (1, 2, 3, 10, 1000)
 SIEVE_RS = (1.0001, 1.5, 2.0, 2.6, 40.0)
 
 
+# The golden census, then k = 1..3 at r across the census range, among
+# them every r where an end by libm's exp, nudged one double inward, was
+# one double from the end that exp_out's bracket gives, in sweeps of 1101
+# and 2001 evenly spaced r in [1.5, 2.6].
+CENSUS_ENDS = [(1, 2.0)] + [
+    (k, r)
+    for k in (1, 2, 3)
+    for r in (1.95, 2.0852, 2.17, 2.291, 2.331, 2.4207, 2.44435, 2.4575500000000003, 2.6)
+]
+
+
 def assert_bit_identical(got, expected):
     # Every value is >= 1, so equal values are equal bit patterns.
     assert got.dtype == expected.dtype == np.float64
@@ -393,6 +404,25 @@ class TestCensus:
         for m, left, right in census.analytic_gaps:
             inside = census.values[(census.values > left) & (census.values < right)]
             assert inside.size == 0, (m, left, right, inside)
+
+    @pytest.mark.parametrize("k, r", CENSUS_ENDS)
+    def test_linear_ends_hold_the_certified_gap(self, table, monkeypatch, k, r):
+        # each gap's two ends take one exp_out each, and, against mpmath at
+        # 50 digits, stay inside (G_k(r) / prod_{i<=m} LF(p_i), 1 + p_m^-r)
+        calls = []
+        exp_out = explorer.exp_out
+        monkeypatch.setattr(explorer, "exp_out", lambda t, prec: calls.append(t) or exp_out(t, prec))
+        census = explorer.range_census(table, k, r, 10)
+        assert census.analytic_gaps
+        assert len(calls) == 2 * len(census.analytic_gaps)
+        with mpmath.workdps(50):
+            s = mpmath.mpf(r)
+            head = mpmath.zeta(s) / mpmath.zeta((k + 1) * s)
+            for m, left, right in census.analytic_gaps:
+                p = [mpmath.mpf(q) for q in table.slice(1, m).tolist()]
+                prefix = mpmath.fprod([(1 - q ** (-(k + 1) * s)) / (1 - q**-s) for q in p])
+                assert mpmath.mpf(left) >= head / prefix, m
+                assert mpmath.mpf(right) <= 1 + p[-1] ** -s, m
 
     def test_capacity_error(self, table):
         with pytest.raises(CapacityError):

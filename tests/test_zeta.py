@@ -317,8 +317,9 @@ class TestExpOut:
     ulp at its working precision, and the pad must cover that."""
 
     def test_padded_ends_hold_the_taylor_enclosure(self, table, monkeypatch):
-        # every exp that the density verdicts of the golden files, a root
-        # and the verify suites take, with (k + 1) r at a rounded argument
+        # every exp that the density verdicts and the census of the golden
+        # files, a root and the verify suites take, with (k + 1) r at a
+        # rounded argument
         calls = {}
         exp_out = zmod.exp_out
 
@@ -327,8 +328,10 @@ class TestExpOut:
             return calls[t, prec]
 
         monkeypatch.setattr(zmod, "exp_out", spy)
+        monkeypatch.setattr(explorer, "exp_out", spy)
         for k, r in ((1, 1.5), (5, 1.87), (2, 40.0), (30, 1.9), (1, 195.0), (1000, 1.8876543)):
             density.density_report(table, k, r)
+        assert explorer.range_census(table, 1, 2.0, 1000).analytic_gaps
         for size in (zmod.FULL_SIZE, zmod.SIGN_SIZE):
             for s in (1.0001, 1.88, [1.0001, 2.0], [7 / 3, 2.5]):
                 kernel(s, size)
