@@ -9,21 +9,23 @@ to the double.  TSV flattens the same numbers to key/value lines, except
 for the census where it emits one range value per line.
 
 Every flat column of numbers that a result holds is a numpy array, and
-the arrays are the only values written a block at a time: ints by
-``int.__repr__``, anything else as float64, printed byte for byte as
-``float.__repr__`` writes it, through numpy.  A block of fewer than
-FLOAT_TEXT_MIN runs of equal values takes one repr a run
+the arrays are the only values written a block at a time, byte for byte
+as json writes their items: ints by ``int.__repr__``, anything else as
+float64 by ``float.__repr__``.  A block whose runs of equal values are
+RUN_LENGTH long or longer on average takes one repr a run
 (``_run_text``): a 100000-step greedy walk's partial sums C, a step
-function, take 4-7 ns a value in JSON, against 183-286 ns before
-(``BENCH_float_runs.json``), and its exponents 3.6-3.7 ns, against
-54-57 ns by lookups in a table of their texts (``BENCH_run_writer.json``).
-Other float blocks go to ``_float_text``, which covers [1e-20, 1e17).
-At ``census --bound 1000000`` (k = 1..3) writing a value takes
-213-271 ns in TSV and 286-322 ns in JSON with the gap rows, against
-about 1.1 us by ``float.__repr__``.  A walk's D and E take 245-369 ns a
-value in JSON (``BENCH_walk_output.json``; Python 3.11, numpy 2.4, a
-shared 2-vCPU x86-64 host).  An envelope's TSV takes an array's texts
-from the same blocked writer and writes them a block of lines at a time.
+function, and its exponents take 4-6 ns a value.  Any other block, and
+every table, goes to ``_array_text``: orjson writes it, with the
+shortest round-trip digits (Ryu), and ``_repr_layout`` rewrites the
+three layouts where orjson's differs from repr's: 1e16, 1e-7 and
+0.0000123.  At ``census --bound 1000000``
+(k = 1..3) writing a value then takes 53-59 ns in JSON, against
+202-269 ns by the numpy writer before it and about 1.1 us by
+``float.__repr__``; a walk's D takes 34-106 ns and E 52-56 ns, against
+100-324 and 275-282 ns (``BENCH_orjson_writer.json``; Python 3.11,
+numpy 2.4, orjson 3.8, a shared 2-vCPU x86-64 host).  An envelope's
+TSV takes an array's texts from the same writers and writes them a
+block of lines at a time.
 
 Output is written a piece at a time as it is made, to stdout or
 ``--out``, once every check that can refuse the request has passed: a
@@ -80,18 +82,18 @@ def finite_float(text: str) -> float:
 # Values of a flat list joined into one piece of the output, and lines of
 # an envelope's TSV.  Each piece is written as it is made, so a request
 # holds one piece's text and the arrays that make it, 2.8-3.5 MB at 8192
-# values under tracemalloc, whatever the length of its output.  Against
-# 4096, census values, C and D cost 18-28% less a value, since
-# _float_text's cost per call falls on twice the values.  16384 saves up
-# to 16% more on census values and C but not on D, and holds twice the
-# text and arrays (BENCH_walk_output.json).
+# values under tracemalloc, whatever the length of its output.  With
+# _array_text, blocks of 4096, 8192 and 16384 values cost the same a
+# value within the host's noise, on census values and a walk's C, D and
+# E (BENCH_orjson_writer.json).
 JOIN_BLOCK = 8192
-# Fewest floats of a block that _float_text writes, when numpy is loaded:
-# it costs about 0.2-0.3 ms a call whatever the block's length, and saves
-# about 0.8 us a value over float.__repr__ on census values, 0.4 us on
-# values across decades, so the two break even near 400 values (Python
-# 3.11, numpy 2.4, one process on a 2-core x86-64 host).
-FLOAT_TEXT_MIN = 512
+# Least mean length of the runs of equal values of a block that _run_text
+# writes: a run costs it 0.3 us as ints and 0.75 us as floats of 17
+# digits, and _array_text costs 20 and 66 ns a value, so the two break
+# even at runs 12-16 values long, on blocks of 512 to 8192 values
+# (Python 3.11, numpy 2.4, orjson 3.8, one process on a 2-core x86-64
+# host).
+RUN_LENGTH = 16
 
 
 class _Flat:
@@ -112,8 +114,8 @@ class _Flat:
         before any piece is made: the array's min or max is then NaN or
         infinite.
 
-        Blocks that are not rows go to _run_text first.  Float blocks of
-        at least FLOAT_TEXT_MIN items go to _float_text if that declines."""
+        Blocks that are not rows go to _run_text first, and to
+        _array_text if that declines; rows go to _array_text."""
         if self.rep is float.__repr__ and len(self.items):
             if not (math.isfinite(self.items.min()) and math.isfinite(self.items.max())):
                 raise ValueError("Out of range float values are not JSON compliant")
@@ -129,25 +131,22 @@ class _Flat:
             text = None
             if self.width is None:
                 text = _run_text(np, block, separator, self.rep)
-            if text is None and self.rep is float.__repr__ and len(block) >= FLOAT_TEXT_MIN:
-                text = _float_text(np, block, separator, row_separator, width)
+            else:
+                block = block.reshape(-1, width)
             if text is None:
-                texts = map(self.rep, block.tolist())
-                if width > 1:
-                    texts = map(separator.join, zip(*[texts] * width))
-                text = row_separator.join(texts)
+                text = _array_text(np, block, separator, row_separator)
             yield (row_separator if start else "") + text
 
 
 def _run_text(np, values, separator, rep):
     """``rep`` of every value of the flat array ``values`` with
     ``separator`` between them, each run of equal bit patterns (-0.0 and
-    0.0 apart) written by one ``rep``; None when the runs number
-    FLOAT_TEXT_MIN or more, where _float_text or a ``rep`` a value pays
-    better.  A greedy walk's exponents and partial sums C are such runs."""
+    0.0 apart) written by one ``rep``; None when the runs are shorter than
+    RUN_LENGTH on average, where _array_text pays better.  A greedy
+    walk's exponents and partial sums C are such runs."""
     bits = values.view(f"u{values.itemsize}")
     changes = bits[1:] != bits[:-1]
-    if np.count_nonzero(changes) >= FLOAT_TEXT_MIN - 1:
+    if (np.count_nonzero(changes) + 1) * RUN_LENGTH > len(values):
         return None
     ends = [*(np.flatnonzero(changes) + 1).tolist(), len(values)]
     starts = [0, *ends[:-1]]
@@ -172,245 +171,67 @@ def _flat(obj):
     return _Flat(obj.ravel(), rep, obj.shape[1] if obj.ndim == 2 else None)
 
 
-# Veltkamp's splitter 2**27 + 1: x * SPLIT - (x * SPLIT - x) is the upper
-# half of the bits of x.
-_SPLIT = 134217729.0
-# Columns of a row of _float_text: the digits and the decimal point, then
-# an exponent suffix such as "e-05", then the separator.  A repr that
-# _float_text falls back to is at most _REPR characters long.
-_DIGITS = 22
-_SUFFIX = 4
-_REPR = 24
-# _float_text writes a value x in [10**d, 10**(d + 1)) for -20 <= d <= 16
-# from y = x * 10**j, j = 16 - d; 5**j is one exact double up to j = _EXACT.
-_DEEPEST = 36
-_EXACT = 22
-# Strict bounds on the error of r and of |i + r| - h in _float_text, for
-# j > _EXACT.
-_R_BOUND = 2.0**-53
-_H_BOUND = 2.0**-48
+def _array_text(np, block, separator, row_separator):
+    """The text of the 1-D or 2-D array ``block``, ints or finite floats,
+    with ``separator`` between values and ``row_separator`` between the
+    rows of a 2-D block: orjson's digits, the shortest that round-trip
+    (Ryu), in ``float.__repr__``'s layout (_repr_layout)."""
+    import orjson  # as numpy, loaded only where an array is written
+
+    # orjson refuses a view that is not C-contiguous and misreads a
+    # byte-swapped array.
+    block = np.ascontiguousarray(block, block.dtype.newbyteorder("="))
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+    if block.dtype.kind == "f":
+        text = _repr_layout(np, block, text)
+    # Separators go in as bytes, which is faster than as text.
+    if block.ndim == 1:
+        return text[1:-1].replace(b",", separator.encode()).decode()
+    rows = text[2:-2].replace(b"],[", b"]").replace(b",", separator.encode())
+    return rows.replace(b"]", row_separator.encode()).decode()
 
 
-@functools.cache
-def _float_tables(np):
-    """The constants of _float_text, built on its first call."""
-    group = np.arange(10_000)
-    chars = np.stack([group // 1000, group // 100 % 10, group // 10 % 10, group % 10], axis=1)
-    # Four ASCII digits of each group 0000..9999 as one uint32.
-    groups = np.ascontiguousarray(chars + ord("0"), dtype=np.uint8).view(np.uint32).ravel()
-    trailing = np.select([group % 1000 == 0, group % 100 == 0, group % 10 == 0], [3, 2, 1], 0)
-    trailing[0] = 4
-    # 5**j = five_hi[j] + five_lo[j] exactly for j <= _DEEPEST, since
-    # 5**36 < 2**84; five_lo is 0 up to j = _EXACT.  Each half comes with
-    # its Veltkamp halves, for Dekker's product.
-    fives = [5**j for j in range(_DEEPEST + 1)]
-    five_hi = np.array([float(f) for f in fives])
-    five_lo = np.array([float(f - int(float(f))) for f in fives])
-    halves = []
-    for half in (five_hi, five_lo):
-        c = half * _SPLIT
-        high = c - (c - half)
-        halves.append((half, high, half - high))
-    # decades[i] is the double nearest 10**(i - 20); a value at or above
-    # the last one is out of range.
-    decades = np.array([float(f"1e{d}") for d in range(-20, 18)])
-    # left[d + 6, c]: column c of the text of a value in [10**d, 10**(d + 1))
-    # holds a digit left of the point.
-    left = np.arange(_DIGITS) <= 4 + np.arange(-6, 16)[:, None]
-    return groups, trailing, halves, decades, left
+def _is_digit(chars):
+    return (chars >= ord("0")) & (chars <= ord("9"))
 
 
-@functools.cache
-def _float_masks(np, separators):
-    """Which columns of a _float_text row are text, as one row per key
-    ((start * 25 + end) * 2 + exponent) * 3 + separator, where the digits
-    are columns start..end - 1, exponent says whether the suffix is
-    written, and separator is 0 or 1 for ``separators[0]`` or ``[1]`` and
-    2 for none."""
-    start, end, exponent, separator = (
-        axis.reshape(-1, 1)
-        for axis in np.meshgrid(np.arange(5), np.arange(25), np.arange(2), np.arange(3), indexing="ij")
-    )
-    col = np.arange(_DIGITS + _SUFFIX + max(separators))
-    length = np.array([*separators, 0])[separator]
-    return (
-        ((col >= start) & (col < end))
-        | ((col >= _DIGITS) & (col < _DIGITS + _SUFFIX) & (exponent == 1))
-        | ((col >= _DIGITS + _SUFFIX) & (col < _DIGITS + _SUFFIX + length))
-    )
-
-
-def _dekker(x, x_high, x_low, y, y_high, y_low):
-    """Dekker's exact product of two split doubles: x * y = p + e."""
-    p = x * y
-    return p, ((x_high * y_high - p) + x_high * y_low + x_low * y_high) + x_low * y_low
-
-
-def _float_text(np, values, separator, row_separator, width):
-    """``float.__repr__`` of every value of the float64 array ``values``,
-    all finite, with ``separator`` between them and ``row_separator``
-    after every ``width``, joined: the text built an array at a time.
-    None when fewer than half the values are in the range below, where
-    the array work would be spent for nothing.
-
-    A value x in [10**d, 10**(d + 1)) with -20 <= d <= 16 is written
-    from y = x * 10**j, j = 16 - d, which lies in [10**16, 10**17).
-    Scaling x by 2**j is exact, and 5**j = P_hi + P_lo exactly with two
-    doubles, P_lo = 0 for j <= 22.  Dekker's products give y as
-    p + e + p' + e' exactly, from P_hi and P_lo, and TwoSum gives
-    e + p' = s + t exactly.  So with N17 = p + rint(s), an integer since
-    p >= 2**53 is, r = (s - rint(s)) + (t + e') is y - N17, exactly for
-    j <= 22, where p' = e' = t = 0: then N17 is the nearest integer to y
-    (p is even, so ties go to even) and r is exact.
-
-    The n-digit candidate nearest x, for n = 16 and 15, is N17 rounded to
-    a multiple of 10 or 100, ties to even; its distance from y is an
-    integer i plus r.  It parses back to x when that distance is below
-    h = ulp(x) / 2 * 10**j, or equal to it when x's mantissa is even:
-    x's rounding interval is symmetric, since x is not a power of two.
-    For j <= 22, h is an exact double and the double i + r compares with
-    h as the exact sum does.  When the spacing g of y, a power of two, is
-    at most 1, y and every integer are multiples of g, while
-    h = 5**j * g / 2 is an odd multiple of g / 2 near which doubles lie
-    at most g / 4 apart (5**j < 2**52): the sum never rounds onto h.
-    When g > 1, y is an integer, r = 0 and the sum is i.
-
-    For j > 22 (d <= -7), r and h carry rounding errors, bounded thus.
-    p < 2**57, so |e| <= 8; |P_lo| <= 2**-53 P_hi, so |p'| < 16 and
-    |e'| <= 2**-50; then |s| < 32 and |t| <= 2**-49.  s - rint(s) is
-    exact, t + e' rounds by at most 2**-101 and the last sum, below 1, by
-    2**-54: r is within _R_BOUND = 2**-53 of y - N17.  A row whose |r| is
-    within _R_BOUND of 0 or 1/2 goes to ``float.__repr__``, so elsewhere
-    N17 is the nearest integer and r has the sign of y - N17.  h is taken
-    from P_hi alone, within h * 2**-53 of the true h, which is below 11.2
-    (h <= y * 2**-53), and i + r below 16 in size rounds by at most
-    2**-50: a row whose |i + r| is within _H_BOUND = 2**-48 of h goes to
-    ``float.__repr__`` too, so elsewhere the comparison is exact.  No
-    distance equals h here: a candidate N at a midpoint between doubles,
-    N * 10**-j = (2M + 1) * 2**(E - 1), would be a multiple of
-    (2M + 1) * 5**j >= 2**53 * 5**23 > 10**17.
-
-    N17 parses back whenever it is the nearest integer, since h > 0.5.
-    At 15 digits the interval holds at most one candidate.  So the
-    shortest digits are the 15-digit ones with their trailing zeros
-    stripped when they parse back, else the 16-digit ones when they do,
-    else N17: the digits of the shortest round-trip repr (Gay's mode 0),
-    which picks the nearest digits of that length.  No candidate rounds
-    up to 10**(d + 1): that one parses back only to the double nearest
-    10**(d + 1), which ``decades`` files under d + 1.
-
-    Every other value goes through ``float.__repr__`` alone: negative
-    values, -0.0, powers of two, values outside that range, any value
-    whose y misses [10**16, 10**17) since its decade was misjudged, and
-    the rows within the bounds above."""
-    groups, trailing, (five_hi, five_lo), decades, left = _float_tables(np)
-    n = len(values)
-    bits = values.view(np.uint64)
-    zero = bits == 0
-    d = np.searchsorted(decades, values, side="right") - 21
-    exact = (d >= -20) & (d <= 16) & (bits & np.uint64(2**52 - 1) != 0)
-    if 2 * np.count_nonzero(exact | zero) < n:
-        return None
-    x = np.where(exact, values, 1.5)  # any value in range, for the rest
-    d[~exact] = 0
-    j = 16 - d
-    shift = j.astype(np.int32)  # np.ldexp is slow with int64 exponents
-    scaled = np.ldexp(x, shift)
-    c = scaled * _SPLIT
-    high = c - (c - scaled)
-    hi = [part[j] for part in five_hi]
-    p, e = _dekker(scaled, high, scaled - high, *hi)
-    deep = j > _EXACT
-    any_deep = deep.any()
-    s, tail = e, 0.0
-    if any_deep:
-        p_lo, e_lo = _dekker(scaled, high, scaled - high, *(part[j] for part in five_lo))
-        # TwoSum: s + t = e + p_lo exactly; the tail is t + e_lo.
-        s = e + p_lo
-        v = s - e
-        tail = ((e - (s - v)) + (p_lo - v)) + e_lo
-    f = np.rint(s)
-    n17 = p.astype(np.int64) + f.astype(np.int64)
-    r = (s - f) + tail
-    if any_deep:
-        size = np.abs(r)
-        exact &= ~(deep & ((size < _R_BOUND) | (size > 0.5 - _R_BOUND)))
-    # y in [10**16, 10**17), now that N17 is its nearest integer.
-    exact &= (n17 < 10**17) & ((n17 > 10**16) | ((n17 == 10**16) & (r >= 0)))
-    x_bits = x.view(np.uint64)
-    h = np.ldexp(hi[0], (x_bits >> np.uint64(52)).astype(np.int32) - 1076 + shift)
-    even = (x_bits & np.uint64(1)) == 0
-
-    def nearest(scale):
-        """N17 rounded to a multiple of scale, over scale, and whether that
-        parses back to x; a row too near the boundary to tell is no
-        longer exact."""
-        q, b = np.divmod(n17, scale)
-        up = (b > scale // 2) | ((b == scale // 2) & ((r > 0) | ((r == 0) & (q & 1 == 1))))
-        size = np.abs((b - scale * up) + r)
-        if any_deep:
-            exact[deep & (np.abs(size - h) < _H_BOUND)] = False
-        return q + up, (size < h) | ((size == h) & even)
-
-    n16, fits16 = nearest(10)
-    n15, fits15 = nearest(100)
-    v = np.where(fits15, n15 * 100, np.where(fits16, n16 * 10, n17))
-    v[zero] = 0
-    # The 17 digits of v, from four-digit groups, at columns 7..23 of
-    # chars, with "0" at columns 0..6 and 24..27.
-    words = np.empty((n, 7), np.uint32)
-    words[:, 0] = words[:, 6] = groups[0]
-    v, last = np.divmod(v, 10_000)
-    words[:, 5] = groups[last]
-    for k in (4, 3, 2):
-        v, g = np.divmod(v, 10_000)
-        words[:, k] = groups[g]
-    words[:, 1] = groups[v]
-    chars = words.view(np.uint8)
-    digits = 17 - trailing[last]
-    many = np.flatnonzero(last == 0)  # four or more trailing zeros
-    digits[many] = 17 - np.argmax(chars[many, 23:6:-1] != ord("0"), axis=1)
-    digits[zero] = 1
-    # repr writes 1e-05 and 1e+16 with an exponent, 0.0001 and 1e+15 without.
-    exponent = (d < -4) | (d > 15)
-    point = np.where(exponent, 0, d)
-    start = 4 + np.minimum(point, 0)
-    end = np.where(exponent, 4 + digits + (digits > 1), np.maximum(4 + digits, 6 + d) + 1)
-    encoded = (separator.encode(), row_separator.encode())
-    out = np.empty((n, _DIGITS + _SUFFIX + max(map(len, encoded))), np.uint8)
-    # Column c of the text holds column c + 3 of chars left of the point,
-    # and column c + 2 right of it.
-    text = out[:, :_DIGITS]
-    if (point == point[0]).all():
-        # Every point in one column, as in a block of one decade (every
-        # census value is in [1, 10)): three slice copies.
-        p = int(point[0])
-        text[:, : 5 + p] = chars[:, 3 : 8 + p]
-        text[:, 5 + p] = ord(".")
-        text[:, 6 + p :] = chars[:, 8 + p : 24]
-    else:
-        text[...] = chars[:, 2:24]
-        np.copyto(text, chars[:, 3:25], where=left[point + 6])
-        text[np.arange(n), 5 + point] = ord(".")
-    if exponent.any():
-        out[:, _DIGITS] = ord("e")
-        out[:, _DIGITS + 1] = np.where(d < 0, ord("-"), ord("+"))
-        out[:, _DIGITS + 2] = ord("0") + abs(d) // 10
-        out[:, _DIGITS + 3] = ord("0") + abs(d) % 10
-    kind = np.zeros(n, np.intp)
-    kind[width - 1 :: width] = 1
-    kind[-1] = 2
-    for rows, sep in zip((out, out[width - 1 :: width]), encoded):
-        rows[:, _DIGITS + _SUFFIX : _DIGITS + _SUFFIX + len(sep)] = np.frombuffer(sep, np.uint8)
-    rest = np.flatnonzero(~(exact | zero))
-    if len(rest):
-        reprs = list(map(float.__repr__, values[rest].tolist()))
-        out[rest, :_REPR] = np.array(reprs, dtype=f"S{_REPR}").view(np.uint8).reshape(-1, _REPR)
-        start[rest] = 0
-        end[rest] = list(map(len, reprs))
-        exponent[rest] = False
-    mask = _float_masks(np, tuple(map(len, encoded)))[((start * 25 + end) * 2 + exponent) * 3 + kind]
-    return out[mask].tobytes().decode("ascii")
+def _repr_layout(np, block, text):
+    """orjson's ``text`` of the float array ``block`` with the three changes
+    that make it ``float.__repr__``'s: e16 -> e+16, e-7 -> e-07, and
+    0.0000123 -> 1.23e-05, for the values in [1e-5, 1e-4), which repr
+    writes with an exponent and orjson without.  Text already in repr's
+    layout is left as it is."""
+    size = np.abs(block)
+    fifth = ((size >= 1e-5) & (size < 1e-4)).any()
+    if not fifth and b"e" not in text:
+        return text
+    # Room past the end for a look 23 bytes past a point.
+    chars = np.frombuffer(text + bytes(24), np.uint8).copy()
+    e = np.flatnonzero(chars == ord("e"))
+    minus = e[chars[e + 1] == ord("-")]
+    # Bytes to put in, each before the byte at ``at``: a sign before the
+    # digits of a positive exponent, a 0 before the digit of a negative one.
+    at = [e[_is_digit(chars[e + 1])] + 1, minus[~_is_digit(chars[minus + 3])] + 2]
+    put = [np.full(len(at[0]), ord("+")), np.full(len(at[1]), ord("0"))]
+    drop = []
+    if fifth:
+        # At each "0.0000" that starts a value, the first digit after it
+        # moves left of the point, "0.000" goes (and the point, when no
+        # digit follows it) and "e-05" goes in before the value's end.
+        point = np.flatnonzero((chars[1:] == ord(".")) & (chars[:-1] == ord("0"))) + 1
+        point = point[~_is_digit(chars[point - 2])]
+        for i in range(1, 5):
+            point = point[chars[point + i] == ord("0")]
+        chars[point + 4] = chars[point + 5]
+        chars[point + 5] = ord(".")
+        end = point + 6 + np.argmin(_is_digit(chars[point[:, None] + np.arange(6, 24)]), axis=1)
+        drop = np.concatenate([(point[:, None] + np.arange(-1, 4)).ravel(), point[end == point + 6] + 5])
+        drop.sort()
+        at.append(np.repeat(end, 4))
+        put.append(np.tile(np.frombuffer(b"e-05", np.uint8), len(end)))
+    at = np.concatenate(at)
+    kept = np.delete(chars[: len(text)], drop)
+    return np.insert(kept, at - np.searchsorted(drop, at), np.concatenate(put)).tobytes()
 
 
 def _convert(obj, path, brackets):

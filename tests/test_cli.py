@@ -386,6 +386,31 @@ def test_point_requests_never_import_numpy(argv):
     assert done.stderr == "0 False\n"
 
 
+# As NUMPY_PROBE, for orjson, which only the array writer imports.
+ORJSON_PROBE = NUMPY_PROBE.replace('"numpy" in sys.modules', '"orjson" in sys.modules')
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["density", "--k", "1", "--r", "2"], False),
+        (["eta", "--k", "3"], False),
+        (["verify", "--suite", "gap-lemma"], False),
+        (["approximate", "--k", "1", "--r", "2", "--x", "0.2", "--steps", "100"], True),
+    ],
+    ids=lambda arg: " ".join(arg) if isinstance(arg, list) else str(arg),
+)
+def test_only_array_output_imports_orjson(argv, loaded):
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", ORJSON_PROBE, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    # The last line: verify's PASS line comes first.
+    assert done.stderr.splitlines()[-1] == f"0 {loaded}"
+
+
 # Prints mpmath.iv.prec before the package is imported and after the
 # verify suites ran, in a fresh interpreter.
 IV_PREC_PROBE = """
@@ -747,7 +772,7 @@ def test_json_pieces_match_json_dumps(payload):
 def test_tsv_of_a_table_of_floats_keys_each_cell():
     # Past a block, where the writer's pieces are split into lines: a
     # table of floats, an array and an array of runs of equal values.
-    n = cli.JOIN_BLOCK + cli.FLOAT_TEXT_MIN
+    n = cli.JOIN_BLOCK + 512
     gaps = tuple((1.0 + i / 7, 1.5 + i / 3, 2.0 ** -(i % 64)) for i in range(n // 3))
     steps = np.repeat([0.0, 0.25, -0.0, 0.25], n // 4)
     envelope = {"result": {"gaps": gaps, "m": [1, 2], "values": np.linspace(0.001, 3.0, n), "steps": steps}}

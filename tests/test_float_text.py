@@ -1,4 +1,5 @@
-"""The CLI's array writer of floats against ``float.__repr__``, byte for byte."""
+"""The CLI's array writer against ``float.__repr__``, byte for byte: orjson's
+digits with the three layout fix-ups of ``cli._repr_layout``."""
 
 import dataclasses
 import fractions
@@ -18,11 +19,11 @@ SEPARATOR = ",\n      "
 
 
 def written(values, separator=SEPARATOR, row_separator=None, width=None):
-    """The array writer's text of ``values``; it must not decline them."""
+    """The array writer's text of ``values``, as rows of ``width`` when given."""
     values = np.asarray(values, dtype=np.float64)
-    text = cli._float_text(np, values, separator, row_separator or separator, width or 1)
-    assert text is not None
-    return text
+    if width is not None:
+        values = values.reshape(-1, width)
+    return cli._array_text(np, values, separator, row_separator or separator)
 
 
 def assert_matches(values, **separators):
@@ -63,12 +64,12 @@ def test_doubles_each_side_of_a_power_of_ten():
 @pytest.mark.parametrize("width", [1, 3])
 @pytest.mark.parametrize("d", range(-20, 17))
 def test_one_decade_blocks(d, width):
-    # Every value in [10**d, 10**(d + 1)), so the block takes the writer's
-    # one-decade path, with its least and greatest doubles.
+    # Every value in [10**d, 10**(d + 1)), with its least and greatest
+    # doubles: each decade where orjson's layout and repr's may part.
     decade = fractions.Fraction(10) ** d
     low, high = float(f"1e{d}"), float(f"1e{d + 1}")
     rng = np.random.default_rng(d + 20)
-    values = rng.uniform(low, high, 3 * cli.FLOAT_TEXT_MIN).tolist()
+    values = rng.uniform(low, high, 1536).tolist()
     values[:2] = [low if low >= decade else math.nextafter(low, math.inf), math.nextafter(high, -math.inf)]
     assert all(decade <= v < 10 * decade for v in map(fractions.Fraction, values))
     if width == 1:
@@ -114,7 +115,7 @@ SOLUTIONS = 4
 
 def near_ties():
     """Doubles x in [1e-20, 1e-6) whose y = x * 10**j, j = 16 - d, lies
-    beside a boundary of _float_text's choices, on each side, at distances
+    beside a boundary of a digit writer's choices, on each side, at distances
     from 2**-58 to 2**-43: y beside an integer, a half-integer, 5 mod 10
     or 50 mod 100, or a midpoint between x and a neighbour, times 10**j,
     beside a multiple of 10 or 100.
@@ -152,8 +153,9 @@ def near_ties():
     return values
 
 
-# Near ties that a weaker writer gets wrong: the first without TwoSum's
-# error term, the rest with no guard bands.
+# Near ties that a weaker writer gets wrong: a numpy writer that scaled x
+# by 10**j in doubles got the first wrong without TwoSum's error term, the
+# rest with no guard bands.
 HARD_CASES = [
     float.fromhex(text)
     for text in (
@@ -178,18 +180,12 @@ def test_near_ties():
 
 def test_greedy_deficits(table, plan_walks):
     # Every D list of the benchmark's walks: mostly in [1e-16, 1e-6), with
-    # zeros, so that the array writer takes nearly every block.
-    written_blocks = blocks = 0
+    # zeros, so most exponents have two digits and many one.
     for k, r, x, steps in plan_walks:
         deficits = explorer.greedy_approximate(table, k, r, x, steps).D
         for start in range(0, steps, cli.JOIN_BLOCK):
             block = deficits[start : start + cli.JOIN_BLOCK]
-            text = cli._float_text(np, block, SEPARATOR, SEPARATOR, 1)
-            if text is not None:
-                assert first_difference(text, repr_join(block, SEPARATOR)) is None
-                written_blocks += 1
-            blocks += 1
-    assert written_blocks >= 0.9 * blocks
+            assert first_difference(written(block), repr_join(block, SEPARATOR)) is None
 
 
 def test_small_large_and_zero():
@@ -208,8 +204,9 @@ def test_small_large_and_zero():
 
 
 def test_values_out_of_range_are_written_by_repr():
-    # In a block mostly in range, negative values, -0.0, tiny, huge and
-    # subnormal values are spliced in from float.__repr__.
+    # Negative values, -0.0, tiny, huge and subnormal values, which the
+    # numpy writer before orjson's left to float.__repr__, among values in
+    # [1, 2): written in the block as float.__repr__ writes them.
     rng = np.random.default_rng(7)
     odd = [-1.5, -0.0, 5e-324, 1e-300, 2.5e-7, 1e17, 1.7976931348623157e308, -2e-10]
     values = (1.0 + rng.random(600)).tolist()
@@ -219,18 +216,87 @@ def test_values_out_of_range_are_written_by_repr():
 
 
 def test_a_block_mostly_out_of_range_is_declined():
-    values = np.array([1e-30] * 300 + [1.5] * 299)
-    assert cli._float_text(np, values, ",", ",", 1) is None
+    # The numpy writer before orjson's declined a block mostly outside
+    # [1e-20, 1e17); the array writer declines none.
+    values = np.array([1e-30, -2.5e300, 1e17] * 300 + [1.5] * 299)
+    assert first_difference(written(values, ","), repr_join(values, ",")) is None
     joined = "".join(cli._Flat(values, float.__repr__).join(","))
     assert first_difference(joined, repr_join(values, ",")) is None
 
 
+def test_the_fifth_decade():
+    # orjson writes [1e-5, 1e-4) without an exponent (0.0000123), repr
+    # with one (1.23e-05): one digit, several, negative, the decade's
+    # least and greatest doubles and those beside them, first and last.
+    values = [1e-05, 5e-05, -1.23e-05, -5e-05, 1.5, 9.87654321e-05, -1e-05, 0.0001, 1e-06]
+    values += neighbours(1e-05, 3) + neighbours(0.0001, 3) + neighbours(-1e-05, 3)
+    for block in (values, values[::-1], [5e-05], [-1e-05], [1.0, 1e-05]):
+        assert_matches(block)
+    assert written([1e-05, 5e-05, -1.23e-05]) == SEPARATOR.join(["1e-05", "5e-05", "-1.23e-05"])
+
+
+@pytest.mark.parametrize("exponent", range(6, 10))
+def test_one_digit_exponents_at_an_end(exponent):
+    # orjson writes e-7 where repr writes e-07: before a separator, at the
+    # end of a block and at the end of a row.
+    value = float(f"1.5e-{exponent}")
+    assert_matches([value, 1.0, value])
+    assert_matches([value])
+    assert_matches([1.0, 2.0, value, 3.0, value, value], row_separator="],\n    [", width=3)
+    assert_matches([value] * 3, row_separator=";", width=1)
+
+
+def test_positive_exponents_and_extremes():
+    # orjson writes 1e16 where repr writes 1e+16.
+    values = [float(f"{m}e{e}") for e in range(16, 309) for m in (1, 1.25, -7.5)]
+    values = [v for v in values if math.isfinite(v)]
+    values += [5e-324, -5e-324, -0.0, 0.0, 1.7976931348623157e308, -1.7976931348623157e308, 2.2250738585072014e-308]
+    values += neighbours(1e16, 3) + neighbours(-1e16, 3)
+    assert_matches(values)
+    assert_matches(values[::-1])
+    assert_matches(values[: len(values) // 3 * 3], row_separator="],\n    [", width=3)
+
+
+def test_gap_rows_across_decades():
+    # A census's gap rows (left, right, width) with widths in [1e-7, 1e-4),
+    # across the one-digit exponents and the fifth decade.
+    rng = np.random.default_rng(40)
+    left = 1.0 + rng.random(3000)
+    width = 10.0 ** rng.uniform(-7, -4, 3000)
+    rows = np.stack([left, left + width, width], axis=1)
+    assert np.count_nonzero(rows[:, 2] < 1e-5) > 1000 and np.count_nonzero(rows[:, 2] >= 1e-5) > 500
+    assert_matches(rows.ravel(), row_separator="],\n    [", width=3)
+
+
+def test_views_and_byte_orders():
+    # orjson refuses a view that is not C-contiguous and misreads a
+    # byte-swapped array, so the writer hands it a native, contiguous copy.
+    rng = np.random.default_rng(41)
+    table = rng.random((200, 4)) * 10.0 ** rng.integers(-9, 17, (200, 4))
+    views = [table[::2, 1], table[:, 1:], table.T[:3], table[::-1]]
+    for view in views + [table.astype(">f8"), np.arange(-5, 300).astype(">i4")]:
+        assert not view.flags.c_contiguous or not view.dtype.isnative
+        rep = int.__repr__ if view.dtype.kind == "i" else float.__repr__
+        rows = view.tolist() if view.ndim == 2 else [[v] for v in view.tolist()]
+        expected = ";".join(",".join(map(rep, row)) for row in rows)
+        got = cli._array_text(np, view if view.ndim == 2 else view.reshape(-1, 1), ",", ";")
+        assert got == expected
+
+
+def test_repr_layout_leaves_repr_text_alone():
+    # Each fix-up finds nothing in text already in repr's layout, as a
+    # later orjson might write it.
+    values = np.array([1e16, 1.5e-07, 1.23e-05, -5e-05, 0.0001, 1e-05, 5e-324, 1.0, -0.0, 1e308])
+    text = ("[" + ",".join(map(float.__repr__, values.tolist())) + "]").encode()
+    assert cli._repr_layout(np, values, text) == text
+
+
 def test_block_boundaries():
-    n = 2 * cli.JOIN_BLOCK + cli.FLOAT_TEXT_MIN + 1
+    n = 2 * cli.JOIN_BLOCK + 513
     values = np.linspace(0.001, 3.0, n)
     pieces = list(cli._flat(values).join("\n"))
     assert first_difference("".join(pieces), repr_join(values, "\n")) is None
-    lines = [cli.JOIN_BLOCK, cli.JOIN_BLOCK + 1, cli.FLOAT_TEXT_MIN + 2]
+    lines = [cli.JOIN_BLOCK, cli.JOIN_BLOCK + 1, 514]
     assert [len(piece.split("\n")) for piece in pieces] == lines
     # Rows of three: a piece holds the most whole rows that fit in a block.
     step = cli.JOIN_BLOCK // 3 * 3
@@ -241,7 +307,8 @@ def test_block_boundaries():
     assert [len(re.split(",|;\n", piece.removeprefix(";\n"))) for piece in pieces] == [step, 1905]
 
 
-# Bit patterns of the writer's range [1e-20, 1e17), less the powers of two.
+# Bit patterns of [1e-20, 1e17), less the powers of two: the range of the
+# numpy writer before orjson's.
 LOW, HIGH = np.array([1e-20, 1e17]).view(np.int64).tolist()
 IN_RANGE = st.integers(LOW, HIGH - 1).filter(lambda bits: bits % 2**52)
 MOSTLY_IN_RANGE = st.lists(IN_RANGE, min_size=1, max_size=64).flatmap(
@@ -254,8 +321,7 @@ MOSTLY_IN_RANGE = st.lists(IN_RANGE, min_size=1, max_size=64).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(bits=MOSTLY_IN_RANGE)
 def test_bit_patterns(bits):
-    # At least half the doubles in the writer's range, which it must not
-    # decline, among any finite doubles.
+    # At least half the doubles in [1e-20, 1e17), among any finite doubles.
     values = np.array(bits, dtype=np.uint64).view(np.float64)
     values = values[np.isfinite(values)]
     assert written(values) == repr_join(values, SEPARATOR)
@@ -273,8 +339,8 @@ def test_deep_bit_patterns(bits):
 
 
 # Bit patterns of any finite double, and of the values beside which runs
-# are told apart by their bits: -0.0 and 0.0, the least subnormal, and a
-# value below the array writer's range.
+# are told apart by their bits: -0.0 and 0.0, the least subnormal, and
+# 1e-30.
 FINITE = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: int(np.float64(v).view(np.uint64)))
 SPECIALS = np.array([-0.0, 0.0, 5e-324, 1e-30]).view(np.uint64).tolist()
 SPECIAL = st.sampled_from(SPECIALS)
@@ -287,9 +353,9 @@ SPECIAL = st.sampled_from(SPECIALS)
 )
 @example(patterns=SPECIALS[:2], runs=[(0, 600), (1, 600), (0, 1)])  # -0.0 beside 0.0
 def test_runs_of_equal_values(patterns, runs):
-    # Runs of a few bit patterns, 1 to 36000 values long: blocks of fewer
-    # than FLOAT_TEXT_MIN runs take one repr a run, the rest _float_text
-    # or float.__repr__.
+    # Runs of a few bit patterns, 1 to 36000 values long: blocks whose runs
+    # are RUN_LENGTH long on average take one repr a run, the rest the
+    # array writer.
     which = [i % len(patterns) for i, _ in runs]
     values = np.repeat(np.array(patterns, dtype=np.uint64)[which], [n for _, n in runs]).view(np.float64)
     joined = "".join(cli._Flat(values, float.__repr__).join(SEPARATOR))
@@ -298,9 +364,9 @@ def test_runs_of_equal_values(patterns, runs):
 
 def test_a_run_takes_one_repr(monkeypatch):
     def declined(*args):
-        raise AssertionError("a block of one run went to _float_text")
+        raise AssertionError("a block of one run went to _array_text")
 
-    monkeypatch.setattr(cli, "_float_text", declined)
+    monkeypatch.setattr(cli, "_array_text", declined)
     values = np.full(cli.JOIN_BLOCK, 0.1)
     assert "".join(cli._Flat(values, float.__repr__).join(SEPARATOR)) == repr_join(values, SEPARATOR)
 
