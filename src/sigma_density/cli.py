@@ -14,18 +14,19 @@ as json writes their items: ints by ``int.__repr__``, anything else as
 float64 by ``float.__repr__``.  A block whose runs of equal values are
 RUN_LENGTH long or longer on average takes one repr a run
 (``_run_text``): a 100000-step greedy walk's partial sums C, a step
-function, and its exponents take 4-6 ns a value.  Any other block, and
-every table, goes to ``_array_text``: orjson writes it, with the
+function, and its exponents take 4-7 ns a value.  Any other block, and
+every table, goes to ``_array_text``: orjson writes it with the
 shortest round-trip digits (Ryu), and ``_repr_layout`` rewrites the
-three layouts where orjson's differs from repr's: 1e16, 1e-7 and
-0.0000123.  At ``census --bound 1000000``
-(k = 1..3) writing a value then takes 53-59 ns in JSON, against
-202-269 ns by the numpy writer before it and about 1.1 us by
-``float.__repr__``; a walk's D takes 34-106 ns and E 52-56 ns, against
-100-324 and 275-282 ns (``BENCH_orjson_writer.json``; Python 3.11,
-numpy 2.4, orjson 3.8, a shared 2-vCPU x86-64 host).  An envelope's
-TSV takes an array's texts from the same writers and writes them a
-block of lines at a time.
+three layouts where orjson's differs from repr's (1e16, 1e-7 and
+0.0000123).  At ``census --bound 1000000`` (k = 1..3) writing a value
+then takes 53-55 ns in JSON and 43-46 ns in TSV, against 180-219 and
+165-186 ns by the exact numpy writer that orjson replaced, and about
+1.1 us by ``float.__repr__``; a walk's D takes 34-99 ns and E 50-53 ns,
+against 65-221 and 183-188 ns, and a census's gap rows, mostly in the
+rewritten decades, 248-258 ns against 231-280 ns
+(``BENCH_orjson_writer.json``; Python 3.11, numpy 2.4, orjson 3.8, a
+shared 2-vCPU x86-64 host).  An envelope's TSV takes an array's texts
+from the same writers and writes them a block of lines at a time.
 
 Output is written a piece at a time as it is made, to stdout or
 ``--out``, once every check that can refuse the request has passed: a
@@ -205,7 +206,7 @@ def _repr_layout(np, block, text):
     fifth = ((size >= 1e-5) & (size < 1e-4)).any()
     if not fifth and b"e" not in text:
         return text
-    # Room past the end for a look 23 bytes past a point.
+    # Padding, so that each look below past a point stays in the array.
     chars = np.frombuffer(text + bytes(24), np.uint8).copy()
     e = np.flatnonzero(chars == ord("e"))
     minus = e[chars[e + 1] == ord("-")]
