@@ -19,14 +19,12 @@ every table, goes to ``_array_text``: orjson writes it with the
 shortest round-trip digits (Ryu), and ``_repr_layout`` rewrites the
 three layouts where orjson's differs from repr's (1e16, 1e-7 and
 0.0000123).  At ``census --bound 1000000`` (k = 1..3) writing a value
-then takes 53-55 ns in JSON and 43-46 ns in TSV, against 180-219 and
-165-186 ns by the exact numpy writer that orjson replaced, and about
-1.1 us by ``float.__repr__``; a walk's D takes 34-99 ns and E 50-53 ns,
-against 65-221 and 183-188 ns, and a census's gap rows, mostly in the
-rewritten decades, 248-258 ns against 231-280 ns
-(``BENCH_orjson_writer.json``; Python 3.11, numpy 2.4, orjson 3.8, a
-shared 2-vCPU x86-64 host).  An envelope's TSV takes an array's texts
-from the same writers and writes them a block of lines at a time.
+then takes 53-55 ns in JSON and 43-46 ns in TSV, a walk's D 34-99 ns
+and E 50-53 ns, and a census's gap rows, mostly in the rewritten
+decades, 248-258 ns (``BENCH_orjson_writer.json``; Python 3.11, numpy
+2.4, orjson 3.8, a shared 2-vCPU x86-64 host).  An envelope's TSV takes
+an array's texts from the same writers (_array_pieces) and writes them
+a block of lines at a time.
 
 Output is written a piece at a time as it is made, to stdout or
 ``--out``, once every check that can refuse the request has passed: a
@@ -97,52 +95,39 @@ JOIN_BLOCK = 8192
 RUN_LENGTH = 16
 
 
-class _Flat:
-    """A flat array of floats or ints, written by ``rep`` (``float.__repr__``
-    or ``int.__repr__``, as json writes them).  With a ``width``, the items
-    are the rows of a table, ``width`` at a time."""
+def _array_pieces(np, array, separator, row_separator=None):
+    """The text of the 1-D or 2-D array ``array``, ints or float64, with
+    ``separator`` between values and ``row_separator`` between the rows
+    of a 2-D one, as an iterator of pieces of at most JOIN_BLOCK values
+    that each start a row, made as they are taken.  A float value that is
+    not finite raises json's ValueError here, before any piece is made:
+    the array's min or max is then NaN or infinite.
 
-    def __init__(self, items, rep, width=None):
-        self.items = items
-        self.rep = rep
-        self.width = width
+    1-D blocks go to _run_text first, and to _array_text if that
+    declines; rows go to _array_text."""
+    if array.dtype.kind == "f" and array.size:
+        if not (math.isfinite(array.min()) and math.isfinite(array.max())):
+            raise ValueError("Out of range float values are not JSON compliant")
+    if array.ndim == 1:
+        step, row_separator = JOIN_BLOCK, separator
+    else:
+        step = max(1, JOIN_BLOCK // array.shape[1])
 
-    def join(self, separator, row_separator=None):
-        """The items' text with ``separator`` between them, or
-        ``row_separator`` between rows, as an iterator of pieces of at most
-        JOIN_BLOCK items that each start a row, made as they are taken.
-        A float item that is not finite raises json's ValueError here,
-        before any piece is made: the array's min or max is then NaN or
-        infinite.
-
-        Blocks that are not rows go to _run_text first, and to
-        _array_text if that declines; rows go to _array_text."""
-        if self.rep is float.__repr__ and len(self.items):
-            if not (math.isfinite(self.items.min()) and math.isfinite(self.items.max())):
-                raise ValueError("Out of range float values are not JSON compliant")
-        return self._pieces(separator, separator if self.width is None else row_separator)
-
-    def _pieces(self, separator, row_separator):
-        import numpy as np  # loaded: the items are an array
-
-        width = self.width or 1
-        step = max(1, JOIN_BLOCK // width) * width
-        for start in range(0, len(self.items), step):
-            block = self.items[start : start + step]
-            text = None
-            if self.width is None:
-                text = _run_text(np, block, separator, self.rep)
-            else:
-                block = block.reshape(-1, width)
+    def pieces():
+        for start in range(0, len(array), step):
+            block = array[start : start + step]
+            text = _run_text(np, block, separator) if array.ndim == 1 else None
             if text is None:
                 text = _array_text(np, block, separator, row_separator)
             yield (row_separator if start else "") + text
 
+    return pieces()
 
-def _run_text(np, values, separator, rep):
-    """``rep`` of every value of the flat array ``values`` with
+
+def _run_text(np, values, separator):
+    """``repr`` of every value of the flat array ``values`` with
     ``separator`` between them, each run of equal bit patterns (-0.0 and
-    0.0 apart) written by one ``rep``; None when the runs are shorter than
+    0.0 apart) written by one ``repr``; None when the runs are shorter than
     RUN_LENGTH on average, where _array_text pays better.  A greedy
     walk's exponents and partial sums C are such runs."""
     bits = values.view(f"u{values.itemsize}")
@@ -151,25 +136,9 @@ def _run_text(np, values, separator, rep):
         return None
     ends = [*(np.flatnonzero(changes) + 1).tolist(), len(values)]
     starts = [0, *ends[:-1]]
-    texts = map(rep, values[starts].tolist())
+    texts = map(repr, values[starts].tolist())
     text = "".join([(one + separator) * (end - start) for one, start, end in zip(texts, starts, ends)])
     return text[: len(text) - len(separator)]
-
-
-def _flat(obj):
-    """``obj`` as a _Flat when it is an array, else None: an int array is
-    written by ``int.__repr__``, any other as float64, and one of two
-    dimensions as rows of its second."""
-    # No array exists unless some code has imported numpy, so it is not
-    # imported here.
-    np = sys.modules.get("numpy")
-    if np is None or not isinstance(obj, np.ndarray):
-        return None
-    if obj.dtype.kind in "iu":
-        rep = int.__repr__
-    else:
-        rep, obj = float.__repr__, obj.astype(np.float64, copy=False)
-    return _Flat(obj.ravel(), rep, obj.shape[1] if obj.ndim == 2 else None)
 
 
 def _array_text(np, block, separator, row_separator):
@@ -237,13 +206,11 @@ def _repr_layout(np, block, text):
 
 def _convert(obj, path, brackets):
     """Recursively turn results into JSON-ready values, indexing brackets.
-    Arrays become _Flat, which _json_pieces writes."""
+    An int array is kept as it is and any other array becomes float64, an
+    array that _json_pieces and _tsv_pieces write by _array_pieces."""
     if isinstance(obj, Bracket):
         brackets[path] = [obj.lo, obj.hi]
         return [obj.lo, obj.hi]
-    flat = _flat(obj)
-    if flat is not None:
-        return flat
     if isinstance(obj, (list, tuple)):
         return [_convert(v, f"{path}[{i}]", brackets) for i, v in enumerate(obj)]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -253,7 +220,11 @@ def _convert(obj, path, brackets):
         }
     if isinstance(obj, dict):
         return {str(k): _convert(v, f"{path}.{k}" if path else str(k), brackets) for k, v in obj.items()}
-    np = sys.modules.get("numpy")  # as in _flat
+    # No array or numpy scalar exists unless some code has imported numpy,
+    # so it is not imported here.
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, np.ndarray):
+        return obj if obj.dtype.kind in "iu" else obj.astype(np.float64, copy=False)
     if np is not None and isinstance(obj, (np.integer, np.floating)):
         return obj.item()
     return obj
@@ -277,19 +248,19 @@ def _envelope(command, parameters, result, prime_limit, tolerances):
 
 def _tsv_pieces(obj, prefix=""):
     """The TSV of ``obj``, a line of key, tab and value a value: a piece per
-    scalar line, and a piece per block of a _Flat's join, which writes its
-    values' texts as the JSON writer does.  A _Flat is keyed as a flat
-    list, a table's cells too: no command writes a table in TSV, since the
-    census writes its values only."""
+    scalar line, and a piece per block of an array's _array_pieces, which
+    writes its values' texts as the JSON writer does.  An array is keyed as
+    a flat list, a table's cells too: no command writes a table in TSV,
+    since the census writes its values only."""
     if isinstance(obj, dict):
         for k, v in obj.items():
             yield from _tsv_pieces(v, f"{prefix}.{k}" if prefix else str(k))
     elif isinstance(obj, list):
         for i, v in enumerate(obj):
             yield from _tsv_pieces(v, f"{prefix}[{i}]")
-    elif isinstance(obj, _Flat):
+    elif (np := sys.modules.get("numpy")) is not None and isinstance(obj, np.ndarray):
         start = 0
-        for piece in obj.join("\n", "\n"):
+        for piece in _array_pieces(np, obj, "\n", "\n"):
             # A piece after the first starts with its separator.
             texts = piece.removeprefix("\n").split("\n")
             yield "".join([f"{prefix}[{i}]\t{text}\n" for i, text in enumerate(texts, start)])
@@ -300,41 +271,42 @@ def _tsv_pieces(obj, prefix=""):
 
 def _json_pieces(envelope):
     """``json.dumps(envelope, indent=2, allow_nan=False) + "\\n"`` as an
-    iterator of strings, with each _Flat written by its blocked join at the
+    iterator of strings, with each array written by _array_pieces at the
     indentation json would give it.  Every error json.dumps would raise is
     raised by this call, before any string is taken: the skeleton (the
-    envelope less its _Flat) is dumped, and each _Flat's join checks its
-    items, here.
+    envelope less its arrays) is dumped, and each array's _array_pieces
+    checks its values, here.
 
-    json.dumps writes a _Flat as a placeholder string: a NUL character,
+    json.dumps writes an array as a placeholder string: a NUL character,
     which no other string of an envelope holds, and its index."""
-    flats = []
+    np = sys.modules.get("numpy")
+    arrays = []
 
     def placeholder(obj):
-        if not isinstance(obj, _Flat):
+        if np is None or not isinstance(obj, np.ndarray):
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-        flats.append(obj)
-        return f"\0{len(flats) - 1}"
+        arrays.append(obj)
+        return f"\0{len(arrays) - 1}"
 
     text = json.dumps(envelope, indent=2, allow_nan=False, default=placeholder)
     parts = []
     start = 0
-    for i, flat in enumerate(flats):
+    for i, array in enumerate(arrays):
         token = f'"\\u0000{i}"'
         at = text.index(token, start)
         parts.append([text[start:at]])
         start = at + len(token)
-        if not len(flat.items):
+        if not array.size:
             parts.append(["[]"])
             continue
         line = text[text.rindex("\n", 0, at) + 1 : at]
         outer = "\n" + " " * (len(line) - len(line.lstrip(" ")))
         inner = outer + "  "
-        if flat.width is None:
-            parts += [["[" + inner], flat.join("," + inner), [outer + "]"]]
+        if array.ndim == 1:
+            parts += [["[" + inner], _array_pieces(np, array, "," + inner), [outer + "]"]]
         else:
             cell = inner + "  "
-            rows = flat.join("," + cell, inner + "]," + inner + "[" + cell)
+            rows = _array_pieces(np, array, "," + cell, inner + "]," + inner + "[" + cell)
             parts += [["[" + inner + "[" + cell], rows, [inner + "]" + outer + "]"]]
     parts.append([text[start:] + "\n"])
     return itertools.chain.from_iterable(parts)
@@ -518,7 +490,9 @@ def _main(args) -> int:
             result = explorer.range_census(table, args.k, args.r, args.bound, args.resolution)
             parameters["resolution"] = result.resolution
             if args.format == "tsv":
-                _write(itertools.chain(_flat(result.values).join("\n"), ["\n"]), args)
+                import numpy as np  # loaded: the census made its values
+
+                _write(itertools.chain(_array_pieces(np, result.values, "\n"), ["\n"]), args)
                 return EXIT_OK
         else:  # verify
             result, passed = _run_verify(args, table)

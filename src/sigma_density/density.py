@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 from mpmath import fp
 from mpmath.libmp import (
@@ -176,14 +176,11 @@ def _power_table():
     ends with its parent, and the claims on one range share their grid
     points."""
     prec = FULL_SIZE.prec
-    points = {}
 
+    @cache
     def at(p: int, j: int, x: float) -> tuple:
-        key = p, j, x
-        if key not in points:
-            y = mpf_mul(from_int(j), from_float(x))
-            points[key] = prime_power(p, (y, y), prec)
-        return points[key]
+        y = mpf_mul(from_int(j), from_float(x))
+        return prime_power(p, (y, y), prec)
 
     def power(p: int, j: int, a: float, b: float) -> tuple:
         if j < 0:

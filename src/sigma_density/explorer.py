@@ -81,6 +81,10 @@ def greedy_approximate(
     The target must satisfy 0 <= x < log G_k(r), certified against the
     full-size bracket for log G_k(r); a target inside the bracket's
     uncertainty band is rejected as indeterminate rather than guessed about.
+    x = 0 takes no zeta evaluation, as G_k(r) >= 1 + 2^-r > 1, and
+    exponent 0 at every prime, the exact greedy step: every log local
+    factor is positive, though the float log of 1 + p^-r reads 0.0 once
+    p > 2^(53/r).
 
     The sign size settles most targets at about half the cost: with
     ``lower`` the lower end of its bracket, x < nextafter(lower, -inf) is
@@ -113,15 +117,16 @@ def greedy_approximate(
     # them, and then the target is checked before the table is.
     if nth_prime_bound(steps) > table.limit:
         _walk_primes(table, steps)
-    lower = Bracket.from_iv(log_g_iv(k, to_iv(r), SIGN_SIZE)[0]).lo
-    if not x < math.nextafter(lower, -math.inf):
-        log_g = Bracket.from_iv(log_g_iv(k, to_iv(r))[0])
-        if x >= log_g.hi:
-            raise DomainError(f"target {x} is not below log G_{k}({r}) = {log_g.hi}")
-        if x >= log_g.lo:
-            raise IndeterminateError(
-                f"target {x} falls inside the log G bracket [{log_g.lo}, {log_g.hi}]"
-            )
+    if x > 0:
+        lower = Bracket.from_iv(log_g_iv(k, to_iv(r), SIGN_SIZE)[0]).lo
+        if not x < math.nextafter(lower, -math.inf):
+            log_g = Bracket.from_iv(log_g_iv(k, to_iv(r))[0])
+            if x >= log_g.hi:
+                raise DomainError(f"target {x} is not below log G_{k}({r}) = {log_g.hi}")
+            if x >= log_g.lo:
+                raise IndeterminateError(
+                    f"target {x} falls inside the log G bracket [{log_g.lo}, {log_g.hi}]"
+                )
 
     import numpy as np
 
@@ -139,7 +144,7 @@ def greedy_approximate(
             partial_logs[a + 1 :] = partial_logs[a]
             break
     np.log(partial_logs, out=partial_logs)
-    alphas = _greedy_alphas(partial_logs, x)
+    alphas = _greedy_alphas(partial_logs, x) if x > 0 else np.zeros(steps, dtype=np.intp)
     taken = partial_logs[alphas, np.arange(steps)]
     C = np.cumsum(taken)
     D = partial_logs[k] - taken

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 from .brackets import Bracket, check_eps
@@ -194,25 +194,13 @@ def _solve(
     certifies it positive at 1.9 or below (signs (c) and (e)) and it is
     increasing.
     """
-    values: dict[float, Bracket] = {}
-    signs: dict[float, int | None] = {}
-    guides: dict[float, float] = {}
+    value_at = cache(value)
+    guide_at = cache(guide)
 
-    def value_at(r: float) -> Bracket:
-        if r not in values:
-            values[r] = value(r)
-        return values[r]
-
+    @cache
     def certified(r: float) -> int | None:
-        if r not in signs:
-            s = sign(r)
-            signs[r] = value_at(r).certified_sign() if s is None else s
-        return signs[r]
-
-    def guide_at(r: float) -> float:
-        if r not in guides:
-            guides[r] = guide(r)
-        return guides[r]
+        s = sign(r)
+        return value_at(r).certified_sign() if s is None else s
 
     def rests_on_root(a: float, b: float) -> bool:
         side = value_at(0.5 * (a + b)).certified_sign()

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import mpmath
 from mpmath.libmp import (
@@ -69,16 +70,10 @@ def scale(n: int, r: tuple, prec: int) -> tuple:
     return mpi_mul(_exact(n, prec), r, prec)
 
 
-# Interval log p by (prime, precision), each taken on first use.
-_LOG_PRIME: dict[tuple[int, int], tuple] = {}
-
-
+@cache
 def log_prime(p: int, prec: int) -> tuple:
     """Interval log p at ``prec`` bits, taken once per prime and precision."""
-    key = p, prec
-    if key not in _LOG_PRIME:
-        _LOG_PRIME[key] = mpi_log(_exact(p, prec), prec)
-    return _LOG_PRIME[key]
+    return mpi_log(_exact(p, prec), prec)
 
 
 def _exp_ulps(x: tuple, wp: int) -> tuple[int, int]:

@@ -237,7 +237,10 @@ def selector_oracle(table, k) -> int:
 def greedy_target_check(k: int, r: float, x: float):
     """The greedy walk's check of 0 <= x < log G_k(r) against the full-size
     bracket of ``zeta.log_g_iv`` alone: None when the target is accepted,
-    else the error it raises as (type, message)."""
+    else the error it raises as (type, message).  x = 0 is accepted
+    outright, as G_k(r) > 1."""
+    if x == 0:
+        return None
     log_g = Bracket.from_iv(log_g_iv(k, to_iv(r))[0])
     if x >= log_g.hi:
         return DomainError, f"target {x} is not below log G_{k}({r}) = {log_g.hi}"
@@ -344,7 +347,8 @@ def greedy_walk_loop(primes, k, r, x):
     """The greedy walk over the array ``primes``, one prime at a time, as
     lists: (alphas, C, D, E).  At each prime it takes the largest
     alpha <= k whose log partial local factor keeps the sum at or below
-    x, else 0."""
+    x, else 0; at x = 0 that is 0 at every prime, since each log local
+    factor is positive, though its float log may read 0.0."""
     powers = primes.astype(np.float64) ** (-r)
     partial_logs = np.log(
         np.cumsum(np.vstack([np.ones_like(powers)] + [powers**a for a in range(1, k + 1)]), axis=0)
@@ -352,7 +356,7 @@ def greedy_walk_loop(primes, k, r, x):
     alphas, C, D, E = [], [], [], []
     c = e = 0.0
     for logs in zip(*partial_logs.tolist()):
-        alpha = next((a for a in range(k, 0, -1) if c + logs[a] <= x), 0)
+        alpha = next((a for a in range(k, 0, -1) if c + logs[a] <= x), 0) if x else 0
         c += logs[alpha]
         d = logs[k] - logs[alpha]
         e += d

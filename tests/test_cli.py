@@ -89,6 +89,16 @@ def test_approximate(capsys):
     assert envelope["result"]["residual"] >= 0
 
 
+@pytest.mark.parametrize("r, steps", [("1e6", 10), ("4", 3000)])
+def test_approximate_to_zero(capsys, r, steps):
+    # x = 0 is below log G_k(r) for every r > 1, where the float logs of
+    # the local factors read 0.0 too (1e6), and its walk takes no exponent.
+    argv = ["approximate", "--k", "1", "--r", r, "--x", "0", "--steps", str(steps)]
+    code, envelope, err = run_json(capsys, *PRIME_ARGS, *argv)
+    assert code == 0, err
+    assert envelope["result"]["alphas"] == [0] * steps
+
+
 def test_census_json_and_tsv_agree(capsys):
     code, envelope, _ = run_json(
         capsys, *PRIME_ARGS, "census", "--k", "1", "--r", "2", "--bound", "500"
@@ -789,20 +799,24 @@ def test_flat_lists_are_joined_in_blocks():
     pieces = list(cli._json_pieces(cli._convert(payload, "", {})))
     assert first_difference("".join(pieces), _old_json(_old_convert(payload, "", {}))) is None
     assert max(piece.count(",") for piece in pieces) <= cli.JOIN_BLOCK
-    flat = cli._flat(payload["values"])
-    assert [len(piece.split("\n")) for piece in flat.join("\n")] == [cli.JOIN_BLOCK, cli.JOIN_BLOCK + 1, 4]
+    pieces = cli._array_pieces(np, payload["values"], "\n")
+    assert [len(piece.split("\n")) for piece in pieces] == [cli.JOIN_BLOCK, cli.JOIN_BLOCK + 1, 4]
     with pytest.raises(ValueError):
-        cli._flat(np.r_[payload["nested"]["floats"], 1.0, math.nan]).join(",")
+        cli._array_pieces(np, np.r_[payload["nested"]["floats"], 1.0, math.nan], ",")
 
 
-def test_only_arrays_are_flat():
-    # Lists and tuples go to json's writer, each item converted alone.
-    for obj in ([1.0, 2.0], (1, 2), [3], (), [np.float64(0.5)], 1.5, "text", None):
-        assert cli._flat(obj) is None
-    ints = cli._flat(np.array([[1, 2], [3, 4]], dtype=np.int32))
-    assert (ints.rep, ints.width, ints.items.tolist()) == (int.__repr__, 2, [1, 2, 3, 4])
-    floats = cli._flat(np.array([True, False]))
-    assert (floats.rep, floats.width, floats.items.dtype) == (float.__repr__, None, np.float64)
+def test_convert_keeps_int_arrays_and_makes_other_arrays_float64():
+    # Lists and tuples go to json's writer as lists, each item converted
+    # alone, and any other value that is not an array passes through.
+    for obj in ([1.0, 2.0], (1, 2), [3], (), [np.float64(0.5)]):
+        converted = cli._convert(obj, "", {})
+        assert converted == list(obj) and not any(isinstance(v, np.generic) for v in converted)
+    for obj in (1.5, "text", None):
+        assert cli._convert(obj, "", {}) is obj
+    ints = np.array([[1, 2], [3, 4]], dtype=np.int32)
+    assert cli._convert(ints, "", {}) is ints
+    floats = cli._convert(np.array([True, False]), "", {})
+    assert (floats.dtype, floats.tolist()) == (np.float64, [1.0, 0.0])
 
 
 @pytest.mark.parametrize(
@@ -817,7 +831,7 @@ def test_only_arrays_are_flat():
     ids=["small", "large", "negative", "runs"],
 )
 def test_int_blocks_match_int_repr(ints):
-    assert "".join(cli._flat(np.array(ints)).join(", ")) == ", ".join(map(int.__repr__, ints))
+    assert "".join(cli._array_pieces(np, np.array(ints), ", ")) == ", ".join(map(int.__repr__, ints))
 
 
 @pytest.mark.parametrize(

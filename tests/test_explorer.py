@@ -292,6 +292,23 @@ class TestGreedyRuns:
         trace = assert_walk_matches_the_loop(table, 3, 1.5, 0.0, 5000)
         assert trace.alphas.tolist() == [0] * 5000
 
+    @pytest.mark.parametrize("r, steps", [(1e6, 10), (4.0, 3000)])
+    def test_zero_target_where_float_logs_read_zero(self, table, monkeypatch, r, steps):
+        # log(1 + p^-r) rounds to 0.0 once p > 2^(53/r): from p = 2 at
+        # r = 1e6, where log G's bracket straddles 0, and from p_1202 =
+        # 9743 at r = 4.  The walk takes exponent 0 at every prime, with
+        # no zeta evaluation.
+        logs = np.log(1.0 + explorer._walk_primes(table, steps).astype(np.float64) ** -r)
+        assert np.flatnonzero(logs == 0.0)[0] == (0 if r > 4 else 1201)
+
+        def refused(*args):
+            raise AssertionError("x = 0 took a zeta evaluation")
+
+        monkeypatch.setattr(explorer, "log_g_iv", refused)
+        trace = assert_walk_matches_the_loop(table, 1, r, 0.0, steps)
+        assert trace.alphas.tolist() == [0] * steps
+        assert (trace.achieved, trace.residual) == (0.0, 0.0)
+
     def test_exactly_attainable_target(self, table):
         r = 1.5
         x = math.log(1 + 2**-r) + math.log(1 + 3**-r)

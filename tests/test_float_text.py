@@ -18,21 +18,27 @@ from sigma_density import cli, explorer
 SEPARATOR = ",\n      "
 
 
+def array(values, width=None):
+    """``values`` as a float64 array, as rows of ``width`` when given."""
+    values = np.asarray(values, dtype=np.float64)
+    return values if width is None else values.reshape(-1, width)
+
+
 def written(values, separator=SEPARATOR, row_separator=None, width=None):
     """The array writer's text of ``values``, as rows of ``width`` when given."""
-    values = np.asarray(values, dtype=np.float64)
-    if width is not None:
-        values = values.reshape(-1, width)
-    return cli._array_text(np, values, separator, row_separator or separator)
+    return cli._array_text(np, array(values, width), separator, row_separator or separator)
+
+
+def joined(values, separator=SEPARATOR, row_separator=None, width=None):
+    """The text of _array_pieces' pieces of ``values``."""
+    return "".join(cli._array_pieces(np, array(values, width), separator, row_separator))
 
 
 def assert_matches(values, **separators):
-    """Both the array writer and _Flat.join write ``values`` as the oracle does."""
+    """Both the array writer and _array_pieces write ``values`` as the oracle does."""
     expected = repr_join(values, SEPARATOR, **separators)
     assert first_difference(written(values, **separators), expected) is None
-    flat = cli._Flat(np.asarray(values, dtype=np.float64), float.__repr__, separators.get("width"))
-    joined = "".join(flat.join(SEPARATOR, separators.get("row_separator")))
-    assert first_difference(joined, expected) is None
+    assert first_difference(joined(values, **separators), expected) is None
 
 
 @pytest.mark.parametrize("k, r", [(1, 1.55), (2, 1.95), (3, 2.4)])
@@ -220,8 +226,7 @@ def test_a_block_mostly_out_of_range_is_declined():
     # [1e-20, 1e17); the array writer declines none.
     values = np.array([1e-30, -2.5e300, 1e17] * 300 + [1.5] * 299)
     assert first_difference(written(values, ","), repr_join(values, ",")) is None
-    joined = "".join(cli._Flat(values, float.__repr__).join(","))
-    assert first_difference(joined, repr_join(values, ",")) is None
+    assert first_difference(joined(values, ","), repr_join(values, ",")) is None
 
 
 def test_the_fifth_decade():
@@ -292,14 +297,13 @@ def test_repr_layout_leaves_repr_text_alone():
 def test_block_boundaries():
     n = 2 * cli.JOIN_BLOCK + 513
     values = np.linspace(0.001, 3.0, n)
-    pieces = list(cli._flat(values).join("\n"))
+    pieces = list(cli._array_pieces(np, values, "\n"))
     assert first_difference("".join(pieces), repr_join(values, "\n")) is None
     lines = [cli.JOIN_BLOCK, cli.JOIN_BLOCK + 1, 514]
     assert [len(piece.split("\n")) for piece in pieces] == lines
     # Rows of three: a piece holds the most whole rows that fit in a block.
     step = cli.JOIN_BLOCK // 3 * 3
-    rows = cli._Flat(values[: step + 1905], float.__repr__, 3)
-    pieces = list(rows.join(",", ";\n"))
+    pieces = list(cli._array_pieces(np, values[: step + 1905].reshape(-1, 3), ",", ";\n"))
     expected = repr_join(values[: step + 1905], ",", ";\n", 3)
     assert first_difference("".join(pieces), expected) is None
     assert [len(re.split(",|;\n", piece.removeprefix(";\n"))) for piece in pieces] == [step, 1905]
@@ -356,8 +360,7 @@ def test_runs_of_equal_values(patterns, runs):
     # array writer.
     which = [i % len(patterns) for i, _ in runs]
     values = np.repeat(np.array(patterns, dtype=np.uint64)[which], [n for _, n in runs]).view(np.float64)
-    joined = "".join(cli._Flat(values, float.__repr__).join(SEPARATOR))
-    assert first_difference(joined, repr_join(values, SEPARATOR)) is None
+    assert first_difference(joined(values), repr_join(values, SEPARATOR)) is None
 
 
 def test_a_run_takes_one_repr(monkeypatch):
@@ -366,7 +369,7 @@ def test_a_run_takes_one_repr(monkeypatch):
 
     monkeypatch.setattr(cli, "_array_text", declined)
     values = np.full(cli.JOIN_BLOCK, 0.1)
-    assert "".join(cli._Flat(values, float.__repr__).join(SEPARATOR)) == repr_join(values, SEPARATOR)
+    assert joined(values) == repr_join(values, SEPARATOR)
 
 
 def test_a_walk_at_target_zero(table):

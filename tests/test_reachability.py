@@ -2,8 +2,9 @@
 
 One fresh interpreter sets a ``sys.setprofile`` hook before it imports the
 package, so that import-time calls count too, and then runs in process,
-through ``cli.main``, the README's commands, the golden files' commands,
-TSV forms, ``--out``, a usage error and a typed error, and both scripts.
+through ``cli.main``, the README's commands and the golden files'
+commands (its TSV forms among them), ``--out``, an undetermined verdict,
+a usage error and typed errors, and both scripts.
 Every function, method, lambda and comprehension defined under
 src/sigma_density that the hook never sees called fails the test by name,
 unless ``ALLOWED`` names it, or a function it is defined in, with the
@@ -17,34 +18,16 @@ import pathlib
 import subprocess
 import sys
 
+from test_cli import _readme_cli_commands
+from test_golden import GOLDEN
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sigma_density"
 
-README = [
-    ["eta", "--k", "3"],
-    ["eta-limit", "--eps", "1e-9"],
-    ["thresholds", "--k", "3"],
-    ["table", "--kmax", "10"],
-    ["density", "--k", "1", "--r", "2"],
-    ["approximate", "--k", "1", "--r", "1.5", "--x", "0.3", "--steps", "1000"],
-    ["census", "--k", "1", "--r", "2", "--bound", "100000"],
-    ["verify", "--suite", "all"],
-]
-GOLDEN = [
-    ["eta-limit"],
-    ["eta-limit", "--eps", "1e-13"],
-    ["thresholds", "--k", "7", "--eps", "1e-13"],
-    ["thresholds", "--k", "1", "--eps", "1e-2"],
-    ["density", "--k", "1", "--r", "1.5"],
-    ["density", "--k", "5", "--r", "1.87"],
-    ["density", "--k", "2", "--r", "40"],
-    ["census", "--k", "1", "--r", "2.0", "--bound", "1000"],
-    ["approximate", "--k", "2", "--r", "1.9", "--x", "0.5", "--steps", "1000"],
-]
+# The README's commands and the golden files' commands, each once.
+DOCUMENTED = list(dict.fromkeys(map(tuple, [*_readme_cli_commands(), *GOLDEN.values()])))
+# Forms that neither list has.
 OTHERS = [
-    ["--format", "tsv", "census", "--k", "1", "--r", "2.0", "--bound", "1000"],
-    ["--format", "tsv", "approximate", "--k", "2", "--r", "1.9", "--x", "0.5", "--steps", "1000"],
-    ["--format", "tsv", "density", "--k", "1", "--r", "2"],
     ["--out", "{tmp}/out.json", "eta", "--k", "2"],
     ["density", "--k", "1", "--r", "1e308"],  # undetermined
     ["density", "--k", "1"],  # usage error: exits 64
@@ -53,7 +36,7 @@ OTHERS = [
     ["--prime-limit", "100", "approximate", "--k", "1", "--r", "1.5", "--x", "0.3", "--steps", "99"],
     ["table", "--kmax", "101"],
 ]
-EXIT_CODES = [0] * (len(README) + len(GOLDEN) + 5) + [64, 1, 1, 1]
+EXIT_CODES = [0] * (len(DOCUMENTED) + 2) + [64, 1, 1, 1]
 SCRIPTS = {
     "build_threshold_table": ["--prime-limit", "100000", "--kmax", "2"],
     "map_range_gaps": [
@@ -120,7 +103,7 @@ def definitions():
 
 
 def test_every_src_function_is_reached(tmp_path):
-    requests = [[arg.format(tmp=tmp_path) for arg in argv] for argv in README + GOLDEN + OTHERS]
+    requests = [[arg.format(tmp=tmp_path) for arg in argv] for argv in DOCUMENTED + OTHERS]
     out = tmp_path / "reached.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     payload = json.dumps([requests, SCRIPTS, str(ROOT / "scripts"), str(out)])
