@@ -91,8 +91,9 @@ def test_approximate(capsys):
 
 @pytest.mark.parametrize("r, steps", [("1e6", 10), ("4", 3000)])
 def test_approximate_to_zero(capsys, r, steps):
-    # x = 0 is below log G_k(r) for every r > 1, where the float logs of
-    # the local factors read 0.0 too (1e6), and its walk takes no exponent.
+    # x = 0 is below log G_k(r) at every r > 1, also where log G's bracket
+    # straddles 0 (r = 1e6), and its walk takes exponent 0 at every prime,
+    # also where the float log of a local factor reads 0.0 (both r).
     argv = ["approximate", "--k", "1", "--r", r, "--x", "0", "--steps", str(steps)]
     code, envelope, err = run_json(capsys, *PRIME_ARGS, *argv)
     assert code == 0, err
