@@ -15,11 +15,10 @@ def main(argv=None) -> int:
     parser = cli.Parser(description=__doc__)
     parser.add_argument("--kmax", type=int, default=10)
     parser.add_argument("--eps", type=cli.finite_float, default=1e-10)
-    parser.add_argument("--prime-limit", type=int, default=primes.DEFAULT_LIMIT)
     args = parser.parse_args(argv)
 
     try:
-        table = primes.load_or_sieve(args.prime_limit)
+        table = primes.load_or_sieve()
         result = solver.eta_table(table, args.kmax, args.eps)
     except SigmaDensityError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

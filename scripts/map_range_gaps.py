@@ -31,7 +31,6 @@ def main(argv=None) -> int:
     parser.add_argument("--r-step", type=positive_float, default=0.1)
     parser.add_argument("--bound", type=int, default=100_000)
     parser.add_argument("--resolution", type=cli.finite_float, default=0.01)
-    parser.add_argument("--prime-limit", type=int, default=primes.DEFAULT_LIMIT)
     args = parser.parse_args(argv)
 
     # The grid is indexed, not accumulated, so a step too small to move r
@@ -41,7 +40,7 @@ def main(argv=None) -> int:
         parser.error("the r grid has too many points to count")
     points = max(0, math.floor(span + 1e-9) + 1)
     try:
-        table = primes.load_or_sieve(args.prime_limit)
+        table = primes.load_or_sieve()
         threshold = solver.eta(table, args.k, 1e-8).value.mid
         print(f"# k={args.k}, density threshold ~ {threshold:.7f}")
         print("r\tintervals\twide_gaps\tanalytic_gaps")

@@ -3,10 +3,11 @@
 Every operation is exposed as a subcommand emitting a machine-readable
 envelope: the command, the echoed parameters, the result payload, a flat
 index of every interval value as a [lo, hi] pair, and provenance (tool
-version, prime-table limit, tolerances).  JSON is the default format;
-floats serialize with shortest round-trip representation, which is exact
-to the double.  TSV flattens the same numbers to key/value lines, except
-for the census where it emits one range value per line.
+version, prime-table limit, tolerances): the limit is primes.DEFAULT_LIMIT,
+or a walk's bound on its last prime where larger.  JSON is the default
+format; floats serialize with shortest round-trip representation, which
+is exact to the double.  TSV flattens the same numbers to key/value
+lines, except for the census where it emits one range value per line.
 
 Every flat column of numbers that a result holds is a numpy array, and
 the arrays are the only values written a block at a time, byte for byte
@@ -371,7 +372,6 @@ def build_parser() -> Parser:
     after it is built, and each parse fills a fresh namespace."""
     parser = Parser(prog="sigma-density", description=__doc__.splitlines()[0])
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
-    parser.add_argument("--prime-limit", type=int, default=primes.DEFAULT_LIMIT)
     parser.add_argument("--out", default=None, help="write output to a file instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -463,14 +463,20 @@ def _main(args) -> int:
     parameters = {
         name: value
         for name, value in vars(args).items()
-        if name not in ("format", "prime_limit", "out", "command")
+        if name not in ("format", "out", "command")
     }
     tolerances = {"eps": args.eps} if "eps" in parameters else {}
     code = EXIT_OK
     try:
         if args.out:
             _check_out(args.out)
-        table = primes.load_or_sieve(args.prime_limit)
+        limit = primes.DEFAULT_LIMIT
+        if args.command == "approximate":
+            # No walk the capacity admits takes more steps than the clamp
+            # (k >= 1), and a longer one fails that check, not the sieve's.
+            steps = min(args.steps, explorer.GREEDY_MAX_ENTRIES // 2)
+            limit = max(limit, math.ceil(primes.nth_prime_bound(steps)))
+        table = primes.load_or_sieve(limit)
         if args.command == "eta":
             result = solver.eta(table, args.k, args.eps)
         elif args.command == "eta-limit":

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 from .brackets import Bracket
 from .density import t_levels
 from .errors import CapacityError, DomainError, IndeterminateError, PrecisionError, check_k, check_r
-from .primes import PrimeTable, nth_prime_bound, sieve
+from .primes import PrimeTable, sieve
 from .zeta import SIGN_SIZE, exp_out, log_g_iv, to_iv
 
 if TYPE_CHECKING:
@@ -31,10 +31,12 @@ if TYPE_CHECKING:
 # and a 0.10 GB peak under tracemalloc.
 CENSUS_MAX_BOUND = 5_000_000
 # Largest (k + 1) * steps of a greedy walk: its table of partial local
-# factors holds that many doubles, and its peak memory is about 10.5
-# bytes an entry (40.5 MB under tracemalloc at k = 25 and 148933 steps,
-# the largest walk the default prime limit allows).  The command writes
-# that walk's 13.6 MB of JSON a block at a time, in about 3.3 MB more.
+# factors holds that many doubles.  Under tracemalloc a walk on a sieved
+# table peaks at 9.8 bytes an entry at k = 25 and 32 at k = 1.  The
+# longest walk, `approximate --k 1 --r 1.5 --x 0.5 --steps 2000000` to
+# --out, sieves to 34366807 and writes 181 MB of JSON in 0.9-1.0 s, at a
+# 151 MB peak under tracemalloc and 171 MB resident (Python 3.11, numpy
+# 2.4, one process on a 2-core x86-64 host).
 GREEDY_MAX_ENTRIES = 4_000_000
 # Integers an array step of the census sieve takes at once, past its
 # full-length arrays.
@@ -76,7 +78,9 @@ class GreedyTrace:
 def greedy_approximate(
     table: PrimeTable, k: int, r: float, x: float, steps: int
 ) -> GreedyTrace:
-    """Run the greedy construction over the first ``steps`` primes.
+    """Run the greedy construction over the first ``steps`` primes, which
+    ``table`` must hold: the DomainError of a short table comes after
+    every other check, as the walk's primes are sieved last.
 
     The target must satisfy 0 <= x < log G_k(r), certified against the
     full-size bracket for log G_k(r); a target inside the bracket's
@@ -112,11 +116,8 @@ def greedy_approximate(
         )
     if not x >= 0:
         raise DomainError(f"target must be >= 0, got {x}")
-    # The slice sieves the first ``steps`` primes, so every cheap check goes
-    # first.  A table whose limit is past the bound on p_steps surely holds
-    # them, and then the target is checked before the table is.
-    if nth_prime_bound(steps) > table.limit:
-        _walk_primes(table, steps)
+    # The slice sieves the first ``steps`` primes, so every other check
+    # goes first.
     if x > 0:
         lower = Bracket.from_iv(log_g_iv(k, to_iv(r), SIGN_SIZE)[0]).lo
         if not x < math.nextafter(lower, -math.inf):
@@ -130,7 +131,7 @@ def greedy_approximate(
 
     import numpy as np
 
-    powers = _walk_primes(table, steps).astype(np.float64) ** (-r)
+    powers = table.slice(1, steps).astype(np.float64) ** (-r)
     # partial_logs[a][l] = log(sum_{j<=a} p_l^{-jr}); row 0 is zero.  Each
     # row is the one above plus p^-ar, as np.cumsum over the rows adds.
     # Once every p^-ar rounds away, so does every later power, which is
@@ -228,14 +229,6 @@ def _greedy_alphas(partial_logs: np.ndarray, x: float) -> np.ndarray:
                     break
                 window *= 2
     return alphas
-
-
-def _walk_primes(table: PrimeTable, steps: int) -> np.ndarray:
-    """The first ``steps`` primes of ``table``."""
-    try:
-        return table.slice(1, steps)
-    except DomainError:
-        raise DomainError(f"steps={steps} exceeds the table of {len(table)} primes") from None
 
 
 @dataclass(frozen=True)

@@ -27,14 +27,15 @@ GAP_EXCLUDED_INDICES = (1, 2, 4)
 # p_33609 = 396833.
 GAP_SEARCH_INDEX = 33609
 
-# Enough for the first 100000 primes (p_100000 = 1299709) with headroom.
+# The limit of the CLI's and the scripts' table, 148933 primes; the CLI
+# sizes a longer walk's table to the bound on its last prime.
 DEFAULT_LIMIT = 2_000_000
 # Largest sieve: a one-byte mask per integer, about 50 MB at this limit.
 SIEVE_MAX_LIMIT = 50_000_000
-# The first bound a table sieves to, and the factor each re-sieve grows it
-# by.  The first bound covers p_172 = 1021, more than the density criterion
-# and the solvers read; it is sieved in pure Python, so a request that
-# reads no further never imports numpy.
+# The first bound a table sieves to, and the least factor each re-sieve
+# grows it by.  The first bound covers p_172 = 1021, more than the density
+# criterion and the solvers read; it is sieved in pure Python, so a
+# request that reads no further never imports numpy.
 FIRST_SIEVE_BOUND = 1024
 SIEVE_GROWTH = 4
 
@@ -43,15 +44,14 @@ class PrimeTable:
     """Every prime up to ``limit``, ascending; indexing is 1-based:
     ``nth(1) == 2``.
 
-    The table sieves on demand.  A read grows the sieved prefix until it
-    holds the index asked for, never past ``limit``, by sieving afresh at
-    ``SIEVE_GROWTH`` times the last bound; so a request pays for the
-    primes it reads, and all the sieves together cost at most
-    SIEVE_GROWTH / (SIEVE_GROWTH - 1) times the last one.  A read whose
-    index bound (:func:`nth_prime_bound`) lies past one more growth step
-    sieves straight to that bound instead, so no read sieves more than
-    twice.  ``len`` and ``primes`` mean the whole table, so they sieve
-    once, to ``limit``.
+    The table sieves on demand.  A read past the sieved prefix sieves
+    afresh to the larger of ``SIEVE_GROWTH`` times the last bound and the
+    bound on the prime it needs (:func:`nth_prime_bound`), never past
+    ``limit``; that bound is at least the prime, so no read sieves more
+    than once.  A request pays for the primes it reads, and the bounds
+    grow at least SIEVE_GROWTH-fold, so all the sieves together cost at
+    most SIEVE_GROWTH / (SIEVE_GROWTH - 1) times the last one.
+    ``primes`` means the whole table, so it sieves to ``limit``.
 
     A first sieve to at most ``FIRST_SIEVE_BOUND`` gives a tuple, which
     ``nth`` reads; ``primes`` and ``slice`` turn it into an array once.
@@ -65,13 +65,14 @@ class PrimeTable:
         self._sieved = (0, ())
 
     def _prefix(self, count: float) -> tuple[int, tuple[int, ...] | np.ndarray]:
-        """The sieved (bound, primes), grown until the primes number
-        ``count`` or the sieve reaches ``limit``."""
+        """The sieved (bound, primes), sieved afresh where the primes
+        number fewer than ``count`` and the sieve is short of ``limit``."""
         bound, primes = self._sieved
-        while len(primes) < count and bound < self.limit:
-            grown = max(FIRST_SIEVE_BOUND, SIEVE_GROWTH * bound)
-            needed = nth_prime_bound(count)
-            bound = math.ceil(min(self.limit, needed if needed > SIEVE_GROWTH * grown else grown))
+        if len(primes) < count and bound < self.limit:
+            # A count past limit sieves to limit (p_n > n) and could
+            # overflow a float.
+            needed = nth_prime_bound(min(count, self.limit))
+            bound = math.ceil(min(self.limit, max(FIRST_SIEVE_BOUND, SIEVE_GROWTH * bound, needed)))
             primes = _first_sieve(bound) if bound <= FIRST_SIEVE_BOUND else _eratosthenes(bound)
             self._sieved = (bound, primes)
         return bound, primes
@@ -89,9 +90,6 @@ class PrimeTable:
     def primes(self) -> np.ndarray:
         return self._array(math.inf)
 
-    def __len__(self) -> int:
-        return len(self.primes)
-
     def nth(self, i: int) -> int:
         """The i-th prime, 1-based."""
         if i < 1:
@@ -108,7 +106,7 @@ class PrimeTable:
         """Primes p_start .. p_stop inclusive, 1-based, as int64 array."""
         primes = self._array(stop)
         if start < 1 or stop > len(primes):
-            raise DomainError(f"prime slice [{start}, {stop}] outside table of size {len(self)}")
+            raise DomainError(f"prime slice [{start}, {stop}] outside table of size {len(self.primes)}")
         return primes[start - 1 : stop]
 
 

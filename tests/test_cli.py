@@ -19,9 +19,6 @@ from oracles import first_difference
 from sigma_density import cli, density, explorer, primes, solver
 from sigma_density.brackets import Bracket
 
-PRIME_ARGS = ["--prime-limit", "500000"]
-
-
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -34,17 +31,17 @@ def run_json(capsys, *argv):
 
 
 def test_eta_limit_contains_published_value(capsys):
-    code, envelope, _ = run_json(capsys, *PRIME_ARGS, "eta-limit")
+    code, envelope, _ = run_json(capsys, "eta-limit")
     assert code == 0
     lo, hi = envelope["result"]["value"]
     assert lo <= 1.8877909 <= hi or abs(0.5 * (lo + hi) - 1.8877909) < 1e-6
     assert envelope["command"] == "eta-limit"
-    assert envelope["provenance"]["prime_limit"] == 500000
+    assert envelope["provenance"]["prime_limit"] == primes.DEFAULT_LIMIT
     assert "value" in envelope["brackets"]
 
 
 def test_thresholds_selector(capsys):
-    code, envelope, _ = run_json(capsys, *PRIME_ARGS, "thresholds", "--k", "3")
+    code, envelope, _ = run_json(capsys, "thresholds", "--k", "3")
     assert code == 0
     assert envelope["result"]["m_min"] == 2
     assert envelope["result"]["thresholds"]["4"]["boundary"] is True
@@ -70,20 +67,20 @@ def test_tied_thresholds_are_solved_once(capsys, monkeypatch):
 
 
 def test_density_not_dense(capsys):
-    code, envelope, _ = run_json(capsys, *PRIME_ARGS, "density", "--k", "1", "--r", "2")
+    code, envelope, _ = run_json(capsys, "density", "--k", "1", "--r", "2")
     assert code == 0
     assert envelope["result"]["verdict"] == "not_dense"
 
 
 def test_density_dense(capsys):
-    code, envelope, _ = run_json(capsys, *PRIME_ARGS, "density", "--k", "1", "--r", "1.5")
+    code, envelope, _ = run_json(capsys, "density", "--k", "1", "--r", "1.5")
     assert code == 0
     assert envelope["result"]["verdict"] == "dense"
 
 
 def test_approximate(capsys):
     code, envelope, _ = run_json(
-        capsys, *PRIME_ARGS, "approximate", "--k", "1", "--r", "1.5", "--x", "0.3", "--steps", "50"
+        capsys, "approximate", "--k", "1", "--r", "1.5", "--x", "0.3", "--steps", "50"
     )
     assert code == 0
     assert envelope["result"]["residual"] >= 0
@@ -95,19 +92,19 @@ def test_approximate_to_zero(capsys, r, steps):
     # straddles 0 (r = 1e6), and its walk takes exponent 0 at every prime,
     # also where the float log of a local factor reads 0.0 (both r).
     argv = ["approximate", "--k", "1", "--r", r, "--x", "0", "--steps", str(steps)]
-    code, envelope, err = run_json(capsys, *PRIME_ARGS, *argv)
+    code, envelope, err = run_json(capsys, *argv)
     assert code == 0, err
     assert envelope["result"]["alphas"] == [0] * steps
 
 
 def test_census_json_and_tsv_agree(capsys):
     code, envelope, _ = run_json(
-        capsys, *PRIME_ARGS, "census", "--k", "1", "--r", "2", "--bound", "500"
+        capsys, "census", "--k", "1", "--r", "2", "--bound", "500"
     )
     assert code == 0
     json_values = envelope["result"]["values"]
     code, out, _ = run(
-        capsys, *PRIME_ARGS, "--format", "tsv", "census", "--k", "1", "--r", "2", "--bound", "500"
+        capsys, "--format", "tsv", "census", "--k", "1", "--r", "2", "--bound", "500"
     )
     assert code == 0
     tsv_values = [float(line) for line in out.strip().splitlines()]
@@ -115,16 +112,16 @@ def test_census_json_and_tsv_agree(capsys):
 
 
 def test_determinism(capsys):
-    argv = [*PRIME_ARGS, "thresholds", "--k", "2"]
+    argv = ["thresholds", "--k", "2"]
     _, out1, _ = run(capsys, *argv)
     _, out2, _ = run(capsys, *argv)
     assert out1 == out2
 
 
 def test_tsv_same_numbers_as_json(capsys):
-    code, envelope, _ = run_json(capsys, *PRIME_ARGS, "eta", "--k", "1", "--eps", "1e-8")
+    code, envelope, _ = run_json(capsys, "eta", "--k", "1", "--eps", "1e-8")
     code2, out, _ = run(
-        capsys, *PRIME_ARGS, "--format", "tsv", "eta", "--k", "1", "--eps", "1e-8"
+        capsys, "--format", "tsv", "eta", "--k", "1", "--eps", "1e-8"
     )
     assert code == code2 == 0
     tsv = dict(line.split("\t") for line in out.strip().splitlines())
@@ -140,7 +137,7 @@ def test_verify_gap_lemma(capsys):
 
 
 def test_domain_error_exit_code(capsys):
-    code, out, err = run(capsys, *PRIME_ARGS, "density", "--k", "1", "--r", "0.5")
+    code, out, err = run(capsys, "density", "--k", "1", "--r", "0.5")
     assert code == 1
     assert "error" in err
 
@@ -150,7 +147,11 @@ def test_usage_error_exit_code(capsys):
         cli.main(["--bogus-flag", "eta-limit"])
     assert excinfo.value.code == 64
     with pytest.raises(SystemExit) as excinfo:
-        cli.main([*PRIME_ARGS, "eta", "--k", "notanumber"])
+        cli.main(["eta", "--k", "notanumber"])
+    assert excinfo.value.code == 64
+    # the prime table is sized from the request, not by an option
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["--prime-limit", "5", "eta", "--k", "1"])
     assert excinfo.value.code == 64
 
 
@@ -166,8 +167,8 @@ def _outcome(capsys, argv):
 
 def test_one_parser_serves_every_request_of_a_process(capsys):
     requests = [
-        [*PRIME_ARGS, "eta", "--k", "notanumber"],
-        [*PRIME_ARGS, "density", "--k", "2", "--r", "1.9"],
+        ["eta", "--k", "notanumber"],
+        ["density", "--k", "2", "--r", "1.9"],
         ["--format", "tsv", "census", "--k", "1", "--r", "1.5", "--bound", "1000"],
         ["eta", "--k", "3"],
     ]
@@ -183,19 +184,17 @@ def test_one_parser_serves_every_request_of_a_process(capsys):
 
 
 def test_parser_defaults_do_not_leak_between_requests(tmp_path, capsys):
-    target = tmp_path / "first.json"
-    argv = ["--prime-limit", "5000", "--out", str(target), "eta", "--k", "1", "--eps", "1e-6"]
+    target = tmp_path / "first.tsv"
+    argv = ["--format", "tsv", "--out", str(target), "eta", "--k", "1", "--eps", "1e-6"]
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out == ""
-    first = json.loads(target.read_text())
-    assert first["provenance"]["prime_limit"] == 5000
-    assert first["parameters"]["eps"] == 1e-6
+    first = dict(line.split("\t") for line in target.read_text().splitlines())
+    assert first["parameters.eps"] == "1e-06"
     code, envelope, _ = run_json(capsys, "eta", "--k", "1")
     assert code == 0
-    assert envelope["provenance"]["prime_limit"] == primes.DEFAULT_LIMIT
     assert envelope["parameters"]["eps"] == solver.DEFAULT_EPS
     args = cli.build_parser().parse_args(["density", "--k", "1", "--r", "2"])
-    assert (args.format, args.prime_limit, args.out) == ("json", primes.DEFAULT_LIMIT, None)
+    assert (args.format, args.out) == ("json", None)
     assert not hasattr(args, "eps")
 
 
@@ -205,8 +204,7 @@ def test_parser_defaults_do_not_leak_between_requests(tmp_path, capsys):
         ["density", "--r", "inf", "--k", "1"],
         ["approximate", "--k", "1", "--r", "1.5", "--x", "nan", "--steps", "10"],
         ["census", "--k", "1", "--r", "2", "--bound", "100", "--resolution", "inf"],
-        ["--prime-limit", "5", "density", "--k", "1", "--r", "1.5"],
-        ["--prime-limit", "1", "eta-limit"],
+        ["--prime-limit", "5", "eta", "--k", "1"],
     ],
 )
 def test_bad_input_is_a_typed_error(capsys, argv):
@@ -220,7 +218,7 @@ def test_bad_input_is_a_typed_error(capsys, argv):
 
 
 def test_verify_reports_covers(capsys):
-    code, envelope, err = run_json(capsys, *PRIME_ARGS, "verify", "--suite", "all")
+    code, envelope, err = run_json(capsys, "verify", "--suite", "all")
     assert code == 0
     assert envelope["parameters"] == {"suite": "all"}
     suites = envelope["result"]["suites"]
@@ -234,7 +232,7 @@ def test_verify_reports_covers(capsys):
 def test_a_failed_suite_prints_its_envelope_and_exits_2(capsys, monkeypatch):
     failed = density.InequalityCheck("claim", "T > 0", 1.5, 1.5, 0, -1.0, False)
     monkeypatch.setattr(density, "check_selector", lambda table: density.InequalityReport((failed,)))
-    code, envelope, err = run_json(capsys, *PRIME_ARGS, "verify", "--suite", "selector")
+    code, envelope, err = run_json(capsys, "verify", "--suite", "selector")
     assert code == cli.EXIT_VERIFY_FAILED
     assert envelope["parameters"] == {"suite": "selector"}
     assert envelope["provenance"]["tolerances"] == {}
@@ -255,13 +253,6 @@ def _exit_code_and_peak(capsys, argv):
     return code, peak
 
 
-def test_prime_limit_above_capacity_allocates_nothing_large(capsys):
-    argv = ["--prime-limit", "10000000000", "density", "--k", "1", "--r", "2"]
-    code, peak = _exit_code_and_peak(capsys, argv)
-    assert code == 1
-    assert peak < 10_000_000
-
-
 def test_walk_above_capacity_allocates_nothing_large(capsys):
     argv = ["approximate", "--k", "1000000", "--r", "1.5", "--x", "0.3", "--steps", "1000"]
     code, peak = _exit_code_and_peak(capsys, argv)
@@ -270,18 +261,17 @@ def test_walk_above_capacity_allocates_nothing_large(capsys):
 
 
 def test_walk_above_capacity_sieves_nothing_large(capsys):
-    # the capacity check comes before the slice that would sieve 5e7 integers
-    argv = ["--prime-limit", "50000000", "approximate", "--k", "1", "--r", "1.5", "--x", "0.1", "--steps", "2500000"]
+    # the capacity check comes before the slice that would sieve 3.4e7 integers
+    argv = ["approximate", "--k", "1", "--r", "1.5", "--x", "0.1", "--steps", "2500000"]
     code, peak = _exit_code_and_peak(capsys, argv)
     assert code == 1
     assert peak < 10_000_000
 
 
 def test_walk_to_a_target_past_log_g_sieves_nothing(capsys, sieve_bounds):
-    # the bound on p_1999999 is below the limit, so the table surely holds
-    # the walk's primes and the target is checked before the slice sieves them
-    argv = ["--prime-limit", "50000000", "approximate", "--k", "1", "--r", "1.5", "--x", "100", "--steps", "1999999"]
-    assert primes.nth_prime_bound(1999999) <= 50_000_000
+    # the table is sized to the bound on p_1999999, and the target is
+    # checked before the slice sieves the walk's primes
+    argv = ["approximate", "--k", "1", "--r", "1.5", "--x", "100", "--steps", "1999999"]
     tracemalloc.start()
     try:
         code = cli.main(argv)
@@ -294,6 +284,27 @@ def test_walk_to_a_target_past_log_g_sieves_nothing(capsys, sieve_bounds):
     assert captured.err == "sigma-density: error: target 100.0 is not below log G_1(1.5) = 0.776225727339294\n"
     assert sieve_bounds == []
     assert peak < 10_000_000
+
+
+def test_a_walk_past_the_default_table_gets_a_table_that_holds_it(capsys):
+    argv = ["approximate", "--k", "1", "--r", "2", "--x", "0.3", "--steps", "150000"]
+    code, envelope, err = run_json(capsys, *argv)
+    assert code == 0, err
+    assert len(envelope["result"]["alphas"]) == 150000
+    assert envelope["provenance"]["prime_limit"] == math.ceil(primes.nth_prime_bound(150000)) == 2159471
+
+
+def test_a_walk_far_past_the_capacity_is_a_typed_error(capsys):
+    # the table is sized at the capacity's longest walk, not at 10**35 steps
+    argv = ["approximate", "--k", "1", "--r", "2", "--x", "0.3", "--steps", str(10**35)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    assert err == f"sigma-density: error: (k + 1) * steps = {2 * 10**35} exceeds the walk capacity 4000000\n"
+
+
+def test_every_walk_the_capacity_admits_fits_the_sieve():
+    # k >= 1, so no walk the capacity admits takes more steps than this
+    assert primes.nth_prime_bound(explorer.GREEDY_MAX_ENTRIES // 2) <= primes.SIEVE_MAX_LIMIT
 
 
 def test_census_above_capacity_allocates_nothing_large(capsys):
@@ -318,14 +329,6 @@ def test_census_cost_is_bounded_by_the_bound_not_k(capsys):
     assert code == 0
     assert huge["result"]["values"] == small["result"]["values"]
     assert peak < 20_000_000
-
-
-def test_census_needs_no_primes_from_the_table(capsys):
-    argv = ["census", "--k", "2", "--r", "1.7", "--bound", "100000"]
-    code, small_table, _ = run_json(capsys, "--prime-limit", "30", *argv)
-    assert code == 0
-    _, default_table, _ = run_json(capsys, *argv)
-    assert small_table["result"]["values"] == default_table["result"]["values"]
 
 
 SIEVED_ON_DEMAND = [
@@ -446,18 +449,6 @@ def test_the_library_leaves_the_host_mpmath_iv_precision_alone():
     assert done.stdout == "0 4 True 53 53\n"
 
 
-def test_walk_past_the_table_fails_before_any_walk(capsys, monkeypatch):
-    def no_walk(*args):
-        raise AssertionError("the walk started")
-
-    monkeypatch.setattr(explorer, "log_g_iv", no_walk)
-    argv = ["--prime-limit", "100", "approximate", "--k", "1", "--r", "1.5", "--x", "0.3", "--steps", "1000"]
-    code, out, err = run(capsys, *argv)
-    assert code == 1
-    assert out == ""
-    assert err == "sigma-density: error: steps=1000 exceeds the table of 25 primes\n"
-
-
 # Each writes far more than a pipe buffers, so the write is still going on
 # when the reader closes its end.  Unbuffered, stdout writes through to the
 # raw file, which takes a short write without an error: a TSV envelope is
@@ -493,7 +484,7 @@ def test_closed_pipe_exits_without_a_traceback(unbuffered, argv):
 
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "result.json"
-    code, out, _ = run(capsys, *PRIME_ARGS, "--out", str(target), "eta-limit", "--eps", "1e-6")
+    code, out, _ = run(capsys, "--out", str(target), "eta-limit", "--eps", "1e-6")
     assert code == 0
     assert out == ""
     envelope = json.loads(target.read_text())
@@ -515,7 +506,7 @@ UNWRITABLE_OUT = pytest.mark.parametrize(
 def test_unwritable_out_is_an_error(tmp_path, capsys, target, reason):
     (tmp_path / "file").write_text("")
     path = str(tmp_path / target)
-    code, out, err = run(capsys, *PRIME_ARGS, "--out", path, "eta-limit", "--eps", "1e-6")
+    code, out, err = run(capsys, "--out", path, "eta-limit", "--eps", "1e-6")
     assert code == cli.EXIT_ERROR
     assert out == ""
     assert err == f"sigma-density: error: cannot write {path}: {reason}\n"
@@ -539,7 +530,7 @@ def test_unwritable_out_fails_before_the_request_runs(tmp_path, capsys, monkeypa
 def test_a_failed_request_leaves_an_existing_out_untouched(tmp_path, capsys):
     target = tmp_path / "result.json"
     target.write_text("earlier output\n")
-    code, out, err = run(capsys, *PRIME_ARGS, "--out", str(target), "eta", "--k", "0")
+    code, out, err = run(capsys, "--out", str(target), "eta", "--k", "0")
     assert (code, out) == (cli.EXIT_ERROR, "")
     assert err.startswith("sigma-density: error: k must be")
     assert target.read_text() == "earlier output\n"
@@ -628,7 +619,7 @@ FLOATS = st.sampled_from(
 VALUES = {
     "--k": st.integers(-2, 1000).map(str),
     "--kmax": (st.integers(-1, 3) | st.integers(101, 10**9)).map(str),
-    "--steps": st.integers(-1, 1000).map(str),
+    "--steps": (st.integers(-1, 1000) | st.just(10**35)).map(str),
     "--bound": st.integers(-1, 10_000).map(str),
     "--suite": st.sampled_from(["gap-lemma", "inequalities", "monotonicity", "selector", "all"]),
 }
@@ -646,8 +637,7 @@ COMMANDS = {
 
 @st.composite
 def cli_argv(draw):
-    limit = draw(st.sampled_from([-1, 0, 1, 5, 30, 1000, 10**10]) | st.just(100_000))
-    argv = ["--prime-limit", str(limit)]
+    argv = []
     if draw(st.booleans()):
         argv += ["--format", "tsv"]
     command = draw(st.sampled_from(sorted(COMMANDS)))
@@ -741,13 +731,13 @@ ENVELOPE_COMMANDS = [
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
 @pytest.mark.parametrize("argv", ENVELOPE_COMMANDS, ids=" ".join)
 def test_output_is_byte_identical_to_the_old_envelope_route(capsys, monkeypatch, argv, fmt):
-    argv = [*PRIME_ARGS, "--format", fmt, *argv]
+    command, argv = argv[0], ["--format", fmt, *argv]
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    if fmt == "tsv" and argv[4] == "census":
+    if fmt == "tsv" and command == "census":
         # The census TSV is one value a line, not an envelope.
-        k, r, bound = int(argv[6]), float(argv[8]), int(argv[10])
-        census = explorer.range_census(primes.sieve(500000), k, r, bound)
+        k, r, bound = int(argv[4]), float(argv[6]), int(argv[8])
+        census = explorer.range_census(primes.load_or_sieve(), k, r, bound)
         assert first_difference(out, "".join(f"{float(v)!r}\n" for v in census.values)) is None
         return
     monkeypatch.setattr(cli, "_convert", _old_convert)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import greedy_target_check, greedy_walk_loop, log_sigma_of_alphas, neighbours, tail_bracket
-from sigma_density import explorer, zeta
+from sigma_density import explorer, primes, zeta
 from sigma_density.brackets import Bracket
 from sigma_density.errors import CapacityError, DomainError, IndeterminateError, PrecisionError
 from sigma_density.zeta import FULL_SIZE, SIGN_SIZE, log_g_iv, to_iv
@@ -92,6 +92,10 @@ class TestSieve:
 
 
 class TestGreedy:
+    def test_a_table_short_of_the_walk_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"^prime slice \[1, 1000\] outside table of size 25$"):
+            explorer.greedy_approximate(primes.sieve(100), 1, 1.5, 0.3, 1000)
+
     def test_zero_target(self, table):
         trace = explorer.greedy_approximate(table, 1, 1.5, 0.0, 10)
         assert trace.alphas.tolist() == [0] * 10
@@ -147,7 +151,7 @@ class TestGreedy:
         # several windows of each run.
         k, r, x = 3, 1.8, 0.4
         steps = 2 * 4096 + 5
-        powers = explorer._walk_primes(table, steps).astype(np.float64) ** (-r)
+        powers = table.slice(1, steps).astype(np.float64) ** (-r)
         partial_logs = np.log(
             np.cumsum(np.vstack([np.ones_like(powers)] + [powers**a for a in range(1, k + 1)]), axis=0)
         )
@@ -266,7 +270,7 @@ class TestTargetCheck:
 def assert_walk_matches_the_loop(table, k, r, x, steps):
     """The run walk's trace equals the prime-by-prime loop's bit for bit."""
     trace = explorer.greedy_approximate(table, k, r, x, steps)
-    alphas, C, D, E = greedy_walk_loop(explorer._walk_primes(table, steps), k, r, x)
+    alphas, C, D, E = greedy_walk_loop(table.slice(1, steps), k, r, x)
     assert trace.alphas.dtype == np.intp
     assert trace.alphas.tolist() == alphas
     for got, expected in ((trace.C, C), (trace.D, D), (trace.E, E)):
@@ -298,7 +302,7 @@ class TestGreedyRuns:
         # r = 1e6, where log G's bracket straddles 0, and from p_1202 =
         # 9743 at r = 4.  The walk takes exponent 0 at every prime, with
         # no zeta evaluation.
-        logs = np.log(1.0 + explorer._walk_primes(table, steps).astype(np.float64) ** -r)
+        logs = np.log(1.0 + table.slice(1, steps).astype(np.float64) ** -r)
         assert np.flatnonzero(logs == 0.0)[0] == (0 if r > 4 else 1201)
 
         def refused(*args):
@@ -374,6 +378,14 @@ class TestGreedyRuns:
 
 
 class TestCensus:
+    def test_needs_no_primes_from_the_table(self, table):
+        # the census sieves its own primes, and its scan of ten levels reads
+        # only the ten primes up to 30
+        small = explorer.range_census(primes.sieve(30), 2, 1.7, 100_000)
+        census = explorer.range_census(table, 2, 1.7, 100_000)
+        assert np.array_equal(small.values, census.values)
+        assert small.analytic_gaps == census.analytic_gaps
+
     def test_bound_one(self, table):
         census = explorer.range_census(table, 1, 2, 1)
         assert list(census.values) == [1.0]

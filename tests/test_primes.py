@@ -125,6 +125,11 @@ def test_nth_prime_out_of_range():
         small.slice(1, 5)
     with pytest.raises(DomainError, match=r"^prime slice \[0, 2\] outside table of size 4$"):
         primes.sieve(10).slice(0, 2)
+    # an index too large for a float is out of range like any other
+    with pytest.raises(DomainError, match=r"^table holds 4 primes \(limit 10\); index 10{400} requires"):
+        primes.sieve(10).nth(10**400)
+    with pytest.raises(DomainError, match=r"^prime slice \[1, 10{400}\] outside table of size 4$"):
+        primes.sieve(10).slice(1, 10**400)
 
 
 LIMITS = [2, 3, 10, 1000, 1025, 5000, 2_000_000]
@@ -142,7 +147,7 @@ def test_on_demand_table_matches_the_eager_sieve(limit):
     whole = primes.sieve(limit)
     assert whole.primes.dtype == np.int64
     assert np.array_equal(whole.primes, expected)
-    assert len(whole) == n
+    assert len(whole.primes) == n
     with pytest.raises(DomainError):
         whole.nth(n + 1)
     with pytest.raises(DomainError):
@@ -163,8 +168,12 @@ def test_a_read_sieves_only_as_far_as_it_needs(sieve_bounds):
     assert sieve_bounds == []
     assert table.nth(4) == 7 and list(table.slice(1, 172))[-1] == 1021
     assert sieve_bounds == [primes.FIRST_SIEVE_BOUND]
-    table.nth(1000)  # p_1000 = 7919
-    assert max(sieve_bounds) < primes.SIEVE_GROWTH * 7919
+    # one sieve a read, to the bound on the prime it needs: p_1000 = 7919
+    table.nth(1000)
+    assert sieve_bounds[1:] == [math.ceil(primes.nth_prime_bound(1000))] == [8841]
+    # or to SIEVE_GROWTH times the last bound, where that is larger
+    table.nth(1200)
+    assert sieve_bounds[2:] == [primes.SIEVE_GROWTH * 8841]
     table.nth(1)
     assert len(sieve_bounds) == 3
     # growth is geometric, so the sieves together cost a bounded multiple of the last
@@ -172,7 +181,7 @@ def test_a_read_sieves_only_as_far_as_it_needs(sieve_bounds):
 
 
 def test_whole_table_reads_sieve_to_the_limit(sieve_bounds):
-    assert len(primes.sieve(5000)) == 669
+    assert len(primes.sieve(5000).primes) == 669
     assert sieve_bounds[-1] == 5000
     assert primes.sieve(1025).primes[-1] == 1021
     assert sieve_bounds[-1] == 1025
@@ -187,7 +196,7 @@ def test_prefix_property():
 def test_large_table_sanity(table):
     assert table.nth(4) == 7
     assert table.nth(100_000) == 1_299_709
-    assert len(table) >= 100_001
+    assert len(table.primes) >= 100_001
 
 
 def test_gap_lemma_passes(table):

@@ -32,16 +32,14 @@ OTHERS = [
     ["density", "--k", "1", "--r", "1e308"],  # undetermined
     ["density", "--k", "1"],  # usage error: exits 64
     # typed errors: exit 1
-    ["--prime-limit", "5", "density", "--k", "1", "--r", "1.5"],
-    ["--prime-limit", "100", "approximate", "--k", "1", "--r", "1.5", "--x", "0.3", "--steps", "99"],
+    ["approximate", "--k", "1", "--r", "1.5", "--x", "0.3", "--steps", "0"],
+    ["census", "--k", "1", "--r", "2", "--bound", "0"],
     ["table", "--kmax", "101"],
 ]
 EXIT_CODES = [0] * (len(DOCUMENTED) + 2) + [64, 1, 1, 1]
 SCRIPTS = {
-    "build_threshold_table": ["--prime-limit", "100000", "--kmax", "2"],
-    "map_range_gaps": [
-        "--prime-limit", "100000", "--r-min", "1.5", "--r-max", "1.7", "--bound", "1000"
-    ],
+    "build_threshold_table": ["--kmax", "2"],
+    "map_range_gaps": ["--r-min", "1.5", "--r-max", "1.7", "--bound", "1000"],
 }
 
 ALLOWED: dict[str, str] = {}

@@ -12,7 +12,6 @@ import subprocess
 import pytest
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
-PRIME_ARGS = ["--prime-limit", "100000"]
 
 
 def load(name):
@@ -24,7 +23,7 @@ def load(name):
 
 def run(capsys, name, *argv):
     try:
-        code = load(name).main([*PRIME_ARGS, *argv])
+        code = load(name).main(list(argv))
     except SystemExit as exc:
         code = exc.code
     captured = capsys.readouterr()
@@ -65,6 +64,8 @@ def test_range_gaps(capsys):
         ("map_range_gaps", ["--r-min", "-1e308", "--r-max", "1e308"], 64),
         ("map_range_gaps", ["--k", "0"], 1),
         ("map_range_gaps", ["--r-min", "0.5", "--bound", "10"], 1),
+        ("build_threshold_table", ["--prime-limit", "100000"], 64),
+        ("map_range_gaps", ["--prime-limit", "100000"], 64),
     ],
 )
 def test_bad_input_is_rejected(capsys, name, argv, expected):
