@@ -96,7 +96,7 @@ JOIN_BLOCK = 8192
 RUN_LENGTH = 16
 
 
-def _array_pieces(np, array, separator, row_separator=None):
+def _array_pieces(array, separator, row_separator=None):
     """The text of the 1-D or 2-D array ``array``, ints or float64, with
     ``separator`` between values and ``row_separator`` between the rows
     of a 2-D one, as an iterator of pieces of at most JOIN_BLOCK values
@@ -117,20 +117,22 @@ def _array_pieces(np, array, separator, row_separator=None):
     def pieces():
         for start in range(0, len(array), step):
             block = array[start : start + step]
-            text = _run_text(np, block, separator) if array.ndim == 1 else None
+            text = _run_text(block, separator) if array.ndim == 1 else None
             if text is None:
-                text = _array_text(np, block, separator, row_separator)
+                text = _array_text(block, separator, row_separator)
             yield (row_separator if start else "") + text
 
     return pieces()
 
 
-def _run_text(np, values, separator):
+def _run_text(values, separator):
     """``repr`` of every value of the flat array ``values`` with
     ``separator`` between them, each run of equal bit patterns (-0.0 and
     0.0 apart) written by one ``repr``; None when the runs are shorter than
     RUN_LENGTH on average, where _array_text pays better.  A greedy
     walk's exponents and partial sums C are such runs."""
+    import numpy as np  # loaded: the array is numpy's
+
     bits = values.view(f"u{values.itemsize}")
     changes = bits[1:] != bits[:-1]
     if (np.count_nonzero(changes) + 1) * RUN_LENGTH > len(values):
@@ -142,7 +144,7 @@ def _run_text(np, values, separator):
     return text[: len(text) - len(separator)]
 
 
-def _array_text(np, block, separator, row_separator):
+def _array_text(block, separator, row_separator):
     """The text of the 1-D or 2-D array ``block``, ints or finite floats,
     with ``separator`` between values and ``row_separator`` between the
     rows of a 2-D block: orjson's digits, the shortest that round-trip
@@ -151,10 +153,10 @@ def _array_text(np, block, separator, row_separator):
 
     # orjson refuses a view that is not C-contiguous and misreads a
     # byte-swapped array.
-    block = np.ascontiguousarray(block, block.dtype.newbyteorder("="))
+    block = block.astype(block.dtype.newbyteorder("="), order="C", copy=False)
     text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
     if block.dtype.kind == "f":
-        text = _repr_layout(np, block, text)
+        text = _repr_layout(block, text)
     # Separators go in as bytes, which is faster than as text.
     if block.ndim == 1:
         return text[1:-1].replace(b",", separator.encode()).decode()
@@ -166,12 +168,14 @@ def _is_digit(chars):
     return (chars >= ord("0")) & (chars <= ord("9"))
 
 
-def _repr_layout(np, block, text):
+def _repr_layout(block, text):
     """orjson's ``text`` of the float array ``block`` with the three changes
     that make it ``float.__repr__``'s: e16 -> e+16, e-7 -> e-07, and
     0.0000123 -> 1.23e-05, for the values in [1e-5, 1e-4), which repr
     writes with an exponent and orjson without.  Text already in repr's
     layout is left as it is."""
+    import numpy as np
+
     size = np.abs(block)
     fifth = ((size >= 1e-5) & (size < 1e-4)).any()
     if not fifth and b"e" not in text:
@@ -221,13 +225,11 @@ def _convert(obj, path, brackets):
         }
     if isinstance(obj, dict):
         return {str(k): _convert(v, f"{path}.{k}" if path else str(k), brackets) for k, v in obj.items()}
-    # No array or numpy scalar exists unless some code has imported numpy,
-    # so it is not imported here.
+    # No array exists unless some code has imported numpy, so it is not
+    # imported here.
     np = sys.modules.get("numpy")
     if np is not None and isinstance(obj, np.ndarray):
         return obj if obj.dtype.kind in "iu" else obj.astype(np.float64, copy=False)
-    if np is not None and isinstance(obj, (np.integer, np.floating)):
-        return obj.item()
     return obj
 
 
@@ -261,7 +263,7 @@ def _tsv_pieces(obj, prefix=""):
             yield from _tsv_pieces(v, f"{prefix}[{i}]")
     elif (np := sys.modules.get("numpy")) is not None and isinstance(obj, np.ndarray):
         start = 0
-        for piece in _array_pieces(np, obj, "\n", "\n"):
+        for piece in _array_pieces(obj, "\n", "\n"):
             # A piece after the first starts with its separator.
             texts = piece.removeprefix("\n").split("\n")
             yield "".join([f"{prefix}[{i}]\t{text}\n" for i, text in enumerate(texts, start)])
@@ -304,10 +306,10 @@ def _json_pieces(envelope):
         outer = "\n" + " " * (len(line) - len(line.lstrip(" ")))
         inner = outer + "  "
         if array.ndim == 1:
-            parts += [["[" + inner], _array_pieces(np, array, "," + inner), [outer + "]"]]
+            parts += [["[" + inner], _array_pieces(array, "," + inner), [outer + "]"]]
         else:
             cell = inner + "  "
-            rows = _array_pieces(np, array, "," + cell, inner + "]," + inner + "[" + cell)
+            rows = _array_pieces(array, "," + cell, inner + "]," + inner + "[" + cell)
             parts += [["[" + inner + "[" + cell], rows, [inner + "]" + outer + "]"]]
     parts.append([text[start:] + "\n"])
     return itertools.chain.from_iterable(parts)
@@ -496,9 +498,7 @@ def _main(args) -> int:
             result = explorer.range_census(table, args.k, args.r, args.bound, args.resolution)
             parameters["resolution"] = result.resolution
             if args.format == "tsv":
-                import numpy as np  # loaded: the census made its values
-
-                _write(itertools.chain(_array_pieces(np, result.values, "\n"), ["\n"]), args)
+                _write(itertools.chain(_array_pieces(result.values, "\n"), ["\n"]), args)
                 return EXIT_OK
         else:  # verify
             result, passed = _run_verify(args, table)

@@ -15,10 +15,10 @@ sign tests first read the sign of T from a log-free comparison of
 products (:func:`t_sign`), and where that is undecided take the sign of
 the printed full-size T bracket.  Both run on ``mpmath.libmp`` interval
 tuples: the printed route at ``FULL_SIZE.prec``, the product test at
-``SIGN_SIZE.prec``.  Each p^-r with p <= N comes from the table of p^-r
-that the evaluation of zeta(r) returns (``zeta.zeta_iv``), and the
-product test's p^-(k+1)r from that of zeta((k+1)r); a prime beyond N takes
-exp(-r log p) with log p taken once per prime (``zeta.prime_power``).
+``SIGN_SIZE.prec``.  Each p^-r and p^-(k+1)r with p <= N comes from the
+table that the evaluation of zeta(r) or zeta((k+1)r) returns
+(``zeta.zeta_iv``), so T's cost does not grow with k; a prime beyond N
+takes exp(-s log p) with log p taken once per prime (``zeta.prime_power``).
 Everything here returns certified brackets, and verdicts are three-valued
 (dense / not_dense / undetermined) so float artifacts can never silently
 misclassify a near-threshold input.  The standing inequalities and the
@@ -81,7 +81,7 @@ def _power(p: int, minus_r: tuple, powers: list, prec: int) -> tuple:
 
 
 def t_levels(
-    table: PrimeTable, k: int | float, r: tuple, log_g: tuple[tuple, list], ms: Iterable[int]
+    table: PrimeTable, k: int | float, r: tuple, log_g: tuple[tuple, list, list | None], ms: Iterable[int]
 ) -> Iterator[tuple[int, Bracket, tuple[float, float] | None]]:
     """T_k(m, r) = log(1 + p_m^{-r}) - sum_{i>m} log(local factor at p_i)
     for each m of the strictly ascending ``ms``, on interval tuples at
@@ -89,8 +89,8 @@ def t_levels(
     the log local factor at p_i, log((1 - x^{k+1})/(1 - x)), or
     log(1/(1 - x)) at k = inf, with x = p_i^-r.  ``log_g`` is what
     ``zeta.log_g_iv(k, r)`` returns: the interval of log G_k(r) and the
-    table of n^-r of zeta(r)'s full-size evaluation, which each x is read
-    from.
+    tables of zeta(r) and zeta((k+1)r), which x and x^{k+1} are read from
+    (by :func:`_power`), so the cost does not grow with k.
 
     Yields (m, T bracket, gap), where gap is the certified forbidden core
     at level m, the doubles (log G_k(r) - prefix rounded up,
@@ -100,14 +100,17 @@ def t_levels(
     costs M local factors and no zeta evaluation.
     """
     prec = FULL_SIZE.prec
-    log_g, powers = log_g
+    log_g, powers, powers_k = log_g
     minus_r = mpi_neg(r, prec)
+    if powers_k is not None:
+        minus_kr = mpi_neg(scale(k + 1, r, prec), prec)
     prefix = fzero, fzero
     done = 0
     for m in ms:
         for i in range(done + 1, m + 1):
-            x = _power(table.nth(i), minus_r, powers, prec)
-            kept = ONE if k == math.inf else mpi_sub(ONE, mpi_pow_int(x, k + 1, prec), prec)
+            p = table.nth(i)
+            x = _power(p, minus_r, powers, prec)
+            kept = ONE if powers_k is None else mpi_sub(ONE, _power(p, minus_kr, powers_k, prec), prec)
             local = mpi_div(kept, mpi_sub(ONE, x, prec), prec)
             prefix = mpi_add(prefix, mpi_log(local, prec), prec)
         done = m
@@ -230,9 +233,8 @@ def t_float(table: PrimeTable, k: int | float, m: int, r: float) -> float:
     estimate is within 2e-15 of T on [1.0001, 2].
     """
     _check_kmr(k, m, r)
-    log_g = math.log(fp.zeta(r))
-    if k != math.inf:  # zeta((k+1)r) = 1 at k = inf, and x**k = 0 below
-        log_g -= math.log(fp.zeta((k + 1) * r))
+    k = min(k, 2**53)  # from here zeta((k+1)r) = 1 and x**k = 0 in doubles, as at k = inf
+    log_g = math.log(fp.zeta(r)) - math.log(fp.zeta((k + 1) * r))
     prefix = 0.0
     for i in range(1, m + 1):
         x = float(table.nth(i)) ** (-r)

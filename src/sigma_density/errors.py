@@ -26,10 +26,6 @@ class IndeterminateError(SigmaDensityError, ArithmeticError):
 class CapacityError(SigmaDensityError):
     """A requested enumeration would exceed the configured memory budget."""
 
-    def __init__(self, message: str, suggested_bound: int | None = None):
-        super().__init__(message)
-        self.suggested_bound = suggested_bound
-
 
 def check_k(k: int | float, name: str = "k", infinite: bool = True) -> None:
     """k must be a positive integer, or math.inf where ``infinite`` (the

@@ -111,8 +111,7 @@ def greedy_approximate(
         raise DomainError(f"steps must be >= 1, got {steps}")
     if (k + 1) * steps > GREEDY_MAX_ENTRIES:
         raise CapacityError(
-            f"(k + 1) * steps = {(k + 1) * steps} exceeds the walk capacity {GREEDY_MAX_ENTRIES}",
-            suggested_bound=GREEDY_MAX_ENTRIES // (k + 1),
+            f"(k + 1) * steps = {(k + 1) * steps} exceeds the walk capacity {GREEDY_MAX_ENTRIES}"
         )
     if not x >= 0:
         raise DomainError(f"target must be >= 0, got {x}")
@@ -342,10 +341,7 @@ def range_census(
     if bound < 1:
         raise DomainError(f"bound must be >= 1, got {bound}")
     if bound > CENSUS_MAX_BOUND:
-        raise CapacityError(
-            f"bound {bound} exceeds the census capacity; try {CENSUS_MAX_BOUND} or less",
-            suggested_bound=CENSUS_MAX_BOUND,
-        )
+        raise CapacityError(f"bound {bound} exceeds the census capacity; try {CENSUS_MAX_BOUND} or less")
     if resolution is None:
         resolution = 10.0 / bound
     if not resolution > 0:

@@ -104,9 +104,11 @@ class PrimeTable:
 
     def slice(self, start: int, stop: int) -> np.ndarray:
         """Primes p_start .. p_stop inclusive, 1-based, as int64 array."""
+        if start < 1:
+            raise DomainError(f"prime slice [{start}, {stop}] starts below index 1")
         primes = self._array(stop)
-        if start < 1 or stop > len(primes):
-            raise DomainError(f"prime slice [{start}, {stop}] outside table of size {len(self.primes)}")
+        if stop > len(primes):
+            raise DomainError(f"prime slice [{start}, {stop}] outside table of size {len(primes)}")
         return primes[start - 1 : stop]
 
 
@@ -156,7 +158,7 @@ def sieve(limit: int) -> PrimeTable:
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     if limit > SIEVE_MAX_LIMIT:
-        raise CapacityError(f"sieve limit {limit} exceeds {SIEVE_MAX_LIMIT}", SIEVE_MAX_LIMIT)
+        raise CapacityError(f"sieve limit {limit} exceeds {SIEVE_MAX_LIMIT}")
     return PrimeTable(limit)
 
 

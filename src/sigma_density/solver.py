@@ -350,10 +350,7 @@ def eta_table(table: PrimeTable, k_max: int, eps: float = DEFAULT_EPS) -> EtaTab
     solved once at ``eps``."""
     check_k(k_max, "k_max", infinite=False)  # the table has a row per k
     if k_max > ETA_TABLE_MAX_K:
-        raise CapacityError(
-            f"k_max {k_max} exceeds the table capacity; try {ETA_TABLE_MAX_K} or less",
-            suggested_bound=ETA_TABLE_MAX_K,
-        )
+        raise CapacityError(f"k_max {k_max} exceeds the table capacity; try {ETA_TABLE_MAX_K} or less")
     rows = []
     for k in range(1, k_max + 1):
         thresholds = {m: r_threshold(table, k, m, eps) for m in LEVELS}

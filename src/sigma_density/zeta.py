@@ -15,8 +15,10 @@ It sums on Python integers in units of 2^-F, F being the size's
 precision plus GUARD_BITS, each lower end rounded down and each upper
 end up, and returns exact mpf tuples.  Besides zeta(s) it returns its
 table of p^-s for the primes p <= N, each from :func:`prime_power`, so
-the T route reads p^-r for those primes from the evaluation of zeta(r)
-it makes anyway, with the same bits as for any other prime.  Every exp
+the T route reads p^-r and p^-(k+1)r for those primes from the
+evaluations of zeta(r) and zeta((k+1)r) that log G makes anyway
+(:func:`log_g_iv` returns both tables), with the same bits as for any
+other prime.  Every exp
 on a certified route goes through :func:`exp_out`, which takes
 ``mpf_exp`` to be within one ulp at its working precision and pads for
 that.  Callers turn an enclosure into a printed bracket with
@@ -256,15 +258,15 @@ def zeta_iv(s: tuple, size: KernelSize = FULL_SIZE) -> tuple[tuple, list]:
     return (from_man_exp(lo - m, -unit), from_man_exp(hi + m, -unit)), powers
 
 
-def log_g_iv(k: int | float, r: tuple, size: KernelSize = FULL_SIZE) -> tuple[tuple, list]:
+def log_g_iv(k: int | float, r: tuple, size: KernelSize = FULL_SIZE) -> tuple[tuple, list, list | None]:
     """Interval enclosure of log G_k(r), G_k(r) = zeta(r)/zeta((k+1)r),
     from two zeta_iv calls of ``size`` at its precision (one at k = inf,
-    where zeta((k+1)r) = 1), with the table of p^-r that the call at r
-    returns."""
+    where zeta((k+1)r) = 1), with the tables of p^-r and of p^-(k+1)r
+    that the two calls return (None for the second at k = inf)."""
     prec = size.prec
     zeta_r, powers = zeta_iv(r, size)
-    log_g = mpi_log(zeta_r, prec)
+    log_g, powers_k = mpi_log(zeta_r, prec), None
     if k != math.inf:
-        zeta_kr, _ = zeta_iv(scale(k + 1, r, prec), size)
+        zeta_kr, powers_k = zeta_iv(scale(k + 1, r, prec), size)
         log_g = mpi_sub(log_g, mpi_log(zeta_kr, prec), prec)
-    return log_g, powers
+    return log_g, powers, powers_k

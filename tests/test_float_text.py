@@ -26,12 +26,12 @@ def array(values, width=None):
 
 def written(values, separator=SEPARATOR, row_separator=None, width=None):
     """The array writer's text of ``values``, as rows of ``width`` when given."""
-    return cli._array_text(np, array(values, width), separator, row_separator or separator)
+    return cli._array_text(array(values, width), separator, row_separator or separator)
 
 
 def joined(values, separator=SEPARATOR, row_separator=None, width=None):
     """The text of _array_pieces' pieces of ``values``."""
-    return "".join(cli._array_pieces(np, array(values, width), separator, row_separator))
+    return "".join(cli._array_pieces(array(values, width), separator, row_separator))
 
 
 def assert_matches(values, **separators):
@@ -283,7 +283,7 @@ def test_views_and_byte_orders():
         assert not view.flags.c_contiguous or not view.dtype.isnative
         rep = int.__repr__ if view.dtype.kind == "i" else float.__repr__
         rows = view.tolist() if view.ndim == 2 else [view.tolist()]
-        assert cli._array_text(np, view, ",", ";") == ";".join(",".join(map(rep, row)) for row in rows)
+        assert cli._array_text(view, ",", ";") == ";".join(",".join(map(rep, row)) for row in rows)
 
 
 def test_repr_layout_leaves_repr_text_alone():
@@ -291,19 +291,19 @@ def test_repr_layout_leaves_repr_text_alone():
     # later orjson might write it.
     values = np.array([1e16, 1.5e-07, 1.23e-05, -5e-05, 0.0001, 1e-05, 5e-324, 1.0, -0.0, 1e308])
     text = ("[" + ",".join(map(float.__repr__, values.tolist())) + "]").encode()
-    assert cli._repr_layout(np, values, text) == text
+    assert cli._repr_layout(values, text) == text
 
 
 def test_block_boundaries():
     n = 2 * cli.JOIN_BLOCK + 513
     values = np.linspace(0.001, 3.0, n)
-    pieces = list(cli._array_pieces(np, values, "\n"))
+    pieces = list(cli._array_pieces(values, "\n"))
     assert first_difference("".join(pieces), repr_join(values, "\n")) is None
     lines = [cli.JOIN_BLOCK, cli.JOIN_BLOCK + 1, 514]
     assert [len(piece.split("\n")) for piece in pieces] == lines
     # Rows of three: a piece holds the most whole rows that fit in a block.
     step = cli.JOIN_BLOCK // 3 * 3
-    pieces = list(cli._array_pieces(np, values[: step + 1905].reshape(-1, 3), ",", ";\n"))
+    pieces = list(cli._array_pieces(values[: step + 1905].reshape(-1, 3), ",", ";\n"))
     expected = repr_join(values[: step + 1905], ",", ";\n", 3)
     assert first_difference("".join(pieces), expected) is None
     assert [len(re.split(",|;\n", piece.removeprefix(";\n"))) for piece in pieces] == [step, 1905]

@@ -123,7 +123,7 @@ def test_nth_prime_out_of_range():
         small.nth(0)
     with pytest.raises(DomainError, match=r"^prime slice \[1, 5\] outside table of size 4$"):
         small.slice(1, 5)
-    with pytest.raises(DomainError, match=r"^prime slice \[0, 2\] outside table of size 4$"):
+    with pytest.raises(DomainError, match=r"^prime slice \[0, 2\] starts below index 1$"):
         primes.sieve(10).slice(0, 2)
     # an index too large for a float is out of range like any other
     with pytest.raises(DomainError, match=r"^table holds 4 primes \(limit 10\); index 10{400} requires"):
@@ -178,6 +178,14 @@ def test_a_read_sieves_only_as_far_as_it_needs(sieve_bounds):
     assert len(sieve_bounds) == 3
     # growth is geometric, so the sieves together cost a bounded multiple of the last
     assert sum(sieve_bounds) < primes.SIEVE_GROWTH / (primes.SIEVE_GROWTH - 1) * sieve_bounds[-1] + 1
+
+
+def test_a_slice_below_index_1_sieves_nothing(sieve_bounds):
+    table = primes.sieve(primes.SIEVE_MAX_LIMIT)
+    for start in (0, -3):
+        with pytest.raises(DomainError, match=r"starts below index 1$"):
+            table.slice(start, 5)
+    assert sieve_bounds == []
 
 
 def test_whole_table_reads_sieve_to_the_limit(sieve_bounds):
