@@ -9,11 +9,13 @@ is <= 0 for every m; for r in (1, 2] it suffices to test m in {1, 2, 4}.
 k may be math.inf, the unrestricted sum: its local factor at p is
 1/(1 - p^-r) and G_inf(r) = zeta(r).  A positive T at some m certifies
 a forbidden open interval in the log range.  T and that interval have
-one interval route, :func:`t_levels`, shared by :func:`t_func`,
-:func:`density_report` and ``explorer.analytic_gap_scan``.  The solver's
-sign tests first read the sign of T from a log-free comparison of
-products (:func:`t_sign`), and where that is undecided take the sign of
-the printed full-size T bracket.  Both run on ``mpmath.libmp`` interval
+one interval route, :func:`t_levels`.  :func:`t_at` takes its one level
+m over an interval r, for :func:`t_func`, the selector's cover claims
+and the solver's printed values; :func:`density_report` reads m in
+{1, 2, 4} and ``explorer.analytic_gap_scan`` the gaps of 1..M.  The
+solver's sign tests first read the sign of T from a log-free comparison
+of products (:func:`t_sign`), and where that is undecided take the sign
+of the printed full-size T bracket.  Both run on ``mpmath.libmp`` interval
 tuples: the printed route at ``FULL_SIZE.prec``, the product test at
 ``SIGN_SIZE.prec``.  Each p^-r and p^-(k+1)r with p <= N comes from the
 table that the evaluation of zeta(r) or zeta((k+1)r) returns
@@ -122,12 +124,18 @@ def t_levels(
         yield m, t, gap
 
 
-def t_func(table: PrimeTable, k: int | float, m: int, r: float) -> Bracket:
-    """T_k(m, r), the one level m of :func:`t_levels`."""
-    _check_kmr(k, m, r)
-    r_iv = to_iv(r)
-    ((_, t, _),) = t_levels(table, k, r_iv, log_g_iv(k, r_iv), (m,))
+def t_at(table: PrimeTable, k: int | float, m: int, r: tuple) -> Bracket:
+    """T_k(m, r) over the interval tuple r, the one level m of
+    :func:`t_levels`, with log G_k(r) from ``log_g_iv``.  Its arguments
+    are not checked."""
+    ((_, t, _),) = t_levels(table, k, r, log_g_iv(k, r), (m,))
     return t
+
+
+def t_func(table: PrimeTable, k: int | float, m: int, r: float) -> Bracket:
+    """T_k(m, r) at the double r, by :func:`t_at`."""
+    _check_kmr(k, m, r)
+    return t_at(table, k, m, to_iv(r))
 
 
 def _euler_prefix(table: PrimeTable, m: int, minus_s: tuple, powers: list, prec: int) -> tuple:
@@ -424,11 +432,10 @@ SELECTOR_SIGNS = (
 
 def _signed_t(table: PrimeTable, k: int | float, m: int, side: int):
     """The claim side * T_k(m, .) > 0 for :func:`_cover`: T over the cell
-    by :func:`t_levels`, negated where ``side`` is -1."""
+    by :func:`t_at`, negated where ``side`` is -1."""
 
     def claim(a: float, b: float) -> tuple:
-        r = from_float(a), from_float(b)
-        ((_, t, _),) = t_levels(table, k, r, log_g_iv(k, r), (m,))
+        t = t_at(table, k, m, (from_float(a), from_float(b)))
         lo, hi = (t.lo, t.hi) if side > 0 else (-t.hi, -t.lo)
         return from_float(lo), from_float(hi)
 

@@ -4,7 +4,10 @@ The greedy procedure walks the primes in order and, at each one, takes
 the largest exponent alpha <= k whose local-factor log keeps the partial
 sum at or below the target.  In the dense regime the partial sums
 converge to the target; in the non-dense regime the residual can stall,
-which is exactly the gap phenomenon the census maps empirically.
+which is exactly the gap phenomenon the census maps empirically.  The
+census prints beside its empirical gaps the certified ones of
+:func:`analytic_gap_scan`: the forbidden log-intervals of the levels
+where T is certified positive, and nothing else.
 """
 
 from __future__ import annotations
@@ -23,12 +26,14 @@ if TYPE_CHECKING:
     import numpy as np
 
 # Largest census bound, from measurement (Python 3.11, numpy 2.4, one
-# process on a 2-core x86-64 host).  range_census peaks at 16.9 bytes an
-# integer under tracemalloc, taking 0.10 s at 1e6 and 0.65 s at 5e6.  The
-# command's worst case is where every n is admissible and its value
-# distinct: `census --k 1000 --r 1.0001 --bound 5000000` as JSON to --out
-# (161 MB, written a block at a time) takes 2.3-2.9 s, 0.13 GB resident
-# and a 0.10 GB peak under tracemalloc.
+# process on a 2-core x86-64 host).  range_census takes 0.10 s at 1e6 and
+# 0.65 s at 5e6.  The command's worst case is where every n is admissible,
+# its value distinct and every spacing a gap row:
+# `census --k 1000 --r 1.0001 --bound 5000000 --resolution 1e-300` as JSON
+# to --out (642 MB, written a block at a time) takes 3.9-4.2 s and 0.38 GB
+# resident, range_census a 0.36 GB peak under tracemalloc (72 bytes an
+# integer).  At the default resolution the same request writes 161 MB in
+# 1.1 s at 0.13 GB resident, with a 0.10 GB peak under tracemalloc.
 CENSUS_MAX_BOUND = 5_000_000
 # Largest (k + 1) * steps of a greedy walk: its table of partial local
 # factors holds that many doubles.  Under tracemalloc a walk on a sieved
@@ -355,13 +360,8 @@ def range_census(
     # Each linear end is the inner double of exp_out's bracket at its log
     # end (53 bits), so it stays inside the certified log-interval.
     analytic = tuple(
-        (
-            entry.m,
-            Bracket.from_iv(exp_out(to_iv(entry.interval[0]), 53)).hi,
-            Bracket.from_iv(exp_out(to_iv(entry.interval[1]), 53)).lo,
-        )
-        for entry in analytic_gap_scan(table, k, r, CENSUS_SCAN_LEVELS)
-        if entry.interval is not None
+        (m, Bracket.from_iv(exp_out(to_iv(lo), 53)).hi, Bracket.from_iv(exp_out(to_iv(hi), 53)).lo)
+        for m, lo, hi in analytic_gap_scan(table, k, r, CENSUS_SCAN_LEVELS)
     )
     # A gap narrower than a few ulps of 1 has no inner double endpoints;
     # it is an error, never printed empty or inverted.
@@ -389,37 +389,18 @@ def range_census(
     )
 
 
-@dataclass(frozen=True)
-class ScanEntry:
-    """One level of the analytic gap scan."""
-
-    m: int
-    t: Bracket
-    status: str  # 'positive' | 'nonpositive' | 'indeterminate'
-    interval: tuple[float, float] | None  # certified forbidden log-interval
-
-
 def analytic_gap_scan(
     table: PrimeTable, k: int, r: float, m_max: int
-) -> tuple[ScanEntry, ...]:
-    """Certified first-level forbidden intervals for m = 1..m_max.
-
-    The intervals are the certified forbidden cores that
-    :func:`density.t_levels` yields; log G_k(r) is evaluated once per scan.
-    Entries whose T bracket straddles zero are flagged indeterminate, not
-    guessed.  Callers wanting only firing levels filter on status."""
+) -> tuple[tuple[int, float, float], ...]:
+    """The certified forbidden log-intervals of levels m = 1..m_max, as
+    (m, lo, hi) in ascending m: the gaps :func:`density.t_levels` yields,
+    at the levels where T is certified positive.  A level whose T bracket
+    is nonpositive or straddles zero has none.  log G_k(r) is evaluated
+    once per scan."""
     check_k(k)
     check_r(r)
     if m_max < 1:
         raise DomainError(f"m_max must be >= 1, got {m_max}")
     r_iv = to_iv(r)
-    entries = []
-    for m, t, gap in t_levels(table, k, r_iv, log_g_iv(k, r_iv), range(1, m_max + 1)):
-        if gap is not None:
-            status = "positive"
-        elif t.nonpositive():
-            status = "nonpositive"
-        else:
-            status = "indeterminate"
-        entries.append(ScanEntry(m=m, t=t, status=status, interval=gap))
-    return tuple(entries)
+    levels = t_levels(table, k, r_iv, log_g_iv(k, r_iv), range(1, m_max + 1))
+    return tuple((m, *gap) for m, _, gap in levels if gap is not None)

@@ -2,9 +2,12 @@
 
 The gap check establishes, by exact integer arithmetic, that consecutive
 primes satisfy p_{j+1}/p_j < sqrt(2) for every index j outside {1, 2, 4}
-with p_j below the search bound 396738.  Beyond that bound the bound on
-prime gaps is a known analytic fact and is not re-proved here; the finite
-search is the only computational content.
+with p_j below the search bound 396738.  Beyond that bound the ratio
+rests on known prime-gap bounds, not re-proved here: Dusart (1998), whose
+x_0 is 396738, puts a prime in [x, x(1 + 1/(25 log^2 x))] for every
+x >= 396738, and Nagura (1952) puts one in (x, 6x/5) for x >= 25, so
+p_{j+1}/p_j < 6/5 < sqrt(2) once p_j >= 25.  The finite search is the
+only computational content.
 """
 
 from __future__ import annotations

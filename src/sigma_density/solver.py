@@ -22,6 +22,7 @@ compares two products instead of taking logs (:func:`density.t_sign`),
 with zeta at ``zeta.SIGN_SIZE``, and where that is undecided takes the
 sign of the printed full-size T bracket at that point.  Every printed
 bracket (the residual, and a boundary's bracket at 2) is that log form,
+``density.t_at`` (through ``density.t_func`` in :func:`r_threshold`),
 on ``mpmath.libmp`` interval tuples at ``FULL_SIZE.prec``, so no output
 depends on the product test.  Because the function is increasing, a
 root certified inside the bracket makes the guided path the certified
@@ -42,10 +43,10 @@ from functools import cache, partial
 from typing import Callable
 
 from .brackets import Bracket, check_eps
-from .density import LEVELS, R_MONOTONE_LO, t_float, t_func, t_levels, t_sign
+from .density import LEVELS, R_MONOTONE_LO, t_at, t_float, t_func, t_sign
 from .errors import CapacityError, DomainError, PrecisionError, check_k
 from .primes import PrimeTable
-from .zeta import log_g_iv, to_iv
+from .zeta import to_iv
 # Unused here; kept because perfbench's tracer test checks that tracing
 # restores solver.zeta_iv.
 from .zeta import zeta_iv  # noqa: F401
@@ -195,7 +196,6 @@ def _solve(
     increasing.
     """
     value_at = cache(value)
-    guide_at = cache(guide)
 
     @cache
     def certified(r: float) -> int | None:
@@ -207,14 +207,14 @@ def _solve(
         return (side == -1 or certified(a) == -1) and (side == 1 or certified(b) == 1)
 
     walked = None
-    at_two, at_start = guide_at(2.0), guide_at(_START)
+    at_two, at_start = guide(2.0), guide(_START)
     if at_start < 0 < at_two:
-        root = _guide_root(guide_at, _START, 2.0, at_start, at_two)
+        root = _guide_root(guide, _START, 2.0, at_start, at_two)
 
         def replayed(r: float) -> int | None:
             if abs(r - root) > GUIDE_NEAR:
                 return 1 if r > root else -1
-            g = guide_at(r)
+            g = guide(r)
             if abs(g) > GUIDE_ERROR:
                 return 1 if g > 0 else -1
             return certified(r)
@@ -296,16 +296,10 @@ def eta_limit(table: PrimeTable, eps: float = LIMIT_EPS) -> RootResult:
 
 def _eta(table: PrimeTable, k: int | float, eps: float, method: str) -> RootResult:
     """The root of T_k(m_k, .) by :func:`_solve` under ``method``; a
-    printed value is the level m_k of :func:`density.t_levels`."""
+    printed value is :func:`density.t_at` at m_k."""
     m = m_selector(k)
-
-    def value(r: float) -> Bracket:
-        r_iv = to_iv(r)
-        ((_, t, _),) = t_levels(table, k, r_iv, log_g_iv(k, r_iv), (m,))
-        return t
-
     return _solve(
-        value,
+        lambda r: t_at(table, k, m, to_iv(r)),
         partial(t_sign, table, k, m),
         partial(t_float, table, k, m),
         eps,

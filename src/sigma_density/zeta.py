@@ -118,10 +118,9 @@ def prime_power(p: int, expo: tuple, prec: int) -> tuple:
 
 
 def _fixed(x: tuple, unit: int, up: bool) -> int:
-    """The mpf x in units of 2^-unit: floor, or ceiling when ``up``."""
-    sign, man, exp, _ = x
-    if sign:
-        man = -man
+    """The mpf x >= 0 in units of 2^-unit: floor, or ceiling when ``up``.
+    Every x here is an end of some s > 1 or of a positive prime power."""
+    _, man, exp, _ = x
     shift = exp + unit
     if shift >= 0:
         return man << shift

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import greedy_target_check, greedy_walk_loop, log_sigma_of_alphas, neighbours, tail_bracket
-from sigma_density import explorer, primes, zeta
+from sigma_density import density, explorer, primes, zeta
 from sigma_density.brackets import Bracket
 from sigma_density.errors import CapacityError, DomainError, IndeterminateError, PrecisionError
 from sigma_density.zeta import FULL_SIZE, SIGN_SIZE, log_g_iv, to_iv
@@ -472,25 +472,37 @@ class TestCensus:
 
 class TestAnalyticScan:
     def test_fires_at_m1_above_threshold(self, table):
-        entries = explorer.analytic_gap_scan(table, 1, 1.95, 10)
-        positive = [e for e in entries if e.status == "positive"]
-        assert positive and positive[0].m == 1
+        gaps = explorer.analytic_gap_scan(table, 1, 1.95, 10)
+        assert gaps and gaps[0][0] == 1
 
     def test_empty_below_threshold(self, table):
-        entries = explorer.analytic_gap_scan(table, 1, 1.5, 10)
-        assert all(e.status == "nonpositive" for e in entries)
+        assert explorer.analytic_gap_scan(table, 1, 1.5, 10) == ()
 
     def test_upper_endpoint_is_certified(self, table):
         k, r = 1, 1.9046
-        (entry,) = explorer.analytic_gap_scan(table, k, r, 1)
+        ((_, _, hi),) = explorer.analytic_gap_scan(table, k, r, 1)
         with mpmath.workprec(300):
             exact = mpmath.log(1 + mpmath.mpf(2) ** (-mpmath.mpf(r)))
-            assert mpmath.mpf(entry.interval[1]) <= exact
+            assert mpmath.mpf(hi) <= exact
 
     def test_fired_intervals_disjoint(self, table):
-        entries = explorer.analytic_gap_scan(table, 1, 2.1, 8)
-        fired = [e.interval for e in entries if e.interval is not None]
+        fired = [(lo, hi) for _, lo, hi in explorer.analytic_gap_scan(table, 1, 2.1, 8)]
         assert len(fired) >= 2
         # intervals are in decreasing position as m grows
         for (lo1, hi1), (lo2, hi2) in zip(fired, fired[1:]):
             assert hi2 <= lo1 or hi1 <= lo2
+
+    @pytest.mark.parametrize(
+        "k, r", [(1, 1.95), (2, 2.1), (1, 9.9), (math.inf, 1.9), (3, 1.5), (1, 195.0), (1, 300.0)]
+    )
+    def test_returns_exactly_the_gap_levels_of_t_levels(self, table, k, r):
+        # the levels whose T is certified positive, in ascending m, each
+        # with the gap t_levels yields there; at k = 1, r = 300 every T
+        # bracket straddles 0 (ROADMAP item 2) and the scan is empty
+        r_iv = to_iv(r)
+        levels = list(density.t_levels(table, k, r_iv, log_g_iv(k, r_iv), range(1, 11)))
+        scan = explorer.analytic_gap_scan(table, k, r, 10)
+        assert [m for m, _, _ in scan] == [m for m, t, _ in levels if t.strictly_positive()]
+        assert list(scan) == [(m, *gap) for m, _, gap in levels if gap is not None]
+        if r == 300.0:
+            assert all(t.straddles_zero() for _, t, _ in levels) and scan == ()

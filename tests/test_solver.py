@@ -486,16 +486,16 @@ class TestGuidedBisection:
 
     def test_eta_certifies_the_endpoints_and_the_residual(self, table, monkeypatch):
         # the residual, then the one endpoint on the other side of the root
-        log_g = Counting(solver.log_g_iv)
-        monkeypatch.setattr(solver, "log_g_iv", log_g)
+        log_g = Counting(density.log_g_iv)  # density.t_at's
+        monkeypatch.setattr(density, "log_g_iv", log_g)
         _, sign = counting_t(monkeypatch)
         assert solver.eta(table, 4).iterations == 34
         assert (log_g.calls, sign.calls) == (1, 1)
 
     def test_eta_limit_certifies_the_endpoints_and_the_residual(self, table, monkeypatch):
         # the residual, then the one endpoint on the other side of the root
-        log_g = Counting(solver.log_g_iv)
-        monkeypatch.setattr(solver, "log_g_iv", log_g)
+        log_g = Counting(density.log_g_iv)  # density.t_at's
+        monkeypatch.setattr(density, "log_g_iv", log_g)
         _, sign = counting_t(monkeypatch)
         assert solver.eta_limit(table).iterations == 30
         assert (log_g.calls, sign.calls) == (1, 1)
@@ -531,8 +531,8 @@ class TestGuidedBisection:
         assert product_sizes and set(product_sizes) == {zeta.SIGN_SIZE}
 
     def test_eta_never_escalates_at_the_default_eps(self, table, monkeypatch):
-        log_g = Counting(solver.log_g_iv)
-        monkeypatch.setattr(solver, "log_g_iv", log_g)
+        log_g = Counting(density.log_g_iv)  # density.t_at's
+        monkeypatch.setattr(density, "log_g_iv", log_g)
         _, sign = counting_t(monkeypatch)
         for k in range(1, 11):
             solver.eta(table, k)
