@@ -43,8 +43,7 @@ CENSUS_MAX_BOUND = 5_000_000
 # 151 MB peak under tracemalloc and 171 MB resident (Python 3.11, numpy
 # 2.4, one process on a 2-core x86-64 host).
 GREEDY_MAX_ENTRIES = 4_000_000
-# Integers an array step of the census sieve takes at once, past its
-# full-length arrays.
+# Primes above sqrt(bound) whose factors the census sieve holds at once.
 SIEVE_CHUNK = 2**16
 # Primes in the first window of a greedy run's array test; the window
 # doubles while the run lasts.
@@ -265,58 +264,55 @@ def _local_factor(p: int, e: int, r: float) -> float:
 
 def _sigma_values(k: int, r: float, bound: int) -> np.ndarray:
     """Restricted divisor sums of every admissible n <= bound, distinct
-    and sorted, by a multiplicative sieve.
+    and sorted, by a multiplicative sieve over ``value``, the one array of
+    the bound's length, deduplicated in place of np.unique, which copies.
 
-    ``value[n]`` takes the local factors of n's primes p <= sqrt(bound),
-    and of 2, in ascending order, as one n at a time would, so every
-    product rounds the same; an exponent above k multiplies in 0, which marks n
-    inadmissible because every admissible value is >= 1.  ``cofactor[n]``
-    is n with those primes divided out: 1 or one prime above sqrt(bound),
-    whose factor goes in last, in bulk.  int32 holds every n up to
-    CENSUS_MAX_BOUND.
+    ``value[n]`` takes the local factors of n's primes in ascending order,
+    one multiply each, as one n at a time would, so every product rounds
+    the same.  A prime p <= sqrt(bound) multiplies F(p, e) into the
+    multiples of p^e that p^(e+1) does not divide, ``value[p**e::p**e]``
+    as rows of p less the last column, and its tail; past k it zeroes the
+    multiples of p^(k+1), out of the range as every value is >= 1.  A
+    larger prime q divides n once, after every other prime of n: its
+    factor goes in last, one fancy-indexed multiply per cofactor j over
+    SIEVE_CHUNK primes at a time.
 
-    That last factor is _local_factor's expression written out over a
-    list of floats, 1.2x as fast as a call per prime, and it keeps
-    Python's ``float(q) ** -r``: ``np.power`` rounds some of those powers
-    differently (42k of the 783k primes in (1000, 1e6] over ten r in
-    [1.01, 3], numpy 2.4 on x86-64), which would change census values.
-
-    Only ``value`` and ``cofactor`` are full length, with the table of
-    those last factors: 2 always counts among the small primes, so every
-    cofactor is 1 or an odd prime and the table takes one slot per odd
-    number, at ``cofactor >> 1``.  Every other array step runs SIEVE_CHUNK integers
-    at a time, and the values are sorted and deduplicated in place of
-    np.unique, which copies them first."""
+    Every factor keeps _local_factor's expressions and Python's ``pow``
+    (a large prime's written out over a list of floats, 1.2x as fast as a
+    call per prime), so each value is the one-n loop's bit for bit.
+    ``np.power`` rounds 42k of the 783k q^-r of the primes in (1000, 1e6]
+    over ten r in [1.01, 3] otherwise, changing census values; ``x * x``
+    differs from ``x ** 2`` (libm's pow) at 2,940 of 3,485,020 (q, r), q
+    a prime in (31, 5e6] and ten r in [1.0001, 3], and at 1,748 of
+    2,000,000 random x in (0, 1) (numpy 2.4, glibc, x86-64).  None of
+    those reached a factor, x^2 being far below an ulp of 1, but nothing
+    here proves that none would."""
     import numpy as np
 
     root = math.isqrt(bound)
-    small = sieve(root).primes.tolist() if root >= 2 else [2]
-    cofactor = np.arange(bound + 1, dtype=np.int32)
+    # At bound 1 the prime 2 takes no multiple: the least sieve is to 2.
+    primes = sieve(max(bound, 2)).primes
+    split = int(np.searchsorted(primes, root, side="right"))
     value = np.ones(bound + 1)
-    for p in small:
-        powers = [p]
-        while powers[-1] * p <= bound:
-            powers.append(powers[-1] * p)
-        factors = np.zeros(len(powers) + 1)
-        for e in range(1, min(k, len(powers)) + 1):
-            factors[e] = _local_factor(p, e, r)
-        # exponent[j - 1] is the exponent of p in n = p * j.
-        exponent = np.zeros(bound // p, dtype=np.int8)
-        for q in powers:
-            exponent[q // p - 1 :: q // p] += 1
-            cofactor[q::q] //= p
-        multiples = value[p::p]
-        for start in range(0, len(exponent), SIEVE_CHUNK):
-            multiples[start : start + SIEVE_CHUNK] *= factors[exponent[start : start + SIEVE_CHUNK]]
-    lookup = np.ones((bound >> 1) + 1)
-    for start in range(root + 1, bound + 1, SIEVE_CHUNK):
-        # Past sqrt(bound), n is its own cofactor exactly when n is prime.
-        n = np.arange(start, min(start + SIEVE_CHUNK, bound + 1), dtype=np.int32)
-        large = n[cofactor[start : start + SIEVE_CHUNK] == n]
-        lookup[large >> 1] = [(1.0 - x**2) / (1.0 - x) for x in [float(q) ** -r for q in large.tolist()]]
-    for start in range(0, bound + 1, SIEVE_CHUNK):
-        value[start : start + SIEVE_CHUNK] *= lookup[cofactor[start : start + SIEVE_CHUNK] >> 1]
-    del cofactor, lookup  # freed before the dedupe, which copies
+    for p in primes[:split].tolist():
+        q, e = p, 1
+        while q <= bound:
+            multiples = value[q::q]
+            if e > k:
+                multiples[:] = 0.0
+                break
+            factor = _local_factor(p, e, r)
+            rows = len(multiples) // p
+            multiples[: rows * p].reshape(rows, p)[:, :-1] *= factor
+            multiples[rows * p :] *= factor
+            q, e = q * p, e + 1
+    for start in range(split, len(primes), SIEVE_CHUNK):
+        large = primes[start : start + SIEVE_CHUNK]
+        factors = np.array([(1.0 - x**2) / (1.0 - x) for x in [float(q) ** -r for q in large.tolist()]])
+        for j in range(1, bound // int(large[0]) + 1):
+            count = int(np.searchsorted(large, bound // j, side="right"))
+            value[large[:count] * j] *= factors[:count]
+    del primes, large, factors  # freed before the dedupe, which copies
     value[0] = 0.0
     value.sort()
     # Past the zeros: n = 0 and every inadmissible n.
@@ -341,6 +337,29 @@ def range_census(
     are structural rather than enumeration artifacts.  The census never
     reconciles empirical and analytic gaps; both are reported as found.
     """
+    resolution, analytic, values = census_values(table, k, r, bound, resolution)
+
+    import numpy as np
+
+    diffs = np.diff(values)
+    wide = np.nonzero(diffs > resolution)[0]
+    gaps = np.column_stack((values[wide], values[wide + 1], diffs[wide]))
+    return GapCensus(
+        k=k,
+        r=r,
+        bound=bound,
+        resolution=resolution,
+        values=values,
+        gaps=gaps,
+        analytic_gaps=analytic,
+        estimated_intervals=len(gaps) + 1,
+    )
+
+
+def census_values(table: PrimeTable, k: int, r: float, bound: int, resolution: float | None):
+    """:func:`range_census` short of the gap table, which a census's TSV
+    does not print: its checks and errors, and (resolution, analytic_gaps,
+    values)."""
     check_k(k, infinite=False)  # the census enumerates a finite k
     check_r(r)
     if bound < 1:
@@ -371,22 +390,7 @@ def range_census(
                 f"the certified gap at level m = {m} is too narrow for doubles at r = {r}"
             )
 
-    import numpy as np
-
-    values = _sigma_values(k, r, bound)
-    diffs = np.diff(values)
-    wide = np.nonzero(diffs > resolution)[0]
-    gaps = np.column_stack((values[wide], values[wide + 1], diffs[wide]))
-    return GapCensus(
-        k=k,
-        r=r,
-        bound=bound,
-        resolution=resolution,
-        values=values,
-        gaps=gaps,
-        analytic_gaps=analytic,
-        estimated_intervals=len(gaps) + 1,
-    )
+    return resolution, analytic, _sigma_values(k, r, bound)
 
 
 def analytic_gap_scan(

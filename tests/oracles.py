@@ -1,8 +1,9 @@
 """Reference routes that the library replaced with faster ones giving the
 same results bit for bit: each log local factor took its own power, the
 greedy walk took one prime at a time and scanned each prime's exponents
-from k down, and the CLI wrote each float of its output by its own
-``float.__repr__``.
+from k down, the census enumerated one n at a time and then divided the
+primes up to sqrt(bound) out of an array of cofactors, and the CLI wrote
+each float of its output by its own ``float.__repr__``.
 
 The seed route of the certified numbers, which the library's brackets
 must equal or lie inside: the zeta kernel on ``mpi_*`` calls at the
@@ -55,9 +56,10 @@ from mpmath.libmp import (
     round_floor,
 )
 
-from sigma_density import solver
+from sigma_density import explorer, solver
 from sigma_density.brackets import Bracket, check_eps
 from sigma_density.errors import DomainError, IndeterminateError, check_k
+from sigma_density.primes import sieve
 from sigma_density.zeta import FULL_SIZE, log_g_iv, log_prime, prime_power, to_iv, zeta_iv
 
 
@@ -365,6 +367,69 @@ def greedy_walk_loop(primes, k, r, x):
         D.append(d)
         E.append(e)
     return alphas, C, D, E
+
+
+def sigma_values_loop(k, r, bound):
+    """Restricted divisor sums of every admissible n <= bound, by direct
+    enumeration with a smallest-prime-factor sieve: the census's original
+    loop, kept as the oracle of ``explorer._sigma_values``."""
+    spf = np.zeros(bound + 1, dtype=np.int64)
+    for p in range(2, int(bound**0.5) + 1):
+        if spf[p] == 0:
+            spf[p * p :: p][spf[p * p :: p] == 0] = p
+    values = [1.0]
+    for n in range(2, bound + 1):
+        m = n
+        value = 1.0
+        admissible = True
+        while m > 1:
+            p = int(spf[m]) or m
+            exponent = 0
+            while m % p == 0:
+                m //= p
+                exponent += 1
+            if exponent > k:
+                admissible = False
+                break
+            x = float(p) ** (-r)
+            value *= (1.0 - x ** (exponent + 1)) / (1.0 - x)
+        if admissible:
+            values.append(value)
+    return np.unique(np.asarray(values))
+
+
+def sigma_values_cofactor(k, r, bound):
+    """``sigma_values_loop`` by the census's former array sieve, fast enough
+    for bound 1e6: ``value[n]`` takes the factors of n's primes p <=
+    sqrt(bound), and of 2, through a gather by n's exponent of p, and
+    ``cofactor[n]``, n with those primes divided out, is 1 or the prime
+    above sqrt(bound) whose factor goes in last, from a table indexed by
+    ``cofactor >> 1``."""
+    root = math.isqrt(bound)
+    small = sieve(root).primes.tolist() if root >= 2 else [2]
+    cofactor = np.arange(bound + 1, dtype=np.int32)
+    value = np.ones(bound + 1)
+    for p in small:
+        powers = [p]
+        while powers[-1] * p <= bound:
+            powers.append(powers[-1] * p)
+        factors = np.zeros(len(powers) + 1)
+        for e in range(1, min(k, len(powers)) + 1):
+            factors[e] = explorer._local_factor(p, e, r)
+        # exponent[j - 1] is the exponent of p in n = p * j.
+        exponent = np.zeros(bound // p, dtype=np.int8)
+        for q in powers:
+            exponent[q // p - 1 :: q // p] += 1
+            cofactor[q::q] //= p
+        value[p::p] *= factors[exponent]
+    lookup = np.ones((bound >> 1) + 1)
+    n = np.arange(root + 1, bound + 1, dtype=np.int32)
+    # Past sqrt(bound), n is its own cofactor exactly when n is prime.
+    large = n[cofactor[root + 1 :] == n]
+    lookup[large >> 1] = [(1.0 - x**2) / (1.0 - x) for x in [float(q) ** -r for q in large.tolist()]]
+    value *= lookup[cofactor >> 1]
+    value[0] = 0.0
+    return np.unique(value[value > 0.0])
 
 
 def first_difference(got, expected):

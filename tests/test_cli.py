@@ -788,8 +788,27 @@ def test_output_is_byte_identical_to_the_old_envelope_route(capsys, monkeypatch,
 def test_json_pieces_match_json_dumps(payload):
     brackets = {}
     old = _old_json(_old_convert(payload, "", brackets))
-    new = "".join(cli._json_pieces(cli._convert(payload, "", {})))
+    new = b"".join(cli._json_pieces(cli._convert(payload, "", {}))).decode()
     assert first_difference(new, old) is None
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_arrays_at_each_depth_match_json_dumps(depth):
+    # Past a block: a float array, an int array (no runs), a table and an
+    # empty array, each written as json.dumps(indent=2) writes it at depth.
+    n = cli.JOIN_BLOCK + 1
+    floats = np.linspace(0.001, 3.0, n)
+    arrays = {
+        "floats": floats,
+        "ints": np.arange(-1, n - 1),
+        "table": floats.repeat(3).reshape(-1, 3) / 7,
+        "empty": np.array([]),
+    }
+    payload, plain = arrays, {name: a.tolist() for name, a in arrays.items()}
+    for _ in range(depth - 1):
+        payload, plain = [payload], [plain]
+    got = b"".join(cli._json_pieces(cli._convert(payload, "", {}))).decode()
+    assert first_difference(got, json.dumps(plain, indent=2) + "\n") is None
 
 
 def test_tsv_of_a_table_of_floats_keys_each_cell():
@@ -800,7 +819,7 @@ def test_tsv_of_a_table_of_floats_keys_each_cell():
     steps = np.repeat([0.0, 0.25, -0.0, 0.25], n // 4)
     envelope = {"result": {"gaps": gaps, "m": [1, 2], "values": np.linspace(0.001, 3.0, n), "steps": steps}}
     old = "".join(f"{key}\t{value}\n" for key, value in _old_flatten(_old_convert(envelope, "", {})))
-    assert first_difference("".join(cli._tsv_pieces(cli._convert(envelope, "", {}))), old) is None
+    assert first_difference(b"".join(cli._tsv_pieces(cli._convert(envelope, "", {}))).decode(), old) is None
 
 
 def test_flat_lists_are_joined_in_blocks():
@@ -810,12 +829,12 @@ def test_flat_lists_are_joined_in_blocks():
         "nested": {"ints": np.arange(-5, n), "floats": 0.1 * np.arange(cli.JOIN_BLOCK)},
     }
     pieces = list(cli._json_pieces(cli._convert(payload, "", {})))
-    assert first_difference("".join(pieces), _old_json(_old_convert(payload, "", {}))) is None
-    assert max(piece.count(",") for piece in pieces) <= cli.JOIN_BLOCK
-    pieces = cli._array_pieces(payload["values"], "\n")
-    assert [len(piece.split("\n")) for piece in pieces] == [cli.JOIN_BLOCK, cli.JOIN_BLOCK + 1, 4]
+    assert first_difference(b"".join(pieces).decode(), _old_json(_old_convert(payload, "", {}))) is None
+    assert max(piece.count(b",") for piece in pieces) <= cli.JOIN_BLOCK
+    pieces = cli._array_pieces(payload["values"])
+    assert [len(piece.split(b"\n")) for piece in pieces] == [cli.JOIN_BLOCK, cli.JOIN_BLOCK + 1, 4]
     with pytest.raises(ValueError):
-        cli._array_pieces(np.r_[payload["nested"]["floats"], 1.0, math.nan], ",")
+        cli._array_pieces(np.r_[payload["nested"]["floats"], 1.0, math.nan], 2)
 
 
 def test_convert_keeps_int_arrays_and_makes_other_arrays_float64():
@@ -843,7 +862,10 @@ def test_convert_keeps_int_arrays_and_makes_other_arrays_float64():
     ids=["small", "large", "negative", "runs"],
 )
 def test_int_blocks_match_int_repr(ints):
-    assert "".join(cli._array_pieces(np.array(ints), ", ")) == ", ".join(map(int.__repr__, ints))
+    # A line a value, and json's items two levels deep.
+    for depth, separator in [(None, "\n"), (2, ",\n      ")]:
+        text = b"".join(cli._array_pieces(np.array(ints), depth)).decode()
+        assert text == separator.join(map(int.__repr__, ints))
 
 
 @pytest.mark.parametrize(

@@ -7,40 +7,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import greedy_target_check, greedy_walk_loop, log_sigma_of_alphas, neighbours, tail_bracket
+from oracles import (
+    greedy_target_check,
+    greedy_walk_loop,
+    log_sigma_of_alphas,
+    neighbours,
+    sigma_values_cofactor,
+    sigma_values_loop,
+    tail_bracket,
+)
 from sigma_density import density, explorer, primes, zeta
 from sigma_density.brackets import Bracket
 from sigma_density.errors import CapacityError, DomainError, IndeterminateError, PrecisionError
 from sigma_density.zeta import FULL_SIZE, SIGN_SIZE, log_g_iv, to_iv
-
-
-def sigma_values_loop(k, r, bound):
-    """Restricted divisor sums of every admissible n <= bound, by direct
-    enumeration with a smallest-prime-factor sieve: the census's original
-    loop, kept as the oracle of ``explorer._sigma_values``."""
-    spf = np.zeros(bound + 1, dtype=np.int64)
-    for p in range(2, int(bound**0.5) + 1):
-        if spf[p] == 0:
-            spf[p * p :: p][spf[p * p :: p] == 0] = p
-    values = [1.0]
-    for n in range(2, bound + 1):
-        m = n
-        value = 1.0
-        admissible = True
-        while m > 1:
-            p = int(spf[m]) or m
-            exponent = 0
-            while m % p == 0:
-                m //= p
-                exponent += 1
-            if exponent > k:
-                admissible = False
-                break
-            x = float(p) ** (-r)
-            value *= (1.0 - x ** (exponent + 1)) / (1.0 - x)
-        if admissible:
-            values.append(value)
-    return np.unique(np.asarray(values))
 
 
 SIEVE_KS = (1, 2, 3, 10, 1000)
@@ -77,10 +56,24 @@ class TestSieve:
     def test_matches_the_loop_at_1e5(self, k, r):
         assert_bit_identical(explorer._sigma_values(k, r, 100_000), sigma_values_loop(k, r, 100_000))
 
+    @pytest.mark.parametrize("r", [1.0001, 2.0])
+    @pytest.mark.parametrize("k", [1, 2, 1000])
+    def test_matches_both_oracles_at_every_small_bound(self, k, r):
+        # The bounds cross p^2 = 4, 9, 25, 49 and 121, where a prime moves
+        # from the pass of the last factors to the strided pass.
+        for bound in range(1, 131):
+            got = explorer._sigma_values(k, r, bound)
+            assert_bit_identical(got, sigma_values_loop(k, r, bound))
+            assert_bit_identical(got, sigma_values_cofactor(k, r, bound))
+
+    @pytest.mark.parametrize("k, r", [(1, 1.55), (2, 1.95), (3, 2.4)])
+    def test_matches_the_cofactor_sieve_at_1e6(self, k, r):
+        assert_bit_identical(explorer._sigma_values(k, r, 10**6), sigma_values_cofactor(k, r, 10**6))
+
     def test_peak_memory_per_integer(self, table):
-        # value and cofactor are the only full-length arrays with the
-        # half-length table of last factors; the rest of the sieve runs in
-        # chunks, and the values are deduplicated without np.unique's copy.
+        # value is the only full-length array, the primes are freed before
+        # the dedupe, and the values are deduplicated without np.unique's
+        # copy: the sorted values, the mask of distinct ones and their copy.
         explorer.range_census(table, 3, 1.5, 1000)
         tracemalloc.start()
         try:

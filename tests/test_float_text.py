@@ -6,7 +6,6 @@ import fractions
 import itertools
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -15,7 +14,13 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import first_difference, neighbours, repr_join
 from sigma_density import cli, explorer
 
+# The arrays below are written two levels deep, as an envelope's result
+# fields are: json.dumps(indent=2) puts this between their items, and a
+# table's rows around this between the cells of a row.
+DEPTH = 2
 SEPARATOR = ",\n      "
+CELL = ",\n        "
+ROW = "\n      ],\n      [\n        "
 
 
 def array(values, width=None):
@@ -24,21 +29,30 @@ def array(values, width=None):
     return values if width is None else values.reshape(-1, width)
 
 
-def written(values, separator=SEPARATOR, row_separator=None, width=None):
+def written(values, width=None, depth=DEPTH):
     """The array writer's text of ``values``, as rows of ``width`` when given."""
-    return cli._array_text(array(values, width), separator, row_separator or separator)
+    return cli._array_text(array(values, width), depth).decode()
 
 
-def joined(values, separator=SEPARATOR, row_separator=None, width=None):
+def joined(values, width=None, depth=DEPTH):
     """The text of _array_pieces' pieces of ``values``."""
-    return "".join(cli._array_pieces(array(values, width), separator, row_separator))
+    return b"".join(cli._array_pieces(array(values, width), depth)).decode()
 
 
-def assert_matches(values, **separators):
-    """Both the array writer and _array_pieces write ``values`` as the oracle does."""
-    expected = repr_join(values, SEPARATOR, **separators)
-    assert first_difference(written(values, **separators), expected) is None
-    assert first_difference(joined(values, **separators), expected) is None
+def expected(values, width=None):
+    """json's items of ``values`` DEPTH levels deep, by float.__repr__."""
+    if width is None:
+        return repr_join(values, SEPARATOR)
+    return "[\n        " + repr_join(values, CELL, ROW, width) + "\n      ]"
+
+
+def assert_matches(values, width=None):
+    """The array writer and _array_pieces write ``values`` as the oracle
+    does, in JSON and, for a flat array, a value a line."""
+    assert first_difference(written(values, width), expected(values, width)) is None
+    assert first_difference(joined(values, width), expected(values, width)) is None
+    if width is None:
+        assert first_difference(written(values, depth=None), repr_join(values, "\n")) is None
 
 
 @pytest.mark.parametrize("k, r", [(1, 1.55), (2, 1.95), (3, 2.4)])
@@ -46,9 +60,9 @@ def test_census_values(table, k, r):
     census = explorer.range_census(table, k, r, 300_000)
     for start in range(0, len(census.values), cli.JOIN_BLOCK):
         block = census.values[start : start + cli.JOIN_BLOCK]
-        assert first_difference(written(block), repr_join(block, SEPARATOR)) is None
+        assert first_difference(written(block), expected(block)) is None
     gaps = [value for gap in census.gaps for value in gap]
-    assert_matches(gaps, row_separator="],\n    [", width=3)
+    assert_matches(gaps, width=3)
 
 
 def test_ties_to_even():
@@ -81,7 +95,7 @@ def test_one_decade_blocks(d, width):
     if width == 1:
         assert_matches(values)
     else:
-        assert_matches(values, row_separator="],\n    [", width=3)
+        assert_matches(values, width=3)
 
 
 def test_short_mantissas():
@@ -191,7 +205,7 @@ def test_greedy_deficits(table, plan_walks):
         deficits = explorer.greedy_approximate(table, k, r, x, steps).D
         for start in range(0, steps, cli.JOIN_BLOCK):
             block = deficits[start : start + cli.JOIN_BLOCK]
-            assert first_difference(written(block), repr_join(block, SEPARATOR)) is None
+            assert first_difference(written(block), expected(block)) is None
 
 
 def test_small_large_and_zero():
@@ -225,8 +239,7 @@ def test_a_block_mostly_out_of_range_is_declined():
     # The numpy writer before orjson's declined a block mostly outside
     # [1e-20, 1e17); the array writer declines none.
     values = np.array([1e-30, -2.5e300, 1e17] * 300 + [1.5] * 299)
-    assert first_difference(written(values, ","), repr_join(values, ",")) is None
-    assert first_difference(joined(values, ","), repr_join(values, ",")) is None
+    assert_matches(values)
 
 
 def test_the_fifth_decade():
@@ -247,8 +260,8 @@ def test_one_digit_exponents_at_an_end(exponent):
     value = float(f"1.5e-{exponent}")
     assert_matches([value, 1.0, value])
     assert_matches([value])
-    assert_matches([1.0, 2.0, value, 3.0, value, value], row_separator="],\n    [", width=3)
-    assert_matches([value] * 3, row_separator=";", width=1)
+    assert_matches([1.0, 2.0, value, 3.0, value, value], width=3)
+    assert_matches([value] * 3, width=1)
 
 
 def test_positive_exponents_and_extremes():
@@ -259,7 +272,7 @@ def test_positive_exponents_and_extremes():
     values += neighbours(1e16, 3) + neighbours(-1e16, 3)
     assert_matches(values)
     assert_matches(values[::-1])
-    assert_matches(values[: len(values) // 3 * 3], row_separator="],\n    [", width=3)
+    assert_matches(values[: len(values) // 3 * 3], width=3)
 
 
 def test_gap_rows_across_decades():
@@ -270,7 +283,7 @@ def test_gap_rows_across_decades():
     width = 10.0 ** rng.uniform(-7, -4, 3000)
     rows = np.stack([left, left + width, width], axis=1)
     assert np.count_nonzero(rows[:, 2] < 1e-5) > 1000 and np.count_nonzero(rows[:, 2] >= 1e-5) > 500
-    assert_matches(rows.ravel(), row_separator="],\n    [", width=3)
+    assert_matches(rows.ravel(), width=3)
 
 
 def test_views_and_byte_orders():
@@ -281,9 +294,10 @@ def test_views_and_byte_orders():
     views = [table[::2, 1], table[:, 1:], table.T[:3], table[::-1]]
     for view in views + [table.astype(">f8"), np.arange(-5, 300).astype(">i4")]:
         assert not view.flags.c_contiguous or not view.dtype.isnative
-        rep = int.__repr__ if view.dtype.kind == "i" else float.__repr__
-        rows = view.tolist() if view.ndim == 2 else [view.tolist()]
-        assert cli._array_text(view, ",", ";") == ";".join(",".join(map(rep, row)) for row in rows)
+        # json writes an int by int.__repr__ and a float by float.__repr__.
+        assert "[\n  " + cli._array_text(view, 0).decode() + "\n]" == json.dumps(view.tolist(), indent=2)
+        if view.ndim == 1:
+            assert cli._array_text(view).decode() == "\n".join(map(repr, view.tolist()))
 
 
 def test_repr_layout_leaves_repr_text_alone():
@@ -297,16 +311,15 @@ def test_repr_layout_leaves_repr_text_alone():
 def test_block_boundaries():
     n = 2 * cli.JOIN_BLOCK + 513
     values = np.linspace(0.001, 3.0, n)
-    pieces = list(cli._array_pieces(values, "\n"))
-    assert first_difference("".join(pieces), repr_join(values, "\n")) is None
+    pieces = list(cli._array_pieces(values))
+    assert first_difference(b"".join(pieces).decode(), repr_join(values, "\n")) is None
     lines = [cli.JOIN_BLOCK, cli.JOIN_BLOCK + 1, 514]
-    assert [len(piece.split("\n")) for piece in pieces] == lines
+    assert [len(piece.split(b"\n")) for piece in pieces] == lines
     # Rows of three: a piece holds the most whole rows that fit in a block.
-    step = cli.JOIN_BLOCK // 3 * 3
-    pieces = list(cli._array_pieces(values[: step + 1905].reshape(-1, 3), ",", ";\n"))
-    expected = repr_join(values[: step + 1905], ",", ";\n", 3)
-    assert first_difference("".join(pieces), expected) is None
-    assert [len(re.split(",|;\n", piece.removeprefix(";\n"))) for piece in pieces] == [step, 1905]
+    step = cli.JOIN_BLOCK // 3
+    pieces = list(cli._array_pieces(array(values[: 3 * step + 1905], 3), DEPTH))
+    assert first_difference(b"".join(pieces).decode(), expected(values[: 3 * step + 1905], 3)) is None
+    assert [piece.count(b"[") for piece in pieces] == [step, 635]
 
 
 # Bit patterns of [1e-20, 1e17), less the powers of two: the range of the
@@ -326,7 +339,7 @@ def test_bit_patterns(bits):
     # At least half the doubles in [1e-20, 1e17), among any finite doubles.
     values = np.array(bits, dtype=np.uint64).view(np.float64)
     values = values[np.isfinite(values)]
-    assert written(values) == repr_join(values, SEPARATOR)
+    assert written(values) == expected(values)
 
 
 # Bit patterns of [1e-20, 1e-6), where 5**j is two doubles.
@@ -337,7 +350,7 @@ DEEP = st.integers(*np.array([1e-20, 1e-6]).view(np.int64).tolist()).filter(lamb
 @given(bits=st.lists(DEEP, min_size=1, max_size=64))
 def test_deep_bit_patterns(bits):
     values = np.array(bits, dtype=np.uint64).view(np.float64)
-    assert written(values) == repr_join(values, SEPARATOR)
+    assert written(values) == expected(values)
 
 
 # Bit patterns of any finite double, and of the values beside which runs
@@ -360,7 +373,7 @@ def test_runs_of_equal_values(patterns, runs):
     # array writer.
     which = [i % len(patterns) for i, _ in runs]
     values = np.repeat(np.array(patterns, dtype=np.uint64)[which], [n for _, n in runs]).view(np.float64)
-    assert first_difference(joined(values), repr_join(values, SEPARATOR)) is None
+    assert first_difference(joined(values), expected(values)) is None
 
 
 def test_a_run_takes_one_repr(monkeypatch):
@@ -369,7 +382,7 @@ def test_a_run_takes_one_repr(monkeypatch):
 
     monkeypatch.setattr(cli, "_array_text", declined)
     values = np.full(cli.JOIN_BLOCK, 0.1)
-    assert joined(values) == repr_join(values, SEPARATOR)
+    assert joined(values) == expected(values)
 
 
 def test_a_walk_at_target_zero(table):
@@ -377,6 +390,6 @@ def test_a_walk_at_target_zero(table):
     trace = explorer.greedy_approximate(table, 1, 2.4, 0.0, 3 * cli.JOIN_BLOCK)
     assert not trace.C.any()
     fields = {f.name: getattr(trace, f.name) for f in dataclasses.fields(trace)}
-    got = "".join(cli._json_pieces(cli._convert(fields, "", {})))
+    got = b"".join(cli._json_pieces(cli._convert(fields, "", {}))).decode()
     plain = {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in fields.items()}
     assert first_difference(got, json.dumps(plain, indent=2) + "\n") is None
