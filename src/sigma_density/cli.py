@@ -16,21 +16,21 @@ float64 by ``float.__repr__``.  A block whose runs of equal values are
 RUN_LENGTH long or longer on average takes one repr a run
 (``_run_text``): a 100000-step greedy walk's partial sums C, a step
 function, and its exponents take 4-7 ns a value.  Any other block, and
-every table, goes to ``_array_text``: orjson writes it with the
-shortest round-trip digits (Ryu), and ``_repr_layout`` rewrites the
-three layouts where orjson's differs from repr's (1e16, 1e-7 and
-0.0000123).  At ``census --bound 1000000`` (k = 1..3) writing a value
-then takes 53-55 ns in JSON and 43-46 ns in TSV, a walk's D 34-99 ns
-and E 50-53 ns, and a census's gap rows, mostly in the rewritten
-decades, 248-258 ns (``BENCH_orjson_writer.json``; Python 3.11, numpy
-2.4, orjson 3.8, a shared 2-vCPU x86-64 host).  An envelope's TSV takes
-an array's texts from the same writers (_array_pieces) and writes them
-a block of lines at a time.
+every table, goes to ``_array_text``: orjson writes it in json's
+indented layout, nested to the array's depth, with the shortest
+round-trip digits (Ryu), and ``_repr_layout`` rewrites the three
+layouts where orjson's differs from repr's (1e16, 1e-7, 0.0000123).
+At ``census --bound 1000000`` (k = 1..3) writing a value takes 41-66 ns
+in JSON and 44-69 ns in TSV, a census's gap rows 235-361 ns, and the
+D and E of three 100000-step walks 95-541 and 44-130 ns
+(``BENCH_census_array_speed.json``; Python 3.11, numpy 2.4, orjson 3.8,
+a shared 2-vCPU x86-64 host).  An envelope's TSV takes an array's texts
+from the same writers (_array_pieces), a block of lines at a time.
 
-Output is written a piece at a time as it is made, to stdout or
-``--out``, once every check that can refuse the request has passed: a
-request holds about a block of JOIN_BLOCK values of its output, and a
-refused one writes nothing.
+Output is written as ASCII bytes a piece at a time as it is made, to
+stdout or ``--out``, once every check that can refuse the request has
+passed: a request holds about a block of JOIN_BLOCK values of its
+output, and a refused one writes nothing.
 
 Exit codes: 0 success, 1 domain/precision error, an unwritable ``--out``
 or a closed output pipe, 2 verification-suite failure, 64 usage error.
@@ -145,11 +145,10 @@ def _run_text(values, separator):
 
 def _array_text(block, depth=None):
     """_array_pieces' bytes of the 1-D or 2-D array ``block``, ints or
-    finite floats: orjson's digits, the shortest that round-trip (Ryu), in
-    ``float.__repr__``'s layout (_repr_layout), and in json's layout when
-    nested in ``depth`` single-item lists.  A line a value takes orjson's
-    compact text, which one byte replaced turns into lines 2x as fast as
-    its indented text with the separators replaced."""
+    finite floats: orjson's shortest round-trip digits (Ryu) in repr's
+    layout (_repr_layout), and json's layout when nested in ``depth``
+    single-item lists.  Lines take orjson's compact text, a byte replaced:
+    2x as fast as replacing the indented text's separators."""
     import orjson  # as numpy, loaded only where an array is written
 
     # orjson refuses a view that is not C-contiguous and misreads a

@@ -26,14 +26,14 @@ if TYPE_CHECKING:
     import numpy as np
 
 # Largest census bound, from measurement (Python 3.11, numpy 2.4, one
-# process on a 2-core x86-64 host).  range_census takes 0.10 s at 1e6 and
-# 0.65 s at 5e6.  The command's worst case is where every n is admissible,
+# process on a 2-core x86-64 host).  range_census takes 0.05 s at 1e6 and
+# 0.35 s at 5e6.  The command's worst case is where every n is admissible,
 # its value distinct and every spacing a gap row:
 # `census --k 1000 --r 1.0001 --bound 5000000 --resolution 1e-300` as JSON
-# to --out (642 MB, written a block at a time) takes 3.9-4.2 s and 0.38 GB
+# to --out (642 MB, written a block at a time) takes 3.6-3.9 s and 0.38 GB
 # resident, range_census a 0.36 GB peak under tracemalloc (72 bytes an
 # integer).  At the default resolution the same request writes 161 MB in
-# 1.1 s at 0.13 GB resident, with a 0.10 GB peak under tracemalloc.
+# 1.4 s at 0.13 GB resident, with a 0.10 GB peak under tracemalloc.
 CENSUS_MAX_BOUND = 5_000_000
 # Largest (k + 1) * steps of a greedy walk: its table of partial local
 # factors holds that many doubles.  Under tracemalloc a walk on a sieved
@@ -43,8 +43,9 @@ CENSUS_MAX_BOUND = 5_000_000
 # 151 MB peak under tracemalloc and 171 MB resident (Python 3.11, numpy
 # 2.4, one process on a 2-core x86-64 host).
 GREEDY_MAX_ENTRIES = 4_000_000
-# Primes above sqrt(bound) whose factors the census sieve holds at once.
-SIEVE_CHUNK = 2**16
+# Primes above sqrt(bound) whose factors, made as Python floats, the census
+# sieve holds at once: 65536 raised its resident peak by 2.6 MB at 1e6.
+SIEVE_CHUNK = 2**13
 # Primes in the first window of a greedy run's array test; the window
 # doubles while the run lasts.
 GREEDY_WINDOW = 64
