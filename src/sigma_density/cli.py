@@ -20,9 +20,9 @@ every table, goes to ``_array_text``: orjson writes it in json's
 indented layout, nested to the array's depth, with the shortest
 round-trip digits (Ryu), and ``_repr_layout`` rewrites the three
 layouts where orjson's differs from repr's (1e16, 1e-7, 0.0000123).
-At ``census --bound 1000000`` (k = 1..3) writing a value takes 41-66 ns
-in JSON and 44-69 ns in TSV, a census's gap rows 235-361 ns, and the
-D and E of three 100000-step walks 95-541 and 44-130 ns
+At ``census --bound 1000000`` (k = 1..3) writing a value takes 39-60 ns
+in JSON and 44-67 ns in TSV, a census's gap rows 224-355 ns, and the
+D and E of three 100000-step walks 88-299 and 40-93 ns
 (``BENCH_census_array_speed.json``; Python 3.11, numpy 2.4, orjson 3.8,
 a shared 2-vCPU x86-64 host).  An envelope's TSV takes an array's texts
 from the same writers (_array_pieces), a block of lines at a time.

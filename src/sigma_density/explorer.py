@@ -27,13 +27,13 @@ if TYPE_CHECKING:
 
 # Largest census bound, from measurement (Python 3.11, numpy 2.4, one
 # process on a 2-core x86-64 host).  range_census takes 0.05 s at 1e6 and
-# 0.35 s at 5e6.  The command's worst case is where every n is admissible,
+# 0.32 s at 5e6.  The command's worst case is where every n is admissible,
 # its value distinct and every spacing a gap row:
 # `census --k 1000 --r 1.0001 --bound 5000000 --resolution 1e-300` as JSON
-# to --out (642 MB, written a block at a time) takes 3.6-3.9 s and 0.38 GB
+# to --out (642 MB, written a block at a time) takes 3.6-3.8 s and 0.38 GB
 # resident, range_census a 0.36 GB peak under tracemalloc (72 bytes an
 # integer).  At the default resolution the same request writes 161 MB in
-# 1.4 s at 0.13 GB resident, with a 0.10 GB peak under tracemalloc.
+# 1.1-1.2 s at 0.13 GB resident, with a 0.10 GB peak under tracemalloc.
 CENSUS_MAX_BOUND = 5_000_000
 # Largest (k + 1) * steps of a greedy walk: its table of partial local
 # factors holds that many doubles.  Under tracemalloc a walk on a sieved
