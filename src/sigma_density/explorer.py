@@ -39,8 +39,8 @@ CENSUS_MAX_BOUND = 5_000_000
 # factors holds that many doubles.  Under tracemalloc a walk on a sieved
 # table peaks at 9.8 bytes an entry at k = 25 and 32 at k = 1.  The
 # longest walk, `approximate --k 1 --r 1.5 --x 0.5 --steps 2000000` to
-# --out, sieves to 34366807 and writes 181 MB of JSON in 0.9-1.0 s, at a
-# 151 MB peak under tracemalloc and 171 MB resident (Python 3.11, numpy
+# --out, sieves to 34366807 and writes 181 MB of JSON in 0.9-1.1 s, at a
+# 151 MB peak under tracemalloc and 171 MiB resident (Python 3.11, numpy
 # 2.4, one process on a 2-core x86-64 host).
 GREEDY_MAX_ENTRIES = 4_000_000
 # Primes above sqrt(bound) whose factors, made as Python floats, the census

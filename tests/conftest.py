@@ -1,4 +1,3 @@
-import functools
 import importlib.util
 import pathlib
 
@@ -20,16 +19,15 @@ def table():
 
 @pytest.fixture
 def sieve_bounds(monkeypatch):
-    """The bound of every sieve run while the test runs: the pure first
-    sieve's and numpy's."""
+    """The bound of every sieve run while the test runs."""
     bounds = []
+    sieve = primes._sieve
 
-    def spy(sieve, bound):
+    def spy(bound):
         bounds.append(bound)
         return sieve(bound)
 
-    for name in ("_first_sieve", "_eratosthenes"):
-        monkeypatch.setattr(primes, name, functools.partial(spy, getattr(primes, name)))
+    monkeypatch.setattr(primes, "_sieve", spy)
     return bounds
 
 

@@ -1,5 +1,6 @@
 """Reference routes that the library replaced with faster ones giving the
-same results bit for bit: each log local factor took its own power, the
+same results bit for bit: the prime table sieved a numpy mask of every
+integer, each log local factor took its own power, the
 greedy walk took one prime at a time and scanned each prime's exponents
 from k down, the census enumerated one n at a time and then divided the
 primes up to sqrt(bound) out of an array of cofactors, and the CLI wrote
@@ -343,6 +344,18 @@ def repr_join(values, separator, row_separator=None, width=None):
     if width is None:
         return separator.join(texts)
     return row_separator.join(map(separator.join, zip(*[texts] * width)))
+
+
+def eratosthenes(bound):
+    """The primes up to ``bound`` inclusive, as an int64 array, sieved on a
+    numpy bool mask of every integer: the table's sieve above
+    ``FIRST_SIEVE_BOUND`` before one odd-only sieve served every bound."""
+    mask = np.ones(bound + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(bound) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return np.flatnonzero(mask).astype(np.int64)
 
 
 def greedy_walk_loop(primes, k, r, x):

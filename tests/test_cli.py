@@ -537,6 +537,18 @@ def test_a_failed_request_leaves_an_existing_out_untouched(tmp_path, capsys):
     assert target.read_text() == "earlier output\n"
 
 
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+@pytest.mark.parametrize("resolution", ["0", "-1"])
+def test_a_census_at_a_nonpositive_resolution_leaves_an_existing_out_untouched(tmp_path, capsys, fmt, resolution):
+    target = tmp_path / "result.txt"
+    target.write_text("earlier output\n")
+    argv = ["--format", fmt, "--out", str(target), "census", "--k", "1", "--r", "2", "--bound", "100"]
+    code, out, err = run(capsys, *argv, "--resolution", resolution)
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    assert err == f"sigma-density: error: resolution must be positive, got {float(resolution)}\n"
+    assert target.read_text() == "earlier output\n"
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -790,6 +802,12 @@ def test_json_pieces_match_json_dumps(payload):
     old = _old_json(_old_convert(payload, "", brackets))
     new = b"".join(cli._json_pieces(cli._convert(payload, "", {}))).decode()
     assert first_difference(new, old) is None
+
+
+def test_json_pieces_raise_json_errors_when_called():
+    # before any piece is taken, as json.dumps would
+    with pytest.raises(TypeError, match="^Object of type object is not JSON serializable$"):
+        cli._json_pieces({"a": object()})
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])

@@ -46,6 +46,11 @@ def test_infinite_m_is_a_domain_error(table):
         density.t_func(table, 1, INF, 1.5)
 
 
+def test_a_gap_scan_below_level_1_is_a_domain_error(table):
+    with pytest.raises(DomainError, match="^m_max must be >= 1, got 0$"):
+        explorer.analytic_gap_scan(table, 1, 2.0, 0)
+
+
 def test_k_inf_is_the_unrestricted_sum(table):
     # G_inf(r) = zeta(r), and the range is dense exactly up to eta_inf ~ 1.8878
     report = density.density_report(table, INF, 1.5)

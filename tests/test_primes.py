@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import eratosthenes
 from sigma_density import primes
 from sigma_density.errors import CapacityError, DomainError
 
@@ -13,17 +14,6 @@ def _trial_division_primes(limit):
         if all(n % p for p in found if p * p <= n):
             found.append(n)
     return found
-
-
-def eager_sieve(limit):
-    """The primes up to ``limit``, sieved at once: the table's body before
-    it sieved on demand, kept as the oracle."""
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, int(limit**0.5) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
 
 
 def gap_lemma_loop(table):
@@ -77,18 +67,32 @@ def test_sieve_rejects_a_limit_above_capacity():
         primes.sieve(primes.SIEVE_MAX_LIMIT + 1)
 
 
-@pytest.mark.parametrize("bound", [2, 1000])
+@pytest.mark.parametrize("bound", [2, 1000, primes.FIRST_SIEVE_BOUND, primes.FIRST_SIEVE_BOUND + 1])
 def test_sieved_primes_are_read_only_int64(bound):
-    for values in (primes._eratosthenes(bound), primes.sieve(bound).primes):
+    sieved = primes._sieve(bound)
+    # a tuple, made without numpy, up to the first bound, and an array above it
+    assert isinstance(sieved, tuple) == (bound <= primes.FIRST_SIEVE_BOUND)
+    for values in ([] if isinstance(sieved, tuple) else [sieved]) + [primes.sieve(bound).primes]:
         assert values.dtype == np.int64
         assert not values.flags.writeable
         with pytest.raises(ValueError):
             values[0] = 4
 
 
-def test_first_sieve_matches_the_numpy_sieve():
-    for bound in range(2, primes.FIRST_SIEVE_BOUND + 1):
-        assert list(primes._first_sieve(bound)) == primes._eratosthenes(bound).tolist()
+def test_sieve_matches_the_numpy_sieve():
+    for bound in range(2, 3 * primes.FIRST_SIEVE_BOUND + 1):
+        assert list(primes._sieve(bound)) == eratosthenes(bound).tolist(), bound
+
+
+# The bounds the CLI sieves to: the 1000-step walk, the probe census, the
+# gap lemma, the census, the 100000-step walk, the default limit, the
+# census cap and the longest walk.
+CLI_BOUNDS = [8841, 100_000, 429_070, 1_000_000, 1_395_640, 2_000_000, 5_000_000, 34_366_807]
+
+
+@pytest.mark.parametrize("bound", CLI_BOUNDS)
+def test_sieve_matches_the_numpy_sieve_at_the_cli_bounds(bound):
+    assert np.array_equal(primes._sieve(bound), eratosthenes(bound))
 
 
 def test_a_first_sieve_table_serves_read_only_arrays_without_copies(sieve_bounds):
@@ -137,7 +141,7 @@ LIMITS = [2, 3, 10, 1000, 1025, 5000, 2_000_000]
 
 @pytest.mark.parametrize("limit", LIMITS)
 def test_on_demand_table_matches_the_eager_sieve(limit):
-    expected = eager_sieve(limit)
+    expected = eratosthenes(limit)
     n = len(expected)
     reads = primes.sieve(limit)
     picks = [n // 3 + 1, 1, n, n // 2 + 1, max(n - 1, 1)]
@@ -234,7 +238,7 @@ def test_gap_lemma_requires_capacity():
 
 
 def test_gap_search_index_is_the_first_prime_past_the_bound():
-    below = eager_sieve(primes.GAP_SEARCH_BOUND)
+    below = eratosthenes(primes.GAP_SEARCH_BOUND)
     assert len(below) + 1 == primes.GAP_SEARCH_INDEX
     assert below[-1] < primes.GAP_SEARCH_BOUND < primes.sieve(500_000).nth(primes.GAP_SEARCH_INDEX)
 
@@ -242,7 +246,7 @@ def test_gap_search_index_is_the_first_prime_past_the_bound():
 def test_gap_lemma_matches_a_search_of_the_whole_table(sieve_bounds):
     report = primes.verify_gap_lemma(primes.sieve(primes.DEFAULT_LIMIT))
     assert max(sieve_bounds) < primes.DEFAULT_LIMIT
-    expected = eager_sieve(primes.DEFAULT_LIMIT).tolist()
+    expected = eratosthenes(primes.DEFAULT_LIMIT).tolist()
     n_below = int(np.searchsorted(expected, primes.GAP_SEARCH_BOUND))
     ratios = {j: expected[j] / expected[j - 1] for j in range(1, n_below + 1)}
     assert report.checked == n_below - len(primes.GAP_EXCLUDED_INDICES)
@@ -252,7 +256,7 @@ def test_gap_lemma_matches_a_search_of_the_whole_table(sieve_bounds):
 
 
 def test_nth_prime_bound_holds_across_the_default_table():
-    expected = eager_sieve(primes.DEFAULT_LIMIT)
+    expected = eratosthenes(primes.DEFAULT_LIMIT)
     bounds = np.array([primes.nth_prime_bound(n) for n in range(1, len(expected) + 1)])
     assert len(expected) == 148_933
     assert np.all(bounds >= expected)

@@ -272,6 +272,32 @@ class TestBisection:
         with pytest.raises(PrecisionError):
             solver._solve(value, sign_of(value), no_guide, 1e-10, "test")
 
+    def test_a_bracket_at_2_that_straddles_0_raises(self):
+        def value(r):
+            return Bracket(-1.0, 1.0) if r == 2.0 else Bracket(-2.0, -1.0)
+
+        with pytest.raises(PrecisionError, match="^test: sign not certified positive at r = 2$"):
+            solver._solve(value, sign_of(value), no_guide, 1e-10, "test")
+
+    def test_an_undecided_replay_falls_back_to_the_certified_walk(self):
+        # The guide brackets the root, and the sign test is undecided
+        # within GUIDE_NEAR of it: the replay gives up there, and the
+        # certified walk then raises at a midpoint as near.
+        root = 1.5 + 2**-20
+
+        def value(r):
+            if abs(r - root) <= solver.GUIDE_NEAR:
+                return Bracket(-1.0, 1.0)
+            return Bracket(1.0, 2.0) if r > root else Bracket(-2.0, -1.0)
+
+        guide = Counting(lambda r: (r - root) * 1e-2)
+        with pytest.raises(PrecisionError, match="indeterminate") as raised:
+            solver._solve(value, sign_of(value), guide, 1e-14, "test")
+        mid = float(str(raised.value).split("at r = ")[1].split(" in ")[0])
+        assert abs(mid - root) <= solver.GUIDE_NEAR
+        # the replay reached a midpoint where only a certified test decides
+        assert any(abs(r - root) <= solver.GUIDE_NEAR for (r,) in guide.args)
+
     def test_refining_equals_solving_at_the_finer_eps(self, table):
         # bisection is deterministic: a 1e-10 bracket walked on to 1e-12 is
         # the 1e-12 solve, which the certified_only fixture relies on
