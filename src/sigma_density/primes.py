@@ -130,10 +130,10 @@ def _sieve(bound: int) -> tuple[int, ...] | np.ndarray:
     """The primes up to ``bound`` inclusive: a tuple, made without numpy,
     up to ``FIRST_SIEVE_BOUND``, and a read-only int64 array above it.
     Eratosthenes over the odd numbers: byte i stands for 2i + 1, and byte
-    0, never struck, for 2.  Every strike takes its zeros from one buffer."""
+    0, never struck, for 2."""
     size = (bound + 1) // 2
     odd = bytearray(b"\1") * size
-    zeros = memoryview(bytes(size // 3))  # as long as the longest strike, p = 3's
+    zeros = memoryview(bytes(size // 3))  # every strike's zeros; p = 3's is the longest
     for i in range(1, (math.isqrt(bound) + 1) // 2):
         if odd[i]:
             p = 2 * i + 1

@@ -69,10 +69,14 @@ def test_sieve_rejects_a_limit_above_capacity():
 
 @pytest.mark.parametrize("bound", [2, 1000, primes.FIRST_SIEVE_BOUND, primes.FIRST_SIEVE_BOUND + 1])
 def test_sieved_primes_are_read_only_int64(bound):
-    sieved = primes._sieve(bound)
-    # a tuple, made without numpy, up to the first bound, and an array above it
-    assert isinstance(sieved, tuple) == (bound <= primes.FIRST_SIEVE_BOUND)
-    for values in ([] if isinstance(sieved, tuple) else [sieved]) + [primes.sieve(bound).primes]:
+    # the sieve gives a tuple, made without numpy, up to the first bound,
+    # and an array above it
+    sieved, arrays = primes._sieve(bound), [primes.sieve(bound).primes]
+    if bound <= primes.FIRST_SIEVE_BOUND:
+        assert isinstance(sieved, tuple)
+    else:
+        arrays.append(sieved)
+    for values in arrays:
         assert values.dtype == np.int64
         assert not values.flags.writeable
         with pytest.raises(ValueError):
