@@ -32,8 +32,8 @@ stdout or ``--out``, once every check that can refuse the request has
 passed: a request holds about a block of JOIN_BLOCK values of its
 output, and a refused one writes nothing.
 
-Exit codes: 0 success, 1 domain/precision error, an unwritable ``--out``
-or a closed output pipe, 2 verification-suite failure, 64 usage error.
+Exit codes: 0 success, 1 domain/precision error or an unwritable
+``--out`` or stdout, 2 verification-suite failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import argparse
 import dataclasses
 import errno
 import functools
-import io
 import itertools
 import json
 import math
@@ -343,10 +342,12 @@ def _write(pieces, args):
     than a piece of the output is held at once.  A stdout with no binary
     layer, such as an io.StringIO, takes each piece as text.
 
-    An unbuffered stdout (``python -u``) writes through to the raw file,
-    which may take part of a piece, so there each piece is written until
-    the raw file has taken all of it, or a closed pipe raises.  A
-    ``--out`` that cannot be written is an error."""
+    Each piece is written until the layer has taken it all, which a
+    buffered layer does at once and an unbuffered one, the raw file
+    (``python -u``), may not; the layer is flushed after the last piece.
+    A stdout that fails is pointed at devnull, so that the exit flush
+    cannot fail again; a closed pipe raises BrokenPipeError, and any other
+    failure, or a ``--out`` that cannot be written, is an error."""
     if args.out:
         try:
             with open(args.out, "wb") as fh:
@@ -354,18 +355,24 @@ def _write(pieces, args):
         except OSError as exc:
             raise SigmaDensityError(f"cannot write {args.out}: {exc.strerror}") from None
         return
+    if sys.stdout is None:  # started with no file descriptor 1
+        raise SigmaDensityError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
     binary = getattr(sys.stdout, "buffer", None)
     if binary is None:
         sys.stdout.writelines(piece.decode() for piece in pieces)
         return
-    sys.stdout.flush()
-    if not isinstance(binary, io.RawIOBase):
-        binary.writelines(pieces)
-        return
-    for piece in pieces:
-        data = memoryview(piece)
-        while data:
-            data = data[binary.write(data) :]
+    try:
+        sys.stdout.flush()
+        for piece in pieces:
+            data = memoryview(piece)
+            while data:
+                data = data[binary.write(data) :]
+        binary.flush()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            raise
+        raise SigmaDensityError(f"cannot write stdout: {exc.strerror}") from None
 
 
 def _emit(envelope, args):
@@ -458,9 +465,7 @@ def main(argv=None) -> int:
     try:
         return _main(build_parser().parse_args(argv))
     except BrokenPipeError:
-        # The reader closed stdout (``| head``).  Point stdout at devnull,
-        # so that the interpreter's flush at exit does not fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # The reader closed stdout (``| head``); _write pointed it at devnull.
         return EXIT_ERROR
 
 

@@ -180,13 +180,12 @@ class GapLemmaReport:
 def verify_gap_lemma(table: PrimeTable) -> GapLemmaReport:
     """Check p_{j+1}^2 < 2 p_j^2 for all j not in {1,2,4} with p_j < 396738.
 
-    The decision is exact integer arithmetic: floating point only picks
-    out the indices it compares, so it cannot change the verdict or the
-    argmax.  The excluded indices are reported with their
-    (super-sqrt(2)) ratios for reference.
+    One exact pass decides: every prime here is below 2^20, so the squares
+    compare exactly in int64, and distinct ratios of such primes differ by
+    more than 2^-40, so their doubles, each within 2^-52, order them as the
+    integers do, and the first argmax of the doubles is the argmax.  The
+    excluded indices are reported with their (super-sqrt(2)) ratios.
     """
-    import numpy as np
-
     if table.limit < GAP_SEARCH_BOUND:
         raise DomainError(
             f"table limit {table.limit} < search bound {GAP_SEARCH_BOUND}"
@@ -196,26 +195,19 @@ def verify_gap_lemma(table: PrimeTable) -> GapLemmaReport:
     except DomainError:
         raise DomainError("table must contain at least one prime beyond the search bound") from None
     ratio = primes[1:] / primes[:-1]  # p_{j+1} / p_j at position j - 1
-    ratio[[j - 1 for j in GAP_EXCLUDED_INDICES]] = 0
-    # Division and sqrt round correctly, and rounding is monotone: a ratio
-    # of at least sqrt(2) rounds to at least the double sqrt(2), and the
-    # largest ratio to the largest double.  Exact integer comparisons
-    # decide among the few indices the doubles pick out.
-    passed = all(
-        int(primes[i + 1]) ** 2 < 2 * int(primes[i]) ** 2
-        for i in np.flatnonzero(ratio >= math.sqrt(2))
-    )
-    argmax, max_p, max_q = 0, 1, 0
-    for i in np.flatnonzero(ratio == ratio.max()):
-        p, q = int(primes[i]), int(primes[i + 1])
-        if q * max_p > max_q * p:
-            argmax, max_p, max_q = int(i) + 1, p, q
+    square = primes * primes
+    below = square[1:] < 2 * square[:-1]
+    skipped = [j - 1 for j in GAP_EXCLUDED_INDICES]
+    below[skipped] = True
+    ratio[skipped] = 0
+    argmax = int(ratio.argmax())
+    p, q = int(primes[argmax]), int(primes[argmax + 1])
     excluded = tuple((j, int(primes[j]) / int(primes[j - 1])) for j in GAP_EXCLUDED_INDICES)
     return GapLemmaReport(
         bound=GAP_SEARCH_BOUND,
         checked=len(ratio) - len(excluded),
-        max_ratio=(max_q * max_q / (max_p * max_p)) ** 0.5,
-        argmax_index=argmax,
-        passed=passed,
+        max_ratio=(q * q / (p * p)) ** 0.5,
+        argmax_index=argmax + 1,
+        passed=bool(below.all()),
         excluded=excluded,
     )

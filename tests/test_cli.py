@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -456,31 +457,97 @@ def test_the_library_leaves_the_host_mpmath_iv_precision_alone():
 # one piece, which used to end cut short with exit 0.
 CENSUS = ["census", "--k", "1", "--r", "2", "--bound", "100000"]
 TSV_WALK = ["--format", "tsv", "approximate", "--k", "1", "--r", "1.5", "--x", "0.3", "--steps", "100000"]
+# Each writes less than stdout buffers, so a buffered stdout holds all of it
+# until a flush, which used to come only at the interpreter's exit, outside
+# main's handler: exit 120.  The reader closes its end before the write.
+ETA = ["eta", "--k", "3"]
+DENSITY = ["density", "--k", "1", "--r", "1.5"]
+DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 
 
-@pytest.mark.parametrize(
-    "unbuffered, argv",
-    [(False, CENSUS), (True, CENSUS), (False, TSV_WALK), (True, TSV_WALK)],
-    ids=["buffered", "unbuffered", "tsv-buffered", "tsv-unbuffered"],
-)
-def test_closed_pipe_exits_without_a_traceback(unbuffered, argv):
+def _cli(argv, unbuffered, **kwargs):
+    """The CLI in a fresh process with stdout buffered or unbuffered,
+    whatever PYTHONUNBUFFERED the tests run with."""
     src = str(pathlib.Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    with subprocess.Popen(
-        [sys.executable, "-m", "sigma_density.cli", *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    ) as proc:
-        assert proc.stdout.readline() in (b"{\n", b"command\tapproximate\n")
+    return subprocess.Popen([sys.executable, "-m", "sigma_density.cli", *argv], env=env, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "unbuffered, argv",
+    [(False, CENSUS), (True, CENSUS), (False, TSV_WALK), (True, TSV_WALK)]
+    + [(False, ETA), (True, ETA), (False, DENSITY), (True, DENSITY)],
+    ids=["buffered", "unbuffered", "tsv-buffered", "tsv-unbuffered"]
+    + ["eta-buffered", "eta-unbuffered", "density-buffered", "density-unbuffered"],
+)
+def test_closed_pipe_exits_without_a_traceback(unbuffered, argv):
+    with _cli(argv, unbuffered, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        if argv in (CENSUS, TSV_WALK):
+            assert proc.stdout.readline() in (b"{\n", b"command\tapproximate\n")
         proc.stdout.close()
         err = proc.stderr.read().decode()
         code = proc.wait(timeout=60)
-    assert "Traceback" not in err, err
+    assert err == ""
     assert code == 1
+
+
+@DEV_FULL
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [ETA, CENSUS], ids=["eta", "census"])
+def test_a_full_stdout_is_an_error(argv, unbuffered):
+    with open("/dev/full", "wb") as full, _cli(argv, unbuffered, stdout=full, stderr=subprocess.PIPE) as proc:
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert err == f"sigma-density: error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+    assert code == 1
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_is_an_error(unbuffered):
+    # With file descriptor 1 closed, the interpreter sets sys.stdout to None.
+    with _cli(ETA, unbuffered, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1)) as proc:
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert err == f"sigma-density: error: cannot write stdout: {os.strerror(errno.EBADF)}\n"
+    assert code == 1
+
+
+class _Trickle(io.RawIOBase):
+    """A raw file that takes at most 7 bytes a write."""
+
+    def __init__(self):
+        self.taken = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.taken += data[:7]
+        return min(len(data), 7)
+
+    def getvalue(self):
+        return bytes(self.taken)
+
+
+@pytest.mark.parametrize("binary", [_Trickle, io.BytesIO], ids=["raw-7-bytes", "buffered"])
+def test_stdout_takes_the_bytes_of_out(tmp_path, capsys, monkeypatch, binary):
+    argv = ["approximate", "--k", "2", "--r", "1.9", "--x", "0.5", "--steps", "1000"]
+    target = tmp_path / "out.json"
+    assert run(capsys, "--out", str(target), *argv) == (0, "", "")
+    layer = binary()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(layer, encoding="ascii"))
+    assert cli.main(argv) == 0
+    assert layer.getvalue() == target.read_bytes()
+
+
+@DEV_FULL
+def test_a_full_out_is_an_error(capsys):
+    code, out, err = run(capsys, "--out", "/dev/full", "eta", "--k", "3")
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    assert err == f"sigma-density: error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_out_file(tmp_path, capsys):

@@ -17,8 +17,11 @@ def _trial_division_primes(limit):
 
 
 def gap_lemma_loop(table):
-    """The gap check one index at a time in Python ints: the library's
-    loop before it ran in int64 arrays, kept as the oracle."""
+    """The gap check one index at a time in Python ints, kept as the
+    oracle: the library decides in one pass over int64 arrays, the verdict
+    by int64 squares and the argmax by the first argmax of double ratios;
+    here both are exact integer comparisons, the argmax the first index
+    of the largest ratio."""
     primes_ = table.slice(1, primes.GAP_SEARCH_INDEX)
     max_ratio_sq, argmax, checked, passed, excluded = (0, 1), 0, 0, True, []
     for j in range(1, primes.GAP_SEARCH_INDEX):
