@@ -292,3 +292,16 @@ def test_gap_lemma_decides_exactly_at_sqrt_2(table, j, reaches):
     report = primes.verify_gap_lemma(fake)
     assert report.passed is not reaches and report.argmax_index == j
     assert report == gap_lemma_loop(fake)
+
+
+def test_gap_lemma_takes_the_first_of_equal_largest_ratios(table):
+    # p_{j+1} / p_j set to 140/99, above every ratio of the table and below
+    # sqrt(2), at two indices, by values that need not be prime
+    values = table.slice(1, primes.GAP_SEARCH_INDEX).copy()
+    for j in (5000, 20000):
+        c = -(-int(values[j - 1]) // 99)
+        values[j - 1], values[j] = 99 * c, 140 * c
+    report = primes.verify_gap_lemma(_FixedTable(values))
+    assert report.passed and report.argmax_index == 5000
+    assert report.max_ratio == (140 * 140 / (99 * 99)) ** 0.5
+    assert report == gap_lemma_loop(_FixedTable(values))
