@@ -59,12 +59,20 @@ EXIT_USAGE = 64
 
 
 class Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors exit with EXIT_USAGE."""
+    """An argument parser whose usage errors exit with EXIT_USAGE, and
+    whose help goes to stdout through :func:`_write`, as every output
+    does, so that a closed or full stdout exits as a command's does."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
+
+    def _print_message(self, message, file=None):
+        if file is not None and file is not sys.stdout:
+            super()._print_message(message, file)
+        elif message:
+            _write([message.encode()], argparse.Namespace(out=None))
 
 
 def finite_float(text: str) -> float:
@@ -466,6 +474,9 @@ def main(argv=None) -> int:
         return _main(build_parser().parse_args(argv))
     except BrokenPipeError:
         # The reader closed stdout (``| head``); _write pointed it at devnull.
+        return EXIT_ERROR
+    except SigmaDensityError as exc:  # --help to a stdout that failed
+        print(f"sigma-density: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

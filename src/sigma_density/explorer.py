@@ -20,7 +20,7 @@ from .brackets import Bracket
 from .density import t_levels
 from .errors import CapacityError, DomainError, IndeterminateError, PrecisionError, check_k, check_r
 from .primes import PrimeTable, sieve
-from .zeta import SIGN_SIZE, exp_out, log_g_iv, to_iv
+from .zeta import SIGN_SIZE, exp_iv, log_g_iv, to_iv
 
 if TYPE_CHECKING:
     import numpy as np
@@ -243,7 +243,7 @@ class GapCensus:
     n <= bound, sorted ascending.  ``gaps`` are the adjacent spacings
     wider than the resolution, as a float64 table of one (left, right,
     width) row each; ``analytic_gaps`` overlays the certified first-level
-    forbidden intervals, their linear ends taken inward through ``zeta.exp_out``.
+    forbidden intervals, their linear ends taken inward through ``zeta.exp_iv``.
     """
 
     k: int
@@ -377,10 +377,10 @@ def census_values(table: PrimeTable, k: int, r: float, bound: int, resolution: f
     if _local_factor(2, 1, r) == 1.0:
         raise PrecisionError(f"every census value rounds to 1.0 at r = {r}")
 
-    # Each linear end is the inner double of exp_out's bracket at its log
+    # Each linear end is the inner double of exp_iv's bracket at its log
     # end (53 bits), so it stays inside the certified log-interval.
     analytic = tuple(
-        (m, Bracket.from_iv(exp_out(to_iv(lo), 53)).hi, Bracket.from_iv(exp_out(to_iv(hi), 53)).lo)
+        (m, Bracket.from_iv(exp_iv(to_iv(lo), 53)).hi, Bracket.from_iv(exp_iv(to_iv(hi), 53)).lo)
         for m, lo, hi in analytic_gap_scan(table, k, r, CENSUS_SCAN_LEVELS)
     )
     # A gap narrower than a few ulps of 1 has no inner double endpoints;

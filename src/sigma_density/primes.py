@@ -180,11 +180,14 @@ class GapLemmaReport:
 def verify_gap_lemma(table: PrimeTable) -> GapLemmaReport:
     """Check p_{j+1}^2 < 2 p_j^2 for all j not in {1,2,4} with p_j < 396738.
 
-    One exact pass decides: every prime here is below 2^20, so the squares
-    compare exactly in int64, and distinct ratios of such primes differ by
-    more than 2^-40, so their doubles, each within 2^-52, order them as the
-    integers do, and the first argmax of the doubles is the argmax.  The
-    excluded indices are reported with their (super-sqrt(2)) ratios.
+    One pass over the double ratios decides.  For primes p < q below 2^20,
+    q^2 - 2p^2 is a nonzero integer, so |q/p - sqrt(2)| = |q^2 - 2p^2| /
+    (p (q + p sqrt(2))) > 2^-42, while the double of q/p lies within 2^-52
+    of it and math.sqrt(2) within 2^-53 of sqrt(2): the ratio's double is
+    below math.sqrt(2) exactly when q^2 < 2p^2.  Distinct ratios of such
+    primes differ by more than 2^-40, so the doubles also order them as
+    the integers do, and the first argmax of the doubles is the argmax.
+    The excluded indices are reported with their (super-sqrt(2)) ratios.
     """
     if table.limit < GAP_SEARCH_BOUND:
         raise DomainError(
@@ -195,11 +198,7 @@ def verify_gap_lemma(table: PrimeTable) -> GapLemmaReport:
     except DomainError:
         raise DomainError("table must contain at least one prime beyond the search bound") from None
     ratio = primes[1:] / primes[:-1]  # p_{j+1} / p_j at position j - 1
-    square = primes * primes
-    below = square[1:] < 2 * square[:-1]
-    skipped = [j - 1 for j in GAP_EXCLUDED_INDICES]
-    below[skipped] = True
-    ratio[skipped] = 0
+    ratio[[j - 1 for j in GAP_EXCLUDED_INDICES]] = 0
     argmax = int(ratio.argmax())
     p, q = int(primes[argmax]), int(primes[argmax + 1])
     excluded = tuple((j, int(primes[j]) / int(primes[j - 1])) for j in GAP_EXCLUDED_INDICES)
@@ -208,6 +207,6 @@ def verify_gap_lemma(table: PrimeTable) -> GapLemmaReport:
         checked=len(ratio) - len(excluded),
         max_ratio=(q * q / (p * p)) ** 0.5,
         argmax_index=argmax + 1,
-        passed=bool(below.all()),
+        passed=bool(ratio[argmax] < math.sqrt(2)),
         excluded=excluded,
     )

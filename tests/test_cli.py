@@ -462,6 +462,10 @@ TSV_WALK = ["--format", "tsv", "approximate", "--k", "1", "--r", "1.5", "--x", "
 # main's handler: exit 120.  The reader closes its end before the write.
 ETA = ["eta", "--k", "3"]
 DENSITY = ["density", "--k", "1", "--r", "1.5"]
+# argparse writes the help and then raises SystemExit(0); the help goes
+# through the CLI's writer, as a command's output does.
+HELP = ["--help"]
+ETA_HELP = ["eta", "--help"]
 DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 
 
@@ -479,9 +483,11 @@ def _cli(argv, unbuffered, **kwargs):
 @pytest.mark.parametrize(
     "unbuffered, argv",
     [(False, CENSUS), (True, CENSUS), (False, TSV_WALK), (True, TSV_WALK)]
-    + [(False, ETA), (True, ETA), (False, DENSITY), (True, DENSITY)],
+    + [(False, ETA), (True, ETA), (False, DENSITY), (True, DENSITY)]
+    + [(False, HELP), (True, HELP), (False, ETA_HELP), (True, ETA_HELP)],
     ids=["buffered", "unbuffered", "tsv-buffered", "tsv-unbuffered"]
-    + ["eta-buffered", "eta-unbuffered", "density-buffered", "density-unbuffered"],
+    + ["eta-buffered", "eta-unbuffered", "density-buffered", "density-unbuffered"]
+    + ["help-buffered", "help-unbuffered", "eta-help-buffered", "eta-help-unbuffered"],
 )
 def test_closed_pipe_exits_without_a_traceback(unbuffered, argv):
     with _cli(argv, unbuffered, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
@@ -496,7 +502,7 @@ def test_closed_pipe_exits_without_a_traceback(unbuffered, argv):
 
 @DEV_FULL
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv", [ETA, CENSUS], ids=["eta", "census"])
+@pytest.mark.parametrize("argv", [ETA, CENSUS, HELP, ETA_HELP], ids=["eta", "census", "help", "eta-help"])
 def test_a_full_stdout_is_an_error(argv, unbuffered):
     with open("/dev/full", "wb") as full, _cli(argv, unbuffered, stdout=full, stderr=subprocess.PIPE) as proc:
         err = proc.stderr.read().decode()

@@ -29,8 +29,8 @@ SIEVE_RS = (1.0001, 1.5, 2.0, 2.6, 40.0)
 
 # The golden census, then k = 1..3 at r across the census range, among
 # them every r where an end by libm's exp, nudged one double inward, was
-# one double from the end that exp_out's bracket gives, in sweeps of 1101
-# and 2001 evenly spaced r in [1.5, 2.6].
+# one double from the end that the exp_out bracket of libmp's exp gave,
+# in sweeps of 1101 and 2001 evenly spaced r in [1.5, 2.6].
 CENSUS_ENDS = [(1, 2.0)] + [
     (k, r)
     for k in (1, 2, 3)
@@ -429,11 +429,11 @@ class TestCensus:
 
     @pytest.mark.parametrize("k, r", CENSUS_ENDS)
     def test_linear_ends_hold_the_certified_gap(self, table, monkeypatch, k, r):
-        # each gap's two ends take one exp_out each, and, against mpmath at
+        # each gap's two ends take one exp_iv each, and, against mpmath at
         # 50 digits, stay inside (G_k(r) / prod_{i<=m} LF(p_i), 1 + p_m^-r)
         calls = []
-        exp_out = explorer.exp_out
-        monkeypatch.setattr(explorer, "exp_out", lambda t, prec: calls.append(t) or exp_out(t, prec))
+        exp_iv = explorer.exp_iv
+        monkeypatch.setattr(explorer, "exp_iv", lambda t, prec: calls.append(t) or exp_iv(t, prec))
         census = explorer.range_census(table, k, r, 10)
         assert census.analytic_gaps
         assert len(calls) == 2 * len(census.analytic_gaps)

@@ -294,6 +294,22 @@ def test_gap_lemma_decides_exactly_at_sqrt_2(table, j, reaches):
     assert report == gap_lemma_loop(fake)
 
 
+def test_gap_lemma_verdict_on_doubles_is_the_integer_comparison(table):
+    # at every j the lemma checks, and at every p below 2^20 with each q
+    # whose ratio q / p is one of the four nearest sqrt(2): the double ratio
+    # is below math.sqrt(2) exactly where q^2 < 2 p^2
+    values = table.slice(1, primes.GAP_SEARCH_INDEX)
+    p, q = values[:-1], values[1:]
+    assert np.array_equal(q / p < math.sqrt(2), q * q < 2 * p * p)
+    assert [b / a < math.sqrt(2) for a, b in zip(p.tolist(), q.tolist())] == [
+        b * b < 2 * a * a for a, b in zip(p.tolist(), q.tolist())
+    ]
+    p = np.arange(1, 1 << 20, dtype=np.int64)
+    nearest = np.floor(p * math.sqrt(2)).astype(np.int64)
+    for q in (nearest - 1, nearest, nearest + 1, nearest + 2):
+        assert np.array_equal(q / p < math.sqrt(2), q * q < 2 * p * p)
+
+
 def test_gap_lemma_takes_the_first_of_equal_largest_ratios(table):
     # p_{j+1} / p_j set to 140/99, above every ratio of the table and below
     # sqrt(2), at two indices, by values that need not be prime

@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv
-from mpmath.libmp import from_float, mpf_exp, mpf_mul, mpi_neg, round_ceiling
+from fractions import Fraction
+
+from mpmath.libmp import from_float, from_man_exp, mpi_neg
 
 from oracles import contains, enclosure_width, encloses, iv_pow, mpf_fraction, taylor_exp, zeta_mpi
-from sigma_density import density, explorer, solver, zeta as zmod
+from sigma_density import cli, density, explorer, solver, zeta as zmod
 from sigma_density.brackets import Bracket, check_eps
 from sigma_density.errors import DomainError, PrecisionError, check_r
 from sigma_density.solver import ETA_TABLE_MAX_K
+from test_golden import GOLDEN
 
 PI = math.pi
 
@@ -194,22 +197,22 @@ class TestKernel:
         assert_agrees_with_the_oracle(kernel(cell), zeta_iv_oracle(iv.mpf(cell)))
 
     def test_one_exp_per_prime_up_to_the_term_count(self, monkeypatch):
-        # one exp per prime at a point s, padded for both ends by exp_out;
-        # a cell takes one at each end
+        # one exp per prime at a point s, padded for both ends; a cell takes
+        # one at each end
         calls = []
-        exp = zmod.mpf_exp
+        exp_at = zmod._exp_at
 
-        def spy(x, prec, rounding):
-            calls.append(prec)
-            return exp(x, prec, rounding)
+        def spy(man, exp, width, plan):
+            calls.append(plan)
+            return exp_at(man, exp, width, plan)
 
-        monkeypatch.setattr(zmod, "mpf_exp", spy)
+        monkeypatch.setattr(zmod, "_exp_at", spy)
         # 2, 3, 5, 7, 11 and, at N = 25, also 13, 17, 19, 23
         for size, primes in ((zmod.FULL_SIZE, 9), (zmod.SIGN_SIZE, 5)):
             for s, ends in ((1.88, 1), ([1.8, 1.9], 2)):
                 calls.clear()
                 kernel(s, size)
-                assert calls == [size.prec + zmod.GUARD_BITS] * (ends * primes)
+                assert calls == [zmod._exp_plan(size.prec)] * (ends * primes)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -311,24 +314,41 @@ class TestKernel:
             assert mpmath.mpf(b.lo) <= reference <= mpmath.mpf(b.hi)
 
 
-class TestExpOut:
-    """zeta.exp_out's padded ends against oracles.taylor_exp, an enclosure
-    of exp from Python integers alone: mpf_exp is trusted to within one
-    ulp at its working precision, and the pad must cover that."""
+def dyadic(man, exp):
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def assert_holds_the_taylor_enclosure(calls):
+    """Each recorded exp over [lo 2^exp, hi 2^exp], (a, ea, b, eb), holds
+    oracles.taylor_exp's enclosure of exp at each end."""
+    for (lo, hi, exp, prec), (a, ea, b, eb) in calls.items():
+        assert dyadic(a, ea) <= taylor_exp(from_man_exp(lo, exp))[0], (lo, exp, prec)
+        assert taylor_exp(from_man_exp(hi, exp))[1] <= dyadic(b, eb), (hi, exp, prec)
+
+
+def record_exps(monkeypatch):
+    """A dict that records every call of zeta._exp_ends and its result."""
+    calls = {}
+    exp_ends = zmod._exp_ends
+
+    def spy(lo, hi, exp, prec):
+        calls[lo, hi, exp, prec] = result = exp_ends(lo, hi, exp, prec)
+        return result
+
+    monkeypatch.setattr(zmod, "_exp_ends", spy)
+    return calls
+
+
+class TestIntegerExp:
+    """zeta's exp on Python integers against oracles.taylor_exp, an
+    enclosure of exp computed apart from it, and ln 2 and log p against
+    mpmath; the pad's bound against the exact Taylor tail."""
 
     def test_padded_ends_hold_the_taylor_enclosure(self, table, monkeypatch):
         # every exp that the density verdicts and the census of the golden
         # files, a root and the verify suites take, with (k + 1) r at a
-        # rounded argument
-        calls = {}
-        exp_out = zmod.exp_out
-
-        def spy(t, prec):
-            calls[t, prec] = exp_out(t, prec)
-            return calls[t, prec]
-
-        monkeypatch.setattr(zmod, "exp_out", spy)
-        monkeypatch.setattr(explorer, "exp_out", spy)
+        # rounded argument, and the kernel's cells at both sizes
+        calls = record_exps(monkeypatch)
         for k, r in ((1, 1.5), (5, 1.87), (2, 40.0), (30, 1.9), (1, 195.0), (1000, 1.8876543)):
             density.density_report(table, k, r)
         assert explorer.range_census(table, 1, 2.0, 1000).analytic_gaps
@@ -340,32 +360,97 @@ class TestExpOut:
         density.check_monotonicity(table)
         density.check_selector(table)
         assert len(calls) > 300
-        for ((a, b), prec), (lo, hi) in calls.items():
-            assert mpf_fraction(lo) <= taylor_exp(a)[0], (a, prec)
-            assert taylor_exp(b)[1] <= mpf_fraction(hi), (b, prec)
+        assert_holds_the_taylor_enclosure(calls)
 
-    def test_the_pad_covers_an_exp_rounded_to_the_wrong_side(self):
+    def test_every_exp_of_the_golden_commands_holds_the_taylor_enclosure(self, monkeypatch, capsysbinary):
+        # the sixteen golden-file commands, the verify suites among them
+        calls = record_exps(monkeypatch)
+        for argv in GOLDEN.values():
+            assert cli.main(argv) == 0
+        capsysbinary.readouterr()
+        assert {prec for *_, prec in calls} == {53, zmod.SIGN_SIZE.prec, zmod.FULL_SIZE.prec}
+        assert len(calls) > 1000
+        assert_holds_the_taylor_enclosure(calls)
+
+    @pytest.mark.parametrize("prec", [53, 80, 200])
+    @pytest.mark.parametrize(
+        "x",
+        [0.0, 5e-324, -5e-324, 1e-30, -1e-30, 0.5, -0.5, math.log(2), -math.log(2), 2.0, -3.0, 100.0, -646.0, 2000.0]
+        + [j * math.log(2) - d for j in (-3, 1, 7) for d in (1e-12, 0.0)],
+    )
+    def test_an_argument_holds_the_taylor_enclosure(self, x, prec):
+        # at zero, at tiny arguments of either sign, and beside multiples
+        # of ln 2, where the reduced argument is near 0 or near ln 2
+        man, exp = zmod._signed(from_float(x))
+        result = zmod._exp_ends(man, man, exp, prec)
+        assert_holds_the_taylor_enclosure({(man, man, exp, prec): result})
+        a, ea, b, eb = result
+        assert ea == eb and (b - a) < a >> (prec + zmod.GUARD_BITS)
+
+    @pytest.mark.parametrize("x", [-(2.0**100), 2.0**60, -1e308])
+    def test_a_huge_argument_holds_mpmath_exp(self, x):
+        # ln 2 to bits of n past the work precision; mpmath's exp at 300
+        # bits is far inside the bracket
+        man, exp = zmod._signed(from_float(x))
+        a, ea, b, eb = zmod._exp_ends(man, man, exp, 200)
+        with mpmath.workprec(300):
+            value = mpmath.exp(mpmath.mpf(x))
+            assert mpmath.mpf(from_man_exp(a, ea)) < value < mpmath.mpf(from_man_exp(b, eb))
+            assert mpmath.mpf(from_man_exp(b - a, eb)) < value * mpmath.ldexp(1, -210)
+
+    def test_one_exp_at_a_narrow_interval_two_at_a_wide_one(self, monkeypatch):
+        calls = []
+        exp_at = zmod._exp_at
+        monkeypatch.setattr(zmod, "_exp_at", lambda *args: calls.append(args) or exp_at(*args))
+        narrow = zmod.log_prime(3, 300)  # about 2^-315 wide
+        for t, exps in ((narrow, 1), ((narrow[0], narrow[0]), 1), (zmod.to_iv(1.0)[:1] + narrow[1:], 2)):
+            calls.clear()
+            lo, hi = zmod.exp_iv(t, 200)
+            assert len(calls) == exps
+            assert mpf_fraction(lo) <= taylor_exp(t[0])[0] and taylor_exp(t[1])[1] <= mpf_fraction(hi)
+
+    def test_holds_the_power_where_libmp_rounded_to_the_wrong_side(self):
         # In the cover at p = 19 and the cell end r = 2.291669791666667,
-        # mpf_exp(x, 200, round_ceiling) returns 6.5e-62 below exp(x); the
-        # padded power holds it.
+        # libmp's mpf_exp(x, 200, round_ceiling) returned 6.5e-62 below
+        # exp(x) at the upper end x of r log 19.
         r = 2.291669791666667
-        x = mpf_mul(from_float(r), zmod.log_prime(19, 200)[1], 200, round_ceiling)
-        assert mpf_fraction(mpf_exp(x, 200, round_ceiling)) < taylor_exp(x)[0]
         lo, hi = zmod.prime_power(19, zmod.to_iv(r), 200)
         with mpmath.workprec(3000):
             power = mpmath.power(19, mpmath.mpf(r))
             assert mpmath.mpf(lo) < power < mpmath.mpf(hi)
 
-    def test_one_exp_at_a_narrow_interval_two_at_a_wide_one(self, monkeypatch):
-        calls = []
-        exp = zmod.mpf_exp
-        monkeypatch.setattr(zmod, "mpf_exp", lambda x, prec, rnd: calls.append(x) or exp(x, prec, rnd))
-        narrow = zmod.log_prime(3, 300)  # about 2^-299 wide
-        for t, exps in ((narrow, 1), ((narrow[0], narrow[0]), 1), (zmod.to_iv(1.0)[:1] + narrow[1:], 2)):
-            calls.clear()
-            lo, hi = zmod.exp_out(t, 200)
-            assert len(calls) == exps
-            assert mpf_fraction(lo) <= taylor_exp(t[0])[0] and taylor_exp(t[1])[1] <= mpf_fraction(hi)
+    @pytest.mark.parametrize("prec", [53, 80, 200])
+    def test_the_pad_covers_the_rounding_and_the_exact_taylor_tail(self, prec):
+        # the pad of _exp_plan's docstring, with the exact remainder of the
+        # series at the largest reduced argument v = ln 2 / 2^K in place of
+        # its bound 2 t_{J+1}: the plan's pad is no smaller
+        plan = zmod._exp_plan(prec)
+        w, halvings, terms = plan.work, plan.halvings, plan.terms
+        assert plan.coeffs == tuple((1 << w) // math.factorial(j) for j in range(terms, -1, -1))
+        with mpmath.workprec(w + 100):
+            v = mpmath.log(2) / 2**halvings
+            tail = mpmath.exp(v) - sum(v**j / mpmath.factorial(j) for j in range(terms + 1))
+            pad = 3 + int(mpmath.ceil(tail * 2**w))
+        assert 0 < tail * 2**w <= zmod.TAYLOR_TAIL
+        for i in range(halvings):
+            top = (1 << w) + (1 << (w - halvings + i))
+            pad = ((2 * top + pad) * pad >> w) + 2
+        assert plan.pad >= pad
+        # and the result is within 2^-(F + 3) of exp, relative
+        assert plan.pad < 1 << (w - prec - zmod.GUARD_BITS - 3)
+
+    @pytest.mark.parametrize("bits", [64, 216, 1000, 14000])
+    def test_ln2_and_log_p_hold_mpmath_within_two_units(self, bits):
+        with mpmath.workprec(bits + 100):
+            for p, (lo, hi) in [(2, zmod._ln2(bits))] + [(p, zmod._log_units(p, bits)) for p in (2, 3, 23, 1999993)]:
+                value = mpmath.log(p) * mpmath.mpf(2) ** bits
+                assert lo < value < hi and hi - lo <= 2, p
+
+    def test_log_prime_is_the_image_of_the_integer_log(self):
+        for p in (2, 3, 19, 1999993):
+            for prec in (53, 80, 200):
+                lo, hi = zmod._log_units(p, prec + zmod.GUARD_BITS)
+                assert zmod.log_prime(p, prec) == (from_man_exp(lo, -prec - 16), from_man_exp(hi, -prec - 16))
 
 
 class TestZeta:
