@@ -180,12 +180,12 @@ class GapLemmaReport:
 def verify_gap_lemma(table: PrimeTable) -> GapLemmaReport:
     """Check p_{j+1}^2 < 2 p_j^2 for all j not in {1,2,4} with p_j < 396738.
 
-    One pass over the double ratios decides.  For primes p < q below 2^20,
+    One pass over the double ratios decides.  For integers p < q below 2^20,
     q^2 - 2p^2 is a nonzero integer, so |q/p - sqrt(2)| = |q^2 - 2p^2| /
     (p (q + p sqrt(2))) > 2^-42, while the double of q/p lies within 2^-52
     of it and math.sqrt(2) within 2^-53 of sqrt(2): the ratio's double is
     below math.sqrt(2) exactly when q^2 < 2p^2.  Distinct ratios of such
-    primes differ by more than 2^-40, so the doubles also order them as
+    integers differ by more than 2^-40, so the doubles also order them as
     the integers do, and the first argmax of the doubles is the argmax.
     The excluded indices are reported with their (super-sqrt(2)) ratios.
     """

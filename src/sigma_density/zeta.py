@@ -100,8 +100,9 @@ def _atanh_series(a: int, b: int, bits: int) -> tuple[int, int]:
 
 def _guard(bits: int) -> int:
     """Bits that the series of :func:`_atanh_series` run beyond ``bits``:
-    its at most 4(bits + guard)/3 + 4 units of width, and e times ln 2's
-    for e < 64, are then at most one unit at ``bits``."""
+    its width, 4J + 4 units for J <= (bits + guard)/3 + 1 terms, and e
+    times ln 2's for e < 64, stay below one unit at ``bits``, so the ends
+    rounded out to ``bits`` are at most 2 units apart."""
     return bits.bit_length() + 5
 
 
