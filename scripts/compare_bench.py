@@ -19,10 +19,16 @@ The summary, written to DIR/compare.json, has the layout
 of the repository's BENCH_*.json files: per workload and end-to-end
 metric of BENCHMARK.json, the pairs, the change's wins (better in the
 direction BENCHMARK.json gives), both medians, both quartiles
-(statistics.quantiles, n=4) and the ratio of the medians; with
-``--claim METRIC``, the ``claim`` block for that metric on the first
-workload adds the parent's quartile spread and the median gain; and
-``pairs`` holds every run's metrics, correctness and failed requests.
+(statistics.quantiles, n=4), the ratio of the medians, the metric's
+``bound`` and ``within_bound``: whether the change's median is worse than
+the parent's by no more than that fraction, in the metric's direction.
+Every metric past its bound is printed.  With ``--claim METRIC``, which
+must name an end-to-end metric of the change's BENCHMARK.json, the
+``claim`` block for that metric on the first workload adds the parent's
+quartile spread, the median gain and ``holds``: at least 9 of 10 pairs
+won and a median gain above that spread; a claim with no complete pair
+does not hold.  ``pairs`` holds every run's metrics, correctness and
+failed requests.
 """
 
 from __future__ import annotations
@@ -112,9 +118,21 @@ def run_once(runner, root, side, workload, seed, seconds, logs) -> dict:
     return result
 
 
-def summary(parent: list[float], change: list[float], better: str) -> dict:
+def end_to_end_metrics(rev: str) -> dict[str, dict]:
+    """The end-to-end metrics of BENCHMARK.json at ``rev``, by name."""
+    shown = subprocess.run(["git", "show", f"{rev}:BENCHMARK.json"], capture_output=True, text=True)
+    if shown.returncode:
+        raise ValueError(shown.stderr.strip())
+    return {m["name"]: m for m in json.loads(shown.stdout)["end_to_end"]}
+
+
+def summary(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
     parent_median, change_median = statistics.median(parent), statistics.median(change)
+    if better == "lower":
+        within = change_median <= parent_median * (1 + bound)
+    else:
+        within = change_median >= parent_median * (1 - bound)
 
     def quartiles(values):
         if len(values) < 2:
@@ -130,6 +148,8 @@ def summary(parent: list[float], change: list[float], better: str) -> dict:
         "parent_quartiles": quartiles(parent),
         "change_quartiles": quartiles(change),
         "ratio": round(change_median / parent_median, 4) if parent_median else None,
+        "bound": bound,
+        "within_bound": within,
     }
 
 
@@ -140,8 +160,6 @@ def compare(args, runner=subprocess_runner) -> dict:
     revs = {"parent": args.parent, "change": args.change}
     for side in SIDES:
         export(revs[side], os.path.join(root, side))
-    with open(os.path.join(root, "change", "BENCHMARK.json")) as f:
-        better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
 
     pairs, end_to_end = {}, {}
     for workload in args.workload:
@@ -165,13 +183,14 @@ def compare(args, runner=subprocess_runner) -> dict:
                 flush=True,
             )
         blocks = end_to_end[workload] = {}
-        for metric, direction in better.items():
+        for metric, entry in args.metrics.items():
             complete = [r for r in records if metric in r["parent"] and metric in r["change"]]
             if complete:
                 blocks[metric] = summary(
                     [r["parent"][metric] for r in complete],
                     [r["change"][metric] for r in complete],
-                    direction,
+                    entry["better"],
+                    entry["bound"],
                 )
 
     report = {
@@ -181,17 +200,21 @@ def compare(args, runner=subprocess_runner) -> dict:
         "change": resolve(args.change),
     }
     if args.claim:
-        workload = args.workload[0]
-        block = dict(end_to_end[workload][args.claim])
-        q1, q3 = block["parent_quartiles"]
-        gain = block["change_median"] - block["parent_median"]
-        if better[args.claim] == "lower":
-            gain = -gain
-        report["claim"] = {"workload": workload, "metric": args.claim, "better": better[args.claim]}
-        report["claim"] |= block | {
-            "parent_quartile_spread": round(q3 - q1, 6),
-            "median_gain": round(gain, 6),
-        }
+        workload, better = args.workload[0], args.metrics[args.claim]["better"]
+        claim = report["claim"] = {"workload": workload, "metric": args.claim, "better": better}
+        block = end_to_end[workload].get(args.claim)
+        if block is None:
+            claim |= {"pairs": 0, "holds": False}
+        else:
+            q1, q3 = block["parent_quartiles"]
+            gain = block["change_median"] - block["parent_median"]
+            if better == "lower":
+                gain = -gain
+            claim |= block | {
+                "parent_quartile_spread": round(q3 - q1, 6),
+                "median_gain": round(gain, 6),
+            }
+            claim["holds"] = 10 * claim["change_wins"] >= 9 * claim["pairs"] and gain > q3 - q1
     report["end_to_end"] = end_to_end
     report["pairs"] = pairs
     return report
@@ -212,6 +235,12 @@ def parse(argv):
         parser.error("--pairs must be at least 1")
     if os.path.exists(args.out) and os.listdir(args.out):
         parser.error(f"--out {args.out} is not empty")
+    try:
+        args.metrics = end_to_end_metrics(args.change)
+    except ValueError as exc:
+        parser.error(f"no BENCHMARK.json at --change {args.change}: {exc}")
+    if args.claim is not None and args.claim not in args.metrics:
+        parser.error(f"--claim {args.claim} is not an end-to-end metric: choose from {', '.join(args.metrics)}")
     args.argv = list(argv)
     return args
 
@@ -224,17 +253,26 @@ def main(argv=None, runner=subprocess_runner) -> int:
     with open(path, "w") as f:
         json.dump(report, f, indent=2)
         f.write("\n")
+    for workload, blocks in report["end_to_end"].items():
+        for metric, block in blocks.items():
+            if not block["within_bound"]:
+                print(
+                    f"{metric} on {workload} past its bound of {block['bound']:g}: change median "
+                    f"{block['change_median']:g} against the parent's {block['parent_median']:g}"
+                )
     if "claim" in report:
         claim = report["claim"]
-        holds = (
-            10 * claim["change_wins"] >= 9 * claim["pairs"]
-            and claim["median_gain"] > claim["parent_quartile_spread"]
-        )
+        if claim["pairs"]:
+            evidence = (
+                f"{claim['change_wins']} of {claim['pairs']} pairs won, median gain "
+                f"{claim['median_gain']:g} against the parent's quartile spread "
+                f"{claim['parent_quartile_spread']:g}"
+            )
+        else:
+            evidence = "no complete pair"
         print(
-            f"claim {claim['metric']} on {claim['workload']}: {claim['change_wins']} of "
-            f"{claim['pairs']} pairs won, median gain {claim['median_gain']:g} against the "
-            f"parent's quartile spread {claim['parent_quartile_spread']:g}: "
-            + ("holds" if holds else "does not hold")
+            f"claim {claim['metric']} on {claim['workload']}: {evidence}: "
+            + ("holds" if claim["holds"] else "does not hold")
         )
     print(f"wrote {path}")
     return 0

@@ -3,24 +3,28 @@
 For a prime budget of k repetitions and exponent r > 1, the range of the
 restricted divisor sum is dense in [1, G_k(r)) exactly when the statistic
 
-    T_k(m, r) = log(1 + p_m^{-r}) - sum_{i>m} log(local factor at p_i)
+    T_k(m, r) = log(1 + p_m^{-r}) - sum_{i>m} log LF_k(p_i)
 
 is <= 0 for every m; for r in (1, 2] it suffices to test m in {1, 2, 4}.
-k may be math.inf, the unrestricted sum: its local factor at p is
-1/(1 - p^-r) and G_inf(r) = zeta(r).  A positive T at some m certifies
-a forbidden open interval in the log range.  T and that interval have
-one interval route, :func:`t_levels`.  :func:`t_at` takes its one level
-m over an interval r, for :func:`t_func`, the selector's cover claims
-and the solver's printed values; :func:`density_report` reads m in
-{1, 2, 4} and ``explorer.analytic_gap_scan`` the gaps of 1..M.  The
-solver's sign tests first read the sign of T from a log-free comparison
-of products (:func:`t_sign`), and where that is undecided take the sign
-of the printed full-size T bracket.  Both run on ``mpmath.libmp`` interval
-tuples: the printed route at ``FULL_SIZE.prec``, the product test at
-``SIGN_SIZE.prec``.  Each p^-r and p^-(k+1)r with p <= N comes from the
-table that the evaluation of zeta(r) or zeta((k+1)r) returns
-(``zeta.zeta_iv``), so T's cost does not grow with k; a prime beyond N
-takes exp(-s log p) with log p taken once per prime (``zeta.prime_power``).
+LF_k(p) = (1 - p^-(k+1)r)/(1 - p^-r) is the local factor of the Euler
+product G_k(r) = zeta(r)/zeta((k+1)r) = prod_p LF_k(p).  k may be
+math.inf, the unrestricted sum: LF_inf(p) = 1/(1 - p^-r) and
+G_inf(r) = zeta(r).  A positive T at some m certifies a forbidden open
+interval in the log range.  Every LF_k(p_i) comes from one generator,
+:func:`_local_factors`.  T and that interval have one interval route,
+:func:`t_levels`, which sums the factors' logs: :func:`t_at` takes its
+one level m over an interval r, for :func:`t_func`, the selector's
+cover claims and the solver's printed values; :func:`density_report`
+reads m in {1, 2, 4} and ``explorer.analytic_gap_scan`` the gaps of
+1..M.  The solver's sign tests first read the sign of T from the same
+factors multiplied, with no log (:func:`t_sign`), and where that is
+undecided take the sign of the printed full-size T bracket.  Both run
+on ``mpmath.libmp`` interval tuples: the printed route at
+``FULL_SIZE.prec``, the sign test at ``SIGN_SIZE.prec``.  Each p^-r and
+p^-(k+1)r with p <= N comes from the table that the evaluation of
+zeta(r) or zeta((k+1)r) returns (``zeta.zeta_iv``), so T's cost does
+not grow with k; a prime beyond N takes exp(-s log p) with log p taken
+once per prime (``zeta.prime_power``).
 Everything here returns certified brackets, and verdicts are three-valued
 (dense / not_dense / undetermined) so float artifacts can never silently
 misclassify a near-threshold input.  The standing inequalities and the
@@ -35,6 +39,7 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import count, islice
 
 from mpmath import fp
 from mpmath.libmp import (
@@ -76,44 +81,52 @@ def _check_kmr(k: int | float, m: int, r: float) -> None:
     check_r(r)
 
 
-def _power(p: int, minus_r: tuple, powers: list, prec: int) -> tuple:
-    """p^-r: the entry of ``powers``, a zeta evaluation's table of n^-r,
-    where that holds p, else exp(-r log p)."""
-    return powers[p] if p < len(powers) else prime_power(p, minus_r, prec)
+def _local_factors(
+    table: PrimeTable, k: int | float, r: tuple, powers: list, powers_k: list | None, prec: int
+) -> Iterator[tuple[tuple, tuple]]:
+    """(x_i, LF_k(p_i)) for i = 1, 2, ...: x_i = p_i^-r and the local
+    factor LF_k(p_i) = (1 - x_i^{k+1})/(1 - x_i) of G_k(r)'s Euler
+    product, or 1/(1 - x_i) where ``powers_k`` is None (k = inf), on
+    interval tuples at ``prec``.  x_i and x_i^{k+1} are the entries for p_i
+    of ``powers`` and ``powers_k``, the tables of zeta(r) and zeta((k+1)r)
+    at ``prec``, where they hold p_i, else exp(-s log p_i)
+    (``zeta.prime_power``), so the cost does not grow with k."""
+    minus_r = mpi_neg(r, prec)
+    if powers_k is not None:
+        minus_kr = mpi_neg(scale(k + 1, r, prec), prec)
+    for i in count(1):
+        p = table.nth(i)
+        x = powers[p] if p < len(powers) else prime_power(p, minus_r, prec)
+        kept = ONE
+        if powers_k is not None:
+            kept = mpi_sub(ONE, powers_k[p] if p < len(powers_k) else prime_power(p, minus_kr, prec), prec)
+        yield x, mpi_div(kept, mpi_sub(ONE, x, prec), prec)
 
 
 def t_levels(
     table: PrimeTable, k: int | float, r: tuple, log_g: tuple[tuple, list, list | None], ms: Iterable[int]
 ) -> Iterator[tuple[int, Bracket, tuple[float, float] | None]]:
-    """T_k(m, r) = log(1 + p_m^{-r}) - sum_{i>m} log(local factor at p_i)
-    for each m of the strictly ascending ``ms``, on interval tuples at
-    FULL_SIZE.prec.  The tail is log G_k(r) minus the prefix sum_{i<=m} of
-    the log local factor at p_i, log((1 - x^{k+1})/(1 - x)), or
-    log(1/(1 - x)) at k = inf, with x = p_i^-r.  ``log_g`` is what
-    ``zeta.log_g_iv(k, r)`` returns: the interval of log G_k(r) and the
-    tables of zeta(r) and zeta((k+1)r), which x and x^{k+1} are read from
-    (by :func:`_power`), so the cost does not grow with k.
+    """T_k(m, r) = log(1 + p_m^{-r}) - sum_{i>m} log LF_k(p_i) for each m
+    of the strictly ascending ``ms``, on interval tuples at FULL_SIZE.prec.
+    The tail is log G_k(r) minus the prefix sum_{i<=m} log LF_k(p_i), the
+    logs of the factors that :func:`_local_factors` yields.  ``log_g`` is
+    what ``zeta.log_g_iv(k, r)`` returns: the interval of log G_k(r) and
+    the tables of zeta(r) and zeta((k+1)r) that the factors read.
 
     Yields (m, T bracket, gap), where gap is the certified forbidden core
     at level m, the doubles (log G_k(r) - prefix rounded up,
     log(1 + p_m^-r) rounded down), when T is certified positive and None
     otherwise.  The prefix is carried from one level to the next, and the
-    head reuses the p_m^-r its last term took, so a scan over m = 1..M
+    head reuses the p_m^-r its last factor took, so a scan over m = 1..M
     costs M local factors and no zeta evaluation.
     """
     prec = FULL_SIZE.prec
     log_g, powers, powers_k = log_g
-    minus_r = mpi_neg(r, prec)
-    if powers_k is not None:
-        minus_kr = mpi_neg(scale(k + 1, r, prec), prec)
+    factors = _local_factors(table, k, r, powers, powers_k, prec)
     prefix = fzero, fzero
     done = 0
     for m in ms:
-        for i in range(done + 1, m + 1):
-            p = table.nth(i)
-            x = _power(p, minus_r, powers, prec)
-            kept = ONE if powers_k is None else mpi_sub(ONE, _power(p, minus_kr, powers_k, prec), prec)
-            local = mpi_div(kept, mpi_sub(ONE, x, prec), prec)
+        for x, local in islice(factors, m - done):
             prefix = mpi_add(prefix, mpi_log(local, prec), prec)
         done = m
         head = mpi_log(mpi_add(ONE, x, prec), prec)
@@ -138,41 +151,25 @@ def t_func(table: PrimeTable, k: int | float, m: int, r: float) -> Bracket:
     return t_at(table, k, m, to_iv(r))
 
 
-def _euler_prefix(table: PrimeTable, m: int, minus_s: tuple, powers: list, prec: int) -> tuple:
-    """prod_{i<=m} (1 - p_i^-s), each p_i^-s read from ``powers``, the table
-    of zeta(s)'s evaluation, where that holds it."""
-    product = ONE
-    for i in range(1, m + 1):
-        x = _power(table.nth(i), minus_s, powers, prec)
-        product = mpi_mul(product, mpi_sub(ONE, x, prec), prec)
-    return product
-
-
 def t_sign(table: PrimeTable, k: int | float, m: int, r: float) -> int | None:
     """The certified sign of T_k(m, r), with zeta at SIGN_SIZE, or None
-    where it is not decided.  exp(T) is a ratio of products, so
+    where it is not decided.  exp(T) = (1 + x_m) prod_{i<=m} LF_k(p_i) / G_k(r),
+    with x_i = p_i^-r, so
 
-        T > 0  <=>  (1 + x_m) zeta((k+1)r) prod_{i<=m} (1 - x_i^{k+1})
-                        > zeta(r) prod_{i<=m} (1 - x_i),   x_i = p_i^-r,
+        T > 0  <=>  (1 + x_m) zeta((k+1)r) prod_{i<=m} LF_k(p_i) > zeta(r),
 
-    and the test takes no log.  x_i and x_i^{k+1} are the entries for p_i
-    of the tables of zeta(r) and zeta((k+1)r), at SIGN_SIZE.prec.
-    At k = inf, x_i^{k+1} = 0 and zeta((k+1)r) = 1."""
+    and the test takes no log.  The factors are those of :func:`t_levels`,
+    from :func:`_local_factors` on the tables of zeta(r) and zeta((k+1)r)
+    at SIGN_SIZE.prec; at k = inf, zeta((k+1)r) = 1 and there is no
+    second table."""
     _check_kmr(k, m, r)
     prec = SIGN_SIZE.prec
     r_iv = to_iv(r)
-    minus_r = mpi_neg(r_iv, prec)
     zeta_r, powers = zeta_iv(r_iv, SIGN_SIZE)
-    dropped = _euler_prefix(table, m, minus_r, powers, prec)
-    if k == math.inf:
-        zeta_kr = kept = ONE
-    else:
-        kr = scale(k + 1, r_iv, prec)
-        zeta_kr, powers_k = zeta_iv(kr, SIGN_SIZE)
-        kept = _euler_prefix(table, m, mpi_neg(kr, prec), powers_k, prec)
-    x = _power(table.nth(m), minus_r, powers, prec)
-    lhs = mpi_mul(mpi_mul(mpi_add(ONE, x, prec), zeta_kr, prec), kept, prec)
-    difference = mpi_sub(lhs, mpi_mul(zeta_r, dropped, prec), prec)
+    product, powers_k = (ONE, None) if k == math.inf else zeta_iv(scale(k + 1, r_iv, prec), SIGN_SIZE)
+    for x, local in islice(_local_factors(table, k, r_iv, powers, powers_k, prec), m):
+        product = mpi_mul(product, local, prec)
+    difference = mpi_sub(mpi_mul(mpi_add(ONE, x, prec), product, prec), zeta_r, prec)
     return Bracket.from_iv(difference).certified_sign()
 
 

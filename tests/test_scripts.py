@@ -100,8 +100,8 @@ def two_commits(tmp_path):
     (repo / "perfbench").mkdir()
     (repo / "perfbench" / "run.py").write_text("# stand-in\n")
     metrics = [
-        {"name": "roots_per_s", "better": "higher"},
-        {"name": "verify_s", "better": "lower"},
+        {"name": "roots_per_s", "better": "higher", "bound": 0.25},
+        {"name": "verify_s", "better": "lower", "bound": 0.25},
     ]
     (repo / "BENCHMARK.json").write_text(json.dumps({"end_to_end": metrics}))
     (repo / "elsewhere.txt").write_text("not exported\n")
@@ -119,8 +119,9 @@ def test_compare_bench_alternates_keeps_logs_and_summarises(
     calls = []
 
     def stub(argv, cwd, stdout, stderr, on_line):
-        # the exported tree tells the side; the change is faster on every
-        # seed but the last, whose parent run prints a CLOCK line
+        # the exported tree tells the side; the change verifies faster on
+        # every seed but the last, whose parent run prints a CLOCK line, and
+        # solves 30% fewer roots, past the bound of 25%
         side = (pathlib.Path(cwd) / "src" / "side.txt").read_text()
         seed = int(argv[argv.index("--seed") + 1])
         calls.append((side, seed, argv[argv.index("--workload") + 1]))
@@ -131,7 +132,7 @@ def test_compare_bench_alternates_keeps_logs_and_summarises(
         if side == "parent" and seed == 104:
             lines.append("  CLOCK: eta requests took over 2x their CPU time in wall time\n")
         metrics = {
-            "roots_per_s": {"value": 400.0 + seed, "unit": "1/s"},
+            "roots_per_s": {"value": (400.0 + seed) * (0.7 if side == "change" else 1), "unit": "1/s"},
             "verify_s": {"value": verify, "unit": "s"},
         }
         lines.append(json.dumps({"correct": len(lines) == 1, "failed": 0, "metrics": metrics}) + "\n")
@@ -158,6 +159,8 @@ def test_compare_bench_alternates_keeps_logs_and_summarises(
     printed = capsys.readouterr().out
     assert "point-104-parent: CLOCK: eta requests took over 2x" in printed
     assert "claim verify_s on point: 4 of 5 pairs won" in printed
+    assert "roots_per_s on point past its bound of 0.25: change median 351.4 against the parent's 502" in printed
+    assert "verify_s on point past" not in printed
     assert (out / "logs" / "point-104-parent.err").read_text() == "err parent 104\n"
     assert "CLOCK" in (out / "logs" / "point-104-parent.out").read_text()
     report = json.loads((out / "compare.json").read_text())
@@ -167,8 +170,12 @@ def test_compare_bench_alternates_keeps_logs_and_summarises(
     assert (claim["workload"], claim["metric"], claim["better"]) == ("point", "verify_s", "lower")
     assert (claim["pairs"], claim["change_wins"]) == (5, 4)
     assert claim["median_gain"] == pytest.approx(claim["parent_median"] - claim["change_median"])
-    assert set(report["end_to_end"]["point"]) == {"roots_per_s", "verify_s"}
-    assert report["end_to_end"]["point"]["roots_per_s"]["change_wins"] == 0
+    assert claim["holds"] is False  # 4 of 5 pairs is under 9 of 10
+    blocks = report["end_to_end"]["point"]
+    assert set(blocks) == {"roots_per_s", "verify_s"}
+    assert blocks["roots_per_s"]["change_wins"] == 0
+    assert (blocks["roots_per_s"]["bound"], blocks["roots_per_s"]["within_bound"]) == (0.25, False)
+    assert (blocks["verify_s"]["bound"], blocks["verify_s"]["within_bound"]) == (0.25, True)
     pairs = report["pairs"]["point"]
     assert [p["first"] for p in pairs] == ["parent", "change"] * 2 + ["parent"]
     assert pairs[4]["parent_correct"] is False and pairs[4]["change_correct"] is True
@@ -192,4 +199,60 @@ def test_compare_bench_reports_a_run_without_its_json(
     assert "solve-7-parent: exit code 1, no closing JSON line" in capsys.readouterr().out
     report = json.loads((out / "compare.json").read_text())
     assert report["pairs"]["solve"][0]["change_correct"] is False
+    assert report["end_to_end"]["solve"] == {}
+
+
+@pytest.mark.parametrize(
+    "better, change, within",
+    [("lower", 125.0, True), ("lower", 126.0, False), ("lower", 10.0, True),
+     ("higher", 75.0, True), ("higher", 74.0, False), ("higher", 500.0, True)],
+)
+def test_compare_bench_bound_is_relative_to_the_parent_in_the_metric_direction(better, change, within):
+    # a change no worse than the parent's median by more than the bound
+    # is within it, a better one always
+    block = load("compare_bench").summary([100.0], [change], better, 0.25)
+    assert (block["bound"], block["within_bound"]) == (0.25, within)
+
+
+def test_compare_bench_refuses_a_claim_on_an_unknown_metric_before_any_run(
+    two_commits, tmp_path, capsys, monkeypatch
+):
+    calls = []
+
+    def stub(argv, cwd, stdout, stderr, on_line):
+        calls.append(argv)
+        return 1
+
+    out = tmp_path / "out"
+    argv = [
+        "--parent", "HEAD~1", "--change", "HEAD", "--workload", "solve", "--pairs", "2",
+        "--seed-base", "7", "--claim", "roots_per_sec", "--out", str(out),
+    ]
+    monkeypatch.chdir(two_commits)
+    with pytest.raises(SystemExit) as exc:
+        load("compare_bench").main(argv, runner=stub)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--claim roots_per_sec is not an end-to-end metric: choose from roots_per_s, verify_s" in err
+    assert calls == [] and not out.exists()
+
+
+def test_compare_bench_a_claim_with_no_complete_pair_does_not_hold(
+    two_commits, tmp_path, capsys, monkeypatch
+):
+    def crash(argv, cwd, stdout, stderr, on_line):
+        return 1
+
+    out = tmp_path / "out"
+    argv = [
+        "--parent", "HEAD~1", "--change", "HEAD", "--workload", "solve", "--pairs", "2",
+        "--seed-base", "7", "--claim", "roots_per_s", "--out", str(out),
+    ]
+    monkeypatch.chdir(two_commits)
+    assert load("compare_bench").main(argv, runner=crash) == 0
+    assert "claim roots_per_s on solve: no complete pair: does not hold" in capsys.readouterr().out
+    report = json.loads((out / "compare.json").read_text())
+    assert report["claim"] == {
+        "workload": "solve", "metric": "roots_per_s", "better": "higher", "pairs": 0, "holds": False
+    }
     assert report["end_to_end"]["solve"] == {}
