@@ -20,7 +20,8 @@ reads m in {1, 2, 4} and ``explorer.analytic_gap_scan`` the gaps of
 factors multiplied, with no log (:func:`t_sign`), and where that is
 undecided take the sign of the printed full-size T bracket.  Both run
 on ``mpmath.libmp`` interval tuples: the printed route at
-``FULL_SIZE.prec``, the sign test at ``SIGN_SIZE.prec``.  Each p^-r and
+``FULL_SIZE.prec``, the sign test at the unit of ``SIGN_SIZE``, on
+zeta values of that size.  Each p^-r and
 p^-(k+1)r with p <= N comes from the table that the evaluation of
 zeta(r) or zeta((k+1)r) returns (``zeta.zeta_iv``), so T's cost does
 not grow with k; a prime beyond N takes exp(-s log p) with log p taken
@@ -159,11 +160,14 @@ def t_sign(table: PrimeTable, k: int | float, m: int, r: float) -> int | None:
         T > 0  <=>  (1 + x_m) zeta((k+1)r) prod_{i<=m} LF_k(p_i) > zeta(r),
 
     and the test takes no log.  The factors are those of :func:`t_levels`,
-    from :func:`_local_factors` on the tables of zeta(r) and zeta((k+1)r)
-    at SIGN_SIZE.prec; at k = inf, zeta((k+1)r) = 1 and there is no
-    second table."""
+    from :func:`_local_factors` on the tables of zeta(r) and zeta((k+1)r);
+    at k = inf, zeta((k+1)r) = 1 and there is no second table.  The
+    arithmetic runs at SIGN_SIZE.unit bits, the kernel's unit, which its
+    zeta values carry, so each of its ~4m roundings near 1 adds about
+    2^-96, not 2^-80: at large r, where T is near 1e-23, rounding at
+    SIGN_SIZE.prec would outweigh the kernel's width."""
     _check_kmr(k, m, r)
-    prec = SIGN_SIZE.prec
+    prec = SIGN_SIZE.unit
     r_iv = to_iv(r)
     zeta_r, powers = zeta_iv(r_iv, SIGN_SIZE)
     product, powers_k = (ONE, None) if k == math.inf else zeta_iv(scale(k + 1, r_iv, prec), SIGN_SIZE)
