@@ -235,10 +235,12 @@ def parse(argv):
         parser.error("--pairs must be at least 1")
     if os.path.exists(args.out) and os.listdir(args.out):
         parser.error(f"--out {args.out} is not empty")
-    try:
-        args.metrics = end_to_end_metrics(args.change)
-    except ValueError as exc:
-        parser.error(f"no BENCHMARK.json at --change {args.change}: {exc}")
+    for side in SIDES:  # SIDES ends with the change, whose metrics are kept
+        rev = getattr(args, side)
+        try:
+            args.metrics = end_to_end_metrics(rev)
+        except ValueError as exc:
+            parser.error(f"no BENCHMARK.json at --{side} {rev}: {exc}")
     if args.claim is not None and args.claim not in args.metrics:
         parser.error(f"--claim {args.claim} is not an end-to-end metric: choose from {', '.join(args.metrics)}")
     args.argv = list(argv)

@@ -3,27 +3,25 @@
 For a prime budget of k repetitions and exponent r > 1, the range of the
 restricted divisor sum is dense in [1, G_k(r)) exactly when the statistic
 
-    T_k(m, r) = log(1 + p_m^{-r}) - sum_{i>m} log LF_k(p_i)
+    T_k(m, r) = log(1 + p_m^{-r}) - sum_{i>m} log LF_k(p_i),
 
-is <= 0 for every m; for r in (1, 2] it suffices to test m in {1, 2, 4}.
-LF_k(p) = (1 - p^-(k+1)r)/(1 - p^-r) is the local factor of the Euler
-product G_k(r) = zeta(r)/zeta((k+1)r) = prod_p LF_k(p).  k may be
-math.inf, the unrestricted sum: LF_inf(p) = 1/(1 - p^-r) and
-G_inf(r) = zeta(r).  A positive T at some m certifies a forbidden open
-interval in the log range.  Every LF_k(p_i) comes from one generator,
-:func:`_local_factors`.  T and that interval have one interval route,
-:func:`t_levels`, which sums the factors' logs: :func:`t_at` takes its
-one level m over an interval r, for :func:`t_func`, the selector's
-cover claims and the solver's printed values; :func:`density_report`
-reads m in {1, 2, 4} and ``explorer.analytic_gap_scan`` the gaps of
-1..M.  The solver's sign tests first read the sign of T from the same
-factors multiplied, with no log (:func:`t_sign`), and where that is
-undecided take the sign of the printed full-size T bracket.  Both run
-on ``mpmath.libmp`` interval tuples: the printed route at
-``FULL_SIZE.prec``, the sign test at the unit of ``SIGN_SIZE``, on
-zeta values of that size.  Each p^-r and
-p^-(k+1)r with p <= N comes from the table that the evaluation of
-zeta(r) or zeta((k+1)r) returns (``zeta.zeta_iv``), so T's cost does
+LF_k(p) = (1 - p^-(k+1)r)/(1 - p^-r) being the local factor of
+G_k(r) = zeta(r)/zeta((k+1)r), is <= 0 for every m; for r in (1, 2] it
+suffices to test m in {1, 2, 4}.  k may be math.inf, the unrestricted
+sum: LF_inf(p) = 1/(1 - p^-r) and G_inf(r) = zeta(r).  A positive T at
+some m certifies a forbidden open interval in the log range.  Every
+LF_k(p_i) comes from one generator, :func:`_local_factors`.  T and that
+interval have one interval route, :func:`t_levels`, which sums the
+factors' logs.  :func:`t_at` takes its one level m over an interval r,
+for :func:`t_func`, the selector's cover claims and the solver's printed
+values; :func:`density_report` reads m in {1, 2, 4} and
+``explorer.analytic_gap_scan`` the gaps of 1..M.  The solver's sign
+tests first multiply the same factors, with no log (:func:`t_sign`), and
+where that is undecided take the sign of the printed full-size T
+bracket.  Both run on ``mpmath.libmp`` interval tuples: the printed
+route at ``FULL_SIZE.prec``, the sign test at ``SIGN_SIZE.unit``.  Each
+p^-r and p^-(k+1)r with p <= N comes from the table that the evaluation
+of zeta(r) or zeta((k+1)r) returns (``zeta.zeta_iv``), so T's cost does
 not grow with k; a prime beyond N takes exp(-s log p) with log p taken
 once per prime (``zeta.prime_power``).
 Everything here returns certified brackets, and verdicts are three-valued
@@ -85,12 +83,11 @@ def _check_kmr(k: int | float, m: int, r: float) -> None:
 def _local_factors(
     table: PrimeTable, k: int | float, r: tuple, powers: list, powers_k: list | None, prec: int
 ) -> Iterator[tuple[tuple, tuple]]:
-    """(x_i, LF_k(p_i)) for i = 1, 2, ...: x_i = p_i^-r and the local
-    factor LF_k(p_i) = (1 - x_i^{k+1})/(1 - x_i) of G_k(r)'s Euler
-    product, or 1/(1 - x_i) where ``powers_k`` is None (k = inf), on
-    interval tuples at ``prec``.  x_i and x_i^{k+1} are the entries for p_i
-    of ``powers`` and ``powers_k``, the tables of zeta(r) and zeta((k+1)r)
-    at ``prec``, where they hold p_i, else exp(-s log p_i)
+    """(x_i, LF_k(p_i)) for i = 1, 2, ... on interval tuples at ``prec``:
+    x_i = p_i^-r and LF_k(p_i) = (1 - x_i^{k+1})/(1 - x_i), or 1/(1 - x_i)
+    where ``powers_k`` is None (k = inf).  x_i and x_i^{k+1} are the
+    entries for p_i of ``powers`` and ``powers_k``, the tables of zeta(r)
+    and zeta((k+1)r), where they hold p_i, else exp(-s log p_i)
     (``zeta.prime_power``), so the cost does not grow with k."""
     minus_r = mpi_neg(r, prec)
     if powers_k is not None:
@@ -154,18 +151,14 @@ def t_func(table: PrimeTable, k: int | float, m: int, r: float) -> Bracket:
 
 def t_sign(table: PrimeTable, k: int | float, m: int, r: float) -> int | None:
     """The certified sign of T_k(m, r), with zeta at SIGN_SIZE, or None
-    where it is not decided.  exp(T) = (1 + x_m) prod_{i<=m} LF_k(p_i) / G_k(r),
-    with x_i = p_i^-r, so
+    where it is not decided.  With x_i = p_i^-r,
 
         T > 0  <=>  (1 + x_m) zeta((k+1)r) prod_{i<=m} LF_k(p_i) > zeta(r),
 
-    and the test takes no log.  The factors are those of :func:`t_levels`,
-    from :func:`_local_factors` on the tables of zeta(r) and zeta((k+1)r);
-    at k = inf, zeta((k+1)r) = 1 and there is no second table.  The
-    arithmetic runs at SIGN_SIZE.unit bits, the kernel's unit, which its
-    zeta values carry, so each of its ~4m roundings near 1 adds about
-    2^-96, not 2^-80: at large r, where T is near 1e-23, rounding at
-    SIGN_SIZE.prec would outweigh the kernel's width."""
+    a test with no log, on the factors of :func:`_local_factors`
+    (zeta((k+1)r) = 1 at k = inf).  It runs at SIGN_SIZE.unit bits, which
+    the zeta values carry: rounding to SIGN_SIZE.prec near 1 would
+    outweigh T where T is near 1e-23, at large r."""
     _check_kmr(k, m, r)
     prec = SIGN_SIZE.unit
     r_iv = to_iv(r)

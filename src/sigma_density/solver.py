@@ -18,16 +18,16 @@ endpoint on the other side of the root, or both ends where the residual
 straddles 0.  A certified sign at the midpoint and the opposite one at
 that endpoint put a root between them; the sign at the far endpoint, and
 that the root is the only one, rest on monotonicity.  An endpoint test
-multiplies the local factors whose logs the printed route sums, and so
-takes no log (:func:`density.t_sign`), with zeta at ``zeta.SIGN_SIZE``,
-and where that is undecided takes the sign of the printed full-size T
-bracket at that point.  Every printed
-bracket (the residual, and a boundary's bracket at 2) is that log form,
-``density.t_at`` (through ``density.t_func`` in :func:`r_threshold`),
-on ``mpmath.libmp`` interval tuples at ``FULL_SIZE.prec``, so no output
-depends on the sign test.  Because the function is increasing, a
-root certified inside the bracket makes the guided path the certified
-path, so guided and certified-only solves return the same bits.  The
+multiplies the local factors whose logs the printed route sums
+(:func:`density.t_sign`), with zeta at ``zeta.SIGN_SIZE``, and where
+that is undecided takes the sign of the printed full-size T bracket at
+that point.  Every printed bracket (the residual, and a boundary's
+bracket at 2) is that log form, ``density.t_at`` (through
+``density.t_func`` in :func:`r_threshold`), on ``mpmath.libmp`` interval
+tuples at ``FULL_SIZE.prec``, so no output depends on the sign test.
+Because the function is increasing, a root certified inside the bracket
+makes the guided path the certified path, so guided and certified-only
+solves return the same bits.  The
 guide is evaluated about ten times a root, not once a midpoint: its
 float root is found first by regula falsi, and the walk is replayed by
 comparing each midpoint with that root.  A guide that brackets no root,

@@ -194,10 +194,17 @@ def log_g_bracket_oracle(k: int, r: float) -> Bracket:
 
 
 def t_sign_oracle(table, k: int | float, m: int, r: float, size) -> int | None:
-    """The certified sign of T_k(m, r) by the log-free comparison of
-    products that ``density.t_sign`` makes, on iv objects: each x_i and
-    x_i^{k+1} from its own exp and power, zeta at ``size``.  At k = inf,
-    x_i^{k+1} = 0 and zeta((k+1)r) = 1."""
+    """The certified sign of T_k(m, r) by a log-free comparison of two
+    products, on iv objects:
+
+        (1 + x_m) zeta((k+1)r) prod_{i<=m} (1 - x_i^{k+1})
+            > zeta(r) prod_{i<=m} (1 - x_i),   x_i = p_i^-r,
+
+    each x_i and x_i^{k+1} from its own exp and power, zeta at ``size``.
+    At k = inf, x_i^{k+1} = 0 and zeta((k+1)r) = 1.  ``density.t_sign``
+    multiplies the local factors LF_k(p_i) = (1 - x_i^{k+1})/(1 - x_i)
+    instead, the same test divided by the positive prod (1 - x_i), so this
+    is an independent second form of the same sign, with no division."""
     r_iv = iv.mpf(r)
     kept = dropped = iv.mpf(1)
     for i in range(1, m + 1):

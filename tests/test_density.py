@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv
-from mpmath.libmp import from_float, mpi_neg, mpi_sub
+from mpmath.libmp import from_float, mpi_add, mpi_log, mpi_neg, mpi_sub
 
 from oracles import (
     V_TRUNCATION,
@@ -276,6 +276,88 @@ class TestLogFreeSign:
         full = t_sign_oracle(table, k, m, r, zeta.FULL_SIZE)
         assert None in (t, full) or full == t
         assert density.t_sign(table, k, m, r) in (None, t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.one_of(st.integers(1, 12), st.just(10**6), st.just(math.inf)),
+        m=st.integers(1, 30),
+        r=st.floats(min_value=1.0001, max_value=40.0),
+    )
+    def test_equals_the_sign_of_t_func_wherever_both_decide(self, table, k, m, r):
+        # the sign test multiplies the local factors whose logs t_func sums
+        sign = density.t_sign(table, k, m, r)
+        t = density.t_func(table, k, m, r).certified_sign()
+        assert None in (sign, t) or sign == t
+
+    @pytest.mark.parametrize(
+        "k, m, r",
+        [(1, 2, 48.79), (12, 4, 27.30129462509871), (4, 9, 16.5849847116317), (math.inf, 18, 12.275073215122518)],
+    )
+    def test_decides_a_t_near_1e_23(self, table, k, m, r):
+        # T is near 1e-23, about the width that ~4m roundings of 2^-80
+        # near 1 would give the products at SIGN_SIZE.prec; at that
+        # precision the last two stay undecided
+        assert density.t_sign(table, k, m, r) == 1 == density.t_func(table, k, m, r).certified_sign()
+
+
+class TestOneLocalFactorRoute:
+    """Every LF_k(p_i) of T, printed, scanned or signed, is one that
+    density._local_factors yields: with a generator whose factors are all
+    1, every route reads T = log(1 + x_m) - log G_k(r), which a second
+    loop over the factors would move."""
+
+    # T_k(m, r) > 0 at each point, and so are the sign and a gap
+    POINTS = [(1, 1, 1.95), (3, 2, 1.95), (math.inf, 2, 1.95)]
+
+    @pytest.fixture
+    def taken(self, monkeypatch):
+        """The x_i of every factor taken while the test runs; each factor
+        is replaced by 1."""
+        taken = []
+        local_factors = density._local_factors
+
+        def unit_factors(*args):
+            for x, _ in local_factors(*args):
+                taken.append(x)
+                yield x, zeta.ONE
+
+        monkeypatch.setattr(density, "_local_factors", unit_factors)
+        return taken
+
+    @staticmethod
+    def without_prefix(k, r, x):
+        """log(1 + x) - log G_k(r): T with every factor 1."""
+        prec = zeta.FULL_SIZE.prec
+        head = mpi_log(mpi_add(zeta.ONE, x, prec), prec)
+        return Bracket.from_iv(mpi_sub(head, log_g_iv(k, to_iv(r))[0], prec))
+
+    @pytest.mark.parametrize("k, m, r", POINTS)
+    def test_t_at_and_t_sign(self, table, taken, k, m, r):
+        assert density.t_sign(table, k, m, r) == -1
+        assert len(taken) == m
+        taken.clear()
+        t = density.t_at(table, k, m, to_iv(r))
+        assert len(taken) == m
+        assert t == self.without_prefix(k, r, taken[-1]) and t.hi < 0
+
+    @pytest.mark.parametrize("k, m, r", POINTS)
+    def test_density_report(self, table, taken, k, m, r):
+        report = density.density_report(table, k, r)
+        assert len(taken) == 4
+        assert report.per_m == {level: self.without_prefix(k, r, taken[level - 1]) for level in density.LEVELS}
+        assert report.verdict == "dense"
+
+    @pytest.mark.parametrize("k, m, r", POINTS)
+    def test_analytic_gap_scan(self, table, taken, k, m, r):
+        assert explorer.analytic_gap_scan(table, k, r, 10) == ()
+        assert len(taken) == 10
+
+    @pytest.mark.parametrize("k, m, r", POINTS)
+    def test_the_points_are_positive(self, table, k, m, r):
+        assert density.t_sign(table, k, m, r) == 1
+        assert density.t_func(table, k, m, r).strictly_positive()
+        assert m in [level for level, _, _ in explorer.analytic_gap_scan(table, k, r, 10)]
+        assert density.density_report(table, k, r).verdict == "not_dense"
 
 
 class TestTupleRoute:

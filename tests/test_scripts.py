@@ -214,8 +214,15 @@ def test_compare_bench_bound_is_relative_to_the_parent_in_the_metric_direction(b
     assert (block["bound"], block["within_bound"]) == (0.25, within)
 
 
-def test_compare_bench_refuses_a_claim_on_an_unknown_metric_before_any_run(
-    two_commits, tmp_path, capsys, monkeypatch
+@pytest.mark.parametrize(
+    "change, claim, message",
+    [
+        ("HEAD", "roots_per_sec", "--claim roots_per_sec is not an end-to-end metric: choose from roots_per_s, verify_s"),
+        ("nosuchrev", "roots_per_s", "no BENCHMARK.json at --change nosuchrev"),
+    ],
+)
+def test_compare_bench_refuses_a_bad_argument_before_any_run(
+    two_commits, tmp_path, capsys, monkeypatch, change, claim, message
 ):
     calls = []
 
@@ -225,15 +232,14 @@ def test_compare_bench_refuses_a_claim_on_an_unknown_metric_before_any_run(
 
     out = tmp_path / "out"
     argv = [
-        "--parent", "HEAD~1", "--change", "HEAD", "--workload", "solve", "--pairs", "2",
-        "--seed-base", "7", "--claim", "roots_per_sec", "--out", str(out),
+        "--parent", "HEAD~1", "--change", change, "--workload", "solve", "--pairs", "2",
+        "--seed-base", "7", "--claim", claim, "--out", str(out),
     ]
     monkeypatch.chdir(two_commits)
     with pytest.raises(SystemExit) as exc:
         load("compare_bench").main(argv, runner=stub)
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "--claim roots_per_sec is not an end-to-end metric: choose from roots_per_s, verify_s" in err
+    assert message in capsys.readouterr().err
     assert calls == [] and not out.exists()
 
 
