@@ -12,8 +12,9 @@ both sides, one run at a time, the parent first on even pairs and the
 change first on odd ones, so that a run's place in its pair does not
 favour either side.  Every run's stdout and stderr are kept under
 DIR/logs, and each WRONG OUTPUT, CLOCK or failed line is echoed as it
-appears.  ``--workload`` may be given more than once; the workloads run
-in turn.
+appears.  ``--workload`` may be given once for each of several
+workloads, which run in turn; a workload named twice is a usage error,
+as its second pass would rerun the same seeds over the first one's logs.
 
 The summary, written to DIR/compare.json, has the layout
 of the repository's BENCH_*.json files: per workload and end-to-end
@@ -233,6 +234,9 @@ def parse(argv):
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    repeated = sorted({w for w in args.workload if args.workload.count(w) > 1})
+    if repeated:
+        parser.error(f"--workload {', '.join(repeated)} given more than once")
     if os.path.exists(args.out) and os.listdir(args.out):
         parser.error(f"--out {args.out} is not empty")
     for side in SIDES:  # SIDES ends with the change, whose metrics are kept

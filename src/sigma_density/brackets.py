@@ -2,8 +2,9 @@
 
 A :class:`Bracket` is a closed interval ``[lo, hi]`` of doubles that is
 guaranteed to contain the true real value it stands for.  The program
-computes in mpmath intervals and converts each enclosure it reports to a
-bracket by padding each endpoint one ulp outward (:meth:`Bracket.from_iv`).
+computes on pairs of Python integers in units of 2^-F and converts each
+enclosure it reports to a bracket by rounding each end to its nearest
+double and padding it one double outward (:meth:`Bracket.from_units`).
 
 The achievable bracket width in double precision is a few ulps of the
 value; tolerances below :data:`PRECISION_FLOOR` are rejected loudly
@@ -14,8 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from mpmath.libmp import round_nearest, to_float
 
 from .errors import DomainError, PrecisionError
 
@@ -75,11 +74,12 @@ class Bracket:
         return cls(x, x)
 
     @classmethod
-    def from_iv(cls, x) -> "Bracket":
-        """Convert an interval, an ``mpmath.iv`` object or the libmp tuple
-        (lo, hi) that one wraps, to a double bracket: each end to its
-        nearest double, then one double outward."""
-        a, b = getattr(x, "_mpi_", x)
-        lo = math.nextafter(to_float(a, rnd=round_nearest), -math.inf)
-        hi = math.nextafter(to_float(b, rnd=round_nearest), math.inf)
-        return cls(lo, hi)
+    def from_units(cls, lo: int, hi: int, unit: int) -> "Bracket":
+        """The interval [lo 2^-unit, hi 2^-unit] of integers lo <= hi as a
+        double bracket: each end to its nearest double by Python's int
+        true division, which rounds correctly (ties to even, subnormals
+        included), then one double outward."""
+        if unit < 0:
+            lo, hi, unit = lo << -unit, hi << -unit, 0
+        scale = 1 << unit
+        return cls(math.nextafter(lo / scale, -math.inf), math.nextafter(hi / scale, math.inf))

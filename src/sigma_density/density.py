@@ -18,8 +18,9 @@ values; :func:`density_report` reads m in {1, 2, 4} and
 ``explorer.analytic_gap_scan`` the gaps of 1..M.  The solver's sign
 tests first multiply the same factors, with no log (:func:`t_sign`), and
 where that is undecided take the sign of the printed full-size T
-bracket.  Both run on ``mpmath.libmp`` interval tuples: the printed
-route at ``FULL_SIZE.prec``, the sign test at ``SIGN_SIZE.unit``.  Each
+bracket.  Both run on the kernel's pairs of integers, with ``zeta``'s
+four pair helpers and its integer log: the printed route in units of
+2^-FULL_SIZE.unit, the sign test in units of 2^-SIGN_SIZE.unit.  Each
 p^-r and p^-(k+1)r with p <= N comes from the table that the evaluation
 of zeta(r) or zeta((k+1)r) returns (``zeta.zeta_iv``), so T's cost does
 not grow with k; a prime beyond N takes exp(-s log p) with log p taken
@@ -28,7 +29,7 @@ Everything here returns certified brackets, and verdicts are three-valued
 (dense / not_dense / undetermined) so float artifacts can never silently
 misclassify a near-threshold input.  The standing inequalities and the
 monotonicity of T in r are proved by one cell cover (:func:`_cover`), on
-interval tuples at ``FULL_SIZE.prec``, with each prime power taken once
+pairs in units of 2^-FULL_SIZE.unit, with each prime power taken once
 per cell end and ``check_*`` call (:func:`_power_table`).
 """
 
@@ -41,25 +42,12 @@ from functools import cache, partial
 from itertools import count, islice
 
 from mpmath import fp
-from mpmath.libmp import (
-    from_float,
-    from_int,
-    ftwo,
-    fzero,
-    mpf_mul,
-    mpi_add,
-    mpi_div,
-    mpi_log,
-    mpi_mul,
-    mpi_neg,
-    mpi_pow_int,
-    mpi_sub,
-)
 
 from .brackets import Bracket
 from .errors import check_k, check_r
 from .primes import PrimeTable
-from .zeta import FULL_SIZE, ONE, SIGN_SIZE, log_g_iv, log_prime, prime_power, scale, to_iv, zeta_iv
+from .zeta import FULL_SIZE, SIGN_SIZE, KernelSize, exponent, log_g_iv, log_iv, log_units, prime_power
+from .zeta import add, div, mul, sub, zeta_iv
 
 # The levels m of the criterion's test for r in (1, 2].
 LEVELS = (1, 2, 4)
@@ -73,6 +61,11 @@ R_MONOTONE_HI = 7.0 / 3.0
 # by then is reported failed.  A cell costs at most one zeta evaluation.
 COVER_MAX_CELLS = 256
 
+# The unit of the printed route and of the cover, 2^-UNIT, with 1 and 2 in it.
+UNIT = FULL_SIZE.unit
+ONE = 1 << UNIT, 1 << UNIT
+TWO = 2 << UNIT, 2 << UNIT
+
 
 def _check_kmr(k: int | float, m: int, r: float) -> None:
     check_k(k)
@@ -81,31 +74,35 @@ def _check_kmr(k: int | float, m: int, r: float) -> None:
 
 
 def _local_factors(
-    table: PrimeTable, k: int | float, r: tuple, powers: list, powers_k: list | None, prec: int
+    table: PrimeTable, k: int | float, r: tuple, powers: list, powers_k: list | None, size: KernelSize
 ) -> Iterator[tuple[tuple, tuple]]:
-    """(x_i, LF_k(p_i)) for i = 1, 2, ... on interval tuples at ``prec``:
-    x_i = p_i^-r and LF_k(p_i) = (1 - x_i^{k+1})/(1 - x_i), or 1/(1 - x_i)
-    where ``powers_k`` is None (k = inf).  x_i and x_i^{k+1} are the
-    entries for p_i of ``powers`` and ``powers_k``, the tables of zeta(r)
-    and zeta((k+1)r), where they hold p_i, else exp(-s log p_i)
-    (``zeta.prime_power``), so the cost does not grow with k."""
-    minus_r = mpi_neg(r, prec)
+    """(x_i, LF_k(p_i)) for i = 1, 2, ... as pairs in units of
+    2^-size.unit, over the exponent pair r: x_i = p_i^-r and LF_k(p_i) =
+    (1 - x_i^{k+1})/(1 - x_i), or 1/(1 - x_i) where ``powers_k`` is None
+    (k = inf).  x_i and x_i^{k+1} are the entries for p_i of ``powers``
+    and ``powers_k``, the tables of zeta(r) and zeta((k+1)r), where they
+    hold p_i, else exp(-s log p_i) (``zeta.prime_power``), so the cost
+    does not grow with k."""
+    unit = size.unit
+    one = 1 << unit, 1 << unit
+    minus_r = -r[1], -r[0]
     if powers_k is not None:
-        minus_kr = mpi_neg(scale(k + 1, r, prec), prec)
+        minus_kr = -(k + 1) * r[1], -(k + 1) * r[0]
     for i in count(1):
         p = table.nth(i)
-        x = powers[p] if p < len(powers) else prime_power(p, minus_r, prec)
-        kept = ONE
+        x = powers[p] if p < len(powers) else prime_power(p, minus_r, size)
+        kept = one
         if powers_k is not None:
-            kept = mpi_sub(ONE, powers_k[p] if p < len(powers_k) else prime_power(p, minus_kr, prec), prec)
-        yield x, mpi_div(kept, mpi_sub(ONE, x, prec), prec)
+            kept = sub(one, powers_k[p] if p < len(powers_k) else prime_power(p, minus_kr, size))
+        yield x, div(kept, sub(one, x), unit)
 
 
 def t_levels(
     table: PrimeTable, k: int | float, r: tuple, log_g: tuple[tuple, list, list | None], ms: Iterable[int]
 ) -> Iterator[tuple[int, Bracket, tuple[float, float] | None]]:
     """T_k(m, r) = log(1 + p_m^{-r}) - sum_{i>m} log LF_k(p_i) for each m
-    of the strictly ascending ``ms``, on interval tuples at FULL_SIZE.prec.
+    of the strictly ascending ``ms``, over the exponent pair r, on pairs in
+    units of 2^-UNIT, every log ``zeta.log_iv``.
     The tail is log G_k(r) minus the prefix sum_{i<=m} log LF_k(p_i), the
     logs of the factors that :func:`_local_factors` yields.  ``log_g`` is
     what ``zeta.log_g_iv(k, r)`` returns: the interval of log G_k(r) and
@@ -118,25 +115,24 @@ def t_levels(
     head reuses the p_m^-r its last factor took, so a scan over m = 1..M
     costs M local factors and no zeta evaluation.
     """
-    prec = FULL_SIZE.prec
     log_g, powers, powers_k = log_g
-    factors = _local_factors(table, k, r, powers, powers_k, prec)
-    prefix = fzero, fzero
+    factors = _local_factors(table, k, r, powers, powers_k, FULL_SIZE)
+    prefix = 0, 0
     done = 0
     for m in ms:
         for x, local in islice(factors, m - done):
-            prefix = mpi_add(prefix, mpi_log(local, prec), prec)
+            prefix = add(prefix, log_iv(local, UNIT))
         done = m
-        head = mpi_log(mpi_add(ONE, x, prec), prec)
-        t = Bracket.from_iv(mpi_add(mpi_sub(head, log_g, prec), prefix, prec))
+        head = log_iv(add(ONE, x), UNIT)
+        t = Bracket.from_units(*add(sub(head, log_g), prefix), UNIT)
         gap = None
         if t.strictly_positive():
-            gap = Bracket.from_iv(mpi_sub(log_g, prefix, prec)).hi, Bracket.from_iv(head).lo
+            gap = Bracket.from_units(*sub(log_g, prefix), UNIT).hi, Bracket.from_units(*head, UNIT).lo
         yield m, t, gap
 
 
-def t_at(table: PrimeTable, k: int | float, m: int, r: tuple) -> Bracket:
-    """T_k(m, r) over the interval tuple r, the one level m of
+def t_at(table: PrimeTable, k: int | float, m: int, r: tuple[int, int]) -> Bracket:
+    """T_k(m, r) over the exponent pair r, the one level m of
     :func:`t_levels`, with log G_k(r) from ``log_g_iv``.  Its arguments
     are not checked."""
     ((_, t, _),) = t_levels(table, k, r, log_g_iv(k, r), (m,))
@@ -146,7 +142,7 @@ def t_at(table: PrimeTable, k: int | float, m: int, r: tuple) -> Bracket:
 def t_func(table: PrimeTable, k: int | float, m: int, r: float) -> Bracket:
     """T_k(m, r) at the double r, by :func:`t_at`."""
     _check_kmr(k, m, r)
-    return t_at(table, k, m, to_iv(r))
+    return t_at(table, k, m, exponent(r))
 
 
 def t_sign(table: PrimeTable, k: int | float, m: int, r: float) -> int | None:
@@ -156,36 +152,34 @@ def t_sign(table: PrimeTable, k: int | float, m: int, r: float) -> int | None:
         T > 0  <=>  (1 + x_m) zeta((k+1)r) prod_{i<=m} LF_k(p_i) > zeta(r),
 
     a test with no log, on the factors of :func:`_local_factors`
-    (zeta((k+1)r) = 1 at k = inf).  It runs at SIGN_SIZE.unit bits, which
-    the zeta values carry: rounding to SIGN_SIZE.prec near 1 would
-    outweigh T where T is near 1e-23, at large r."""
+    (zeta((k+1)r) = 1 at k = inf), in units of 2^-SIGN_SIZE.unit, the
+    zeta values' own."""
     _check_kmr(k, m, r)
-    prec = SIGN_SIZE.unit
-    r_iv = to_iv(r)
-    zeta_r, powers = zeta_iv(r_iv, SIGN_SIZE)
-    product, powers_k = (ONE, None) if k == math.inf else zeta_iv(scale(k + 1, r_iv, prec), SIGN_SIZE)
-    for x, local in islice(_local_factors(table, k, r_iv, powers, powers_k, prec), m):
-        product = mpi_mul(product, local, prec)
-    difference = mpi_sub(mpi_mul(mpi_add(ONE, x, prec), product, prec), zeta_r, prec)
-    return Bracket.from_iv(difference).certified_sign()
+    unit = SIGN_SIZE.unit
+    one = 1 << unit, 1 << unit
+    lo, hi = s = exponent(r)
+    zeta_r, powers = zeta_iv(s, SIGN_SIZE)
+    product, powers_k = (one, None) if k == math.inf else zeta_iv(((k + 1) * lo, (k + 1) * hi), SIGN_SIZE)
+    for x, local in islice(_local_factors(table, k, s, powers, powers_k, SIGN_SIZE), m):
+        product = mul(product, local, unit)
+    difference = sub(mul(add(one, x), product, unit), zeta_r)
+    return Bracket.from_units(*difference, unit).certified_sign()
 
 
 def _power_table():
     """A table of the ends of prime powers for one ``check_*`` call:
-    ``power(p, j, a, b)`` is the interval p^(j r) over the cell r in
-    [a, b], for a prime p, an integer j != 0 and doubles a <= b.  Each end
-    is an end of ``zeta.prime_power`` at one end of the cell, at
-    FULL_SIZE.prec: its lower end at b and its upper end at a for j < 0,
+    ``power(p, j, a, b)`` is the pair p^(j r) over the cell r in [a, b],
+    for a prime p, an integer j != 0 and doubles 1 <= a <= b.  Each end is
+    an end of ``zeta.prime_power`` at one end of the cell, at FULL_SIZE:
+    its lower end at b and its upper end at a for j < 0,
     the other way round for j > 0.  One power, one exp, is taken per
     (p, j, end of a cell) and table: a cell shares two of its four power
     ends with its parent, and the claims on one range share their grid
     points."""
-    prec = FULL_SIZE.prec
-
     @cache
-    def at(p: int, j: int, x: float) -> tuple:
-        y = mpf_mul(from_int(j), from_float(x))
-        return prime_power(p, (y, y), prec)
+    def at(p: int, j: int, x: float) -> tuple[int, int]:
+        y = j * exponent(x)[0]
+        return prime_power(p, (y, y), FULL_SIZE)
 
     def power(p: int, j: int, a: float, b: float) -> tuple:
         if j < 0:
@@ -195,35 +189,30 @@ def _power_table():
     return power
 
 
-TWO = ftwo, ftwo
-
-
-def _log_over(p: int, q: tuple) -> tuple:
+def _log_over(p: int, q: tuple[int, int]) -> tuple[int, int]:
     """log p / (q + 1) at q = p^x, decreasing in x."""
-    prec = FULL_SIZE.prec
-    return mpi_div(log_prime(p, prec), mpi_add(q, ONE, prec), prec)
+    return div(log_units(p, UNIT), add(q, ONE), UNIT)
 
 
-def _log_sq_over(p: int, q: tuple) -> tuple:
+def _log_sq_over(p: int, q: tuple[int, int]) -> tuple[int, int]:
     """(log p)^2 / (q + 2 + 1/q) at q = p^x, minus the derivative of
     :func:`_log_over`; decreasing in x > 0."""
-    prec = FULL_SIZE.prec
-    denominator = mpi_add(mpi_add(q, TWO, prec), mpi_div(ONE, q, prec), prec)
-    return mpi_div(mpi_pow_int(log_prime(p, prec), 2, prec), denominator, prec)
+    log_p = log_units(p, UNIT)
+    denominator = add(add(q, TWO), div(ONE, q, UNIT))
+    return div(mul(log_p, log_p, UNIT), denominator, UNIT)
 
 
-def _rise(table: PrimeTable, power, m: int, n: int, term, a: float, b: float) -> tuple:
+def _rise(table: PrimeTable, power, m: int, n: int, term, a: float, b: float) -> tuple[int, int]:
     """A lower bound on sum_{i=m+1}^{m+n} term(p_i, .) - term(p_m, .) over
     the cell [a, b], for a ``term`` of p and q = p^x decreasing in x: each
     term is taken at the end of the cell where it is smallest, with p^x
     from ``power``, a :func:`_power_table`.  Exact for a point cell."""
-    prec = FULL_SIZE.prec
-    rest = fzero, fzero
+    rest = 0, 0
     for i in range(m + 1, m + n + 1):
         p = table.nth(i)
-        rest = mpi_add(rest, term(p, power(p, 1, b, b)), prec)
+        rest = add(rest, term(p, power(p, 1, b, b)))
     p = table.nth(m)
-    return mpi_sub(rest, term(p, power(p, 1, a, a)), prec)
+    return sub(rest, term(p, power(p, 1, a, a)))
 
 
 def t_float(table: PrimeTable, k: int | float, m: int, r: float) -> float:
@@ -274,7 +263,8 @@ def _cover(claim, lo: float, hi: float) -> tuple[int, float, bool]:
     """Prove claim(r) > 0 for every r in [lo, hi] by range enclosure over
     a cover of cells (Moore, Kearfott and Cloud, *Introduction to Interval
     Analysis*, ch. 5): ``claim`` maps the ends a <= b of a cell, two
-    doubles, to an interval tuple enclosing the claim's values there.  A cell whose lower bound is > 0
+    doubles, to a pair in units of 2^-UNIT enclosing the claim's values
+    there.  A cell whose lower bound is > 0
     is accepted; any other cell is bisected.  Returns the cells accepted,
     the lowest lower bound (rounded down to a double), and whether the
     claim is proved.  It is not when COVER_MAX_CELLS cells have been
@@ -284,7 +274,7 @@ def _cover(claim, lo: float, hi: float) -> tuple[int, float, bool]:
     while stack:
         a, b = stack.pop()
         evaluated += 1
-        lower = Bracket.from_iv(claim(a, b)).lo
+        lower = Bracket.from_units(*claim(a, b), UNIT).lo
         if lower > 0:
             accepted += 1
             lowest = min(lowest, lower)
@@ -310,32 +300,32 @@ def check_inequalities() -> InequalityReport:
 
     Failures are reported findings, never exceptions.
     """
-    prec = FULL_SIZE.prec
     power = _power_table()
-    add, sub, mul, div = (partial(f, prec=prec) for f in (mpi_add, mpi_sub, mpi_mul, mpi_div))
+    times, over = (partial(f, unit=UNIT) for f in (mul, div))
 
     def two_vs_three_lower(a, b):
         x3 = power(3, -1, a, b)
-        lhs = mul(add(ONE, x3), add(add(ONE, x3), power(3, -2, a, b)))
+        lhs = times(add(ONE, x3), add(add(ONE, x3), power(3, -2, a, b)))
         return sub(lhs, add(ONE, power(2, -1, a, b)))
 
     def three_vs_five_seven(a, b):
         x7 = power(7, -1, a, b)
-        rhs = div(div(add(ONE, x7), sub(ONE, x7)), sub(ONE, power(5, -1, a, b)))
+        rhs = over(over(add(ONE, x7), sub(ONE, x7)), sub(ONE, power(5, -1, a, b)))
         return sub(add(ONE, power(3, -1, a, b)), rhs)
 
     def pair_product_m2(a, b):
         x3 = power(3, -1, a, b)
-        return sub(div(add(ONE, power(2, -1, a, b)), add(ONE, x3)), add(ONE, x3))
+        return sub(over(add(ONE, power(2, -1, a, b)), add(ONE, x3)), add(ONE, x3))
 
     def pair_product_m4(a, b):
         x7 = power(7, -1, a, b)
-        dropped = mul(mul(add(ONE, power(3, -1, a, b)), add(ONE, power(5, -1, a, b))), add(ONE, x7))
-        return sub(div(add(ONE, power(2, -1, a, b)), dropped), add(ONE, x7))
+        dropped = times(times(add(ONE, power(3, -1, a, b)), add(ONE, power(5, -1, a, b))), add(ONE, x7))
+        return sub(over(add(ONE, power(2, -1, a, b)), dropped), add(ONE, x7))
 
     def square_dominates_zeta(a, b):
-        zeta_r, powers = zeta_iv((from_float(a), from_float(b)))
-        return sub(mpi_pow_int(add(ONE, powers[2]), 2, prec), zeta_r)
+        zeta_r, powers = zeta_iv(exponent(a, b))
+        x2 = add(ONE, powers[2])
+        return sub(times(x2, x2), zeta_r)
 
     return InequalityReport(
         checks=(
@@ -425,13 +415,14 @@ SELECTOR_SIGNS = (
 
 
 def _signed_t(table: PrimeTable, k: int | float, m: int, side: int):
-    """The claim side * T_k(m, .) > 0 for :func:`_cover`: T over the cell
-    by :func:`t_at`, negated where ``side`` is -1."""
+    """The claim side * T_k(m, .) > 0 for :func:`_cover`: the bracket of
+    T over the cell by :func:`t_at`, negated where ``side`` is -1, its
+    doubles rounded outward to the unit (exact where |T| >= 2^-164)."""
 
-    def claim(a: float, b: float) -> tuple:
-        t = t_at(table, k, m, (from_float(a), from_float(b)))
+    def claim(a: float, b: float) -> tuple[int, int]:
+        t = t_at(table, k, m, exponent(a, b))
         lo, hi = (t.lo, t.hi) if side > 0 else (-t.hi, -t.lo)
-        return from_float(lo), from_float(hi)
+        return math.floor(math.ldexp(lo, UNIT)), math.ceil(math.ldexp(hi, UNIT))
 
     return claim
 
@@ -500,9 +491,9 @@ def density_report(table: PrimeTable, k: int, r: float) -> DensityReport:
     """
     check_k(k)
     check_r(r)
-    r_iv = to_iv(r)
-    log_g = log_g_iv(k, r_iv)
-    per_m = {m: t for m, t, _ in t_levels(table, k, r_iv, log_g, LEVELS)}
+    s = exponent(r)
+    log_g = log_g_iv(k, s)
+    per_m = {m: t for m, t, _ in t_levels(table, k, s, log_g, LEVELS)}
     t_brackets = list(per_m.values())
     verdict, width = "undetermined", 0.0
     if any(t.strictly_positive() for t in t_brackets):
@@ -515,7 +506,7 @@ def density_report(table: PrimeTable, k: int, r: float) -> DensityReport:
         k=k,
         r=r,
         per_m=per_m,
-        log_g=Bracket.from_iv(log_g[0]),
+        log_g=Bracket.from_units(*log_g[0], UNIT),
         verdict=verdict,
         undetermined_width=width,
     )

@@ -20,7 +20,7 @@ from .brackets import Bracket
 from .density import t_levels
 from .errors import CapacityError, DomainError, IndeterminateError, PrecisionError, check_k, check_r
 from .primes import PrimeTable, sieve
-from .zeta import SIGN_SIZE, exp_iv, log_g_iv, to_iv
+from .zeta import FULL_SIZE, SIGN_SIZE, exp_iv, exponent, log_g_iv
 
 if TYPE_CHECKING:
     import numpy as np
@@ -100,7 +100,7 @@ def greedy_approximate(
     accepted at once, and every other target takes the full-size check
     and its errors.  No outcome or message changes, since the full
     bracket's lower end is at or above nextafter(lower, -inf).  Both
-    enclosures contain log G, and ``Bracket.from_iv`` takes a lower end as
+    enclosures contain log G, and ``Bracket.from_units`` takes a lower end as
     the double nearest the enclosure's, then one double down.  The sign
     enclosure's lower end is at most log G, so nextafter(lower, -inf) is
     at least two doubles below RN(log G).  The full enclosure's lower end
@@ -123,9 +123,9 @@ def greedy_approximate(
     # The slice sieves the first ``steps`` primes, so every other check
     # goes first.
     if x > 0:
-        lower = Bracket.from_iv(log_g_iv(k, to_iv(r), SIGN_SIZE)[0]).lo
+        lower = Bracket.from_units(*log_g_iv(k, exponent(r), SIGN_SIZE)[0], SIGN_SIZE.unit).lo
         if not x < math.nextafter(lower, -math.inf):
-            log_g = Bracket.from_iv(log_g_iv(k, to_iv(r))[0])
+            log_g = Bracket.from_units(*log_g_iv(k, exponent(r))[0], FULL_SIZE.unit)
             if x >= log_g.hi:
                 raise DomainError(f"target {x} is not below log G_{k}({r}) = {log_g.hi}")
             if x >= log_g.lo:
@@ -380,7 +380,7 @@ def census_values(table: PrimeTable, k: int, r: float, bound: int, resolution: f
     # Each linear end is the inner double of exp_iv's bracket at its log
     # end (53 bits), so it stays inside the certified log-interval.
     analytic = tuple(
-        (m, Bracket.from_iv(exp_iv(to_iv(lo), 53)).hi, Bracket.from_iv(exp_iv(to_iv(hi), 53)).lo)
+        (m, Bracket.from_units(*exp_iv(lo, 53)).hi, Bracket.from_units(*exp_iv(hi, 53)).lo)
         for m, lo, hi in analytic_gap_scan(table, k, r, CENSUS_SCAN_LEVELS)
     )
     # A gap narrower than a few ulps of 1 has no inner double endpoints;
@@ -406,6 +406,6 @@ def analytic_gap_scan(
     check_r(r)
     if m_max < 1:
         raise DomainError(f"m_max must be >= 1, got {m_max}")
-    r_iv = to_iv(r)
-    levels = t_levels(table, k, r_iv, log_g_iv(k, r_iv), range(1, m_max + 1))
+    s = exponent(r)
+    levels = t_levels(table, k, s, log_g_iv(k, s), range(1, m_max + 1))
     return tuple((m, *gap) for m, _, gap in levels if gap is not None)

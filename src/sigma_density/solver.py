@@ -23,8 +23,8 @@ multiplies the local factors whose logs the printed route sums
 that is undecided takes the sign of the printed full-size T bracket at
 that point.  Every printed bracket (the residual, and a boundary's
 bracket at 2) is that log form, ``density.t_at`` (through
-``density.t_func`` in :func:`r_threshold`), on ``mpmath.libmp`` interval
-tuples at ``FULL_SIZE.prec``, so no output depends on the sign test.
+``density.t_func`` in :func:`r_threshold`), on pairs of integers in units
+of 2^-FULL_SIZE.unit, so no output depends on the sign test.
 Because the function is increasing, a root certified inside the bracket
 makes the guided path the certified path, so guided and certified-only
 solves return the same bits.  The
@@ -47,7 +47,7 @@ from .brackets import Bracket, check_eps
 from .density import LEVELS, R_MONOTONE_LO, t_at, t_float, t_func, t_sign
 from .errors import CapacityError, DomainError, PrecisionError, check_k
 from .primes import PrimeTable
-from .zeta import to_iv
+from .zeta import exponent
 # Unused here; kept because perfbench's tracer test checks that tracing
 # restores solver.zeta_iv.
 from .zeta import zeta_iv  # noqa: F401
@@ -300,7 +300,7 @@ def _eta(table: PrimeTable, k: int | float, eps: float, method: str) -> RootResu
     printed value is :func:`density.t_at` at m_k."""
     m = m_selector(k)
     return _solve(
-        lambda r: t_at(table, k, m, to_iv(r)),
+        lambda r: t_at(table, k, m, exponent(r)),
         partial(t_sign, table, k, m),
         partial(t_float, table, k, m),
         eps,

@@ -1,31 +1,35 @@
-"""Certified enclosures of zeta(r) and of log G_k(r), where
+"""Certified enclosures of zeta(s) and of log G_k(r), where
 G_k(r) = zeta(r)/zeta((k+1)r) is the supremum of the restricted divisor
-sum (zeta(r) at k = inf), and the interval powers p^-r of primes.
+sum (zeta(r) at k = inf), and the interval powers p^-s of primes.
 
 zeta is evaluated by Euler-Maclaurin summation with the classical
 remainder bound (for real r > 1 the remainder is no larger in magnitude
 than the first omitted correction term), or, where the integral tail is
-below the kernel's unit, by the direct sum, in interval arithmetic so
-rounding is accounted for.  Interfaces use the ``mpmath.libmp`` interval
-tuples (lo, hi) that ``mpmath.iv`` objects wrap, with the precision
-passed in.  The one kernel, :func:`zeta_iv`, has two fixed sizes:
-FULL_SIZE feeds every bracket the program prints, and SIGN_SIZE, about
-half the cost, only the solver's sign test and the walk's target check.
-It sums on Python integers in units of 2^-F, F being the size's
-precision plus GUARD_BITS, each lower end rounded down and each upper
-end up, and returns exact mpf tuples.  Besides zeta(s) it returns its
-table of p^-s for the primes p <= N, each as :func:`prime_power` gives it, so
-the T route reads p^-r and p^-(k+1)r for those primes from the
-evaluations of zeta(r) and zeta((k+1)r) that log G makes anyway
-(:func:`log_g_iv` returns both tables), with the same bits as for any
-other prime.  Every exp on a certified route is this module's own, on
-Python integers (:func:`_exp_at`): reduction by n ln 2 and K halvings, a
-Taylor sum and K squarings, each error bounded in its docstring, with
-ln 2 and log p from an atanh series (:func:`_ln2`, :func:`_log_units`,
-of which :func:`log_prime` is the mpf image).  It serves the kernel's
-table, :func:`prime_power` and :func:`exp_iv`.  Callers turn an
-enclosure into a printed bracket with
-:meth:`~sigma_density.brackets.Bracket.from_iv`.
+below the kernel's unit, by the direct sum.  Every certified interval is
+a pair (lo, hi) of Python integers in units of 2^-F, F being its kernel
+size's ``unit``, each lower end rounded down and each upper end up, and
+every exponent s is a pair of exact integers in units of
+2^-EXPONENT_BITS (:func:`exponent`): every double above 1 is a multiple
+of that unit, and so is (k+1) times one.  The one kernel,
+:func:`zeta_iv`, has two fixed sizes: FULL_SIZE (F = 216) feeds every
+bracket the program prints, and SIGN_SIZE (F = 96), about half the cost,
+only the solver's sign test and the walk's target check.  Besides zeta(s)
+it returns its table of n^-s for n <= N, each prime's as
+:func:`prime_power` gives it, so the T route reads p^-r and p^-(k+1)r for
+those primes from the evaluations of zeta(r) and zeta((k+1)r) that log G
+makes anyway (:func:`log_g_iv` returns both tables), with the same bits
+as for any other prime.
+
+Every exp and log on a certified route is this module's own, on Python
+integers.  exp (:func:`_exp_at`) reduces by n ln 2 and K halvings, sums a
+Taylor series and squares K times, each error bounded in its docstring;
+it serves the kernel's table, :func:`prime_power` and :func:`exp_iv`.
+log (:func:`_log_at`, :func:`log_iv`) is an atanh series, as are ln 2 and
+log p (:func:`_ln2`, :func:`log_units`).  The four pair helpers
+:func:`add`, :func:`sub`, :func:`mul` and :func:`div` carry the rest of
+the arithmetic; callers turn an enclosure into a printed bracket with
+:meth:`~sigma_density.brackets.Bracket.from_units`.  mpmath serves only
+the kernel's Bernoulli numbers (``bernfrac``, exact rationals).
 """
 from __future__ import annotations
 
@@ -35,19 +39,6 @@ from fractions import Fraction
 from functools import cache
 
 import mpmath
-from mpmath.libmp import (
-    fone,
-    from_float,
-    from_int,
-    from_man_exp,
-    mpi_log,
-    mpi_mul,
-    mpi_sub,
-    round_ceiling,
-    round_floor,
-)
-
-ONE = fone, fone
 
 # Bits beyond a kernel size's precision in its fixed-point unit 2^-F and in
 # the integer log p that every p^-s is taken from, F = prec + GUARD_BITS.
@@ -57,20 +48,37 @@ ONE = fone, fone
 # still do there).
 GUARD_BITS = 16
 
-
-def to_iv(x: float) -> tuple:
-    """Exact interval image of a double (doubles are dyadic rationals)."""
-    v = from_float(x)
-    return v, v
+# Every exponent s is an integer in units of 2^-EXPONENT_BITS.
+EXPONENT_BITS = 52
 
 
-def _exact(n: int, prec: int) -> tuple:
-    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+def exponent(lo: float, hi: float | None = None) -> tuple[int, int]:
+    """The cell [lo, hi] of doubles at or above 1 (the point lo where hi
+    is None) as an exponent pair, exactly: a double x = m 2^e, m in
+    [1/2, 1), is m 2^53 times 2^(e - 1) units."""
+    (m, e), (n, f) = math.frexp(lo), math.frexp(lo if hi is None else hi)
+    return int(m * 2**53) << (e - 1), int(n * 2**53) << (f - 1)
 
 
-def scale(n: int, r: tuple, prec: int) -> tuple:
-    """n * r for an integer n, formed as the iv context at ``prec`` forms it."""
-    return mpi_mul(_exact(n, prec), r, prec)
+def add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """x + y for two pairs at one unit."""
+    return x[0] + y[0], x[1] + y[1]
+
+
+def sub(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """x - y for two pairs at one unit."""
+    return x[0] - y[1], x[1] - y[0]
+
+
+def mul(x: tuple[int, int], y: tuple[int, int], unit: int) -> tuple[int, int]:
+    """x y in units of 2^-unit, for positive x and y only (zeta, LF,
+    1 +- x, log p, q + 1): the lower ends pair, and so do the upper."""
+    return (x[0] * y[0]) >> unit, -((-x[1] * y[1]) >> unit)
+
+
+def div(x: tuple[int, int], y: tuple[int, int], unit: int) -> tuple[int, int]:
+    """x / y in units of 2^-unit, for positive x and y only, as :func:`mul`."""
+    return (x[0] << unit) // y[1], -((-x[1] << unit) // y[0])
 
 
 def _fixed(man: int, shift: int, up: bool) -> int:
@@ -100,9 +108,9 @@ def _atanh_series(a: int, b: int, bits: int) -> tuple[int, int]:
 
 def _guard(bits: int) -> int:
     """Bits that the series of :func:`_atanh_series` run beyond ``bits``:
-    its width, 4J + 4 units for J <= (bits + guard)/3 + 1 terms, and e
-    times ln 2's for e < 64, stay below one unit at ``bits``, so the ends
-    rounded out to ``bits`` are at most 2 units apart."""
+    its width, 4J + 4 units for J <= (bits + guard)/3 + 1 terms, and n
+    times ln 2's for |n| < 64, stay below one unit at ``bits``, so the
+    ends rounded out to ``bits`` are at most 2 units apart."""
     return bits.bit_length() + 5
 
 
@@ -114,24 +122,38 @@ def _ln2(bits: int) -> tuple[int, int]:
     return lo >> guard, -((-hi) >> guard)
 
 
-@cache
-def _log_units(p: int, bits: int) -> tuple[int, int]:
-    """log p for an integer p >= 2 in units of 2^-bits, at most 2 units
-    wide: e ln 2 + 2 atanh((p - 2^e)/(p + 2^e)) with 2^e <= p < 2^(e+1)."""
-    guard = _guard(bits)
-    e = p.bit_length() - 1
+def _log_at(man: int, exp: int, bits: int) -> tuple[int, int]:
+    """log(man 2^exp) for an integer man > 0 in units of 2^-bits, at most
+    2 units wide: n ln 2 + 2 atanh((man - 2^e)/(man + 2^e)), where
+    2^e <= man < 2^(e+1) and n = e + exp, so the atanh lies in [0, ln 2).
+    For n < 0, a value below 1 (as rounding can put the lower end of a
+    value at or above 1), n times ln 2's upper end is the lower bound and
+    n times its lower end the upper.  Past |n| = 64, ln 2 takes a guard
+    bit for each further bit of n."""
+    e = man.bit_length() - 1
+    n = e + exp
+    guard = _guard(bits) + max(0, abs(n).bit_length() - 6)
     l2_lo, l2_hi = _ln2(bits + guard)
-    a_lo, a_hi = _atanh_series(p - (1 << e), p + (1 << e), bits + guard)
-    return (e * l2_lo + a_lo) >> guard, -((-(e * l2_hi + a_hi)) >> guard)
+    if n < 0:
+        l2_lo, l2_hi = l2_hi, l2_lo
+    a_lo, a_hi = _atanh_series(man - (1 << e), man + (1 << e), bits + guard)
+    return (n * l2_lo + a_lo) >> guard, -((-(n * l2_hi + a_hi)) >> guard)
 
 
 @cache
-def log_prime(p: int, prec: int) -> tuple:
-    """Interval log p: the mpf image of the integer enclosure at
-    prec + GUARD_BITS bits that every p^-s at ``prec`` is taken from."""
-    unit = -prec - GUARD_BITS
-    lo, hi = _log_units(p, prec + GUARD_BITS)
-    return from_man_exp(lo, unit), from_man_exp(hi, unit)
+def log_units(p: int, bits: int) -> tuple[int, int]:
+    """log p for an integer p >= 2 in units of 2^-bits, at most 2 units
+    wide (:func:`_log_at`)."""
+    return _log_at(p, 0, bits)
+
+
+def log_iv(x: tuple[int, int], unit: int) -> tuple[int, int]:
+    """log over the pair x of positive values, both in units of 2^-unit:
+    one series at the lower end (:func:`_log_at`), and, log being concave,
+    log hi <= log lo + (hi - lo)/lo for the upper."""
+    lo, hi = x
+    a, b = _log_at(lo, -unit, unit)
+    return a, b - (((lo - hi) << unit) // lo)
 
 
 @dataclass(frozen=True)
@@ -238,43 +260,27 @@ def _exp_ends(lo: int, hi: int, exp: int, prec: int) -> tuple[int, int, int, int
     return a, ea, b, eb
 
 
-def _mpf(man: int, exp: int) -> tuple:
-    """The mpf man 2^exp for an integer man > 0, normalized as
-    ``from_man_exp`` normalizes it: an odd mantissa."""
-    zeros = (man & -man).bit_length() - 1
-    man >>= zeros
-    return 0, man, exp + zeros, man.bit_length()
-
-
-def _signed(x: tuple) -> tuple[int, int]:
-    """The mpf x as (m, e), x = m 2^e with m of the sign of x."""
-    sign, man, exp, _ = x
-    return -man if sign else man, exp
-
-
-def _exp_mpf(a: int, ea: int, b: int, eb: int, prec: int) -> tuple:
-    """exp over [a 2^ea, b 2^eb] as an mpf interval, by :func:`_exp_ends`."""
+def exp_iv(x: float, prec: int) -> tuple[int, int, int]:
+    """exp(x) for a double x, read at ``prec`` bits, with its exact dyadic
+    ends: (lo, hi, unit), exp(x) lying in [lo 2^-unit, hi 2^-unit]."""
+    man, denominator = x.as_integer_ratio()
+    a, ea, b, eb = _exp_ends(man, man, 1 - denominator.bit_length(), prec)
     e = min(ea, eb)
-    a, ea, b, eb = _exp_ends(a << (ea - e), b << (eb - e), e, prec)
-    return _mpf(a, ea), _mpf(b, eb)
+    return a << (ea - e), b << (eb - e), -e
 
 
-def exp_iv(t: tuple, prec: int) -> tuple:
-    """An interval enclosing exp over the mpf interval t, for a result
-    read at ``prec`` bits."""
-    return _exp_mpf(*_signed(t[0]), *_signed(t[1]), prec)
-
-
-def prime_power(p: int, expo: tuple, prec: int) -> tuple:
-    """p**expo = exp(expo * log p) for a prime p and an interval exponent,
-    the product formed exactly from log p in units of 2^-(prec +
-    GUARD_BITS), and its exp by :func:`_exp_ends`."""
-    unit = prec + GUARD_BITS
-    l_lo, l_hi = _log_units(p, unit)
-    (a, ea), (b, eb) = _signed(expo[0]), _signed(expo[1])
+def prime_power(p: int, expo: tuple[int, int], size: KernelSize) -> tuple[int, int]:
+    """p**expo = exp(expo log p) for a prime p over an exponent pair, in
+    units of 2^-size.unit: the product formed exactly from log p in those
+    units, its exp by :func:`_exp_ends` at size.prec, and each end rounded
+    outward to the unit."""
+    unit = size.unit
+    l_lo, l_hi = log_units(p, unit)
+    a, b = expo
     a *= l_hi if a < 0 else l_lo
     b *= l_lo if b < 0 else l_hi
-    return _exp_mpf(a, ea - unit, b, eb - unit, prec)
+    a, ea, b, eb = _exp_ends(a, b, -EXPONENT_BITS - unit, size.prec)
+    return _fixed(a, ea + unit, False), _fixed(b, eb + unit, True)
 
 
 # A size fixes N (Euler-Maclaurin terms), M (corrections), the precision
@@ -336,23 +342,23 @@ FULL_SIZE = _kernel_size(25, 12, 200)
 SIGN_SIZE = _kernel_size(12, 6, 80)
 
 
-def zeta_iv(s: tuple, size: KernelSize = FULL_SIZE) -> tuple[tuple, list]:
-    """Interval enclosure of zeta(s) for an interval s with s.a > 1:
+def zeta_iv(s: tuple[int, int], size: KernelSize = FULL_SIZE) -> tuple[tuple[int, int], list]:
+    """Enclosure of zeta(s) over an exponent pair s with s > 1, in units
+    of 2^-size.unit:
 
         zeta(s) = sum_{n<=N} n^-s + N^{1-s}/(s-1) - N^-s/2
                   + sum_{j<=M} B_{2j}/(2j)! * s(s+1)...(s+2j-2) * N^{1-s-2j}
                   + R_M,
 
-    with N, M and the unit fixed by ``size``, and the table ``powers`` of
-    its prime terms: ``powers[n]`` = n^-s for n = 1 and the primes n <= N,
-    the mpf intervals of :func:`prime_power`, and None at the composites,
-    which no caller reads.  Every even derivative of f(x) = x^-s is
-    positive on [N, oo) for every real s > 1 and N >= 1, so the classical
-    remainder theorem puts R_M between 0 and the first omitted term
-    (j = M + 1).  Where N^{1-s}/(s-1) is at most one unit (s above about
-    1 + F/log2 N), sum_{n>N} n^-s lies in [0, N^{1-s}/(s-1)], each term
-    being below its integral over [n - 1, n], and the corrections are
-    dropped: the cost does not grow with s.
+    with N and M fixed by ``size``, and its table ``powers``: powers[n] =
+    n^-s for n <= N (None at n = 0), a pair at the same unit, each prime's
+    as :func:`prime_power` gives it.  Every even derivative of
+    f(x) = x^-s is positive on [N, oo) for every real s > 1 and N >= 1, so
+    the classical remainder theorem puts R_M between 0 and the first
+    omitted term (j = M + 1).  Where N^{1-s}/(s-1) is at most one unit (s
+    above about 1 + F/log2 N), sum_{n>N} n^-s lies in [0, N^{1-s}/(s-1)],
+    each term being below its integral over [n - 1, n], and the
+    corrections are dropped: the cost does not grow with s.
 
     Only p^-s for the primes p <= N takes an exp; every other n^-s is
     the product of two earlier powers, and N^{1-s-2j} = N^{1-2j} * N^-s.
@@ -361,36 +367,27 @@ def zeta_iv(s: tuple, size: KernelSize = FULL_SIZE) -> tuple[tuple, list]:
     but B_{2j}, whose sign alternates, and the remainder's [-1, 1] is
     positive, which fixes the pairing of the ends.
     """
-    unit, prec = size.unit, size.prec
+    unit = size.unit
     one = 1 << unit
-    (_, ma, ea, _), (_, mb, eb, _) = s
-    s_lo, s_hi = _fixed(ma, ea + unit, False), _fixed(mb, eb + unit, True)
-    # -s log p over [-s.b log_hi p, -s.a log_lo p], in units of 2^e
-    e = min(ea, eb)
-    ma, mb, e = ma << (ea - e), mb << (eb - e), e - unit
-    powers = [None, ONE]  # mpf ends of the prime entries; None at composites
-    ends = [None, (one, one)]  # every entry's, in units
+    s_lo, s_hi = s[0] << (unit - EXPONENT_BITS), s[1] << (unit - EXPONENT_BITS)
+    minus_s = -s[1], -s[0]
+    powers = [None, (one, one)]
     lo = hi = one
     for n in range(2, size.terms + 1):
         p = size.smallest_factor[n]
         if p == n:
-            l_lo, l_hi = _log_units(p, unit)
-            a, pa, b, pb = _exp_ends(-mb * l_hi, -ma * l_lo, e, prec)
-            powers.append((_mpf(a, pa), _mpf(b, pb)))
-            # p^-s < 1 and the ends have w > unit bits: right shifts
-            a, b = a >> -(pa + unit), -((-b) >> -(pb + unit))
+            a, b = prime_power(p, minus_s, size)
         else:
-            powers.append(None)
-            (pa, pb), (qa, qb) = ends[p], ends[n // p]
+            (pa, pb), (qa, qb) = powers[p], powers[n // p]
             a, b = (pa * qa) >> unit, -((-pb * qb) >> unit)
-        ends.append((a, b))
+        powers.append((a, b))
         lo += a
         hi += b
-    na, nb = ends[size.terms]
+    na, nb = powers[size.terms]
     # N * N^-s / (s - 1): one integer division for each end
     tail_hi = -((-(size.terms * nb) << unit) // (s_lo - one))
     if tail_hi <= 1:
-        return (from_man_exp(lo, -unit), from_man_exp(hi + tail_hi, -unit)), powers
+        return (lo, hi + tail_hi), powers
     lo += ((size.terms * na) << unit) // (s_hi - one) - ((nb + 1) >> 1)
     hi += tail_hi - (na >> 1)
     shift = size.coeff_unit
@@ -408,18 +405,21 @@ def zeta_iv(s: tuple, size: KernelSize = FULL_SIZE) -> tuple[tuple, list]:
         rb = -((-rb * (s_hi + 2 * j * one)) >> unit)
     # R_M in [-c, c] * rising * N^-s, with c = size.remainder
     m = -(((-size.remainder * rb) >> shift) * nb >> unit)
-    return (from_man_exp(lo - m, -unit), from_man_exp(hi + m, -unit)), powers
+    return (lo - m, hi + m), powers
 
 
-def log_g_iv(k: int | float, r: tuple, size: KernelSize = FULL_SIZE) -> tuple[tuple, list, list | None]:
-    """Interval enclosure of log G_k(r), G_k(r) = zeta(r)/zeta((k+1)r),
-    from two zeta_iv calls of ``size`` at its precision (one at k = inf,
-    where zeta((k+1)r) = 1), with the tables of p^-r and of p^-(k+1)r
-    that the two calls return (None for the second at k = inf)."""
-    prec = size.prec
+def log_g_iv(
+    k: int | float, r: tuple[int, int], size: KernelSize = FULL_SIZE
+) -> tuple[tuple[int, int], list, list | None]:
+    """Enclosure of log G_k(r), G_k(r) = zeta(r)/zeta((k+1)r), over an
+    exponent pair r, in units of 2^-size.unit, from two zeta_iv calls of
+    ``size`` (one at k = inf, where zeta((k+1)r) = 1) and their logs
+    (:func:`log_iv`), with the tables of p^-r and of p^-(k+1)r that the
+    two calls return (None for the second at k = inf)."""
+    unit = size.unit
     zeta_r, powers = zeta_iv(r, size)
-    log_g, powers_k = mpi_log(zeta_r, prec), None
+    log_g, powers_k = log_iv(zeta_r, unit), None
     if k != math.inf:
-        zeta_kr, powers_k = zeta_iv(scale(k + 1, r, prec), size)
-        log_g = mpi_sub(log_g, mpi_log(zeta_kr, prec), prec)
+        zeta_kr, powers_k = zeta_iv(((k + 1) * r[0], (k + 1) * r[1]), size)
+        log_g = sub(log_g, log_iv(zeta_kr, unit))
     return log_g, powers, powers_k

@@ -31,7 +31,14 @@ sum, its root by float bisection, and the two ``Bracket`` helpers only it
 and the tests read, ``contains`` and ``from_value_error``.
 
 Every ``mpmath.iv`` object here and in the tests is built at 200 bits, the
-precision of the library's certified route, which conftest.py sets."""
+precision of the seed route, which conftest.py sets.  The library carries
+each certified number as a pair of integers in units of 2^-F, F its
+kernel size's unit, and each exponent in units of 2^-52; ``mpi`` turns
+such a pair into the exact ``mpmath.libmp`` interval tuple that the
+oracles compute on, ``to_units`` an oracle's interval into such a pair
+(``exponent_of`` an exponent), and ``iv_bracket`` an oracle's interval
+into a double bracket, each end to its nearest double and then one double
+outward, as ``Bracket.from_units`` rounds a pair."""
 
 import functools
 import math
@@ -45,6 +52,7 @@ from mpmath.libmp import (
     fnone,
     fone,
     from_int,
+    from_man_exp,
     ftwo,
     mpi_add,
     mpi_div,
@@ -55,13 +63,54 @@ from mpmath.libmp import (
     mpi_sub,
     round_ceiling,
     round_floor,
+    round_nearest,
+    to_float,
 )
 
 from sigma_density import explorer, solver
 from sigma_density.brackets import Bracket, check_eps
 from sigma_density.errors import DomainError, IndeterminateError, check_k
 from sigma_density.primes import sieve
-from sigma_density.zeta import FULL_SIZE, log_g_iv, log_prime, prime_power, to_iv, zeta_iv
+from sigma_density.zeta import EXPONENT_BITS, FULL_SIZE, exponent, log_g_iv, log_units, prime_power, zeta_iv
+
+
+def mpi(pair, unit=FULL_SIZE.unit):
+    """The library's pair (lo, hi) in units of 2^-unit as the exact
+    ``mpmath.libmp`` interval tuple; ``iv.make_mpf`` of it is an iv object."""
+    return from_man_exp(pair[0], -unit), from_man_exp(pair[1], -unit)
+
+
+def to_units(x, unit=FULL_SIZE.unit):
+    """An iv object or a libmp interval tuple as the library's pair in
+    units of 2^-unit, each end rounded outward; exact for an exponent at
+    unit EXPONENT_BITS whose ends are doubles at or above 1, or integer
+    multiples of them."""
+    ends = []
+    for (sign, man, exp, _), up in zip(getattr(x, "_mpi_", x), (False, True)):
+        man, shift = -man if sign else man, exp + unit
+        ends.append(man << shift if shift >= 0 else -((-man) >> -shift) if up else man >> -shift)
+    return ends[0], ends[1]
+
+
+def exponent_of(s):
+    """The exponent s, a double, a list [a, b] of doubles or an iv object,
+    as the library's pair, exactly (see :func:`to_units`)."""
+    return to_units(s if isinstance(s, iv.mpf) else iv.mpf(s), EXPONENT_BITS)
+
+
+def iv_bracket(x) -> Bracket:
+    """An ``mpmath.iv`` object, or the libmp tuple (lo, hi) that one wraps,
+    as a double bracket: each end to its nearest double, then one double
+    outward."""
+    a, b = getattr(x, "_mpi_", x)
+    lo = math.nextafter(to_float(a, rnd=round_nearest), -math.inf)
+    hi = math.nextafter(to_float(b, rnd=round_nearest), math.inf)
+    return Bracket(lo, hi)
+
+
+def library_bracket(pair, unit=FULL_SIZE.unit) -> Bracket:
+    """The library's pair at ``unit`` as it prints it."""
+    return Bracket.from_units(*pair, unit)
 
 
 def iv_pow(base, expo):
@@ -80,7 +129,7 @@ def tail_bracket(table, k: int, m: int, r: float) -> Bracket:
     exact rearrangement log G_k(r) minus the prefix i <= m."""
     r_iv = iv.mpf(r)
     prefix = sum((log_local_factor_iv(table.nth(i), k, r_iv) for i in range(1, m + 1)), iv.mpf(0))
-    return Bracket.from_iv(log_g_iv_oracle(k, r_iv) - prefix)
+    return iv_bracket(log_g_iv_oracle(k, r_iv) - prefix)
 
 
 def _exact(n, prec):
@@ -107,7 +156,7 @@ def zeta_mpi(s, size=FULL_SIZE):
     for n in range(2, size.terms + 1):
         p = size.smallest_factor[n]
         if p == n:
-            power = mpi_exp(mpi_mul(minus_s, log_prime(p, prec), prec), prec)
+            power = mpi_exp(mpi_mul(minus_s, mpi(log_units(p, size.unit), size.unit), prec), prec)
         else:
             power = mpi_mul(powers[p], powers[n // p], prec)
         powers.append(power)
@@ -157,10 +206,10 @@ def t_levels_oracle(table, k: int, r: float, ms):
     r_iv = iv.mpf(r)
     log_g = log_g_iv_oracle(k, r_iv)
     for m, head, prefix in levels_oracle(table, k, r_iv, ms):
-        t = Bracket.from_iv(head - log_g + prefix)
+        t = iv_bracket(head - log_g + prefix)
         gap = None
         if t.strictly_positive():
-            gap = Bracket.from_iv(log_g - prefix).hi, Bracket.from_iv(head).lo
+            gap = iv_bracket(log_g - prefix).hi, iv_bracket(head).lo
         yield m, t, gap
 
 
@@ -190,7 +239,7 @@ def t_mpmath(table, k: int, m: int, r: float, digits: int = 60):
 
 
 def log_g_bracket_oracle(k: int, r: float) -> Bracket:
-    return Bracket.from_iv(log_g_iv_oracle(k, iv.mpf(r)))
+    return iv_bracket(log_g_iv_oracle(k, iv.mpf(r)))
 
 
 def t_sign_oracle(table, k: int | float, m: int, r: float, size) -> int | None:
@@ -214,25 +263,25 @@ def t_sign_oracle(table, k: int | float, m: int, r: float, size) -> int | None:
         dropped *= 1 - x
     zeta_kr = 1 if k == math.inf else zeta_mpi((k + 1) * r_iv, size)[0]
     lhs = (1 + x) * zeta_kr * kept
-    return Bracket.from_iv(lhs - zeta_mpi(r_iv, size)[0] * dropped).certified_sign()
+    return iv_bracket(lhs - zeta_mpi(r_iv, size)[0] * dropped).certified_sign()
 
 
 def limit_equation(r: float) -> Bracket:
     """The limit equation (2^r/(2^r - 1)) ((3^r + 1)/(3^r - 1)) = zeta(r)
     in log form, lhs - log zeta(r), as a bracket on interval tuples at
-    FULL_SIZE.prec, with 2^r and 3^r by their own exps: T_inf(2, r) by
-    its own formula."""
+    FULL_SIZE.prec with mpmath's logs, with 2^r and 3^r by their own exps:
+    T_inf(2, r) by its own formula."""
     prec = FULL_SIZE.prec
     one = (fone, fone)
-    r_iv = to_iv(r)
-    p2 = prime_power(2, r_iv, prec)
-    p3 = prime_power(3, r_iv, prec)
+    s = exponent(r)
+    p2 = mpi(prime_power(2, s, FULL_SIZE))
+    p3 = mpi(prime_power(3, s, FULL_SIZE))
     lhs = mpi_add(
         mpi_log(mpi_div(p2, mpi_sub(p2, one, prec), prec), prec),
         mpi_log(mpi_div(mpi_add(p3, one, prec), mpi_sub(p3, one, prec), prec), prec),
         prec,
     )
-    return Bracket.from_iv(mpi_sub(lhs, mpi_log(zeta_iv(r_iv)[0], prec), prec))
+    return iv_bracket(mpi_sub(lhs, mpi_log(mpi(zeta_iv(s)[0]), prec), prec))
 
 
 def selector_oracle(table, k) -> int:
@@ -251,7 +300,7 @@ def greedy_target_check(k: int, r: float, x: float):
     outright, as G_k(r) > 1."""
     if x == 0:
         return None
-    log_g = Bracket.from_iv(log_g_iv(k, to_iv(r))[0])
+    log_g = library_bracket(log_g_iv(k, exponent(r))[0])
     if x >= log_g.hi:
         return DomainError, f"target {x} is not below log G_{k}({r}) = {log_g.hi}"
     if x >= log_g.lo:
@@ -287,12 +336,6 @@ def enclosure_width(enclosure):
     a, b = enclosure
     with mpmath.workprec(2000):
         return mpmath.mpf(b) - mpmath.mpf(a)
-
-
-def mpf_fraction(x) -> Fraction:
-    """The exact value of an mpf tuple."""
-    sign, man, exp, _ = x
-    return Fraction(-man if sign else man) * Fraction(2) ** exp
 
 
 def taylor_exp(x, bits: int = 400) -> tuple[Fraction, Fraction]:
@@ -467,15 +510,16 @@ def first_difference(got, expected):
 # The cell cover on iv objects: each claim maps an iv cell to an iv
 # enclosure, and each power of each cell takes its own exp.
 def _iv_log_prime(p):
-    return iv.make_mpf(log_prime(p, iv.prec))
+    return iv.make_mpf(mpi(log_units(p, FULL_SIZE.unit)))
 
 
 def _iv_power(p, expo):
     """p**expo for an iv interval exponent, as an iv object: its lower end
     from the power at the exponent's lower end, its upper end from the
     one at its upper end, each by ``zeta.prime_power`` at a point."""
-    u, v = expo._mpi_
-    return iv.make_mpf((prime_power(p, (u, u), iv.prec)[0], prime_power(p, (v, v), iv.prec)[1]))
+    u, v = exponent_of(expo)
+    lo, hi = prime_power(p, (u, u), FULL_SIZE)[0], prime_power(p, (v, v), FULL_SIZE)[1]
+    return iv.make_mpf(mpi((lo, hi)))
 
 
 def cover_x(p, r):
@@ -513,7 +557,7 @@ def cover_claims_oracle(table):
         "pair_product_m4": lambda r: (1 + x(2, r))
         / ((1 + x(3, r)) * (1 + x(5, r)) * (1 + (x7 := x(7, r))))
         - (1 + x7),
-        "square_dominates_zeta": lambda r: (1 + x(2, r)) ** 2 - iv.make_mpf(zeta_iv(r._mpi_)[0]),
+        "square_dominates_zeta": lambda r: (1 + x(2, r)) ** 2 - iv.make_mpf(mpi(zeta_iv(exponent_of(r))[0])),
     }
     for m in (1, 2, 4):
         claims[f"t_increasing_m{m}"] = functools.partial(rise_oracle, table, m, 10, log_over_oracle)

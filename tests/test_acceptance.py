@@ -11,9 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from oracles import contains, log_sigma_of_alphas, r1_surrogate, selector_oracle, tail_bracket
+from oracles import contains, library_bracket, log_sigma_of_alphas, r1_surrogate, selector_oracle, tail_bracket
 from sigma_density import cli, density, explorer, primes, solver, zeta
-from sigma_density.brackets import Bracket
 
 
 def _report(name, ok, detail=""):
@@ -200,7 +199,7 @@ def test_09_census_avoids_certified_gap(table, capsys):
 
 def test_10_greedy_convergence(table, capsys):
     k, r, steps = 1, 1.5, 10_000
-    log_g = Bracket.from_iv(zeta.log_g_iv(k, zeta.to_iv(r))[0]).lo
+    log_g = library_bracket(zeta.log_g_iv(k, zeta.exponent(r))[0]).lo
     tail_bound = tail_bracket(table, k, steps, r).hi
     rng = np.random.default_rng(20260825)
     ok = True
@@ -224,7 +223,7 @@ def test_10_greedy_convergence(table, capsys):
 
 
 def test_11_zeta_sanity(capsys):
-    two, four = (Bracket.from_iv(zeta.zeta_iv(zeta.to_iv(s))[0]) for s in (2, 4))
+    two, four = (library_bracket(zeta.zeta_iv(zeta.exponent(s))[0]) for s in (2, 4))
     with capsys.disabled():
         _report(
             "zeta brackets contain the classical closed forms",

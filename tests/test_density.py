@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv
-from mpmath.libmp import from_float, mpi_add, mpi_log, mpi_neg, mpi_sub
 
 from oracles import (
     V_TRUNCATION,
@@ -14,22 +13,26 @@ from oracles import (
     contains,
     cover_claims_oracle,
     enclosure_width,
+    iv_bracket,
     iv_pow,
+    library_bracket,
     limit_equation,
     log_g_bracket_oracle,
     log_local_factor_iv,
+    mpi,
     r1_surrogate,
     seed_density_verdict,
     t_levels_oracle,
     t_mpmath,
     t_sign_oracle,
     tail_bracket,
+    to_units,
     v_func,
 )
 from sigma_density import density, explorer, primes, solver, zeta
 from sigma_density.brackets import Bracket
 from sigma_density.errors import DomainError, IndeterminateError
-from sigma_density.zeta import log_g_iv, to_iv
+from sigma_density.zeta import exponent, log_g_iv
 
 
 def assert_no_wider(new: Bracket, old: Bracket):
@@ -58,18 +61,18 @@ def f(table, k, m, r):
     prefix = iv.mpf(0)
     for i in range(1, m + 1):
         prefix += log_local_factor_iv(table.nth(i), k, r_iv)
-    return Bracket.from_iv(head + prefix)
+    return iv_bracket(head + prefix)
 
 
 def log_g(k, r):
-    return Bracket.from_iv(log_g_iv(k, to_iv(r))[0])
+    return library_bracket(log_g_iv(k, exponent(r))[0])
 
 
 def j_bracket(table, m, x):
     """J_m(x): log p_m / (p_m^x + 1) minus the same expression summed over
     the next six primes, the claim ``j_negative_m*`` proves negative."""
-    rise = density._rise(table, density._power_table(), m, 6, density._log_over, x, x)
-    return Bracket.from_iv(mpi_neg(rise))
+    lo, hi = density._rise(table, density._power_table(), m, 6, density._log_over, x, x)
+    return library_bracket((-hi, -lo))
 
 
 def gap_core(table, k, m, r):
@@ -179,7 +182,7 @@ class TestT:
     def test_two_formulas_agree(self, table, k, m, r):
         direct = density.t_func(table, k, m, r)
         f_b, g_b = f(table, k, m, r), log_g(k, r)
-        assembled = Bracket.from_iv(iv.mpf([f_b.lo, f_b.hi]) - iv.mpf([g_b.lo, g_b.hi]))
+        assembled = iv_bracket(iv.mpf([f_b.lo, f_b.hi]) - iv.mpf([g_b.lo, g_b.hi]))
         assert max(direct.lo, assembled.lo) <= min(direct.hi, assembled.hi)
 
     def test_monotone_in_r(self, table):
@@ -210,20 +213,21 @@ class TestOneLogPerPrime:
         r=st.floats(min_value=1.0001, max_value=40.0),
     )
     def test_t_log_g_and_gaps_equal_the_oracle_route(self, table, k, ms, r):
-        r_iv = to_iv(r)
-        log_g = log_g_iv(k, r_iv)
-        assert_no_wider(Bracket.from_iv(log_g[0]), log_g_bracket_oracle(k, r))
+        s = exponent(r)
+        log_g = log_g_iv(k, s)
+        assert_no_wider(library_bracket(log_g[0]), log_g_bracket_oracle(k, r))
         # T and the gap core at each level, from each p^-r, log local factor
         # and head, with p_i from the table
-        levels = density.t_levels(table, k, r_iv, log_g, ms)
+        levels = density.t_levels(table, k, s, log_g, ms)
         assert_levels_no_wider(list(levels), list(t_levels_oracle(table, k, r, ms)))
 
     @pytest.mark.parametrize("x", [1.0001, 1.5, 7 / 3, [1.0001, 7 / 3], [1.8, 1.9]])
     @pytest.mark.parametrize("p", [2, 3, 7, 31, 1999993])
     def test_cover_terms_equal_the_oracle_route(self, p, x):
         # each power holds the image of the cell, at its ends, and is no
-        # wider than an interval exp at each end; the terms built on p^x
-        # hold theirs and print inside the oracle route's doubles
+        # wider than an interval exp at each end, once its ends are rounded
+        # outward to the cover's unit; the terms built on p^x hold theirs
+        # and print inside the oracle route's doubles
         a, b = x if isinstance(x, list) else (x, x)
         power, x = density._power_table(), iv.mpf(x)
         log_p = iv.log(iv.mpf(p))
@@ -231,19 +235,19 @@ class TestOneLogPerPrime:
         with mpmath.workprec(300):
             ends = mpmath.mpf(a), mpmath.mpf(b)
             for j, oracle in ((-1, iv_pow(iv.mpf(p), -x)), (-2, iv_pow(iv.mpf(p), -(2 * x))), (1, q)):
-                got = power(p, j, a, b)
+                got = mpi(power(p, j, a, b))
                 lo, hi = sorted(mpmath.power(p, j * e) for e in ends)
                 assert mpmath.mpf(got[0]) <= lo and hi <= mpmath.mpf(got[1])
-                assert enclosure_width(got) <= enclosure_width(oracle._mpi_)
+                assert enclosure_width(got) <= enclosure_width(oracle._mpi_) + mpmath.ldexp(2, -density.UNIT)
             lp = mpmath.log(p)
             for term, oracle, f in (
                 (density._log_over, log_p / (q + 1), lambda e: lp / (mpmath.power(p, e) + 1)),
                 (density._log_sq_over, log_p**2 / (q + 2 + 1 / q), lambda e: lp**2 / (mpmath.power(p, e) + 2 + mpmath.power(p, -e))),
             ):
-                got = term(p, power(p, 1, a, b))
+                got = mpi(term(p, power(p, 1, a, b)))
                 lo, hi = f(ends[1]), f(ends[0])  # decreasing in x
                 assert mpmath.mpf(got[0]) <= lo * (1 + REFERENCE_SLACK) and hi * (1 - REFERENCE_SLACK) <= mpmath.mpf(got[1])
-                assert_no_wider(Bracket.from_iv(got), Bracket.from_iv(oracle))
+                assert_no_wider(iv_bracket(got), iv_bracket(oracle))
 
 
 class TestLogFreeSign:
@@ -317,9 +321,10 @@ class TestOneLocalFactorRoute:
         local_factors = density._local_factors
 
         def unit_factors(*args):
+            one = 1 << args[-1].unit
             for x, _ in local_factors(*args):
                 taken.append(x)
-                yield x, zeta.ONE
+                yield x, (one, one)
 
         monkeypatch.setattr(density, "_local_factors", unit_factors)
         return taken
@@ -327,16 +332,15 @@ class TestOneLocalFactorRoute:
     @staticmethod
     def without_prefix(k, r, x):
         """log(1 + x) - log G_k(r): T with every factor 1."""
-        prec = zeta.FULL_SIZE.prec
-        head = mpi_log(mpi_add(zeta.ONE, x, prec), prec)
-        return Bracket.from_iv(mpi_sub(head, log_g_iv(k, to_iv(r))[0], prec))
+        head = zeta.log_iv(zeta.add(density.ONE, x), density.UNIT)
+        return library_bracket(zeta.sub(head, log_g_iv(k, exponent(r))[0]))
 
     @pytest.mark.parametrize("k, m, r", POINTS)
     def test_t_at_and_t_sign(self, table, taken, k, m, r):
         assert density.t_sign(table, k, m, r) == -1
         assert len(taken) == m
         taken.clear()
-        t = density.t_at(table, k, m, to_iv(r))
+        t = density.t_at(table, k, m, exponent(r))
         assert len(taken) == m
         assert t == self.without_prefix(k, r, taken[-1]) and t.hi < 0
 
@@ -374,14 +378,21 @@ class TestTupleRoute:
     def test_printed_brackets_equal_the_oracle(self, table, k, r):
         assert_no_wider_than_the_seed_route(table, k, r)
 
-    @pytest.mark.parametrize("k, r", [(1, 60.0), (1, 100.0), (1, 195.0), (1, 300.0), (30, 1.9), (2, 40.0)])
+    @pytest.mark.parametrize(
+        "k, r", [(1, 60.0), (1, 100.0), (1, 195.0), (1, 200.0), (1, 300.0), (30, 1.9), (2, 40.0)]
+    )
     def test_large_r_brackets_narrow(self, table, k, r):
-        # the full size's unit of 2^-216 and its direct sum narrow T at
-        # large r; at r = 195 the seed route's undetermined becomes not_dense
+        # the full size's unit of 2^-216, its direct sum and its integer
+        # logs narrow T at large r; at r = 195 and r = 200 the seed route's
+        # undetermined becomes not_dense, with T_1(1, 200) about 6.22e-61
+        # (at r = 230 every T bracket still straddles 0)
         assert_no_wider_than_the_seed_route(table, k, r)
-        if r == 195.0:
+        if r in (195.0, 200.0):
             assert seed_density_verdict(table, k, r) == "undetermined"
             assert density.density_report(table, k, r).verdict == "not_dense"
+        if r == 200.0:
+            t = density.t_func(table, k, 1, r)
+            assert 6.22e-61 < t.lo < t.hi < 6.227e-61
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -401,9 +412,9 @@ def assert_no_wider_than_the_seed_route(table, k, r):
     verdict that differs from the seed route's only where that is
     undetermined and the new one is mpmath's sign of T at 60 digits."""
     oracle = list(t_levels_oracle(table, k, r, range(1, 11)))
-    r_iv = to_iv(r)
-    log_g = log_g_iv(k, r_iv)
-    assert_levels_no_wider(list(density.t_levels(table, k, r_iv, log_g, range(1, 11))), oracle)
+    s = exponent(r)
+    log_g = log_g_iv(k, s)
+    assert_levels_no_wider(list(density.t_levels(table, k, s, log_g, range(1, 11))), oracle)
     for m in (1, 2, 4, 10):
         assert_no_wider(density.t_func(table, k, m, r), oracle[m - 1][1])
     report = density.density_report(table, k, r)
@@ -524,7 +535,7 @@ class TestInequalities:
         r = 1.8
         assert 1 + 2**-r < (1 + 3**-r) * (1 + 3**-r + 3 ** (-2 * r))
         r = 2.5
-        assert (1 + 2**-r) ** 2 > Bracket.from_iv(zeta.zeta_iv(to_iv(r))[0]).hi
+        assert (1 + 2**-r) ** 2 > library_bracket(zeta.zeta_iv(exponent(r))[0]).hi
 
     def test_slack_is_a_lower_bound_at_points_of_the_range(self):
         # the float forms of the five expressions, as the grid checked them
@@ -542,13 +553,13 @@ class TestInequalities:
 
 
 def above(c):
-    """The claim r - c on a cell [a, b], as an interval tuple."""
-    return lambda a, b: mpi_sub((from_float(a), from_float(b)), to_iv(c))
+    """The claim r - c on a cell [a, b], as a pair at the cover's unit."""
+    return lambda a, b: zeta.sub(to_units(iv.mpf([a, b])), to_units(iv.mpf(c)))
 
 
 def below(c):
-    """The claim c - r on a cell [a, b], as an interval tuple."""
-    return lambda a, b: mpi_sub(to_iv(c), (from_float(a), from_float(b)))
+    """The claim c - r on a cell [a, b], as a pair at the cover's unit."""
+    return lambda a, b: zeta.sub(to_units(iv.mpf(c)), to_units(iv.mpf([a, b])))
 
 
 def recorded(claim, cells):
@@ -588,10 +599,11 @@ class TestCover:
         assert passed and cells == 1 and 0 < lowest <= 0.001
 
     def test_every_cell_equals_the_iv_oracle(self, table, monkeypatch):
-        # all 14 checks: the same cells, each cell's enclosure bit for bit,
-        # and so the same lower bounds, min_slack and verdict, as the cover
-        # on iv objects with each end of each power of each cell by
-        # zeta.prime_power at that end
+        # all 14 checks: the same cells, and so the same lower bounds,
+        # min_slack and verdict, as the cover on iv objects with each end of
+        # each power of each cell by zeta.prime_power at that end, its
+        # enclosures rounded outward to the cover's unit; and each cell's
+        # enclosure inside the oracle's
         cells = {}
         check = density._check
 
@@ -606,10 +618,12 @@ class TestCover:
             oracle = claims[c.name]
             oracle_cells = []
             result = density._cover(
-                recorded(lambda a, b: oracle(iv.mpf([a, b]))._mpi_, oracle_cells), c.r_lo, c.r_hi
+                recorded(lambda a, b: to_units(oracle(iv.mpf([a, b]))), oracle_cells), c.r_lo, c.r_hi
             )
             assert result == (c.cells, c.min_slack, c.passed)
-            assert cells[c.name] == oracle_cells
+            assert [cell[:2] for cell in cells[c.name]] == [cell[:2] for cell in oracle_cells]
+            for (_, _, (lo, hi)), (_, _, (oracle_lo, oracle_hi)) in zip(cells[c.name], oracle_cells):
+                assert oracle_lo <= lo and hi <= oracle_hi, c.name
 
     @pytest.mark.parametrize("suite", ["inequalities", "monotonicity"])
     def test_each_power_end_is_taken_once_per_call(self, table, monkeypatch, suite):
@@ -620,9 +634,9 @@ class TestCover:
         calls = []
         power = density.prime_power
 
-        def spy(p, expo, prec):
+        def spy(p, expo, size):
             calls.append((p, expo))
-            return power(p, expo, prec)
+            return power(p, expo, size)
 
         monkeypatch.setattr(density, "prime_power", spy)
         run = {
@@ -655,7 +669,7 @@ class TestMonotonicity:
             rise = density._rise(
                 table, density._power_table(), m, 10, density._log_over, float(a), float(b)
             )
-            bound = Bracket.from_iv(rise)
+            bound = library_bracket(rise)
             for r in (a, 0.5 * (a + b), b):
                 assert bound.lo <= t_derivative(table, k, m, float(r)).hi
 
@@ -664,7 +678,7 @@ class TestMonotonicity:
         for m in (1, 2, 4):
             for a, b in ((1.01, 1.2), (1.5, 1.9), (2.0, 2.33)):
                 rise = density._rise(table, density._power_table(), m, 6, density._log_sq_over, a, b)
-                bound = Bracket.from_iv(rise)
+                bound = library_bracket(rise)
                 for x in (a, 0.5 * (a + b), b - h):
                     j0, j1 = (j_bracket(table, m, y).mid for y in (x, x + h))
                     assert bound.lo <= (j1 - j0) / h + 1e-6

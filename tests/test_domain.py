@@ -7,8 +7,8 @@ import pytest
 
 from mpmath.libmp import mpi_log
 
+from oracles import iv_bracket, mpi
 from sigma_density import density, explorer, solver, zeta
-from sigma_density.brackets import Bracket
 from sigma_density.errors import DomainError
 
 INF = math.inf
@@ -54,7 +54,7 @@ def test_a_gap_scan_below_level_1_is_a_domain_error(table):
 def test_k_inf_is_the_unrestricted_sum(table):
     # G_inf(r) = zeta(r), and the range is dense exactly up to eta_inf ~ 1.8878
     report = density.density_report(table, INF, 1.5)
-    assert report.log_g == Bracket.from_iv(mpi_log(zeta.zeta_iv(zeta.to_iv(1.5))[0], 200))
+    assert report.log_g == iv_bracket(mpi_log(mpi(zeta.zeta_iv(zeta.exponent(1.5))[0]), 200))
     assert report.verdict == "dense"
     assert density.density_report(table, INF, 1.95).verdict == "not_dense"
 

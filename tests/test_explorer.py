@@ -14,12 +14,12 @@ from oracles import (
     neighbours,
     sigma_values_cofactor,
     sigma_values_loop,
+    library_bracket,
     tail_bracket,
 )
 from sigma_density import density, explorer, primes, zeta
-from sigma_density.brackets import Bracket
 from sigma_density.errors import CapacityError, DomainError, IndeterminateError, PrecisionError
-from sigma_density.zeta import FULL_SIZE, SIGN_SIZE, log_g_iv, to_iv
+from sigma_density.zeta import FULL_SIZE, SIGN_SIZE, exponent, log_g_iv
 
 
 SIEVE_KS = (1, 2, 3, 10, 1000)
@@ -105,7 +105,7 @@ class TestGreedy:
 
     def test_residual_bounded_by_tail(self, table):
         k, r, steps = 1, 1.5, 10_000
-        x = 0.9 * Bracket.from_iv(log_g_iv(k, to_iv(r))[0]).mid
+        x = 0.9 * library_bracket(log_g_iv(k, exponent(r))[0]).mid
         trace = explorer.greedy_approximate(table, k, r, x, steps)
         assert trace.residual >= 0
         assert trace.residual < tail_bracket(table, k, steps, r).hi
@@ -116,7 +116,7 @@ class TestGreedy:
         assert all(c <= trace.target for c in C)
         assert all(b >= a for a, b in zip(C, C[1:]))
         # C_l + E_l climbs toward log G
-        log_g = Bracket.from_iv(log_g_iv(2, to_iv(1.4))[0]).mid
+        log_g = library_bracket(log_g_iv(2, exponent(1.4))[0]).mid
         combined = [c + e for c, e in zip(C, trace.E)]
         assert all(b >= a - 1e-12 for a, b in zip(combined, combined[1:]))
         assert combined[-1] < log_g
@@ -208,10 +208,7 @@ class TestGreedy:
             explorer.greedy_approximate(table, 1, 1.5, -0.1, 10)
         with pytest.raises(DomainError):
             explorer.greedy_approximate(table, 1, 1.5, 10.0, 10)
-        from sigma_density.brackets import Bracket
-        from sigma_density.zeta import log_g_iv, to_iv
-
-        log_g = Bracket.from_iv(log_g_iv(1, to_iv(1.5))[0])
+        log_g = library_bracket(log_g_iv(1, exponent(1.5))[0])
         with pytest.raises(IndeterminateError):
             explorer.greedy_approximate(table, 1, 1.5, log_g.lo, 10)
 
@@ -219,7 +216,7 @@ class TestGreedy:
 class TestTargetCheck:
     @pytest.mark.parametrize("k, r", [(1, 1.5), (2, 1.9), (3, 2.4), (10, 1.2), (1, 30.0), (2, 70.0), (1, 1e6)])
     def test_outcomes_and_messages_match_the_full_size_check(self, table, k, r):
-        log_g = Bracket.from_iv(log_g_iv(k, to_iv(r))[0])
+        log_g = library_bracket(log_g_iv(k, exponent(r))[0])
         for x in [*neighbours(log_g.lo, 4), *neighbours(log_g.hi, 4)]:
             if x < 0:
                 continue
@@ -238,11 +235,11 @@ class TestTargetCheck:
         accepted = 0
         for k in (1, 2, 5, 100):
             for r in rs:
-                lower = Bracket.from_iv(log_g_iv(k, to_iv(r), SIGN_SIZE)[0]).lo
+                lower = library_bracket(log_g_iv(k, exponent(r), SIGN_SIZE)[0], SIGN_SIZE.unit).lo
                 threshold = math.nextafter(lower, -math.inf)
                 if threshold > 0:
                     accepted += 1
-                    assert threshold <= Bracket.from_iv(log_g_iv(k, to_iv(r))[0]).lo
+                    assert threshold <= library_bracket(log_g_iv(k, exponent(r))[0]).lo
         assert accepted >= 4 * len(rs) - 8
 
     def test_a_walk_to_a_target_below_log_g_takes_no_full_size_zeta(self, table, monkeypatch):
@@ -276,7 +273,7 @@ def assert_walk_matches_the_loop(table, k, r, x, steps):
 
 def target(k, r, fraction):
     """fraction of the way from 0 to the lower end of the log G_k(r) bracket."""
-    return fraction * Bracket.from_iv(log_g_iv(k, to_iv(r))[0]).lo
+    return fraction * library_bracket(log_g_iv(k, exponent(r))[0]).lo
 
 
 class TestGreedyRuns:
@@ -492,8 +489,8 @@ class TestAnalyticScan:
         # the levels whose T is certified positive, in ascending m, each
         # with the gap t_levels yields there; at k = 1, r = 300 every T
         # bracket straddles 0 (ROADMAP item 2) and the scan is empty
-        r_iv = to_iv(r)
-        levels = list(density.t_levels(table, k, r_iv, log_g_iv(k, r_iv), range(1, 11)))
+        s = exponent(r)
+        levels = list(density.t_levels(table, k, s, log_g_iv(k, s), range(1, 11)))
         scan = explorer.analytic_gap_scan(table, k, r, 10)
         assert [m for m, _, _ in scan] == [m for m, t, _ in levels if t.strictly_positive()]
         assert list(scan) == [(m, *gap) for m, _, gap in levels if gap is not None]

@@ -243,6 +243,28 @@ def test_compare_bench_refuses_a_bad_argument_before_any_run(
     assert calls == [] and not out.exists()
 
 
+def test_compare_bench_refuses_a_repeated_workload(two_commits, tmp_path, capsys, monkeypatch):
+    # a second pass would rerun the same seeds and overwrite the first
+    # pass's pairs and logs
+    calls = []
+
+    def stub(argv, cwd, stdout, stderr, on_line):
+        calls.append(argv)
+        return 1
+
+    out = tmp_path / "out"
+    argv = [
+        "--parent", "HEAD~1", "--change", "HEAD", "--workload", "solve", "--workload", "point",
+        "--workload", "solve", "--pairs", "2", "--seed-base", "7", "--out", str(out),
+    ]
+    monkeypatch.chdir(two_commits)
+    with pytest.raises(SystemExit) as exc:
+        load("compare_bench").main(argv, runner=stub)
+    assert exc.value.code == 2
+    assert "--workload solve given more than once" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 def test_compare_bench_a_claim_with_no_complete_pair_does_not_hold(
     two_commits, tmp_path, capsys, monkeypatch
 ):

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from mpmath import iv
 
 from oracles import (
+    iv_bracket,
     iv_pow,
+    library_bracket,
     limit_equation,
     log_g_iv_oracle,
     r1_surrogate,
@@ -18,7 +20,7 @@ from oracles import (
 from sigma_density import density, solver, zeta
 from sigma_density.brackets import Bracket
 from sigma_density.errors import CapacityError, DomainError, PrecisionError
-from sigma_density.zeta import to_iv
+from sigma_density.zeta import exponent
 
 
 def eta_defining_sign(k, r):
@@ -35,7 +37,7 @@ def eta_defining_sign(k, r):
             s2 += iv_pow(iv.mpf(2), -j * r_iv)
             s3 += iv_pow(iv.mpf(3), -j * r_iv)
         lhs = iv.log(s2) + iv.log(s3) + iv.log(1 + iv_pow(iv.mpf(3), -r_iv))
-    return Bracket.from_iv(lhs - log_g_iv_oracle(k, r_iv))
+    return iv_bracket(lhs - log_g_iv_oracle(k, r_iv))
 
 
 # solver.eta(table, k) at the default eps
@@ -220,7 +222,7 @@ class TestEtaLimit:
         result = solver.eta_limit(table, 1e-9)
         r = result.value.mid
         lhs = (2**r / (2**r - 1)) * ((3**r + 1) / (3**r - 1))
-        assert abs(lhs - Bracket.from_iv(zeta.zeta_iv(to_iv(r))[0]).mid) < 1e-8
+        assert abs(lhs - library_bracket(zeta.zeta_iv(exponent(r))[0]).mid) < 1e-8
 
     def test_is_eta_at_a_large_k(self, table):
         # at k = 10^9, zeta((k+1)r) - 1 and x^(k+1) lie below every bracket's

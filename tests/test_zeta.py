@@ -9,9 +9,20 @@ from hypothesis import given, settings, strategies as st
 from mpmath import iv
 from fractions import Fraction
 
-from mpmath.libmp import from_float, from_man_exp, mpi_neg
+from mpmath.libmp import from_man_exp
 
-from oracles import contains, enclosure_width, encloses, iv_pow, mpf_fraction, taylor_exp, zeta_mpi
+from oracles import (
+    contains,
+    enclosure_width,
+    encloses,
+    exponent_of,
+    iv_bracket,
+    iv_pow,
+    library_bracket,
+    mpi,
+    taylor_exp,
+    zeta_mpi,
+)
 from sigma_density import cli, density, explorer, solver, zeta as zmod
 from sigma_density.brackets import Bracket, check_eps
 from sigma_density.errors import DomainError, PrecisionError, check_r
@@ -24,13 +35,7 @@ PI = math.pi
 def kernel(s, size=zmod.FULL_SIZE):
     """The kernel's enclosure of zeta(s) for a double or a cell [a, b], as
     an iv object."""
-    return iv.make_mpf(zmod.zeta_iv(iv.mpf(s)._mpi_, size)[0])
-
-
-def prime_entries(powers, size):
-    """A table's entries at n = 1 and at the primes n <= N, the ones the
-    kernel keeps."""
-    return [powers[n] for n in range(1, size.terms + 1) if size.smallest_factor[n] == n]
+    return iv.make_mpf(mpi(zmod.zeta_iv(exponent_of(s), size)[0], size.unit))
 
 
 def assert_within_the_mpi_kernel(cell, size):
@@ -38,28 +43,31 @@ def assert_within_the_mpi_kernel(cell, size):
     mpmath at 300 bits and against ``zeta_mpi``, the kernel on ``mpi_*``
     calls: each enclosure holds the image of the cell (zeta(s) over
     [s.a, s.b] is [zeta(s.b), zeta(s.a)]), is no wider than the mpi
-    kernel's, and prints as doubles inside the mpi kernel's."""
-    value, powers = zmod.zeta_iv(cell._mpi_, size)
+    kernel's (a table entry, rounded outward to the unit, by at most two
+    units), and prints as doubles inside the mpi kernel's."""
+    value, powers = zmod.zeta_iv(exponent_of(cell), size)
+    value = mpi(value, size.unit)
     oracle, oracle_powers = zeta_mpi(cell, size)
     with mpmath.workprec(300):
         sa, sb = mpmath.mpf(cell.a), mpmath.mpf(cell.b)
         assert encloses(value, mpmath.zeta(sb), mpmath.zeta(sa))
         for n, (x, y) in enumerate(zip(powers, oracle_powers)):
-            if x is not None and n > 1:
+            if n > 1:
+                x = mpi(x, size.unit)
                 assert encloses(x, mpmath.power(n, -sb), mpmath.power(n, -sa)), n
-                assert enclosure_width(x) <= enclosure_width(y), n
+                assert enclosure_width(x) <= enclosure_width(y) + mpmath.ldexp(2, -size.unit), n
     assert enclosure_width(value) <= enclosure_width(oracle._mpi_)
-    printed, oracle_printed = Bracket.from_iv(value), Bracket.from_iv(oracle)
+    printed, oracle_printed = iv_bracket(value), iv_bracket(oracle)
     assert oracle_printed.lo <= printed.lo and printed.hi <= oracle_printed.hi
 
 
 def zeta_bracket(r: float) -> Bracket:
     """zeta(r) as the program prints it: the full-size kernel's enclosure."""
-    return Bracket.from_iv(zmod.zeta_iv(zmod.to_iv(r))[0])
+    return library_bracket(zmod.zeta_iv(zmod.exponent(r))[0])
 
 
 def log_g_bracket(k: int, r: float) -> Bracket:
-    return Bracket.from_iv(zmod.log_g_iv(k, zmod.to_iv(r))[0])
+    return library_bracket(zmod.log_g_iv(k, zmod.exponent(r))[0])
 
 
 # Partial-sum term cap for the oracle route near r = 1.
@@ -170,7 +178,7 @@ def zeta_iv_reference(s):
 def assert_agrees_with_the_oracle(fast, slow):
     """Equal as double brackets, and equal to within 2^-190 relative at
     the working precision."""
-    assert Bracket.from_iv(fast) == Bracket.from_iv(slow)
+    assert iv_bracket(fast) == iv_bracket(slow)
     for x, y in ((fast.a, slow.a), (fast.b, slow.b)):
         x, y = mpmath.mpf(x), mpmath.mpf(y)
         assert abs(x - y) <= abs(y) * mpmath.ldexp(1, -190)
@@ -253,28 +261,30 @@ class TestKernel:
     @given(r=st.floats(min_value=1.0001, max_value=300.0))
     def test_table_entries_are_the_prime_powers(self, r):
         # the T route reads p^-r for p <= N from this table: the same
-        # intervals as prime_power, holding mpmath's p^-r, no wider than an
-        # interval exp at each end of -r log p
+        # pairs as prime_power, holding mpmath's p^-r, no wider than an
+        # interval exp at each end of -r log p once rounded to the unit
         size = zmod.FULL_SIZE
-        r_iv = zmod.to_iv(r)
-        minus_r = mpi_neg(r_iv, size.prec)
-        _, powers = zmod.zeta_iv(r_iv)
+        s = zmod.exponent(r)
+        _, powers = zmod.zeta_iv(s)
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
-            assert powers[p] == zmod.prime_power(p, minus_r, size.prec)
+            assert powers[p] == zmod.prime_power(p, (-s[1], -s[0]), size)
+            power = mpi(powers[p])
             with mpmath.workprec(300):
                 x = mpmath.power(p, -mpmath.mpf(r))
-            assert encloses(powers[p], x, x)
-            assert enclosure_width(powers[p]) <= enclosure_width(iv_pow(iv.mpf(p), -iv.mpf(r))._mpi_)
+            assert encloses(power, x, x)
+            oracle = enclosure_width(iv_pow(iv.mpf(p), -iv.mpf(r))._mpi_)
+            assert enclosure_width(power) <= oracle + mpmath.ldexp(2, -size.unit)
 
     @pytest.mark.parametrize("size", [zmod.FULL_SIZE, zmod.SIGN_SIZE], ids=["full", "sign"])
-    def test_table_holds_only_the_prime_entries(self, size):
-        # no caller reads a composite n^-s, so the kernel leaves those
-        # slots None; the table still reaches N, as density._power reads
-        _, powers = zmod.zeta_iv(zmod.to_iv(1.88), size)
-        assert len(powers) == size.terms + 1
-        composites = [n for n in range(2, size.terms + 1) if size.smallest_factor[n] != n]
-        assert composites and all(powers[n] is None for n in composites)
-        assert None not in prime_entries(powers, size)
+    def test_table_holds_every_entry(self, size):
+        # n^-s for every n <= N, a composite's the product of two earlier
+        # entries, each a pair at the unit that holds mpmath's value
+        _, powers = zmod.zeta_iv(zmod.exponent(1.88), size)
+        assert len(powers) == size.terms + 1 and powers[:2] == [None, (1 << size.unit,) * 2]
+        with mpmath.workprec(300):
+            for n in range(2, size.terms + 1):
+                x = mpmath.power(n, -mpmath.mpf(1.88))
+                assert encloses(mpi(powers[n], size.unit), x, x), n
 
     @pytest.mark.parametrize(
         "s",
@@ -285,7 +295,7 @@ class TestKernel:
         # the printed doubles are the iv kernel's, bit for bit, from an
         # enclosure no wider than its one
         fast, slow = kernel(s), zeta_iv_reference(iv.mpf(s))
-        assert Bracket.from_iv(fast) == Bracket.from_iv(slow)
+        assert iv_bracket(fast) == iv_bracket(slow)
         assert enclosure_width(fast._mpi_) <= enclosure_width(slow._mpi_)
 
     @pytest.mark.parametrize("size", [zmod.FULL_SIZE, zmod.SIGN_SIZE], ids=["full", "sign"])
@@ -316,6 +326,12 @@ class TestKernel:
 
 def dyadic(man, exp):
     return Fraction(man) * Fraction(2) ** exp
+
+
+def man_exp(x: float) -> tuple[int, int]:
+    """The double x as (man, exp), x = man 2^exp with man odd or 0."""
+    man, denominator = x.as_integer_ratio()
+    return man, 1 - denominator.bit_length()
 
 
 def assert_holds_the_taylor_enclosure(calls):
@@ -381,7 +397,7 @@ class TestIntegerExp:
     def test_an_argument_holds_the_taylor_enclosure(self, x, prec):
         # at zero, at tiny arguments of either sign, and beside multiples
         # of ln 2, where the reduced argument is near 0 or near ln 2
-        man, exp = zmod._signed(from_float(x))
+        man, exp = man_exp(x)
         result = zmod._exp_ends(man, man, exp, prec)
         assert_holds_the_taylor_enclosure({(man, man, exp, prec): result})
         a, ea, b, eb = result
@@ -391,7 +407,7 @@ class TestIntegerExp:
     def test_a_huge_argument_holds_mpmath_exp(self, x):
         # ln 2 to bits of n past the work precision; mpmath's exp at 300
         # bits is far inside the bracket
-        man, exp = zmod._signed(from_float(x))
+        man, exp = man_exp(x)
         a, ea, b, eb = zmod._exp_ends(man, man, exp, 200)
         with mpmath.workprec(300):
             value = mpmath.exp(mpmath.mpf(x))
@@ -402,19 +418,19 @@ class TestIntegerExp:
         calls = []
         exp_at = zmod._exp_at
         monkeypatch.setattr(zmod, "_exp_at", lambda *args: calls.append(args) or exp_at(*args))
-        narrow = zmod.log_prime(3, 300)  # about 2^-315 wide
-        for t, exps in ((narrow, 1), ((narrow[0], narrow[0]), 1), (zmod.to_iv(1.0)[:1] + narrow[1:], 2)):
+        lo, hi = zmod.log_units(3, 316)  # about 2^-315 wide
+        for (a, b), exps in (((lo, hi), 1), ((lo, lo), 1), ((1 << 316, hi), 2)):
             calls.clear()
-            lo, hi = zmod.exp_iv(t, 200)
+            result = zmod._exp_ends(a, b, -316, 200)
             assert len(calls) == exps
-            assert mpf_fraction(lo) <= taylor_exp(t[0])[0] and taylor_exp(t[1])[1] <= mpf_fraction(hi)
+            assert_holds_the_taylor_enclosure({(a, b, -316, 200): result})
 
     def test_holds_the_power_where_libmp_rounded_to_the_wrong_side(self):
         # In the cover at p = 19 and the cell end r = 2.291669791666667,
         # libmp's mpf_exp(x, 200, round_ceiling) returned 6.5e-62 below
         # exp(x) at the upper end x of r log 19.
         r = 2.291669791666667
-        lo, hi = zmod.prime_power(19, zmod.to_iv(r), 200)
+        lo, hi = mpi(zmod.prime_power(19, zmod.exponent(r), zmod.FULL_SIZE))
         with mpmath.workprec(3000):
             power = mpmath.power(19, mpmath.mpf(r))
             assert mpmath.mpf(lo) < power < mpmath.mpf(hi)
@@ -442,15 +458,91 @@ class TestIntegerExp:
     @pytest.mark.parametrize("bits", [64, 216, 1000, 14000])
     def test_ln2_and_log_p_hold_mpmath_within_two_units(self, bits):
         with mpmath.workprec(bits + 100):
-            for p, (lo, hi) in [(2, zmod._ln2(bits))] + [(p, zmod._log_units(p, bits)) for p in (2, 3, 23, 1999993)]:
+            for p, (lo, hi) in [(2, zmod._ln2(bits))] + [(p, zmod.log_units(p, bits)) for p in (2, 3, 23, 1999993)]:
                 value = mpmath.log(p) * mpmath.mpf(2) ** bits
                 assert lo < value < hi and hi - lo <= 2, p
 
-    def test_log_prime_is_the_image_of_the_integer_log(self):
+    def test_the_log_of_an_integer_value_is_log_p(self):
+        # the log of any value, at an integer p in units of 2^-unit, takes
+        # the same atanh series as log p itself
         for p in (2, 3, 19, 1999993):
-            for prec in (53, 80, 200):
-                lo, hi = zmod._log_units(p, prec + zmod.GUARD_BITS)
-                assert zmod.log_prime(p, prec) == (from_man_exp(lo, -prec - 16), from_man_exp(hi, -prec - 16))
+            for unit in (69, 96, 216):
+                assert zmod.log_iv((p << unit, p << unit), unit) == zmod.log_units(p, unit)
+
+
+def record_logs(monkeypatch):
+    """Every call of zeta._log_at, as a dict from (man, exp, bits) to its
+    result, and of zeta.log_iv, in zeta and in density, as a list of
+    (x, unit, result).  log_units' cache is emptied first, so that each
+    log p is recorded too."""
+    at_calls, iv_calls = {}, []
+    log_at, log_iv = zmod._log_at, zmod.log_iv
+
+    def spy_at(man, exp, bits):
+        at_calls[man, exp, bits] = result = log_at(man, exp, bits)
+        return result
+
+    def spy_iv(x, unit):
+        result = log_iv(x, unit)
+        iv_calls.append((x, unit, result))
+        return result
+
+    monkeypatch.setattr(zmod, "_log_at", spy_at)
+    for module in (zmod, density):
+        monkeypatch.setattr(module, "log_iv", spy_iv)
+    zmod.log_units.cache_clear()
+    return at_calls, iv_calls
+
+
+def assert_holds_the_log(at_calls, iv_calls):
+    """Each recorded log against mpmath's at 3000 bits: the ends of
+    _log_at hold log(man 2^exp) and are at most 2 units apart, and those
+    of log_iv hold the log of each end of its pair."""
+    with mpmath.workprec(3000):
+        for (man, exp, bits), (lo, hi) in at_calls.items():
+            value = mpmath.log(mpmath.ldexp(man, exp)) * mpmath.ldexp(1, bits)
+            assert lo <= value <= hi and hi - lo <= 2, (man, exp, bits)
+        for (x_lo, x_hi), unit, (lo, hi) in iv_calls:
+            scale = mpmath.ldexp(1, unit)
+            assert lo <= mpmath.log(x_lo / scale) * scale, (x_lo, unit)
+            assert mpmath.log(x_hi / scale) * scale <= hi, (x_hi, unit)
+
+
+class TestIntegerLog:
+    """Every log on a certified route is zeta._log_at's atanh series, with
+    log_iv's upper end from concavity: each end a bound, against mpmath."""
+
+    def test_every_log_of_the_golden_commands_holds_mpmath(self, monkeypatch, capsysbinary):
+        # the sixteen golden-file commands, the verify suites among them
+        at_calls, iv_calls = record_logs(monkeypatch)
+        for argv in GOLDEN.values():
+            assert cli.main(argv) == 0
+        capsysbinary.readouterr()
+        assert {unit for _, unit, _ in iv_calls} == {zmod.SIGN_SIZE.unit, zmod.FULL_SIZE.unit}
+        assert len(at_calls) > 200
+        assert_holds_the_log(at_calls, iv_calls)
+
+    @pytest.mark.parametrize("size", [zmod.FULL_SIZE, zmod.SIGN_SIZE], ids=["full", "sign"])
+    def test_edge_arguments_hold_mpmath(self, monkeypatch, size):
+        at_calls, iv_calls = record_logs(monkeypatch)
+        unit = size.unit
+        one = 1 << unit
+        # lower ends that rounding puts just below 1, where n = -1 takes
+        # ln 2's upper end for the lower bound
+        for below in (1, 2, 5, 1 << (unit // 2), one >> 1):
+            zmod.log_iv((one - below, one + 3), unit)
+        # zeta near 2^52 at r = 1 + 2^-52, and its log G
+        zmod.log_g_iv(1, zmod.exponent(1 + 2**-52), size)
+        assert zmod.log_g_iv(math.inf, zmod.exponent(1 + 2**-52), size)[0][0] > 36 << unit
+        # exact powers of two 2^j, where the atanh is 0: n ln 2 alone
+        for j in range(-unit, 64):
+            power = one << j if j >= 0 else one >> -j
+            zmod.log_iv((power, power), unit)
+        # and past |n| = 64, where ln 2 takes more guard bits
+        for n in (64, 65, 1000, 2**20):
+            zmod._log_at(1, -n, unit)
+            zmod._log_at(3, n, unit)
+        assert_holds_the_log(at_calls, iv_calls)
 
 
 class TestZeta:
@@ -511,7 +603,7 @@ class TestGk:
 
     def test_large_k_approaches_zeta(self):
         log_g = log_g_bracket(40, 2)
-        log_z = Bracket.from_iv(iv.log(kernel(2)))
+        log_z = iv_bracket(iv.log(kernel(2)))
         assert abs(log_g.mid - log_z.mid) < 1e-10
 
     def test_finite_near_one(self):
@@ -521,7 +613,7 @@ class TestGk:
     def test_between_one_and_zeta(self):
         for k, r in ((1, 1.5), (3, 2.0), (7, 1.2)):
             log_g = log_g_bracket(k, r)
-            log_z = Bracket.from_iv(iv.log(kernel(r)))
+            log_z = iv_bracket(iv.log(kernel(r)))
             assert 0 < log_g.lo and log_g.hi < log_z.hi
 
 
