@@ -264,8 +264,8 @@ def _cover(claim, lo: float, hi: float) -> tuple[int, float, bool]:
     a cover of cells (Moore, Kearfott and Cloud, *Introduction to Interval
     Analysis*, ch. 5): ``claim`` maps the ends a <= b of a cell, two
     doubles, to a pair in units of 2^-UNIT enclosing the claim's values
-    there.  A cell whose lower bound is > 0
-    is accepted; any other cell is bisected.  Returns the cells accepted,
+    there.  A cell whose lower bound is > 0 is accepted; any other cell
+    is bisected.  Returns the cells accepted,
     the lowest lower bound (rounded down to a double), and whether the
     claim is proved.  It is not when COVER_MAX_CELLS cells have been
     evaluated, or when a cell too narrow to bisect is not accepted."""
@@ -324,8 +324,8 @@ def check_inequalities() -> InequalityReport:
 
     def square_dominates_zeta(a, b):
         zeta_r, powers = zeta_iv(exponent(a, b))
-        x2 = add(ONE, powers[2])
-        return sub(times(x2, x2), zeta_r)
+        base = add(ONE, powers[2])
+        return sub(times(base, base), zeta_r)
 
     return InequalityReport(
         checks=(

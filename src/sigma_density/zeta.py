@@ -408,9 +408,7 @@ def zeta_iv(s: tuple[int, int], size: KernelSize = FULL_SIZE) -> tuple[tuple[int
     return (lo - m, hi + m), powers
 
 
-def log_g_iv(
-    k: int | float, r: tuple[int, int], size: KernelSize = FULL_SIZE
-) -> tuple[tuple[int, int], list, list | None]:
+def log_g_iv(k: int | float, r: tuple, size: KernelSize = FULL_SIZE) -> tuple[tuple, list, list | None]:
     """Enclosure of log G_k(r), G_k(r) = zeta(r)/zeta((k+1)r), over an
     exponent pair r, in units of 2^-size.unit, from two zeta_iv calls of
     ``size`` (one at k = inf, where zeta((k+1)r) = 1) and their logs
