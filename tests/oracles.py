@@ -38,7 +38,8 @@ such a pair into the exact ``mpmath.libmp`` interval tuple that the
 oracles compute on, ``to_units`` an oracle's interval into such a pair
 (``exponent_of`` an exponent), and ``iv_bracket`` an oracle's interval
 into a double bracket, each end to its nearest double and then one double
-outward, as ``Bracket.from_units`` rounds a pair."""
+outward, as ``Bracket.from_units`` rounds a pair (``library_bracket``, at
+the full size's unit by default)."""
 
 import functools
 import math
